@@ -78,11 +78,6 @@ class ContactTrace:
         i = bisect_right(ivs, (t, math.inf)) - 1
         return i >= 0 and ivs[i][0] <= t <= ivs[i][1]
 
-    def active_pairs(self, t: float) -> list[tuple[int, int]]:
-        """All normalized pairs in contact at time t, sorted."""
-        return sorted(pair for pair, ivs in self._by_pair.items()
-                      if any(s <= t <= e for s, e in ivs))
-
     def boundary_pairs(self, unit: float) -> list[list[tuple[int, int]]]:
         """For each multiple of ``unit`` in [0, duration], the active pairs.
 

@@ -12,8 +12,9 @@ import hashlib
 import json
 import math
 import os
+import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ import yaml
 
 from . import mobility
 from .contact_engine import ContactTrace, contacts_from_positions, load_contacts_csv, save_contacts_csv
-from .forwarding import Scheme
+from .forwarding import DIRECT, EBR, MT, TT
 from .service_model import Service, ServiceCatalog, enumerate_services, assign_services
 from .sim_core import (RequestPattern, RunResult, SimConfig, read_records_csv,
                        run as run_sim, write_records_csv)
@@ -196,18 +197,25 @@ def make_trace(mob: dict, seed: int, cache_dir: Path | None = None) -> mobility.
     else:
         raise ValueError(f"unknown mobility model {model!r}")
     if key is not None:
-        tmp = key.with_suffix(".tmp")
-        mobility.save_trace_csv(trace, tmp)
-        os.replace(tmp, key)
+        # A temp name of its own per writer: parallel runs that share this
+        # trace must not interleave their writes before the rename.
+        fd, tmp = tempfile.mkstemp(suffix=".tmp", prefix=key.stem, dir=key.parent)
+        os.close(fd)
+        try:
+            mobility.save_trace_csv(trace, tmp)
+            os.replace(tmp, key)
+        except BaseException:
+            os.unlink(tmp)
+            raise
     return trace
 
 
-_SCHEMES = {
-    "direct": lambda: Scheme("direct"),
-    "TT": lambda: Scheme("TT", t_av=20.0),
-    "MT": lambda: Scheme("MT", t_av=1.0),
-    "EBR": lambda: Scheme("EBR"),
-}
+_SCHEMES = {"direct": DIRECT, "TT": TT, "MT": MT, "EBR": EBR}
+
+
+# SimConfig fields a spec's ``sim`` dict may set; the rest come from the spec.
+_SIM_KEYS = tuple(f.name for f in fields(SimConfig)
+                  if f.name not in ("catalog", "placement", "pattern", "seed"))
 
 
 def prepare_run(spec_dict: dict, seed: int, cache_dir: Path | None = None
@@ -225,27 +233,18 @@ def prepare_run(spec_dict: dict, seed: int, cache_dir: Path | None = None
         rng, distribution=distribution, popularity=popularity)
     trace = make_trace(spec_dict["mobility"], seed, cache_dir)
     contacts = contacts_from_positions(trace, spec_dict.get("range_m", 100.0))
-    sim = spec_dict.get("sim", {})
-    scheme = _SCHEMES[sim.get("scheme", "MT")]()
-    config = SimConfig(
-        catalog=catalog,
-        placement=placement,
-        pattern=pattern,
-        awareness=sim.get("awareness", "local"),
-        scheme=scheme,
-        request_rate_per_min=sim.get("request_rate_per_min", 0.4),
-        timeout_s=sim.get("timeout_s", 900.0),
-        mean_exec_s=sim.get("mean_exec_s", 30.0),
-        unit_s=sim.get("unit_s", 30.0),
-        t_av=sim.get("t_av", 1.0),
-        radius=sim.get("radius"),
-        delay_warmup_s=sim.get("delay_warmup_s", 7200.0),
-        opportunistic=sim.get("opportunistic", "relay"),
-        recompute_per_stage=sim.get("recompute_per_stage", True),
-        load_aware=sim.get("load_aware", True),
-        exact_match=sim.get("exact_match", False),
-        seed=seed,
-    )
+    sim = dict(spec_dict.get("sim", {}))
+    unknown = sorted(set(sim) - set(_SIM_KEYS))
+    if unknown:
+        raise ValueError(f"unknown sim key(s) {', '.join(unknown)}; "
+                         f"valid keys: {', '.join(_SIM_KEYS)}")
+    if "scheme" in sim:
+        name = sim["scheme"]
+        if name not in _SCHEMES:
+            raise ValueError(f"unknown scheme {name!r}; choose from {', '.join(_SCHEMES)}")
+        sim["scheme"] = _SCHEMES[name]
+    config = SimConfig(catalog=catalog, placement=placement, pattern=pattern,
+                       seed=seed, **sim)
     return config, contacts
 
 

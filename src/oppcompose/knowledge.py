@@ -4,8 +4,12 @@ Every node keeps a timer per peer approximating its temporal distance
 (time elapsed since a contact chain could have relayed information from
 that peer), plus a load estimate per peer.  Timers tick once per time
 unit; on contact two nodes adopt each other's strictly better entries,
-paying a fixed ``t_av`` per relay hop.  Awareness levels determine how a
-node prices graph edges between arbitrary peers from this state.
+paying a fixed ``t_av`` per relay hop.  At each unit boundary every group
+of co-located nodes settles at once to what repeated contacts would reach,
+``T_i[k] = min_j (T_j[k] + t_av * hops(i, j))`` over the group, with the
+load taken from the minimising source (ties: own entry, then fewer hops,
+then lower node id).  Awareness levels determine how a node prices graph
+edges between arbitrary peers from this state.
 """
 
 from __future__ import annotations
@@ -94,65 +98,147 @@ class LoadTracker:
         return value
 
 
-def _adopt(store: KnowledgeStore, peer_timers: np.ndarray, peer_loads: np.ndarray) -> bool:
-    """Apply the contact update rule: for every i != owner, adopt the peer's
-    entry when it is smaller by more than t_av, charging t_av for the hop."""
-    candidate = peer_timers + store.t_av
-    mask = peer_timers < store.timers - store.t_av
-    mask[store.owner] = False
-    if store.radius is not None:
-        mask &= candidate <= store.radius
-    if not mask.any():
-        return False
-    store.timers[mask] = candidate[mask]
-    store.loads[mask] = peer_loads[mask]
-    store.dirty = True
-    return True
+# Candidate entries computed at once: bounds the (receivers, sources, nodes)
+# temporaries, which for every receiver at once would grow peak memory.
+_CHUNK_ELEMS = 1 << 16
+
+_PAIR_HOPS = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
-def _merge_matrix(store: KnowledgeStore, now: float,
-                  peer_matrix: np.ndarray, peer_obs: np.ndarray,
-                  peer_id: int, peer_timers: np.ndarray) -> None:
-    newer = peer_obs > store.matrix_obs
-    newer[store.owner] = False
-    store.matrix[newer] = peer_matrix[newer]
-    store.matrix_obs[newer] = peer_obs[newer]
-    # The peer's own live row is always the freshest observation of it.
-    store.matrix[peer_id] = peer_timers
-    store.matrix_obs[peer_id] = now
-    store.matrix[store.owner] = store.timers
-    store.matrix_obs[store.owner] = now
+def _hop_counts(m: int, ia: list[int], ib: list[int]) -> np.ndarray:
+    """All-pairs hop counts of the undirected graph on ``m`` vertices with
+    edges ``(ia[e], ib[e])``; infinity between components.
+
+    Each BFS level is one boolean frontier times adjacency product, done
+    as a float32 matmul (counts stay far below 2**24).
+    """
+    adj = np.zeros((m, m), dtype=np.float32)
+    adj[ia, ib] = adj[ib, ia] = 1.0
+    hops = np.full((m, m), math.inf)
+    np.fill_diagonal(hops, 0.0)
+    frontier = np.eye(m, dtype=np.float32)
+    level = 0
+    while True:
+        level += 1
+        new = (frontier @ adj > 0) & np.isinf(hops)
+        if not new.any():
+            return hops
+        hops[new] = level
+        frontier = new.astype(np.float32)
+
+
+def _closure(members: list[KnowledgeStore], hops: np.ndarray, now: float) -> bool:
+    """Settle co-located stores as :func:`exchange_all` describes.
+
+    ``members`` are in node id order and ``hops[i, j]`` is the hop count
+    between members i and j, infinite across groups.  All candidates come
+    from the entries held before the call.  Returns True if any timer
+    changed.
+    """
+    m = len(members)
+    timers = np.array([s.timers for s in members])
+    loads = np.array([s.loads for s in members])
+    owners = np.array([s.owner for s in members])
+    t_av = np.array([s.t_av for s in members])
+    radius = np.array([math.inf if s.radius is None else s.radius for s in members])
+    track = all(s.matrix is not None for s in members)
+    # Sources per receiver in tie order: itself (the only 0-hop entry), then
+    # by hops, then by node id (a stable sort of id-ordered members; small
+    # integer keys sort by radix).  The first ``size[i]`` are i's component.
+    keys = np.minimum(hops, m).astype(np.min_scalar_type(m))
+    order = np.argsort(keys, axis=1, kind="stable")
+    hops = np.take_along_axis(hops, order, axis=1)
+    linked = np.isfinite(hops)
+    size = linked.sum(axis=1)
+    cost = np.full_like(hops, math.inf)
+    np.multiply(hops, t_av[:, None], out=cost, where=linked)
+    new_timers, new_loads = timers.copy(), loads.copy()
+    if track:
+        obs = np.array([s.matrix_obs for s in members])
+        freshest = np.empty_like(timers, dtype=np.intp)
+    n = timers.shape[1]
+    cols = np.arange(n)
+    # Receivers from the largest components down, in chunks whose
+    # (receivers, sources, nodes) candidates stay within _CHUNK_ELEMS.
+    by_size = np.argsort(-size, kind="stable")
+    lo = 0
+    while lo < m:
+        width = size[by_size[lo]]
+        rows = by_size[lo:lo + max(1, _CHUNK_ELEMS // (width * n))]
+        lo += len(rows)
+        pick = np.arange(len(rows))[:, None]
+        src = order[rows, :width]
+        cand = timers[src]
+        cand += cost[rows, :width, None]
+        first = cand.argmin(axis=1)  # first minimum: the tie order above
+        best = cand[pick, first, cols]
+        adopt = (first > 0) & (best <= radius[rows, None])
+        adopt[pick[:, 0], owners[rows]] = False
+        new_timers[rows] = np.where(adopt, best, timers[rows])
+        new_loads[rows] = np.where(adopt, loads[src[pick, first], cols], loads[rows])
+        if track:
+            seen = obs[src]
+            seen[~linked[rows, :width]] = -math.inf
+            freshest[rows] = src[pick, seen.argmax(axis=1)]
+    adopted = (new_timers != timers).any(axis=1)
+    for i in np.flatnonzero(adopted):
+        store = members[i]
+        store.timers[:] = new_timers[i]
+        store.loads[:] = new_loads[i]
+        store.dirty = True
+    if track:
+        matrix = np.array([s.matrix for s in members])
+        for i, store in enumerate(members):
+            newer = np.flatnonzero(freshest[i] != i)
+            store.matrix[newer] = matrix[freshest[i, newer], newer]
+            store.matrix_obs[newer] = obs[freshest[i, newer], newer]
+            group = order[i, :size[i]]
+            store.matrix[owners[group]] = new_timers[group]
+            store.matrix_obs[owners[group]] = now
+    return bool(adopted.any())
 
 
 def exchange(a: KnowledgeStore, b: KnowledgeStore, now: float = 0.0) -> bool:
-    """Symmetric contact update between two stores; True if anything changed.
+    """Symmetric contact update between two stores; True if any timer changed.
 
-    Both directions use pre-exchange snapshots so the result does not
-    depend on which side is applied first.
+    The one-pair case of :func:`exchange_all`: each side adopts the other's
+    strictly better entries (by more than ``t_av``), computed from the
+    entries both held before the call.
     """
-    ta, la = a.timers.copy(), a.loads.copy()
-    tb, lb = b.timers.copy(), b.loads.copy()
-    changed = _adopt(a, tb, lb)
-    changed |= _adopt(b, ta, la)
-    if a.matrix is not None and b.matrix is not None:
-        ma, oa = a.matrix.copy(), a.matrix_obs.copy()
-        _merge_matrix(a, now, b.matrix, b.matrix_obs, b.owner, tb)
-        _merge_matrix(b, now, ma, oa, a.owner, ta)
-    return changed
+    return _closure(sorted((a, b), key=lambda s: s.owner), _PAIR_HOPS, now)
 
 
 def exchange_all(stores: list[KnowledgeStore], pairs: list[tuple[int, int]],
-                 now: float = 0.0) -> None:
-    """Run pairwise exchanges for all co-located pairs until stable.
+                 now: float = 0.0) -> bool:
+    """Settle every group of co-located nodes in one min-plus closure.
 
-    Nodes standing in mutual range keep exchanging while anything improves,
-    so information can cross several co-located hops within one instant.
+    ``pairs`` are the node pairs in contact at this instant; their
+    connected components are the co-located groups.  Pairwise contacts
+    repeated until nothing changes converge to
+    ``T_i[k] = min_j (T_j[k] + t_av * hops(i, j))`` over i's group, so
+    this computes that directly: hop counts by BFS, then one vectorised
+    minimum per receiver over the entries held before the call.  As in a
+    single contact, a candidate replaces the own entry only when strictly
+    smaller and within ``radius``, and the owner's entry stays zero.
+
+    Timers equal the pairwise fixed point exactly whenever the sums are
+    exact (``t_av`` a dyadic value such as 0.5 or 1.0); other values may
+    differ by one rounding per hop.  Loads follow the minimising source;
+    where several sources tie, the own entry wins, then the source with
+    fewer hops, then the lower node id (pairwise exchanges left this to
+    the order of the pairs).  With matrix tracking, each member's rows
+    about its group become those members' final timers observed at
+    ``now``; every other row takes the freshest observation held in the
+    group, ties resolved in the same order.  Returns True if any timer
+    changed.
     """
-    changed = True
-    while changed:
-        changed = False
-        for i, j in pairs:
-            changed |= exchange(stores[i], stores[j], now)
+    if not pairs:
+        return False
+    nodes = sorted({v for pair in pairs for v in pair})
+    index = {v: i for i, v in enumerate(nodes)}
+    hops = _hop_counts(len(nodes), [index[a] for a, _ in pairs],
+                       [index[b] for _, b in pairs])
+    return _closure([stores[v] for v in nodes], hops, now)
 
 
 def estimate_distance(store: KnowledgeStore, level: str, i: int, j: int,

@@ -1,10 +1,10 @@
 """Discrete-event simulation of request composition over a contact trace.
 
 The engine advances in time-ordered events: unit boundaries (timer ticks,
-pairwise knowledge exchanges for co-located nodes, load-window updates),
-contact starts (encounter stats, forwarding attempts), service
-completions, Poisson request generation, forwarding sweeps, and deadline
-expirations.  Identical (config, seed) pairs reproduce identical results.
+one knowledge closure over the co-located groups, load-window updates),
+contact starts (encounter stats, neighbour index, forwarding attempts),
+service completions, Poisson request generation, forwarding sweeps, and
+deadline expirations.  Identical (config, seed) pairs reproduce identical results.
 """
 
 from __future__ import annotations
@@ -374,6 +374,10 @@ class _Engine:
         self.boundary_pairs = contacts.boundary_pairs(config.unit_s)
         self._dist_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._pending_sweeps: set[tuple[int, float]] = set()
+        # Per node: peer -> end of the contact in progress, filled at contact
+        # starts.  Contacts are closed intervals, so an entry lapses only
+        # once time passes its end (checked when read).
+        self.contact_end: list[dict[int, float]] = [{} for _ in range(self.n)]
         # Forwarding-layer state: when each pair last met directly.  The
         # timer relay rules run on these encounter ages, not on the
         # gossiped composition timers (transitive updates keep every
@@ -537,8 +541,10 @@ class _Engine:
                 self.schedule_sweep(node, t)
 
     def _neighbors(self, node: int, t: float) -> list[int]:
-        return [m for m in range(self.n)
-                if m != node and self.contacts.in_contact(node, m, t)]
+        peers = self.contact_end[node]
+        for peer in [p for p, end in peers.items() if end < t]:
+            del peers[peer]
+        return sorted(peers)
 
     def _transfer(self, item: _Item, src: int, dst: int, t: float) -> None:
         self.carried[src].remove(item)
@@ -690,7 +696,8 @@ class _Engine:
                 self.schedule_sweep(node, t)
             self.stores[node].dirty = False
 
-    def on_contact_start(self, t: float, a: int, b: int) -> None:
+    def on_contact_start(self, t: float, a: int, b: int, end: float) -> None:
+        self.contact_end[a][b] = self.contact_end[b][a] = end
         self.stats.record(a, t)
         self.stats.record(b, t)
         self.last_enc[a, b] = self.last_enc[b, a] = t
@@ -707,7 +714,8 @@ class _Engine:
         for k in range(n_units + 1):
             self.push(k * cfg.unit_s, _P_BOUNDARY, "boundary", k)
         for ev in self.contacts.events:
-            self.push(ev.start, _P_CONTACT, "contact", (min(ev.a, ev.b), max(ev.a, ev.b)))
+            self.push(ev.start, _P_CONTACT, "contact",
+                      (min(ev.a, ev.b), max(ev.a, ev.b), ev.end))
         if cfg.scripted_requests is not None:
             for t, origin, req_in, req_out in cfg.scripted_requests:
                 self.push(t, _P_GENERATE, "generate", (origin, req_in, req_out))

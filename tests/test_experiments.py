@@ -194,3 +194,40 @@ def test_failed_runs_reported(tmp_path):
     manifest = (tmp_path / "out" / "manifest.csv").read_text()
     assert "error" in manifest.splitlines()[0]
     assert len(manifest.splitlines()) == 2
+
+
+def test_parallel_runs_reproduce_serial_bytes(tmp_path):
+    # Two variants share each seed's mobility, so parallel workers write the
+    # same cached trace at once.
+    spec = tiny_spec(variants=[
+        {"name": "multihop", "overrides": {}},
+        {"name": "direct", "overrides": {"sim.scheme": "direct"}},
+    ])
+    serial = run_experiment(spec, tmp_path / "serial", workers=1).parent
+    parallel = run_experiment(spec, tmp_path / "parallel", workers=2).parent
+    assert (parallel / "summary.csv").read_bytes() == (serial / "summary.csv").read_bytes()
+    runs = sorted(p.name for p in (serial / "runs").iterdir())
+    assert runs == sorted(p.name for p in (parallel / "runs").iterdir())
+    for name in runs:
+        assert (parallel / "runs" / name).read_bytes() == (serial / "runs" / name).read_bytes()
+    assert not list((parallel / "traces").glob("*.tmp"))
+
+
+def test_prepare_run_maps_every_sim_key():
+    spec = tiny_spec(sim={"awareness": "global", "scheme": "EBR", "replan_on_relay": False,
+                          "exec_deterministic": True, "load_alpha": 0.25, "radius": 40.0})
+    config, _ = experiments.prepare_run(spec.to_dict(), seed=3)
+    assert config.awareness == "global"
+    assert config.scheme.kind == "EBR"
+    assert config.replan_on_relay is False
+    assert config.exec_deterministic is True
+    assert config.load_alpha == 0.25
+    assert config.radius == 40.0
+    assert config.seed == 3
+
+
+@pytest.mark.parametrize("sim", [{"awarness": "global"}, {"seed": 4}, {"scheme": "mt"}])
+def test_prepare_run_rejects_unknown_sim_keys(sim):
+    spec = tiny_spec(sim=sim)
+    with pytest.raises(ValueError, match="awareness|MT"):
+        experiments.prepare_run(spec.to_dict(), seed=0)

@@ -8,6 +8,7 @@ from oppcompose.forwarding import Scheme
 from oppcompose.mobility import LevyWalkParams, generate_levy
 from oppcompose.service_model import Service, enumerate_services, assign_services
 from oppcompose.sim_core import (
+    _Engine,
     RequestPattern,
     SimConfig,
     read_records_csv,
@@ -364,3 +365,45 @@ def test_estimated_cost_recorded_when_path_exists():
     with_est = [r for r in result.records if r.estimated_cost_s is not None]
     assert len(with_est) > 0.8 * len(result.records)
     assert all(r.estimated_cost_s >= 0 for r in with_est)
+
+
+# -- neighbour index -------------------------------------------------------------------
+
+def test_neighbor_index_matches_in_contact_at_interval_edges():
+    # Contacts are closed intervals: a sweep at a contact's start or end sees
+    # the peer, one just after the end does not.  Every probe must agree with
+    # the trace's own interval lookup.
+    rng = np.random.default_rng(11)
+    n, duration = 20, 3600.0
+    events = []
+    for a in range(6):
+        for b in range(a + 1, 6):
+            t = float(rng.integers(0, 300))
+            while True:
+                start, end = t, t + float(rng.integers(1, 200))
+                if end > duration - 10.0:
+                    break
+                events.append(ContactEvent(start, end, a, b))
+                t = end + float(rng.integers(2, 400))
+    trace = ContactTrace(events, n, duration)
+    engine = _Engine(default_config(request_rate_per_min=0.0), trace)
+    seen = {}
+
+    def probe(t, node):
+        seen[(t, node)] = engine._neighbors(node, t)
+
+    engine.sweep = probe
+    probes = set()
+    for ev in trace.events:
+        for t in (ev.start, ev.end, ev.end + 0.5, (ev.start + ev.end) / 2):
+            for node in (ev.a, ev.b):
+                probes.add((t, node))
+                engine.schedule_sweep(node, t)
+    engine.run()
+    assert set(seen) == probes
+    for (t, node), peers in seen.items():
+        assert peers == [m for m in range(n) if m != node and trace.in_contact(node, m, t)]
+    for ev in trace.events:
+        assert ev.b in seen[(ev.start, ev.a)] and ev.a in seen[(ev.start, ev.b)]
+        assert ev.b in seen[(ev.end, ev.a)] and ev.a in seen[(ev.end, ev.b)]
+        assert ev.b not in seen[(ev.end + 0.5, ev.a)]
