@@ -4,10 +4,9 @@ Subpackages/modules:
     service_model   -- service catalogs, chaining rules, node assignment
     mobility        -- synthetic trace generators (Levy walk, SLAW, HCMM) and GPS ingestion
     contact_engine  -- contact extraction and temporal-distance ground truth
-    knowledge       -- per-node timers, load estimates, awareness levels
-    composition     -- service graph construction and shortest-path selection
+    knowledge       -- per-node timers, load estimates, cost matrices per awareness level
     forwarding      -- relay decision schemes (direct, TT, EBR, MT)
-    sim_core        -- discrete-event simulation engine
+    sim_core        -- discrete-event simulation engine and composition path selection
     experiments     -- experiment specs, presets, metrics aggregation
     cli             -- command-line entry point
 """

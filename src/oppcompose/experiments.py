@@ -21,11 +21,11 @@ import numpy as np
 import yaml
 
 from . import mobility
-from .contact_engine import ContactTrace, contacts_from_positions, load_contacts_csv, save_contacts_csv
+from .contact_engine import ContactTrace, contacts_from_positions
 from .forwarding import DIRECT, EBR, MT, TT
 from .service_model import Service, ServiceCatalog, enumerate_services, assign_services
-from .sim_core import (RequestPattern, RunResult, SimConfig, read_records_csv,
-                       run as run_sim, write_records_csv)
+from .sim_core import (RequestPattern, SimConfig, read_records_csv, run as run_sim,
+                       write_records_csv)
 
 __all__ = [
     "ExperimentSpec",
@@ -93,7 +93,8 @@ def _apply_overrides(tree: dict, overrides: dict) -> dict:
         parts = dotted.split(".")
         for part in parts[:-1]:
             node = node.setdefault(part, {})
-        node[parts[-1]] = value
+        # A copy: later overrides may write inside this value.
+        node[parts[-1]] = json.loads(json.dumps(value))
     return out
 
 
@@ -141,8 +142,14 @@ def service_popularity(catalog: ServiceCatalog, pattern_cfg: dict) -> dict[Servi
     return weights
 
 
+def _tuples(value):
+    """Lists (as read from YAML or JSON) to tuples, recursively."""
+    return tuple(_tuples(v) for v in value) if isinstance(value, list) else value
+
+
 def make_trace(mob: dict, seed: int, cache_dir: Path | None = None) -> mobility.PositionTrace:
     """Generate (or load from cache) the position trace for one seed."""
+    _check_mobility_keys(mob)
     key = None
     if cache_dir is not None:
         digest = hashlib.sha1(json.dumps(mob, sort_keys=True).encode() + str(seed).encode()).hexdigest()[:16]
@@ -150,42 +157,15 @@ def make_trace(mob: dict, seed: int, cache_dir: Path | None = None) -> mobility.
         if key.exists():
             return mobility.load_trace_csv(key)
     model = mob["model"]
-    n = mob["n_nodes"]
-    duration = mob["duration"]
     interval = mob.get("sample_interval", 30.0)
     params = mob.get("params", {})
-    if model == "levy":
-        p = mobility.LevyWalkParams(
-            flight_exponent=params.get("flight_exponent", 1.5),
-            pause_exponent=params.get("pause_exponent", 1.5),
-            speed_classes=tuple((int(c), (float(v[0]), float(v[1]))) for c, v in params.get(
-                "speed_classes", [[n // 2, [1.0, 1.0]], [n - n // 2, [10.0, 10.0]]])),
-            area=tuple(params.get("area", [700.0, 700.0])),
-            flight_bounds=tuple(params.get("flight_bounds", [5.0, 500.0])),
-            pause_bounds=tuple(params.get("pause_bounds", [10.0, 300.0])),
-        )
-        trace = mobility.generate_levy(p, n, duration, seed, interval)
-    elif model == "slaw":
-        p = mobility.SlawParams(
-            hurst=params.get("hurst", 0.75),
-            n_waypoints=params.get("n_waypoints", 800),
-            area=tuple(params.get("area", [700.0, 700.0])),
-            waypoint_fraction=params.get("waypoint_fraction", 0.05),
-            speed=params.get("speed", 1.0),
-            pause_exponent=params.get("pause_exponent", 1.5),
-            pause_bounds=tuple(params.get("pause_bounds", [10.0, 300.0])),
-        )
-        trace = mobility.generate_slaw(p, n, duration, seed, interval)
-    elif model == "hcmm":
-        p = mobility.HcmmParams(
-            grid=tuple(params.get("grid", [2, 2])),
-            rewiring_p=params.get("rewiring_p", 0.1),
-            area=tuple(params.get("area", [700.0, 700.0])),
-            speed=params.get("speed", 1.0),
-            pause_exponent=params.get("pause_exponent", 1.5),
-            pause_bounds=tuple(params.get("pause_bounds", [10.0, 300.0])),
-        )
-        trace = mobility.generate_hcmm(p, n, duration, seed, interval)
+    if model in _GENERATORS:
+        params_cls, generate = _GENERATORS[model]
+        kw = {k: _tuples(v) for k, v in params.items()}
+        n = mob["n_nodes"]
+        if model == "levy" and "speed_classes" not in kw:
+            kw["speed_classes"] = ((n // 2, (1.0, 1.0)), (n - n // 2, (10.0, 10.0)))
+        trace = generate(params_cls(**kw), n, mob["duration"], seed, interval)
     elif model == "trace-file":
         trace = mobility.load_trace_csv(mob["path"])
     elif model == "gps-files":
@@ -212,15 +192,61 @@ def make_trace(mob: dict, seed: int, cache_dir: Path | None = None) -> mobility.
 
 _SCHEMES = {"direct": DIRECT, "TT": TT, "MT": MT, "EBR": EBR}
 
+# Synthetic mobility models: parameter class and generator.  A spec's
+# ``mobility.params`` map onto the class's fields by name.
+_GENERATORS = {
+    "levy": (mobility.LevyWalkParams, mobility.generate_levy),
+    "slaw": (mobility.SlawParams, mobility.generate_slaw),
+    "hcmm": (mobility.HcmmParams, mobility.generate_hcmm),
+}
 
+# The keys a spec may set, per section.  SLAW's cascade depths are not
+# among them: they stay at their defaults.
+_SPEC_KEYS = tuple(f.name for f in fields(ExperimentSpec))
+_MOBILITY_KEYS = ("model", "n_nodes", "duration", "sample_interval", "params", "path", "paths")
+_PARAM_KEYS = {
+    **{model: tuple(f.name for f in fields(cls)
+                    if f.name not in ("cascade_levels", "flat_levels"))
+       for model, (cls, _) in _GENERATORS.items()},
+    "trace-file": (),
+    "gps-files": ("area_mapping", "truncate_to", "split_multiday", "max_gap"),
+}
+_CATALOG_KEYS = ("n_d", "excluded", "ring")
+_PATTERN_KEYS = {"min_k": ("kind", "k"), "fixed_length": ("kind", "length", "start_weights")}
 # SimConfig fields a spec's ``sim`` dict may set; the rest come from the spec.
 _SIM_KEYS = tuple(f.name for f in fields(SimConfig)
                   if f.name not in ("catalog", "placement", "pattern", "seed"))
 
 
+def _check_keys(section: str, given: dict, valid) -> None:
+    unknown = sorted(set(given) - set(valid))
+    if unknown:
+        raise ValueError(f"unknown {section} key(s) {', '.join(unknown)}; "
+                         f"valid keys: {', '.join(valid)}")
+
+
+def _check_mobility_keys(mob: dict) -> None:
+    _check_keys("mobility", mob, _MOBILITY_KEYS)
+    if mob.get("model") in _PARAM_KEYS:
+        _check_keys(f"mobility.params ({mob['model']})", mob.get("params", {}),
+                    _PARAM_KEYS[mob["model"]])
+
+
+def _check_spec_keys(spec_dict: dict) -> None:
+    """Raise ValueError on a key no part of the run reads, naming the valid ones."""
+    _check_keys("spec", spec_dict, _SPEC_KEYS)
+    _check_mobility_keys(spec_dict["mobility"])
+    _check_keys("catalog", spec_dict["catalog"], _CATALOG_KEYS)
+    kind = spec_dict["pattern"].get("kind", "min_k")
+    if kind in _PATTERN_KEYS:
+        _check_keys(f"pattern ({kind})", spec_dict["pattern"], _PATTERN_KEYS[kind])
+    _check_keys("sim", spec_dict.get("sim", {}), _SIM_KEYS)
+
+
 def prepare_run(spec_dict: dict, seed: int, cache_dir: Path | None = None
                 ) -> tuple[SimConfig, ContactTrace]:
     """Resolve one spec instance (after overrides) into a runnable config."""
+    _check_spec_keys(spec_dict)
     catalog = build_catalog(spec_dict["catalog"])
     pattern = build_pattern(catalog, spec_dict["pattern"])
     rng = np.random.default_rng((seed, 51966))
@@ -234,10 +260,6 @@ def prepare_run(spec_dict: dict, seed: int, cache_dir: Path | None = None
     trace = make_trace(spec_dict["mobility"], seed, cache_dir)
     contacts = contacts_from_positions(trace, spec_dict.get("range_m", 100.0))
     sim = dict(spec_dict.get("sim", {}))
-    unknown = sorted(set(sim) - set(_SIM_KEYS))
-    if unknown:
-        raise ValueError(f"unknown sim key(s) {', '.join(unknown)}; "
-                         f"valid keys: {', '.join(_SIM_KEYS)}")
     if "scheme" in sim:
         name = sim["scheme"]
         if name not in _SCHEMES:
@@ -513,6 +535,12 @@ def _base_mobility(model: str = "levy", same_speed: bool = False, area: float = 
     return mob
 
 
+def _model_overrides(model: str, **kw) -> dict:
+    """Overrides switching a Levy-walk spec to ``model``.  The parameters are
+    replaced whole: the Levy walk's own (speed classes) would not apply."""
+    return {"mobility.model": model, "mobility.params": _base_mobility(model, **kw)["params"]}
+
+
 def _default_catalog() -> dict:
     return {"n_d": 7, "excluded": [[1, 7]], "ring": False}
 
@@ -604,16 +632,12 @@ def _preset_fig9() -> ExperimentSpec:
             "mobility.params.speed_classes": [[20, [1.0, 1.0]]]}})
     for hurst in (0.55, 0.65, 0.75, 0.85):
         for area in (500.0, 900.0):
-            variants.append({"name": f"slaw_h{hurst}_a{int(area)}", "overrides": {
-                "mobility.model": "slaw",
-                "mobility.params.area": [area, area],
-                "mobility.params.hurst": hurst}})
+            variants.append({"name": f"slaw_h{hurst}_a{int(area)}",
+                             "overrides": _model_overrides("slaw", area=area, hurst=hurst)})
     for p_r in (0.0, 0.1, 0.2, 0.4, 0.6, 0.8):
         for area in (500.0, 900.0):
-            variants.append({"name": f"hcmm_p{p_r}_a{int(area)}", "overrides": {
-                "mobility.model": "hcmm",
-                "mobility.params.area": [area, area],
-                "mobility.params.rewiring_p": p_r}})
+            variants.append({"name": f"hcmm_p{p_r}_a{int(area)}",
+                             "overrides": _model_overrides("hcmm", area=area, rewiring_p=p_r)})
     spec = _spec("fig9", variants=variants)
     spec.mobility = _base_mobility(same_speed=True)
     return spec
@@ -640,8 +664,8 @@ def _preset_fig11() -> ExperimentSpec:
         variants=[
             {"name": "levy", "overrides": {
                 "mobility.params.speed_classes": [[20, [1.0, 1.0]]]}},
-            {"name": "slaw", "overrides": {"mobility.model": "slaw"}},
-            {"name": "hcmm", "overrides": {"mobility.model": "hcmm"}},
+            {"name": "slaw", "overrides": _model_overrides("slaw")},
+            {"name": "hcmm", "overrides": _model_overrides("hcmm")},
         ],
     )
 
@@ -653,8 +677,8 @@ def _preset_fig13() -> ExperimentSpec:
         variants=[
             {"name": "levy", "overrides": {
                 "mobility.params.speed_classes": [[20, [1.0, 1.0]]]}},
-            {"name": "slaw", "overrides": {"mobility.model": "slaw"}},
-            {"name": "hcmm", "overrides": {"mobility.model": "hcmm"}},
+            {"name": "slaw", "overrides": _model_overrides("slaw")},
+            {"name": "hcmm", "overrides": _model_overrides("hcmm")},
         ],
         sweep={"pattern.length": [1, 2, 3]},
     )
@@ -671,7 +695,7 @@ def _preset_fig14() -> ExperimentSpec:
         "fig14",
         variants=[
             {"name": f"{model}_{dist}", "overrides": {
-                **({"mobility.model": model} if model != "levy" else
+                **(_model_overrides(model) if model != "levy" else
                    {"mobility.params.speed_classes": [[20, [1.0, 1.0]]]}),
                 "distribution": dist,
             }}

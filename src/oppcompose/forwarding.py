@@ -11,7 +11,6 @@ sender: exactly one copy exists at any instant.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -65,27 +64,26 @@ def should_relay(
     carrier: int,
     candidate: int,
     destination: int,
-    carrier_timers,
-    candidate_timers,
+    carrier_timer: float,
+    candidate_timer: float,
     stats: EncounterStats | None,
     t: float,
 ) -> bool:
     """Decide whether the carrier hands an item addressed to ``destination``
     over to ``candidate`` during a contact at time ``t``.
 
-    ``carrier_timers`` / ``candidate_timers`` are the timer vectors each
-    node held when the contact began: the comparison must happen before
-    the contact's own exchange equalizes them (adopting the peer's value
-    caps the difference at exactly t_av, which would never trigger).
+    ``carrier_timer`` / ``candidate_timer`` are each node's timer for
+    ``destination`` (infinite when unknown) as held when the contact began:
+    the comparison must happen before the contact's own exchange equalizes
+    them (adopting the peer's value caps the difference at exactly t_av,
+    which would never trigger).  Only the timer rules (TT, MT) read them.
     """
     if candidate == destination:
         return True
     if scheme.kind == "direct":
         return False
     if scheme.kind in ("TT", "MT"):
-        t_carrier = carrier_timers[destination] if carrier_timers is not None else math.inf
-        t_candidate = candidate_timers[destination] if candidate_timers is not None else math.inf
-        return t_candidate < t_carrier - scheme.t_av
+        return candidate_timer < carrier_timer - scheme.t_av
     if scheme.kind == "EBR":
         return stats.rate(candidate, t) > stats.rate(carrier, t)
     raise ValueError(f"unknown forwarding scheme {scheme.kind!r}")

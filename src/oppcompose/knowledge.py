@@ -8,8 +8,9 @@ paying a fixed ``t_av`` per relay hop.  At each unit boundary every group
 of co-located nodes settles at once to what repeated contacts would reach,
 ``T_i[k] = min_j (T_j[k] + t_av * hops(i, j))`` over the group, with the
 load taken from the minimising source (ties: own entry, then fewer hops,
-then lower node id).  Awareness levels determine how a node prices graph
-edges between arbitrary peers from this state.
+then lower node id).  :func:`cost_matrices` turns this state into the
+distance and load inputs that price composition graph edges, one rule per
+awareness level (:data:`AWARENESS_LEVELS`).
 """
 
 from __future__ import annotations
@@ -25,10 +26,7 @@ __all__ = [
     "LoadTracker",
     "exchange",
     "exchange_all",
-    "estimate_distance",
-    "estimate_load",
-    "gossip_payload",
-    "dump_snapshot_csv",
+    "cost_matrices",
 ]
 
 AWARENESS_LEVELS = ("minimal", "local", "global", "perfect")
@@ -241,84 +239,43 @@ def exchange_all(stores: list[KnowledgeStore], pairs: list[tuple[int, int]],
     return _closure([stores[v] for v in nodes], hops, now)
 
 
-def estimate_distance(store: KnowledgeStore, level: str, i: int, j: int,
-                      now: float = 0.0,
-                      live_stores: list[KnowledgeStore] | None = None) -> float:
-    """Estimated temporal distance between devices i and j, in time units.
+def cost_matrices(level: str, stores: list[KnowledgeStore], owner: int, now: float,
+                  unit_s: float, live_loads: np.ndarray | None = None
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Edge-cost inputs as node ``owner`` prices them at awareness ``level``.
 
-    minimal: constant 1.  local: own timers; for two other nodes the sum
-    t(i) + t(j), an upper bound on their mutual distance.  global: the
-    gossiped timer row of node i, aged by its staleness.  perfect: node
-    i's live timer for j, read straight from the simulator state.
-    Unknown (pruned) peers yield infinity.
+    Returns ``(dist, load)`` in time units: ``dist[i, j]`` estimates the
+    temporal distance between devices i and j, ``load[j]`` the backlog at
+    device j.  minimal: distance 1 between any two devices, no load.
+    local: own timers; for two other nodes the sum t(i) + t(j), an upper
+    bound on their mutual distance.  global: node i's gossiped timer row,
+    aged by its staleness ``now - observed`` (the local sum where no row
+    was observed).  perfect: every node's live timers, and ``live_loads``,
+    the true backlog per node in seconds.  Unknown (pruned) peers are at
+    infinite distance.
     """
-    if i == j:
-        return 0.0
-    a = store.owner
+    n = len(stores)
     if level == "minimal":
-        return 1.0
-    if level == "perfect":
-        if live_stores is None:
-            raise ValueError("perfect awareness needs live store access")
-        return float(live_stores[i].timers[j])
-    if i == a:
-        return float(store.timers[j])
-    if j == a:
-        return float(store.timers[i])
-    if level == "local":
-        return float(store.timers[i] + store.timers[j])
-    if level == "global":
-        if store.matrix is None:
-            raise ValueError("global awareness needs matrix tracking enabled")
-        obs = store.matrix_obs[i]
-        if math.isfinite(store.matrix[i, j]) and obs > -math.inf:
-            return float(store.matrix[i, j] + (now - obs))
-        # No observed row yet: fall back to the local-style bound.
-        return float(store.timers[i] + store.timers[j])
-    raise ValueError(f"unknown awareness level {level!r}")
-
-
-def estimate_load(store: KnowledgeStore, level: str, j: int,
-                  true_loads: list[float] | None = None) -> float:
-    """Estimated load backlog of node j in seconds."""
-    if level == "minimal":
-        return 0.0
-    if level == "perfect":
-        if true_loads is None:
-            raise ValueError("perfect awareness needs live load access")
-        return float(true_loads[j])
-    return float(store.loads[j]) if store.known(j) or j == store.owner else 0.0
-
-
-def gossip_payload(store: KnowledgeStore, level: str = "local") -> dict:
-    """What one contact exchange carries, for overhead accounting.
-
-    local: one timer + one load per known peer (O(N) scalars);
-    global: additionally the known timer matrix rows (O(N^2) scalars).
-    """
-    known = [i for i in range(store.n_nodes) if i != store.owner and store.known(i)]
-    payload = {
-        "timers": {i: float(store.timers[i]) for i in known},
-        "loads": {i: float(store.loads[i]) for i in known},
-    }
-    count = 2 * len(known)
-    if level == "global" and store.matrix is not None:
-        rows = {}
-        for i in range(store.n_nodes):
-            if store.matrix_obs[i] > -math.inf:
-                rows[i] = store.matrix[i].tolist()
-        payload["matrix_rows"] = rows
-        count += sum(len(r) for r in rows.values())
-    payload["scalar_count"] = count
-    return payload
-
-
-def dump_snapshot_csv(stores: list[KnowledgeStore], path) -> None:
-    """Write ``owner,peer,timer,load`` rows for every known entry."""
-    with open(path, "w") as fh:
-        fh.write("owner,peer,timer,load\n")
-        for store in stores:
-            for peer in range(store.n_nodes):
-                if peer == store.owner or not store.known(peer):
-                    continue
-                fh.write(f"{store.owner},{peer},{store.timers[peer]:.3f},{store.loads[peer]:.3f}\n")
+        dist = np.ones((n, n))
+        np.fill_diagonal(dist, 0.0)
+        load = np.zeros(n)
+    elif level == "perfect":
+        dist = np.stack([s.timers for s in stores])
+        load = live_loads / unit_s
+    elif level in ("local", "global"):
+        store = stores[owner]
+        ta = store.timers
+        dist = ta[:, None] + ta[None, :]
+        if level == "global":
+            seen = store.matrix_obs > -math.inf
+            if seen.any():
+                age = now - store.matrix_obs[seen]
+                rows = store.matrix[seen] + age[:, None]
+                dist[seen] = np.where(np.isfinite(store.matrix[seen]), rows, dist[seen])
+        dist[owner, :] = ta
+        dist[:, owner] = ta
+        np.fill_diagonal(dist, 0.0)
+        load = store.loads / unit_s
+    else:
+        raise ValueError(f"unknown awareness level {level!r}")
+    return dist, load

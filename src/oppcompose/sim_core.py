@@ -4,7 +4,10 @@ The engine advances in time-ordered events: unit boundaries (timer ticks,
 one knowledge closure over the co-located groups, load-window updates),
 contact starts (encounter stats, neighbour index, forwarding attempts),
 service completions, Poisson request generation, forwarding sweeps, and
-deadline expirations.  Identical (config, seed) pairs reproduce identical results.
+deadline expirations.  Each composition decision is one Dijkstra over a
+placement-derived service graph (:class:`_GraphTemplate`) priced by
+:func:`knowledge.cost_matrices`.  Identical (config, seed) pairs reproduce
+identical results.
 """
 
 from __future__ import annotations
@@ -16,12 +19,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .contact_engine import ContactTrace
-from .composition import CompositionPath
 from .forwarding import EncounterStats, Scheme, MT, should_relay
-from .knowledge import KnowledgeStore, LoadTracker, exchange_all
+from .knowledge import AWARENESS_LEVELS, KnowledgeStore, LoadTracker, cost_matrices, exchange_all
 from .service_model import Service, ServiceCatalog, ServicePlacement
 
 __all__ = [
+    "CompositionPath",
     "RequestPattern",
     "SimConfig",
     "RequestRecord",
@@ -106,7 +109,7 @@ class SimConfig:
             raise ValueError("request rate must be nonnegative")
         if self.timeout_s <= 0:
             raise ValueError("timeout must be positive")
-        if self.awareness not in ("minimal", "local", "global", "perfect"):
+        if self.awareness not in AWARENESS_LEVELS:
             raise ValueError(f"unknown awareness level {self.awareness!r}")
         if self.opportunistic not in ("off", "relay", "contact"):
             raise ValueError(f"unknown opportunistic mode {self.opportunistic!r}")
@@ -208,6 +211,19 @@ class _Item:
         self.plan: list[tuple[Service, int]] | None = None
         self.exec_token = -1
         self.opp_flag = False
+
+
+@dataclass
+class CompositionPath:
+    """An ordered stage list with its estimated cost (in time units)."""
+
+    stages: tuple[tuple[Service, int], ...]
+    cost: float
+    input: int
+    output: int
+
+    def hosts(self) -> tuple[int, ...]:
+        return tuple(n for _, n in self.stages)
 
 
 class _GraphTemplate:
@@ -369,8 +385,8 @@ class _Engine:
         self.seq = 0
         self.exec_tokens = 0
         self.unit_index = 0
-        self.template = _GraphTemplate(config.placement, config.catalog.n_d, single_stage=False)
-        self.template_exact = _GraphTemplate(config.placement, config.catalog.n_d, single_stage=True)
+        self.template = _GraphTemplate(config.placement, config.catalog.n_d,
+                                       single_stage=config.exact_match)
         self.boundary_pairs = contacts.boundary_pairs(config.unit_s)
         self._dist_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._pending_sweeps: set[tuple[int, float]] = set()
@@ -400,44 +416,25 @@ class _Engine:
     # -- knowledge-driven cost matrices ---------------------------------
 
     def _distances(self, owner: int) -> tuple[np.ndarray, np.ndarray]:
-        """(dist, load) vectors/matrices in time units for the current unit."""
+        """:func:`cost_matrices` for ``owner``, cached for the current unit."""
         cached = self._dist_cache.get(owner)
         if cached is not None:
             return cached
         cfg = self.cfg
-        level = cfg.awareness
-        n = self.n
-        if level == "minimal":
-            dist = np.ones((n, n))
-            np.fill_diagonal(dist, 0.0)
-            load = np.zeros(n)
-        elif level == "perfect":
-            dist = np.stack([s.timers for s in self.stores])
-            load = np.array([self._pending_count(j) * cfg.mean_exec_s for j in range(n)])
-            load /= cfg.unit_s
-        else:
-            store = self.stores[owner]
-            ta = store.timers
-            dist = ta[:, None] + ta[None, :]
-            if level == "global":
-                seen = store.matrix_obs > -math.inf
-                if seen.any():
-                    age = self.unit_index - store.matrix_obs[seen]
-                    rows = store.matrix[seen] + age[:, None]
-                    dist[seen] = np.where(np.isfinite(store.matrix[seen]), rows, dist[seen])
-            dist[owner, :] = ta
-            dist[:, owner] = ta
-            np.fill_diagonal(dist, 0.0)
-            load = store.loads / cfg.unit_s
-        self._dist_cache[owner] = (dist, load)
-        return dist, load
+        live_loads = None
+        if cfg.awareness == "perfect":
+            live_loads = np.array([self._pending_count(j) * cfg.mean_exec_s
+                                   for j in range(self.n)])
+        cached = cost_matrices(cfg.awareness, self.stores, owner, self.unit_index,
+                               cfg.unit_s, live_loads)
+        self._dist_cache[owner] = cached
+        return cached
 
     def routable(self, req_in: int, req_out: int) -> bool:
-        template = self.template_exact if self.cfg.exact_match else self.template
-        return req_out in template.reachable_outputs(req_in)
+        return req_out in self.template.reachable_outputs(req_in)
 
     def compute_path(self, node: int, req_in: int, req_out: int) -> CompositionPath | None:
-        template = self.template_exact if self.cfg.exact_match else self.template
+        template = self.template
         if req_out not in template.reachable_outputs(req_in):
             return None
         dist, load = self._distances(node)
@@ -585,7 +582,7 @@ class _Engine:
                 if item.destination is None or item.location != node:
                     continue
             dest = item.destination
-            carrier_ages = (t - self.last_enc[node]) / self.cfg.unit_s
+            carrier_age = (t - self.last_enc[node, dest]) / self.cfg.unit_s
             for peer in neighbors:
                 if peer == dest:
                     self._transfer(item, node, peer, t)
@@ -594,9 +591,9 @@ class _Engine:
                         and item.planned_stage in self.cfg.placement.services_at(peer)):
                     self._transfer(item, node, peer, t)
                     break
-                peer_ages = (t - self.last_enc[peer]) / self.cfg.unit_s
+                peer_age = (t - self.last_enc[peer, dest]) / self.cfg.unit_s
                 if should_relay(self.cfg.scheme, node, peer, dest,
-                                carrier_ages, peer_ages, self.stats, t):
+                                carrier_age, peer_age, self.stats, t):
                     self._transfer(item, node, peer, t)
                     break
 

@@ -1,16 +1,165 @@
+"""Composition path selection.
+
+The engine's array-backed ``sim_core._GraphTemplate`` is the package's only
+path search.  The dict-graph Dijkstra below is the reference it is checked
+against: it builds one owner's service graph for one request explicitly and
+applies the same tie rules.  Worked examples and a brute-force enumeration
+pin the reference itself.
+"""
+
+import heapq
 import itertools
 import math
+from typing import Callable
 
 import numpy as np
-import pytest
 
-from oppcompose.composition import (
-    build_graph,
-    dijkstra_reuse,
-    select_composition,
-)
-from oppcompose.service_model import Service, ServicePlacement, enumerate_services
+from oppcompose.service_model import (Service, ServicePlacement, assign_services,
+                                      enumerate_services)
+from oppcompose.sim_core import CompositionPath, _GraphTemplate
 
+Vertex = tuple  # ("t", type_id) or ("s", Service, host)
+
+
+# -- reference implementation ------------------------------------------------------
+
+class ServiceGraph:
+    """Adjacency view of one node's composition choices for one request."""
+
+    def __init__(self, owner: int, n_d: int):
+        self.owner = owner
+        self.n_d = n_d
+        self.adjacency: dict[Vertex, list[tuple[Vertex, float]]] = {}
+        self.service_vertices: list[Vertex] = []
+
+    def add_edge(self, u: Vertex, v: Vertex, cost: float) -> None:
+        self.adjacency.setdefault(u, []).append((v, cost))
+
+    def edges_from(self, u: Vertex) -> list[tuple[Vertex, float]]:
+        return self.adjacency.get(u, [])
+
+
+def build_graph(
+    owner: int,
+    placement: ServicePlacement,
+    n_d: int,
+    request: tuple[int, int],
+    t_hat: Callable[[int, int], float],
+    l_hat: Callable[[int], float],
+    known: Callable[[int], bool] | None = None,
+    load_aware: bool = True,
+    single_stage: bool = False,
+) -> ServiceGraph:
+    """Assemble the owner's service graph for one (input, output) request.
+
+    ``t_hat(i, j)`` estimates the temporal distance between devices i and
+    j and ``l_hat(j)`` the load at device j, both in time units.  Hosts
+    the owner has no knowledge of are left out of the graph.  With
+    ``single_stage`` only exact-match services (one stage) are reachable;
+    with ``load_aware`` off the load term is dropped from the edge cost.
+    """
+    req_in, req_out = request
+    g = ServiceGraph(owner, n_d)
+    start: Vertex = ("t", req_in)
+
+    hosted: list[tuple[Service, int]] = []
+    for service in sorted(placement.by_service):
+        for node in placement.by_service[service]:
+            if node == owner or known is None or known(node):
+                hosted.append((service, node))
+    g.service_vertices = [("s", s, n) for s, n in hosted]
+
+    def stage_cost(src_dev: int, service: Service, dst_dev: int) -> float:
+        cost = t_hat(src_dev, dst_dev)
+        if load_aware:
+            cost += l_hat(dst_dev)
+        return cost
+
+    for service, node in hosted:
+        v: Vertex = ("s", service, node)
+        if service.input == req_in and (not single_stage or service.output == req_out):
+            g.add_edge(start, v, stage_cost(owner, service, node))
+        if service.output == req_out or not single_stage:
+            # Return edge: distance back to the owner only (result routing).
+            g.add_edge(v, ("t", service.output), t_hat(node, owner))
+    if not single_stage:
+        for s1, n1 in hosted:
+            u: Vertex = ("s", s1, n1)
+            for s2, n2 in hosted:
+                if s1.output == s2.input:
+                    g.add_edge(u, ("s", s2, n2), stage_cost(n1, s2, n2))
+    return g
+
+
+def _vertex_ranks(g: ServiceGraph, tie_rng: np.random.Generator | None) -> dict[Vertex, int]:
+    ordered = sorted(g.service_vertices, key=lambda v: (v[1], v[2]))
+    if tie_rng is not None:
+        perm = tie_rng.permutation(len(ordered))
+        return {v: int(perm[i]) for i, v in enumerate(ordered)}
+    return {v: i for i, v in enumerate(ordered)}
+
+
+def _dijkstra(
+    g: ServiceGraph, source: Vertex, tie_rng: np.random.Generator | None = None
+) -> dict[Vertex, tuple[float, tuple[tuple[Service, int], ...]]]:
+    """Cheapest labels from ``source`` to every reachable vertex.
+
+    Ties resolve to fewer stages, then to paths that finish at the owner
+    (no remote return leg), then to the smallest stage-rank sequence;
+    ranks are lexicographic by (service, host) unless a tie_rng supplies a
+    random permutation (used when selection should not be biased by ids).
+    """
+    ranks = _vertex_ranks(g, tie_rng)
+    best: dict[Vertex, tuple[float, int, int, tuple[int, ...]]] = {}
+    settled: dict[Vertex, tuple[float, tuple[tuple[Service, int], ...]]] = {}
+    heap: list = []
+    heapq.heappush(heap, (0.0, 0, 0, (), source, ()))
+    best[source] = (0.0, 0, 0, ())
+    while heap:
+        cost, n_stages, penalty, key, vertex, stages = heapq.heappop(heap)
+        if vertex in settled:
+            continue
+        settled[vertex] = (cost, stages)
+        for nxt, w in g.edges_from(vertex):
+            if nxt in settled:
+                continue
+            if nxt[0] == "s":
+                label = (
+                    cost + w,
+                    n_stages + 1,
+                    penalty,
+                    key + (ranks[nxt],),
+                    nxt,
+                    stages + ((nxt[1], nxt[2]),),
+                )
+            else:
+                remote_return = 1 if vertex[0] == "s" and vertex[2] != g.owner else 0
+                label = (cost + w, n_stages, penalty + remote_return, key, nxt, stages)
+            probe = (label[0], label[1], label[2], label[3])
+            if nxt not in best or probe < best[nxt]:
+                best[nxt] = probe
+                heapq.heappush(heap, label)
+    return settled
+
+
+def select_composition(
+    g: ServiceGraph,
+    req_in: int,
+    req_out: int,
+    tie_rng: np.random.Generator | None = None,
+) -> CompositionPath | None:
+    """Cheapest composition from ``req_in`` to ``req_out``, or None."""
+    labels = _dijkstra(g, ("t", req_in), tie_rng)
+    hit = labels.get(("t", req_out))
+    if hit is None or not math.isfinite(hit[0]):
+        return None
+    cost, stages = hit
+    if not stages:
+        return None
+    return CompositionPath(stages=stages, cost=cost, input=req_in, output=req_out)
+
+
+# -- helpers --------------------------------------------------------------------------
 
 def placement_from(assignments: dict[int, list[Service]], repetition: int = 1) -> ServicePlacement:
     by_node = {n: tuple(sorted(svcs)) for n, svcs in assignments.items()}
@@ -172,8 +321,6 @@ def enumerate_all_compositions(placement, n_d, req_in, req_out, t_hat, l_hat,
 
 
 def random_instance(rng, catalog, n_nodes, repetition):
-    from oppcompose.service_model import assign_services
-
     placement = assign_services(catalog, list(range(n_nodes)), repetition, rng)
     dist = {}
     for i in range(n_nodes):
@@ -277,25 +424,79 @@ def test_stage_edges_between_same_devices_share_cost():
     assert costs == {9.0}
 
 
-# -- one-to-all reuse ---------------------------------------------------------------------
+# -- engine template against the reference ---------------------------------------------
 
-def test_reuse_matches_individual_runs():
-    rng = np.random.default_rng(41)
-    catalog = enumerate_services(4)
-    placement, t_hat, l_hat = random_instance(rng, catalog, 4, 2)
-    g = build_graph(0, placement, 4, (1, 4), t_hat, l_hat)
-    batched = dijkstra_reuse(g, 1)
-    for out_type in (2, 3, 4):
-        single = select_composition(g, 1, out_type)
-        if single is None:
-            assert out_type not in batched
+def random_case(rng, n_d, n_nodes, repetition):
+    catalog = enumerate_services(n_d)
+    placement = assign_services(catalog, list(range(n_nodes)), repetition, rng)
+    dist = rng.integers(0, 25, size=(n_nodes, n_nodes)).astype(float)
+    dist = (dist + dist.T) / 2.0
+    np.fill_diagonal(dist, 0.0)
+    load = rng.integers(0, 15, size=n_nodes).astype(float)
+    return placement, dist, load
+
+
+def test_template_matches_reference_graph():
+    rng = np.random.default_rng(77)
+    for _ in range(150):
+        n_d = int(rng.integers(3, 6))
+        n_nodes = int(rng.integers(2, 6))
+        repetition = int(rng.integers(1, 3))
+        if repetition > n_nodes:
+            continue
+        placement, dist, load = random_case(rng, n_d, n_nodes, repetition)
+        owner = int(rng.integers(n_nodes))
+        req = (1, n_d)
+        template = _GraphTemplate(placement, n_d, single_stage=False)
+        fast = template.shortest(owner, *req, dist, load, True)
+
+        g = build_graph(owner, placement, n_d, req,
+                        lambda i, j: dist[i, j], lambda j: load[j])
+        ref = select_composition(g, *req)
+        if ref is None:
+            assert fast is None
         else:
-            assert batched[out_type].cost == single.cost
-            assert batched[out_type].stages == single.stages
+            assert fast is not None
+            assert fast.cost == ref.cost
+            assert fast.stages == ref.stages
 
 
-def test_reuse_empty_graph():
-    placement = placement_from({0: []})
-    t_hat, l_hat = providers({}, {})
-    g = build_graph(0, placement, 4, (1, 4), t_hat, l_hat)
-    assert dijkstra_reuse(g, 1) == {}
+def test_template_single_stage_matches_reference():
+    rng = np.random.default_rng(78)
+    for _ in range(60):
+        n_d = int(rng.integers(3, 6))
+        placement, dist, load = random_case(rng, n_d, 4, 2)
+        template = _GraphTemplate(placement, n_d, single_stage=True)
+        fast = template.shortest(0, 1, n_d, dist, load, True)
+        g = build_graph(0, placement, n_d, (1, n_d),
+                        lambda i, j: dist[i, j], lambda j: load[j],
+                        single_stage=True)
+        ref = select_composition(g, 1, n_d)
+        if ref is None:
+            assert fast is None
+        else:
+            assert fast.cost == ref.cost
+            assert fast.stages == ref.stages
+
+
+def test_template_infinite_costs_hide_hosts():
+    rng = np.random.default_rng(79)
+    placement, dist, load = random_case(rng, 4, 4, 2)
+    dist[:, 2] = math.inf
+    dist[2, :] = math.inf
+    dist[2, 2] = 0.0
+    template = _GraphTemplate(placement, 4, single_stage=False)
+    path = template.shortest(0, 1, 4, dist, load, True)
+    if path is not None:
+        assert 2 not in path.hosts()
+
+
+def test_reachability_closure():
+    rng = np.random.default_rng(80)
+    catalog = enumerate_services(7, excluded=set())
+    placement = assign_services(catalog, list(range(6)), 1, rng)
+    template = _GraphTemplate(placement, 7, single_stage=False)
+    assert 7 in template.reachable_outputs(1)
+    exact = _GraphTemplate(placement, 7, single_stage=True)
+    assert exact.reachable_outputs(1) == frozenset(
+        s.output for s in catalog.services if s.input == 1)

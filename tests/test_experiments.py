@@ -231,3 +231,41 @@ def test_prepare_run_rejects_unknown_sim_keys(sim):
     spec = tiny_spec(sim=sim)
     with pytest.raises(ValueError, match="awareness|MT"):
         experiments.prepare_run(spec.to_dict(), seed=0)
+
+
+@pytest.mark.parametrize("overrides", [
+    {"mobility.params.flight_exponnent": 2.0},
+    {"pattern.kk": 3},
+    {"catalog.rign": True},
+    {"repetiton": 3},
+    {"mobility.speed": 2.0},
+    {"pattern.length": 2},  # fixed_length only
+    {"mobility.model": "slaw", "mobility.params": {"cascade_levels": 3}},
+])
+def test_prepare_run_rejects_unknown_keys_outside_sim(overrides):
+    spec = experiments._apply_overrides(tiny_spec().to_dict(), overrides)
+    with pytest.raises(ValueError, match="valid keys"):
+        experiments.prepare_run(spec, seed=0)
+
+
+def test_every_preset_run_passes_key_checks():
+    for name in PRESET_NAMES:
+        spec = preset(name)
+        base = spec.to_dict()
+        for variant in spec.variants:
+            for point in spec.points():
+                experiments._check_spec_keys(
+                    experiments._apply_overrides(base, {**variant["overrides"], **point}))
+
+
+def test_override_values_are_copied():
+    # A variant replacing a whole section and a sweep writing inside it: each
+    # sweep point must get its own copy, and the spec must stay as written.
+    params = {"area": [1.0, 1.0]}
+    first = experiments._apply_overrides({}, {"mobility.params": params,
+                                              "mobility.params.area": [2.0, 2.0]})
+    second = experiments._apply_overrides({}, {"mobility.params": params,
+                                               "mobility.params.area": [3.0, 3.0]})
+    assert first["mobility"]["params"]["area"] == [2.0, 2.0]
+    assert second["mobility"]["params"]["area"] == [3.0, 3.0]
+    assert params == {"area": [1.0, 1.0]}

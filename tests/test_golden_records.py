@@ -1,0 +1,93 @@
+"""Pinned records of a scripted scenario, one run per engine path.
+
+The digests are the sha256 of ``write_records_csv`` output.  A change that
+moves one byte of these records fails here; a change meant to move them
+re-pins the digests and says why.  Contacts come from ``rng.uniform`` and
+``rng.integers``, requests are scripted and execution times deterministic,
+so no mobility generator and no libm transcendental enters: the digests do
+not depend on the CPU.
+"""
+
+import hashlib
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from oppcompose.contact_engine import ContactEvent, ContactTrace
+from oppcompose.forwarding import DIRECT, EBR, TT
+from oppcompose.service_model import assign_services, enumerate_services
+from oppcompose.sim_core import RequestPattern, SimConfig, run, write_records_csv
+
+N_NODES = 8
+DURATION = 7200.0
+
+GOLDEN = {
+    "minimal": "8b0da6337018bdc01a27ea9ea42b7fe3e54a2d4605b012e13a810c0eabb4b99b",
+    "local": "5378de7ab09bf9981229718e00e9cb4c9c0cadc5d58b6a1fa1d239fd878d8979",
+    "global": "04c4c86bdb10608b19273eae4d36895c49b86954e98a37eb82abc3bc49d2cc09",
+    "perfect": "0ff080fb65565affadf8ba7f333d6e247d17686f6945a9c7f7bc47bc14887bc8",
+    "exact_match": "68b6a417ad18407cce55fcb598784b54fa8d178af699310af2d609e0fbf5eab9",
+    "plan_once": "a14ca4ffc63cb61d8bf5dc762220f7317caa89dda444d5b270384c6ceac8418e",
+    "contact": "cbae8713d8fb591520518ad5a9f5b1d67e478c56372d2115e4fccec3727fa184",
+    "TT": "aeda2abe19f5d0bd06c7b98c5243ede9d7fe5185e480184e61f4105148deec23",
+    "EBR": "cec8b05398d41439e4c98a9ec4155611b439aea2347a528ffce2f4a27f115a15",
+    "direct": "0c8f3b4e95f37a56960acaea396d2e3b9beea94a595aba6f2b8a987362dd224b",
+}
+
+RUNS = {
+    "minimal": {"awareness": "minimal"},
+    "local": {"awareness": "local"},
+    "global": {"awareness": "global"},
+    "perfect": {"awareness": "perfect"},
+    "exact_match": {"exact_match": True},
+    "plan_once": {"recompute_per_stage": False},
+    "contact": {"opportunistic": "contact"},
+    "TT": {"scheme": TT},
+    "EBR": {"scheme": EBR},
+    "direct": {"scheme": DIRECT},
+}
+
+
+def scenario():
+    """Every pair meets now and then, so co-located groups come and go."""
+    rng = np.random.default_rng(2024)
+    events = []
+    for a in range(N_NODES):
+        for b in range(a + 1, N_NODES):
+            t = float(rng.uniform(0.0, 600.0))
+            while True:
+                end = t + float(rng.integers(30, 400))
+                if end > DURATION:
+                    break
+                events.append(ContactEvent(t, end, a, b))
+                t = end + float(rng.uniform(200.0, 1500.0))
+    contacts = ContactTrace(events, N_NODES, DURATION)
+    catalog = enumerate_services(5)
+    placement = assign_services(catalog, list(range(N_NODES)), 2, np.random.default_rng(7))
+    pattern = RequestPattern.min_functionality(catalog, 2)
+    requests = []
+    for _ in range(60):
+        req_in, req_out = pattern.pairs[int(rng.integers(len(pattern.pairs)))]
+        requests.append((float(rng.integers(0, 6000)), int(rng.integers(N_NODES)),
+                         req_in, req_out))
+    base = dict(catalog=catalog, placement=placement, pattern=pattern,
+                scripted_requests=tuple(sorted(requests)), exec_deterministic=True,
+                delay_warmup_s=0.0)
+    return contacts, base
+
+
+def test_scenario_forms_groups_of_three_or_more():
+    contacts, _ = scenario()
+    biggest = max(max(Counter(v for pair in pairs for v in pair).values(), default=0)
+                  for pairs in contacts.boundary_pairs(30.0))
+    assert biggest >= 2  # some node meets two peers at once
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_records_match_pinned_digest(name, tmp_path):
+    contacts, base = scenario()
+    result = run(SimConfig(**base, **RUNS[name]), contacts)
+    path = tmp_path / "records.csv"
+    write_records_csv(result, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN[name]

@@ -12,12 +12,9 @@ from oppcompose.contact_engine import (
 from oppcompose.knowledge import (
     KnowledgeStore,
     LoadTracker,
-    dump_snapshot_csv,
-    estimate_distance,
-    estimate_load,
+    cost_matrices,
     exchange,
     exchange_all,
-    gossip_payload,
 )
 
 UNIT = 30.0
@@ -226,47 +223,54 @@ def test_load_closed_form_on_scripted_backlog():
 
 # -- estimates -------------------------------------------------------------------
 
+def priced(level, stores, now=0.0, live_loads=None):
+    """Node 0's (dist, load); one-second units keep loads in seconds."""
+    return cost_matrices(level, stores, 0, now, 1.0, live_loads)
+
+
 def test_minimal_level_constant():
-    store = KnowledgeStore(0, 5)
-    assert estimate_distance(store, "minimal", 1, 3) == 1.0
-    assert estimate_load(store, "minimal", 3) == 0.0
+    dist, load = priced("minimal", [KnowledgeStore(i, 5) for i in range(5)])
+    assert dist[1, 3] == 1.0
+    assert load[3] == 0.0
 
 
 def test_local_level_own_timer():
-    store = KnowledgeStore(0, 5)
-    store.timers[3] = 7.0
-    assert estimate_distance(store, "local", 0, 3) == 7.0
-    assert estimate_distance(store, "local", 3, 0) == 7.0
+    stores = [KnowledgeStore(i, 5) for i in range(5)]
+    stores[0].timers[3] = 7.0
+    dist, _ = priced("local", stores)
+    assert dist[0, 3] == 7.0
+    assert dist[3, 0] == 7.0
 
 
 def test_local_level_sum_for_other_pairs():
-    store = KnowledgeStore(0, 5)
-    store.timers[1] = 3.0
-    store.timers[2] = 4.0
-    assert estimate_distance(store, "local", 1, 2) == 7.0
+    stores = [KnowledgeStore(i, 5) for i in range(5)]
+    stores[0].timers[1] = 3.0
+    stores[0].timers[2] = 4.0
+    assert priced("local", stores)[0][1, 2] == 7.0
 
 
 def test_unknown_peer_is_unreachable():
-    store = KnowledgeStore(0, 5)
-    store.timers[1] = 3.0
-    assert math.isinf(estimate_distance(store, "local", 1, 2))
+    stores = [KnowledgeStore(i, 5) for i in range(5)]
+    stores[0].timers[1] = 3.0
+    assert math.isinf(priced("local", stores)[0][1, 2])
 
 
 def test_perfect_level_reads_live_stores():
     stores = [KnowledgeStore(i, 3) for i in range(3)]
     stores[1].timers[2] = 5.0
-    assert estimate_distance(stores[0], "perfect", 1, 2, live_stores=stores) == 5.0
-    assert estimate_load(stores[0], "perfect", 2, true_loads=[0.0, 0.0, 42.0]) == 42.0
+    dist, load = priced("perfect", stores, live_loads=np.array([0.0, 0.0, 42.0]))
+    assert dist[1, 2] == 5.0
+    assert load[2] == 42.0
 
 
 def test_global_level_uses_aged_rows():
-    a = KnowledgeStore(0, 3, track_matrix=True)
-    b = KnowledgeStore(1, 3, track_matrix=True)
+    stores = [KnowledgeStore(i, 3, track_matrix=True) for i in range(3)]
+    a, b = stores[0], stores[1]
     b.timers[2] = 2.0
     exchange(a, b, now=10.0)
     # Row for node 1 observed at t=10 says t_1(2) = 2; four units later the
     # estimate has aged accordingly.
-    assert estimate_distance(a, "global", 1, 2, now=14.0) == 6.0
+    assert priced("global", stores, now=14.0)[0][1, 2] == 6.0
 
 
 def test_local_sum_brackets_oracle_under_recurring_contacts():
@@ -282,43 +286,6 @@ def test_local_sum_brackets_oracle_under_recurring_contacts():
     stores = propagate(events, 3, 0.5, duration)
     t = duration
     true_12 = contact_sequence_oracle(trace, 1, 2, t)
-    approx = estimate_distance(stores[0], "local", 1, 2) * UNIT
+    approx = priced("local", stores)[0][1, 2] * UNIT
     spread = abs(stores[0].timers[1] - stores[0].timers[2]) * UNIT
     assert spread - 2 * 0.5 * UNIT <= true_12 <= approx + 2 * 0.5 * UNIT
-
-
-# -- gossip payload ----------------------------------------------------------------
-
-def test_gossip_payload_local_counts():
-    store = KnowledgeStore(0, 20)
-    for i in range(1, 20):
-        store.timers[i] = float(i)
-    payload = gossip_payload(store, "local")
-    assert payload["scalar_count"] == 38  # 19 timers + 19 loads
-    assert payload["scalar_count"] <= 40
-
-
-def test_gossip_payload_empty_store():
-    payload = gossip_payload(KnowledgeStore(0, 20), "local")
-    assert payload["scalar_count"] == 0
-    assert payload["timers"] == {}
-
-
-def test_gossip_payload_global_counts():
-    stores = [KnowledgeStore(i, 20, track_matrix=True) for i in range(20)]
-    for i in range(1, 20):
-        stores[0].timers[i] = float(i)
-        exchange(stores[0], stores[i], now=float(i))
-    payload = gossip_payload(stores[0], "global")
-    assert payload["scalar_count"] <= 20 * 20 + 40
-
-
-def test_snapshot_csv(tmp_path):
-    a = KnowledgeStore(0, 3)
-    b = KnowledgeStore(1, 3)
-    exchange(a, b)
-    path = tmp_path / "snap.csv"
-    dump_snapshot_csv([a, b], path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "owner,peer,timer,load"
-    assert len(lines) == 3  # header + one known peer per store
