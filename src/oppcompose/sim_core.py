@@ -6,8 +6,12 @@ contact starts (encounter stats, neighbour index, forwarding attempts),
 service completions, Poisson request generation, forwarding sweeps, and
 deadline expirations.  Each composition decision is one Dijkstra over a
 placement-derived service graph (:class:`_GraphTemplate`) priced by
-:func:`knowledge.cost_matrices`.  Identical (config, seed) pairs reproduce
-identical results.
+:func:`knowledge.cost_matrices`.  Knowledge changes only at unit
+boundaries, so an owner's graph is priced once per unit and, under
+``local``/``global`` awareness, a plan is reused for the rest of the unit.
+``minimal`` draws a fresh tie order per decision, so it reuses prices but
+not plans; ``perfect`` prices the live backlog, so it reuses neither.
+Identical (config, seed) pairs reproduce identical results.
 """
 
 from __future__ import annotations
@@ -213,6 +217,10 @@ class _Item:
         self.opp_flag = False
 
 
+def _record_id(item: _Item) -> int:
+    return item.record.id
+
+
 @dataclass
 class CompositionPath:
     """An ordered stage list with its estimated cost (in time units)."""
@@ -231,8 +239,9 @@ class _GraphTemplate:
 
     Vertices are ints: hosted service copies first, then one vertex per
     type.  Edge device endpoints use -1 where the graph owner's id must be
-    substituted.  Costs are gathered per computation from the owner's
-    device-distance and load vectors, so re-pricing the graph is O(edges).
+    substituted.  :meth:`edge_costs` prices every edge for one owner from
+    its device-distance and load vectors in O(edges); :meth:`shortest`
+    searches such a priced list, so one pricing serves many searches.
     """
 
     def __init__(self, placement: ServicePlacement, n_d: int, single_stage: bool):
@@ -240,19 +249,19 @@ class _GraphTemplate:
         copies = [(s, n) for s in sorted(placement.by_service)
                   for n in placement.by_service[s]]
         self.copies = copies
+        self.hosts = [n for _, n in copies]
         self.n_service_vertices = len(copies)
         self.type_vertex = {x: len(copies) + x - 1 for x in range(1, n_d + 1)}
         self.n_vertices = len(copies) + n_d
-        edges_src: list[int] = []
         edges_dst: list[int] = []
         edges_sdev: list[int] = []
         edges_ddev: list[int] = []
         edges_load: list[bool] = []
-        adjacency: list[list[int]] = [[] for _ in range(self.n_vertices)]
+        # Per vertex: (edge index, head vertex) of each outgoing edge.
+        self.out_edges: list[list[tuple[int, int]]] = [[] for _ in range(self.n_vertices)]
 
         def add(u, v, sdev, ddev, with_load):
-            adjacency[u].append(len(edges_src))
-            edges_src.append(u)
+            self.out_edges[u].append((len(edges_dst), v))
             edges_dst.append(v)
             edges_sdev.append(sdev)
             edges_ddev.append(ddev)
@@ -265,18 +274,17 @@ class _GraphTemplate:
                 for vj, (s2, n2) in enumerate(copies):
                     if s.output == s2.input:
                         add(vi, vj, n, n2, True)
-        self.e_dst = np.array(edges_dst, dtype=np.int64)
         self.e_sdev = np.array(edges_sdev, dtype=np.int64)
         self.e_ddev = np.array(edges_ddev, dtype=np.int64)
         self.e_load = np.array(edges_load)
-        self.adjacency = adjacency
         # Rank of each service vertex in (service, host) order, for ties.
         order = sorted(range(len(copies)), key=lambda i: copies[i])
-        self.lex_rank = np.empty(len(copies), dtype=np.int64)
+        self.lex_rank = [0] * len(copies)
         for rank, vi in enumerate(order):
             self.lex_rank[vi] = rank
         self._single_stage = single_stage
         self._reachable: dict[int, frozenset[int]] = {}
+        self._toward: dict[int, list[list[tuple[int, int]]]] = {}
 
     def reachable_outputs(self, req_in: int) -> frozenset[int]:
         """Output types attainable from ``req_in`` regardless of costs.
@@ -305,60 +313,85 @@ class _GraphTemplate:
         return result
 
     def edge_costs(self, owner: int, dist: np.ndarray, load: np.ndarray,
-                   load_aware: bool) -> np.ndarray:
+                   load_aware: bool) -> list[float]:
+        """Every edge's cost for ``owner``, as the list :meth:`shortest` reads."""
         sdev = np.where(self.e_sdev < 0, owner, self.e_sdev)
         ddev = np.where(self.e_ddev < 0, owner, self.e_ddev)
         costs = dist[sdev, ddev].astype(float)
         if load_aware:
             costs = costs + np.where(self.e_load, load[ddev], 0.0)
-        return costs
+        return costs.tolist()
 
-    def shortest(self, owner: int, req_in: int, req_out: int,
-                 dist: np.ndarray, load: np.ndarray, load_aware: bool,
-                 ranks: np.ndarray | None = None) -> CompositionPath | None:
-        """Dijkstra from the input-type vertex; ties prefer fewer stages,
-        then finishing at the owner, then the smallest stage-rank sequence."""
-        costs = self.edge_costs(owner, dist, load, load_aware)
-        if ranks is None:
-            ranks = self.lex_rank
+    def _edges_toward(self, req_out: int) -> list[list[tuple[int, int]]]:
+        """Per vertex, its (edge, head) pairs whose head can still reach
+        ``req_out``'s type vertex; no other edge can lie on a path there."""
+        cached = self._toward.get(req_out)
+        if cached is not None:
+            return cached
+        goal = self.type_vertex[req_out]
+        useful = [s.output == req_out or req_out in self.reachable_outputs(s.output)
+                  for s, _ in self.copies]
+        cached = [[(ei, v) for ei, v in edges
+                   if v == goal or (v < self.n_service_vertices and useful[v])]
+                  for edges in self.out_edges]
+        self._toward[req_out] = cached
+        return cached
+
+    def shortest(self, owner: int, req_in: int, req_out: int, costs: list[float],
+                 ranks: list[int] | np.ndarray | None = None) -> CompositionPath | None:
+        """Dijkstra from the input-type vertex over ``edge_costs(owner, ...)``.
+
+        Ties prefer fewer stages, then finishing at the owner, then the
+        smallest stage-rank sequence (``ranks`` per service vertex, default
+        (service, host) order).  That sequence is one integer in base
+        ``n_service_vertices``: labels compare it only at equal stage
+        counts, where integer order is the sequences' lexicographic order.
+        Infinite edges (unknown hosts) are never taken, nor edges that
+        cannot lead to the output type.
+        """
         start = self.type_vertex[req_in]
         goal = self.type_vertex[req_out]
-        best: dict[int, tuple] = {start: (0.0, 0, 0, ())}
-        settled: dict[int, tuple] = {}
-        heap: list = [(0.0, 0, 0, (), start, ())]
-        n_svc = self.n_service_vertices
+        if start == goal:
+            return None
+        # Python ints: on long chains the key outgrows a numpy int64.
+        ranks = self.lex_rank if ranks is None else [int(r) for r in ranks]
+        base = self.n_service_vertices
+        hosts = self.hosts
+        out_edges = self._edges_toward(req_out)
+        best: list = [None] * self.n_vertices
+        pred = [0] * self.n_vertices
+        settled = [False] * self.n_vertices
+        heap: list = [(0.0, 0, 0, 0, start)]
         while heap:
-            cost, n_stages, penalty, key, vertex, stages = heapq.heappop(heap)
-            if vertex in settled:
+            cost, n_stages, penalty, key, vertex = heapq.heappop(heap)
+            if settled[vertex]:
                 continue
-            settled[vertex] = (cost, stages)
             if vertex == goal:
                 break
-            if vertex >= n_svc and vertex != start:
-                continue  # type vertices other than the source are terminals
-            for ei in self.adjacency[vertex]:
+            settled[vertex] = True
+            returned = penalty + (vertex < base and hosts[vertex] != owner)
+            for ei, nxt in out_edges[vertex]:
                 w = costs[ei]
-                if not math.isfinite(w):
+                if not w < math.inf or settled[nxt]:
                     continue
-                nxt = int(self.e_dst[ei])
-                if nxt in settled:
-                    continue
-                if nxt < n_svc:
-                    label = (cost + w, n_stages + 1, penalty,
-                             key + (int(ranks[nxt]),), nxt, stages + (nxt,))
+                if nxt < base:
+                    label = (cost + w, n_stages + 1, penalty, key * base + ranks[nxt], nxt)
                 else:
-                    remote = 1 if vertex < n_svc and self.copies[vertex][1] != owner else 0
-                    label = (cost + w, n_stages, penalty + remote, key, nxt, stages)
-                probe = label[:4]
-                if nxt not in best or probe < best[nxt]:
-                    best[nxt] = probe
+                    label = (cost + w, n_stages, returned, key, nxt)
+                old = best[nxt]
+                if old is None or label < old:
+                    best[nxt] = label
+                    pred[nxt] = vertex
                     heapq.heappush(heap, label)
-        hit = settled.get(goal)
-        if hit is None or not hit[1]:
-            return None
-        cost, stage_idx = hit
-        stages = tuple(self.copies[i] for i in stage_idx)
-        return CompositionPath(stages=stages, cost=cost, input=req_in, output=req_out)
+        else:
+            return None  # the output type was never reached
+        stages = []
+        vertex = pred[goal]
+        while vertex != start:
+            stages.append(self.copies[vertex])
+            vertex = pred[vertex]
+        stages.reverse()
+        return CompositionPath(stages=tuple(stages), cost=cost, input=req_in, output=req_out)
 
 
 class _Engine:
@@ -388,7 +421,10 @@ class _Engine:
         self.template = _GraphTemplate(config.placement, config.catalog.n_d,
                                        single_stage=config.exact_match)
         self.boundary_pairs = contacts.boundary_pairs(config.unit_s)
-        self._dist_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        # Per unit: each owner's priced edge costs, and the plans they gave.
+        self._dist_cache: dict[int, list[float]] = {}
+        self._plans: dict[tuple[int, int, int], CompositionPath | None] = {}
+        self._reuse_plans = config.awareness in ("local", "global")
         self._pending_sweeps: set[tuple[int, float]] = set()
         # Per node: peer -> end of the contact in progress, filled at contact
         # starts.  Contacts are closed intervals, so an entry lapses only
@@ -399,7 +435,7 @@ class _Engine:
         # gossiped composition timers (transitive updates keep every
         # node's gossiped value near the network minimum, which would
         # erase the relay gradient entirely).
-        self.last_enc = np.full((self.n, self.n), -math.inf)
+        self.last_enc = [[-math.inf] * self.n for _ in range(self.n)]
 
     # -- event plumbing ------------------------------------------------
 
@@ -415,8 +451,14 @@ class _Engine:
 
     # -- knowledge-driven cost matrices ---------------------------------
 
-    def _distances(self, owner: int) -> tuple[np.ndarray, np.ndarray]:
-        """:func:`cost_matrices` for ``owner``, cached for the current unit."""
+    def _distances(self, owner: int) -> list[float]:
+        """``owner``'s edge costs: :func:`cost_matrices` priced by the template.
+
+        Nothing the pricing reads changes within a unit except the live
+        backlog that ``perfect`` awareness prices, so the costs are cached
+        per (owner, unit) in ``_dist_cache`` at every other level and priced
+        afresh on every call under ``perfect``.
+        """
         cached = self._dist_cache.get(owner)
         if cached is not None:
             return cached
@@ -425,24 +467,37 @@ class _Engine:
         if cfg.awareness == "perfect":
             live_loads = np.array([self._pending_count(j) * cfg.mean_exec_s
                                    for j in range(self.n)])
-        cached = cost_matrices(cfg.awareness, self.stores, owner, self.unit_index,
-                               cfg.unit_s, live_loads)
-        self._dist_cache[owner] = cached
-        return cached
+        dist, load = cost_matrices(cfg.awareness, self.stores, owner, self.unit_index,
+                                   cfg.unit_s, live_loads)
+        costs = self.template.edge_costs(owner, dist, load, cfg.load_aware)
+        if live_loads is None:
+            self._dist_cache[owner] = costs
+        return costs
 
     def routable(self, req_in: int, req_out: int) -> bool:
         return req_out in self.template.reachable_outputs(req_in)
 
     def compute_path(self, node: int, req_in: int, req_out: int) -> CompositionPath | None:
+        """The cheapest composition ``node`` sees for ``req_in`` -> ``req_out``.
+
+        Under ``local``/``global`` awareness the answer depends only on the
+        unit's costs, so it is kept in ``_plans`` for the rest of the unit.
+        ``minimal`` draws a fresh tie permutation per call and ``perfect``
+        prices the live backlog, so neither reuses a plan.
+        """
         template = self.template
         if req_out not in template.reachable_outputs(req_in):
             return None
-        dist, load = self._distances(node)
+        key = (node, req_in, req_out)
+        if key in self._plans:
+            return self._plans[key]
         ranks = None
         if self.cfg.awareness == "minimal":
             ranks = self.tie_rng.permutation(template.n_service_vertices)
-        return template.shortest(node, req_in, req_out, dist, load,
-                                 self.cfg.load_aware, ranks)
+        path = template.shortest(node, req_in, req_out, self._distances(node), ranks)
+        if self._reuse_plans:
+            self._plans[key] = path
+        return path
 
     # -- queueing and execution -----------------------------------------
 
@@ -571,8 +626,13 @@ class _Engine:
         self._pending_sweeps.discard((node, t))
         if not self.carried[node]:
             return
+        cfg = self.cfg
+        unit_s = cfg.unit_s
+        scheme = cfg.scheme
+        contact_mode = cfg.opportunistic == "contact"
+        last_enc = self.last_enc
         neighbors = self._neighbors(node, t)
-        for item in sorted(self.carried[node], key=lambda it: it.record.id):
+        for item in sorted(self.carried[node], key=_record_id):
             if item.phase not in ("carried", "result") or item.location != node:
                 continue
             if item.destination is None:
@@ -582,17 +642,17 @@ class _Engine:
                 if item.destination is None or item.location != node:
                     continue
             dest = item.destination
-            carrier_age = (t - self.last_enc[node, dest]) / self.cfg.unit_s
+            carrier_age = (t - last_enc[node][dest]) / unit_s
             for peer in neighbors:
                 if peer == dest:
                     self._transfer(item, node, peer, t)
                     break
-                if (item.phase == "carried" and self.cfg.opportunistic == "contact"
-                        and item.planned_stage in self.cfg.placement.services_at(peer)):
+                if (contact_mode and item.phase == "carried"
+                        and item.planned_stage in cfg.placement.services_at(peer)):
                     self._transfer(item, node, peer, t)
                     break
-                peer_age = (t - self.last_enc[peer, dest]) / self.cfg.unit_s
-                if should_relay(self.cfg.scheme, node, peer, dest,
+                peer_age = (t - last_enc[peer][dest]) / unit_s
+                if should_relay(scheme, node, peer, dest,
                                 carrier_age, peer_age, self.stats, t):
                     self._transfer(item, node, peer, t)
                     break
@@ -674,12 +734,13 @@ class _Engine:
     def on_boundary(self, t: float, k: int) -> None:
         self.unit_index = k
         self._dist_cache.clear()
+        self._plans.clear()
         if k > 0:
             for store in self.stores:
                 store.tick(1.0)
         pairs = self.boundary_pairs[k] if k < len(self.boundary_pairs) else []
         for a, b in pairs:
-            self.last_enc[a, b] = self.last_enc[b, a] = t
+            self.last_enc[a][b] = self.last_enc[b][a] = t
         exchange_all(self.stores, pairs, now=float(k))
         for node in range(self.n):
             value = self.trackers[node].update(self._pending_count(node))
@@ -697,7 +758,7 @@ class _Engine:
         self.contact_end[a][b] = self.contact_end[b][a] = end
         self.stats.record(a, t)
         self.stats.record(b, t)
-        self.last_enc[a, b] = self.last_enc[b, a] = t
+        self.last_enc[a][b] = self.last_enc[b][a] = t
         if self.carried[a]:
             self.schedule_sweep(a, t)
         if self.carried[b]:

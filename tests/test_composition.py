@@ -426,8 +426,11 @@ def test_stage_edges_between_same_devices_share_cost():
 
 # -- engine template against the reference ---------------------------------------------
 
-def random_case(rng, n_d, n_nodes, repetition):
-    catalog = enumerate_services(n_d)
+def random_case(rng, n_d, n_nodes, repetition, ring=False, drop=0.0):
+    catalog = enumerate_services(n_d, ring=ring)
+    if drop:
+        catalog = enumerate_services(n_d, ring=ring, excluded={
+            s for s in catalog.services if rng.random() < drop})
     placement = assign_services(catalog, list(range(n_nodes)), repetition, rng)
     dist = rng.integers(0, 25, size=(n_nodes, n_nodes)).astype(float)
     dist = (dist + dist.T) / 2.0
@@ -448,7 +451,7 @@ def test_template_matches_reference_graph():
         owner = int(rng.integers(n_nodes))
         req = (1, n_d)
         template = _GraphTemplate(placement, n_d, single_stage=False)
-        fast = template.shortest(owner, *req, dist, load, True)
+        fast = template.shortest(owner, *req, template.edge_costs(owner, dist, load, True))
 
         g = build_graph(owner, placement, n_d, req,
                         lambda i, j: dist[i, j], lambda j: load[j])
@@ -460,6 +463,45 @@ def test_template_matches_reference_graph():
             assert fast.cost == ref.cost
             assert fast.stages == ref.stages
 
+    # Random tie ranks (the same permutation the reference draws from its
+    # tie_rng), ring catalogs whose type graph has cycles, many-way ties,
+    # hosts the owner cannot reach, and arbitrary (input, output) pairs.
+    rng = np.random.default_rng(81)
+    found = 0
+    for case in range(600):
+        n_d = int(rng.integers(3, 7))
+        n_nodes = int(rng.integers(2, 6))
+        repetition = int(rng.integers(1, min(2, n_nodes) + 1))
+        ring = bool(rng.integers(2))
+        drop = 0.0 if ring else 0.5  # fewer direct services: longer, tied chains
+        placement, dist, load = random_case(rng, n_d, n_nodes, repetition, ring, drop)
+        if rng.integers(2):  # coarse costs, so that ties reach the later rules
+            dist, load = np.floor(dist / 8.0), np.floor(load / 8.0)
+        owner = int(rng.integers(n_nodes))
+        for far in rng.choice(n_nodes, size=int(rng.integers(0, n_nodes)), replace=False):
+            if far != owner:
+                dist[far, :] = dist[:, far] = math.inf
+                dist[far, far] = 0.0
+        req = tuple(int(x) for x in rng.integers(1, n_d + 1, size=2))
+        tie_seed = None if rng.integers(3) == 0 else case
+        template = _GraphTemplate(placement, n_d, single_stage=False)
+        ranks = (None if tie_seed is None else
+                 np.random.default_rng(tie_seed).permutation(template.n_service_vertices))
+        fast = template.shortest(owner, *req, template.edge_costs(owner, dist, load, True),
+                                 ranks)
+        g = build_graph(owner, placement, n_d, req,
+                        lambda i, j: dist[i, j], lambda j: load[j])
+        ref = select_composition(
+            g, *req, tie_rng=None if tie_seed is None else np.random.default_rng(tie_seed))
+        if ref is None:
+            assert fast is None
+        else:
+            assert fast is not None
+            assert fast.cost == ref.cost
+            assert fast.stages == ref.stages
+            found += 1
+    assert found > 200
+
 
 def test_template_single_stage_matches_reference():
     rng = np.random.default_rng(78)
@@ -467,7 +509,7 @@ def test_template_single_stage_matches_reference():
         n_d = int(rng.integers(3, 6))
         placement, dist, load = random_case(rng, n_d, 4, 2)
         template = _GraphTemplate(placement, n_d, single_stage=True)
-        fast = template.shortest(0, 1, n_d, dist, load, True)
+        fast = template.shortest(0, 1, n_d, template.edge_costs(0, dist, load, True))
         g = build_graph(0, placement, n_d, (1, n_d),
                         lambda i, j: dist[i, j], lambda j: load[j],
                         single_stage=True)
@@ -486,7 +528,7 @@ def test_template_infinite_costs_hide_hosts():
     dist[2, :] = math.inf
     dist[2, 2] = 0.0
     template = _GraphTemplate(placement, 4, single_stage=False)
-    path = template.shortest(0, 1, 4, dist, load, True)
+    path = template.shortest(0, 1, 4, template.edge_costs(0, dist, load, True))
     if path is not None:
         assert 2 not in path.hosts()
 

@@ -16,8 +16,9 @@ import pytest
 
 from oppcompose.contact_engine import ContactEvent, ContactTrace
 from oppcompose.forwarding import DIRECT, EBR, TT
+from oppcompose.knowledge import cost_matrices
 from oppcompose.service_model import assign_services, enumerate_services
-from oppcompose.sim_core import RequestPattern, SimConfig, run, write_records_csv
+from oppcompose.sim_core import _Engine, RequestPattern, SimConfig, run, write_records_csv
 
 N_NODES = 8
 DURATION = 7200.0
@@ -88,6 +89,37 @@ def test_scenario_forms_groups_of_three_or_more():
 def test_records_match_pinned_digest(name, tmp_path):
     contacts, base = scenario()
     result = run(SimConfig(**base, **RUNS[name]), contacts)
+    path = tmp_path / "records.csv"
+    write_records_csv(result, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", ["local", "global", "exact_match", "plan_once", "contact"])
+def test_reused_plans_match_a_fresh_search(name, monkeypatch, tmp_path):
+    # Costs are priced once per (owner, unit) and plans reused within the
+    # unit.  Every answer, reused or not, must equal a search on costs priced
+    # afresh from the engine's state at the time of the call.
+    contacts, base = scenario()
+    compute_path = _Engine.compute_path
+    answers = Counter()
+
+    def checked(engine, node, req_in, req_out):
+        reused = (node, req_in, req_out) in engine._plans
+        path = compute_path(engine, node, req_in, req_out)
+        cfg, template = engine.cfg, engine.template
+        dist, load = cost_matrices(cfg.awareness, engine.stores, node, engine.unit_index,
+                                   cfg.unit_s)
+        fresh = template.shortest(node, req_in, req_out,
+                                  template.edge_costs(node, dist, load, cfg.load_aware))
+        assert path == fresh
+        answers[reused] += 1
+        return path
+
+    monkeypatch.setattr(_Engine, "compute_path", checked)
+    result = run(SimConfig(**base, **RUNS[name]), contacts)
+    assert answers[False] > 0
+    if name != "plan_once":  # there a request plans once, with no repeat in its unit
+        assert answers[True] > 0
     path = tmp_path / "records.csv"
     write_records_csv(result, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN[name]

@@ -407,3 +407,29 @@ def test_neighbor_index_matches_in_contact_at_interval_edges():
         assert ev.b in seen[(ev.start, ev.a)] and ev.a in seen[(ev.start, ev.b)]
         assert ev.b in seen[(ev.end, ev.a)] and ev.a in seen[(ev.end, ev.b)]
         assert ev.b not in seen[(ev.end + 0.5, ev.a)]
+
+
+# -- per-unit reuse of prices and plans ---------------------------------------------------
+
+def test_perfect_awareness_prices_live_backlog_on_every_search():
+    # Nodes 1 and 2 both host s_12, one unit from the owner 0 either way.
+    # A request queued at node 1 between two searches in the same unit must
+    # reach the second search: perfect awareness prices the live backlog.
+    catalog = enumerate_services(2)
+    placement = placement_of({0: [], 1: [Service(1, 2)], 2: [Service(1, 2)]})
+    config = SimConfig(catalog=catalog, placement=placement,
+                       pattern=RequestPattern(pairs=((1, 2),)), awareness="perfect",
+                       request_rate_per_min=0.0)
+    engine = _Engine(config, no_contact_trace(3, 600.0))
+    for store in engine.stores:
+        store.timers[:] = 1.0
+        store.timers[store.owner] = 0.0
+    first = engine.compute_path(0, 1, 2)
+    assert first.hosts() == (1,) and first.cost == 2.0  # tie: lower host
+    engine.queues[1].append(object())  # one request ahead: mean_exec_s / unit_s = 1 unit
+    second = engine.compute_path(0, 1, 2)
+    assert second.hosts() == (2,) and second.cost == 2.0
+    engine.queues[1].clear()
+    engine.queues[2].extend([object(), object()])
+    third = engine.compute_path(0, 1, 2)
+    assert third.hosts() == (1,) and third.cost == 2.0
