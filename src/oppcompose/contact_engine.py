@@ -44,9 +44,6 @@ class ContactEvent:
         if not self.start < self.end:
             raise ValueError(f"contact must have start < end, got [{self.start}, {self.end}]")
 
-    def covers(self, t: float) -> bool:
-        return self.start <= t <= self.end
-
 
 class ContactTrace:
     """Time-sorted contact events with per-pair lookup."""

@@ -8,15 +8,17 @@ paying a fixed ``t_av`` per relay hop.  At each unit boundary every group
 of co-located nodes settles at once to what repeated contacts would reach,
 ``T_i[k] = min_j (T_j[k] + t_av * hops(i, j))`` over the group, with the
 load taken from the minimising source (ties: own entry, then fewer hops,
-then lower node id).  :func:`cost_matrices` turns this state into the
-distance and load inputs that price composition graph edges, one rule per
-awareness level (:data:`AWARENESS_LEVELS`).
+then lower node id).  :func:`edge_prices` turns this state into the
+cost of every composition graph edge an owner prices, one rule per
+awareness level (:data:`AWARENESS_LEVELS`): the owner's vectors are read
+at the edges' device endpoints only, never spread into an n x n matrix.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,7 +28,9 @@ __all__ = [
     "LoadTracker",
     "exchange",
     "exchange_all",
-    "cost_matrices",
+    "EdgeEnds",
+    "edge_ends",
+    "edge_prices",
 ]
 
 AWARENESS_LEVELS = ("minimal", "local", "global", "perfect")
@@ -239,43 +243,73 @@ def exchange_all(stores: list[KnowledgeStore], pairs: list[tuple[int, int]],
     return _closure([stores[v] for v in nodes], hops, now)
 
 
-def cost_matrices(level: str, stores: list[KnowledgeStore], owner: int, now: float,
-                  unit_s: float, live_loads: np.ndarray | None = None
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Edge-cost inputs as node ``owner`` prices them at awareness ``level``.
+class EdgeEnds(NamedTuple):
+    """One owner's composition graph edges as device index arrays.
 
-    Returns ``(dist, load)`` in time units: ``dist[i, j]`` estimates the
-    temporal distance between devices i and j, ``load[j]`` the backlog at
-    device j.  minimal: distance 1 between any two devices, no load.
-    local: own timers; for two other nodes the sum t(i) + t(j), an upper
-    bound on their mutual distance.  global: node i's gossiped timer row,
-    aged by its staleness ``now - observed`` (the local sum where no row
-    was observed).  perfect: every node's live timers, and ``live_loads``,
-    the true backlog per node in seconds.  Unknown (pruned) peers are at
-    infinite distance.
+    ``src[e]`` and ``dst[e]`` are edge e's device endpoints, the owner's id
+    in place of the graph's own ends; ``loaded`` lists the edges that pay
+    their destination's load (``None``: none does).  ``same`` lists the
+    edges with ``src == dst``, ``others`` those with distinct ends of which
+    neither is the owner.  Built once per owner by :func:`edge_ends`.
     """
-    n = len(stores)
+
+    src: np.ndarray
+    dst: np.ndarray
+    loaded: np.ndarray | None
+    same: np.ndarray
+    others: np.ndarray
+
+
+def edge_ends(owner: int, sdev: np.ndarray, ddev: np.ndarray,
+              loaded: np.ndarray | None) -> EdgeEnds:
+    """``owner``'s :class:`EdgeEnds` for edges from device ``sdev[e]`` to
+    ``ddev[e]``, where a negative id stands for the owner."""
+    src = np.where(sdev < 0, owner, sdev)
+    dst = np.where(ddev < 0, owner, ddev)
+    others = np.flatnonzero((src != dst) & (src != owner) & (dst != owner))
+    return EdgeEnds(src, dst, loaded, np.flatnonzero(src == dst), others)
+
+
+def edge_prices(level: str, stores: list[KnowledgeStore], owner: int, ends: EdgeEnds,
+                now: float, unit_s: float, timers: np.ndarray | None = None,
+                live_loads: np.ndarray | None = None) -> np.ndarray:
+    """Edge costs, in time units, as node ``owner`` prices them at ``level``.
+
+    Each edge of ``ends`` costs the estimated temporal distance between its
+    devices s and d, plus the backlog at d if it is ``loaded``.  minimal:
+    distance 1 between two devices, no load.  local: the owner's own
+    timers, the sum ``t(s) + t(d)`` (an upper bound; exact where one end is
+    the owner, whose entry is pinned at zero).  global: for s and d other
+    than the owner with a finite gossiped entry about d in s's row, that
+    entry aged by the row's staleness ``now - observed``; the local sum
+    elsewhere.  At these three levels ``s == d`` costs 0.  perfect: every
+    node's live timers (``timers``, all stores' timer vectors stacked) and
+    ``live_loads``, the true backlog per node in seconds.  Unknown (pruned)
+    peers are at infinite distance.
+    """
+    src, dst = ends.src, ends.dst
     if level == "minimal":
-        dist = np.ones((n, n))
-        np.fill_diagonal(dist, 0.0)
-        load = np.zeros(n)
-    elif level == "perfect":
-        dist = np.stack([s.timers for s in stores])
-        load = live_loads / unit_s
+        costs = np.ones(len(src))
+        costs[ends.same] = 0.0
+        return costs
+    if level == "perfect":
+        costs = timers[src, dst]
+        load = live_loads
     elif level in ("local", "global"):
         store = stores[owner]
-        ta = store.timers
-        dist = ta[:, None] + ta[None, :]
+        t = store.timers
+        costs = t[src] + t[dst]
         if level == "global":
-            seen = store.matrix_obs > -math.inf
-            if seen.any():
-                age = now - store.matrix_obs[seen]
-                rows = store.matrix[seen] + age[:, None]
-                dist[seen] = np.where(np.isfinite(store.matrix[seen]), rows, dist[seen])
-        dist[owner, :] = ta
-        dist[:, owner] = ta
-        np.fill_diagonal(dist, 0.0)
-        load = store.loads / unit_s
+            rows = src[ends.others]
+            gossip = store.matrix[rows, dst[ends.others]]
+            seen = store.matrix_obs[rows]
+            use = np.isfinite(gossip) & (seen > -math.inf)
+            costs[ends.others[use]] = gossip[use] + (now - seen[use])
+        costs[ends.same] = 0.0
+        load = store.loads
     else:
         raise ValueError(f"unknown awareness level {level!r}")
-    return dist, load
+    loaded = ends.loaded
+    if loaded is not None:
+        costs[loaded] += load[dst[loaded]] / unit_s
+    return costs

@@ -5,12 +5,15 @@ one knowledge closure over the co-located groups, load-window updates),
 contact starts (encounter stats, neighbour index, forwarding attempts),
 service completions, Poisson request generation, forwarding sweeps, and
 deadline expirations.  Each composition decision is one Dijkstra over a
-placement-derived service graph (:class:`_GraphTemplate`) priced by
-:func:`knowledge.cost_matrices`.  Knowledge changes only at unit
-boundaries, so an owner's graph is priced once per unit and, under
-``local``/``global`` awareness, a plan is reused for the rest of the unit.
-``minimal`` draws a fresh tie order per decision, so it reuses prices but
-not plans; ``perfect`` prices the live backlog, so it reuses neither.
+placement-derived service graph (:class:`_GraphTemplate`) whose edges
+:func:`knowledge.edge_prices` prices straight from the owner's vectors.
+Knowledge changes only at unit boundaries, so an owner's graph is priced
+once per unit and, under ``local``/``global`` awareness, a plan is reused
+for the rest of the unit.  ``minimal`` prices are constant for the whole
+run, but it draws a fresh tie order per decision, so it reuses no plan;
+``perfect`` stacks all timers once per unit and adds the live backlog on
+every decision.  A forwarding sweep decides once per destination which
+neighbour, if any, receives the items bound there (:meth:`_Engine.sweep`).
 Identical (config, seed) pairs reproduce identical results.
 """
 
@@ -18,13 +21,15 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import insort
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .contact_engine import ContactTrace
 from .forwarding import EncounterStats, Scheme, MT, should_relay
-from .knowledge import AWARENESS_LEVELS, KnowledgeStore, LoadTracker, cost_matrices, exchange_all
+from .knowledge import (AWARENESS_LEVELS, EdgeEnds, KnowledgeStore, LoadTracker, edge_ends,
+                        edge_prices, exchange_all)
 from .service_model import Service, ServiceCatalog, ServicePlacement
 
 __all__ = [
@@ -54,12 +59,19 @@ class RequestPattern:
 
     pairs: tuple[tuple[int, int], ...]
     weights: tuple[float, ...] | None = None
+    # ``weights`` normalised to draw probabilities, once.
+    _p: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.pairs:
             raise ValueError("request pattern admits no (input, output) pairs")
         if self.weights is not None and len(self.weights) != len(self.pairs):
             raise ValueError("weights must match pairs")
+        p = None
+        if self.weights is not None:
+            w = np.asarray(self.weights, dtype=float)
+            p = w / w.sum()
+        object.__setattr__(self, "_p", p)
 
     @classmethod
     def min_functionality(cls, catalog: ServiceCatalog, k_min: int) -> "RequestPattern":
@@ -76,10 +88,9 @@ class RequestPattern:
         return cls(pairs=pairs, weights=weights)
 
     def draw(self, rng: np.random.Generator) -> tuple[int, int]:
-        if self.weights is None:
+        if self._p is None:
             return self.pairs[int(rng.integers(len(self.pairs)))]
-        w = np.asarray(self.weights, dtype=float)
-        return self.pairs[int(rng.choice(len(self.pairs), p=w / w.sum()))]
+        return self.pairs[int(rng.choice(len(self.pairs), p=self._p))]
 
 
 @dataclass
@@ -239,8 +250,8 @@ class _GraphTemplate:
 
     Vertices are ints: hosted service copies first, then one vertex per
     type.  Edge device endpoints use -1 where the graph owner's id must be
-    substituted.  :meth:`edge_costs` prices every edge for one owner from
-    its device-distance and load vectors in O(edges); :meth:`shortest`
+    substituted (:func:`knowledge.edge_ends`, once per owner), and
+    :func:`knowledge.edge_prices` prices them in O(edges).  :meth:`shortest`
     searches such a priced list, so one pricing serves many searches.
     """
 
@@ -312,16 +323,6 @@ class _GraphTemplate:
         self._reachable[req_in] = result
         return result
 
-    def edge_costs(self, owner: int, dist: np.ndarray, load: np.ndarray,
-                   load_aware: bool) -> list[float]:
-        """Every edge's cost for ``owner``, as the list :meth:`shortest` reads."""
-        sdev = np.where(self.e_sdev < 0, owner, self.e_sdev)
-        ddev = np.where(self.e_ddev < 0, owner, self.e_ddev)
-        costs = dist[sdev, ddev].astype(float)
-        if load_aware:
-            costs = costs + np.where(self.e_load, load[ddev], 0.0)
-        return costs.tolist()
-
     def _edges_toward(self, req_out: int) -> list[list[tuple[int, int]]]:
         """Per vertex, its (edge, head) pairs whose head can still reach
         ``req_out``'s type vertex; no other edge can lie on a path there."""
@@ -339,7 +340,7 @@ class _GraphTemplate:
 
     def shortest(self, owner: int, req_in: int, req_out: int, costs: list[float],
                  ranks: list[int] | np.ndarray | None = None) -> CompositionPath | None:
-        """Dijkstra from the input-type vertex over ``edge_costs(owner, ...)``.
+        """Dijkstra from the input-type vertex over ``owner``'s edge costs.
 
         Ties prefer fewer stages, then finishing at the owner, then the
         smallest stage-rank sequence (``ranks`` per service vertex, default
@@ -421,8 +422,12 @@ class _Engine:
         self.template = _GraphTemplate(config.placement, config.catalog.n_d,
                                        single_stage=config.exact_match)
         self.boundary_pairs = contacts.boundary_pairs(config.unit_s)
-        # Per unit: each owner's priced edge costs, and the plans they gave.
+        # Per owner: its graph's edge endpoints.  Per unit: each owner's
+        # priced edge costs, and the plans they gave; all nodes' timers
+        # stacked, for perfect awareness.
+        self._ends: dict[int, EdgeEnds] = {}
         self._dist_cache: dict[int, list[float]] = {}
+        self._timer_stack: np.ndarray | None = None
         self._plans: dict[tuple[int, int, int], CompositionPath | None] = {}
         self._reuse_plans = config.awareness in ("local", "global")
         self._pending_sweeps: set[tuple[int, float]] = set()
@@ -430,6 +435,9 @@ class _Engine:
         # starts.  Contacts are closed intervals, so an entry lapses only
         # once time passes its end (checked when read).
         self.contact_end: list[dict[int, float]] = [{} for _ in range(self.n)]
+        # Per node: (earliest end, sorted peers) as ``_neighbors`` last listed
+        # them, or None once a contact starts there.
+        self._peer_list: list[tuple[float, list[int]] | None] = [None] * self.n
         # Forwarding-layer state: when each pair last met directly.  The
         # timer relay rules run on these encounter ages, not on the
         # gossiped composition timers (transitive updates keep every
@@ -452,12 +460,13 @@ class _Engine:
     # -- knowledge-driven cost matrices ---------------------------------
 
     def _distances(self, owner: int) -> list[float]:
-        """``owner``'s edge costs: :func:`cost_matrices` priced by the template.
+        """``owner``'s edge costs, priced by :func:`knowledge.edge_prices`.
 
         Nothing the pricing reads changes within a unit except the live
         backlog that ``perfect`` awareness prices, so the costs are cached
-        per (owner, unit) in ``_dist_cache`` at every other level and priced
-        afresh on every call under ``perfect``.
+        per (owner, unit) in ``_dist_cache`` (``minimal``: for the whole
+        run), and priced afresh on every call under ``perfect``, from one
+        timer stack per unit.
         """
         cached = self._dist_cache.get(owner)
         if cached is not None:
@@ -467,9 +476,16 @@ class _Engine:
         if cfg.awareness == "perfect":
             live_loads = np.array([self._pending_count(j) * cfg.mean_exec_s
                                    for j in range(self.n)])
-        dist, load = cost_matrices(cfg.awareness, self.stores, owner, self.unit_index,
-                                   cfg.unit_s, live_loads)
-        costs = self.template.edge_costs(owner, dist, load, cfg.load_aware)
+            if self._timer_stack is None:
+                self._timer_stack = np.stack([s.timers for s in self.stores])
+        ends = self._ends.get(owner)
+        if ends is None:
+            template = self.template
+            loaded = np.flatnonzero(template.e_load) if cfg.load_aware else None
+            ends = self._ends[owner] = edge_ends(owner, template.e_sdev, template.e_ddev,
+                                                 loaded)
+        costs = edge_prices(cfg.awareness, self.stores, owner, ends, self.unit_index,
+                            cfg.unit_s, self._timer_stack, live_loads).tolist()
         if live_loads is None:
             self._dist_cache[owner] = costs
         return costs
@@ -545,7 +561,7 @@ class _Engine:
             if node == item.record.origin:
                 self._complete(item, t)
             else:
-                self.carried[node].append(item)
+                self._carry(node, item)
                 self.schedule_sweep(node, t)
         else:
             self._route_next(item, node, t)
@@ -580,7 +596,7 @@ class _Engine:
         if stage is None:
             item.destination = None
             item.planned_stage = None
-            self.carried[node].append(item)
+            self._carry(node, item)
             return
         service, host = stage
         if host == node:
@@ -588,15 +604,29 @@ class _Engine:
         else:
             item.destination = host
             item.planned_stage = service
-            self.carried[node].append(item)
+            self._carry(node, item)
             if not defer_sweep:
                 self.schedule_sweep(node, t)
 
+    def _carry(self, node: int, item: _Item) -> None:
+        """Hold ``item`` at ``node``; each node's list stays in record-id order."""
+        insort(self.carried[node], item, key=_record_id)
+
     def _neighbors(self, node: int, t: float) -> list[int]:
+        """Peers in contact with ``node`` at ``t``, in id order.
+
+        The list is kept until a contact starts at ``node`` or time passes
+        the earliest end among its peers, the only events that change it.
+        """
+        cached = self._peer_list[node]
+        if cached is not None and t <= cached[0]:
+            return cached[1]
         peers = self.contact_end[node]
         for peer in [p for p, end in peers.items() if end < t]:
             del peers[peer]
-        return sorted(peers)
+        listed = sorted(peers)
+        self._peer_list[node] = (min(peers.values(), default=math.inf), listed)
+        return listed
 
     def _transfer(self, item: _Item, src: int, dst: int, t: float) -> None:
         self.carried[src].remove(item)
@@ -606,7 +636,7 @@ class _Engine:
             if dst == item.record.origin:
                 self._complete(item, t)
             else:
-                self.carried[dst].append(item)
+                self._carry(dst, item)
                 self.schedule_sweep(dst, t)
             return
         service = item.planned_stage
@@ -619,10 +649,20 @@ class _Engine:
             # the topology may now offer a more feasible host.
             self._route_next(item, dst, t, defer_sweep=True)
         else:
-            self.carried[dst].append(item)
+            self._carry(dst, item)
             self.schedule_sweep(dst, t)
 
     def sweep(self, t: float, node: int) -> None:
+        """Hand each item ``node`` carries to the neighbour its rule picks.
+
+        Items bound for one destination all go to the same neighbour: the
+        first in id order that is the destination or passes
+        :func:`should_relay`.  That rule reads encounter ages and rates and
+        the neighbour set, which no transfer changes (a transfer touches
+        only the receiver's state), so it is decided once per destination
+        per sweep.  In ``contact`` mode an earlier neighbour hosting the
+        item's planned stage takes it instead, checked per item.
+        """
         self._pending_sweeps.discard((node, t))
         if not self.carried[node]:
             return
@@ -632,7 +672,8 @@ class _Engine:
         contact_mode = cfg.opportunistic == "contact"
         last_enc = self.last_enc
         neighbors = self._neighbors(node, t)
-        for item in sorted(self.carried[node], key=_record_id):
+        receiver: dict[int, int | None] = {}
+        for item in self.carried[node][:]:  # a copy: transfers remove items
             if item.phase not in ("carried", "result") or item.location != node:
                 continue
             if item.destination is None:
@@ -642,20 +683,27 @@ class _Engine:
                 if item.destination is None or item.location != node:
                     continue
             dest = item.destination
-            carrier_age = (t - last_enc[node][dest]) / unit_s
-            for peer in neighbors:
-                if peer == dest:
-                    self._transfer(item, node, peer, t)
-                    break
-                if (contact_mode and item.phase == "carried"
-                        and item.planned_stage in cfg.placement.services_at(peer)):
-                    self._transfer(item, node, peer, t)
-                    break
-                peer_age = (t - last_enc[peer][dest]) / unit_s
-                if should_relay(scheme, node, peer, dest,
-                                carrier_age, peer_age, self.stats, t):
-                    self._transfer(item, node, peer, t)
-                    break
+            if dest in receiver:
+                to = receiver[dest]
+            else:
+                to = None
+                carrier_age = (t - last_enc[node][dest]) / unit_s
+                for peer in neighbors:
+                    if peer == dest or should_relay(scheme, node, peer, dest, carrier_age,
+                                                    (t - last_enc[peer][dest]) / unit_s,
+                                                    self.stats, t):
+                        to = peer
+                        break
+                receiver[dest] = to
+            if contact_mode and item.phase == "carried":
+                for peer in neighbors:
+                    if peer == to:
+                        break
+                    if item.planned_stage in cfg.placement.services_at(peer):
+                        to = peer
+                        break
+            if to is not None:
+                self._transfer(item, node, to, t)
 
     def _route_next_stalled(self, item: _Item, node: int, t: float) -> None:
         """Retry path selection for a stalled request in place."""
@@ -698,10 +746,10 @@ class _Engine:
             else:
                 item.destination = host
                 item.planned_stage = service
-                self.carried[node].append(item)
+                self._carry(node, item)
                 self.schedule_sweep(node, t)
         else:
-            self.carried[node].append(item)
+            self._carry(node, item)
         if not isinstance(payload, tuple):
             self._schedule_next_generation(node, t)
 
@@ -733,8 +781,10 @@ class _Engine:
 
     def on_boundary(self, t: float, k: int) -> None:
         self.unit_index = k
-        self._dist_cache.clear()
+        if self.cfg.awareness != "minimal":  # minimal prices are constant
+            self._dist_cache.clear()
         self._plans.clear()
+        self._timer_stack = None
         if k > 0:
             for store in self.stores:
                 store.tick(1.0)
@@ -756,6 +806,7 @@ class _Engine:
 
     def on_contact_start(self, t: float, a: int, b: int, end: float) -> None:
         self.contact_end[a][b] = self.contact_end[b][a] = end
+        self._peer_list[a] = self._peer_list[b] = None
         self.stats.record(a, t)
         self.stats.record(b, t)
         self.last_enc[a][b] = self.last_enc[b][a] = t

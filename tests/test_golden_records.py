@@ -16,9 +16,9 @@ import pytest
 
 from oppcompose.contact_engine import ContactEvent, ContactTrace
 from oppcompose.forwarding import DIRECT, EBR, TT
-from oppcompose.knowledge import cost_matrices
 from oppcompose.service_model import assign_services, enumerate_services
 from oppcompose.sim_core import _Engine, RequestPattern, SimConfig, run, write_records_csv
+from pricing_reference import cost_matrices, edge_costs
 
 N_NODES = 8
 DURATION = 7200.0
@@ -110,7 +110,7 @@ def test_reused_plans_match_a_fresh_search(name, monkeypatch, tmp_path):
         dist, load = cost_matrices(cfg.awareness, engine.stores, node, engine.unit_index,
                                    cfg.unit_s)
         fresh = template.shortest(node, req_in, req_out,
-                                  template.edge_costs(node, dist, load, cfg.load_aware))
+                                  edge_costs(template, node, dist, load, cfg.load_aware))
         assert path == fresh
         answers[reused] += 1
         return path

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oppcompose.contact_engine import (
     ContactEvent,
@@ -10,12 +11,17 @@ from oppcompose.contact_engine import (
     relay_cost_oracle,
 )
 from oppcompose.knowledge import (
+    AWARENESS_LEVELS,
     KnowledgeStore,
     LoadTracker,
-    cost_matrices,
+    edge_ends,
+    edge_prices,
     exchange,
     exchange_all,
 )
+from oppcompose.service_model import Service, ServicePlacement, enumerate_services
+from oppcompose.sim_core import _GraphTemplate
+from pricing_reference import cost_matrices, edge_costs
 
 UNIT = 30.0
 
@@ -289,3 +295,68 @@ def test_local_sum_brackets_oracle_under_recurring_contacts():
     approx = priced("local", stores)[0][1, 2] * UNIT
     spread = abs(stores[0].timers[1] - stores[0].timers[2]) * UNIT
     assert spread - 2 * 0.5 * UNIT <= true_12 <= approx + 2 * 0.5 * UNIT
+
+
+# -- edge prices against the n x n reference ---------------------------------------
+
+TIMERS = st.one_of(st.just(math.inf), st.floats(0.0, 60.0), st.integers(0, 40).map(float))
+AMOUNTS = st.one_of(st.floats(0.0, 1e4), st.integers(0, 300).map(float))
+
+
+@st.composite
+def pricing_cases(draw):
+    """An owner's graph and every node's knowledge, as the engine holds them."""
+    n = draw(st.integers(3, 6))
+    owner = draw(st.integers(0, n - 1))
+    catalog = enumerate_services(4)
+    hosts = {s: set(draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3)))
+             for s in catalog.services}
+    # The owner hosts a first stage (owner-incident s == d edges); another
+    # node hosts two chained services (an s == d edge between other nodes,
+    # and owner-incident edges to a second device), and a third node the
+    # next stage (an edge between two nodes other than the owner).
+    both, third = draw(st.permutations([v for v in range(n) if v != owner]))[:2]
+    hosts[Service(1, 2)] |= {owner, both}
+    hosts[Service(2, 3)].add(both)
+    hosts[Service(3, 4)].add(third)
+    by_node = {v: tuple(sorted(s for s, h in hosts.items() if v in h)) for v in range(n)}
+    placement = ServicePlacement(by_node=by_node,
+                                 by_service={s: tuple(sorted(h)) for s, h in hosts.items()},
+                                 repetition=1)
+    radius = draw(st.one_of(st.none(), st.floats(5.0, 40.0)))
+    now = draw(st.integers(20, 40))
+    stores = []
+    for i in range(n):
+        store = KnowledgeStore(i, n, radius=radius, track_matrix=True)
+        store.timers[:] = draw(st.lists(TIMERS, min_size=n, max_size=n))
+        store.timers[i] = 0.0
+        store.tick(1.0)  # ages every entry and prunes those past the radius
+        store.loads[:] = draw(st.lists(AMOUNTS, min_size=n, max_size=n))
+        for row in range(n):
+            kind = draw(st.sampled_from(("unobserved", "observed", "infinite")))
+            if kind == "unobserved":
+                continue
+            store.matrix_obs[row] = draw(st.floats(0.0, float(now)))
+            if kind == "observed":
+                store.matrix[row] = draw(st.lists(TIMERS, min_size=n, max_size=n))
+        stores.append(store)
+    live_loads = np.array(draw(st.lists(AMOUNTS, min_size=n, max_size=n)))
+    unit_s = draw(st.sampled_from((1.0, 7.0, 30.0)))
+    return _GraphTemplate(placement, 4, single_stage=False), stores, owner, now, unit_s, live_loads
+
+
+@pytest.mark.parametrize("level", AWARENESS_LEVELS)
+@settings(max_examples=75, deadline=None)
+@given(case=pricing_cases(), load_aware=st.booleans())
+def test_edge_prices_match_reference_matrices(level, case, load_aware):
+    template, stores, owner, now, unit_s, live_loads = case
+    dist, load = cost_matrices(level, stores, owner, now, unit_s, live_loads)
+    expected = edge_costs(template, owner, dist, load, load_aware)
+    loaded = np.flatnonzero(template.e_load) if load_aware else None
+    ends = edge_ends(owner, template.e_sdev, template.e_ddev, loaded)
+    src, dst = ends.src, ends.dst
+    assert any(src == dst) and any((src == owner) & (dst != owner)) and len(ends.others)
+    timers = np.stack([s.timers for s in stores])
+    got = edge_prices(level, stores, owner, ends, now, unit_s, timers, live_loads).tolist()
+    assert got == expected
+    assert np.array(got).tobytes() == np.array(expected).tobytes()

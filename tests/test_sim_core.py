@@ -3,13 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from oppcompose import sim_core
 from oppcompose.contact_engine import ContactEvent, ContactTrace, contacts_from_positions
-from oppcompose.forwarding import Scheme
+from oppcompose.forwarding import EBR, MT, TT, Scheme, should_relay
 from oppcompose.mobility import LevyWalkParams, generate_levy
 from oppcompose.service_model import Service, enumerate_services, assign_services
 from oppcompose.sim_core import (
     _Engine,
+    _Item,
     RequestPattern,
+    RequestRecord,
     SimConfig,
     read_records_csv,
     run,
@@ -76,6 +79,19 @@ def test_pattern_fixed_length_ring():
 def test_pattern_rejects_empty():
     with pytest.raises(ValueError):
         RequestPattern(pairs=())
+
+
+def test_weighted_draws_match_per_draw_normalisation():
+    # The weights are normalised once, at construction; a seeded generator
+    # must draw what normalising on every draw drew.
+    catalog = enumerate_services(20, ring=True)
+    pattern = RequestPattern.fixed_length(
+        catalog, 2, start_weights={x: (3.0 if x <= 10 else 1.0) for x in range(1, 21)})
+    w = np.asarray(pattern.weights, dtype=float)
+    ours, theirs = np.random.default_rng(42), np.random.default_rng(42)
+    for _ in range(500):
+        expected = pattern.pairs[int(theirs.choice(len(pattern.pairs), p=w / w.sum()))]
+        assert pattern.draw(ours) == expected
 
 
 def test_expected_request_volume():
@@ -385,14 +401,27 @@ def test_neighbor_index_matches_in_contact_at_interval_edges():
                     break
                 events.append(ContactEvent(start, end, a, b))
                 t = end + float(rng.integers(2, 400))
+    # Node 10 meets 11 over [100, 200]; 12 joins at 150 while node 10's list
+    # from t=100 is cached; both contacts end at exactly t=200.
+    events += [ContactEvent(100.0, 200.0, 10, 11), ContactEvent(150.0, 200.0, 10, 12)]
     trace = ContactTrace(events, n, duration)
     engine = _Engine(default_config(request_rate_per_min=0.0), trace)
     seen = {}
+    starts_over_cached_list = 0
 
     def probe(t, node):
         seen[(t, node)] = engine._neighbors(node, t)
 
+    def contact_start(t, a, b, end):
+        nonlocal starts_over_cached_list
+        for x, y in ((a, b), (b, a)):
+            cached = engine._peer_list[x]
+            starts_over_cached_list += cached is not None and y not in cached[1]
+        on_contact_start(t, a, b, end)
+
     engine.sweep = probe
+    on_contact_start = engine.on_contact_start
+    engine.on_contact_start = contact_start
     probes = set()
     for ev in trace.events:
         for t in (ev.start, ev.end, ev.end + 0.5, (ev.start + ev.end) / 2):
@@ -407,6 +436,11 @@ def test_neighbor_index_matches_in_contact_at_interval_edges():
         assert ev.b in seen[(ev.start, ev.a)] and ev.a in seen[(ev.start, ev.b)]
         assert ev.b in seen[(ev.end, ev.a)] and ev.a in seen[(ev.end, ev.b)]
         assert ev.b not in seen[(ev.end + 0.5, ev.a)]
+    assert starts_over_cached_list > 0
+    assert seen[(100.0, 10)] == [11]
+    assert seen[(150.0, 10)] == [11, 12]
+    assert seen[(200.0, 10)] == [11, 12]
+    assert seen[(200.5, 10)] == []
 
 
 # -- per-unit reuse of prices and plans ---------------------------------------------------
@@ -433,3 +467,74 @@ def test_perfect_awareness_prices_live_backlog_on_every_search():
     engine.queues[2].extend([object(), object()])
     third = engine.compute_path(0, 1, 2)
     assert third.hosts() == (1,) and third.cost == 2.0
+
+
+# -- relay decision per (sweep, destination) ---------------------------------------------
+
+def per_item_receiver(engine, node, item, t):
+    """The neighbour the per-item relay loop handed ``item`` to, if any."""
+    cfg = engine.cfg
+    dest = item.destination
+    carrier_age = (t - engine.last_enc[node][dest]) / cfg.unit_s
+    for peer in engine._neighbors(node, t):
+        if peer == dest:
+            return peer
+        if (cfg.opportunistic == "contact" and item.phase == "carried"
+                and item.planned_stage in cfg.placement.services_at(peer)):
+            return peer
+        peer_age = (t - engine.last_enc[peer][dest]) / cfg.unit_s
+        if should_relay(cfg.scheme, node, peer, dest, carrier_age, peer_age,
+                        engine.stats, t):
+            return peer
+    return None
+
+
+@pytest.mark.parametrize("mode", ["relay", "contact"])
+@pytest.mark.parametrize("scheme", [MT, TT, EBR], ids=["MT", "TT", "EBR"])
+def test_relay_decided_once_per_destination(scheme, mode, monkeypatch):
+    # Node 0 carries four items bound for node 4 and one bound for node 3;
+    # its neighbours are 1 and 2.  Neighbour 1 fails the rule and neighbour
+    # 2 passes it, under MT/TT (2 met node 4 just now, 0 and 1 never did)
+    # and under EBR (2 met more nodes lately than 0, 1 fewer).  Node 1
+    # hosts s_12, the planned stage of one item.
+    catalog = enumerate_services(4)
+    placement = placement_of({0: [], 1: [Service(1, 2)], 2: [],
+                              3: [Service(2, 3)], 4: [Service(1, 2), Service(2, 3)]})
+    config = SimConfig(catalog=catalog, placement=placement,
+                       pattern=RequestPattern(pairs=((1, 3),)), scheme=scheme,
+                       opportunistic=mode, request_rate_per_min=0.0)
+    engine = _Engine(config, no_contact_trace(5, 3600.0))
+    t = 600.0
+    engine.contact_end[0].update({1: 700.0, 2: 700.0})
+    engine.last_enc[2][4] = engine.last_enc[2][3] = t
+    for when in (400.0, 500.0, 550.0):
+        engine.stats.record(2, when)
+    engine.stats.record(0, 450.0)
+    items = []
+    for k, (stage, dest) in enumerate([(Service(2, 3), 4), (Service(1, 2), 4),
+                                       (Service(2, 3), 4), (Service(2, 3), 3),
+                                       (Service(2, 3), 4)]):
+        item = _Item(RequestRecord(id=k, origin=0, input=stage.input, output=3,
+                                   created=0.0, deadline=3000.0))
+        item.current_input, item.planned_stage, item.destination = stage.input, stage, dest
+        engine.items[k] = item
+        engine._carry(0, item)
+        items.append(item)
+    expected = [per_item_receiver(engine, 0, item, t) for item in items]
+    assert expected.count(2) >= 3
+    if mode == "contact":
+        assert expected[1] == 1  # the earlier neighbour hosting its stage
+
+    checks = []
+
+    def counted(scheme, carrier, candidate, destination, *rest):
+        checks.append((candidate, destination))
+        return should_relay(scheme, carrier, candidate, destination, *rest)
+
+    monkeypatch.setattr(sim_core, "should_relay", counted)
+    engine.sweep(t, 0)
+    assert [item.location for item in items] == expected
+    assert all(item.record.hops == 1 for item in items)
+    # One decision per destination: each neighbour is asked once about it,
+    # in id order, up to the first that passes.
+    assert checks == [(1, 4), (2, 4), (1, 3), (2, 3)]
