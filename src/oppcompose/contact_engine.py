@@ -28,6 +28,10 @@ __all__ = [
     "load_contacts_csv",
 ]
 
+# With more nodes than this, a sample's in-range pairs come from a range-sized
+# grid rather than from all-pairs distances.
+GRID_THRESHOLD = 64
+
 
 @dataclass(frozen=True, order=True)
 class ContactEvent:
@@ -92,8 +96,7 @@ class ContactTrace:
         return out
 
 
-def contacts_from_positions(trace: PositionTrace, range_m: float,
-                            grid_threshold: int = 64) -> ContactTrace:
+def contacts_from_positions(trace: PositionTrace, range_m: float) -> ContactTrace:
     """Extract maximal contact events from a position trace.
 
     A pair is in range at a sample iff their Euclidean distance is at most
@@ -105,7 +108,7 @@ def contacts_from_positions(trace: PositionTrace, range_m: float,
         raise ValueError("transmission range must be positive")
     n, t_count = trace.n_nodes, trace.n_samples
     interval = trace.sample_interval
-    use_grid = n > grid_threshold
+    use_grid = n > GRID_THRESHOLD
     in_range_prev: dict[tuple[int, int], float] = {}
     events: list[ContactEvent] = []
     open_runs: dict[tuple[int, int], tuple[float, float]] = {}

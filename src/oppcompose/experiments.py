@@ -23,7 +23,7 @@ import yaml
 from . import mobility
 from .contact_engine import ContactTrace, contacts_from_positions
 from .forwarding import DIRECT, EBR, MT, TT
-from .service_model import Service, ServiceCatalog, enumerate_services, assign_services
+from .service_model import Service, ServiceCatalog, assign_services
 from .sim_core import (RequestPattern, SimConfig, read_records_csv, run as run_sim,
                        write_records_csv)
 
@@ -100,11 +100,6 @@ def _apply_overrides(tree: dict, overrides: dict) -> dict:
 
 # ---------------------------------------------------------------------------
 # Building blocks
-
-def build_catalog(cfg: dict) -> ServiceCatalog:
-    excluded = {Service(a, b) for a, b in cfg.get("excluded", [])}
-    return enumerate_services(cfg["n_d"], excluded=excluded, ring=cfg.get("ring", False))
-
 
 def build_pattern(catalog: ServiceCatalog, cfg: dict) -> RequestPattern:
     kind = cfg.get("kind", "min_k")
@@ -247,7 +242,7 @@ def prepare_run(spec_dict: dict, seed: int, cache_dir: Path | None = None
                 ) -> tuple[SimConfig, ContactTrace]:
     """Resolve one spec instance (after overrides) into a runnable config."""
     _check_spec_keys(spec_dict)
-    catalog = build_catalog(spec_dict["catalog"])
+    catalog = ServiceCatalog.from_dict(spec_dict["catalog"])
     pattern = build_pattern(catalog, spec_dict["pattern"])
     rng = np.random.default_rng((seed, 51966))
     distribution = spec_dict.get("distribution", "uniform")
@@ -371,7 +366,6 @@ def summarize_group(run_rows: list[list[dict]], timeout_s: float, warmup_s: floa
     rates = [sum(1 for r in rows if r["status"] == "completed") / len(rows) if rows else 0.0
              for rows in run_rows]
     delays, hops, lengths, opp, total_stages = [], [], [], 0, 0
-    est_diffs, est_incomplete_hits, est_incomplete_total = [], 0, 0
     for rows in run_rows:
         for r in rows:
             n_stages = len(r["stages"].split("|")) if r["stages"] else 0
@@ -382,12 +376,6 @@ def summarize_group(run_rows: list[list[dict]], timeout_s: float, warmup_s: floa
                 lengths.append(n_stages)
                 if r["created_s"] >= warmup_s:
                     delays.append(r["delay_s"])
-                if r["estimated_cost_s"] is not None:
-                    est_diffs.append(r["estimated_cost_s"] - r["delay_s"])
-            elif r["status"] == "timed-out":
-                est_incomplete_total += 1
-                if r["estimated_cost_s"] is not None and r["estimated_cost_s"] > timeout_s:
-                    est_incomplete_hits += 1
     delays.sort()
     hop_hist = {}
     for h in hops:
@@ -395,7 +383,7 @@ def summarize_group(run_rows: list[list[dict]], timeout_s: float, warmup_s: floa
     len_hist = {}
     for l in lengths:
         len_hist[l] = len_hist.get(l, 0) + 1
-    est_diffs.sort()
+    est = compare_estimate_accuracy([r for rows in run_rows for r in rows], timeout_s)
     return {
         "n_requests": sum(len(rows) for rows in run_rows),
         "completion_mean": float(np.mean(rates)) if rates else 0.0,
@@ -407,11 +395,9 @@ def summarize_group(run_rows: list[list[dict]], timeout_s: float, warmup_s: floa
         "hop_hist": hop_hist,
         "length_hist": len_hist,
         "opportunistic_frac": opp / total_stages if total_stages else 0.0,
-        "est_within_4min_frac": (
-            sum(1 for d in est_diffs if abs(d) <= 240.0) / len(est_diffs) if est_diffs else 0.0),
-        "est_diff_abs_median_s": _quantile(sorted(abs(d) for d in est_diffs), 0.5),
-        "est_incomplete_accurate_frac": (
-            est_incomplete_hits / est_incomplete_total if est_incomplete_total else 0.0),
+        "est_within_4min_frac": est["within_4min_frac"],
+        "est_diff_abs_median_s": _quantile(est["diff_cdf"], 0.5),
+        "est_incomplete_accurate_frac": est["incomplete_over_timeout_frac"],
     }
 
 

@@ -79,9 +79,6 @@ class KnowledgeStore:
             self.timers[far] = math.inf
             self.loads[far] = 0.0
 
-    def known(self, peer: int) -> bool:
-        return math.isfinite(self.timers[peer])
-
 
 @dataclass
 class LoadTracker:

@@ -12,9 +12,13 @@ once per unit and, under ``local``/``global`` awareness, a plan is reused
 for the rest of the unit.  ``minimal`` prices are constant for the whole
 run, but it draws a fresh tie order per decision, so it reuses no plan;
 ``perfect`` stacks all timers once per unit and adds the live backlog on
-every decision.  A forwarding sweep decides once per destination which
-neighbour, if any, receives the items bound there (:meth:`_Engine.sweep`).
-Identical (config, seed) pairs reproduce identical results.
+every decision.  Each hand-off of a request (at generation, after a stage,
+on a relay arrival that re-plans, on a stalled retry) is queued or carried
+by :meth:`_Engine._route`, toward the stage :meth:`_Engine._next_stage`
+picks; :meth:`_Engine._deliver` takes results home.  A forwarding sweep
+decides once per destination which neighbour, if any, receives the items
+bound there (:meth:`_Engine.sweep`).  Identical (config, seed) pairs
+reproduce identical results.
 """
 
 from __future__ import annotations
@@ -214,7 +218,7 @@ class _Item:
     """Mutable in-simulation request state."""
 
     __slots__ = ("record", "current_input", "phase", "location", "destination",
-                 "planned_stage", "plan", "exec_token", "opp_flag")
+                 "planned_stage", "plan", "opp_flag")
 
     def __init__(self, record: RequestRecord):
         self.record = record
@@ -224,7 +228,6 @@ class _Item:
         self.destination: int | None = None
         self.planned_stage: Service | None = None
         self.plan: list[tuple[Service, int]] | None = None
-        self.exec_token = -1
         self.opp_flag = False
 
 
@@ -411,13 +414,12 @@ class _Engine:
                                      window=config.unit_s) for _ in range(self.n)]
         self.stats = EncounterStats(self.n, window=config.scheme.window)
         self.queues: list[list[_Item]] = [[] for _ in range(self.n)]
-        self.executing: list[tuple[_Item, int] | None] = [None] * self.n
+        self.executing: list[_Item | None] = [None] * self.n
         self.carried: list[list[_Item]] = [[] for _ in range(self.n)]
         self.records: list[RequestRecord] = []
         self.items: dict[int, _Item] = {}
         self.heap: list = []
         self.seq = 0
-        self.exec_tokens = 0
         self.unit_index = 0
         self.template = _GraphTemplate(config.placement, config.catalog.n_d,
                                        single_stage=config.exact_match)
@@ -490,9 +492,6 @@ class _Engine:
             self._dist_cache[owner] = costs
         return costs
 
-    def routable(self, req_in: int, req_out: int) -> bool:
-        return req_out in self.template.reachable_outputs(req_in)
-
     def compute_path(self, node: int, req_in: int, req_out: int) -> CompositionPath | None:
         """The cheapest composition ``node`` sees for ``req_in`` -> ``req_out``.
 
@@ -539,16 +538,12 @@ class _Engine:
             dt = self.cfg.mean_exec_s
         else:
             dt = float(self.rng.exponential(self.cfg.mean_exec_s))
-        self.exec_tokens += 1
-        item.exec_token = self.exec_tokens
-        self.executing[node] = (item, item.exec_token)
-        self.push(t + dt, _P_COMPLETION, "completion", (node, item.exec_token))
+        self.executing[node] = item
+        self.push(t + dt, _P_COMPLETION, "completion", (node, item))
 
-    def on_completion(self, t: float, node: int, token: int) -> None:
-        current = self.executing[node]
-        if current is None or current[1] != token:
-            return  # canceled (deadline) execution
-        item, _ = current
+    def on_completion(self, t: float, node: int, item: _Item) -> None:
+        if self.executing[node] is not item:  # cancelled at its deadline: done for good
+            return
         self.executing[node] = None
         service = item.planned_stage
         item.current_input = service.output
@@ -558,55 +553,57 @@ class _Engine:
             item.phase = "result"
             item.destination = item.record.origin
             item.planned_stage = None
-            if node == item.record.origin:
-                self._complete(item, t)
-            else:
-                self._carry(node, item)
-                self.schedule_sweep(node, t)
+            self._deliver(item, node, t)
         else:
-            self._route_next(item, node, t)
-
-    def _complete(self, item: _Item, t: float) -> None:
-        item.phase = "done"
-        item.record.status = "completed"
-        item.record.completed = t
+            self._route(item, node, t, self._next_stage(item, node), sweep=True)
 
     # -- routing ---------------------------------------------------------
 
-    def _route_next(self, item: _Item, node: int, t: float,
-                    defer_sweep: bool = False) -> None:
-        """Pick the next stage for a request held at ``node`` (or stall).
+    def _next_stage(self, item: _Item, node: int) -> tuple[Service, int] | None:
+        """The (service, host) ``item`` takes next from ``node``, or None.
 
-        ``defer_sweep`` leaves any forwarding attempt to the next unit
-        boundary; used after relay arrivals so re-planned destinations
-        cannot cascade through several hand-offs within one instant.
+        With ``recompute_per_stage`` off a request that still holds the plan
+        made at its generation follows it, skipping stages whose input it no
+        longer holds; if that uses the plan up, there is no next stage.
+        Otherwise ``node`` computes a fresh path.
         """
+        plan = item.plan
+        if plan and not self.cfg.recompute_per_stage:
+            while plan and plan[0][0].input != item.current_input:
+                plan.pop(0)
+            return plan.pop(0) if plan else None
+        path = self.compute_path(node, item.current_input, item.record.output)
+        return None if path is None else path.stages[0]
+
+    def _route(self, item: _Item, node: int, t: float, stage: tuple[Service, int] | None,
+               sweep: bool) -> None:
+        """Queue ``item`` at ``node`` if ``node`` hosts ``stage``, else carry it
+        toward the stage's host, or hold it stalled when ``stage`` is None.
+
+        ``sweep`` asks for a forwarding attempt at once.  Relay arrivals leave
+        it to the next unit boundary, so re-planned destinations cannot
+        cascade through several hand-offs within one instant.
+        """
+        if stage is not None and stage[1] == node:
+            self.enqueue(node, item, stage[0], opportunistic=False, t=t)
+            return
         item.phase = "carried"
         item.location = node
-        stage = None
-        if not self.cfg.recompute_per_stage and item.plan:
-            while item.plan and item.plan[0][0].input != item.current_input:
-                item.plan.pop(0)
-            if item.plan:
-                stage = item.plan.pop(0)
+        item.planned_stage, item.destination = stage or (None, None)
+        self._carry(node, item)
+        if sweep and stage is not None:
+            self.schedule_sweep(node, t)
+
+    def _deliver(self, item: _Item, node: int, t: float) -> None:
+        """Hand a result to its requester at ``node``, or carry it on toward there."""
+        item.location = node
+        if node == item.record.origin:
+            item.phase = "done"
+            item.record.status = "completed"
+            item.record.completed = t
         else:
-            path = self.compute_path(node, item.current_input, item.record.output)
-            if path is not None:
-                stage = path.stages[0]
-        if stage is None:
-            item.destination = None
-            item.planned_stage = None
             self._carry(node, item)
-            return
-        service, host = stage
-        if host == node:
-            self.enqueue(node, item, service, opportunistic=False, t=t)
-        else:
-            item.destination = host
-            item.planned_stage = service
-            self._carry(node, item)
-            if not defer_sweep:
-                self.schedule_sweep(node, t)
+            self.schedule_sweep(node, t)
 
     def _carry(self, node: int, item: _Item) -> None:
         """Hold ``item`` at ``node``; each node's list stays in record-id order."""
@@ -631,26 +628,19 @@ class _Engine:
     def _transfer(self, item: _Item, src: int, dst: int, t: float) -> None:
         self.carried[src].remove(item)
         item.record.hops += 1
-        item.location = dst
         if item.phase == "result":
-            if dst == item.record.origin:
-                self._complete(item, t)
-            else:
-                self._carry(dst, item)
-                self.schedule_sweep(dst, t)
+            self._deliver(item, dst, t)
             return
-        service = item.planned_stage
-        if dst == item.destination:
-            self.enqueue(dst, item, service, opportunistic=False, t=t)
-        elif self.cfg.opportunistic != "off" and service in self.cfg.placement.services_at(dst):
+        cfg = self.cfg
+        service, host = item.planned_stage, item.destination
+        if host != dst and cfg.opportunistic != "off" and service in cfg.placement.services_at(dst):
             self.enqueue(dst, item, service, opportunistic=True, t=t)
-        elif self.cfg.replan_on_relay and self.cfg.recompute_per_stage:
+        elif host != dst and cfg.replan_on_relay and cfg.recompute_per_stage:
             # The holder changed: re-select the next stage from here, since
             # the topology may now offer a more feasible host.
-            self._route_next(item, dst, t, defer_sweep=True)
-        else:
-            self._carry(dst, item)
-            self.schedule_sweep(dst, t)
+            self._route(item, dst, t, self._next_stage(item, dst), sweep=False)
+        else:  # queue at the planned host, or carry on toward it
+            self._route(item, dst, t, (service, host), sweep=True)
 
     def sweep(self, t: float, node: int) -> None:
         """Hand each item ``node`` carries to the neighbour its rule picks.
@@ -676,11 +666,13 @@ class _Engine:
         for item in self.carried[node][:]:  # a copy: transfers remove items
             if item.phase not in ("carried", "result") or item.location != node:
                 continue
-            if item.destination is None:
-                if not self.routable(item.current_input, item.record.output):
+            if item.destination is None:  # stalled: retry path selection here
+                stage = self._next_stage(item, node)
+                if stage is None:
                     continue
-                self._route_next_stalled(item, node, t)
-                if item.destination is None or item.location != node:
+                self.carried[node].remove(item)  # _route places it afresh
+                self._route(item, node, t, stage, sweep=False)
+                if item.phase != "carried":
                     continue
             dest = item.destination
             if dest in receiver:
@@ -705,19 +697,6 @@ class _Engine:
             if to is not None:
                 self._transfer(item, node, to, t)
 
-    def _route_next_stalled(self, item: _Item, node: int, t: float) -> None:
-        """Retry path selection for a stalled request in place."""
-        path = self.compute_path(node, item.current_input, item.record.output)
-        if path is None:
-            return
-        service, host = path.stages[0]
-        if host == node:
-            self.carried[node].remove(item)
-            self.enqueue(node, item, service, opportunistic=False, t=t)
-        else:
-            item.destination = host
-            item.planned_stage = service
-
     # -- request generation and expiry ------------------------------------
 
     def on_generate(self, t: float, payload) -> None:
@@ -735,21 +714,16 @@ class _Engine:
         item = _Item(rec)
         self.items[rec.id] = item
         self.push(rec.deadline, _P_DEADLINE, "deadline", rec.id)
+        # Generation plans the whole path: the record keeps its cost estimate
+        # and, without per-stage recomputation, the request keeps the plan.
         path = self.compute_path(node, req_in, req_out)
+        stage = None
         if path is not None:
             rec.estimated_cost_s = path.cost * cfg.unit_s
             if not cfg.recompute_per_stage:
                 item.plan = list(path.stages)
-            service, host = path.stages[0]
-            if host == node:
-                self.enqueue(node, item, service, opportunistic=False, t=t)
-            else:
-                item.destination = host
-                item.planned_stage = service
-                self._carry(node, item)
-                self.schedule_sweep(node, t)
-        else:
-            self._carry(node, item)
+            stage = path.stages[0]
+        self._route(item, node, t, stage, sweep=True)
         if not isinstance(payload, tuple):
             self._schedule_next_generation(node, t)
 

@@ -8,7 +8,6 @@ from oppcompose import experiments
 from oppcompose.experiments import (
     ExperimentSpec,
     aggregate,
-    build_catalog,
     build_pattern,
     compare_estimate_accuracy,
     completion_bound_check,
@@ -20,7 +19,7 @@ from oppcompose.experiments import (
     service_popularity,
     summarize_group,
 )
-from oppcompose.service_model import Service
+from oppcompose.service_model import Service, ServiceCatalog
 
 
 def tiny_spec(**kw):
@@ -94,7 +93,7 @@ def test_fig5_preset_awareness_sweep():
 
 
 def test_service_popularity_from_two_stage_requests():
-    catalog = build_catalog({"n_d": 20, "excluded": [], "ring": True})
+    catalog = ServiceCatalog.from_dict({"n_d": 20, "excluded": [], "ring": True})
     pattern_cfg = {"kind": "fixed_length", "length": 2,
                    "start_weights": {str(x): (3.0 if x <= 10 else 1.0) for x in range(1, 21)}}
     pop = service_popularity(catalog, pattern_cfg)
@@ -158,16 +157,18 @@ def test_trace_cache_reused(tmp_path):
     assert len(traces) == 1  # one (params, seed) combination
 
 
+ESTIMATE_ROWS = [
+    {"status": "completed", "estimated_cost_s": 300.0, "delay_s": 450.0},
+    {"status": "completed", "estimated_cost_s": 100.0, "delay_s": 110.0},
+    {"status": "completed", "estimated_cost_s": None, "delay_s": 50.0},
+    {"status": "timed-out", "estimated_cost_s": 960.0, "delay_s": None},
+    {"status": "timed-out", "estimated_cost_s": 100.0, "delay_s": None},
+    {"status": "timed-out", "estimated_cost_s": None, "delay_s": None},
+]
+
+
 def test_compare_estimate_accuracy():
-    rows = [
-        {"status": "completed", "estimated_cost_s": 300.0, "delay_s": 450.0},
-        {"status": "completed", "estimated_cost_s": 100.0, "delay_s": 110.0},
-        {"status": "completed", "estimated_cost_s": None, "delay_s": 50.0},
-        {"status": "timed-out", "estimated_cost_s": 960.0, "delay_s": None},
-        {"status": "timed-out", "estimated_cost_s": 100.0, "delay_s": None},
-        {"status": "timed-out", "estimated_cost_s": None, "delay_s": None},
-    ]
-    rep = compare_estimate_accuracy(rows, timeout_s=900.0)
+    rep = compare_estimate_accuracy(ESTIMATE_ROWS, timeout_s=900.0)
     assert rep["completed_samples"] == 2
     assert rep["within_4min_frac"] == 1.0
     assert rep["within_2min_frac"] == 0.5
@@ -175,6 +176,18 @@ def test_compare_estimate_accuracy():
     assert rep["incomplete_with_estimate"] == 2
     # 960 s exceeds the 900 s timeout: counted accurate for an incomplete one.
     assert rep["incomplete_over_timeout_frac"] == 0.5
+
+
+def test_summary_estimate_columns_match_compare_estimate_accuracy():
+    rows = [dict(r, created_s=0.0, hops=0, stages="", opportunistic_stages=0)
+            for r in ESTIMATE_ROWS]
+    rep = compare_estimate_accuracy(rows, timeout_s=900.0)
+    # Two seeds' records, pooled by the summary.
+    m = summarize_group([rows[:4], rows[4:]], timeout_s=900.0, warmup_s=0.0)
+    # Incomplete requests without an estimate are left out: 1/2, not 1/3.
+    assert m["est_incomplete_accurate_frac"] == rep["incomplete_over_timeout_frac"] == 0.5
+    assert m["est_within_4min_frac"] == rep["within_4min_frac"] == 1.0
+    assert m["est_diff_abs_median_s"] == 80.0  # median of |300 - 450| and |100 - 110|
 
 
 def test_completion_bound_check_arithmetic():

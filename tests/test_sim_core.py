@@ -1,11 +1,12 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from oppcompose import sim_core
 from oppcompose.contact_engine import ContactEvent, ContactTrace, contacts_from_positions
-from oppcompose.forwarding import EBR, MT, TT, Scheme, should_relay
+from oppcompose.forwarding import DIRECT, EBR, MT, TT, Scheme, should_relay
 from oppcompose.mobility import LevyWalkParams, generate_levy
 from oppcompose.service_model import Service, enumerate_services, assign_services
 from oppcompose.sim_core import (
@@ -304,6 +305,103 @@ def test_remote_completion_needs_at_least_two_hops():
             assert rec.hops >= 2
         if rec.hops == 0:
             assert all(node == rec.origin for _, node, _ in rec.stages)
+
+
+def test_stale_completion_of_a_cancelled_request_leaves_its_successor_running():
+    # A starts at 60 s for 110 s and is cancelled at its 160 s deadline; B,
+    # queued since 100 s, starts then for 30 s.  A's completion event still
+    # fires at 170 s and must not end B's execution.
+    catalog = small_catalog()
+    placement = placement_of({0: [Service(1, 4)]})
+    cfg = SimConfig(
+        catalog=catalog, placement=placement,
+        pattern=RequestPattern(pairs=((1, 4),)),
+        scripted_requests=((60.0, 0, 1, 4), (100.0, 0, 1, 4)),
+        timeout_s=100.0,
+        seed=1,
+    )
+    engine = _Engine(cfg, no_contact_trace(1, 3600.0))
+    draws = iter([110.0, 30.0])
+    engine.rng = SimpleNamespace(exponential=lambda mean: next(draws))
+    a, b = sorted(engine.run().records, key=lambda r: r.id)
+    assert a.status == "timed-out" and a.stages == []
+    assert b.status == "completed" and b.completed == 190.0
+    assert [node for _, node, _ in b.stages] == [0]
+
+
+# -- request lifecycle invariant --------------------------------------------------------
+
+def check_lifecycle(engine):
+    places = {}  # id(item) -> every (where, node) that holds it
+    for node in range(engine.n):
+        for where, held in (("carried", engine.carried[node]), ("queued", engine.queues[node]),
+                            ("executing", [engine.executing[node]])):
+            for item in held:
+                if item is not None:
+                    places.setdefault(id(item), []).append((where, node))
+    for item in engine.items.values():
+        where = places.pop(id(item), [])
+        if item.phase == "done":
+            assert where == [] and item.record.status != "in-flight"
+            continue
+        assert item.record.status == "in-flight"
+        expected = "carried" if item.phase in ("carried", "result") else item.phase
+        assert where == [(expected, item.location)]
+    assert places == {}  # nothing is held that is not a request
+
+
+def test_request_lifecycle_invariant_after_every_event():
+    # After every event a live request sits in exactly one place, the one
+    # its phase names at its location; a done request sits nowhere; and the
+    # record stays in flight exactly until the request is done.
+    catalog = enumerate_services(5)
+    placement = assign_services(catalog, list(range(8)), 2, np.random.default_rng(4))
+    params = LevyWalkParams(area=(500.0, 500.0), speed_classes=((4, (1.0, 1.0)), (4, (10.0, 10.0))))
+    contacts = contacts_from_positions(generate_levy(params, 8, 2400.0, seed=2), 100.0)
+    cancelled_in = set()
+    relayed = opportunistic = stalls_resolved = 0
+    for scheme in (MT, TT, EBR, DIRECT):
+        for mode in ("relay", "contact", "off"):
+            for recompute in (True, False):
+                cfg = SimConfig(catalog=catalog, placement=placement,
+                                pattern=RequestPattern.min_functionality(catalog, 2),
+                                scheme=scheme, opportunistic=mode,
+                                recompute_per_stage=recompute, request_rate_per_min=0.5,
+                                timeout_s=600.0, mean_exec_s=60.0, seed=5)
+                engine = _Engine(cfg, contacts)
+
+                def checked(handler):
+                    def wrapper(t, *payload):
+                        handler(t, *payload)
+                        check_lifecycle(engine)
+                    return wrapper
+
+                for name in ("on_boundary", "on_contact_start", "on_completion",
+                             "on_generate", "sweep", "on_deadline"):
+                    setattr(engine, name, checked(getattr(engine, name)))
+                on_deadline, next_stage = engine.on_deadline, engine._next_stage
+
+                def deadline(t, req_id):
+                    cancelled_in.add(engine.items[req_id].phase)
+                    on_deadline(t, req_id)
+
+                def counted_next_stage(item, node):
+                    nonlocal stalls_resolved
+                    stalled = item.destination is None and item in engine.carried[node]
+                    stage = next_stage(item, node)
+                    stalls_resolved += stalled and stage is not None
+                    return stage
+
+                engine.on_deadline, engine._next_stage = deadline, counted_next_stage
+                records = engine.run().records
+                assert all(r.status != "in-flight" for r in records)
+                relayed += sum(r.hops for r in records)
+                opportunistic += sum(r.opportunistic_stages for r in records)
+    # The runs reach every phase a deadline can cancel, relay requests and
+    # results, run stages opportunistically and find a stage for a stalled
+    # request.
+    assert {"carried", "queued", "executing", "result"} <= cancelled_in
+    assert relayed > 0 and opportunistic > 0 and stalls_resolved > 0
 
 
 # -- conservation and determinism ----------------------------------------------------
