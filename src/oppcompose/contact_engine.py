@@ -1,11 +1,14 @@
 """Contact extraction and temporal-distance ground truth.
 
 A contact event is a maximal interval during which two nodes are within
-transmission range, evaluated at the trace's sample resolution.  The
-module also provides the exact shortest-temporal-distance oracle used to
-validate the distributed timer estimates: the minimum elapsed time over
-which some sequence of contacts could have relayed information between
-two nodes.
+transmission range, evaluated at the trace's sample resolution: a pair is in
+range at a sample iff ``dx*dx + dy*dy <= range_m**2``, and a NaN (absent)
+position is never in range.  One extraction streams the trace in blocks of
+samples, testing all pairs at once per block and carrying the runs still
+open at a block's end into the next.  The module also provides the exact
+shortest-temporal-distance oracle used to validate the distributed timer
+estimates: the minimum elapsed time over which some sequence of contacts
+could have relayed information between two nodes.
 """
 
 from __future__ import annotations
@@ -28,9 +31,10 @@ __all__ = [
     "load_contacts_csv",
 ]
 
-# With more nodes than this, a sample's in-range pairs come from a range-sized
-# grid rather than from all-pairs distances.
-GRID_THRESHOLD = 64
+# Pair-samples tested per block (at least one sample).  The block's arrays
+# are transient, but a set-up made after a run adds them to the run's peak
+# memory: 1 << 16 raised levy-n80's peak RSS by ~2.5 MB, 1 << 12 did not.
+BLOCK_PAIR_SAMPLES = 1 << 12
 
 
 @dataclass(frozen=True, order=True)
@@ -99,76 +103,53 @@ class ContactTrace:
 def contacts_from_positions(trace: PositionTrace, range_m: float) -> ContactTrace:
     """Extract maximal contact events from a position trace.
 
-    A pair is in range at a sample iff their Euclidean distance is at most
-    ``range_m``; consecutive in-range samples merge into one event spanning
-    those sample times.  Runs covering a single sample carry no usable
-    window at this resolution and are discarded.
+    Consecutive in-range samples merge into one event spanning those sample
+    times.  Runs covering a single sample carry no usable window at this
+    resolution and are discarded.
     """
     if range_m <= 0:
         raise ValueError("transmission range must be positive")
     n, t_count = trace.n_nodes, trace.n_samples
     interval = trace.sample_interval
-    use_grid = n > GRID_THRESHOLD
-    in_range_prev: dict[tuple[int, int], float] = {}
-    events: list[ContactEvent] = []
-    open_runs: dict[tuple[int, int], tuple[float, float]] = {}
-
-    for ti in range(t_count):
-        pos = trace.positions[:, ti, :]
-        if use_grid:
-            pairs_now = _pairs_in_range_grid(pos, range_m)
-        else:
-            pairs_now = _pairs_in_range_dense(pos, range_m)
-        t = ti * interval
-        for pair in pairs_now:
-            if pair in open_runs:
-                start, _ = open_runs[pair]
-                open_runs[pair] = (start, t)
-            else:
-                open_runs[pair] = (t, t)
-        for pair in [p for p in open_runs if p not in pairs_now]:
-            start, end = open_runs.pop(pair)
-            if end > start:
-                events.append(ContactEvent(start, end, pair[0], pair[1]))
-    for pair, (start, end) in open_runs.items():
-        if end > start:
-            events.append(ContactEvent(start, end, pair[0], pair[1]))
-    return ContactTrace(events, n, trace.duration, interval)
-
-
-def _pairs_in_range_dense(pos: np.ndarray, range_m: float) -> set[tuple[int, int]]:
-    finite = np.isfinite(pos).all(axis=1)
-    idx = np.nonzero(finite)[0]
-    if len(idx) < 2:
-        return set()
-    p = pos[idx]
-    d2 = ((p[:, None, :] - p[None, :, :]) ** 2).sum(axis=2)
-    ai, bi = np.nonzero(d2 <= range_m * range_m)
-    return {(int(idx[i]), int(idx[j])) for i, j in zip(ai, bi) if i < j}
-
-
-def _pairs_in_range_grid(pos: np.ndarray, range_m: float) -> set[tuple[int, int]]:
-    """Bucket nodes into range-sized cells; compare only neighboring cells."""
-    finite = np.isfinite(pos).all(axis=1)
-    cells: dict[tuple[int, int], list[int]] = {}
-    for i in np.nonzero(finite)[0]:
-        cx, cy = int(pos[i, 0] // range_m), int(pos[i, 1] // range_m)
-        cells.setdefault((cx, cy), []).append(int(i))
-    out: set[tuple[int, int]] = set()
+    first, second = np.triu_indices(n, 1)
     r2 = range_m * range_m
-    for (cx, cy), members in cells.items():
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                other = cells.get((cx + dx, cy + dy))
-                if not other:
-                    continue
-                for i in members:
-                    for j in other:
-                        if i < j:
-                            d2 = (pos[i, 0] - pos[j, 0]) ** 2 + (pos[i, 1] - pos[j, 1]) ** 2
-                            if d2 <= r2:
-                                out.add((i, j))
-    return out
+    block = max(1, BLOCK_PAIR_SAMPLES // max(1, len(first)))
+    was_in = np.zeros(len(first), dtype=bool)  # in range at the previous block's last sample
+    run_start = np.zeros(len(first), dtype=np.int64)  # first sample of the run open there
+    runs = []  # per block: (pair, first sample, last sample) of the runs that ended
+    for t0 in range(0, t_count, block):
+        pos = trace.positions[:, t0:t0 + block]
+        # Columns: out of range, the previous sample, this block, out of range.
+        padded = np.zeros((len(first), pos.shape[1] + 3), dtype=bool)
+        padded[:, 1] = was_in
+        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is NaN: not in range
+            d2 = pos[first, :, 0] - pos[second, :, 0]
+            d2 *= d2
+            dy = pos[first, :, 1] - pos[second, :, 1]
+            dy *= dy
+            d2 += dy
+            padded[:, 2:-1] = d2 <= r2
+        # Each pair's changes come in row-major order as (start, end) pairs; a
+        # run from the previous sample goes on from where it began.
+        pair, col = np.nonzero(padded[:, 1:] != padded[:, :-1])
+        pair, begun, last = pair[::2], col[::2] + t0 - 1, col[1::2] + t0 - 2
+        carried = begun == t0 - 1
+        begun[carried] = run_start[pair[carried]]
+        was_in = padded[:, -2]
+        still_open = last == t0 + pos.shape[1] - 1
+        run_start[pair[still_open]] = begun[still_open]
+        runs.append((pair[~still_open], begun[~still_open], last[~still_open]))
+    open_pairs = np.nonzero(was_in)[0]
+    runs.append((open_pairs, run_start[open_pairs], np.full(len(open_pairs), t_count - 1)))
+    pair, begun, last = (np.concatenate(parts) for parts in zip(*runs))
+    keep = np.nonzero(last > begun)[0]
+    # Listed in ContactTrace's order, which its sort then confirms in one pass.
+    keep = keep[np.lexsort((second[pair[keep]], first[pair[keep]], last[keep], begun[keep]))]
+    times = [ti * interval for ti in range(t_count)]
+    events = [ContactEvent(times[s], times[e], a, b)
+              for s, e, a, b in zip(begun[keep].tolist(), last[keep].tolist(),
+                                    first[pair[keep]].tolist(), second[pair[keep]].tolist())]
+    return ContactTrace(events, n, trace.duration, interval)
 
 
 def _latest_departures(contacts: ContactTrace, target: int, t: float) -> list[dict[int, float]]:

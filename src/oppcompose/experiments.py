@@ -143,14 +143,15 @@ def _tuples(value):
 
 
 def make_trace(mob: dict, seed: int, cache_dir: Path | None = None) -> mobility.PositionTrace:
-    """Generate (or load from cache) the position trace for one seed."""
+    """Generate (or load from cache, bit for bit) the position trace for one seed."""
     _check_mobility_keys(mob)
     key = None
     if cache_dir is not None:
         digest = hashlib.sha1(json.dumps(mob, sort_keys=True).encode() + str(seed).encode()).hexdigest()[:16]
-        key = Path(cache_dir) / f"trace_{mob['model']}_{digest}.csv"
+        key = Path(cache_dir) / f"trace_{mob['model']}_{digest}.npz"
         if key.exists():
-            return mobility.load_trace_csv(key)
+            with np.load(key) as cached:
+                return mobility.PositionTrace(cached["positions"], *cached["frame"].tolist())
     model = mob["model"]
     interval = mob.get("sample_interval", 30.0)
     params = mob.get("params", {})
@@ -175,9 +176,10 @@ def make_trace(mob: dict, seed: int, cache_dir: Path | None = None) -> mobility.
         # A temp name of its own per writer: parallel runs that share this
         # trace must not interleave their writes before the rename.
         fd, tmp = tempfile.mkstemp(suffix=".tmp", prefix=key.stem, dir=key.parent)
-        os.close(fd)
         try:
-            mobility.save_trace_csv(trace, tmp)
+            with os.fdopen(fd, "wb") as fh:
+                np.savez(fh, positions=trace.positions,
+                         frame=[trace.sample_interval, trace.width, trace.height])
             os.replace(tmp, key)
         except BaseException:
             os.unlink(tmp)

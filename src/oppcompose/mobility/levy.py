@@ -4,15 +4,21 @@ Nodes alternate straight-line flights and pauses; flight lengths and pause
 times are drawn from truncated power laws, flight directions are uniform.
 The area boundary reflects, which keeps the spatial distribution of users
 roughly uniform over the area.
+
+One generator serves the whole trace, drawn in a fixed order: the speeds of
+each speed class with v_min < v_max, then per node its start x and y and,
+per flight, its length, angle and pause.  That order is what keeps a seed's
+trace reproducible, so the walk reads the uniforms in blocks, in that order.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._dist import truncated_pareto
+from ._dist import pareto_from_uniform, truncated_pareto
 from .trace import PositionTrace, sample_segments
 
 __all__ = ["LevyWalkParams", "generate_levy", "flight_lengths"]
@@ -51,13 +57,10 @@ def _reflect(v: float, limit: float) -> float:
     return v if v <= limit else period - v
 
 
-def _crossing_fractions(p0: float, p1: float, limit: float) -> np.ndarray:
-    """Fractions along the segment p0->p1 where it crosses a multiple of limit."""
-    if p1 == p0:
-        return np.empty(0)
-    lo, hi = min(p0, p1), max(p0, p1)
-    ks = np.arange(np.floor(lo / limit) + 1, np.ceil(hi / limit))
-    return (ks * limit - p0) / (p1 - p0)
+def _uniforms(rng: np.random.Generator):
+    """The doubles scalar ``rng.random()`` calls would draw, fetched in blocks."""
+    while True:
+        yield from rng.random(1024).tolist()
 
 
 def generate_levy(
@@ -70,13 +73,17 @@ def generate_levy(
 
     speeds = []
     for count, (v_lo, v_hi) in params.speed_classes:
-        speeds.extend(rng.uniform(v_lo, v_hi, size=count) if v_hi > v_lo else [v_lo] * count)
+        speeds.extend(rng.uniform(v_lo, v_hi, size=count).tolist() if v_hi > v_lo else [v_lo] * count)
 
+    flight = pareto_from_uniform(params.flight_exponent, *params.flight_bounds)
+    pause = pareto_from_uniform(params.pause_exponent, *params.pause_bounds)
+    draw = _uniforms(rng).__next__
+    two_pi = 2 * math.pi
     n_samples = int(round(duration / sample_interval)) + 1
     positions = np.empty((n_nodes, n_samples, 2))
     for node in range(n_nodes):
-        x = rng.uniform(0, w)
-        y = rng.uniform(0, h)
+        x = w * draw()  # as rng.uniform(0, w) scales u: low + (high - low) * u
+        y = h * draw()
         if duration == 0:
             positions[node, 0] = (x, y)
             continue
@@ -84,32 +91,34 @@ def generate_levy(
         t = 0.0
         speed = speeds[node]
         while t < duration:
-            length = float(truncated_pareto(rng, params.flight_exponent, *params.flight_bounds))
-            angle = rng.uniform(0, 2 * np.pi)
+            length = flight(draw())
+            angle = two_pi * draw()
             # Fly along the unfolded line and mirror back into the area,
             # adding a knot at every boundary crossing so the reflected
             # path stays exactly piecewise linear.
-            fx = x + length * np.cos(angle)
-            fy = y + length * np.sin(angle)
+            fx = x + length * math.cos(angle)
+            fy = y + length * math.sin(angle)
             flight_time = length / speed
-            fracs = np.concatenate(
-                [_crossing_fractions(x, fx, w), _crossing_fractions(y, fy, h), [1.0]]
-            )
-            for frac in np.sort(fracs):
-                knots.append(
-                    (
-                        t + frac * flight_time,
-                        _reflect(x + frac * (fx - x), w),
-                        _reflect(y + frac * (fy - y), h),
-                    )
-                )
+            fracs = [1.0]
+            if not (0 <= fx <= w and 0 <= fy <= h):  # x, y lie in the area
+                fracs += _crossings(x, fx, w) + _crossings(y, fy, h)
+                fracs.sort()
+            for frac in fracs:
+                knots.append((t + frac * flight_time, _reflect(x + frac * (fx - x), w),
+                              _reflect(y + frac * (fy - y), h)))
             t += flight_time
             x, y = knots[-1][1], knots[-1][2]
-            pause = float(truncated_pareto(rng, params.pause_exponent, *params.pause_bounds))
-            t += pause
+            t += pause(draw())
             knots.append((t, x, y))
         positions[node] = sample_segments(knots, duration, sample_interval)
     return PositionTrace(positions, sample_interval, w, h)
+
+
+def _crossings(p0: float, p1: float, limit: float) -> list[float]:
+    """Fractions along the segment p0->p1 where it crosses a multiple of limit."""
+    lo, hi = min(p0, p1), max(p0, p1)
+    return [(k * limit - p0) / (p1 - p0)
+            for k in range(math.floor(lo / limit) + 1, math.ceil(hi / limit))]
 
 
 def flight_lengths(

@@ -562,10 +562,11 @@ class _Engine:
     def _next_stage(self, item: _Item, node: int) -> tuple[Service, int] | None:
         """The (service, host) ``item`` takes next from ``node``, or None.
 
-        With ``recompute_per_stage`` off a request that still holds the plan
-        made at its generation follows it, skipping stages whose input it no
-        longer holds; if that uses the plan up, there is no next stage.
-        Otherwise ``node`` computes a fresh path.
+        With ``recompute_per_stage`` off a request that still holds a plan
+        follows it, skipping stages whose input it no longer holds; if that
+        uses the plan up, there is no next stage.  Otherwise ``node`` computes
+        a fresh path, whose later stages become the plan when recomputation
+        is off.
         """
         plan = item.plan
         if plan and not self.cfg.recompute_per_stage:
@@ -573,6 +574,8 @@ class _Engine:
                 plan.pop(0)
             return plan.pop(0) if plan else None
         path = self.compute_path(node, item.current_input, item.record.output)
+        if path is not None and not self.cfg.recompute_per_stage:
+            item.plan = list(path.stages[1:])
         return None if path is None else path.stages[0]
 
     def _route(self, item: _Item, node: int, t: float, stage: tuple[Service, int] | None,

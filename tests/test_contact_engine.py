@@ -11,10 +11,11 @@ from oppcompose.contact_engine import (
     load_contacts_csv,
     relay_cost_oracle,
     save_contacts_csv,
-    _pairs_in_range_dense,
-    _pairs_in_range_grid,
 )
+from oppcompose import contact_engine
 from oppcompose.mobility import LevyWalkParams, PositionTrace, generate_levy
+
+from contact_reference import GRID_THRESHOLD, contacts_per_sample
 
 
 def make_trace(positions, interval=30.0, width=1000.0, height=1000.0):
@@ -93,11 +94,50 @@ def test_events_maximal_no_overlap():
         ContactTrace([ContactEvent(0.0, 60.0, 0, 1), ContactEvent(60.0, 120.0, 0, 1)], 2, 600.0)
 
 
-def test_grid_and_dense_pair_scan_agree():
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        pos = rng.uniform(0, 500, size=(40, 2))
-        assert _pairs_in_range_dense(pos, 70.0) == _pairs_in_range_grid(pos, 70.0)
+def wandering_trace(n, n_samples, seed, gap_frac=0.05):
+    """Random walks in a small box, with NaN gaps: runs of every length."""
+    rng = np.random.default_rng(seed)
+    pos = rng.uniform(0, 300, size=(n, 1, 2)) + rng.normal(0, 25, size=(n, n_samples, 2)).cumsum(axis=1)
+    pos[rng.random((n, n_samples)) < gap_frac] = np.nan
+    return make_trace(pos, width=300.0, height=300.0)
+
+
+def edge_case_trace():
+    """Pairs at exactly the range, a single-sample run, a NaN gap splitting a
+    run, runs still open at the last sample and a node never present."""
+    pos = np.zeros((5, 9, 2))
+    pos[1, :, 0] = [150, 100, 100, 100, 150, 100, 150, 100, 100]  # 100 m from node 0 or not
+    pos[2] = [0.0, 300.0]
+    pos[3] = [60.0, 380.0]  # 100 m from node 2: a 60-80-100 triangle
+    pos[3, 4] = np.nan
+    pos[4] = np.nan
+    return make_trace(pos)
+
+
+@pytest.mark.parametrize("n, seed", [(3, 0), (12, 1), (GRID_THRESHOLD, 2), (GRID_THRESHOLD + 6, 3)])
+def test_streamed_extraction_matches_per_sample_reference(n, seed):
+    # Up to GRID_THRESHOLD nodes the reference scans all pairs, above it a grid.
+    trace = wandering_trace(n, 240, seed)
+    expected = contacts_per_sample(trace, 60.0).events
+    assert expected and contacts_from_positions(trace, 60.0).events == expected
+
+
+def test_edge_cases_match_per_sample_reference():
+    trace = edge_case_trace()
+    got = contacts_from_positions(trace, 100.0).events
+    assert got == contacts_per_sample(trace, 100.0).events
+    assert [(e.start, e.end, e.a, e.b) for e in got if e.a == 0] == [
+        (30.0, 90.0, 0, 1), (210.0, 240.0, 0, 1)]
+    assert [(e.start, e.end) for e in got if (e.a, e.b) == (2, 3)] == [(0.0, 90.0), (150.0, 240.0)]
+
+
+@pytest.mark.parametrize("samples_per_block", [1, 2, 3])
+def test_runs_spanning_block_edges(samples_per_block, monkeypatch):
+    for trace, range_m in ((wandering_trace(10, 60, 4), 60.0), (edge_case_trace(), 100.0)):
+        n_pairs = trace.n_nodes * (trace.n_nodes - 1) // 2
+        monkeypatch.setattr(contact_engine, "BLOCK_PAIR_SAMPLES", samples_per_block * n_pairs)
+        expected = contacts_per_sample(trace, range_m).events
+        assert contacts_from_positions(trace, range_m).events == expected
 
 
 def test_oracle_zero_when_in_contact():

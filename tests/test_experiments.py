@@ -1,6 +1,7 @@
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -153,8 +154,17 @@ def test_sweep_produces_one_row_per_point(tmp_path):
 def test_trace_cache_reused(tmp_path):
     spec = tiny_spec(seeds=1)
     run_experiment(spec, tmp_path / "out")
-    traces = list((tmp_path / "out" / "traces").glob("*.csv"))
+    traces = list((tmp_path / "out" / "traces").glob("trace_*"))
     assert len(traces) == 1  # one (params, seed) combination
+
+
+def test_trace_cache_hit_returns_the_generated_trace(tmp_path):
+    mob = tiny_spec().mobility
+    generated = experiments.make_trace(mob, seed=1, cache_dir=tmp_path)
+    cached = experiments.make_trace(mob, seed=1, cache_dir=tmp_path)
+    assert np.array_equal(cached.positions, generated.positions)
+    assert ((cached.sample_interval, cached.width, cached.height)
+            == (generated.sample_interval, generated.width, generated.height))
 
 
 ESTIMATE_ROWS = [

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -58,6 +59,27 @@ def test_levy_deterministic_per_seed():
     c = generate_levy(LevyWalkParams(), 20, 3600, seed=6)
     assert np.array_equal(a.positions, b.positions)
     assert not np.array_equal(a.positions, c.positions)
+
+
+# sha256 of the positions' bytes, recorded from the generator that drew each
+# value with its own numpy call: drawing in blocks must not move a bit.
+LEVY_DIGESTS = [
+    (LevyWalkParams(), 20, 7200.0, 11,
+     "9ad1b8796dc7c6ce26727246db7e3ad2fce7eb62baa2f960280d8f8ea6a17329"),
+    (LevyWalkParams(speed_classes=((3, (0.5, 2.0)), (2, (4.0, 12.0)))), 5, 7200.0, 12,
+     "c026ace9a1a9cb6d8184a592deab63e3ecc010d43ee514433064ad22bd487d5d"),
+    (LevyWalkParams(area=(1000.0, 250.0)), 20, 7200.0, 13,
+     "9f86e22d09f55782050dca7c76fb508aa4a7eb395572c614450da3348f2d65c0"),
+    (LevyWalkParams(), 20, 0.0, 14,
+     "f35fcfec7f9c0f4f2c1dd91c035fec7b072e9abd3b4d694bac80d496771ff251"),
+]
+
+
+@pytest.mark.parametrize("params, n, duration, seed, digest", LEVY_DIGESTS,
+                         ids=["default", "speed-range", "non-square", "zero-duration"])
+def test_levy_positions_pinned(params, n, duration, seed, digest):
+    trace = generate_levy(params, n, duration, seed=seed)
+    assert hashlib.sha256(trace.positions.tobytes()).hexdigest() == digest
 
 
 def test_levy_flight_exponent_recovered_by_independent_fit():

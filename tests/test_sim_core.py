@@ -329,6 +329,39 @@ def test_stale_completion_of_a_cancelled_request_leaves_its_successor_running():
     assert [node for _, node, _ in b.stages] == [0]
 
 
+def test_fresh_path_becomes_the_plan_when_recomputation_is_off():
+    # Node 0 knows no host until the contacts begin at 600 s, so the request
+    # made at 60 s has no path and stalls; a retry finds one.  Without
+    # per-stage recomputation its later stages follow that path, searching
+    # no more.
+    placement = placement_of({0: [], 1: [Service(1, 2)], 2: [Service(2, 3)], 3: [Service(3, 4)]})
+    cfg = SimConfig(
+        catalog=small_catalog(), placement=placement,
+        pattern=RequestPattern(pairs=((1, 4),)),
+        scripted_requests=((60.0, 0, 1, 4),),
+        exec_deterministic=True,
+        recompute_per_stage=False,
+        seed=1,
+    )
+    events = [ContactEvent(600.0, 3600.0, a, b) for a in range(4) for b in range(a + 1, 4)]
+    engine = _Engine(cfg, ContactTrace(events, 4, 3600.0))
+    searches = []
+    compute_path = engine.compute_path
+
+    def recorded(node, req_in, req_out):
+        path = compute_path(node, req_in, req_out)
+        searches.append((node, req_in, path))
+        return path
+
+    engine.compute_path = recorded
+    rec = engine.run().records[0]
+    assert searches[0] == (0, 1, None)
+    found = [s for s in searches if s[2] is not None]
+    assert len(found) == 1 and searches[-1] is found[0]
+    assert rec.status == "completed"
+    assert [(s, node) for s, node, _ in rec.stages] == list(found[0][2].stages)
+
+
 # -- request lifecycle invariant --------------------------------------------------------
 
 def check_lifecycle(engine):
