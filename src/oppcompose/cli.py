@@ -28,18 +28,22 @@ def _default_out() -> str:
     return os.environ.get(experiments.DEFAULT_OUT_ENV, ".")
 
 
-def _cmd_run(args) -> int:
-    spec = experiments.load_spec(args.spec)
-    if args.seeds:
-        spec.seeds = args.seeds
-    out = Path(args.out or _default_out()) / spec.name
+def _run_and_report(spec: experiments.ExperimentSpec, out: Path, workers: int | None) -> int:
+    """Run ``spec`` into ``out``; print the summary path, or the error and exit 1."""
     try:
-        summary = experiments.run_experiment(spec, out, workers=args.workers)
+        summary = experiments.run_experiment(spec, out, workers=workers)
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(f"summary written to {summary}")
     return 0
+
+
+def _cmd_run(args) -> int:
+    spec = experiments.load_spec(args.spec)
+    if args.seeds:
+        spec.seeds = args.seeds
+    return _run_and_report(spec, Path(args.out or _default_out()) / spec.name, args.workers)
 
 
 def _cmd_preset(args) -> int:
@@ -53,23 +57,15 @@ def _cmd_preset(args) -> int:
     path = out / f"{args.name}.yaml"
     experiments.save_spec(spec, path)
     print(f"spec written to {path}")
-    if args.run:
-        try:
-            summary = experiments.run_experiment(spec, out / spec.name, workers=args.workers)
-        except RuntimeError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        print(f"summary written to {summary}")
-    return 0
+    return _run_and_report(spec, out / spec.name, args.workers) if args.run else 0
 
 
 def _cmd_analyze(args) -> int:
     out = Path(args.run_dir)
     summary = experiments.aggregate(out)
     print(f"summary written to {summary}")
-    manifest = experiments._read_manifest(out)
     if args.estimate_accuracy:
-        for row in manifest:
+        for row in experiments.read_rows(out / "manifest.csv"):
             if row.get("error") or not row.get("file"):
                 continue
             rows = read_records_csv(out / "runs" / row["file"])
@@ -79,7 +75,7 @@ def _cmd_analyze(args) -> int:
                   f"incomplete over-timeout {rep['incomplete_over_timeout_frac']:.1%}")
     if args.bound_check:
         rates: dict[str, dict[int, float]] = {}
-        for row in experiments.read_summary(out / "summary.csv"):
+        for row in experiments.read_rows(summary):
             point = row["point"]
             if "length=" in point:
                 length = int(point.split("length=")[1].split("_")[0])
@@ -141,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.set_defaults(func=_cmd_analyze)
 
     p_gen = sub.add_parser("gen-trace", help="generate a mobility trace")
-    p_gen.add_argument("model", choices=["levy", "slaw", "hcmm"])
+    p_gen.add_argument("model", choices=list(experiments._GENERATORS))
     p_gen.add_argument("params", help="YAML file of generator parameters")
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--out", default=None)

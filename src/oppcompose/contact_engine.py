@@ -5,17 +5,14 @@ transmission range, evaluated at the trace's sample resolution: a pair is in
 range at a sample iff ``dx*dx + dy*dy <= range_m**2``, and a NaN (absent)
 position is never in range.  One extraction streams the trace in blocks of
 samples, testing all pairs at once per block and carrying the runs still
-open at a block's end into the next.  The module also provides the exact
-shortest-temporal-distance oracle used to validate the distributed timer
-estimates: the minimum elapsed time over which some sequence of contacts
-could have relayed information between two nodes.
+open at a block's end into the next.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,8 +22,6 @@ __all__ = [
     "ContactEvent",
     "ContactTrace",
     "contacts_from_positions",
-    "contact_sequence_oracle",
-    "relay_cost_oracle",
     "save_contacts_csv",
     "load_contacts_csv",
 ]
@@ -66,8 +61,8 @@ class ContactTrace:
         for ev in self.events:
             key = (min(ev.a, ev.b), max(ev.a, ev.b))
             self._by_pair.setdefault(key, []).append((ev.start, ev.end))
+        # Each pair's list is in start order, as the events are.
         for key, ivs in self._by_pair.items():
-            ivs.sort()
             for (s0, e0), (s1, _) in zip(ivs, ivs[1:]):
                 if s1 <= e0:
                     raise ValueError(f"overlapping/abutting events for pair {key}")
@@ -150,62 +145,6 @@ def contacts_from_positions(trace: PositionTrace, range_m: float) -> ContactTrac
               for s, e, a, b in zip(begun[keep].tolist(), last[keep].tolist(),
                                     first[pair[keep]].tolist(), second[pair[keep]].tolist())]
     return ContactTrace(events, n, trace.duration, interval)
-
-
-def _latest_departures(contacts: ContactTrace, target: int, t: float) -> list[dict[int, float]]:
-    """Per relay-hop-count latest departure times toward ``target`` by ``t``.
-
-    Element h maps node v -> the latest time T such that information held
-    by v from T onward reaches the target by time t using at most h
-    transfers.  The list stops growing once extra hops stop helping.
-    """
-    relevant = [ev for ev in contacts.events if ev.start <= t]
-    frontier = {target: t}
-    levels = [dict(frontier)]
-    while True:
-        nxt = dict(levels[-1])
-        for ev in relevant:
-            for v, u in ((ev.a, ev.b), (ev.b, ev.a)):
-                if u in levels[-1]:
-                    candidate = min(levels[-1][u], ev.end, t)
-                    if candidate >= ev.start and candidate > nxt.get(v, -math.inf):
-                        nxt[v] = candidate
-        if nxt == levels[-1]:
-            return levels
-        levels.append(nxt)
-
-
-def contact_sequence_oracle(contacts: ContactTrace, source: int, target: int, t: float) -> float:
-    """Exact shortest temporal distance from ``source`` to ``target`` at time ``t``.
-
-    The minimum elapsed time since information leaving the source could
-    have reached the target through some sequence of contacts (epidemic
-    relaying, transfers instantaneous); infinity when no such sequence
-    exists since the start of the trace.
-    """
-    if source == target:
-        return 0.0
-    levels = _latest_departures(contacts, target, t)
-    best = levels[-1].get(source, -math.inf)
-    return t - best if best > -math.inf else math.inf
-
-
-def relay_cost_oracle(contacts: ContactTrace, source: int, target: int, t: float,
-                      hop_cost: float) -> float:
-    """Minimum over contact sequences of elapsed time + hops * hop_cost.
-
-    With ``hop_cost`` 0 this equals :func:`contact_sequence_oracle`; with a
-    positive per-transfer cost it is the tightest value any hop-penalized
-    relay estimate can achieve.
-    """
-    if source == target:
-        return 0.0
-    levels = _latest_departures(contacts, target, t)
-    best = math.inf
-    for hops, level in enumerate(levels):
-        if source in level:
-            best = min(best, (t - level[source]) + hops * hop_cost)
-    return best
 
 
 def save_contacts_csv(contacts: ContactTrace, path) -> None:

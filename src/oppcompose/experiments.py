@@ -4,11 +4,23 @@ An :class:`ExperimentSpec` pins one base configuration plus named variants
 (condition overrides), an optional parameter sweep, and a seed count.
 Running it produces one records CSV per (variant, sweep point, seed) and a
 manifest; aggregation is a pure function of those files.
+
+Each default lives in the constructor that consumes it, and a key a spec
+leaves out takes that default: the top-level keys in
+:class:`ExperimentSpec`, the ``sim`` keys in :class:`SimConfig`, a synthetic
+model's ``mobility.params`` in its params class (``LevyWalkParams``,
+``SlawParams``, ``HcmmParams``), the ``gps-files`` params in
+:func:`mobility.ingest_gps_log`, ``catalog`` in
+:meth:`ServiceCatalog.from_dict` and ``pattern`` in :func:`build_pattern`.
+The one exception is the Levy walk's speed classes, which depend on the
+node count and are filled in by :func:`make_trace`.
 """
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -39,6 +51,7 @@ __all__ = [
     "compare_estimate_accuracy",
     "completion_bound_check",
     "prepare_run",
+    "read_rows",
 ]
 
 DEFAULT_OUT_ENV = "OPPCOMPOSE_OUT"
@@ -165,11 +178,7 @@ def make_trace(mob: dict, seed: int, cache_dir: Path | None = None) -> mobility.
     elif model == "trace-file":
         trace = mobility.load_trace_csv(mob["path"])
     elif model == "gps-files":
-        trace = mobility.ingest_gps_log(
-            mob["paths"], area_mapping=params.get("area_mapping", "xy"),
-            truncate_to=params.get("truncate_to", 5400.0),
-            split_multiday=params.get("split_multiday", True),
-            sample_interval=interval, max_gap=params.get("max_gap", 600.0))
+        trace = mobility.ingest_gps_log(mob["paths"], sample_interval=interval, **params)
     else:
         raise ValueError(f"unknown mobility model {model!r}")
     if key is not None:
@@ -206,7 +215,8 @@ _PARAM_KEYS = {
                     if f.name not in ("cascade_levels", "flat_levels"))
        for model, (cls, _) in _GENERATORS.items()},
     "trace-file": (),
-    "gps-files": ("area_mapping", "truncate_to", "split_multiday", "max_gap"),
+    "gps-files": tuple(name for name in inspect.signature(mobility.ingest_gps_log).parameters
+                       if name not in ("files", "sample_interval")),
 }
 _CATALOG_KEYS = ("n_d", "excluded", "ring")
 _PATTERN_KEYS = {"min_k": ("kind", "k"), "fixed_length": ("kind", "length", "start_weights")}
@@ -229,34 +239,38 @@ def _check_mobility_keys(mob: dict) -> None:
                     _PARAM_KEYS[mob["model"]])
 
 
-def _check_spec_keys(spec_dict: dict) -> None:
-    """Raise ValueError on a key no part of the run reads, naming the valid ones."""
+def _check_spec_keys(spec_dict: dict) -> ExperimentSpec:
+    """The spec ``spec_dict`` describes, its defaults filled in.
+
+    Raises ValueError on a key no part of the run reads, naming the valid ones.
+    """
     _check_keys("spec", spec_dict, _SPEC_KEYS)
-    _check_mobility_keys(spec_dict["mobility"])
-    _check_keys("catalog", spec_dict["catalog"], _CATALOG_KEYS)
-    kind = spec_dict["pattern"].get("kind", "min_k")
+    spec = ExperimentSpec(**spec_dict)
+    _check_mobility_keys(spec.mobility)
+    _check_keys("catalog", spec.catalog, _CATALOG_KEYS)
+    kind = spec.pattern.get("kind", "min_k")
     if kind in _PATTERN_KEYS:
-        _check_keys(f"pattern ({kind})", spec_dict["pattern"], _PATTERN_KEYS[kind])
-    _check_keys("sim", spec_dict.get("sim", {}), _SIM_KEYS)
+        _check_keys(f"pattern ({kind})", spec.pattern, _PATTERN_KEYS[kind])
+    _check_keys("sim", spec.sim, _SIM_KEYS)
+    return spec
 
 
 def prepare_run(spec_dict: dict, seed: int, cache_dir: Path | None = None
                 ) -> tuple[SimConfig, ContactTrace]:
     """Resolve one spec instance (after overrides) into a runnable config."""
-    _check_spec_keys(spec_dict)
-    catalog = ServiceCatalog.from_dict(spec_dict["catalog"])
-    pattern = build_pattern(catalog, spec_dict["pattern"])
+    spec = _check_spec_keys(spec_dict)
+    catalog = ServiceCatalog.from_dict(spec.catalog)
+    pattern = build_pattern(catalog, spec.pattern)
     rng = np.random.default_rng((seed, 51966))
-    distribution = spec_dict.get("distribution", "uniform")
     popularity = None
-    if distribution == "proportional":
-        popularity = service_popularity(catalog, spec_dict["pattern"])
+    if spec.distribution == "proportional":
+        popularity = service_popularity(catalog, spec.pattern)
     placement = assign_services(
-        catalog, list(range(spec_dict["mobility"]["n_nodes"])), spec_dict.get("repetition", 2),
-        rng, distribution=distribution, popularity=popularity)
-    trace = make_trace(spec_dict["mobility"], seed, cache_dir)
-    contacts = contacts_from_positions(trace, spec_dict.get("range_m", 100.0))
-    sim = dict(spec_dict.get("sim", {}))
+        catalog, list(range(spec.mobility["n_nodes"])), spec.repetition,
+        rng, distribution=spec.distribution, popularity=popularity)
+    trace = make_trace(spec.mobility, seed, cache_dir)
+    contacts = contacts_from_positions(trace, spec.range_m)
+    sim = dict(spec.sim)
     if "scheme" in sim:
         name = sim["scheme"]
         if name not in _SCHEMES:
@@ -280,26 +294,25 @@ def _point_key(point: dict) -> str:
 
 
 def _run_one(args) -> dict:
+    """Run one job; its manifest row, with the error text if the run raised."""
     spec_dict, variant_name, point, seed, out_dir, cache_dir = args
-    config, contacts = prepare_run(spec_dict, seed, cache_dir)
-    result = run_sim(config, contacts)
-    fname = f"{variant_name}__{_point_key(point)}__seed{seed}.csv"
-    write_records_csv(result, Path(out_dir) / fname)
-    return {
-        "variant": variant_name,
-        "point": _point_key(point),
-        "seed": seed,
-        "file": fname,
-        "timeout_s": config.timeout_s,
-        "warmup_s": config.delay_warmup_s,
-    }
+    row = {"variant": variant_name, "point": _point_key(point), "seed": seed}
+    try:
+        config, contacts = prepare_run(spec_dict, seed, cache_dir)
+        result = run_sim(config, contacts)
+        fname = f"{variant_name}__{row['point']}__seed{seed}.csv"
+        write_records_csv(result, Path(out_dir) / fname)
+    except Exception as exc:  # noqa: BLE001 - reported per run in the manifest
+        return {**row, "error": repr(exc)}
+    return {**row, "file": fname, "timeout_s": config.timeout_s,
+            "warmup_s": config.delay_warmup_s}
 
 
 def run_experiment(spec: ExperimentSpec, out_dir, workers: int | None = None) -> Path:
     """Run every (variant, sweep point, seed); write run CSVs, manifest, summary.
 
     Returns the summary path.  Individual run failures are recorded in the
-    manifest with an error marker and excluded from aggregation; the first
+    manifest with their error text and excluded from aggregation; the first
     failure is re-raised after all runs finish.
     """
     out = Path(out_dir)
@@ -316,52 +329,41 @@ def run_experiment(spec: ExperimentSpec, out_dir, workers: int | None = None) ->
             for seed in range(spec.seeds):
                 jobs.append((merged, variant["name"], point, seed, str(runs_dir), str(cache_dir)))
 
-    manifest_rows = []
-    failures = []
     if workers and workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for job, outcome in zip(jobs, pool.map(_run_one_safe, jobs)):
-                manifest_rows.append(outcome)
-                if "error" in outcome:
-                    failures.append(outcome["error"])
+            manifest_rows = list(pool.map(_run_one, jobs))
     else:
-        for job in jobs:
-            outcome = _run_one_safe(job)
-            manifest_rows.append(outcome)
-            if "error" in outcome:
-                failures.append(outcome["error"])
-
-    manifest = out / "manifest.csv"
-    with open(manifest, "w") as fh:
-        fh.write("variant,point,seed,file,timeout_s,warmup_s,error\n")
-        for row in manifest_rows:
-            fh.write(f"{row['variant']},{row['point']},{row['seed']},{row.get('file', '')},"
-                     f"{row.get('timeout_s', '')},{row.get('warmup_s', '')},{row.get('error', '')}\n")
+        manifest_rows = [_run_one(job) for job in jobs]
+    _write_rows(out / "manifest.csv", MANIFEST_FIELDS, manifest_rows)
     summary = aggregate(out)
+    failures = [row["error"] for row in manifest_rows if "error" in row]
     if failures:
         raise RuntimeError(f"{len(failures)} run(s) failed; first: {failures[0]}")
     return summary
 
 
-def _run_one_safe(args) -> dict:
-    try:
-        return _run_one(args)
-    except Exception as exc:  # noqa: BLE001 - reported per run in the manifest
-        return {"variant": args[1], "point": _point_key(args[2]), "seed": args[3],
-                "error": repr(exc).replace(",", ";")}
+# ---------------------------------------------------------------------------
+# Run-directory tables
+
+MANIFEST_FIELDS = ("variant", "point", "seed", "file", "timeout_s", "warmup_s", "error")
+
+
+def _write_rows(path: Path, fieldnames, rows) -> None:
+    """Write ``rows`` (dicts; missing fields empty) as a CSV table."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames, restval="", lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+
+
+def read_rows(path) -> list[dict]:
+    """The rows of a run-directory table (``manifest.csv``, ``summary.csv``)."""
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 # ---------------------------------------------------------------------------
 # Aggregation
-
-def _read_manifest(out_dir: Path) -> list[dict]:
-    rows = []
-    with open(out_dir / "manifest.csv") as fh:
-        header = fh.readline().strip().split(",")
-        for line in fh:
-            rows.append(dict(zip(header, line.rstrip("\n").split(","))))
-    return rows
-
 
 def summarize_group(run_rows: list[list[dict]], timeout_s: float, warmup_s: float) -> dict:
     """Aggregate metrics over one group of per-seed record lists."""
@@ -417,54 +419,45 @@ def _hist_str(hist: dict) -> str:
     return ";".join(f"{k}:{hist[k]}" for k in sorted(hist))
 
 
-SUMMARY_FIELDS = ("variant,point,seeds,n_requests,completion_mean,completion_min,completion_max,"
-                  "delay_median_s,delay_p90_s,delay_samples,opportunistic_frac,"
-                  "est_within_4min_frac,est_diff_abs_median_s,est_incomplete_accurate_frac,"
-                  "hop_hist,length_hist")
+SUMMARY_FIELDS = ("variant", "point", "seeds", "n_requests", "completion_mean",
+                  "completion_min", "completion_max", "delay_median_s", "delay_p90_s",
+                  "delay_samples", "opportunistic_frac", "est_within_4min_frac",
+                  "est_diff_abs_median_s", "est_incomplete_accurate_frac", "hop_hist",
+                  "length_hist")
 
 
 def aggregate(out_dir) -> Path:
     """Recompute summary.csv from the manifest and run CSVs (pure function)."""
     out = Path(out_dir)
-    manifest = _read_manifest(out)
     groups: dict[tuple[str, str], list[dict]] = {}
-    for row in manifest:
-        if row.get("error"):
+    for row in read_rows(out / "manifest.csv"):
+        if row["error"]:
             continue
         groups.setdefault((row["variant"], row["point"]), []).append(row)
+    summary = []
+    for (variant, point) in sorted(groups):
+        rows_per_seed = []
+        timeout_s = warmup_s = 0.0
+        for row in sorted(groups[(variant, point)], key=lambda r: int(r["seed"])):
+            rows_per_seed.append(read_records_csv(out / "runs" / row["file"]))
+            timeout_s = float(row["timeout_s"])
+            warmup_s = float(row["warmup_s"])
+        m = summarize_group(rows_per_seed, timeout_s, warmup_s)
+        summary.append(dict(zip(SUMMARY_FIELDS, (
+            variant, point, len(rows_per_seed), m["n_requests"],
+            f"{m['completion_mean']:.6f}", f"{m['completion_min']:.6f}",
+            f"{m['completion_max']:.6f}", _fmt(m["delay_median_s"]), _fmt(m["delay_p90_s"]),
+            m["delay_samples"], f"{m['opportunistic_frac']:.6f}",
+            f"{m['est_within_4min_frac']:.6f}", _fmt(m["est_diff_abs_median_s"]),
+            f"{m['est_incomplete_accurate_frac']:.6f}", _hist_str(m["hop_hist"]),
+            _hist_str(m["length_hist"])))))
     path = out / "summary.csv"
-    with open(path, "w") as fh:
-        fh.write(SUMMARY_FIELDS + "\n")
-        for (variant, point) in sorted(groups):
-            rows_per_seed = []
-            timeout_s = warmup_s = 0.0
-            for row in sorted(groups[(variant, point)], key=lambda r: int(r["seed"])):
-                rows_per_seed.append(read_records_csv(out / "runs" / row["file"]))
-                timeout_s = float(row["timeout_s"])
-                warmup_s = float(row["warmup_s"])
-            m = summarize_group(rows_per_seed, timeout_s, warmup_s)
-            fh.write(
-                f"{variant},{point},{len(rows_per_seed)},{m['n_requests']},"
-                f"{m['completion_mean']:.6f},{m['completion_min']:.6f},{m['completion_max']:.6f},"
-                f"{_fmt(m['delay_median_s'])},{_fmt(m['delay_p90_s'])},{m['delay_samples']},"
-                f"{m['opportunistic_frac']:.6f},{m['est_within_4min_frac']:.6f},"
-                f"{_fmt(m['est_diff_abs_median_s'])},{m['est_incomplete_accurate_frac']:.6f},"
-                f"{_hist_str(m['hop_hist'])},{_hist_str(m['length_hist'])}\n")
+    _write_rows(path, SUMMARY_FIELDS, summary)
     return path
 
 
 def _fmt(v: float) -> str:
     return "" if (isinstance(v, float) and math.isnan(v)) else f"{v:.3f}"
-
-
-def read_summary(path) -> list[dict]:
-    rows = []
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        for line in fh:
-            parts = line.rstrip("\n").split(",")
-            rows.append(dict(zip(header, parts)))
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -538,18 +531,18 @@ def _ring_catalog() -> dict:
 
 
 def _spec(name: str, **kw) -> ExperimentSpec:
-    base = dict(
-        name=name,
-        mobility=_base_mobility(),
-        catalog=_default_catalog(),
-        pattern={"kind": "min_k", "k": 4},
-        sim={},
-        range_m=100.0,
-        repetition=2,
-        seeds=5,
-    )
-    base.update(kw)
-    return ExperimentSpec(**base)
+    """A preset on the base scenario; ``kw`` sets the fields that differ."""
+    base = dict(mobility=_base_mobility(), catalog=_default_catalog(),
+                pattern={"kind": "min_k", "k": 4})
+    return ExperimentSpec(name, **(base | kw))
+
+
+def _model_variants() -> dict[str, dict]:
+    """Overrides per mobility model for the cross-model figures: the Levy
+    walk with every node at the same speed, SLAW and HCMM at their defaults."""
+    return {"levy": {"mobility.params.speed_classes": [[20, [1.0, 1.0]]]},
+            "slaw": _model_overrides("slaw"),
+            "hcmm": _model_overrides("hcmm")}
 
 
 def _preset_fig3() -> ExperimentSpec:
@@ -647,29 +640,15 @@ def _preset_fig10() -> ExperimentSpec:
 
 def _preset_fig11() -> ExperimentSpec:
     # Estimated-cost vs actual-delay accuracy across the three models.
-    return _spec(
-        "fig11",
-        variants=[
-            {"name": "levy", "overrides": {
-                "mobility.params.speed_classes": [[20, [1.0, 1.0]]]}},
-            {"name": "slaw", "overrides": _model_overrides("slaw")},
-            {"name": "hcmm", "overrides": _model_overrides("hcmm")},
-        ],
-    )
+    return _spec("fig11", variants=[{"name": model, "overrides": overrides}
+                                    for model, overrides in _model_variants().items()])
 
 
 def _preset_fig13() -> ExperimentSpec:
     # Sensitivity to forced composition length over the unit-service ring.
-    spec = _spec(
-        "fig13",
-        variants=[
-            {"name": "levy", "overrides": {
-                "mobility.params.speed_classes": [[20, [1.0, 1.0]]]}},
-            {"name": "slaw", "overrides": _model_overrides("slaw")},
-            {"name": "hcmm", "overrides": _model_overrides("hcmm")},
-        ],
-        sweep={"pattern.length": [1, 2, 3]},
-    )
+    spec = _spec("fig13", variants=[{"name": model, "overrides": overrides}
+                                    for model, overrides in _model_variants().items()],
+                 sweep={"pattern.length": [1, 2, 3]})
     spec.catalog = _ring_catalog()
     spec.pattern = {"kind": "fixed_length", "length": 1}
     return spec
@@ -679,18 +658,10 @@ def _preset_fig14() -> ExperimentSpec:
     # Uniform vs request-proportional service distribution; half of the
     # two-service requests are drawn three times as often.
     start_weights = {x: (3.0 if x <= 10 else 1.0) for x in range(1, 21)}
-    spec = _spec(
-        "fig14",
-        variants=[
-            {"name": f"{model}_{dist}", "overrides": {
-                **(_model_overrides(model) if model != "levy" else
-                   {"mobility.params.speed_classes": [[20, [1.0, 1.0]]]}),
-                "distribution": dist,
-            }}
-            for model in ("levy", "slaw", "hcmm")
-            for dist in ("uniform", "proportional")
-        ],
-    )
+    spec = _spec("fig14", variants=[
+        {"name": f"{model}_{dist}", "overrides": {**overrides, "distribution": dist}}
+        for model, overrides in _model_variants().items()
+        for dist in ("uniform", "proportional")])
     spec.catalog = _ring_catalog()
     spec.pattern = {"kind": "fixed_length", "length": 2,
                     "start_weights": {str(k): v for k, v in start_weights.items()}}

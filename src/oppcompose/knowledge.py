@@ -46,7 +46,7 @@ class KnowledgeStore:
     """
 
     __slots__ = ("owner", "n_nodes", "t_av", "radius", "timers", "loads",
-                 "matrix", "matrix_obs", "dirty")
+                 "matrix", "matrix_obs")
 
     def __init__(self, owner: int, n_nodes: int, t_av: float = 1.0,
                  radius: float | None = None, track_matrix: bool = False):
@@ -62,7 +62,6 @@ class KnowledgeStore:
         # time (in units).  Row ``owner`` is implicit (live timers).
         self.matrix = np.full((n_nodes, n_nodes), math.inf) if track_matrix else None
         self.matrix_obs = np.full(n_nodes, -math.inf) if track_matrix else None
-        self.dirty = False
 
     def tick(self, elapsed: float = 1.0) -> None:
         """Advance all timers except the owner's own entry."""
@@ -86,7 +85,6 @@ class LoadTracker:
 
     mean_exec: float = 30.0
     alpha: float = 0.5
-    window: float = 30.0
     l_old: float = 0.0
 
     def update(self, pending_count: int) -> float:
@@ -184,7 +182,6 @@ def _closure(members: list[KnowledgeStore], hops: np.ndarray, now: float) -> boo
         store = members[i]
         store.timers[:] = new_timers[i]
         store.loads[:] = new_loads[i]
-        store.dirty = True
     if track:
         matrix = np.array([s.matrix for s in members])
         for i, store in enumerate(members):

@@ -410,8 +410,8 @@ class _Engine:
         track_matrix = config.awareness == "global"
         self.stores = [KnowledgeStore(i, self.n, t_av=config.t_av, radius=config.radius,
                                       track_matrix=track_matrix) for i in range(self.n)]
-        self.trackers = [LoadTracker(mean_exec=config.mean_exec_s, alpha=config.load_alpha,
-                                     window=config.unit_s) for _ in range(self.n)]
+        self.trackers = [LoadTracker(mean_exec=config.mean_exec_s, alpha=config.load_alpha)
+                         for _ in range(self.n)]
         self.stats = EncounterStats(self.n, window=config.scheme.window)
         self.queues: list[list[_Item]] = [[] for _ in range(self.n)]
         self.executing: list[_Item | None] = [None] * self.n
@@ -667,8 +667,6 @@ class _Engine:
         neighbors = self._neighbors(node, t)
         receiver: dict[int, int | None] = {}
         for item in self.carried[node][:]:  # a copy: transfers remove items
-            if item.phase not in ("carried", "result") or item.location != node:
-                continue
             if item.destination is None:  # stalled: retry path selection here
                 stage = self._next_stage(item, node)
                 if stage is None:
@@ -765,21 +763,17 @@ class _Engine:
         if k > 0:
             for store in self.stores:
                 store.tick(1.0)
-        pairs = self.boundary_pairs[k] if k < len(self.boundary_pairs) else []
+        pairs = self.boundary_pairs[k]
         for a, b in pairs:
             self.last_enc[a][b] = self.last_enc[b][a] = t
         exchange_all(self.stores, pairs, now=float(k))
         for node in range(self.n):
             value = self.trackers[node].update(self._pending_count(node))
             self.stores[node].loads[node] = value
-        active = set()
-        for a, b in pairs:
-            active.add(a)
-            active.add(b)
-        for node in range(self.n):
-            if self.carried[node] and (node in active or self.stores[node].dirty):
+        # The closure changes only the knowledge of nodes in ``pairs``.
+        for node in sorted({node for pair in pairs for node in pair}):
+            if self.carried[node]:
                 self.schedule_sweep(node, t)
-            self.stores[node].dirty = False
 
     def on_contact_start(self, t: float, a: int, b: int, end: float) -> None:
         self.contact_end[a][b] = self.contact_end[b][a] = end

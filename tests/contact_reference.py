@@ -1,13 +1,19 @@
-"""The per-sample contact scan, kept as the reference for
-``contact_engine.contacts_from_positions``.
+"""References for the contact layer.
 
-Each sample's in-range pairs come from all-pairs distances, or, with more
-than ``GRID_THRESHOLD`` nodes, from a grid of range-sized cells; runs of
-in-range samples are then tracked one sample at a time.  The streamed
-extraction must give the same events.
+The per-sample contact scan is the reference for
+``contact_engine.contacts_from_positions``: each sample's in-range pairs
+come from all-pairs distances, or, with more than ``GRID_THRESHOLD`` nodes,
+from a grid of range-sized cells; runs of in-range samples are then tracked
+one sample at a time.  The streamed extraction must give the same events.
+
+The shortest-temporal-distance oracles validate the distributed timer
+estimates: the minimum elapsed time over which some sequence of contacts
+could have relayed information between two nodes.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -72,3 +78,59 @@ def pairs_in_range_grid(pos: np.ndarray, range_m: float) -> set[tuple[int, int]]
                             if d2 <= r2:
                                 out.add((i, j))
     return out
+
+
+def _latest_departures(contacts: ContactTrace, target: int, t: float) -> list[dict[int, float]]:
+    """Per relay-hop-count latest departure times toward ``target`` by ``t``.
+
+    Element h maps node v -> the latest time T such that information held
+    by v from T onward reaches the target by time t using at most h
+    transfers.  The list stops growing once extra hops stop helping.
+    """
+    relevant = [ev for ev in contacts.events if ev.start <= t]
+    frontier = {target: t}
+    levels = [dict(frontier)]
+    while True:
+        nxt = dict(levels[-1])
+        for ev in relevant:
+            for v, u in ((ev.a, ev.b), (ev.b, ev.a)):
+                if u in levels[-1]:
+                    candidate = min(levels[-1][u], ev.end, t)
+                    if candidate >= ev.start and candidate > nxt.get(v, -math.inf):
+                        nxt[v] = candidate
+        if nxt == levels[-1]:
+            return levels
+        levels.append(nxt)
+
+
+def contact_sequence_oracle(contacts: ContactTrace, source: int, target: int, t: float) -> float:
+    """Exact shortest temporal distance from ``source`` to ``target`` at time ``t``.
+
+    The minimum elapsed time since information leaving the source could
+    have reached the target through some sequence of contacts (epidemic
+    relaying, transfers instantaneous); infinity when no such sequence
+    exists since the start of the trace.
+    """
+    if source == target:
+        return 0.0
+    levels = _latest_departures(contacts, target, t)
+    best = levels[-1].get(source, -math.inf)
+    return t - best if best > -math.inf else math.inf
+
+
+def relay_cost_oracle(contacts: ContactTrace, source: int, target: int, t: float,
+                      hop_cost: float) -> float:
+    """Minimum over contact sequences of elapsed time + hops * hop_cost.
+
+    With ``hop_cost`` 0 this equals :func:`contact_sequence_oracle`; with a
+    positive per-transfer cost it is the tightest value any hop-penalized
+    relay estimate can achieve.
+    """
+    if source == target:
+        return 0.0
+    levels = _latest_departures(contacts, target, t)
+    best = math.inf
+    for hops, level in enumerate(levels):
+        if source in level:
+            best = min(best, (t - level[source]) + hops * hop_cost)
+    return best

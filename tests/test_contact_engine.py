@@ -6,16 +6,15 @@ import pytest
 from oppcompose.contact_engine import (
     ContactEvent,
     ContactTrace,
-    contact_sequence_oracle,
     contacts_from_positions,
     load_contacts_csv,
-    relay_cost_oracle,
     save_contacts_csv,
 )
 from oppcompose import contact_engine
 from oppcompose.mobility import LevyWalkParams, PositionTrace, generate_levy
 
-from contact_reference import GRID_THRESHOLD, contacts_per_sample
+from contact_reference import (GRID_THRESHOLD, contact_sequence_oracle, contacts_per_sample,
+                               relay_cost_oracle)
 
 
 def make_trace(positions, interval=30.0, width=1000.0, height=1000.0):

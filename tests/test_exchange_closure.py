@@ -32,7 +32,6 @@ def _adopt(store, peer_timers, peer_loads):
         return False
     store.timers[mask] = candidate[mask]
     store.loads[mask] = peer_loads[mask]
-    store.dirty = True
     return True
 
 
@@ -165,7 +164,6 @@ def test_closure_matches_pairwise_fixpoint(t_av, radius, track_matrix):
             for s in stores:
                 # Distinct loads make each adopted load name its source.
                 s.loads[s.owner] = float(rng.integers(1, 10**6))
-                s.dirty = False
             if not pairs:
                 continue
             before = copy.deepcopy(stores)
@@ -175,9 +173,8 @@ def test_closure_matches_pairwise_fixpoint(t_av, radius, track_matrix):
             exchange_all(stores, pairs, now=float(k))
             counts["multihop"] += any(max(w["hops"].values()) > 1 for w in want.values())
             for i, s in enumerate(stores):
-                # Bit-identical timers, and the same stores marked changed.
+                # Bit-identical timers.
                 assert np.array_equal(s.timers, oracle[i].timers)
-                assert s.dirty == oracle[i].dirty
                 if i not in want:
                     assert np.array_equal(s.loads, before[i].loads)
                     continue
@@ -224,5 +221,7 @@ def test_own_entry_wins_a_tie():
 
 def test_exchange_all_without_pairs_changes_nothing():
     stores = [KnowledgeStore(i, 3) for i in range(3)]
+    before = copy.deepcopy(stores)
     assert exchange_all(stores, []) is False
-    assert not any(s.dirty for s in stores)
+    for s, b in zip(stores, before):
+        assert np.array_equal(s.timers, b.timers) and np.array_equal(s.loads, b.loads)

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 from pathlib import Path
 
@@ -20,6 +22,7 @@ from oppcompose.experiments import (
     service_popularity,
     summarize_group,
 )
+from oppcompose.mobility import ingest_gps_log
 from oppcompose.service_model import Service, ServiceCatalog
 
 
@@ -116,7 +119,7 @@ def test_run_experiment_and_reaggregate(tmp_path):
     # Re-aggregation from the saved run files is byte-identical.
     again = aggregate(tmp_path / "out")
     assert again.read_bytes() == first
-    rows = experiments.read_summary(summary_path)
+    rows = experiments.read_rows(summary_path)
     assert {r["variant"] for r in rows} == {"multihop", "direct"}
     for row in rows:
         assert 0.0 <= float(row["completion_mean"]) <= 1.0
@@ -126,8 +129,8 @@ def test_run_experiment_and_reaggregate(tmp_path):
 def test_summary_rates_match_run_files(tmp_path):
     spec = tiny_spec()
     summary_path = run_experiment(spec, tmp_path / "out")
-    rows = experiments.read_summary(summary_path)
-    manifest = experiments._read_manifest(tmp_path / "out")
+    rows = experiments.read_rows(summary_path)
+    manifest = experiments.read_rows(tmp_path / "out" / "manifest.csv")
     from oppcompose.sim_core import read_records_csv
 
     completed = total = 0
@@ -146,7 +149,7 @@ def test_summary_rates_match_run_files(tmp_path):
 def test_sweep_produces_one_row_per_point(tmp_path):
     spec = tiny_spec(sweep={"repetition": [1, 2]}, seeds=1)
     summary_path = run_experiment(spec, tmp_path / "out")
-    rows = experiments.read_summary(summary_path)
+    rows = experiments.read_rows(summary_path)
     assert len(rows) == 2
     assert {r["point"] for r in rows} == {"repetition=1", "repetition=2"}
 
@@ -292,3 +295,86 @@ def test_override_values_are_copied():
     assert first["mobility"]["params"]["area"] == [2.0, 2.0]
     assert second["mobility"]["params"]["area"] == [3.0, 3.0]
     assert params == {"area": [1.0, 1.0]}
+
+
+# -- one schema from spec to summary ---------------------------------------------
+
+# sha256 of json.dumps(preset(name).to_dict(), sort_keys=True): a change to a
+# preset builder or a spec default must not move any preset.
+PRESET_DIGESTS = {
+    "fig3": "e09357da854ae783705ae1e6b2838b4cc42e953230e87720710cafa8ee933162",
+    "fig4": "c10b5c1f77b94664d28c215e0ffe0f9a58660d5b98c2680540aa638ffdfb90b1",
+    "fig5": "f3e7c1de375751c14d5a1f4405945ec69fdca302a0872801b7ffb9e4218a2a41",
+    "fig6": "7479a3559a0d068b4202d1cb51b2fb303ca85abcdd494e723b05a01e175751a8",
+    "fig7": "43cb00d794ffc6506529b4953f14b87f8c05d9c0e1782c55eee56b12304639b1",
+    "fig8": "4d40a52b38dfeeaaab14356d71af943f68190cf2ec629979f5a29e1b9527ac78",
+    "fig9": "855632a12931d9d104c7385ecd9d2e10f25fbe53b9b7aac92fadd2a59a771c6e",
+    "fig10": "24ffbc954a5fe3fda469bc4dc911b202211c96f352aede7fe8e2f301f98f6de2",
+    "fig11": "ff06e3ebb067eb668402480ca438668ebc09acbb05ae3e289a3f804dd90b3813",
+    "fig13": "4acb6b768c66a1fff7c331921db278ecdfdef17c986ff2d8a82ed748fa69d6f2",
+    "fig14": "f571f43877848377c6466051ea2fbbc6c9ed3b7d2d74e7a572192cd3ed684d03",
+}
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_preset_dicts_are_pinned(name):
+    text = json.dumps(preset(name).to_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == PRESET_DIGESTS[name]
+
+
+def test_prepare_run_fills_defaults_from_the_spec_class():
+    spec = tiny_spec()
+    minimal = {"name": spec.name, "mobility": spec.mobility, "catalog": spec.catalog,
+               "pattern": spec.pattern}
+    full = ExperimentSpec(**minimal).to_dict()
+    assert set(full) > set(minimal)
+    config, contacts = experiments.prepare_run(minimal, seed=1)
+    config_full, contacts_full = experiments.prepare_run(full, seed=1)
+    assert config == config_full
+    assert config.placement == config_full.placement
+    assert contacts.events == contacts_full.events
+
+
+def _write_gps_log(tmp_path):
+    path = tmp_path / "gps.csv"
+    rows = ["user,time,x,y"]
+    for t in range(0, 1800, 45):
+        rows.append(f"a,{t},{t * 0.1:.1f},0")
+        if not 600 <= t < 1500:  # a gap longer than 600 s for b
+            rows.append(f"b,{t},0,{t * 0.2:.1f}")
+    path.write_text("\n".join(rows) + "\n")
+    return [str(path)]
+
+
+@pytest.mark.parametrize("params", [{}, {"max_gap": 2000.0, "truncate_to": 1200.0}])
+def test_gps_files_spec_calls_ingest_gps_log(tmp_path, params):
+    paths = _write_gps_log(tmp_path)
+    mob = {"model": "gps-files", "paths": paths, "sample_interval": 60.0, "params": params}
+    trace = experiments.make_trace(mob, seed=0)
+    want = ingest_gps_log(paths, sample_interval=60.0, **params)
+    assert np.array_equal(trace.positions, want.positions, equal_nan=True)
+    assert ((trace.sample_interval, trace.width, trace.height)
+            == (want.sample_interval, want.width, want.height))
+
+
+def test_gps_files_spec_rejects_misspelled_params(tmp_path):
+    mob = {"model": "gps-files", "paths": _write_gps_log(tmp_path),
+           "params": {"max_gapp": 60.0}}
+    with pytest.raises(ValueError, match="max_gapp; valid keys: area_mapping, truncate_to, "
+                                         "split_multiday, max_gap$"):
+        experiments.make_trace(mob, seed=0)
+
+
+def test_manifest_keeps_commas_in_error_text(tmp_path, monkeypatch):
+    error = ValueError("no path from 1 to 7, at node 3, after 2 hops")
+
+    def fail(config, contacts):
+        raise error
+
+    monkeypatch.setattr(experiments, "run_sim", fail)
+    with pytest.raises(RuntimeError, match="at node 3, after 2 hops"):
+        run_experiment(tiny_spec(seeds=1), tmp_path / "out")
+    rows = experiments.read_rows(tmp_path / "out" / "manifest.csv")
+    assert [(r["variant"], r["seed"], r["file"], r["error"]) for r in rows] == [
+        ("base", "0", "", repr(error))]
+    assert experiments.read_rows(tmp_path / "out" / "summary.csv") == []

@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oppcompose.contact_engine import (
-    ContactEvent,
-    ContactTrace,
-    contact_sequence_oracle,
-    relay_cost_oracle,
-)
+from oppcompose.contact_engine import ContactEvent, ContactTrace
 from oppcompose.knowledge import (
     AWARENESS_LEVELS,
     KnowledgeStore,
@@ -21,6 +16,7 @@ from oppcompose.knowledge import (
 )
 from oppcompose.service_model import Service, ServicePlacement, enumerate_services
 from oppcompose.sim_core import _GraphTemplate
+from contact_reference import contact_sequence_oracle, relay_cost_oracle
 from pricing_reference import cost_matrices, edge_costs
 
 UNIT = 30.0
