@@ -89,13 +89,11 @@ def _cmd_analyze(args) -> int:
 def _cmd_gen_trace(args) -> int:
     with open(args.params) as fh:
         params = yaml.safe_load(fh) or {}
-    mob = {
-        "model": args.model,
-        "n_nodes": params.pop("n_nodes", 20),
-        "duration": params.pop("duration", 36000.0),
-        "sample_interval": params.pop("sample_interval", 30.0),
-        "params": params,
-    }
+    mob = {"model": args.model, "n_nodes": params.pop("n_nodes", 20),
+           "duration": params.pop("duration", 36000.0)}
+    if "sample_interval" in params:
+        mob["sample_interval"] = params.pop("sample_interval")
+    mob["params"] = params
     trace = experiments.make_trace(mob, seed=args.seed)
     out = Path(args.out or _default_out())
     out.mkdir(parents=True, exist_ok=True)

@@ -114,8 +114,13 @@ def _apply_overrides(tree: dict, overrides: dict) -> dict:
 # ---------------------------------------------------------------------------
 # Building blocks
 
+def _pattern_kind(cfg: dict) -> str:
+    """The request pattern kind ``cfg`` names, ``min_k`` if it names none."""
+    return cfg.get("kind", "min_k")
+
+
 def build_pattern(catalog: ServiceCatalog, cfg: dict) -> RequestPattern:
-    kind = cfg.get("kind", "min_k")
+    kind = _pattern_kind(cfg)
     if kind == "min_k":
         return RequestPattern.min_functionality(catalog, cfg.get("k", 4))
     if kind == "fixed_length":
@@ -166,7 +171,8 @@ def make_trace(mob: dict, seed: int, cache_dir: Path | None = None) -> mobility.
             with np.load(key) as cached:
                 return mobility.PositionTrace(cached["positions"], *cached["frame"].tolist())
     model = mob["model"]
-    interval = mob.get("sample_interval", 30.0)
+    # Unset, the sample interval is the generator's or ingest_gps_log's default.
+    interval = {"sample_interval": mob["sample_interval"]} if "sample_interval" in mob else {}
     params = mob.get("params", {})
     if model in _GENERATORS:
         params_cls, generate = _GENERATORS[model]
@@ -174,11 +180,11 @@ def make_trace(mob: dict, seed: int, cache_dir: Path | None = None) -> mobility.
         n = mob["n_nodes"]
         if model == "levy" and "speed_classes" not in kw:
             kw["speed_classes"] = ((n // 2, (1.0, 1.0)), (n - n // 2, (10.0, 10.0)))
-        trace = generate(params_cls(**kw), n, mob["duration"], seed, interval)
+        trace = generate(params_cls(**kw), n, mob["duration"], seed, **interval)
     elif model == "trace-file":
         trace = mobility.load_trace_csv(mob["path"])
     elif model == "gps-files":
-        trace = mobility.ingest_gps_log(mob["paths"], sample_interval=interval, **params)
+        trace = mobility.ingest_gps_log(mob["paths"], **interval, **params)
     else:
         raise ValueError(f"unknown mobility model {model!r}")
     if key is not None:
@@ -248,7 +254,7 @@ def _check_spec_keys(spec_dict: dict) -> ExperimentSpec:
     spec = ExperimentSpec(**spec_dict)
     _check_mobility_keys(spec.mobility)
     _check_keys("catalog", spec.catalog, _CATALOG_KEYS)
-    kind = spec.pattern.get("kind", "min_k")
+    kind = _pattern_kind(spec.pattern)
     if kind in _PATTERN_KEYS:
         _check_keys(f"pattern ({kind})", spec.pattern, _PATTERN_KEYS[kind])
     _check_keys("sim", spec.sim, _SIM_KEYS)

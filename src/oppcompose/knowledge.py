@@ -1,17 +1,20 @@
-"""Per-node distributed network state.
+"""Distributed network state, every node's in whole arrays.
 
 Every node keeps a timer per peer approximating its temporal distance
 (time elapsed since a contact chain could have relayed information from
-that peer), plus a load estimate per peer.  Timers tick once per time
-unit; on contact two nodes adopt each other's strictly better entries,
-paying a fixed ``t_av`` per relay hop.  At each unit boundary every group
-of co-located nodes settles at once to what repeated contacts would reach,
+that peer), plus a load estimate per peer: row i of :class:`Knowledge`'s
+arrays.  Timers tick once per time unit; on contact two nodes adopt each
+other's strictly better entries, paying a fixed ``t_av`` per relay hop.  At
+each unit boundary every group of co-located nodes settles at once to what
+repeated contacts would reach,
 ``T_i[k] = min_j (T_j[k] + t_av * hops(i, j))`` over the group, with the
 load taken from the minimising source (ties: own entry, then fewer hops,
-then lower node id).  :func:`edge_prices` turns this state into the
+then lower node id).  Under ``global`` awareness nodes also gossip timer
+rows, merged once per group: each member takes the group's freshest
+observation of each row.  :func:`edge_prices` turns this state into the
 cost of every composition graph edge an owner prices, one rule per
 awareness level (:data:`AWARENESS_LEVELS`): the owner's vectors are read
-at the edges' device endpoints only, never spread into an n x n matrix.
+at the edges' device endpoints only.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import numpy as np
 
 __all__ = [
     "AWARENESS_LEVELS",
-    "KnowledgeStore",
+    "Knowledge",
     "LoadTracker",
     "exchange",
     "exchange_all",
@@ -36,45 +39,40 @@ __all__ = [
 AWARENESS_LEVELS = ("minimal", "local", "global", "perfect")
 
 
-class KnowledgeStore:
-    """Timers and load estimates one node keeps about all others.
+class Knowledge:
+    """Timers and load estimates of every node about every other.
 
-    Timer values are in time units (one unit = ``unit_s`` seconds);
-    ``math.inf`` marks an unknown or pruned peer.  The entry for the owner
-    itself is pinned at zero.  When ``radius`` is set, entries whose timer
-    exceeds it are dropped, bounding the state kept for far-away nodes.
+    Row i of ``timers`` and ``loads`` is node i's store.  Timer values are
+    in time units (one unit = ``unit_s`` seconds); ``math.inf`` marks an
+    unknown or pruned peer.  A node's entry about itself is pinned at zero.
+    When ``radius`` is set, entries whose timer exceeds it are dropped,
+    bounding the state kept for far-away nodes.  With ``track_matrix`` (the
+    distributed-global level), ``matrix[i, r]`` is the last timer row of
+    node r that node i observed and ``matrix_obs[i, r]`` the time (in
+    units) of that observation, ``-inf`` if none.
     """
 
-    __slots__ = ("owner", "n_nodes", "t_av", "radius", "timers", "loads",
-                 "matrix", "matrix_obs")
-
-    def __init__(self, owner: int, n_nodes: int, t_av: float = 1.0,
-                 radius: float | None = None, track_matrix: bool = False):
-        self.owner = owner
+    def __init__(self, n_nodes: int, t_av: float = 1.0, radius: float | None = None,
+                 track_matrix: bool = False):
         self.n_nodes = n_nodes
         self.t_av = t_av
         self.radius = radius
-        self.timers = np.full(n_nodes, math.inf)
-        self.timers[owner] = 0.0
-        self.loads = np.zeros(n_nodes)
-        # Full timer matrix for the distributed-global level: row i holds
-        # the last observed timer vector of node i plus its observation
-        # time (in units).  Row ``owner`` is implicit (live timers).
-        self.matrix = np.full((n_nodes, n_nodes), math.inf) if track_matrix else None
-        self.matrix_obs = np.full(n_nodes, -math.inf) if track_matrix else None
+        self.timers = np.full((n_nodes, n_nodes), math.inf)
+        np.fill_diagonal(self.timers, 0.0)
+        self.loads = np.zeros((n_nodes, n_nodes))
+        self.matrix = np.full((n_nodes,) * 3, math.inf) if track_matrix else None
+        self.matrix_obs = np.full((n_nodes, n_nodes), -math.inf) if track_matrix else None
+        self.merged_at = -math.inf  # ``now`` of the last matrix merge
 
     def tick(self, elapsed: float = 1.0) -> None:
-        """Advance all timers except the owner's own entry."""
+        """Advance every timer except the nodes' entries about themselves."""
         if elapsed <= 0:
             raise ValueError("elapsed must be positive")
         self.timers += elapsed
-        self.timers[self.owner] = 0.0
-        self._prune()
-
-    def _prune(self) -> None:
+        np.fill_diagonal(self.timers, 0.0)
         if self.radius is not None:
             far = self.timers > self.radius
-            far[self.owner] = False
+            np.fill_diagonal(far, False)
             self.timers[far] = math.inf
             self.loads[far] = 0.0
 
@@ -124,44 +122,41 @@ def _hop_counts(m: int, ia: list[int], ib: list[int]) -> np.ndarray:
         frontier = new.astype(np.float32)
 
 
-def _closure(members: list[KnowledgeStore], hops: np.ndarray, now: float) -> bool:
-    """Settle co-located stores as :func:`exchange_all` describes.
+def _closure(know: Knowledge, nodes: np.ndarray, hops: np.ndarray, now: float) -> bool:
+    """Settle co-located nodes as :func:`exchange_all` describes.
 
-    ``members`` are in node id order and ``hops[i, j]`` is the hop count
-    between members i and j, infinite across groups.  All candidates come
-    from the entries held before the call.  Returns True if any timer
+    ``nodes`` are the members in id order and ``hops[i, j]`` is the hop
+    count between members i and j, infinite across groups.  All candidates
+    come from the entries held before the call.  Returns True if any timer
     changed.
     """
-    m = len(members)
-    timers = np.array([s.timers for s in members])
-    loads = np.array([s.loads for s in members])
-    owners = np.array([s.owner for s in members])
-    t_av = np.array([s.t_av for s in members])
-    radius = np.array([math.inf if s.radius is None else s.radius for s in members])
-    track = all(s.matrix is not None for s in members)
+    if know.matrix is not None:
+        if now <= know.merged_at:
+            raise ValueError(f"timer rows merged at {now}, not after the last merge "
+                             f"at {know.merged_at}")
+        know.merged_at = now
+    m = len(nodes)
+    timers, loads = know.timers[nodes], know.loads[nodes]
+    same = np.isfinite(hops)
     # Sources per receiver in tie order: itself (the only 0-hop entry), then
     # by hops, then by node id (a stable sort of id-ordered members; small
     # integer keys sort by radix).  The first ``size[i]`` are i's component.
     keys = np.minimum(hops, m).astype(np.min_scalar_type(m))
     order = np.argsort(keys, axis=1, kind="stable")
     hops = np.take_along_axis(hops, order, axis=1)
-    linked = np.isfinite(hops)
-    size = linked.sum(axis=1)
+    size = same.sum(axis=1)
     cost = np.full_like(hops, math.inf)
-    np.multiply(hops, t_av[:, None], out=cost, where=linked)
+    np.multiply(hops, know.t_av, out=cost, where=np.isfinite(hops))
+    radius = math.inf if know.radius is None else know.radius
     new_timers, new_loads = timers.copy(), loads.copy()
-    if track:
-        obs = np.array([s.matrix_obs for s in members])
-        freshest = np.empty_like(timers, dtype=np.intp)
-    n = timers.shape[1]
-    cols = np.arange(n)
+    cols = np.arange(know.n_nodes)
     # Receivers from the largest components down, in chunks whose
     # (receivers, sources, nodes) candidates stay within _CHUNK_ELEMS.
     by_size = np.argsort(-size, kind="stable")
     lo = 0
     while lo < m:
         width = size[by_size[lo]]
-        rows = by_size[lo:lo + max(1, _CHUNK_ELEMS // (width * n))]
+        rows = by_size[lo:lo + max(1, _CHUNK_ELEMS // (width * know.n_nodes))]
         lo += len(rows)
         pick = np.arange(len(rows))[:, None]
         src = order[rows, :width]
@@ -169,43 +164,47 @@ def _closure(members: list[KnowledgeStore], hops: np.ndarray, now: float) -> boo
         cand += cost[rows, :width, None]
         first = cand.argmin(axis=1)  # first minimum: the tie order above
         best = cand[pick, first, cols]
-        adopt = (first > 0) & (best <= radius[rows, None])
-        adopt[pick[:, 0], owners[rows]] = False
+        adopt = (first > 0) & (best <= radius)
+        adopt[pick[:, 0], nodes[rows]] = False
         new_timers[rows] = np.where(adopt, best, timers[rows])
         new_loads[rows] = np.where(adopt, loads[src[pick, first], cols], loads[rows])
-        if track:
-            seen = obs[src]
-            seen[~linked[rows, :width]] = -math.inf
-            freshest[rows] = src[pick, seen.argmax(axis=1)]
-    adopted = (new_timers != timers).any(axis=1)
-    for i in np.flatnonzero(adopted):
-        store = members[i]
-        store.timers[:] = new_timers[i]
-        store.loads[:] = new_loads[i]
-    if track:
-        matrix = np.array([s.matrix for s in members])
-        for i, store in enumerate(members):
-            newer = np.flatnonzero(freshest[i] != i)
-            store.matrix[newer] = matrix[freshest[i, newer], newer]
-            store.matrix_obs[newer] = obs[freshest[i, newer], newer]
-            group = order[i, :size[i]]
-            store.matrix[owners[group]] = new_timers[group]
-            store.matrix_obs[owners[group]] = now
-    return bool(adopted.any())
+    know.timers[nodes] = new_timers
+    know.loads[nodes] = new_loads
+    if know.matrix is not None:
+        # One merge per group, each group named by its lowest member.
+        for lowest in np.flatnonzero(same.argmax(axis=1) == np.arange(m)):
+            _merge_rows(know, nodes[same[lowest]], now)
+    return bool((new_timers != timers).any())
 
 
-def exchange(a: KnowledgeStore, b: KnowledgeStore, now: float = 0.0) -> bool:
-    """Symmetric contact update between two stores; True if any timer changed.
+def _merge_rows(know: Knowledge, group: np.ndarray, now: float) -> None:
+    """Give each member of ``group`` the group's freshest row per node, then
+    make its rows about members their settled timers, observed at ``now``.
+
+    Row r observed at t holds r's timers after the closure at t, and copies
+    keep the (time, row) pair: equal observation times hold equal rows.
+    """
+    obs = know.matrix_obs[group]
+    holder = obs.argmax(axis=0)  # per row, the lowest member holding the freshest
+    freshest = obs[holder, np.arange(know.n_nodes)]
+    member, row = np.nonzero(obs < freshest)
+    know.matrix[group[member], row] = know.matrix[group[holder[row]], row]
+    know.matrix_obs[group[member], row] = freshest[row]
+    know.matrix[group[:, None], group] = know.timers[group]
+    know.matrix_obs[group[:, None], group] = now
+
+
+def exchange(know: Knowledge, a: int, b: int, now: float = 0.0) -> bool:
+    """Symmetric contact update of nodes ``a`` and ``b``; True if a timer changed.
 
     The one-pair case of :func:`exchange_all`: each side adopts the other's
     strictly better entries (by more than ``t_av``), computed from the
     entries both held before the call.
     """
-    return _closure(sorted((a, b), key=lambda s: s.owner), _PAIR_HOPS, now)
+    return _closure(know, np.array(sorted((a, b))), _PAIR_HOPS, now)
 
 
-def exchange_all(stores: list[KnowledgeStore], pairs: list[tuple[int, int]],
-                 now: float = 0.0) -> bool:
+def exchange_all(know: Knowledge, pairs: list[tuple[int, int]], now: float = 0.0) -> bool:
     """Settle every group of co-located nodes in one min-plus closure.
 
     ``pairs`` are the node pairs in contact at this instant; their
@@ -225,8 +224,9 @@ def exchange_all(stores: list[KnowledgeStore], pairs: list[tuple[int, int]],
     the order of the pairs).  With matrix tracking, each member's rows
     about its group become those members' final timers observed at
     ``now``; every other row takes the freshest observation held in the
-    group, ties resolved in the same order.  Returns True if any timer
-    changed.
+    group.  A merge must come later than the previous one (ValueError
+    otherwise): only then does an observation time name one row.  Returns
+    True if any timer changed.
     """
     if not pairs:
         return False
@@ -234,7 +234,7 @@ def exchange_all(stores: list[KnowledgeStore], pairs: list[tuple[int, int]],
     index = {v: i for i, v in enumerate(nodes)}
     hops = _hop_counts(len(nodes), [index[a] for a, _ in pairs],
                        [index[b] for _, b in pairs])
-    return _closure([stores[v] for v in nodes], hops, now)
+    return _closure(know, np.array(nodes), hops, now)
 
 
 class EdgeEnds(NamedTuple):
@@ -264,9 +264,8 @@ def edge_ends(owner: int, sdev: np.ndarray, ddev: np.ndarray,
     return EdgeEnds(src, dst, loaded, np.flatnonzero(src == dst), others)
 
 
-def edge_prices(level: str, stores: list[KnowledgeStore], owner: int, ends: EdgeEnds,
-                now: float, unit_s: float, timers: np.ndarray | None = None,
-                live_loads: np.ndarray | None = None) -> np.ndarray:
+def edge_prices(level: str, know: Knowledge, owner: int, ends: EdgeEnds, now: float,
+                unit_s: float, live_loads: np.ndarray | None = None) -> np.ndarray:
     """Edge costs, in time units, as node ``owner`` prices them at ``level``.
 
     Each edge of ``ends`` costs the estimated temporal distance between its
@@ -277,9 +276,9 @@ def edge_prices(level: str, stores: list[KnowledgeStore], owner: int, ends: Edge
     than the owner with a finite gossiped entry about d in s's row, that
     entry aged by the row's staleness ``now - observed``; the local sum
     elsewhere.  At these three levels ``s == d`` costs 0.  perfect: every
-    node's live timers (``timers``, all stores' timer vectors stacked) and
-    ``live_loads``, the true backlog per node in seconds.  Unknown (pruned)
-    peers are at infinite distance.
+    node's live timers (all rows of ``know.timers``) and ``live_loads``,
+    the true backlog per node in seconds.  Unknown (pruned) peers are at
+    infinite distance.
     """
     src, dst = ends.src, ends.dst
     if level == "minimal":
@@ -287,20 +286,19 @@ def edge_prices(level: str, stores: list[KnowledgeStore], owner: int, ends: Edge
         costs[ends.same] = 0.0
         return costs
     if level == "perfect":
-        costs = timers[src, dst]
+        costs = know.timers[src, dst]
         load = live_loads
     elif level in ("local", "global"):
-        store = stores[owner]
-        t = store.timers
+        t = know.timers[owner]
         costs = t[src] + t[dst]
         if level == "global":
             rows = src[ends.others]
-            gossip = store.matrix[rows, dst[ends.others]]
-            seen = store.matrix_obs[rows]
+            gossip = know.matrix[owner, rows, dst[ends.others]]
+            seen = know.matrix_obs[owner, rows]
             use = np.isfinite(gossip) & (seen > -math.inf)
             costs[ends.others[use]] = gossip[use] + (now - seen[use])
         costs[ends.same] = 0.0
-        load = store.loads
+        load = know.loads[owner]
     else:
         raise ValueError(f"unknown awareness level {level!r}")
     loaded = ends.loaded

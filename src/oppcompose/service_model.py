@@ -100,8 +100,10 @@ class ServiceCatalog:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ServiceCatalog":
-        excluded = {Service(a, b) for a, b in d.get("excluded", [])}
-        return enumerate_services(d["n_d"], excluded=excluded, ring=d.get("ring", False))
+        kw = dict(d)
+        if "excluded" in kw:
+            kw["excluded"] = {Service(a, b) for a, b in kw["excluded"]}
+        return enumerate_services(**kw)
 
 
 def enumerate_services(

@@ -1,7 +1,8 @@
 """Discrete-event simulation of request composition over a contact trace.
 
 The engine advances in time-ordered events: unit boundaries (timer ticks,
-one knowledge closure over the co-located groups, load-window updates),
+one knowledge closure over the co-located groups, load-window updates;
+none of these under ``minimal`` awareness),
 contact starts (encounter stats, neighbour index, forwarding attempts),
 service completions, Poisson request generation, forwarding sweeps, and
 deadline expirations.  Each composition decision is one Dijkstra over a
@@ -11,8 +12,8 @@ Knowledge changes only at unit boundaries, so an owner's graph is priced
 once per unit and, under ``local``/``global`` awareness, a plan is reused
 for the rest of the unit.  ``minimal`` prices are constant for the whole
 run, but it draws a fresh tie order per decision, so it reuses no plan;
-``perfect`` stacks all timers once per unit and adds the live backlog on
-every decision.  Each hand-off of a request (at generation, after a stage,
+``perfect`` reads every node's timers and adds the live backlog on every
+decision.  Each hand-off of a request (at generation, after a stage,
 on a relay arrival that re-plans, on a stalled retry) is queued or carried
 by :meth:`_Engine._route`, toward the stage :meth:`_Engine._next_stage`
 picks; :meth:`_Engine._deliver` takes results home.  A forwarding sweep
@@ -32,7 +33,7 @@ import numpy as np
 
 from .contact_engine import ContactTrace
 from .forwarding import EncounterStats, Scheme, MT, should_relay
-from .knowledge import (AWARENESS_LEVELS, EdgeEnds, KnowledgeStore, LoadTracker, edge_ends,
+from .knowledge import (AWARENESS_LEVELS, EdgeEnds, Knowledge, LoadTracker, edge_ends,
                         edge_prices, exchange_all)
 from .service_model import Service, ServiceCatalog, ServicePlacement
 
@@ -407,9 +408,8 @@ class _Engine:
         self.duration = contacts.duration
         self.rng = np.random.default_rng(config.seed)
         self.tie_rng = np.random.default_rng((config.seed, 0x7ee5))
-        track_matrix = config.awareness == "global"
-        self.stores = [KnowledgeStore(i, self.n, t_av=config.t_av, radius=config.radius,
-                                      track_matrix=track_matrix) for i in range(self.n)]
+        self.know = Knowledge(self.n, t_av=config.t_av, radius=config.radius,
+                              track_matrix=config.awareness == "global")
         self.trackers = [LoadTracker(mean_exec=config.mean_exec_s, alpha=config.load_alpha)
                          for _ in range(self.n)]
         self.stats = EncounterStats(self.n, window=config.scheme.window)
@@ -425,11 +425,9 @@ class _Engine:
                                        single_stage=config.exact_match)
         self.boundary_pairs = contacts.boundary_pairs(config.unit_s)
         # Per owner: its graph's edge endpoints.  Per unit: each owner's
-        # priced edge costs, and the plans they gave; all nodes' timers
-        # stacked, for perfect awareness.
+        # priced edge costs, and the plans they gave.
         self._ends: dict[int, EdgeEnds] = {}
         self._dist_cache: dict[int, list[float]] = {}
-        self._timer_stack: np.ndarray | None = None
         self._plans: dict[tuple[int, int, int], CompositionPath | None] = {}
         self._reuse_plans = config.awareness in ("local", "global")
         self._pending_sweeps: set[tuple[int, float]] = set()
@@ -467,8 +465,7 @@ class _Engine:
         Nothing the pricing reads changes within a unit except the live
         backlog that ``perfect`` awareness prices, so the costs are cached
         per (owner, unit) in ``_dist_cache`` (``minimal``: for the whole
-        run), and priced afresh on every call under ``perfect``, from one
-        timer stack per unit.
+        run), and priced afresh on every call under ``perfect``.
         """
         cached = self._dist_cache.get(owner)
         if cached is not None:
@@ -478,16 +475,14 @@ class _Engine:
         if cfg.awareness == "perfect":
             live_loads = np.array([self._pending_count(j) * cfg.mean_exec_s
                                    for j in range(self.n)])
-            if self._timer_stack is None:
-                self._timer_stack = np.stack([s.timers for s in self.stores])
         ends = self._ends.get(owner)
         if ends is None:
             template = self.template
             loaded = np.flatnonzero(template.e_load) if cfg.load_aware else None
             ends = self._ends[owner] = edge_ends(owner, template.e_sdev, template.e_ddev,
                                                  loaded)
-        costs = edge_prices(cfg.awareness, self.stores, owner, ends, self.unit_index,
-                            cfg.unit_s, self._timer_stack, live_loads).tolist()
+        costs = edge_prices(cfg.awareness, self.know, owner, ends, self.unit_index,
+                            cfg.unit_s, live_loads).tolist()
         if live_loads is None:
             self._dist_cache[owner] = costs
         return costs
@@ -756,20 +751,19 @@ class _Engine:
 
     def on_boundary(self, t: float, k: int) -> None:
         self.unit_index = k
-        if self.cfg.awareness != "minimal":  # minimal prices are constant
-            self._dist_cache.clear()
         self._plans.clear()
-        self._timer_stack = None
-        if k > 0:
-            for store in self.stores:
-                store.tick(1.0)
         pairs = self.boundary_pairs[k]
         for a, b in pairs:
             self.last_enc[a][b] = self.last_enc[b][a] = t
-        exchange_all(self.stores, pairs, now=float(k))
-        for node in range(self.n):
-            value = self.trackers[node].update(self._pending_count(node))
-            self.stores[node].loads[node] = value
+        # minimal prices are constant and read no knowledge, so it is not kept up.
+        if self.cfg.awareness != "minimal":
+            self._dist_cache.clear()
+            know = self.know
+            if k > 0:
+                know.tick(1.0)
+            exchange_all(know, pairs, now=float(k))
+            for node, tracker in enumerate(self.trackers):
+                know.loads[node, node] = tracker.update(self._pending_count(node))
         # The closure changes only the knowledge of nodes in ``pairs``.
         for node in sorted({node for pair in pairs for node in pair}):
             if self.carried[node]:

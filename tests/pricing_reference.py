@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 
-def cost_matrices(level, stores, owner, now, unit_s, live_loads=None):
+def cost_matrices(level, know, owner, now, unit_s, live_loads=None):
     """Edge-cost inputs as node ``owner`` prices them at awareness ``level``.
 
     Returns ``(dist, load)`` in time units: ``dist[i, j]`` estimates the
@@ -26,28 +26,28 @@ def cost_matrices(level, stores, owner, now, unit_s, live_loads=None):
     the true backlog per node in seconds.  Unknown (pruned) peers are at
     infinite distance.
     """
-    n = len(stores)
+    n = know.n_nodes
     if level == "minimal":
         dist = np.ones((n, n))
         np.fill_diagonal(dist, 0.0)
         load = np.zeros(n)
     elif level == "perfect":
-        dist = np.stack([s.timers for s in stores])
+        dist = know.timers.copy()
         load = live_loads / unit_s
     elif level in ("local", "global"):
-        store = stores[owner]
-        ta = store.timers
+        ta = know.timers[owner]
         dist = ta[:, None] + ta[None, :]
         if level == "global":
-            seen = store.matrix_obs > -math.inf
+            matrix, obs = know.matrix[owner], know.matrix_obs[owner]
+            seen = obs > -math.inf
             if seen.any():
-                age = now - store.matrix_obs[seen]
-                rows = store.matrix[seen] + age[:, None]
-                dist[seen] = np.where(np.isfinite(store.matrix[seen]), rows, dist[seen])
+                age = now - obs[seen]
+                rows = matrix[seen] + age[:, None]
+                dist[seen] = np.where(np.isfinite(matrix[seen]), rows, dist[seen])
         dist[owner, :] = ta
         dist[:, owner] = ta
         np.fill_diagonal(dist, 0.0)
-        load = store.loads / unit_s
+        load = know.loads[owner] / unit_s
     else:
         raise ValueError(f"unknown awareness level {level!r}")
     return dist, load

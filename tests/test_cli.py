@@ -1,3 +1,4 @@
+import inspect
 import os
 from pathlib import Path
 
@@ -6,7 +7,7 @@ import yaml
 
 from oppcompose.cli import main
 from oppcompose.experiments import load_spec
-from oppcompose.mobility import load_trace_csv
+from oppcompose.mobility import generate_hcmm, load_trace_csv
 
 
 def test_preset_writes_spec(tmp_path):
@@ -83,3 +84,16 @@ def test_analyze_bound_check(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "levy" in out and "p1" in out
+
+
+@pytest.mark.parametrize("interval", [None, 60.0])
+def test_gen_trace_sample_interval(tmp_path, interval):
+    # Unset, the interval is the generator's default.
+    params = {"n_nodes": 3, "duration": 600.0}
+    if interval is not None:
+        params["sample_interval"] = interval
+    (tmp_path / "hcmm.yaml").write_text(yaml.safe_dump(params))
+    assert main(["gen-trace", "hcmm", str(tmp_path / "hcmm.yaml"), "--out", str(tmp_path)]) == 0
+    trace = load_trace_csv(tmp_path / "hcmm_seed0.csv")
+    default = inspect.signature(generate_hcmm).parameters["sample_interval"].default
+    assert trace.sample_interval == (default if interval is None else interval)

@@ -22,8 +22,8 @@ from oppcompose.experiments import (
     service_popularity,
     summarize_group,
 )
-from oppcompose.mobility import ingest_gps_log
-from oppcompose.service_model import Service, ServiceCatalog
+from oppcompose.mobility import HcmmParams, generate_hcmm, ingest_gps_log
+from oppcompose.service_model import Service, ServiceCatalog, enumerate_services
 
 
 def tiny_spec(**kw):
@@ -378,3 +378,20 @@ def test_manifest_keeps_commas_in_error_text(tmp_path, monkeypatch):
     assert [(r["variant"], r["seed"], r["file"], r["error"]) for r in rows] == [
         ("base", "0", "", repr(error))]
     assert experiments.read_rows(tmp_path / "out" / "summary.csv") == []
+
+
+def test_unset_spec_values_take_their_consumers_defaults(tmp_path):
+    # Left out of a spec, the sample interval, the pattern kind and the ring
+    # flag are whatever the generator, build_pattern and enumerate_services
+    # take when not given them.
+    mob = {"model": "hcmm", "n_nodes": 4, "duration": 600.0, "params": {}}
+    trace = experiments.make_trace(mob, seed=3)
+    want = generate_hcmm(HcmmParams(), 4, 600.0, 3)
+    assert np.array_equal(trace.positions, want.positions)
+    assert trace.sample_interval == want.sample_interval
+    paths = _write_gps_log(tmp_path)
+    gps = experiments.make_trace({"model": "gps-files", "paths": paths}, seed=0)
+    assert gps.sample_interval == ingest_gps_log(paths).sample_interval
+    assert ServiceCatalog.from_dict({"n_d": 5}) == enumerate_services(5)
+    catalog = enumerate_services(5)
+    assert build_pattern(catalog, {"k": 2}) == build_pattern(catalog, {"kind": "min_k", "k": 2})

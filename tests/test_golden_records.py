@@ -14,6 +14,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from oppcompose import sim_core
 from oppcompose.contact_engine import ContactEvent, ContactTrace
 from oppcompose.forwarding import DIRECT, EBR, TT
 from oppcompose.service_model import assign_services, enumerate_services
@@ -107,7 +108,7 @@ def test_reused_plans_match_a_fresh_search(name, monkeypatch, tmp_path):
         reused = (node, req_in, req_out) in engine._plans
         path = compute_path(engine, node, req_in, req_out)
         cfg, template = engine.cfg, engine.template
-        dist, load = cost_matrices(cfg.awareness, engine.stores, node, engine.unit_index,
+        dist, load = cost_matrices(cfg.awareness, engine.know, node, engine.unit_index,
                                    cfg.unit_s)
         fresh = template.shortest(node, req_in, req_out,
                                   edge_costs(template, node, dist, load, cfg.load_aware))
@@ -123,3 +124,26 @@ def test_reused_plans_match_a_fresh_search(name, monkeypatch, tmp_path):
     path = tmp_path / "records.csv"
     write_records_csv(result, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN[name]
+
+
+def test_minimal_awareness_keeps_no_knowledge(monkeypatch, tmp_path):
+    # minimal prices read no timer, load or matrix, so no boundary runs the
+    # closure; the records stay as pinned.
+    calls = []
+    exchange_all = sim_core.exchange_all
+
+    def counted(know, pairs, now):
+        calls.append(now)
+        return exchange_all(know, pairs, now)
+
+    monkeypatch.setattr(sim_core, "exchange_all", counted)
+    contacts, base = scenario()
+    closures = {}
+    for name in ("minimal", "local"):
+        calls.clear()
+        result = run(SimConfig(**base, **RUNS[name]), contacts)
+        path = tmp_path / f"{name}.csv"
+        write_records_csv(result, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN[name]
+        closures[name] = len(calls)
+    assert closures["minimal"] == 0 and closures["local"] > 0

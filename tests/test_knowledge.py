@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from oppcompose.contact_engine import ContactEvent, ContactTrace
 from oppcompose.knowledge import (
     AWARENESS_LEVELS,
-    KnowledgeStore,
+    Knowledge,
     LoadTracker,
     edge_ends,
     edge_prices,
@@ -23,35 +23,33 @@ UNIT = 30.0
 
 
 def propagate(events, n_nodes, t_av, duration, radius=None, track_matrix=False):
-    """Drive stores over a contact script exactly like the simulator: tick
-    every unit, then run co-located exchanges to a fixpoint."""
-    stores = [KnowledgeStore(i, n_nodes, t_av=t_av, radius=radius,
-                             track_matrix=track_matrix) for i in range(n_nodes)]
+    """Drive knowledge over a contact script exactly like the simulator:
+    tick every unit, then run co-located exchanges to a fixpoint."""
+    know = Knowledge(n_nodes, t_av=t_av, radius=radius, track_matrix=track_matrix)
     trace = ContactTrace(events, n_nodes, duration)
     per_boundary = trace.boundary_pairs(UNIT)
     for k, pairs in enumerate(per_boundary):
         if k:
-            for s in stores:
-                s.tick(1.0)
-        exchange_all(stores, pairs, now=float(k))
-    return stores
+            know.tick(1.0)
+        exchange_all(know, pairs, now=float(k))
+    return know
 
 
 # -- tick --------------------------------------------------------------------
 
 def test_tick_increments_all_but_self():
-    store = KnowledgeStore(0, 3)
-    store.timers[1] = 3.0
-    store.tick(1.0)
-    assert store.timers[1] == 4.0
-    assert store.timers[0] == 0.0
-    assert math.isinf(store.timers[2])
+    know = Knowledge(3)
+    know.timers[0, 1] = 3.0
+    know.tick(1.0)
+    assert know.timers[0, 1] == 4.0
+    assert know.timers[0, 0] == 0.0
+    assert math.isinf(know.timers[0, 2])
 
 
 def test_two_ticks_equal_one_double_tick():
-    a = KnowledgeStore(0, 3)
-    b = KnowledgeStore(0, 3)
-    a.timers[1] = b.timers[1] = 5.0
+    a = Knowledge(3)
+    b = Knowledge(3)
+    a.timers[0, 1] = b.timers[0, 1] = 5.0
     a.tick(1.0)
     a.tick(1.0)
     b.tick(2.0)
@@ -60,79 +58,73 @@ def test_two_ticks_equal_one_double_tick():
 
 def test_tick_rejects_nonpositive():
     with pytest.raises(ValueError):
-        KnowledgeStore(0, 2).tick(0.0)
+        Knowledge(2).tick(0.0)
 
 
 # -- contact update rule -------------------------------------------------------
 
 def test_contact_rule_adopts_when_smaller_by_margin():
-    a = KnowledgeStore(0, 3, t_av=0.5)
-    b = KnowledgeStore(1, 3, t_av=0.5)
-    a.timers[2] = 50.0
-    a.loads[2] = 7.0
-    b.timers[2] = 10.0
-    b.loads[2] = 3.0
-    exchange(a, b)
-    assert a.timers[2] == 10.5
-    assert a.loads[2] == 3.0
+    know = Knowledge(3, t_av=0.5)
+    know.timers[0, 2] = 50.0
+    know.loads[0, 2] = 7.0
+    know.timers[1, 2] = 10.0
+    know.loads[1, 2] = 3.0
+    exchange(know, 0, 1)
+    assert know.timers[0, 2] == 10.5
+    assert know.loads[0, 2] == 3.0
 
 
 def test_contact_rule_guard_blocks_small_improvements():
-    a = KnowledgeStore(0, 3, t_av=0.5)
-    b = KnowledgeStore(1, 3, t_av=0.5)
-    a.timers[2] = 10.0
-    b.timers[2] = 9.8
-    exchange(a, b)
-    assert a.timers[2] == 10.0  # 9.8 < 10 - 0.5 fails
+    know = Knowledge(3, t_av=0.5)
+    know.timers[0, 2] = 10.0
+    know.timers[1, 2] = 9.8
+    exchange(know, 0, 1)
+    assert know.timers[0, 2] == 10.0  # 9.8 < 10 - 0.5 fails
 
 
 def test_contact_sets_peer_timer_to_t_av():
-    a = KnowledgeStore(0, 2, t_av=0.5)
-    b = KnowledgeStore(1, 2, t_av=0.5)
-    exchange(a, b)
-    assert a.timers[1] == 0.5
-    assert b.timers[0] == 0.5
+    know = Knowledge(2, t_av=0.5)
+    exchange(know, 0, 1)
+    assert know.timers[0, 1] == 0.5
+    assert know.timers[1, 0] == 0.5
     # A second exchange leaves it pinned at t_av.
-    exchange(a, b)
-    assert a.timers[1] == 0.5
+    exchange(know, 0, 1)
+    assert know.timers[0, 1] == 0.5
 
 
 def test_missing_entries_always_adopted():
-    a = KnowledgeStore(0, 4, t_av=0.5)
-    b = KnowledgeStore(1, 4, t_av=0.5)
-    b.timers[3] = 12.0
-    b.loads[3] = 9.0
-    exchange(a, b)
-    assert a.timers[3] == 12.5
-    assert a.loads[3] == 9.0
+    know = Knowledge(4, t_av=0.5)
+    know.timers[1, 3] = 12.0
+    know.loads[1, 3] = 9.0
+    exchange(know, 0, 1)
+    assert know.timers[0, 3] == 12.5
+    assert know.loads[0, 3] == 9.0
 
 
 def test_exchange_is_order_symmetric():
     def build():
-        a = KnowledgeStore(0, 4, t_av=0.5)
-        b = KnowledgeStore(1, 4, t_av=0.5)
-        a.timers[2], b.timers[2] = 4.0, 9.0
-        a.timers[3], b.timers[3] = 20.0, 3.0
-        return a, b
+        know = Knowledge(4, t_av=0.5)
+        know.timers[0, 2], know.timers[1, 2] = 4.0, 9.0
+        know.timers[0, 3], know.timers[1, 3] = 20.0, 3.0
+        return know
 
-    a1, b1 = build()
-    exchange(a1, b1)
-    a2, b2 = build()
-    exchange(b2, a2)
-    assert np.array_equal(a1.timers, a2.timers)
-    assert np.array_equal(b1.timers, b2.timers)
+    first = build()
+    exchange(first, 0, 1)
+    second = build()
+    exchange(second, 1, 0)
+    assert np.array_equal(first.timers[0], second.timers[0])
+    assert np.array_equal(first.timers[1], second.timers[1])
 
 
 def test_radius_pruning_drops_far_entries():
-    a = KnowledgeStore(0, 3, t_av=0.5, radius=10.0)
-    b = KnowledgeStore(1, 3, t_av=0.5, radius=10.0)
-    b.timers[2] = 30.0
-    exchange(a, b)
-    assert math.isinf(a.timers[2])  # 30.5 exceeds the radius, not stored
-    a.timers[2] = 9.0
-    a.tick(1.0)
-    a.tick(1.0)
-    assert math.isinf(a.timers[2])  # ticked past the radius, dropped
+    know = Knowledge(3, t_av=0.5, radius=10.0)
+    know.timers[1, 2] = 30.0
+    exchange(know, 0, 1)
+    assert math.isinf(know.timers[0, 2])  # 30.5 exceeds the radius, not stored
+    know.timers[0, 2] = 9.0
+    know.tick(1.0)
+    know.tick(1.0)
+    assert math.isinf(know.timers[0, 2])  # ticked past the radius, dropped
 
 
 def test_three_node_chain_matches_oracle_plus_hops():
@@ -141,11 +133,11 @@ def test_three_node_chain_matches_oracle_plus_hops():
     # using 2 transfers.
     events = [ContactEvent(0.0, 30.0, 1, 2), ContactEvent(150.0, 180.0, 0, 1)]
     t_av = 0.5
-    stores = propagate(events, 3, t_av, duration=300.0)
+    know = propagate(events, 3, t_av, duration=300.0)
     t_query = 300.0
     oracle = contact_sequence_oracle(ContactTrace(events, 3, 300.0), 2, 0, t_query)
     assert oracle == 270.0
-    assert stores[0].timers[2] * UNIT == oracle + 2 * t_av * UNIT
+    assert know.timers[0, 2] * UNIT == oracle + 2 * t_av * UNIT
 
 
 # -- timer correctness against the oracle ---------------------------------------
@@ -175,12 +167,12 @@ def test_timers_bounded_by_oracle(t_av):
         n = int(rng.integers(3, 7))
         events = random_script(rng, n, 14, horizon_units)
         trace = ContactTrace(events, n, duration)
-        stores = propagate(events, n, t_av, duration)
+        know = propagate(events, n, t_av, duration)
         for a in range(n):
             for i in range(n):
                 if i == a:
                     continue
-                timer_s = stores[a].timers[i] * UNIT
+                timer_s = know.timers[a, i] * UNIT
                 lo = contact_sequence_oracle(trace, i, a, duration)
                 hi = relay_cost_oracle(trace, i, a, duration, hop_cost=t_av * UNIT)
                 if math.isinf(lo):
@@ -225,54 +217,53 @@ def test_load_closed_form_on_scripted_backlog():
 
 # -- estimates -------------------------------------------------------------------
 
-def priced(level, stores, now=0.0, live_loads=None):
+def priced(level, know, now=0.0, live_loads=None):
     """Node 0's (dist, load); one-second units keep loads in seconds."""
-    return cost_matrices(level, stores, 0, now, 1.0, live_loads)
+    return cost_matrices(level, know, 0, now, 1.0, live_loads)
 
 
 def test_minimal_level_constant():
-    dist, load = priced("minimal", [KnowledgeStore(i, 5) for i in range(5)])
+    dist, load = priced("minimal", Knowledge(5))
     assert dist[1, 3] == 1.0
     assert load[3] == 0.0
 
 
 def test_local_level_own_timer():
-    stores = [KnowledgeStore(i, 5) for i in range(5)]
-    stores[0].timers[3] = 7.0
-    dist, _ = priced("local", stores)
+    know = Knowledge(5)
+    know.timers[0, 3] = 7.0
+    dist, _ = priced("local", know)
     assert dist[0, 3] == 7.0
     assert dist[3, 0] == 7.0
 
 
 def test_local_level_sum_for_other_pairs():
-    stores = [KnowledgeStore(i, 5) for i in range(5)]
-    stores[0].timers[1] = 3.0
-    stores[0].timers[2] = 4.0
-    assert priced("local", stores)[0][1, 2] == 7.0
+    know = Knowledge(5)
+    know.timers[0, 1] = 3.0
+    know.timers[0, 2] = 4.0
+    assert priced("local", know)[0][1, 2] == 7.0
 
 
 def test_unknown_peer_is_unreachable():
-    stores = [KnowledgeStore(i, 5) for i in range(5)]
-    stores[0].timers[1] = 3.0
-    assert math.isinf(priced("local", stores)[0][1, 2])
+    know = Knowledge(5)
+    know.timers[0, 1] = 3.0
+    assert math.isinf(priced("local", know)[0][1, 2])
 
 
 def test_perfect_level_reads_live_stores():
-    stores = [KnowledgeStore(i, 3) for i in range(3)]
-    stores[1].timers[2] = 5.0
-    dist, load = priced("perfect", stores, live_loads=np.array([0.0, 0.0, 42.0]))
+    know = Knowledge(3)
+    know.timers[1, 2] = 5.0
+    dist, load = priced("perfect", know, live_loads=np.array([0.0, 0.0, 42.0]))
     assert dist[1, 2] == 5.0
     assert load[2] == 42.0
 
 
 def test_global_level_uses_aged_rows():
-    stores = [KnowledgeStore(i, 3, track_matrix=True) for i in range(3)]
-    a, b = stores[0], stores[1]
-    b.timers[2] = 2.0
-    exchange(a, b, now=10.0)
+    know = Knowledge(3, track_matrix=True)
+    know.timers[1, 2] = 2.0
+    exchange(know, 0, 1, now=10.0)
     # Row for node 1 observed at t=10 says t_1(2) = 2; four units later the
     # estimate has aged accordingly.
-    assert priced("global", stores, now=14.0)[0][1, 2] == 6.0
+    assert priced("global", know, now=14.0)[0][1, 2] == 6.0
 
 
 def test_local_sum_brackets_oracle_under_recurring_contacts():
@@ -285,11 +276,11 @@ def test_local_sum_brackets_oracle_under_recurring_contacts():
         events.append(ContactEvent((k + 1) * UNIT, (k + 2) * UNIT, 0, 2))
     duration = 40 * UNIT
     trace = ContactTrace(events, 3, duration)
-    stores = propagate(events, 3, 0.5, duration)
+    know = propagate(events, 3, 0.5, duration)
     t = duration
     true_12 = contact_sequence_oracle(trace, 1, 2, t)
-    approx = priced("local", stores)[0][1, 2] * UNIT
-    spread = abs(stores[0].timers[1] - stores[0].timers[2]) * UNIT
+    approx = priced("local", know)[0][1, 2] * UNIT
+    spread = abs(know.timers[0, 1] - know.timers[0, 2]) * UNIT
     assert spread - 2 * 0.5 * UNIT <= true_12 <= approx + 2 * 0.5 * UNIT
 
 
@@ -321,38 +312,36 @@ def pricing_cases(draw):
                                  repetition=1)
     radius = draw(st.one_of(st.none(), st.floats(5.0, 40.0)))
     now = draw(st.integers(20, 40))
-    stores = []
+    know = Knowledge(n, radius=radius, track_matrix=True)
     for i in range(n):
-        store = KnowledgeStore(i, n, radius=radius, track_matrix=True)
-        store.timers[:] = draw(st.lists(TIMERS, min_size=n, max_size=n))
-        store.timers[i] = 0.0
-        store.tick(1.0)  # ages every entry and prunes those past the radius
-        store.loads[:] = draw(st.lists(AMOUNTS, min_size=n, max_size=n))
+        know.timers[i] = draw(st.lists(TIMERS, min_size=n, max_size=n))
+        know.timers[i, i] = 0.0
+    know.tick(1.0)  # ages every entry and prunes those past the radius
+    for i in range(n):
+        know.loads[i] = draw(st.lists(AMOUNTS, min_size=n, max_size=n))
         for row in range(n):
             kind = draw(st.sampled_from(("unobserved", "observed", "infinite")))
             if kind == "unobserved":
                 continue
-            store.matrix_obs[row] = draw(st.floats(0.0, float(now)))
+            know.matrix_obs[i, row] = draw(st.floats(0.0, float(now)))
             if kind == "observed":
-                store.matrix[row] = draw(st.lists(TIMERS, min_size=n, max_size=n))
-        stores.append(store)
+                know.matrix[i, row] = draw(st.lists(TIMERS, min_size=n, max_size=n))
     live_loads = np.array(draw(st.lists(AMOUNTS, min_size=n, max_size=n)))
     unit_s = draw(st.sampled_from((1.0, 7.0, 30.0)))
-    return _GraphTemplate(placement, 4, single_stage=False), stores, owner, now, unit_s, live_loads
+    return _GraphTemplate(placement, 4, single_stage=False), know, owner, now, unit_s, live_loads
 
 
 @pytest.mark.parametrize("level", AWARENESS_LEVELS)
 @settings(max_examples=75, deadline=None)
 @given(case=pricing_cases(), load_aware=st.booleans())
 def test_edge_prices_match_reference_matrices(level, case, load_aware):
-    template, stores, owner, now, unit_s, live_loads = case
-    dist, load = cost_matrices(level, stores, owner, now, unit_s, live_loads)
+    template, know, owner, now, unit_s, live_loads = case
+    dist, load = cost_matrices(level, know, owner, now, unit_s, live_loads)
     expected = edge_costs(template, owner, dist, load, load_aware)
     loaded = np.flatnonzero(template.e_load) if load_aware else None
     ends = edge_ends(owner, template.e_sdev, template.e_ddev, loaded)
     src, dst = ends.src, ends.dst
     assert any(src == dst) and any((src == owner) & (dst != owner)) and len(ends.others)
-    timers = np.stack([s.timers for s in stores])
-    got = edge_prices(level, stores, owner, ends, now, unit_s, timers, live_loads).tolist()
+    got = edge_prices(level, know, owner, ends, now, unit_s, live_loads).tolist()
     assert got == expected
     assert np.array(got).tobytes() == np.array(expected).tobytes()

@@ -586,9 +586,8 @@ def test_perfect_awareness_prices_live_backlog_on_every_search():
                        pattern=RequestPattern(pairs=((1, 2),)), awareness="perfect",
                        request_rate_per_min=0.0)
     engine = _Engine(config, no_contact_trace(3, 600.0))
-    for store in engine.stores:
-        store.timers[:] = 1.0
-        store.timers[store.owner] = 0.0
+    engine.know.timers[:] = 1.0
+    np.fill_diagonal(engine.know.timers, 0.0)
     first = engine.compute_path(0, 1, 2)
     assert first.hosts() == (1,) and first.cost == 2.0  # tie: lower host
     engine.queues[1].append(object())  # one request ahead: mean_exec_s / unit_s = 1 unit
