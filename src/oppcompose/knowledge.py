@@ -9,12 +9,15 @@ each unit boundary every group of co-located nodes settles at once to what
 repeated contacts would reach,
 ``T_i[k] = min_j (T_j[k] + t_av * hops(i, j))`` over the group, with the
 load taken from the minimising source (ties: own entry, then fewer hops,
-then lower node id).  Under ``global`` awareness nodes also gossip timer
-rows, merged once per group: each member takes the group's freshest
-observation of each row.  :func:`edge_prices` turns this state into the
-cost of every composition graph edge an owner prices, one rule per
-awareness level (:data:`AWARENESS_LEVELS`): the owner's vectors are read
-at the edges' device endpoints only.
+then lower node id).  Only the columns k that pricing reads are settled
+(:attr:`Knowledge.columns`), and when the previous boundary's pairs are
+known, only sources j at the ends of contacts new since then, plus k
+itself, can win (see :func:`exchange_all`).  Under ``global`` awareness
+nodes also gossip timer rows, merged once per group: each member takes
+the group's freshest observation of each row.  :func:`edge_prices` turns
+this state into the cost of every composition graph edge an owner prices,
+one rule per awareness level (:data:`AWARENESS_LEVELS`): the owner's
+vectors are read at the edges' device endpoints only.
 """
 
 from __future__ import annotations
@@ -49,14 +52,20 @@ class Knowledge:
     bounding the state kept for far-away nodes.  With ``track_matrix`` (the
     distributed-global level), ``matrix[i, r]`` is the last timer row of
     node r that node i observed and ``matrix_obs[i, r]`` the time (in
-    units) of that observation, ``-inf`` if none.
+    units) of that observation, ``-inf`` if none.  ``t_av`` must be
+    positive.  Closures settle only the ``columns`` given (default: all);
+    the others keep ticking but are never exchanged, so only the kept
+    columns of ``timers``, ``loads`` and ``matrix`` mean anything.
     """
 
     def __init__(self, n_nodes: int, t_av: float = 1.0, radius: float | None = None,
-                 track_matrix: bool = False):
+                 track_matrix: bool = False, columns=None):
         self.n_nodes = n_nodes
         self.t_av = t_av
         self.radius = radius
+        # Not np.unique: it imports numpy.ma, about 1 MB and 20 ms on first use.
+        self.columns = np.array(range(n_nodes) if columns is None else sorted(set(columns)),
+                                dtype=np.intp)
         self.timers = np.full((n_nodes, n_nodes), math.inf)
         np.fill_diagonal(self.timers, 0.0)
         self.loads = np.zeros((n_nodes, n_nodes))
@@ -98,6 +107,7 @@ class LoadTracker:
 _CHUNK_ELEMS = 1 << 16
 
 _PAIR_HOPS = np.array([[0.0, 1.0], [1.0, 0.0]])
+_BOTH = np.arange(2)
 
 
 def _hop_counts(m: int, ia: list[int], ib: list[int]) -> np.ndarray:
@@ -105,76 +115,91 @@ def _hop_counts(m: int, ia: list[int], ib: list[int]) -> np.ndarray:
     edges ``(ia[e], ib[e])``; infinity between components.
 
     Each BFS level is one boolean frontier times adjacency product, done
-    as a float32 matmul (counts stay far below 2**24).
+    as a float32 matmul (counts stay far below 2**24); a pair's count is
+    the number of levels it stays unreached.
     """
     adj = np.zeros((m, m), dtype=np.float32)
     adj[ia, ib] = adj[ib, ia] = 1.0
-    hops = np.full((m, m), math.inf)
-    np.fill_diagonal(hops, 0.0)
     frontier = np.eye(m, dtype=np.float32)
-    level = 0
+    unseen = frontier == 0
+    hops = np.zeros((m, m))
     while True:
-        level += 1
-        new = (frontier @ adj > 0) & np.isinf(hops)
+        new = frontier @ adj > 0
+        new &= unseen
         if not new.any():
+            hops[unseen] = math.inf
             return hops
-        hops[new] = level
+        hops += unseen
+        unseen ^= new
         frontier = new.astype(np.float32)
 
 
-def _closure(know: Knowledge, nodes: np.ndarray, hops: np.ndarray, now: float) -> bool:
+def _closure(know: Knowledge, nodes: np.ndarray, hops: np.ndarray, seeds: np.ndarray,
+             now: float) -> bool:
     """Settle co-located nodes as :func:`exchange_all` describes.
 
     ``nodes`` are the members in id order and ``hops[i, j]`` is the hop
-    count between members i and j, infinite across groups.  All candidates
-    come from the entries held before the call.  Returns True if any timer
-    changed.
+    count between members i and j, infinite across groups.  Receiver i's
+    candidates in kept column c are its own entry, node c's zero entry
+    about itself ``hops(i, c)`` hops away (where c is a member), and the
+    entries of the ``seeds`` (member positions) in i's group, all as held
+    before the call.  Returns True if any timer changed.
     """
     if know.matrix is not None:
         if now <= know.merged_at:
             raise ValueError(f"timer rows merged at {now}, not after the last merge "
                              f"at {know.merged_at}")
         know.merged_at = now
-    m = len(nodes)
-    timers, loads = know.timers[nodes], know.loads[nodes]
-    same = np.isfinite(hops)
-    # Sources per receiver in tie order: itself (the only 0-hop entry), then
-    # by hops, then by node id (a stable sort of id-ordered members; small
-    # integer keys sort by radix).  The first ``size[i]`` are i's component.
-    keys = np.minimum(hops, m).astype(np.min_scalar_type(m))
-    order = np.argsort(keys, axis=1, kind="stable")
-    hops = np.take_along_axis(hops, order, axis=1)
-    size = same.sum(axis=1)
-    cost = np.full_like(hops, math.inf)
-    np.multiply(hops, know.t_av, out=cost, where=np.isfinite(hops))
-    radius = math.inf if know.radius is None else know.radius
-    new_timers, new_loads = timers.copy(), loads.copy()
-    cols = np.arange(know.n_nodes)
-    # Receivers from the largest components down, in chunks whose
-    # (receivers, sources, nodes) candidates stay within _CHUNK_ELEMS.
+    m, n = len(nodes), know.n_nodes
+    cols = know.columns
+    cells = nodes[:, None], cols
+    timers, loads = know.timers[cells], know.loads[cells]
+    # A candidate's label is (value, hops, source id), compared in that
+    # order; ``rank`` = hops * n + id orders the last two.  Each cell starts
+    # from its column's own node.
+    win_hops = np.full((m, n), math.inf)
+    win_hops[:, nodes] = hops
+    win_hops = win_hops[:, cols]
+    win = win_hops * know.t_av
+    win_rank = win_hops * n + cols
+    win_loads = np.repeat(know.loads[cols, cols][None], m, axis=0)
+    # Seeds per receiver by rank; the first ``size[i]`` are in i's group.
+    seed_hops = hops[:, seeds]
+    order = np.argsort(seed_hops * n + nodes[seeds], axis=1)
+    seed_hops = seed_hops[np.arange(m)[:, None], order]
+    seed_rank = seed_hops * n + nodes[seeds[order]]
+    cost = seed_hops * know.t_av
+    size = np.isfinite(cost).sum(axis=1)
+    lanes = np.arange(len(cols))
+    # Receivers from the most seeds down, in chunks whose (seeds, receivers,
+    # columns) candidates stay within _CHUNK_ELEMS.
     by_size = np.argsort(-size, kind="stable")
     lo = 0
-    while lo < m:
+    while lo < m and size[by_size[lo]]:
         width = size[by_size[lo]]
-        rows = by_size[lo:lo + max(1, _CHUNK_ELEMS // (width * know.n_nodes))]
+        rows = by_size[lo:lo + max(1, _CHUNK_ELEMS // (width * len(cols)))]
         lo += len(rows)
-        pick = np.arange(len(rows))[:, None]
-        src = order[rows, :width]
+        src = seeds[order[rows, :width].T]
         cand = timers[src]
-        cand += cost[rows, :width, None]
-        first = cand.argmin(axis=1)  # first minimum: the tie order above
-        best = cand[pick, first, cols]
-        adopt = (first > 0) & (best <= radius)
-        adopt[pick[:, 0], nodes[rows]] = False
-        new_timers[rows] = np.where(adopt, best, timers[rows])
-        new_loads[rows] = np.where(adopt, loads[src[pick, first], cols], loads[rows])
-    know.timers[nodes] = new_timers
-    know.loads[nodes] = new_loads
+        cand += cost[rows, :width].T[:, :, None]
+        best = cand.min(axis=0)
+        first = (cand == best).argmax(axis=0)  # the first minimum has the lowest rank
+        init = win[rows]
+        take = (best < init) | ((best == init) & (seed_rank[rows[:, None], first] < win_rank[rows]))
+        win[rows] = np.where(take, best, init)
+        via = src[first, np.arange(len(rows))[:, None]]
+        win_loads[rows] = np.where(take, loads[via, lanes], win_loads[rows])
+    # The own entry wins every tie: it is the only 0-hop candidate.
+    radius = math.inf if know.radius is None else know.radius
+    adopt = (win < timers) & (win <= radius) & (cols != nodes[:, None])
+    know.timers[cells] = np.where(adopt, win, timers)
+    know.loads[cells] = np.where(adopt, win_loads, loads)
     if know.matrix is not None:
         # One merge per group, each group named by its lowest member.
+        same = np.isfinite(hops)
         for lowest in np.flatnonzero(same.argmax(axis=1) == np.arange(m)):
             _merge_rows(know, nodes[same[lowest]], now)
-    return bool((new_timers != timers).any())
+    return bool(adopt.any())
 
 
 def _merge_rows(know: Knowledge, group: np.ndarray, now: float) -> None:
@@ -201,20 +226,39 @@ def exchange(know: Knowledge, a: int, b: int, now: float = 0.0) -> bool:
     strictly better entries (by more than ``t_av``), computed from the
     entries both held before the call.
     """
-    return _closure(know, np.array(sorted((a, b))), _PAIR_HOPS, now)
+    return _closure(know, np.array(sorted((a, b))), _PAIR_HOPS, _BOTH, now)
 
 
-def exchange_all(know: Knowledge, pairs: list[tuple[int, int]], now: float = 0.0) -> bool:
+def _exact_sums(t_av: float) -> bool:
+    """Whether every timer sum is exact: with ``t_av`` a multiple of 2**-20,
+    each timer (whole ticks plus ``t_av`` per hop) is one too."""
+    return float(t_av).as_integer_ratio()[1] <= 1 << 20
+
+
+def exchange_all(know: Knowledge, pairs: list[tuple[int, int]], now: float = 0.0,
+                 previous: list[tuple[int, int]] | None = None) -> bool:
     """Settle every group of co-located nodes in one min-plus closure.
 
     ``pairs`` are the node pairs in contact at this instant; their
     connected components are the co-located groups.  Pairwise contacts
     repeated until nothing changes converge to
     ``T_i[k] = min_j (T_j[k] + t_av * hops(i, j))`` over i's group, so
-    this computes that directly: hop counts by BFS, then one vectorised
-    minimum per receiver over the entries held before the call.  As in a
-    single contact, a candidate replaces the own entry only when strictly
-    smaller and within ``radius``, and the owner's entry stays zero.
+    this computes that directly, from the entries held before the call.
+    As in a single contact, a candidate replaces the own entry only when
+    strictly smaller and within ``radius``, and the owner's entry stays zero.
+
+    Only ``know.columns`` are settled.  ``previous``, if given, are the
+    pairs of the last closure, and no timer may have changed since but by
+    one ``tick(1.0)``.  Then three kinds of source can still win receiver
+    i's entry about k: i itself, node k with its zero entry about itself,
+    and the endpoints of the pairs new since ``previous``.  That closure left
+    ``T_u[k] <= T_w[k] + t_av`` on each of its pairs (u, w), and a tick keeps
+    this for every k but w, whose own entry stays zero.  So if a source j's
+    first hop toward i, to v, were an old pair, v's entry would offer no
+    more at one hop fewer and outrank j.  Every member is a source when
+    ``previous`` is None, when ``radius`` is set (pruning at a tick breaks
+    the inequality) and when ``t_av`` is not a multiple of 2**-20 (rounded
+    sums may break it).
 
     Timers equal the pairwise fixed point exactly whenever the sums are
     exact (``t_av`` a dyadic value such as 0.5 or 1.0); other values may
@@ -232,9 +276,15 @@ def exchange_all(know: Knowledge, pairs: list[tuple[int, int]], now: float = 0.0
         return False
     nodes = sorted({v for pair in pairs for v in pair})
     index = {v: i for i, v in enumerate(nodes)}
+    if previous is None or know.radius is not None or not _exact_sums(know.t_av):
+        seeds = np.arange(len(nodes))
+    else:
+        old = set(previous)
+        seeds = np.fromiter({index[v] for pair in pairs if pair not in old for v in pair},
+                            dtype=np.intp)
     hops = _hop_counts(len(nodes), [index[a] for a, _ in pairs],
                        [index[b] for _, b in pairs])
-    return _closure(know, np.array(nodes), hops, now)
+    return _closure(know, np.array(nodes), hops, seeds, now)
 
 
 class EdgeEnds(NamedTuple):

@@ -2,7 +2,9 @@
 
 The engine advances in time-ordered events: unit boundaries (timer ticks,
 one knowledge closure over the co-located groups, load-window updates;
-none of these under ``minimal`` awareness),
+none of these under ``minimal`` awareness; the closure settles only the
+service hosts' columns, every column under ``perfect``, and is told the
+previous boundary's pairs so it seeds at new contacts only),
 contact starts (encounter stats, neighbour index, forwarding attempts),
 service completions, Poisson request generation, forwarding sweeps, and
 deadline expirations.  Each composition decision is one Dijkstra over a
@@ -129,6 +131,13 @@ class SimConfig:
             raise ValueError("request rate must be nonnegative")
         if self.timeout_s <= 0:
             raise ValueError("timeout must be positive")
+        # The closure's tie order and its seeding both rest on t_av > 0.
+        if not self.t_av > 0:
+            raise ValueError("t_av must be positive")
+        if not self.unit_s > 0:
+            raise ValueError("unit_s must be positive")
+        if self.radius is not None and not self.radius > 0:
+            raise ValueError("radius must be positive")
         if self.awareness not in AWARENESS_LEVELS:
             raise ValueError(f"unknown awareness level {self.awareness!r}")
         if self.opportunistic not in ("off", "relay", "contact"):
@@ -408,8 +417,6 @@ class _Engine:
         self.duration = contacts.duration
         self.rng = np.random.default_rng(config.seed)
         self.tie_rng = np.random.default_rng((config.seed, 0x7ee5))
-        self.know = Knowledge(self.n, t_av=config.t_av, radius=config.radius,
-                              track_matrix=config.awareness == "global")
         self.trackers = [LoadTracker(mean_exec=config.mean_exec_s, alpha=config.load_alpha)
                          for _ in range(self.n)]
         self.stats = EncounterStats(self.n, window=config.scheme.window)
@@ -423,6 +430,11 @@ class _Engine:
         self.unit_index = 0
         self.template = _GraphTemplate(config.placement, config.catalog.n_d,
                                        single_stage=config.exact_match)
+        # Pricing reads only the hosts' columns; ``perfect`` reads the owner's too.
+        self.know = Knowledge(self.n, t_av=config.t_av, radius=config.radius,
+                              track_matrix=config.awareness == "global",
+                              columns=None if config.awareness == "perfect"
+                              else self.template.hosts)
         self.boundary_pairs = contacts.boundary_pairs(config.unit_s)
         # Per owner: its graph's edge endpoints.  Per unit: each owner's
         # priced edge costs, and the plans they gave.
@@ -761,7 +773,8 @@ class _Engine:
             know = self.know
             if k > 0:
                 know.tick(1.0)
-            exchange_all(know, pairs, now=float(k))
+            exchange_all(know, pairs, now=float(k),
+                         previous=self.boundary_pairs[k - 1] if k else None)
             for node, tracker in enumerate(self.trackers):
                 know.loads[node, node] = tracker.update(self._pending_count(node))
         # The closure changes only the knowledge of nodes in ``pairs``.

@@ -1,20 +1,28 @@
 """Differential tests of the one-shot knowledge closure.
 
-The reference is the rule the closure replaces: symmetric pairwise
+The first reference is the rule the closure replaces: symmetric pairwise
 exchanges over every co-located pair, repeated until no timer changes.
 Each boundary starts both from the same state, so a tie resolved
-differently at one boundary cannot mask a difference at the next.
+differently at one boundary cannot mask a difference at the next.  The
+second is the dense closure, every member a source in every column; it
+carries its state across boundaries beside the seeded closure, in replays
+and in whole engine runs.
 """
 
 import copy
+import hashlib
 import math
 from collections import deque
 
 import numpy as np
 import pytest
 
-from oppcompose.contact_engine import ContactEvent, ContactTrace
-from oppcompose.knowledge import Knowledge, exchange, exchange_all
+from oppcompose import sim_core
+from oppcompose.contact_engine import ContactEvent, ContactTrace, contacts_from_positions
+from oppcompose.knowledge import Knowledge, _hop_counts, _merge_rows, exchange, exchange_all
+from oppcompose.mobility import LevyWalkParams, generate_levy
+from oppcompose.service_model import assign_services, enumerate_services
+from oppcompose.sim_core import RequestPattern, SimConfig, run, write_records_csv
 
 UNIT = 30.0
 
@@ -126,6 +134,47 @@ def expected_closure(before, pairs, now):
             obs[r] = before.matrix_obs[winner, r]
         out[i]["matrix"], out[i]["obs"] = matrix, obs
     return out
+
+
+# -- dense closure (reference) ------------------------------------------------------
+
+def dense_exchange_all(know, pairs, now=0.0, previous=None):
+    """Every member a source for every receiver, in every column.
+
+    ``previous`` is accepted and ignored, so this can stand in for
+    ``sim_core.exchange_all``.
+    """
+    if not pairs:
+        return False
+    nodes = sorted({v for pair in pairs for v in pair})
+    index = {v: i for i, v in enumerate(nodes)}
+    hops = _hop_counts(len(nodes), [index[a] for a, _ in pairs], [index[b] for _, b in pairs])
+    nodes = np.array(nodes)
+    m = len(nodes)
+    timers, loads = know.timers[nodes], know.loads[nodes]
+    same = np.isfinite(hops)
+    # Sources per receiver in tie order: itself, then by hops, then by id.
+    order = np.argsort(np.minimum(hops, m), axis=1, kind="stable")
+    hops = np.take_along_axis(hops, order, axis=1)
+    cost = np.where(np.isfinite(hops), hops * know.t_av, math.inf)
+    radius = math.inf if know.radius is None else know.radius
+    new_timers, new_loads = timers.copy(), loads.copy()
+    cols = np.arange(know.n_nodes)
+    for i in range(m):
+        width = same[i].sum()
+        cand = timers[order[i, :width]] + cost[i, :width, None]
+        first = cand.argmin(axis=0)
+        best = cand[first, cols]
+        adopt = (first > 0) & (best <= radius)
+        adopt[nodes[i]] = False
+        new_timers[i] = np.where(adopt, best, timers[i])
+        new_loads[i] = np.where(adopt, loads[order[i, first], cols], loads[i])
+    know.timers[nodes] = new_timers
+    know.loads[nodes] = new_loads
+    if know.matrix is not None:
+        for lowest in np.flatnonzero(same.argmax(axis=1) == np.arange(m)):
+            _merge_rows(know, nodes[same[lowest]], now)
+    return bool((new_timers != timers).any())
 
 
 # -- scripts ---------------------------------------------------------------------
@@ -242,3 +291,107 @@ def test_matrix_merge_must_come_later_than_the_last():
     untracked = Knowledge(4)
     exchange_all(untracked, [(0, 1)], now=3.0)
     exchange_all(untracked, [(0, 1)], now=3.0)
+
+
+# -- chained replays -----------------------------------------------------------------
+
+def drifting_pairs(rng, n_nodes, n_boundaries):
+    """Per boundary, the sorted pairs in contact: each boundary some pairs
+    part and others meet, so groups merge and split; now and then all part."""
+    pairs, out = set(), []
+    for _ in range(n_boundaries):
+        if rng.random() < 0.05:
+            pairs = set()
+        pairs = {p for p in pairs if rng.random() > 0.15}
+        for _ in range(int(rng.integers(0, 13))):
+            pairs.add(tuple(sorted(int(v) for v in rng.choice(n_nodes, 2, replace=False))))
+        out.append(sorted(pairs))
+    return out
+
+
+@pytest.mark.parametrize("columns", ["all", "odd"])
+@pytest.mark.parametrize("track_matrix", [False, True])
+@pytest.mark.parametrize("t_av, radius", [(0.5, None), (1.0, None), (0.3, None), (1.0, 6.0)])
+def test_seeded_closure_matches_dense_across_boundaries(t_av, radius, track_matrix, columns):
+    # Both carry their own state from boundary to boundary, ticking and
+    # writing own loads alike; only the seeded closure is told the last pairs.
+    n = 40
+    rng = np.random.default_rng(11)
+    kept = None if columns == "all" else np.arange(1, n, 2)
+    know = Knowledge(n, t_av=t_av, radius=radius, track_matrix=track_matrix, columns=kept)
+    oracle = Knowledge(n, t_av=t_av, radius=radius, track_matrix=track_matrix)
+    cols = know.columns
+    counts = {"seeded": 0, "parted": 0, "multihop": 0, "changed": 0}
+    previous = None
+    for k, pairs in enumerate(drifting_pairs(rng, n, 80)):
+        if k:
+            know.tick(1.0)
+            oracle.tick(1.0)
+        own = rng.integers(1, 10**6, size=n).astype(float)
+        know.loads[np.arange(n), np.arange(n)] = oracle.loads[np.arange(n), np.arange(n)] = own
+        changed = exchange_all(know, pairs, now=float(k), previous=previous)
+        dense_changed = dense_exchange_all(oracle, pairs, now=float(k))
+        members = {v for p in pairs for v in p}
+        fresh = {v for p in set(pairs) - set(previous or ()) for v in p}
+        counts["seeded"] += len(fresh) < len(members)
+        counts["parted"] += bool(set(previous or ()) - set(pairs))
+        hops = _hop_counts(n, [a for a, _ in pairs], [b for _, b in pairs])
+        counts["multihop"] += bool((hops[np.isfinite(hops)] > 2).any())
+        counts["changed"] += changed
+        assert np.array_equal(know.timers[:, cols], oracle.timers[:, cols])
+        assert np.array_equal(know.loads[:, cols], oracle.loads[:, cols])
+        if columns == "all":
+            assert changed == dense_changed
+        if track_matrix:
+            assert np.array_equal(know.matrix[:, :, cols], oracle.matrix[:, :, cols])
+            assert np.array_equal(know.matrix_obs, oracle.matrix_obs)
+        previous = pairs
+    assert min(counts.values()) > 40
+
+
+# -- whole engine runs -------------------------------------------------------------
+
+N_ENGINE = 14
+
+
+@pytest.fixture(scope="module")
+def engine_scenario():
+    """Levy contacts among 14 nodes; six services, one copy each, so at
+    least eight nodes host none and pricing reads only some columns."""
+    params = LevyWalkParams(area=(450.0, 450.0), speed_classes=((10, (1.0, 1.0)),
+                                                                (4, (10.0, 10.0))))
+    contacts = contacts_from_positions(generate_levy(params, N_ENGINE, 2400.0, seed=5), 100.0)
+    catalog = enumerate_services(4)
+    placement = assign_services(catalog, list(range(N_ENGINE)), 1, np.random.default_rng(5))
+    assert len({v for hosts in placement.by_service.values() for v in hosts}) <= 6
+    base = dict(catalog=catalog, placement=placement,
+                pattern=RequestPattern.min_functionality(catalog, 2),
+                request_rate_per_min=1.0, timeout_s=600.0, delay_warmup_s=0.0, seed=1)
+    return contacts, base
+
+
+def records_digest(config, contacts, tmp_path):
+    path = tmp_path / "records.csv"
+    write_records_csv(run(config, contacts), path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("radius", [None, 5.0])
+@pytest.mark.parametrize("t_av", [0.5, 1.0, 0.3])
+@pytest.mark.parametrize("awareness", ["minimal", "local", "global", "perfect"])
+def test_engine_records_match_the_dense_closure(awareness, t_av, radius, engine_scenario,
+                                                monkeypatch, tmp_path):
+    contacts, base = engine_scenario
+    config = SimConfig(**base, awareness=awareness, t_av=t_av, radius=radius)
+    chained = []
+    exchange_all = sim_core.exchange_all
+
+    def counted(know, pairs, now, previous=None):
+        chained.append(previous is not None and len(pairs) > 0)
+        return exchange_all(know, pairs, now, previous=previous)
+
+    monkeypatch.setattr(sim_core, "exchange_all", counted)
+    digest = records_digest(config, contacts, tmp_path)
+    assert (sum(chained) > 40) == (awareness != "minimal")
+    monkeypatch.setattr(sim_core, "exchange_all", dense_exchange_all)
+    assert records_digest(config, contacts, tmp_path) == digest

@@ -132,9 +132,9 @@ def test_minimal_awareness_keeps_no_knowledge(monkeypatch, tmp_path):
     calls = []
     exchange_all = sim_core.exchange_all
 
-    def counted(know, pairs, now):
+    def counted(know, pairs, now, **kwargs):
         calls.append(now)
-        return exchange_all(know, pairs, now)
+        return exchange_all(know, pairs, now, **kwargs)
 
     monkeypatch.setattr(sim_core, "exchange_all", counted)
     contacts, base = scenario()

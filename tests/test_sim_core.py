@@ -111,6 +111,27 @@ def test_zero_rate_zero_records():
     assert result.records == []
 
 
+# Knowledge parameters out of range would run to a silently wrong completion.
+
+@pytest.mark.parametrize("t_av", [0.0, -1.0, math.nan])
+def test_t_av_must_be_positive(t_av):
+    with pytest.raises(ValueError, match="t_av"):
+        default_config(t_av=t_av).validate()
+
+
+@pytest.mark.parametrize("unit_s", [0.0, -30.0])
+def test_unit_s_must_be_positive(unit_s):
+    with pytest.raises(ValueError, match="unit_s"):
+        run(default_config(unit_s=unit_s), no_contact_trace(20, 3600.0))
+
+
+@pytest.mark.parametrize("radius", [0.0, -5.0])
+def test_radius_must_be_positive_when_set(radius):
+    with pytest.raises(ValueError, match="radius"):
+        default_config(radius=radius).validate()
+    default_config(radius=0.5).validate()
+
+
 # -- local execution ------------------------------------------------------------
 
 def test_local_exact_service_completes_with_zero_hops():
