@@ -3,7 +3,7 @@
 Subpackages/modules:
     service_model   -- service catalogs, chaining rules, node assignment
     mobility        -- synthetic trace generators (Levy walk, SLAW, HCMM) and GPS ingestion
-    contact_engine  -- contact extraction and temporal-distance ground truth
+    contact_engine  -- contact extraction and contact traces held as columns
     knowledge       -- per-node timers, load estimates, edge prices per awareness level
     forwarding      -- relay decision schemes (direct, TT, EBR, MT)
     sim_core        -- discrete-event simulation engine and composition path selection

@@ -1,4 +1,4 @@
-"""Contact extraction and temporal-distance ground truth.
+"""Contact extraction, and contact traces held as columns.
 
 A contact event is a maximal interval during which two nodes are within
 transmission range, evaluated at the trace's sample resolution: a pair is in
@@ -6,93 +6,115 @@ range at a sample iff ``dx*dx + dy*dy <= range_m**2``, and a NaN (absent)
 position is never in range.  One extraction streams the trace in blocks of
 samples, testing all pairs at once per block and carrying the runs still
 open at a block's end into the next.
+
+A :class:`ContactTrace` keeps its events as columns, one structured array
+with fields ``start``, ``end``, ``a`` and ``b`` (``a < b``), sorted by
+``(start, end, a, b)``.  It checks them with array operations: two distinct
+ids in ``[0, n_nodes)``, ``start < end``, and no two intervals of a pair
+that overlap or abut.
 """
 
 from __future__ import annotations
-
-import math
-from bisect import bisect_right
-from dataclasses import dataclass
 
 import numpy as np
 
 from .mobility.trace import PositionTrace
 
 __all__ = [
-    "ContactEvent",
+    "EVENT_DTYPE",
     "ContactTrace",
     "contacts_from_positions",
     "save_contacts_csv",
     "load_contacts_csv",
 ]
 
+EVENT_DTYPE = np.dtype([("start", np.float64), ("end", np.float64),
+                        ("a", np.int64), ("b", np.int64)])
+
 # Pair-samples tested per block (at least one sample).  The block's arrays
 # are transient, but a set-up made after a run adds them to the run's peak
-# memory: 1 << 16 raised levy-n80's peak RSS by ~2.5 MB, 1 << 12 did not.
-BLOCK_PAIR_SAMPLES = 1 << 12
+# memory: 1 << 16 raised levy-n80's peak RSS by ~2.5 MB and 1 << 14 by
+# ~0.5 MB, 1 << 13 by less than its run-to-run spread.  Fewer blocks save
+# time where a block holds few samples: levy-n80's extraction took 30 ms
+# at 1 << 12, 16 ms at 1 << 13.
+BLOCK_PAIR_SAMPLES = 1 << 13
 
 
-@dataclass(frozen=True, order=True)
-class ContactEvent:
-    """Interval [start, end] during which nodes a and b can communicate."""
-
-    start: float
-    end: float
-    a: int
-    b: int
-
-    def __post_init__(self):
-        if self.a == self.b:
-            raise ValueError("a contact needs two distinct nodes")
-        if not self.start < self.end:
-            raise ValueError(f"contact must have start < end, got [{self.start}, {self.end}]")
+def _by_pair(events: np.ndarray, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The events' order by pair, time order within a pair, and each
+    ordered event's pair as ``a * n_nodes + b``."""
+    keys = events["a"] * n_nodes + events["b"]
+    order = np.argsort(keys, kind="stable")
+    return order, keys[order]
 
 
 class ContactTrace:
-    """Time-sorted contact events with per-pair lookup."""
+    """Contact events as sorted columns (see the module docstring).
 
-    def __init__(self, events: list[ContactEvent], n_nodes: int, duration: float,
-                 sample_interval: float = 30.0):
-        self.events = sorted(events)
+    ``rows`` are ``(start, end, a, b)`` tuples, in any order and with the
+    ids either way round, or an array of :data:`EVENT_DTYPE`.  Raises
+    ValueError on an invalid event.
+    """
+
+    def __init__(self, rows, n_nodes: int, duration: float, sample_interval: float = 30.0):
+        events = np.array(rows, dtype=EVENT_DTYPE)
+        start, end, a, b = (events[name] for name in EVENT_DTYPE.names)
+        a[:], b[:] = np.minimum(a, b), np.maximum(a, b)
+        bad = (a == b) | (a < 0) | (b >= n_nodes)
+        if bad.any():
+            raise ValueError(f"contact {events[bad][0].tolist()} needs two distinct node ids "
+                             f"in [0, {n_nodes})")
+        bad = ~(start < end)
+        if bad.any():
+            raise ValueError(f"contact must have start < end, got {events[bad][0].tolist()}")
+        events = events[np.lexsort((b, a, end, start))]
+        by_pair, keys = _by_pair(events, n_nodes)
+        clash = ((keys[1:] == keys[:-1])
+                 & (events["start"][by_pair[1:]] <= events["end"][by_pair[:-1]]))
+        if clash.any():
+            i = by_pair[np.flatnonzero(clash)[0]]
+            raise ValueError(f"overlapping/abutting events for pair "
+                             f"{(int(events['a'][i]), int(events['b'][i]))}")
+        self.events = events
         self.n_nodes = n_nodes
         self.duration = duration
         self.sample_interval = sample_interval
-        self._by_pair: dict[tuple[int, int], list[tuple[float, float]]] = {}
-        for ev in self.events:
-            key = (min(ev.a, ev.b), max(ev.a, ev.b))
-            self._by_pair.setdefault(key, []).append((ev.start, ev.end))
-        # Each pair's list is in start order, as the events are.
-        for key, ivs in self._by_pair.items():
-            for (s0, e0), (s1, _) in zip(ivs, ivs[1:]):
-                if s1 <= e0:
-                    raise ValueError(f"overlapping/abutting events for pair {key}")
-
-    def pair_intervals(self, a: int, b: int) -> list[tuple[float, float]]:
-        return self._by_pair.get((min(a, b), max(a, b)), [])
 
     def in_contact(self, a: int, b: int, t: float) -> bool:
         """True iff some event for (a, b) covers t."""
-        if a == b:
-            return False
-        ivs = self.pair_intervals(a, b)
-        i = bisect_right(ivs, (t, math.inf)) - 1
-        return i >= 0 and ivs[i][0] <= t <= ivs[i][1]
+        ev = self.events
+        return bool(((ev["a"] == min(a, b)) & (ev["b"] == max(a, b))
+                     & (ev["start"] <= t) & (t <= ev["end"])).any())
 
     def boundary_pairs(self, unit: float) -> list[list[tuple[int, int]]]:
         """For each multiple of ``unit`` in [0, duration], the active pairs.
 
+        An event covers boundary k when ``start / unit - 1e-9 <= k <= end /
+        unit + 1e-9``.  Each boundary's pairs come in ``(a, b)`` order, and a
+        pair is one tuple object shared by every boundary that lists it.
         Precomputed once per simulation run so the event loop avoids
         repeated interval searches.
         """
         n_units = int(round(self.duration / unit)) + 1
-        out: list[list[tuple[int, int]]] = [[] for _ in range(n_units)]
-        for pair, ivs in sorted(self._by_pair.items()):
-            for s, e in ivs:
-                k0 = max(0, math.ceil(s / unit - 1e-9))
-                k1 = min(n_units - 1, math.floor(e / unit + 1e-9))
-                for k in range(k0, k1 + 1):
-                    out[k].append(pair)
-        return out
+        ev = self.events
+        k0 = np.maximum(0, np.ceil(ev["start"] / unit - 1e-9)).astype(np.int64)
+        k1 = np.minimum(n_units - 1, np.floor(ev["end"] / unit + 1e-9)).astype(np.int64)
+        # Events by pair, and each one's pair's rank among the distinct pairs.
+        by_pair, keys = _by_pair(ev, self.n_nodes)
+        new = np.ones(len(ev), dtype=bool)
+        new[1:] = keys[1:] != keys[:-1]
+        rank = np.cumsum(new) - 1
+        first = by_pair[new]
+        pairs = np.fromiter(zip(ev["a"][first].tolist(), ev["b"][first].tolist()),
+                            dtype=object, count=len(first))
+        # One entry per (event, boundary it covers), made in pair order and
+        # sorted stably by boundary: (k, a, b) order.  A narrow k sorts by radix.
+        k0, spans = k0[by_pair], np.maximum(k1 - k0 + 1, 0)[by_pair]
+        k = (np.arange(spans.sum()) - np.repeat(np.cumsum(spans) - spans - k0, spans)
+             ).astype(np.min_scalar_type(n_units))
+        entry = np.repeat(rank, spans)[np.argsort(k, kind="stable")]
+        ends = np.cumsum(np.bincount(k, minlength=n_units)).tolist()
+        return [pairs[entry[lo:hi]].tolist() for lo, hi in zip([0] + ends, ends)]
 
 
 def contacts_from_positions(trace: PositionTrace, range_m: float) -> ContactTrace:
@@ -113,37 +135,45 @@ def contacts_from_positions(trace: PositionTrace, range_m: float) -> ContactTrac
     run_start = np.zeros(len(first), dtype=np.int64)  # first sample of the run open there
     runs = []  # per block: (pair, first sample, last sample) of the runs that ended
     for t0 in range(0, t_count, block):
-        pos = trace.positions[:, t0:t0 + block]
-        # Columns: out of range, the previous sample, this block, out of range.
-        padded = np.zeros((len(first), pos.shape[1] + 3), dtype=bool)
-        padded[:, 1] = was_in
+        # Samples by pairs; contiguous copies gather much faster than strided views.
+        x, y = (np.ascontiguousarray(trace.positions[:, t0:t0 + block, i].T) for i in (0, 1))
         with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is NaN: not in range
-            d2 = pos[first, :, 0] - pos[second, :, 0]
+            # In place, so at most three block-sized float arrays live at once.
+            d2 = x.take(first, axis=1)
+            d2 -= x.take(second, axis=1)
             d2 *= d2
-            dy = pos[first, :, 1] - pos[second, :, 1]
+            dy = y.take(first, axis=1)
+            dy -= y.take(second, axis=1)
             dy *= dy
             d2 += dy
-            padded[:, 2:-1] = d2 <= r2
-        # Each pair's changes come in row-major order as (start, end) pairs; a
-        # run from the previous sample goes on from where it began.
-        pair, col = np.nonzero(padded[:, 1:] != padded[:, :-1])
-        pair, begun, last = pair[::2], col[::2] + t0 - 1, col[1::2] + t0 - 2
-        carried = begun == t0 - 1
-        begun[carried] = run_start[pair[carried]]
-        was_in = padded[:, -2]
-        still_open = last == t0 + pos.shape[1] - 1
-        run_start[pair[still_open]] = begun[still_open]
-        runs.append((pair[~still_open], begun[~still_open], last[~still_open]))
-    open_pairs = np.nonzero(was_in)[0]
+            inside = d2 <= r2
+        flips = np.empty_like(inside)
+        np.not_equal(inside[0], was_in, out=flips[0])
+        np.not_equal(inside[1:], inside[:-1], out=flips[1:])
+        # Each pair's flips in time order alternate between the start of a
+        # run and the sample after its end.
+        step, pair = np.nonzero(flips)
+        by_pair = np.argsort(pair, kind="stable")
+        step, pair = step[by_pair], pair[by_pair]
+        starts = inside[step, pair]
+        step += t0
+        follows = np.zeros(len(pair), dtype=bool)  # the pair's previous flip is in this block
+        follows[1:] = pair[1:] == pair[:-1]
+        ends = np.flatnonzero(~starts)
+        begun = np.where(follows[ends], step[ends - 1], run_start[pair[ends]])
+        runs.append((pair[ends], begun, step[ends] - 1))
+        still_open = starts.copy()  # a start that no flip of its pair follows
+        still_open[:-1] &= ~follows[1:]
+        run_start[pair[still_open]] = step[still_open]
+        was_in = inside[-1]
+    open_pairs = np.flatnonzero(was_in)
     runs.append((open_pairs, run_start[open_pairs], np.full(len(open_pairs), t_count - 1)))
     pair, begun, last = (np.concatenate(parts) for parts in zip(*runs))
     keep = np.nonzero(last > begun)[0]
-    # Listed in ContactTrace's order, which its sort then confirms in one pass.
-    keep = keep[np.lexsort((second[pair[keep]], first[pair[keep]], last[keep], begun[keep]))]
-    times = [ti * interval for ti in range(t_count)]
-    events = [ContactEvent(times[s], times[e], a, b)
-              for s, e, a, b in zip(begun[keep].tolist(), last[keep].tolist(),
-                                    first[pair[keep]].tolist(), second[pair[keep]].tolist())]
+    times = np.arange(t_count) * interval
+    events = np.empty(len(keep), dtype=EVENT_DTYPE)
+    events["start"], events["end"] = times[begun[keep]], times[last[keep]]
+    events["a"], events["b"] = first[pair[keep]], second[pair[keep]]
     return ContactTrace(events, n, trace.duration, interval)
 
 
@@ -153,15 +183,17 @@ def save_contacts_csv(contacts: ContactTrace, path) -> None:
         fh.write(f"# nodes={contacts.n_nodes} duration={contacts.duration} "
                  f"interval={contacts.sample_interval}\n")
         fh.write("node_a,node_b,start_s,end_s\n")
-        for ev in contacts.events:
-            a, b = min(ev.a, ev.b), max(ev.a, ev.b)
-            fh.write(f"{a},{b},{ev.start:.1f},{ev.end:.1f}\n")
+        fh.writelines(f"{a},{b},{start:.1f},{end:.1f}\n"
+                      for start, end, a, b in contacts.events.tolist())
 
 
 def load_contacts_csv(path) -> ContactTrace:
-    """Read a contact trace written by :func:`save_contacts_csv` (or external data)."""
+    """Read a contact trace written by :func:`save_contacts_csv` (or external data).
+
+    Without a ``nodes=`` header the node count is the largest id plus one.
+    """
     n_nodes = duration = interval = None
-    events = []
+    rows = []
     with open(path) as fh:
         for line in fh:
             line = line.strip()
@@ -180,9 +212,10 @@ def load_contacts_csv(path) -> ContactTrace:
             if line.startswith("node_a"):
                 continue
             a, b, s, e = line.split(",")
-            events.append(ContactEvent(float(s), float(e), int(a), int(b)))
+            rows.append((float(s), float(e), int(a), int(b)))
+    events = np.array(rows, dtype=EVENT_DTYPE)
     if n_nodes is None:
-        n_nodes = max(max(ev.a, ev.b) for ev in events) + 1 if events else 0
+        n_nodes = int(max(events["a"].max(), events["b"].max())) + 1 if len(events) else 0
     if duration is None:
-        duration = max((ev.end for ev in events), default=0.0)
+        duration = float(events["end"].max()) if len(events) else 0.0
     return ContactTrace(events, n_nodes, duration, interval or 30.0)

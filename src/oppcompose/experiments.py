@@ -271,10 +271,14 @@ def prepare_run(spec_dict: dict, seed: int, cache_dir: Path | None = None
     popularity = None
     if spec.distribution == "proportional":
         popularity = service_popularity(catalog, spec.pattern)
-    placement = assign_services(
-        catalog, list(range(spec.mobility["n_nodes"])), spec.repetition,
-        rng, distribution=spec.distribution, popularity=popularity)
     trace = make_trace(spec.mobility, seed, cache_dir)
+    given = spec.mobility.get("n_nodes", trace.n_nodes)
+    if given != trace.n_nodes:
+        raise ValueError(f"mobility.n_nodes is {given} but the trace has "
+                         f"{trace.n_nodes} nodes")
+    placement = assign_services(
+        catalog, list(range(trace.n_nodes)), spec.repetition,
+        rng, distribution=spec.distribution, popularity=popularity)
     contacts = contacts_from_positions(trace, spec.range_m)
     sim = dict(spec.sim)
     if "scheme" in sim:

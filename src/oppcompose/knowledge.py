@@ -252,13 +252,15 @@ def exchange_all(know: Knowledge, pairs: list[tuple[int, int]], now: float = 0.0
     one ``tick(1.0)``.  Then three kinds of source can still win receiver
     i's entry about k: i itself, node k with its zero entry about itself,
     and the endpoints of the pairs new since ``previous``.  That closure left
-    ``T_u[k] <= T_w[k] + t_av`` on each of its pairs (u, w), and a tick keeps
-    this for every k but w, whose own entry stays zero.  So if a source j's
-    first hop toward i, to v, were an old pair, v's entry would offer no
-    more at one hop fewer and outrank j.  Every member is a source when
-    ``previous`` is None, when ``radius`` is set (pruning at a tick breaks
-    the inequality) and when ``t_av`` is not a multiple of 2**-20 (rounded
-    sums may break it).
+    ``T_u[k] <= T_w[k] + t_av`` or ``T_w[k] + t_av > radius`` on each of its
+    pairs (u, w), and a tick keeps this for every k but w, whose own entry
+    stays zero: both sides grow alike, and pruning u's entry means it
+    exceeded ``radius``, so ``T_w[k] + t_av`` did too.  So if a source j's
+    first hop toward i, to v, were an old pair, either v's entry would
+    offer no more at one hop fewer and outrank j, or j's candidate would
+    exceed ``radius`` and never be adopted.  Every member is a source when
+    ``previous`` is None and when ``t_av`` is not a multiple of 2**-20
+    (rounded sums may break the inequality).
 
     Timers equal the pairwise fixed point exactly whenever the sums are
     exact (``t_av`` a dyadic value such as 0.5 or 1.0); other values may
@@ -276,7 +278,7 @@ def exchange_all(know: Knowledge, pairs: list[tuple[int, int]], now: float = 0.0
         return False
     nodes = sorted({v for pair in pairs for v in pair})
     index = {v: i for i, v in enumerate(nodes)}
-    if previous is None or know.radius is not None or not _exact_sums(know.t_av):
+    if previous is None or not _exact_sums(know.t_av):
         seeds = np.arange(len(nodes))
     else:
         old = set(previous)

@@ -800,9 +800,8 @@ class _Engine:
         n_units = int(round(self.duration / cfg.unit_s))
         for k in range(n_units + 1):
             self.push(k * cfg.unit_s, _P_BOUNDARY, "boundary", k)
-        for ev in self.contacts.events:
-            self.push(ev.start, _P_CONTACT, "contact",
-                      (min(ev.a, ev.b), max(ev.a, ev.b), ev.end))
+        for start, end, a, b in self.contacts.events.tolist():
+            self.push(start, _P_CONTACT, "contact", (a, b, end))
         if cfg.scripted_requests is not None:
             for t, origin, req_in, req_out in cfg.scripted_requests:
                 self.push(t, _P_GENERATE, "generate", (origin, req_in, req_out))

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from oppcompose.contact_engine import ContactEvent, ContactTrace
+from oppcompose.contact_engine import ContactTrace
 
 GRID_THRESHOLD = 64
 
@@ -27,7 +27,7 @@ def contacts_per_sample(trace, range_m: float) -> ContactTrace:
     n, t_count = trace.n_nodes, trace.n_samples
     interval = trace.sample_interval
     scan = pairs_in_range_grid if n > GRID_THRESHOLD else pairs_in_range_dense
-    events: list[ContactEvent] = []
+    events: list[tuple[float, float, int, int]] = []
     open_runs: dict[tuple[int, int], tuple[float, float]] = {}
     for ti in range(t_count):
         pairs_now = scan(trace.positions[:, ti, :], range_m)
@@ -38,10 +38,10 @@ def contacts_per_sample(trace, range_m: float) -> ContactTrace:
         for pair in [p for p in open_runs if p not in pairs_now]:
             start, end = open_runs.pop(pair)
             if end > start:
-                events.append(ContactEvent(start, end, pair[0], pair[1]))
+                events.append((start, end, pair[0], pair[1]))
     for pair, (start, end) in open_runs.items():
         if end > start:
-            events.append(ContactEvent(start, end, pair[0], pair[1]))
+            events.append((start, end, pair[0], pair[1]))
     return ContactTrace(events, n, trace.duration, interval)
 
 
@@ -87,16 +87,16 @@ def _latest_departures(contacts: ContactTrace, target: int, t: float) -> list[di
     by v from T onward reaches the target by time t using at most h
     transfers.  The list stops growing once extra hops stop helping.
     """
-    relevant = [ev for ev in contacts.events if ev.start <= t]
+    relevant = [ev for ev in contacts.events.tolist() if ev[0] <= t]
     frontier = {target: t}
     levels = [dict(frontier)]
     while True:
         nxt = dict(levels[-1])
-        for ev in relevant:
-            for v, u in ((ev.a, ev.b), (ev.b, ev.a)):
+        for start, end, a, b in relevant:
+            for v, u in ((a, b), (b, a)):
                 if u in levels[-1]:
-                    candidate = min(levels[-1][u], ev.end, t)
-                    if candidate >= ev.start and candidate > nxt.get(v, -math.inf):
+                    candidate = min(levels[-1][u], end, t)
+                    if candidate >= start and candidate > nxt.get(v, -math.inf):
                         nxt[v] = candidate
         if nxt == levels[-1]:
             return levels

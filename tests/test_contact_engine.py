@@ -2,9 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oppcompose.contact_engine import (
-    ContactEvent,
     ContactTrace,
     contacts_from_positions,
     load_contacts_csv,
@@ -28,15 +28,15 @@ def test_stationary_pair_in_range_single_event():
     pos[1, :, 0] = 50.0
     contacts = contacts_from_positions(make_trace(pos), 100.0)
     assert len(contacts.events) == 1
-    ev = contacts.events[0]
-    assert (ev.start, ev.end) == (0.0, 600.0)
+    start, end, _, _ = contacts.events[0].tolist()
+    assert (start, end) == (0.0, 600.0)
 
 
 def test_stationary_pair_out_of_range_no_events():
     pos = np.zeros((2, 21, 2))
     pos[1, :, 0] = 150.0
     contacts = contacts_from_positions(make_trace(pos), 100.0)
-    assert contacts.events == []
+    assert len(contacts.events) == 0
 
 
 def test_crossing_nodes_three_samples_in_range():
@@ -48,9 +48,9 @@ def test_crossing_nodes_three_samples_in_range():
     contacts = contacts_from_positions(
         PositionTrace(pos, 30.0, 1000.0, 1000.0, None), 100.0)
     assert len(contacts.events) == 1
-    ev = contacts.events[0]
-    assert ev.start == 90.0 and ev.end == 150.0
-    assert ev.end - ev.start == 2 * 30.0
+    start, end, _, _ = contacts.events[0].tolist()
+    assert start == 90.0 and end == 150.0
+    assert end - start == 2 * 30.0
 
 
 def test_single_sample_contact_is_dropped():
@@ -59,7 +59,7 @@ def test_single_sample_contact_is_dropped():
     pos[0, :, 0] = [-300.0, -150.0, 0.0, 150.0, 300.0]
     pos[1, :, 0] = 0.0
     contacts = contacts_from_positions(make_trace(pos), 100.0)
-    assert contacts.events == []
+    assert len(contacts.events) == 0
 
 
 def test_in_contact_queries_match_position_oracle():
@@ -81,7 +81,7 @@ def test_in_contact_queries_match_position_oracle():
 
 
 def test_in_contact_between_events_false():
-    events = [ContactEvent(0.0, 60.0, 0, 1), ContactEvent(300.0, 360.0, 0, 1)]
+    events = [(0.0, 60.0, 0, 1), (300.0, 360.0, 0, 1)]
     trace = ContactTrace(events, 2, 600.0)
     assert trace.in_contact(0, 1, 30.0)
     assert not trace.in_contact(0, 1, 120.0)
@@ -90,7 +90,22 @@ def test_in_contact_between_events_false():
 
 def test_events_maximal_no_overlap():
     with pytest.raises(ValueError):
-        ContactTrace([ContactEvent(0.0, 60.0, 0, 1), ContactEvent(60.0, 120.0, 0, 1)], 2, 600.0)
+        ContactTrace([(0.0, 60.0, 0, 1), (60.0, 120.0, 0, 1)], 2, 600.0)
+
+
+@pytest.mark.parametrize("row", [(0.0, 60.0, -1, 2), (0.0, 60.0, 2, -1), (0.0, 60.0, 0, 3),
+                                 (0.0, 60.0, 5, 1), (0.0, 60.0, 1, 1), (60.0, 60.0, 0, 1)])
+def test_invalid_rows_rejected(row):
+    # Ids outside [0, n_nodes) would alias other nodes in the engine's arrays.
+    with pytest.raises(ValueError):
+        ContactTrace([(0.0, 30.0, 0, 1), row], 3, 600.0)
+
+
+def test_rows_stored_sorted_with_lower_id_first():
+    trace = ContactTrace([(90.0, 120.0, 2, 0), (0.0, 60.0, 1, 2), (0.0, 30.0, 0, 2),
+                          (0.0, 30.0, 1, 0)], 3, 600.0)
+    assert trace.events.tolist() == [(0.0, 30.0, 0, 1), (0.0, 30.0, 0, 2), (0.0, 60.0, 1, 2),
+                                     (90.0, 120.0, 0, 2)]
 
 
 def wandering_trace(n, n_samples, seed, gap_frac=0.05):
@@ -118,16 +133,16 @@ def test_streamed_extraction_matches_per_sample_reference(n, seed):
     # Up to GRID_THRESHOLD nodes the reference scans all pairs, above it a grid.
     trace = wandering_trace(n, 240, seed)
     expected = contacts_per_sample(trace, 60.0).events
-    assert expected and contacts_from_positions(trace, 60.0).events == expected
+    assert len(expected) and np.array_equal(contacts_from_positions(trace, 60.0).events, expected)
 
 
 def test_edge_cases_match_per_sample_reference():
     trace = edge_case_trace()
     got = contacts_from_positions(trace, 100.0).events
-    assert got == contacts_per_sample(trace, 100.0).events
-    assert [(e.start, e.end, e.a, e.b) for e in got if e.a == 0] == [
-        (30.0, 90.0, 0, 1), (210.0, 240.0, 0, 1)]
-    assert [(e.start, e.end) for e in got if (e.a, e.b) == (2, 3)] == [(0.0, 90.0), (150.0, 240.0)]
+    assert np.array_equal(got, contacts_per_sample(trace, 100.0).events)
+    assert [e for e in got.tolist() if e[2] == 0] == [(30.0, 90.0, 0, 1), (210.0, 240.0, 0, 1)]
+    assert [(s, e) for s, e, a, b in got.tolist() if (a, b) == (2, 3)] == [
+        (0.0, 90.0), (150.0, 240.0)]
 
 
 @pytest.mark.parametrize("samples_per_block", [1, 2, 3])
@@ -136,11 +151,11 @@ def test_runs_spanning_block_edges(samples_per_block, monkeypatch):
         n_pairs = trace.n_nodes * (trace.n_nodes - 1) // 2
         monkeypatch.setattr(contact_engine, "BLOCK_PAIR_SAMPLES", samples_per_block * n_pairs)
         expected = contacts_per_sample(trace, range_m).events
-        assert contacts_from_positions(trace, range_m).events == expected
+        assert np.array_equal(contacts_from_positions(trace, range_m).events, expected)
 
 
 def test_oracle_zero_when_in_contact():
-    trace = ContactTrace([ContactEvent(0.0, 120.0, 0, 1)], 2, 600.0)
+    trace = ContactTrace([(0.0, 120.0, 0, 1)], 2, 600.0)
     assert contact_sequence_oracle(trace, 0, 1, 60.0) == 0.0
 
 
@@ -154,7 +169,7 @@ def test_oracle_three_node_relay_chain():
     # leaving a at 100 reaches c at 200; queried at t=300 the most recent
     # such departure is 100, so 200 s have elapsed.
     trace = ContactTrace(
-        [ContactEvent(70.0, 100.0, 0, 1), ContactEvent(170.0, 200.0, 1, 2)], 3, 600.0)
+        [(70.0, 100.0, 0, 1), (170.0, 200.0, 1, 2)], 3, 600.0)
     assert contact_sequence_oracle(trace, 0, 2, 300.0) == 200.0
     # The reverse direction has no valid ordering (b-c before a-b).
     assert contact_sequence_oracle(trace, 2, 0, 300.0) == math.inf
@@ -172,8 +187,8 @@ def test_oracle_monotone_under_added_contacts():
     for _ in range(12):
         t += float(rng.integers(1, 5)) * 30.0
         a, b = rng.choice(5, size=2, replace=False)
-        base_events.append(ContactEvent(t, t + 30.0, int(min(a, b)), int(max(a, b))))
-    extra = ContactEvent(t + 60.0, t + 90.0, 0, 4)
+        base_events.append((t, t + 30.0, int(min(a, b)), int(max(a, b))))
+    extra = (t + 60.0, t + 90.0, 0, 4)
     small = ContactTrace(base_events, 5, t + 200.0)
     big = ContactTrace(base_events + [extra], 5, t + 200.0)
     for s in range(5):
@@ -184,13 +199,13 @@ def test_oracle_monotone_under_added_contacts():
 
 def test_relay_cost_oracle_reduces_to_plain_oracle():
     trace = ContactTrace(
-        [ContactEvent(70.0, 100.0, 0, 1), ContactEvent(170.0, 200.0, 1, 2)], 3, 600.0)
+        [(70.0, 100.0, 0, 1), (170.0, 200.0, 1, 2)], 3, 600.0)
     assert relay_cost_oracle(trace, 0, 2, 300.0, 0.0) == contact_sequence_oracle(trace, 0, 2, 300.0)
 
 
 def test_relay_cost_oracle_charges_hops():
     trace = ContactTrace(
-        [ContactEvent(70.0, 100.0, 0, 1), ContactEvent(170.0, 200.0, 1, 2)], 3, 600.0)
+        [(70.0, 100.0, 0, 1), (170.0, 200.0, 1, 2)], 3, 600.0)
     # Two transfers (a->b, b->c): elapsed 200 plus 2 hops at 15 s each.
     assert relay_cost_oracle(trace, 0, 2, 300.0, 15.0) == 230.0
 
@@ -199,9 +214,9 @@ def test_relay_cost_oracle_prefers_fewer_hops_when_cheaper():
     # Direct late contact vs an earlier 2-hop chain: with a large hop cost
     # the single-hop route wins even though its elapsed time is longer.
     events = [
-        ContactEvent(10.0, 40.0, 0, 1),
-        ContactEvent(50.0, 80.0, 1, 2),
-        ContactEvent(100.0, 130.0, 0, 2),
+        (10.0, 40.0, 0, 1),
+        (50.0, 80.0, 1, 2),
+        (100.0, 130.0, 0, 2),
     ]
     trace = ContactTrace(events, 3, 600.0)
     t = 200.0
@@ -210,7 +225,7 @@ def test_relay_cost_oracle_prefers_fewer_hops_when_cheaper():
 
 
 def test_boundary_pairs_cover_events():
-    events = [ContactEvent(30.0, 90.0, 0, 1), ContactEvent(60.0, 120.0, 1, 2)]
+    events = [(30.0, 90.0, 0, 1), (60.0, 120.0, 1, 2)]
     trace = ContactTrace(events, 3, 150.0)
     per_boundary = trace.boundary_pairs(30.0)
     assert per_boundary[0] == []
@@ -219,6 +234,53 @@ def test_boundary_pairs_cover_events():
     assert per_boundary[3] == [(0, 1), (1, 2)]
     assert per_boundary[4] == [(1, 2)]
     assert per_boundary[5] == []
+
+
+def brute_force_boundary_pairs(rows, duration, unit):
+    n_units = int(round(duration / unit)) + 1
+    return [sorted((min(a, b), max(a, b)) for s, e, a, b in rows
+                   if s / unit - 1e-9 <= k <= e / unit + 1e-9)
+            for k in range(n_units)]
+
+
+@st.composite
+def contact_rows(draw):
+    """Disjoint, non-abutting intervals per pair on a quarter-unit grid,
+    nudged by less or more than the boundary tolerance, some past the end."""
+    n = draw(st.integers(2, 6))
+    duration = 30.0 * draw(st.integers(0, 8))
+    nudges = st.sampled_from([0.0, 0.0, 1e-11, -1e-11, 1e-7, -1e-7])
+    rows = []
+    for a in range(n):
+        for b in range(a + 1, n):
+            ticks = sorted(draw(st.sets(st.integers(0, 4 * int(duration / 30.0) + 8),
+                                        max_size=6)))
+            for lo, hi in zip(ticks[:len(ticks) // 2 * 2:2], ticks[1::2]):
+                start = lo * 7.5 + draw(nudges) * 30.0
+                end = hi * 7.5 + draw(nudges) * 30.0
+                rows.append((start, end) + ((a, b) if draw(st.booleans()) else (b, a)))
+    return n, duration, rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=contact_rows())
+def test_boundary_pairs_match_a_scan_of_each_boundary(case):
+    n, duration, rows = case
+    trace = ContactTrace(rows, n, duration)
+    per_boundary = trace.boundary_pairs(30.0)
+    assert per_boundary == brute_force_boundary_pairs(rows, duration, 30.0)
+    # One tuple object per distinct pair, shared by every boundary listing it.
+    listed = [pair for pairs in per_boundary for pair in pairs]
+    assert len({id(pair) for pair in listed}) == len(set(listed))
+
+
+def test_boundary_pairs_tolerance_and_overrun():
+    # An end 1e-10 s short of boundary 2 still covers it, a start 1e-4 s
+    # past it does not; an end exactly on 90 covers boundary 3, and a
+    # contact running past the duration stops at the last boundary.
+    rows = [(0.0, 59.9999999999, 0, 1), (60.0001, 90.0, 0, 2), (100.0, 400.0, 1, 2)]
+    assert ContactTrace(rows, 3, 150.0).boundary_pairs(30.0) == [
+        [(0, 1)], [(0, 1)], [(0, 1)], [(0, 2)], [(1, 2)], [(1, 2)]]
 
 
 def test_contacts_csv_round_trip(tmp_path):
@@ -230,5 +292,13 @@ def test_contacts_csv_round_trip(tmp_path):
     again = load_contacts_csv(path)
     assert again.n_nodes == contacts.n_nodes
     assert len(again.events) == len(contacts.events)
-    assert [(e.a, e.b, e.start, e.end) for e in again.events] == [
-        (min(e.a, e.b), max(e.a, e.b), e.start, e.end) for e in contacts.events]
+    assert np.array_equal(again.events, contacts.events)
+
+
+def test_contacts_csv_rejects_ids_outside_the_header_count(tmp_path):
+    path = tmp_path / "contacts.csv"
+    for row in ("0,5,0.0,60.0", "-1,2,0.0,60.0"):
+        path.write_text(f"# nodes=3 duration=600.0 interval=30.0\nnode_a,node_b,start_s,end_s\n"
+                        f"0,1,0.0,30.0\n{row}\n")
+        with pytest.raises(ValueError, match=r"in \[0, 3\)"):
+            load_contacts_csv(path)

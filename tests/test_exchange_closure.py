@@ -17,8 +17,8 @@ from collections import deque
 import numpy as np
 import pytest
 
-from oppcompose import sim_core
-from oppcompose.contact_engine import ContactEvent, ContactTrace, contacts_from_positions
+from oppcompose import knowledge, sim_core
+from oppcompose.contact_engine import ContactTrace, contacts_from_positions
 from oppcompose.knowledge import Knowledge, _hop_counts, _merge_rows, exchange, exchange_all
 from oppcompose.mobility import LevyWalkParams, generate_levy
 from oppcompose.service_model import assign_services, enumerate_services
@@ -190,7 +190,7 @@ def random_script(rng, n_nodes, n_events, horizon_units):
         if any(not (end < s or start > e) for s, e in ivs):
             continue
         ivs.append((start, end))
-    return [ContactEvent(s, e, a, b) for (a, b), ivs in per_pair.items() for s, e in ivs]
+    return [(s, e, a, b) for (a, b), ivs in per_pair.items() for s, e in ivs]
 
 
 @pytest.mark.parametrize("track_matrix", [False, True])
@@ -347,6 +347,33 @@ def test_seeded_closure_matches_dense_across_boundaries(t_av, radius, track_matr
             assert np.array_equal(know.matrix_obs, oracle.matrix_obs)
         previous = pairs
     assert min(counts.values()) > 40
+
+
+@pytest.mark.parametrize("drop_a_seed", [True, False])
+def test_radius_replay_needs_every_seed(drop_a_seed, monkeypatch):
+    # With ``radius`` set the seeded closure takes the same sources as
+    # without it; the replay can tell when one of them is missing.
+    if drop_a_seed:
+        closure = knowledge._closure
+
+        def one_seed_fewer(know, nodes, hops, seeds, now):
+            return closure(know, nodes, hops, seeds[1:] if len(seeds) < len(nodes) else seeds, now)
+
+        monkeypatch.setattr(knowledge, "_closure", one_seed_fewer)
+    n = 40
+    rng = np.random.default_rng(11)
+    know = Knowledge(n, t_av=1.0, radius=6.0)
+    oracle = Knowledge(n, t_av=1.0, radius=6.0)
+    matched, previous = [], None
+    for k, pairs in enumerate(drifting_pairs(rng, n, 80)):
+        if k:
+            know.tick(1.0)
+            oracle.tick(1.0)
+        exchange_all(know, pairs, now=float(k), previous=previous)
+        dense_exchange_all(oracle, pairs, now=float(k))
+        matched.append(np.array_equal(know.timers, oracle.timers))
+        previous = pairs
+    assert all(matched) != drop_a_seed
 
 
 # -- whole engine runs -------------------------------------------------------------

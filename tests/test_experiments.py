@@ -22,8 +22,10 @@ from oppcompose.experiments import (
     service_popularity,
     summarize_group,
 )
-from oppcompose.mobility import HcmmParams, generate_hcmm, ingest_gps_log
+from oppcompose.mobility import (HcmmParams, LevyWalkParams, generate_hcmm, generate_levy,
+                                 ingest_gps_log, save_trace_csv)
 from oppcompose.service_model import Service, ServiceCatalog, enumerate_services
+from oppcompose.sim_core import run
 
 
 def tiny_spec(**kw):
@@ -332,7 +334,7 @@ def test_prepare_run_fills_defaults_from_the_spec_class():
     config_full, contacts_full = experiments.prepare_run(full, seed=1)
     assert config == config_full
     assert config.placement == config_full.placement
-    assert contacts.events == contacts_full.events
+    assert np.array_equal(contacts.events, contacts_full.events)
 
 
 def _write_gps_log(tmp_path):
@@ -363,6 +365,34 @@ def test_gps_files_spec_rejects_misspelled_params(tmp_path):
     with pytest.raises(ValueError, match="max_gapp; valid keys: area_mapping, truncate_to, "
                                          "split_multiday, max_gap$"):
         experiments.make_trace(mob, seed=0)
+
+
+def _six_node_trace_file(tmp_path):
+    params = LevyWalkParams(area=(300.0, 300.0), speed_classes=((3, (1.0, 1.0)), (3, (10.0, 10.0))))
+    path = tmp_path / "six.csv"
+    save_trace_csv(generate_levy(params, 6, 1800.0, seed=1), path)
+    return str(path)
+
+
+@pytest.mark.parametrize("model", ["trace-file", "gps-files"])
+def test_trace_runs_take_the_node_count_from_the_trace(tmp_path, model):
+    if model == "trace-file":
+        mobility, n = {"model": model, "path": _six_node_trace_file(tmp_path)}, 6
+    else:
+        mobility, n = {"model": model, "paths": _write_gps_log(tmp_path)}, 2
+    spec = tiny_spec(mobility=mobility).to_dict()
+    config, contacts = experiments.prepare_run(spec, seed=0)
+    assert contacts.n_nodes == n
+    assert {v for hosts in config.placement.by_service.values() for v in hosts} <= set(range(n))
+    assert run(config, contacts).records
+    spec["mobility"]["n_nodes"] = n
+    assert experiments.prepare_run(spec, seed=0)[0] == config
+
+
+def test_node_count_that_disagrees_with_the_trace_raises(tmp_path):
+    mobility = {"model": "trace-file", "path": _six_node_trace_file(tmp_path), "n_nodes": 20}
+    with pytest.raises(ValueError, match="n_nodes is 20 but the trace has 6 nodes"):
+        experiments.prepare_run(tiny_spec(mobility=mobility).to_dict(), seed=0)
 
 
 def test_manifest_keeps_commas_in_error_text(tmp_path, monkeypatch):

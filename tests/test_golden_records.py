@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from oppcompose import sim_core
-from oppcompose.contact_engine import ContactEvent, ContactTrace
+from oppcompose.contact_engine import ContactTrace
 from oppcompose.forwarding import DIRECT, EBR, TT
 from oppcompose.service_model import assign_services, enumerate_services
 from oppcompose.sim_core import _Engine, RequestPattern, SimConfig, run, write_records_csv
@@ -62,7 +62,7 @@ def scenario():
                 end = t + float(rng.integers(30, 400))
                 if end > DURATION:
                     break
-                events.append(ContactEvent(t, end, a, b))
+                events.append((t, end, a, b))
                 t = end + float(rng.uniform(200.0, 1500.0))
     contacts = ContactTrace(events, N_NODES, DURATION)
     catalog = enumerate_services(5)

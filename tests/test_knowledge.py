@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oppcompose.contact_engine import ContactEvent, ContactTrace
+from oppcompose.contact_engine import ContactTrace
 from oppcompose.knowledge import (
     AWARENESS_LEVELS,
     Knowledge,
@@ -131,7 +131,7 @@ def test_three_node_chain_matches_oracle_plus_hops():
     # i=2 meets node 1 during [0, 30]; node 1 meets node 0 during [150, 180].
     # Queried at t=300 the best chain leaves node 2 at 30 (elapsed 270)
     # using 2 transfers.
-    events = [ContactEvent(0.0, 30.0, 1, 2), ContactEvent(150.0, 180.0, 0, 1)]
+    events = [(0.0, 30.0, 1, 2), (150.0, 180.0, 0, 1)]
     t_av = 0.5
     know = propagate(events, 3, t_av, duration=300.0)
     t_query = 300.0
@@ -153,7 +153,7 @@ def random_script(rng, n_nodes, n_events, horizon_units):
         if any(not (end < s or start > e) for s, e in ivs):
             continue
         ivs.append((start, end))
-    events = [ContactEvent(s, e, a, b)
+    events = [(s, e, a, b)
               for (a, b), ivs in per_pair.items() for s, e in ivs]
     return events
 
@@ -272,8 +272,8 @@ def test_local_sum_brackets_oracle_under_recurring_contacts():
     # oracle between two other nodes.
     events = []
     for k in range(0, 36, 3):
-        events.append(ContactEvent(k * UNIT, (k + 1) * UNIT, 0, 1))
-        events.append(ContactEvent((k + 1) * UNIT, (k + 2) * UNIT, 0, 2))
+        events.append((k * UNIT, (k + 1) * UNIT, 0, 1))
+        events.append(((k + 1) * UNIT, (k + 2) * UNIT, 0, 2))
     duration = 40 * UNIT
     trace = ContactTrace(events, 3, duration)
     know = propagate(events, 3, 0.5, duration)

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from oppcompose import sim_core
-from oppcompose.contact_engine import ContactEvent, ContactTrace, contacts_from_positions
+from oppcompose.contact_engine import (ContactTrace, contacts_from_positions, load_contacts_csv,
+                                      save_contacts_csv)
 from oppcompose.forwarding import DIRECT, EBR, MT, TT, Scheme, should_relay
 from oppcompose.mobility import LevyWalkParams, generate_levy
 from oppcompose.service_model import Service, enumerate_services, assign_services
@@ -39,7 +40,7 @@ def placement_of(assignments):
 
 
 def full_contact_trace(n, duration):
-    events = [ContactEvent(0.0, duration, a, b) for a in range(n) for b in range(a + 1, n)]
+    events = [(0.0, duration, a, b) for a in range(n) for b in range(a + 1, n)]
     return ContactTrace(events, n, duration)
 
 
@@ -282,7 +283,7 @@ def test_result_in_transit_at_deadline_not_counted():
     # Provider meets the requester only after the deadline has passed.
     catalog = small_catalog()
     placement = placement_of({0: [], 1: [Service(1, 4)]})
-    events = [ContactEvent(0.0, 30.0, 0, 1), ContactEvent(1500.0, 1560.0, 0, 1)]
+    events = [(0.0, 30.0, 0, 1), (1500.0, 1560.0, 0, 1)]
     cfg = SimConfig(
         catalog=catalog, placement=placement,
         pattern=RequestPattern(pairs=((1, 4),)),
@@ -301,7 +302,7 @@ def test_result_in_transit_at_deadline_not_counted():
 def test_result_routes_home_on_next_contact():
     catalog = small_catalog()
     placement = placement_of({0: [], 1: [Service(1, 4)]})
-    events = [ContactEvent(0.0, 30.0, 0, 1), ContactEvent(600.0, 660.0, 0, 1)]
+    events = [(0.0, 30.0, 0, 1), (600.0, 660.0, 0, 1)]
     cfg = SimConfig(
         catalog=catalog, placement=placement,
         pattern=RequestPattern(pairs=((1, 4),)),
@@ -364,7 +365,7 @@ def test_fresh_path_becomes_the_plan_when_recomputation_is_off():
         recompute_per_stage=False,
         seed=1,
     )
-    events = [ContactEvent(600.0, 3600.0, a, b) for a in range(4) for b in range(a + 1, 4)]
+    events = [(600.0, 3600.0, a, b) for a in range(4) for b in range(a + 1, 4)]
     engine = _Engine(cfg, ContactTrace(events, 4, 3600.0))
     searches = []
     compute_path = engine.compute_path
@@ -483,6 +484,21 @@ def test_identical_config_reproduces_csv_bytes(tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+def test_reloaded_contacts_csv_reproduces_csv_bytes(tmp_path):
+    contacts = levy_contacts(seed=5)
+    save_contacts_csv(contacts, tmp_path / "contacts.csv")
+    again = load_contacts_csv(tmp_path / "contacts.csv")
+    assert np.array_equal(again.events, contacts.events)
+    assert ((again.n_nodes, again.duration, again.sample_interval)
+            == (contacts.n_nodes, contacts.duration, contacts.sample_interval))
+    blobs = []
+    for tag, trace in (("written", contacts), ("reloaded", again)):
+        path = tmp_path / f"run_{tag}.csv"
+        write_records_csv(run(default_config(seed=5), trace), path)
+        blobs.append(path.read_bytes())
+    assert blobs[0] == blobs[1]
+
+
 def test_different_seed_differs(tmp_path):
     contacts = levy_contacts(seed=5)
     blobs = []
@@ -551,11 +567,11 @@ def test_neighbor_index_matches_in_contact_at_interval_edges():
                 start, end = t, t + float(rng.integers(1, 200))
                 if end > duration - 10.0:
                     break
-                events.append(ContactEvent(start, end, a, b))
+                events.append((start, end, a, b))
                 t = end + float(rng.integers(2, 400))
     # Node 10 meets 11 over [100, 200]; 12 joins at 150 while node 10's list
     # from t=100 is cached; both contacts end at exactly t=200.
-    events += [ContactEvent(100.0, 200.0, 10, 11), ContactEvent(150.0, 200.0, 10, 12)]
+    events += [(100.0, 200.0, 10, 11), (150.0, 200.0, 10, 12)]
     trace = ContactTrace(events, n, duration)
     engine = _Engine(default_config(request_rate_per_min=0.0), trace)
     seen = {}
@@ -575,24 +591,37 @@ def test_neighbor_index_matches_in_contact_at_interval_edges():
     on_contact_start = engine.on_contact_start
     engine.on_contact_start = contact_start
     probes = set()
-    for ev in trace.events:
-        for t in (ev.start, ev.end, ev.end + 0.5, (ev.start + ev.end) / 2):
-            for node in (ev.a, ev.b):
+    for start, end, a, b in trace.events.tolist():
+        for t in (start, end, end + 0.5, (start + end) / 2):
+            for node in (a, b):
                 probes.add((t, node))
                 engine.schedule_sweep(node, t)
     engine.run()
     assert set(seen) == probes
     for (t, node), peers in seen.items():
         assert peers == [m for m in range(n) if m != node and trace.in_contact(node, m, t)]
-    for ev in trace.events:
-        assert ev.b in seen[(ev.start, ev.a)] and ev.a in seen[(ev.start, ev.b)]
-        assert ev.b in seen[(ev.end, ev.a)] and ev.a in seen[(ev.end, ev.b)]
-        assert ev.b not in seen[(ev.end + 0.5, ev.a)]
+    for start, end, a, b in trace.events.tolist():
+        assert b in seen[(start, a)] and a in seen[(start, b)]
+        assert b in seen[(end, a)] and a in seen[(end, b)]
+        assert b not in seen[(end + 0.5, a)]
     assert starts_over_cached_list > 0
     assert seen[(100.0, 10)] == [11]
     assert seen[(150.0, 10)] == [11, 12]
     assert seen[(200.0, 10)] == [11, 12]
     assert seen[(200.5, 10)] == []
+
+
+def test_contacts_with_equal_starts_start_in_sorted_order():
+    # Whatever order the rows come in, contacts starting together are
+    # handled in (start, end, a, b) order, with the lower id as a.
+    rows = [(60.0, 120.0, 3, 1), (60.0, 90.0, 2, 0), (60.0, 90.0, 1, 0), (0.0, 30.0, 0, 1),
+            (60.0, 120.0, 0, 4), (60.0, 90.0, 0, 3)]
+    engine = _Engine(default_config(request_rate_per_min=0.0), ContactTrace(rows, 20, 600.0))
+    started = []
+    engine.on_contact_start = lambda t, a, b, end: started.append((t, end, a, b))
+    engine.run()
+    assert started == [(0.0, 30.0, 0, 1), (60.0, 90.0, 0, 1), (60.0, 90.0, 0, 2),
+                       (60.0, 90.0, 0, 3), (60.0, 120.0, 0, 4), (60.0, 120.0, 1, 3)]
 
 
 # -- per-unit reuse of prices and plans ---------------------------------------------------
