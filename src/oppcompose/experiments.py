@@ -276,6 +276,12 @@ def prepare_run(spec_dict: dict, seed: int, cache_dir: Path | None = None
     if given != trace.n_nodes:
         raise ValueError(f"mobility.n_nodes is {given} but the trace has "
                          f"{trace.n_nodes} nodes")
+    # A file trace fixes its own duration; a synthetic one is the given
+    # duration rounded to the sample grid.
+    given = spec.mobility.get("duration", trace.duration)
+    if spec.mobility["model"] not in _GENERATORS and given != trace.duration:
+        raise ValueError(f"mobility.duration is {given} s but the trace lasts "
+                         f"{trace.duration} s")
     placement = assign_services(
         catalog, list(range(trace.n_nodes)), spec.repetition,
         rng, distribution=spec.distribution, popularity=popularity)

@@ -7,15 +7,33 @@ community.  A node picks its next goal community with probability
 proportional to the total link weight toward that community's members, so
 with zero rewiring nobody ever leaves home, and travel between
 communities becomes more frequent as the rewiring probability grows.
+
+One generator serves the whole trace, drawn in a fixed order: first the
+link rewiring (with ``rewiring_p`` > 0, a ``rng.random`` per link and a
+``rng.integers`` per rewired one), then one stream of doubles
+(``_dist.uniforms``, fetched in blocks of 1 024) that gives per node its
+start x and y and, per trip, its pause, its goal community (only when the
+node has links) and the goal's x and y.  The stream starts after the
+rewiring: a block reads ahead, so no other draw may follow its first fetch.
+
+The walk maps each double on Python floats, as numpy's scalar calls map it:
+``low + (high - low) * u`` for ``rng.uniform(low, high)``,
+``low * (1.0 - u * tail) ** power`` for a truncated power law (``**`` on
+libm, not numpy's SIMD ``power``, which rounds differently on some CPUs),
+and ``bisect_right`` into the node's ``choice_cdf`` for
+``rng.choice(n_comms, p=...)``.  The travel time keeps ``np.hypot``:
+``math.hypot`` rounds differently and would move positions.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
-from ._dist import truncated_pareto
+from ._dist import choice_cdf, pareto_map, uniforms
 from .trace import PositionTrace, sample_segments
 
 __all__ = ["HcmmParams", "generate_hcmm", "community_index", "home_communities"]
@@ -73,50 +91,63 @@ def generate_hcmm(
     homes = home_communities(params, n_nodes, seed)
 
     # Social links: clique within each home community, each link rewired
-    # with probability rewiring_p to a node in some other community.
-    links: list[list[tuple[int, float]]] = [[] for _ in range(n_nodes)]
-    for node in range(n_nodes):
-        peers = [m for m in range(n_nodes) if m != node and homes[m] == homes[node]]
-        for peer in peers:
-            if params.rewiring_p > 0 and rng.random() < params.rewiring_p:
-                outside = [m for m in range(n_nodes) if homes[m] != homes[node]]
-                if outside:
-                    peer = outside[int(rng.integers(len(outside)))]
-            links[node].append((peer, 1.0))
-
+    # with probability rewiring_p to a node in some other community.  A
+    # node's attraction to a community is its link count there over the
+    # community's size.
+    home = homes.tolist()
     n_comms = params.n_communities
     attraction = np.zeros((n_nodes, n_comms))
     for node in range(n_nodes):
-        sizes = np.bincount(homes, minlength=n_comms).astype(float)
-        for peer, wgt in links[node]:
-            attraction[node, homes[peer]] += wgt
-        attraction[node] /= np.maximum(sizes, 1.0)
+        outside = [m for m in range(n_nodes) if home[m] != home[node]]
+        for peer in range(n_nodes):
+            if peer == node or home[peer] != home[node]:
+                continue
+            if params.rewiring_p > 0 and rng.random() < params.rewiring_p and outside:
+                peer = outside[int(rng.integers(len(outside)))]
+            attraction[node, home[peer]] += 1.0
+    attraction /= np.maximum(np.bincount(homes, minlength=n_comms), 1.0)
 
     n_samples = int(round(duration / sample_interval)) + 1
     positions = np.empty((n_nodes, n_samples, 2))
+    low, tail, power = pareto_map(params.pause_exponent, *params.pause_bounds)
+    speed = params.speed
+    # Per cell: (x0, x1 - x0, y0, y1 - y0), the offset and range
+    # rng.uniform(x0, x1) scales its double by.
+    cells = []
+    for community in range(n_comms):
+        x0, y0, cw, ch = params.cell_bounds(community)
+        cells.append((x0, (x0 + cw) - x0, y0, (y0 + ch) - y0))
+    draws = uniforms(rng)
     for node in range(n_nodes):
-        x0, y0, cw, ch = params.cell_bounds(int(homes[node]))
-        x = rng.uniform(x0, x0 + cw)
-        y = rng.uniform(y0, y0 + ch)
-        if duration == 0:
+        x0, xr, y0, yr = cells[home[node]]
+        x = x0 + xr * next(draws)
+        y = y0 + yr * next(draws)
+        if duration <= 0:
             positions[node, 0] = (x, y)
             continue
-        knots = [(0.0, x, y)]
+        kt, kx, ky = [0.0], [x], [y]
         t = 0.0
         weights = attraction[node]
         total = weights.sum()
-        while t < duration:
-            t += float(truncated_pareto(rng, params.pause_exponent, *params.pause_bounds))
-            knots.append((t, x, y))
-            if total > 0:
-                goal = int(rng.choice(n_comms, p=weights / total))
-            else:
-                goal = int(homes[node])
-            gx0, gy0, gcw, gch = params.cell_bounds(goal)
-            nx = rng.uniform(gx0, gx0 + gcw)
-            ny = rng.uniform(gy0, gy0 + gch)
-            t += float(np.hypot(nx - x, ny - y)) / params.speed
+        if total > 0:
+            cdf, goals, picks = choice_cdf(weights / total), cells, draws
+        else:  # no links: every trip goes home, and no double picks it
+            cdf, goals, picks = [1.0], [cells[home[node]]], repeat(0.0)
+        # Per trip: pause, goal community, goal x, goal y.
+        for u_pause, u_goal, u_x, u_y in zip(draws, picks, draws, draws):
+            t += low * (1.0 - u_pause * tail) ** power
+            kt.append(t)
+            kx.append(x)
+            ky.append(y)
+            gx0, gxr, gy0, gyr = goals[bisect_right(cdf, u_goal)]
+            nx = gx0 + gxr * u_x
+            ny = gy0 + gyr * u_y
+            t += float(np.hypot(nx - x, ny - y)) / speed
             x, y = nx, ny
-            knots.append((t, x, y))
-        positions[node] = sample_segments(knots, duration, sample_interval)
+            kt.append(t)
+            kx.append(x)
+            ky.append(y)
+            if t >= duration:
+                break
+        positions[node] = sample_segments(kt, kx, ky, duration, sample_interval)
     return PositionTrace(positions, sample_interval, params.area[0], params.area[1])

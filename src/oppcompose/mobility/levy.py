@@ -5,23 +5,33 @@ times are drawn from truncated power laws, flight directions are uniform.
 The area boundary reflects, which keeps the spatial distribution of users
 roughly uniform over the area.
 
-One generator serves the whole trace, drawn in a fixed order: the speeds of
-each speed class with v_min < v_max, then per node its start x and y and,
-per flight, its length, angle and pause.  That order is what keeps a seed's
-trace reproducible, so the walk reads the uniforms in blocks, in that order.
+One generator serves the whole trace, drawn in a fixed order: first the
+speeds of each speed class with v_min < v_max (one vector ``rng.uniform``
+call per class), then one stream of doubles (``_dist.uniforms``, fetched in
+blocks of 1 024) that gives per node its start x and y and, per flight, its
+length, angle and pause.  That order is what keeps a seed's trace
+reproducible.
+
+The walk maps each double on Python floats, as numpy maps the double of a
+scalar call: ``w * u`` for ``rng.uniform(0, w)`` and
+``low * (1.0 - u * tail) ** power`` for a truncated power law.  ``**``,
+``math.cos`` and ``math.sin`` run on libm, as numpy's scalar paths do;
+numpy's vector ``power`` takes SIMD loops that round differently from libm
+on some CPUs (on one AVX-512 host it differed on about one input in 20), so
+the maps stay scalar and a seed's positions stay bit for bit the same.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ._dist import pareto_from_uniform, truncated_pareto
+from ._dist import pareto_map, uniforms
 from .trace import PositionTrace, sample_segments
 
-__all__ = ["LevyWalkParams", "generate_levy", "flight_lengths"]
+__all__ = ["LevyWalkParams", "generate_levy"]
 
 
 @dataclass(frozen=True)
@@ -57,12 +67,6 @@ def _reflect(v: float, limit: float) -> float:
     return v if v <= limit else period - v
 
 
-def _uniforms(rng: np.random.Generator):
-    """The doubles scalar ``rng.random()`` calls would draw, fetched in blocks."""
-    while True:
-        yield from rng.random(1024).tolist()
-
-
 def generate_levy(
     params: LevyWalkParams, n_nodes: int, duration: float, seed: int, sample_interval: float = 30.0
 ) -> PositionTrace:
@@ -75,42 +79,58 @@ def generate_levy(
     for count, (v_lo, v_hi) in params.speed_classes:
         speeds.extend(rng.uniform(v_lo, v_hi, size=count).tolist() if v_hi > v_lo else [v_lo] * count)
 
-    flight = pareto_from_uniform(params.flight_exponent, *params.flight_bounds)
-    pause = pareto_from_uniform(params.pause_exponent, *params.pause_bounds)
-    draw = _uniforms(rng).__next__
+    f_low, f_tail, f_power = pareto_map(params.flight_exponent, *params.flight_bounds)
+    p_low, p_tail, p_power = pareto_map(params.pause_exponent, *params.pause_bounds)
+    draws = uniforms(rng)
+    cos, sin = math.cos, math.sin
     two_pi = 2 * math.pi
     n_samples = int(round(duration / sample_interval)) + 1
     positions = np.empty((n_nodes, n_samples, 2))
     for node in range(n_nodes):
-        x = w * draw()  # as rng.uniform(0, w) scales u: low + (high - low) * u
-        y = h * draw()
-        if duration == 0:
+        x = w * next(draws)  # as rng.uniform(0, w) scales u: low + (high - low) * u
+        y = h * next(draws)
+        if duration <= 0:
             positions[node, 0] = (x, y)
             continue
-        knots = [(0.0, x, y)]
+        kt, kx, ky = [0.0], [x], [y]
         t = 0.0
         speed = speeds[node]
-        while t < duration:
-            length = flight(draw())
-            angle = two_pi * draw()
-            # Fly along the unfolded line and mirror back into the area,
-            # adding a knot at every boundary crossing so the reflected
-            # path stays exactly piecewise linear.
-            fx = x + length * math.cos(angle)
-            fy = y + length * math.sin(angle)
+        for u_length, u_angle, u_pause in zip(draws, draws, draws):
+            length = f_low * (1.0 - u_length * f_tail) ** f_power
+            angle = two_pi * u_angle
+            fx = x + length * cos(angle)
+            fy = y + length * sin(angle)
             flight_time = length / speed
-            fracs = [1.0]
-            if not (0 <= fx <= w and 0 <= fy <= h):  # x, y lie in the area
-                fracs += _crossings(x, fx, w) + _crossings(y, fy, h)
-                fracs.sort()
-            for frac in fracs:
-                knots.append((t + frac * flight_time, _reflect(x + frac * (fx - x), w),
-                              _reflect(y + frac * (fy - y), h)))
-            t += flight_time
-            x, y = knots[-1][1], knots[-1][2]
-            t += pause(draw())
-            knots.append((t, x, y))
-        positions[node] = sample_segments(knots, duration, sample_interval)
+            if 0 <= fx <= w and 0 <= fy <= h:  # no crossing: x, y lie in the area
+                # The end point as the crossing path below computes it at
+                # fraction 1.0; that sum may land a hair outside the area.
+                x, y = x + (fx - x), y + (fy - y)
+                if not 0 <= x <= w:
+                    x = _reflect(x, w)
+                if not 0 <= y <= h:
+                    y = _reflect(y, h)
+                t += flight_time
+                kt.append(t)
+                kx.append(x)
+                ky.append(y)
+            else:
+                # Fly along the unfolded line and mirror back into the area,
+                # adding a knot at every boundary crossing so the reflected
+                # path stays exactly piecewise linear.
+                fracs = sorted([1.0] + _crossings(x, fx, w) + _crossings(y, fy, h))
+                for frac in fracs:
+                    kt.append(t + frac * flight_time)
+                    kx.append(_reflect(x + frac * (fx - x), w))
+                    ky.append(_reflect(y + frac * (fy - y), h))
+                t += flight_time
+                x, y = kx[-1], ky[-1]
+            t += p_low * (1.0 - u_pause * p_tail) ** p_power
+            kt.append(t)
+            kx.append(x)
+            ky.append(y)
+            if t >= duration:
+                break
+        positions[node] = sample_segments(kt, kx, ky, duration, sample_interval)
     return PositionTrace(positions, sample_interval, w, h)
 
 
@@ -119,11 +139,3 @@ def _crossings(p0: float, p1: float, limit: float) -> list[float]:
     lo, hi = min(p0, p1), max(p0, p1)
     return [(k * limit - p0) / (p1 - p0)
             for k in range(math.floor(lo / limit) + 1, math.ceil(hi / limit))]
-
-
-def flight_lengths(
-    params: LevyWalkParams, n_flights: int, seed: int
-) -> np.ndarray:
-    """Draw flight lengths exactly as the generator does (for distribution checks)."""
-    rng = np.random.default_rng(seed)
-    return np.asarray(truncated_pareto(rng, params.flight_exponent, *params.flight_bounds, size=n_flights))

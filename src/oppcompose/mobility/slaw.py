@@ -111,5 +111,5 @@ def generate_slaw(
             t += float(np.hypot(nx - x, ny - y)) / params.speed
             x, y = nx, ny
             knots.append((t, x, y))
-        positions[node] = sample_segments(knots, duration, sample_interval)
+        positions[node] = sample_segments(*zip(*knots), duration, sample_interval)
     return PositionTrace(positions, sample_interval, params.area[0], params.area[1])

@@ -106,16 +106,13 @@ def load_trace_csv(path) -> PositionTrace:
 
 
 def sample_segments(
-    waypoints: list[tuple[float, float, float]], duration: float, interval: float
+    times: list[float], xs: list[float], ys: list[float], duration: float, interval: float
 ) -> np.ndarray:
     """Sample a piecewise-linear motion onto a uniform grid.
 
-    ``waypoints`` is a list of (t, x, y) knots covering [0, duration];
-    position between knots is linear (a pause is two knots at the same
-    place).  Returns an array of shape (T, 2).
+    ``times``, ``xs`` and ``ys`` are the (t, x, y) knots of the motion,
+    covering [0, duration]; position between knots is linear (a pause is two
+    knots at the same place).  Returns an array of shape (T, 2).
     """
-    times = np.arange(int(round(duration / interval)) + 1) * interval
-    knots = np.asarray(waypoints)
-    xs = np.interp(times, knots[:, 0], knots[:, 1])
-    ys = np.interp(times, knots[:, 0], knots[:, 2])
-    return np.stack([xs, ys], axis=1)
+    grid = np.arange(int(round(duration / interval)) + 1) * interval
+    return np.stack([np.interp(grid, times, xs), np.interp(grid, times, ys)], axis=1)

@@ -395,6 +395,27 @@ def test_node_count_that_disagrees_with_the_trace_raises(tmp_path):
         experiments.prepare_run(tiny_spec(mobility=mobility).to_dict(), seed=0)
 
 
+@pytest.mark.parametrize("duration", [None, 1800.0, 1800])
+def test_trace_file_duration_may_be_restated(tmp_path, duration):
+    mobility = {"model": "trace-file", "path": _six_node_trace_file(tmp_path)}
+    if duration is not None:
+        mobility["duration"] = duration
+    config, contacts = experiments.prepare_run(tiny_spec(mobility=mobility).to_dict(), seed=0)
+    assert contacts.duration == 1800.0
+
+
+@pytest.mark.parametrize("model", ["trace-file", "gps-files"])
+def test_duration_that_disagrees_with_the_trace_raises(tmp_path, model):
+    if model == "trace-file":
+        mobility = {"model": model, "path": _six_node_trace_file(tmp_path)}
+    else:
+        mobility = {"model": model, "paths": _write_gps_log(tmp_path)}
+    lasts = experiments.make_trace(mobility, seed=0).duration
+    mobility["duration"] = 100.0
+    with pytest.raises(ValueError, match=f"duration is 100.0 s but the trace lasts {lasts} s"):
+        experiments.prepare_run(tiny_spec(mobility=mobility).to_dict(), seed=0)
+
+
 def test_manifest_keeps_commas_in_error_text(tmp_path, monkeypatch):
     error = ValueError("no path from 1 to 7, at node 3, after 2 hops")
 

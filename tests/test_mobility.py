@@ -1,8 +1,10 @@
 import hashlib
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import brentq
 
 from oppcompose.mobility import (
@@ -17,8 +19,8 @@ from oppcompose.mobility import (
     load_trace_csv,
     save_trace_csv,
 )
+from oppcompose.mobility._dist import choice_cdf, truncated_pareto
 from oppcompose.mobility.hcmm import community_index, home_communities
-from oppcompose.mobility.levy import flight_lengths
 from oppcompose.mobility.slaw import waypoint_field
 
 
@@ -34,6 +36,12 @@ def fit_truncated_power_law(samples, low, high):
         return 1.0 / a - log_ratio + (r ** a) * math.log(r) / (1.0 - r ** a)
 
     return brentq(score, 1e-3, 50.0)
+
+
+def flight_lengths(params: LevyWalkParams, n_flights: int, seed: int) -> np.ndarray:
+    """Flight lengths from the generator's power law (for distribution checks)."""
+    rng = np.random.default_rng(seed)
+    return truncated_pareto(rng, params.flight_exponent, *params.flight_bounds, size=n_flights)
 
 
 # -- Levy walk ---------------------------------------------------------------
@@ -72,11 +80,17 @@ LEVY_DIGESTS = [
      "9f86e22d09f55782050dca7c76fb508aa4a7eb395572c614450da3348f2d65c0"),
     (LevyWalkParams(), 20, 0.0, 14,
      "f35fcfec7f9c0f4f2c1dd91c035fec7b072e9abd3b4d694bac80d496771ff251"),
+    # An area smaller than most flights: many crossings per flight.
+    (LevyWalkParams(area=(40.0, 25.0)), 20, 7200.0, 15,
+     "f9b3e1e43e7880a11cf1e40d59204f4e13f2e29149e014dd21a650d32288de07"),
+    (LevyWalkParams(speed_classes=((60, (1.0, 1.0)), (20, (10.0, 10.0)))), 80, 3600.0, 16,
+     "7103da50a0356572c2b8afe7ff063efc81169b60cffade728d9dfa56b5421d99"),
 ]
 
 
 @pytest.mark.parametrize("params, n, duration, seed, digest", LEVY_DIGESTS,
-                         ids=["default", "speed-range", "non-square", "zero-duration"])
+                         ids=["default", "speed-range", "non-square", "zero-duration",
+                              "small-area", "slow-fast-60-20"])
 def test_levy_positions_pinned(params, n, duration, seed, digest):
     trace = generate_levy(params, n, duration, seed=seed)
     assert hashlib.sha256(trace.positions.tobytes()).hexdigest() == digest
@@ -221,6 +235,61 @@ def test_hcmm_deterministic_per_seed():
     a = generate_hcmm(HcmmParams(), 10, 3600, seed=9)
     b = generate_hcmm(HcmmParams(), 10, 3600, seed=9)
     assert np.array_equal(a.positions, b.positions)
+
+
+# sha256 of the positions' bytes, recorded from the generator that drew each
+# value with its own numpy call (rng.uniform, rng.choice, rng.random).
+HCMM_DIGESTS = {
+    "rewire-0": (HcmmParams(rewiring_p=0.0), 12, 7200.0, 21,
+                 "566e099a40e333947af4c2eb075796b1bd890555cc68459e6a8c6d077bf8fe06"),
+    "rewire-0.1": (HcmmParams(rewiring_p=0.1), 12, 7200.0, 22,
+                   "3b0f886beb98150d5dcf745c3458b86a0e4463084ab542b3bce5eda30ad016d8"),
+    "rewire-0.5": (HcmmParams(rewiring_p=0.5), 12, 7200.0, 23,
+                   "a28af25a0ffe2b442370afccd3c0441d1cc25e587fe3619fcab5ce7b76596c87"),
+    "rewire-1": (HcmmParams(rewiring_p=1.0), 12, 7200.0, 24,
+                 "baf75fa30a7294776169907d1a86010b1310eb1e9fffd544921938a34a8234f0"),
+    "grid-1x1": (HcmmParams(grid=(1, 1)), 6, 7200.0, 25,
+                 "1743a81d110734525beb63cca2023332d66b7f4f9e98c143f02747f360e0adcc"),
+    # 8 nodes in 6 cells: four nodes alone at home, without links.
+    "grid-3x2": (HcmmParams(grid=(3, 2), rewiring_p=0.3), 8, 7200.0, 26,
+                 "7e39f444efc05ed3cdbea50dbdf51023f62a3a931a5912bfa6d6e29ca3c1c756"),
+    "non-square": (HcmmParams(area=(1000.0, 300.0), rewiring_p=0.2), 10, 7200.0, 27,
+                   "fd5a16a701bb2c2401049f638fa0285839c7ee765a3a789bf17e51932aa22fd9"),
+    "uneven-homes": (HcmmParams(rewiring_p=0.2), 13, 7200.0, 28,
+                     "ff8688e75f4f15bcf462cd0abf3e84cbca903b0a5db82547dcd2cafde03757fa"),
+    "zero-duration": (HcmmParams(), 12, 0.0, 29,
+                      "a41e0883cab55612cec000d737e322f032ed67c06a997cb414ecefd0394300ad"),
+    "off-grid-duration": (HcmmParams(), 12, 7210.0, 30,
+                          "8974030275fd05b608f9c33b3438258f0593adb4a4a630cb12e6b77e48bf62f2"),
+    # Travel times from math.hypot instead of np.hypot move this trace.
+    "hypot-rounding": (HcmmParams(), 12, 7200.0, 2,
+                       "29bf8f3122968c47f0d1210eefaefae9ec5cd37403257af32cf7ee2be46e9467"),
+}
+
+
+@pytest.mark.parametrize("params, n, duration, seed, digest", HCMM_DIGESTS.values(),
+                         ids=HCMM_DIGESTS.keys())
+def test_hcmm_positions_pinned(params, n, duration, seed, digest):
+    trace = generate_hcmm(params, n, duration, seed=seed)
+    assert hashlib.sha256(trace.positions.tobytes()).hexdigest() == digest
+
+
+weights = st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1e3)), min_size=1, max_size=9).filter(any)
+
+
+@settings(max_examples=150, deadline=None)
+@given(w=weights, seed=st.integers(0, 2**32 - 1))
+@example(w=[0.0, 0.0, 2.5, 0.0], seed=0)
+@example(w=[1.0, 0.0, 0.0, 1.0, 0.0], seed=1)
+def test_choice_cdf_replays_generator_choice(w, seed):
+    # HCMM picks goal communities by bisect_right into choice_cdf instead of
+    # rng.choice; a numpy release that changes Generator.choice fails here.
+    w = np.asarray(w)
+    p = w / w.sum()
+    cdf = choice_cdf(p)
+    rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(200):
+        assert bisect_right(cdf, rng_a.random()) == rng_b.choice(len(w), p=p)
 
 
 # -- trace CSV round trip ------------------------------------------------------
