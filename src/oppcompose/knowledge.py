@@ -14,17 +14,17 @@ then lower node id).  Only the columns k that pricing reads are settled
 known, only sources j at the ends of contacts new since then, plus k
 itself, can win (see :func:`exchange_all`).  Under ``global`` awareness
 nodes also gossip timer rows, merged once per group: each member takes
-the group's freshest observation of each row.  :func:`edge_prices` turns
-this state into the cost of every composition graph edge an owner prices,
-one rule per awareness level (:data:`AWARENESS_LEVELS`): the owner's
-vectors are read at the edges' device endpoints only.
+the group's freshest observation of each row.  :func:`owner_view` turns
+this state into what an owner knows at each awareness level
+(:data:`AWARENESS_LEVELS`), as Python lists: its timers, its loads, and
+rows of pairwise estimates built on first use.  The composition search
+prices each edge it relaxes from that view by one rule, whatever the level.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -34,9 +34,7 @@ __all__ = [
     "LoadTracker",
     "exchange",
     "exchange_all",
-    "EdgeEnds",
-    "edge_ends",
-    "edge_prices",
+    "owner_view",
 ]
 
 AWARENESS_LEVELS = ("minimal", "local", "global", "perfect")
@@ -289,71 +287,61 @@ def exchange_all(know: Knowledge, pairs: list[tuple[int, int]], now: float = 0.0
     return _closure(know, np.array(nodes), hops, seeds, now)
 
 
-class EdgeEnds(NamedTuple):
-    """One owner's composition graph edges as device index arrays.
+class _Rows(dict):
+    """Rows built on first use: ``rows[s]`` is ``row(s)``, kept once built."""
 
-    ``src[e]`` and ``dst[e]`` are edge e's device endpoints, the owner's id
-    in place of the graph's own ends; ``loaded`` lists the edges that pay
-    their destination's load (``None``: none does).  ``same`` lists the
-    edges with ``src == dst``, ``others`` those with distinct ends of which
-    neither is the owner.  Built once per owner by :func:`edge_ends`.
+    def __init__(self, row):
+        super().__init__()
+        self._row = row
+
+    def __missing__(self, s):
+        value = self[s] = self._row(s)
+        return value
+
+
+def owner_view(level: str, know: Knowledge, owner: int, now: float, unit_s: float,
+               live_loads=None) -> tuple:
+    """Node ``owner``'s view ``(T, L, P)`` of the network at awareness ``level``.
+
+    All three are Python lists over devices, in time units: ``T`` the
+    owner's timers, ``L`` the backlog per device or None where no load is
+    priced, and ``P[s]`` a row of pairwise distances from device s (built on
+    first use), or None, with None entries where the owner has no pairwise
+    estimate.  The distance from s to another device d is ``P[s][d]`` when
+    present, else ``T[s] + T[d]``: an upper bound, exact where one end is the
+    owner, whose entry is pinned at zero.
+
+    minimal: every pair at distance 1, no load.  local: the owner's timers
+    and loads only.  global: row s is the last timer row of s the owner
+    observed, aged by its staleness, ``g + (now - seen)``, with None where
+    that entry is infinite or about the owner; None for the owner's own row
+    and a row never observed.  perfect: every node's live timer row, and
+    ``live_loads``, the true backlog per node in seconds.  Unknown (pruned)
+    peers are at infinite distance.
     """
-
-    src: np.ndarray
-    dst: np.ndarray
-    loaded: np.ndarray | None
-    same: np.ndarray
-    others: np.ndarray
-
-
-def edge_ends(owner: int, sdev: np.ndarray, ddev: np.ndarray,
-              loaded: np.ndarray | None) -> EdgeEnds:
-    """``owner``'s :class:`EdgeEnds` for edges from device ``sdev[e]`` to
-    ``ddev[e]``, where a negative id stands for the owner."""
-    src = np.where(sdev < 0, owner, sdev)
-    dst = np.where(ddev < 0, owner, ddev)
-    others = np.flatnonzero((src != dst) & (src != owner) & (dst != owner))
-    return EdgeEnds(src, dst, loaded, np.flatnonzero(src == dst), others)
-
-
-def edge_prices(level: str, know: Knowledge, owner: int, ends: EdgeEnds, now: float,
-                unit_s: float, live_loads: np.ndarray | None = None) -> np.ndarray:
-    """Edge costs, in time units, as node ``owner`` prices them at ``level``.
-
-    Each edge of ``ends`` costs the estimated temporal distance between its
-    devices s and d, plus the backlog at d if it is ``loaded``.  minimal:
-    distance 1 between two devices, no load.  local: the owner's own
-    timers, the sum ``t(s) + t(d)`` (an upper bound; exact where one end is
-    the owner, whose entry is pinned at zero).  global: for s and d other
-    than the owner with a finite gossiped entry about d in s's row, that
-    entry aged by the row's staleness ``now - observed``; the local sum
-    elsewhere.  At these three levels ``s == d`` costs 0.  perfect: every
-    node's live timers (all rows of ``know.timers``) and ``live_loads``,
-    the true backlog per node in seconds.  Unknown (pruned) peers are at
-    infinite distance.
-    """
-    src, dst = ends.src, ends.dst
+    n = know.n_nodes
     if level == "minimal":
-        costs = np.ones(len(src))
-        costs[ends.same] = 0.0
-        return costs
+        ones = [1.0] * n
+        return ones, None, [ones] * n
     if level == "perfect":
-        costs = know.timers[src, dst]
-        load = live_loads
-    elif level in ("local", "global"):
-        t = know.timers[owner]
-        costs = t[src] + t[dst]
-        if level == "global":
-            rows = src[ends.others]
-            gossip = know.matrix[owner, rows, dst[ends.others]]
-            seen = know.matrix_obs[owner, rows]
-            use = np.isfinite(gossip) & (seen > -math.inf)
-            costs[ends.others[use]] = gossip[use] + (now - seen[use])
-        costs[ends.same] = 0.0
-        load = know.loads[owner]
-    else:
+        rows = _Rows(lambda s: know.timers[s].tolist())
+        return rows[owner], np.divide(live_loads, unit_s).tolist(), rows
+    if level not in ("local", "global"):
         raise ValueError(f"unknown awareness level {level!r}")
-    loaded = ends.loaded
-    if loaded is not None:
-        costs[loaded] += load[dst[loaded]] / unit_s
-    return costs
+    timers = know.timers[owner].tolist()
+    loads = (know.loads[owner] / unit_s).tolist()
+    if level == "local":
+        return timers, loads, None
+    observed = know.matrix_obs[owner]
+    aged = know.matrix[owner] + (now - observed)[:, None]
+
+    def gossip(s):
+        if s == owner or observed[s] == -math.inf:
+            return None
+        row = aged[s].tolist()
+        if math.inf in row:
+            row = [None if g == math.inf else g for g in row]
+        row[owner] = None
+        return row
+
+    return timers, loads, _Rows(gossip)

@@ -55,6 +55,8 @@ class HcmmParams:
             raise ValueError("community grid must have at least one cell")
         if self.area[0] <= 0 or self.area[1] <= 0:
             raise ValueError("area dimensions must be positive")
+        if not self.speed > 0:
+            raise ValueError(f"HcmmParams: speed must be positive, got {self.speed}")
 
     @property
     def n_communities(self) -> int:

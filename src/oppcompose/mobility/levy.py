@@ -55,6 +55,10 @@ class LevyWalkParams:
             raise ValueError("exponents must lie in (0, 2] for the heavy-tailed regime")
         if self.area[0] <= 0 or self.area[1] <= 0:
             raise ValueError("area dimensions must be positive")
+        for _, (v_lo, v_hi) in self.speed_classes:
+            if not 0 < v_lo <= v_hi:
+                raise ValueError(f"LevyWalkParams: speed class ({v_lo}, {v_hi}) needs "
+                                 "0 < v_min <= v_max")
         total = sum(c for c, _ in self.speed_classes)
         if total != n_nodes:
             raise ValueError(f"speed class counts sum to {total}, expected {n_nodes}")

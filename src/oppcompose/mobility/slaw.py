@@ -37,6 +37,8 @@ class SlawParams:
             raise ValueError("need at least one waypoint")
         if self.area[0] <= 0 or self.area[1] <= 0:
             raise ValueError("area dimensions must be positive")
+        if not self.speed > 0:
+            raise ValueError(f"SlawParams: speed must be positive, got {self.speed}")
 
 
 def waypoint_field(params: SlawParams, rng: np.random.Generator) -> np.ndarray:

@@ -8,17 +8,18 @@ previous boundary's pairs so it seeds at new contacts only),
 contact starts (encounter stats, neighbour index, forwarding attempts),
 service completions, Poisson request generation, forwarding sweeps, and
 deadline expirations.  Each composition decision is one Dijkstra over a
-placement-derived service graph (:class:`_GraphTemplate`) whose edges
-:func:`knowledge.edge_prices` prices straight from the owner's vectors.
-Knowledge changes only at unit boundaries, so an owner's graph is priced
-once per unit and, under ``local``/``global`` awareness, a plan is reused
-for the rest of the unit.  ``minimal`` prices are constant for the whole
-run, but it draws a fresh tie order per decision, so it reuses no plan;
-``perfect`` reads every node's timers and adds the live backlog on every
-decision.  Each hand-off of a request (at generation, after a stage,
-on a relay arrival that re-plans, on a stalled retry) is queued or carried
-by :meth:`_Engine._route`, toward the stage :meth:`_Engine._next_stage`
-picks; :meth:`_Engine._deliver` takes results home.  A forwarding sweep
+placement-derived service graph (:class:`_GraphTemplate`) that prices each
+edge as it relaxes it, by one rule, from the owner's view of the network
+(:func:`knowledge.owner_view`).  Knowledge changes only at unit
+boundaries, so an owner's view is built once per unit and, under
+``local``/``global`` awareness, a plan is reused for the rest of the unit.
+The ``minimal`` view is constant for the whole run, but it draws a fresh
+tie order per decision, so it reuses no plan; ``perfect`` reads every
+node's timers and the live backlog on every decision.  Each hand-off of a
+request (at generation, after a stage, on a relay arrival that re-plans,
+on a stalled retry) is queued or carried by :meth:`_Engine._route`, toward
+the stage :meth:`_Engine._next_stage` picks; :meth:`_Engine._deliver`
+takes results home.  A forwarding sweep
 decides once per destination which neighbour, if any, receives the items
 bound there (:meth:`_Engine.sweep`).  Identical (config, seed) pairs
 reproduce identical results.
@@ -35,8 +36,7 @@ import numpy as np
 
 from .contact_engine import ContactTrace
 from .forwarding import EncounterStats, Scheme, MT, should_relay
-from .knowledge import (AWARENESS_LEVELS, EdgeEnds, Knowledge, LoadTracker, edge_ends,
-                        edge_prices, exchange_all)
+from .knowledge import AWARENESS_LEVELS, Knowledge, LoadTracker, exchange_all, owner_view
 from .service_model import Service, ServiceCatalog, ServicePlacement
 
 __all__ = [
@@ -131,6 +131,12 @@ class SimConfig:
             raise ValueError("request rate must be nonnegative")
         if self.timeout_s <= 0:
             raise ValueError("timeout must be positive")
+        # A negative mean schedules completions before their start, and either
+        # bad value makes the load estimate, and so an edge cost, negative.
+        if not self.mean_exec_s >= 0:
+            raise ValueError(f"mean_exec_s must be nonnegative, got {self.mean_exec_s}")
+        if not 0.0 <= self.load_alpha <= 1.0:
+            raise ValueError(f"load_alpha must lie in [0, 1], got {self.load_alpha}")
         # The closure's tie order and its seeding both rest on t_av > 0.
         if not self.t_av > 0:
             raise ValueError("t_av must be positive")
@@ -262,10 +268,10 @@ class _GraphTemplate:
     """Placement-derived edge structure shared by every path computation.
 
     Vertices are ints: hosted service copies first, then one vertex per
-    type.  Edge device endpoints use -1 where the graph owner's id must be
-    substituted (:func:`knowledge.edge_ends`, once per owner), and
-    :func:`knowledge.edge_prices` prices them in O(edges).  :meth:`shortest`
-    searches such a priced list, so one pricing serves many searches.
+    type; only each edge's head is kept.  A copy's device is its host and a
+    type vertex's the graph owner, and an edge pays a load exactly when its
+    head is a copy, so :meth:`shortest` prices an edge from its two vertices
+    and an owner's view, whichever owner it searches for.
     """
 
     def __init__(self, placement: ServicePlacement, n_d: int, single_stage: bool):
@@ -277,30 +283,14 @@ class _GraphTemplate:
         self.n_service_vertices = len(copies)
         self.type_vertex = {x: len(copies) + x - 1 for x in range(1, n_d + 1)}
         self.n_vertices = len(copies) + n_d
-        edges_dst: list[int] = []
-        edges_sdev: list[int] = []
-        edges_ddev: list[int] = []
-        edges_load: list[bool] = []
-        # Per vertex: (edge index, head vertex) of each outgoing edge.
-        self.out_edges: list[list[tuple[int, int]]] = [[] for _ in range(self.n_vertices)]
-
-        def add(u, v, sdev, ddev, with_load):
-            self.out_edges[u].append((len(edges_dst), v))
-            edges_dst.append(v)
-            edges_sdev.append(sdev)
-            edges_ddev.append(ddev)
-            edges_load.append(with_load)
-
-        for vi, (s, n) in enumerate(copies):
-            add(self.type_vertex[s.input], vi, -1, n, True)
-            add(vi, self.type_vertex[s.output], n, -1, False)
+        # Per vertex: the head vertex of each outgoing edge.
+        self.heads: list[list[int]] = [[] for _ in range(self.n_vertices)]
+        for vi, (s, _) in enumerate(copies):
+            self.heads[self.type_vertex[s.input]].append(vi)
+            self.heads[vi].append(self.type_vertex[s.output])
             if not single_stage:
-                for vj, (s2, n2) in enumerate(copies):
-                    if s.output == s2.input:
-                        add(vi, vj, n, n2, True)
-        self.e_sdev = np.array(edges_sdev, dtype=np.int64)
-        self.e_ddev = np.array(edges_ddev, dtype=np.int64)
-        self.e_load = np.array(edges_load)
+                self.heads[vi].extend(vj for vj, (s2, _) in enumerate(copies)
+                                      if s.output == s2.input)
         # Rank of each service vertex in (service, host) order, for ties.
         order = sorted(range(len(copies)), key=lambda i: copies[i])
         self.lex_rank = [0] * len(copies)
@@ -308,7 +298,7 @@ class _GraphTemplate:
             self.lex_rank[vi] = rank
         self._single_stage = single_stage
         self._reachable: dict[int, frozenset[int]] = {}
-        self._toward: dict[int, list[list[tuple[int, int]]]] = {}
+        self._toward: dict[int, list[list[int]]] = {}
 
     def reachable_outputs(self, req_in: int) -> frozenset[int]:
         """Output types attainable from ``req_in`` regardless of costs.
@@ -336,25 +326,29 @@ class _GraphTemplate:
         self._reachable[req_in] = result
         return result
 
-    def _edges_toward(self, req_out: int) -> list[list[tuple[int, int]]]:
-        """Per vertex, its (edge, head) pairs whose head can still reach
-        ``req_out``'s type vertex; no other edge can lie on a path there."""
+    def _heads_toward(self, req_out: int) -> list[list[int]]:
+        """Per vertex, its heads that can still reach ``req_out``'s type
+        vertex; no other edge can lie on a path there."""
         cached = self._toward.get(req_out)
         if cached is not None:
             return cached
         goal = self.type_vertex[req_out]
         useful = [s.output == req_out or req_out in self.reachable_outputs(s.output)
                   for s, _ in self.copies]
-        cached = [[(ei, v) for ei, v in edges
-                   if v == goal or (v < self.n_service_vertices and useful[v])]
-                  for edges in self.out_edges]
+        cached = [[v for v in heads if v == goal or (v < self.n_service_vertices and useful[v])]
+                  for heads in self.heads]
         self._toward[req_out] = cached
         return cached
 
-    def shortest(self, owner: int, req_in: int, req_out: int, costs: list[float],
+    def shortest(self, owner: int, req_in: int, req_out: int, view: tuple,
                  ranks: list[int] | np.ndarray | None = None) -> CompositionPath | None:
-        """Dijkstra from the input-type vertex over ``owner``'s edge costs.
+        """Dijkstra from the input-type vertex over ``owner``'s view.
 
+        ``view`` is :func:`knowledge.owner_view`'s ``(T, L, P)``.  An edge's
+        devices s and d are its vertices' hosts, a type vertex standing for
+        the owner, and it is priced as it is relaxed, by one rule: 0 if
+        ``s == d``, else ``P[s][d]`` when present, else ``T[s] + T[d]``; plus
+        ``L[d]`` when the head is a service copy (a stage to run there).
         Ties prefer fewer stages, then finishing at the owner, then the
         smallest stage-rank sequence (``ranks`` per service vertex, default
         (service, host) order).  That sequence is one integer in base
@@ -370,8 +364,9 @@ class _GraphTemplate:
         # Python ints: on long chains the key outgrows a numpy int64.
         ranks = self.lex_rank if ranks is None else [int(r) for r in ranks]
         base = self.n_service_vertices
-        hosts = self.hosts
-        out_edges = self._edges_toward(req_out)
+        timers, loads, pairs = view
+        device = self.hosts + [owner] * self.n_d
+        heads = self._heads_toward(req_out)
         best: list = [None] * self.n_vertices
         pred = [0] * self.n_vertices
         settled = [False] * self.n_vertices
@@ -383,10 +378,23 @@ class _GraphTemplate:
             if vertex == goal:
                 break
             settled[vertex] = True
-            returned = penalty + (vertex < base and hosts[vertex] != owner)
-            for ei, nxt in out_edges[vertex]:
-                w = costs[ei]
-                if not w < math.inf or settled[nxt]:
+            s = device[vertex]
+            returned = penalty + (s != owner)
+            t_s = timers[s]
+            row = None if pairs is None else pairs[s]
+            for nxt in heads[vertex]:
+                if settled[nxt]:
+                    continue
+                d = device[nxt]
+                if d == s:
+                    w = 0.0
+                else:
+                    w = None if row is None else row[d]
+                    if w is None:
+                        w = t_s + timers[d]
+                if nxt < base and loads is not None:
+                    w += loads[d]
+                if not w < math.inf:
                     continue
                 if nxt < base:
                     label = (cost + w, n_stages + 1, penalty, key * base + ranks[nxt], nxt)
@@ -436,10 +444,8 @@ class _Engine:
                               columns=None if config.awareness == "perfect"
                               else self.template.hosts)
         self.boundary_pairs = contacts.boundary_pairs(config.unit_s)
-        # Per owner: its graph's edge endpoints.  Per unit: each owner's
-        # priced edge costs, and the plans they gave.
-        self._ends: dict[int, EdgeEnds] = {}
-        self._dist_cache: dict[int, list[float]] = {}
+        # Per unit: each owner's view, and the plans it gave.
+        self._dist_cache: dict[int, tuple] = {}
         self._plans: dict[tuple[int, int, int], CompositionPath | None] = {}
         self._reuse_plans = config.awareness in ("local", "global")
         self._pending_sweeps: set[tuple[int, float]] = set()
@@ -469,15 +475,16 @@ class _Engine:
             self._pending_sweeps.add(key)
             self.push(t, _P_SWEEP, "sweep", node)
 
-    # -- knowledge-driven cost matrices ---------------------------------
+    # -- owners' views of the network -----------------------------------
 
-    def _distances(self, owner: int) -> list[float]:
-        """``owner``'s edge costs, priced by :func:`knowledge.edge_prices`.
+    def _distances(self, owner: int) -> tuple:
+        """``owner``'s view of the network, from :func:`knowledge.owner_view`.
 
-        Nothing the pricing reads changes within a unit except the live
-        backlog that ``perfect`` awareness prices, so the costs are cached
-        per (owner, unit) in ``_dist_cache`` (``minimal``: for the whole
-        run), and priced afresh on every call under ``perfect``.
+        Nothing the view reads changes within a unit except the live backlog
+        that ``perfect`` awareness prices, so the view is cached per (owner,
+        unit) in ``_dist_cache`` (``minimal``: for the whole run), and built
+        afresh on every call under ``perfect``.  Rows a search fills stay in
+        the cached view for the next.  Without ``load_aware`` no load is priced.
         """
         cached = self._dist_cache.get(owner)
         if cached is not None:
@@ -485,19 +492,13 @@ class _Engine:
         cfg = self.cfg
         live_loads = None
         if cfg.awareness == "perfect":
-            live_loads = np.array([self._pending_count(j) * cfg.mean_exec_s
-                                   for j in range(self.n)])
-        ends = self._ends.get(owner)
-        if ends is None:
-            template = self.template
-            loaded = np.flatnonzero(template.e_load) if cfg.load_aware else None
-            ends = self._ends[owner] = edge_ends(owner, template.e_sdev, template.e_ddev,
-                                                 loaded)
-        costs = edge_prices(cfg.awareness, self.know, owner, ends, self.unit_index,
-                            cfg.unit_s, live_loads).tolist()
+            live_loads = [self._pending_count(j) * cfg.mean_exec_s for j in range(self.n)]
+        timers, loads, pairs = owner_view(cfg.awareness, self.know, owner, self.unit_index,
+                                          cfg.unit_s, live_loads)
+        view = (timers, loads if cfg.load_aware else None, pairs)
         if live_loads is None:
-            self._dist_cache[owner] = costs
-        return costs
+            self._dist_cache[owner] = view
+        return view
 
     def compute_path(self, node: int, req_in: int, req_out: int) -> CompositionPath | None:
         """The cheapest composition ``node`` sees for ``req_in`` -> ``req_out``.

@@ -1,9 +1,12 @@
-"""The n x n pricing, kept as the reference for ``knowledge.edge_prices``.
+"""The n x n pricing, kept as the reference for ``knowledge.owner_view``.
 
 :func:`cost_matrices` spreads an owner's knowledge into a full device
-distance matrix and a load vector; :func:`edge_costs` gathers a graph
-template's edges from them.  ``knowledge.edge_prices`` must give the same
-list, bit for bit, at every awareness level.
+distance matrix and a load vector.  ``owner_view`` must give the same
+distance for every ordered pair s != d, bit for bit, at every awareness
+level: ``P[s][d]`` where present, else ``T[s] + T[d]``; and the same loads.
+:func:`edge_costs` prices a graph template's edges from the matrices, each
+edge's devices read from its vertices, and :func:`matrix_view` wraps the
+matrices as a view (every ``dist`` row in ``P``) for ``shortest``.
 """
 
 from __future__ import annotations
@@ -54,10 +57,24 @@ def cost_matrices(level, know, owner, now, unit_s, live_loads=None):
 
 
 def edge_costs(template, owner, dist, load, load_aware):
-    """Every edge's cost for ``owner``, as the list ``template.shortest`` reads."""
-    sdev = np.where(template.e_sdev < 0, owner, template.e_sdev)
-    ddev = np.where(template.e_ddev < 0, owner, template.e_ddev)
-    costs = dist[sdev, ddev].astype(float)
-    if load_aware:
-        costs = costs + np.where(template.e_load, load[ddev], 0.0)
-    return costs.tolist()
+    """Every edge's cost for ``owner``, keyed by its (tail, head) vertices.
+
+    A service copy's device is its host and a type vertex's the owner; an
+    edge into a copy pays the copy's load.
+    """
+    base = template.n_service_vertices
+    device = [template.hosts[v] if v < base else owner for v in range(template.n_vertices)]
+    costs = {}
+    for u, heads in enumerate(template.heads):
+        for v in heads:
+            cost = float(dist[device[u], device[v]])
+            if load_aware and v < base:
+                cost += float(load[device[v]])
+            costs[u, v] = cost
+    return costs
+
+
+def matrix_view(owner, dist, load, load_aware=True):
+    """``(T, L, P)`` as ``shortest`` reads it, with every ``dist`` row in ``P``."""
+    rows = np.asarray(dist, dtype=float).tolist()
+    return rows[owner], (np.asarray(load, dtype=float).tolist() if load_aware else None), rows

@@ -17,7 +17,7 @@ import numpy as np
 from oppcompose.service_model import (Service, ServicePlacement, assign_services,
                                       enumerate_services)
 from oppcompose.sim_core import CompositionPath, _GraphTemplate
-from pricing_reference import edge_costs
+from pricing_reference import matrix_view
 
 Vertex = tuple  # ("t", type_id) or ("s", Service, host)
 
@@ -452,7 +452,7 @@ def test_template_matches_reference_graph():
         owner = int(rng.integers(n_nodes))
         req = (1, n_d)
         template = _GraphTemplate(placement, n_d, single_stage=False)
-        fast = template.shortest(owner, *req, edge_costs(template, owner, dist, load, True))
+        fast = template.shortest(owner, *req, matrix_view(owner, dist, load))
 
         g = build_graph(owner, placement, n_d, req,
                         lambda i, j: dist[i, j], lambda j: load[j])
@@ -488,8 +488,7 @@ def test_template_matches_reference_graph():
         template = _GraphTemplate(placement, n_d, single_stage=False)
         ranks = (None if tie_seed is None else
                  np.random.default_rng(tie_seed).permutation(template.n_service_vertices))
-        fast = template.shortest(owner, *req, edge_costs(template, owner, dist, load, True),
-                                 ranks)
+        fast = template.shortest(owner, *req, matrix_view(owner, dist, load), ranks)
         g = build_graph(owner, placement, n_d, req,
                         lambda i, j: dist[i, j], lambda j: load[j])
         ref = select_composition(
@@ -510,7 +509,7 @@ def test_template_single_stage_matches_reference():
         n_d = int(rng.integers(3, 6))
         placement, dist, load = random_case(rng, n_d, 4, 2)
         template = _GraphTemplate(placement, n_d, single_stage=True)
-        fast = template.shortest(0, 1, n_d, edge_costs(template, 0, dist, load, True))
+        fast = template.shortest(0, 1, n_d, matrix_view(0, dist, load))
         g = build_graph(0, placement, n_d, (1, n_d),
                         lambda i, j: dist[i, j], lambda j: load[j],
                         single_stage=True)
@@ -529,7 +528,7 @@ def test_template_infinite_costs_hide_hosts():
     dist[2, :] = math.inf
     dist[2, 2] = 0.0
     template = _GraphTemplate(placement, 4, single_stage=False)
-    path = template.shortest(0, 1, 4, edge_costs(template, 0, dist, load, True))
+    path = template.shortest(0, 1, 4, matrix_view(0, dist, load))
     if path is not None:
         assert 2 not in path.hosts()
 

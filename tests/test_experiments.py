@@ -276,6 +276,21 @@ def test_prepare_run_rejects_unknown_keys_outside_sim(overrides):
         experiments.prepare_run(spec, seed=0)
 
 
+@pytest.mark.parametrize("mob", [
+    {"model": "levy", "params": {"speed_classes": [[4, [0.0, 0.0]]]}},
+    {"model": "hcmm", "params": {"speed": 0.0}},
+])
+def test_make_trace_rejects_zero_speed(mob):
+    with pytest.raises(ValueError, match="speed"):
+        experiments.make_trace({**mob, "n_nodes": 4, "duration": 600.0}, seed=0)
+
+
+def test_spec_run_rejects_load_alpha_outside_unit_interval(tmp_path):
+    spec = tiny_spec(seeds=1, sim={"delay_warmup_s": 0.0, "load_alpha": 1.5})
+    with pytest.raises(RuntimeError, match="load_alpha"):
+        run_experiment(spec, tmp_path / "out")
+
+
 def test_every_preset_run_passes_key_checks():
     for name in PRESET_NAMES:
         spec = preset(name)

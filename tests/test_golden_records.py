@@ -19,7 +19,7 @@ from oppcompose.contact_engine import ContactTrace
 from oppcompose.forwarding import DIRECT, EBR, TT
 from oppcompose.service_model import assign_services, enumerate_services
 from oppcompose.sim_core import _Engine, RequestPattern, SimConfig, run, write_records_csv
-from pricing_reference import cost_matrices, edge_costs
+from pricing_reference import cost_matrices, matrix_view
 
 N_NODES = 8
 DURATION = 7200.0
@@ -35,6 +35,7 @@ GOLDEN = {
     "TT": "aeda2abe19f5d0bd06c7b98c5243ede9d7fe5185e480184e61f4105148deec23",
     "EBR": "cec8b05398d41439e4c98a9ec4155611b439aea2347a528ffce2f4a27f115a15",
     "direct": "0c8f3b4e95f37a56960acaea396d2e3b9beea94a595aba6f2b8a987362dd224b",
+    "nla": "f3eaa99b66d1be43af085574d3443bdfea6dd25818222bb027cf6866d8667c4b",
 }
 
 RUNS = {
@@ -48,6 +49,7 @@ RUNS = {
     "TT": {"scheme": TT},
     "EBR": {"scheme": EBR},
     "direct": {"scheme": DIRECT},
+    "nla": {"load_aware": False},
 }
 
 
@@ -95,11 +97,13 @@ def test_records_match_pinned_digest(name, tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN[name]
 
 
-@pytest.mark.parametrize("name", ["local", "global", "exact_match", "plan_once", "contact"])
+@pytest.mark.parametrize("name", ["local", "global", "perfect", "exact_match", "plan_once",
+                                  "contact", "nla"])
 def test_reused_plans_match_a_fresh_search(name, monkeypatch, tmp_path):
-    # Costs are priced once per (owner, unit) and plans reused within the
-    # unit.  Every answer, reused or not, must equal a search on costs priced
-    # afresh from the engine's state at the time of the call.
+    # Views are built once per (owner, unit) and plans reused within the
+    # unit.  Every answer, reused or not, must equal a search on the n x n
+    # reference priced afresh from the engine's state at the time of the
+    # call (under ``perfect``, with the live backlog).
     contacts, base = scenario()
     compute_path = _Engine.compute_path
     answers = Counter()
@@ -108,10 +112,12 @@ def test_reused_plans_match_a_fresh_search(name, monkeypatch, tmp_path):
         reused = (node, req_in, req_out) in engine._plans
         path = compute_path(engine, node, req_in, req_out)
         cfg, template = engine.cfg, engine.template
+        live_loads = np.array([engine._pending_count(j) * cfg.mean_exec_s
+                               for j in range(engine.n)])
         dist, load = cost_matrices(cfg.awareness, engine.know, node, engine.unit_index,
-                                   cfg.unit_s)
+                                   cfg.unit_s, live_loads)
         fresh = template.shortest(node, req_in, req_out,
-                                  edge_costs(template, node, dist, load, cfg.load_aware))
+                                  matrix_view(node, dist, load, cfg.load_aware))
         assert path == fresh
         answers[reused] += 1
         return path
@@ -119,7 +125,9 @@ def test_reused_plans_match_a_fresh_search(name, monkeypatch, tmp_path):
     monkeypatch.setattr(_Engine, "compute_path", checked)
     result = run(SimConfig(**base, **RUNS[name]), contacts)
     assert answers[False] > 0
-    if name != "plan_once":  # there a request plans once, with no repeat in its unit
+    # With ``plan_once`` a request plans once, with no repeat in its unit;
+    # ``perfect`` prices the live backlog, so it reuses no plan.
+    if name not in ("plan_once", "perfect"):
         assert answers[True] > 0
     path = tmp_path / "records.csv"
     write_records_csv(result, path)

@@ -9,15 +9,14 @@ from oppcompose.knowledge import (
     AWARENESS_LEVELS,
     Knowledge,
     LoadTracker,
-    edge_ends,
-    edge_prices,
     exchange,
     exchange_all,
+    owner_view,
 )
 from oppcompose.service_model import Service, ServicePlacement, enumerate_services
 from oppcompose.sim_core import _GraphTemplate
 from contact_reference import contact_sequence_oracle, relay_cost_oracle
-from pricing_reference import cost_matrices, edge_costs
+from pricing_reference import cost_matrices, edge_costs, matrix_view
 
 UNIT = 30.0
 
@@ -334,14 +333,45 @@ def pricing_cases(draw):
 @pytest.mark.parametrize("level", AWARENESS_LEVELS)
 @settings(max_examples=75, deadline=None)
 @given(case=pricing_cases(), load_aware=st.booleans())
-def test_edge_prices_match_reference_matrices(level, case, load_aware):
+def test_owner_view_matches_reference_matrices(level, case, load_aware):
     template, know, owner, now, unit_s, live_loads = case
     dist, load = cost_matrices(level, know, owner, now, unit_s, live_loads)
-    expected = edge_costs(template, owner, dist, load, load_aware)
-    loaded = np.flatnonzero(template.e_load) if load_aware else None
-    ends = edge_ends(owner, template.e_sdev, template.e_ddev, loaded)
-    src, dst = ends.src, ends.dst
-    assert any(src == dst) and any((src == owner) & (dst != owner)) and len(ends.others)
-    got = edge_prices(level, know, owner, ends, now, unit_s, live_loads).tolist()
+    base = template.n_service_vertices
+    device = [template.hosts[v] if v < base else owner for v in range(template.n_vertices)]
+    ends = [(device[u], device[v]) for u, heads in enumerate(template.heads) for v in heads]
+    assert any(s == d for s, d in ends) and any(s == owner != d for s, d in ends)
+    assert any(s != d and owner not in (s, d) for s, d in ends)
+    timers, loads, pairs = owner_view(level, know, owner, now, unit_s, live_loads)
+    n = know.n_nodes
+    others = [(s, d) for s in range(n) for d in range(n) if s != d]
+
+    def distance(s, d):
+        row = None if pairs is None else pairs[s]
+        w = None if row is None else row[d]
+        return timers[s] + timers[d] if w is None else w
+
+    got = [distance(s, d) for s, d in others]
+    expected = [dist[s, d] for s, d in others]
     assert got == expected
     assert np.array(got).tobytes() == np.array(expected).tobytes()
+    if level == "minimal":
+        assert loads is None
+    else:
+        assert np.array(loads).tobytes() == load.tobytes()
+    # Searches on the view price every edge as the reference does.
+    view = timers, loads if load_aware else None, pairs
+    reference = matrix_view(owner, dist, load, load_aware)
+    costs = edge_costs(template, owner, dist, load, load_aware)
+    vertex = {copy: v for v, copy in enumerate(template.copies)}
+    for req_in in range(1, 5):
+        for req_out in range(1, 5):
+            path = template.shortest(owner, req_in, req_out, view)
+            assert path == template.shortest(owner, req_in, req_out, reference)
+            if path is None:
+                continue
+            walk = ([template.type_vertex[req_in]] + [vertex[stage] for stage in path.stages]
+                    + [template.type_vertex[req_out]])
+            total = 0.0
+            for u, v in zip(walk, walk[1:]):
+                total += costs[u, v]
+            assert np.float64(total).tobytes() == np.float64(path.cost).tobytes()

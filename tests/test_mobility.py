@@ -120,6 +120,23 @@ def test_levy_rejects_bad_params():
         generate_levy(LevyWalkParams(), 7, 600, seed=1)  # class counts sum to 20
 
 
+# A zero speed divides by zero mid-walk and a negative one never ends the walk,
+# so these are checked through ``validate`` only.
+
+@pytest.mark.parametrize("speeds", [(0.0, 0.0), (-1.0, -1.0), (-2.0, 3.0), (5.0, 2.0)])
+def test_levy_rejects_bad_speed_class(speeds):
+    params = LevyWalkParams(speed_classes=((10, (1.0, 1.0)), (10, speeds)))
+    with pytest.raises(ValueError, match="LevyWalkParams"):
+        params.validate(20)
+
+
+@pytest.mark.parametrize("params_cls", [HcmmParams, SlawParams])
+@pytest.mark.parametrize("speed", [0.0, -1.0, math.nan])
+def test_hcmm_and_slaw_reject_non_positive_speed(params_cls, speed):
+    with pytest.raises(ValueError, match=params_cls.__name__):
+        params_cls(speed=speed).validate()
+
+
 # -- SLAW --------------------------------------------------------------------
 
 def test_slaw_default_trace():

@@ -133,6 +133,24 @@ def test_radius_must_be_positive_when_set(radius):
     default_config(radius=0.5).validate()
 
 
+# A negative mean execution time runs the event heap backwards in time, and
+# either value makes loads, and so edge costs under Dijkstra, negative.
+
+@pytest.mark.parametrize("mean_exec_s", [-30.0, -1e-9, math.nan])
+def test_mean_exec_must_be_nonnegative(mean_exec_s):
+    with pytest.raises(ValueError, match="mean_exec_s"):
+        default_config(mean_exec_s=mean_exec_s).validate()
+    default_config(mean_exec_s=0.0).validate()
+
+
+@pytest.mark.parametrize("load_alpha", [-0.25, 1.5, math.nan])
+def test_load_alpha_must_lie_in_unit_interval(load_alpha):
+    with pytest.raises(ValueError, match="load_alpha"):
+        default_config(load_alpha=load_alpha).validate()
+    for alpha in (0.0, 1.0):
+        default_config(load_alpha=alpha).validate()
+
+
 # -- local execution ------------------------------------------------------------
 
 def test_local_exact_service_completes_with_zero_hops():
