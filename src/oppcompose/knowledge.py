@@ -14,7 +14,8 @@ then lower node id).  Only the columns k that pricing reads are settled
 known, only sources j at the ends of contacts new since then, plus k
 itself, can win (see :func:`exchange_all`).  Under ``global`` awareness
 nodes also gossip timer rows, merged once per group: each member takes
-the group's freshest observation of each row.  :func:`owner_view` turns
+the group's latest observation time of each row, which names the row that
+time's closure settled, kept once.  :func:`owner_view` turns
 this state into what an owner knows at each awareness level
 (:data:`AWARENESS_LEVELS`), as Python lists: its timers, its loads, and
 rows of pairwise estimates built on first use.  The composition search
@@ -48,12 +49,13 @@ class Knowledge:
     unknown or pruned peer.  A node's entry about itself is pinned at zero.
     When ``radius`` is set, entries whose timer exceeds it are dropped,
     bounding the state kept for far-away nodes.  With ``track_matrix`` (the
-    distributed-global level), ``matrix[i, r]`` is the last timer row of
-    node r that node i observed and ``matrix_obs[i, r]`` the time (in
-    units) of that observation, ``-inf`` if none.  ``t_av`` must be
-    positive.  Closures settle only the ``columns`` given (default: all);
-    the others keep ticking but are never exchanged, so only the kept
-    columns of ``timers``, ``loads`` and ``matrix`` mean anything.
+    distributed-global level), ``matrix_obs[i, r]`` is the time t (in units)
+    node i last observed node r's timer row, ``-inf`` if never; the row is
+    r's in ``rows[t] = (ids, block)``, the sorted nodes the closure at t
+    settled and their timer rows after it, kept while observed.  ``t_av``
+    must be positive.  Closures settle only the ``columns`` given (default:
+    all); the others keep ticking but are never exchanged, so only the kept
+    columns of ``timers``, ``loads`` and the rows mean anything.
     """
 
     def __init__(self, n_nodes: int, t_av: float = 1.0, radius: float | None = None,
@@ -67,9 +69,11 @@ class Knowledge:
         self.timers = np.full((n_nodes, n_nodes), math.inf)
         np.fill_diagonal(self.timers, 0.0)
         self.loads = np.zeros((n_nodes, n_nodes))
-        self.matrix = np.full((n_nodes,) * 3, math.inf) if track_matrix else None
         self.matrix_obs = np.full((n_nodes, n_nodes), -math.inf) if track_matrix else None
-        self.merged_at = -math.inf  # ``now`` of the last matrix merge
+        self.rows: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+        self.swept = 0  # rows left by the last sweep of ``rows``
+        self.merged_at = -math.inf  # ``now`` of the last row merge
+        self.aged: dict[tuple, list] = {}  # see ``owner_view``
 
     def tick(self, elapsed: float = 1.0) -> None:
         """Advance every timer except the nodes' entries about themselves."""
@@ -77,6 +81,7 @@ class Knowledge:
             raise ValueError("elapsed must be positive")
         self.timers += elapsed
         np.fill_diagonal(self.timers, 0.0)
+        self.aged.clear()
         if self.radius is not None:
             far = self.timers > self.radius
             np.fill_diagonal(far, False)
@@ -143,7 +148,7 @@ def _closure(know: Knowledge, nodes: np.ndarray, hops: np.ndarray, seeds: np.nda
     entries of the ``seeds`` (member positions) in i's group, all as held
     before the call.  Returns True if any timer changed.
     """
-    if know.matrix is not None:
+    if know.matrix_obs is not None:
         if now <= know.merged_at:
             raise ValueError(f"timer rows merged at {now}, not after the last merge "
                              f"at {know.merged_at}")
@@ -192,29 +197,22 @@ def _closure(know: Knowledge, nodes: np.ndarray, hops: np.ndarray, seeds: np.nda
     adopt = (win < timers) & (win <= radius) & (cols != nodes[:, None])
     know.timers[cells] = np.where(adopt, win, timers)
     know.loads[cells] = np.where(adopt, win_loads, loads)
-    if know.matrix is not None:
-        # One merge per group, each group named by its lowest member.
+    if know.matrix_obs is not None:
+        # Per group: every row's latest observation, then the members' rows at now.
+        obs = know.matrix_obs
         same = np.isfinite(hops)
         for lowest in np.flatnonzero(same.argmax(axis=1) == np.arange(m)):
-            _merge_rows(know, nodes[same[lowest]], now)
+            group = nodes[same[lowest]]
+            obs[group] = obs[group].max(axis=0)
+            obs[group[:, None], group] = now
+        know.rows[now] = nodes, know.timers[nodes]
+        # Drop unobserved rows once the table has doubled since the last sweep.
+        if sum(len(ids) for ids, _ in know.rows.values()) > 2 * know.swept + n:
+            seen = {t: (obs[:, ids] == t).any(axis=0) for t, (ids, _) in know.rows.items()}
+            know.rows = {t: (ids[seen[t]], block[seen[t]])
+                         for t, (ids, block) in know.rows.items() if seen[t].any()}
+            know.swept = sum(int(kept.sum()) for kept in seen.values())
     return bool(adopt.any())
-
-
-def _merge_rows(know: Knowledge, group: np.ndarray, now: float) -> None:
-    """Give each member of ``group`` the group's freshest row per node, then
-    make its rows about members their settled timers, observed at ``now``.
-
-    Row r observed at t holds r's timers after the closure at t, and copies
-    keep the (time, row) pair: equal observation times hold equal rows.
-    """
-    obs = know.matrix_obs[group]
-    holder = obs.argmax(axis=0)  # per row, the lowest member holding the freshest
-    freshest = obs[holder, np.arange(know.n_nodes)]
-    member, row = np.nonzero(obs < freshest)
-    know.matrix[group[member], row] = know.matrix[group[holder[row]], row]
-    know.matrix_obs[group[member], row] = freshest[row]
-    know.matrix[group[:, None], group] = know.timers[group]
-    know.matrix_obs[group[:, None], group] = now
 
 
 def exchange(know: Knowledge, a: int, b: int, now: float = 0.0) -> bool:
@@ -265,12 +263,12 @@ def exchange_all(know: Knowledge, pairs: list[tuple[int, int]], now: float = 0.0
     differ by one rounding per hop.  Loads follow the minimising source;
     where several sources tie, the own entry wins, then the source with
     fewer hops, then the lower node id (pairwise exchanges left this to
-    the order of the pairs).  With matrix tracking, each member's rows
-    about its group become those members' final timers observed at
-    ``now``; every other row takes the freshest observation held in the
-    group.  A merge must come later than the previous one (ValueError
-    otherwise): only then does an observation time name one row.  Returns
-    True if any timer changed.
+    the order of the pairs).  With row tracking, each member takes its
+    group's latest observation time of every row, then its rows about
+    members are observed at ``now``, and ``know.rows[now]`` keeps every
+    member's settled row.  A merge must come later than the previous one
+    (ValueError otherwise): only then does an observation time name one
+    row.  Returns True if any timer changed.
     """
     if not pairs:
         return False
@@ -315,7 +313,8 @@ def owner_view(level: str, know: Knowledge, owner: int, now: float, unit_s: floa
     and loads only.  global: row s is the last timer row of s the owner
     observed, aged by its staleness, ``g + (now - seen)``, with None where
     that entry is infinite or about the owner; None for the owner's own row
-    and a row never observed.  perfect: every node's live timer row, and
+    and a row never observed.  Owners share each aged row until a tick
+    (``know.aged``).  perfect: every node's live timer row, and
     ``live_loads``, the true backlog per node in seconds.  Unknown (pruned)
     peers are at infinite distance.
     """
@@ -332,15 +331,20 @@ def owner_view(level: str, know: Knowledge, owner: int, now: float, unit_s: floa
     loads = (know.loads[owner] / unit_s).tolist()
     if level == "local":
         return timers, loads, None
-    observed = know.matrix_obs[owner]
-    aged = know.matrix[owner] + (now - observed)[:, None]
+    observed = know.matrix_obs[owner].tolist()
 
     def gossip(s):
-        if s == owner or observed[s] == -math.inf:
+        seen = observed[s]
+        if s == owner or seen == -math.inf:
             return None
-        row = aged[s].tolist()
-        if math.inf in row:
-            row = [None if g == math.inf else g for g in row]
+        aged = know.aged.get((s, seen, now))
+        if aged is None:
+            ids, block = know.rows[seen]
+            aged = (block[ids.searchsorted(s)] + (now - seen)).tolist()
+            if math.inf in aged:
+                aged = [None if g == math.inf else g for g in aged]
+            know.aged[s, seen, now] = aged
+        row = aged.copy()
         row[owner] = None
         return row
 

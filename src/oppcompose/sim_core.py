@@ -179,15 +179,6 @@ class RunResult:
     duration: float
     config_seed: int
 
-    def counts(self) -> dict[str, int]:
-        out = {"completed": 0, "timed-out": 0, "in-flight": 0}
-        for r in self.records:
-            out[r.status] += 1
-        return out
-
-    def completion_rate(self) -> float:
-        return self.counts()["completed"] / len(self.records) if self.records else 0.0
-
 
 RECORD_FIELDS = ("id,origin,in,out,created_s,status,completed_s,delay_s,hops,"
                  "stages,opportunistic_stages,estimated_cost_s")
@@ -419,6 +410,10 @@ class _GraphTemplate:
 class _Engine:
     def __init__(self, config: SimConfig, contacts: ContactTrace):
         config.validate()
+        if (config.scripted_requests is None and config.request_rate_per_min > 0
+                and config.timeout_s >= contacts.duration):
+            raise ValueError(f"timeout_s {config.timeout_s} leaves no time to generate "
+                             f"requests in a run of duration {contacts.duration}")
         self.cfg = config
         self.contacts = contacts
         self.n = contacts.n_nodes

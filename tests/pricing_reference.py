@@ -7,6 +7,9 @@ level: ``P[s][d]`` where present, else ``T[s] + T[d]``; and the same loads.
 :func:`edge_costs` prices a graph template's edges from the matrices, each
 edge's devices read from its vertices, and :func:`matrix_view` wraps the
 matrices as a view (every ``dist`` row in ``P``) for ``shortest``.
+:func:`observed_rows` spreads the gossip, observation times over
+``Knowledge.rows``, into the n x n x n array of rows each node observed, and
+:func:`row_table` packs such an array back into that table.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ def cost_matrices(level, know, owner, now, unit_s, live_loads=None):
         ta = know.timers[owner]
         dist = ta[:, None] + ta[None, :]
         if level == "global":
-            matrix, obs = know.matrix[owner], know.matrix_obs[owner]
+            matrix, obs = observed_rows(know)[owner], know.matrix_obs[owner]
             seen = obs > -math.inf
             if seen.any():
                 age = now - obs[seen]
@@ -78,3 +81,35 @@ def matrix_view(owner, dist, load, load_aware=True):
     """``(T, L, P)`` as ``shortest`` reads it, with every ``dist`` row in ``P``."""
     rows = np.asarray(dist, dtype=float).tolist()
     return rows[owner], (np.asarray(load, dtype=float).tolist() if load_aware else None), rows
+
+
+def observed_rows(know):
+    """``matrix[i, r]``: the timer row of node r that node i last observed,
+    read from ``know.rows`` at ``know.matrix_obs[i, r]``; infinite where never
+    observed.  Every observation must find its row (AssertionError otherwise)."""
+    n = know.n_nodes
+    matrix = np.full((n, n, n), math.inf)
+    found = 0
+    for t, (ids, block) in know.rows.items():
+        i, r = np.nonzero(know.matrix_obs == t)
+        at = np.minimum(ids.searchsorted(r), len(ids) - 1)
+        assert (ids[at] == r).all()
+        matrix[i, r] = block[at]
+        found += len(r)
+    assert found == np.count_nonzero(know.matrix_obs > -math.inf)
+    return matrix
+
+
+def row_table(matrix, obs):
+    """The ``Knowledge.rows`` table that holds ``matrix[i, r]`` at ``obs[i, r]``.
+
+    Equal observations of a row must hold equal rows (AssertionError otherwise).
+    """
+    table = {}
+    for t in set(obs[obs > -math.inf].tolist()):
+        r, i = np.nonzero(obs.T == t)  # by row, then by observer
+        first = np.r_[True, r[1:] != r[:-1]]
+        block = matrix[i[first], r[first]]
+        assert np.array_equal(matrix[i, r], block[np.cumsum(first) - 1])
+        table[t] = r[first], block
+    return table

@@ -6,7 +6,10 @@ Each boundary starts both from the same state, so a tie resolved
 differently at one boundary cannot mask a difference at the next.  The
 second is the dense closure, every member a source in every column; it
 carries its state across boundaries beside the seeded closure, in replays
-and in whole engine runs.
+and in whole engine runs.  Both keep gossiped timer rows as an n x n x n
+``matrix`` (``matrix[i, r]``: the row of r that node i last observed) and
+are compared with the closure's observation times and row table through
+``observed_rows``.
 """
 
 import copy
@@ -19,12 +22,21 @@ import pytest
 
 from oppcompose import knowledge, sim_core
 from oppcompose.contact_engine import ContactTrace, contacts_from_positions
-from oppcompose.knowledge import Knowledge, _hop_counts, _merge_rows, exchange, exchange_all
+from oppcompose.knowledge import Knowledge, _hop_counts, exchange, exchange_all
 from oppcompose.mobility import LevyWalkParams, generate_levy
 from oppcompose.service_model import assign_services, enumerate_services
 from oppcompose.sim_core import RequestPattern, SimConfig, run, write_records_csv
+from pricing_reference import observed_rows, row_table
 
 UNIT = 30.0
+
+
+def with_matrix(know):
+    """A deep copy of ``know`` whose gossiped rows are also spread into the
+    n x n x n ``matrix`` the references merge (None without tracking)."""
+    out = copy.deepcopy(know)
+    out.matrix = None if know.matrix_obs is None else observed_rows(know)
+    return out
 
 
 # -- pairwise fixed point (reference) -------------------------------------------
@@ -171,10 +183,27 @@ def dense_exchange_all(know, pairs, now=0.0, previous=None):
         new_loads[i] = np.where(adopt, loads[order[i, first], cols], loads[i])
     know.timers[nodes] = new_timers
     know.loads[nodes] = new_loads
-    if know.matrix is not None:
+    if know.matrix_obs is not None:
+        if not hasattr(know, "matrix"):  # a Knowledge fresh from the engine
+            know.matrix = observed_rows(know)
         for lowest in np.flatnonzero(same.argmax(axis=1) == np.arange(m)):
-            _merge_rows(know, nodes[same[lowest]], now)
+            merge_dense_rows(know, nodes[same[lowest]], now)
+        # What the engine's owner views read.
+        know.rows = row_table(know.matrix, know.matrix_obs)
     return bool((new_timers != timers).any())
+
+
+def merge_dense_rows(know, group, now):
+    """Give each member of ``group`` the group's freshest row per node, then
+    make its rows about members their settled timers, observed at ``now``."""
+    obs = know.matrix_obs[group]
+    holder = obs.argmax(axis=0)  # per row, the lowest member holding the freshest
+    freshest = obs[holder, np.arange(know.n_nodes)]
+    member, row = np.nonzero(obs < freshest)
+    know.matrix[group[member], row] = know.matrix[group[holder[row]], row]
+    know.matrix_obs[group[member], row] = freshest[row]
+    know.matrix[group[:, None], group] = know.timers[group]
+    know.matrix_obs[group[:, None], group] = now
 
 
 # -- scripts ---------------------------------------------------------------------
@@ -213,11 +242,12 @@ def test_closure_matches_pairwise_fixpoint(t_av, radius, track_matrix):
                 know.loads[i, i] = float(rng.integers(1, 10**6))
             if not pairs:
                 continue
-            before = copy.deepcopy(know)
-            oracle = copy.deepcopy(know)
+            before = with_matrix(know)
+            oracle = with_matrix(know)
             pairwise_fixpoint(oracle, pairs, now=float(k))
             want = expected_closure(before, pairs, float(k))
             exchange_all(know, pairs, now=float(k))
+            matrix = observed_rows(know) if track_matrix else None
             counts["multihop"] += any(max(w["hops"].values()) > 1 for w in want.values())
             for i in range(n):
                 # Bit-identical timers.
@@ -235,14 +265,14 @@ def test_closure_matches_pairwise_fixpoint(t_av, radius, track_matrix):
                     else:
                         counts["tied"] += 1
                 if track_matrix:
-                    assert np.array_equal(know.matrix[i], want[i]["matrix"])
+                    assert np.array_equal(matrix[i], want[i]["matrix"])
                     assert np.array_equal(know.matrix_obs[i], want[i]["obs"])
             if track_matrix:
                 # One observation time names one row: the merge's premise.
                 for r in range(n):
                     seen = know.matrix_obs[:, r]
                     for when in set(seen[np.isfinite(seen)].tolist()):
-                        rows = know.matrix[seen == when, r]
+                        rows = matrix[seen == when, r]
                         assert (rows == rows[0]).all()
     # The scripts exercise both unique and tied minima, and multi-hop groups.
     assert counts["unique"] > 100 and counts["tied"] > 10 and counts["multihop"] > 10
@@ -343,7 +373,7 @@ def test_seeded_closure_matches_dense_across_boundaries(t_av, radius, track_matr
         if columns == "all":
             assert changed == dense_changed
         if track_matrix:
-            assert np.array_equal(know.matrix[:, :, cols], oracle.matrix[:, :, cols])
+            assert np.array_equal(observed_rows(know)[:, :, cols], oracle.matrix[:, :, cols])
             assert np.array_equal(know.matrix_obs, oracle.matrix_obs)
         previous = pairs
     assert min(counts.values()) > 40

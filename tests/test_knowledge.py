@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from oppcompose.knowledge import (
 from oppcompose.service_model import Service, ServicePlacement, enumerate_services
 from oppcompose.sim_core import _GraphTemplate
 from contact_reference import contact_sequence_oracle, relay_cost_oracle
-from pricing_reference import cost_matrices, edge_costs, matrix_view
+from pricing_reference import cost_matrices, edge_costs, matrix_view, row_table
 
 UNIT = 30.0
 
@@ -256,6 +257,22 @@ def test_perfect_level_reads_live_stores():
     assert load[2] == 42.0
 
 
+def test_gossip_keeps_one_copy_per_observed_row():
+    # An n x n x n array of gossiped rows alone would take 64 MB at n=200.
+    rng = np.random.default_rng(4)
+    tracemalloc.start()
+    try:
+        know = Knowledge(200, track_matrix=True)
+        for k in range(8):
+            pairs = {tuple(sorted(int(v) for v in rng.choice(200, 2, replace=False)))
+                     for _ in range(60)}
+            exchange_all(know, sorted(pairs), now=float(k))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+
+
 def test_global_level_uses_aged_rows():
     know = Knowledge(3, track_matrix=True)
     know.timers[1, 2] = 2.0
@@ -316,15 +333,23 @@ def pricing_cases(draw):
         know.timers[i] = draw(st.lists(TIMERS, min_size=n, max_size=n))
         know.timers[i, i] = 0.0
     know.tick(1.0)  # ages every entry and prunes those past the radius
+    # Gossip holds one row per (row, observation time): whole times make
+    # several nodes share an observation.
+    drawn = {}
+    matrix = np.full((n, n, n), math.inf)
     for i in range(n):
         know.loads[i] = draw(st.lists(AMOUNTS, min_size=n, max_size=n))
         for row in range(n):
             kind = draw(st.sampled_from(("unobserved", "observed", "infinite")))
             if kind == "unobserved":
                 continue
-            know.matrix_obs[i, row] = draw(st.floats(0.0, float(now)))
-            if kind == "observed":
-                know.matrix[i, row] = draw(st.lists(TIMERS, min_size=n, max_size=n))
+            seen = draw(st.one_of(st.floats(0.0, float(now)), st.integers(0, now).map(float)))
+            if (row, seen) not in drawn:
+                drawn[row, seen] = (draw(st.lists(TIMERS, min_size=n, max_size=n))
+                                    if kind == "observed" else [math.inf] * n)
+            know.matrix_obs[i, row] = seen
+            matrix[i, row] = drawn[row, seen]
+    know.rows = row_table(matrix, know.matrix_obs)
     live_loads = np.array(draw(st.lists(AMOUNTS, min_size=n, max_size=n)))
     unit_s = draw(st.sampled_from((1.0, 7.0, 30.0)))
     return _GraphTemplate(placement, 4, single_stage=False), know, owner, now, unit_s, live_loads
@@ -345,15 +370,27 @@ def test_owner_view_matches_reference_matrices(level, case, load_aware):
     n = know.n_nodes
     others = [(s, d) for s in range(n) for d in range(n) if s != d]
 
-    def distance(s, d):
-        row = None if pairs is None else pairs[s]
+    def distance(s, d, view=(timers, loads, pairs)):
+        t, _, p = view
+        row = None if p is None else p[s]
         w = None if row is None else row[d]
-        return timers[s] + timers[d] if w is None else w
+        return t[s] + t[d] if w is None else w
 
     got = [distance(s, d) for s, d in others]
     expected = [dist[s, d] for s, d in others]
     assert got == expected
     assert np.array(got).tobytes() == np.array(expected).tobytes()
+    # Every owner's view in the same unit, with all rows built before any is
+    # read: owners share gossip rows, yet each prices as its own reference.
+    views = [owner_view(level, know, o, now, unit_s, live_loads) for o in range(n)]
+    for _, _, p in views:
+        if p is not None:
+            for s in range(n):
+                p[s]  # a row is built on first read
+    for o, view in enumerate(views):
+        ref = cost_matrices(level, know, o, now, unit_s, live_loads)[0]
+        mine = [distance(s, d, view) for s, d in others]
+        assert np.array(mine).tobytes() == np.array([ref[s, d] for s, d in others]).tobytes()
     if level == "minimal":
         assert loads is None
     else:

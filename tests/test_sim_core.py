@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -110,6 +111,21 @@ def test_zero_rate_zero_records():
     cfg = default_config(request_rate_per_min=0.0)
     result = run(cfg, no_contact_trace(20, 3600.0))
     assert result.records == []
+
+
+# Generation stops ``timeout_s`` before the end: with no time left a Poisson
+# stream would write no record and the run would read as completion 0.
+
+@pytest.mark.parametrize("timeout_s", [3600.0, 5000.0])
+def test_poisson_stream_needs_time_before_its_timeout(timeout_s):
+    contacts = no_contact_trace(20, 3600.0)
+    with pytest.raises(ValueError, match=f"timeout_s {timeout_s} .* duration 3600.0"):
+        run(default_config(timeout_s=timeout_s), contacts)
+    # Scripted and empty streams do not generate on that clock.
+    scripted = default_config(timeout_s=timeout_s, scripted_requests=((0.0, 0, 1, 5),))
+    assert len(run(scripted, contacts).records) == 1
+    assert run(default_config(timeout_s=timeout_s, request_rate_per_min=0.0), contacts).records == []
+    run(default_config(timeout_s=3000.0), contacts)
 
 
 # Knowledge parameters out of range would run to a silently wrong completion.
@@ -289,7 +305,7 @@ def test_queued_requests_time_out_under_overload():
         seed=1,
     )
     result = run(cfg, no_contact_trace(1, 7200.0))
-    counts = result.counts()
+    counts = Counter(rec.status for rec in result.records)
     assert counts["completed"] == 10  # 300 s window at 30 s per execution
     assert counts["timed-out"] == 30
     for rec in result.records:
@@ -483,7 +499,7 @@ def test_conservation_every_run():
     for seed in (1, 2, 3):
         cfg = default_config(seed=seed)
         result = run(cfg, levy_contacts(seed=seed))
-        counts = result.counts()
+        counts = Counter(rec.status for rec in result.records)
         assert counts["completed"] + counts["timed-out"] + counts["in-flight"] == len(result.records)
         for rec in result.records:
             if rec.status == "completed":
