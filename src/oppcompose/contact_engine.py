@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mobility.trace import PositionTrace
+from .mobility.trace import PositionTrace, read_headed_csv
 
 __all__ = [
     "EVENT_DTYPE",
@@ -192,30 +192,13 @@ def load_contacts_csv(path) -> ContactTrace:
 
     Without a ``nodes=`` header the node count is the largest id plus one.
     """
-    n_nodes = duration = interval = None
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                for tok in line[1:].split():
-                    k, _, v = tok.partition("=")
-                    if k == "nodes":
-                        n_nodes = int(v)
-                    elif k == "duration":
-                        duration = float(v)
-                    elif k == "interval":
-                        interval = float(v)
-                continue
-            if line.startswith("node_a"):
-                continue
-            a, b, s, e = line.split(",")
-            rows.append((float(s), float(e), int(a), int(b)))
+    header, lines = read_headed_csv(path, {"nodes": int, "duration": float, "interval": float},
+                                    "node_a")
+    rows = [(float(s), float(e), int(a), int(b)) for _, (a, b, s, e) in lines]
     events = np.array(rows, dtype=EVENT_DTYPE)
+    n_nodes, duration = header.get("nodes"), header.get("duration")
     if n_nodes is None:
         n_nodes = int(max(events["a"].max(), events["b"].max())) + 1 if len(events) else 0
     if duration is None:
         duration = float(events["end"].max()) if len(events) else 0.0
-    return ContactTrace(events, n_nodes, duration, interval or 30.0)
+    return ContactTrace(events, n_nodes, duration, header.get("interval", 30.0))

@@ -25,14 +25,13 @@ prices each edge it relaxes from that view by one rule, whatever the level.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "AWARENESS_LEVELS",
     "Knowledge",
-    "LoadTracker",
+    "close_load_window",
     "exchange",
     "exchange_all",
     "owner_view",
@@ -89,20 +88,15 @@ class Knowledge:
             self.loads[far] = 0.0
 
 
-@dataclass
-class LoadTracker:
-    """Moving-window load estimate: pending backlog smoothed by a decay factor."""
+def close_load_window(l_old, pending, mean_exec: float, alpha: float):
+    """The load estimate after a window closes with ``pending`` requests
+    queued or running (scalars or arrays, elementwise).
 
-    mean_exec: float = 30.0
-    alpha: float = 0.5
-    l_old: float = 0.0
-
-    def update(self, pending_count: int) -> float:
-        """Close a window: blend current backlog into the running estimate."""
-        l_cw = pending_count * self.mean_exec
-        value = self.alpha * l_cw + (1.0 - self.alpha) * self.l_old
-        self.l_old = value
-        return value
+    The paper's windowed estimate blends the closing window's load, the
+    backlog times the mean execution time ``l_cw = pending * mean_exec``,
+    into the previous estimate: ``l_new = alpha * l_cw + (1 - alpha) * l_old``.
+    """
+    return alpha * (pending * mean_exec) + (1.0 - alpha) * l_old
 
 
 # Candidate entries computed at once: bounds the (receivers, sources, nodes)

@@ -46,15 +46,6 @@ class PositionTrace:
     def sample_times(self) -> np.ndarray:
         return np.arange(self.n_samples) * self.sample_interval
 
-    def in_bounds(self) -> bool:
-        """True when every recorded sample lies inside the area."""
-        p = self.positions
-        finite = np.isfinite(p).all(axis=2)
-        x, y = p[..., 0], p[..., 1]
-        ok_x = (x[finite] >= -1e-9) & (x[finite] <= self.width + 1e-9)
-        ok_y = (y[finite] >= -1e-9) & (y[finite] <= self.height + 1e-9)
-        return bool(ok_x.all() and ok_y.all())
-
 
 def save_trace_csv(trace: PositionTrace, path) -> None:
     """Write ``time_s,node_id,x_m,y_m`` rows, one per node per sample."""
@@ -70,39 +61,70 @@ def save_trace_csv(trace: PositionTrace, path) -> None:
                 fh.write(f"{t:.1f},{n},{x:.3f},{y:.3f}\n")
 
 
-def load_trace_csv(path) -> PositionTrace:
-    """Read a trace written by :func:`save_trace_csv`."""
-    interval = width = height = None
-    rows = []
+def read_headed_csv(path, keys: dict, columns: str) -> tuple[dict, list[tuple[int, list[str]]]]:
+    """The ``# key=value`` header values and the data rows of a CSV file.
+
+    Header values whose key ``keys`` names are converted by ``keys[key]``;
+    other keys are ignored.  Blank lines and the column-name line (starting
+    with ``columns``) are skipped; every other line is a ``(line number,
+    fields)`` row.  Raises ValueError on an explicit non-positive
+    ``interval``.
+    """
+    header, rows = {}, []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
-            if not line:
+            if not line or line.startswith(columns):
                 continue
             if line.startswith("#"):
                 for tok in line[1:].split():
                     k, _, v = tok.partition("=")
-                    if k == "interval":
-                        interval = float(v)
-                    elif k == "width":
-                        width = float(v)
-                    elif k == "height":
-                        height = float(v)
-                continue
-            if line.startswith("time_s"):
-                continue
-            t, n, x, y = line.split(",")
-            rows.append((float(t), int(n), float(x), float(y)))
-    if not rows or interval is None:
+                    if k in keys:
+                        header[k] = keys[k](v)
+            else:
+                rows.append((lineno, line.split(",")))
+    if not header.get("interval", 1.0) > 0:
+        raise ValueError(f"{path}: interval must be positive, got {header['interval']}")
+    return header, rows
+
+
+def load_trace_csv(path) -> PositionTrace:
+    """Read a trace written by :func:`save_trace_csv`.
+
+    Raises ValueError naming the file line of a row that is not four
+    numbers, has a negative node id or time, or repeats a (node, sample).
+    """
+    header, lines = read_headed_csv(path, {"interval": float, "width": float, "height": float},
+                                    "time_s")
+    interval = header.get("interval")
+    if not lines or interval is None:
         raise ValueError(f"no trace data in {path}")
-    n_nodes = max(r[1] for r in rows) + 1
-    t_max = max(r[0] for r in rows)
-    n_samples = int(round(t_max / interval)) + 1
-    pos = np.full((n_nodes, n_samples, 2), np.nan)
-    for t, n, x, y in rows:
+    rows, first_line = [], {}
+    for lineno, fields in lines:
+        where = f"{path}, line {lineno}"
+        try:
+            t, n, x, y = fields
+            t, n, x, y = float(t), int(n), float(x), float(y)
+        except ValueError:
+            raise ValueError(f"{where}: expected time_s,node_id,x_m,y_m, "
+                             f"got {','.join(fields)!r}") from None
+        if n < 0:
+            raise ValueError(f"{where}: node_id must be nonnegative, got {n}")
+        if not t >= 0:
+            raise ValueError(f"{where}: time_s must be nonnegative, got {t}")
         ti = int(round(t / interval))
+        first = first_line.setdefault((n, ti), lineno)
+        if first != lineno:
+            raise ValueError(f"{where}: node {n} already has sample {ti} (line {first})")
+        rows.append((n, ti, x, y))
+    n_nodes = max(r[0] for r in rows) + 1
+    n_samples = max(r[1] for r in rows) + 1
+    pos = np.full((n_nodes, n_samples, 2), np.nan)
+    for n, ti, x, y in rows:
         pos[n, ti] = (x, y)
-    return PositionTrace(pos, interval, width or np.nanmax(pos[..., 0]), height or np.nanmax(pos[..., 1]))
+    width, height = header.get("width"), header.get("height")
+    return PositionTrace(pos, interval, width or np.nanmax(pos[..., 0]),
+                         height or np.nanmax(pos[..., 1]))
 
 
 def sample_segments(

@@ -16,8 +16,6 @@ __all__ = [
     "Service",
     "ServiceCatalog",
     "ServicePlacement",
-    "functionality",
-    "can_chain",
     "enumerate_services",
     "assign_services",
 ]
@@ -40,24 +38,6 @@ class Service:
         return f"s_{self.input}_{self.output}"
 
 
-def functionality(service: Service, n_d: int | None = None, ring: bool = False) -> int:
-    """Number of unit transformations the service subsumes.
-
-    In a ring catalog type arithmetic wraps modulo ``n_d``; otherwise the
-    value is simply output - input.
-    """
-    if ring:
-        if n_d is None:
-            raise ValueError("ring functionality needs n_d")
-        return (service.output - service.input) % n_d
-    return service.output - service.input
-
-
-def can_chain(a: Service, b: Service) -> bool:
-    """True iff ``b`` can run directly after ``a``."""
-    return a.output == b.input
-
-
 @dataclass(frozen=True)
 class ServiceCatalog:
     """Ordered collection of unique services over ``n_d`` input/output types."""
@@ -66,9 +46,6 @@ class ServiceCatalog:
     services: tuple[Service, ...]
     excluded: frozenset[Service] = frozenset()
     ring: bool = False
-
-    def functionality(self, service: Service) -> int:
-        return functionality(service, self.n_d, self.ring)
 
     def request_pairs(self, min_k: int = 1, max_k: int | None = None) -> list[tuple[int, int]]:
         """All (input, output) pairs reachable by chaining catalog services
@@ -151,15 +128,8 @@ class ServicePlacement:
     by_service: dict[Service, tuple[int, ...]]
     repetition: int
 
-    def hosts_of(self, service: Service) -> tuple[int, ...]:
-        return self.by_service.get(service, ())
-
     def services_at(self, node: int) -> tuple[Service, ...]:
         return self.by_node.get(node, ())
-
-    @property
-    def total_copies(self) -> int:
-        return sum(len(v) for v in self.by_node.values())
 
     def to_dict(self) -> dict:
         return {

@@ -1,28 +1,29 @@
 """Discrete-event simulation of request composition over a contact trace.
 
-The engine advances in time-ordered events: unit boundaries (timer ticks,
-one knowledge closure over the co-located groups, load-window updates;
+Events are keyed by (time, priority, push order); the priority is the
+event's kind and picks its handler, so at one instant unit boundaries (timer
+ticks, one knowledge closure over the co-located groups, load-window updates;
 none of these under ``minimal`` awareness; the closure settles only the
 service hosts' columns, every column under ``perfect``, and is told the
-previous boundary's pairs so it seeds at new contacts only),
+previous boundary's pairs so it seeds at new contacts only) run first, then
 contact starts (encounter stats, neighbour index, forwarding attempts),
 service completions, Poisson request generation, forwarding sweeps, and
-deadline expirations.  Each composition decision is one Dijkstra over a
-placement-derived service graph (:class:`_GraphTemplate`) that prices each
-edge as it relaxes it, by one rule, from the owner's view of the network
-(:func:`knowledge.owner_view`).  Knowledge changes only at unit
-boundaries, so an owner's view is built once per unit and, under
-``local``/``global`` awareness, a plan is reused for the rest of the unit.
-The ``minimal`` view is constant for the whole run, but it draws a fresh
-tie order per decision, so it reuses no plan; ``perfect`` reads every
-node's timers and the live backlog on every decision.  Each hand-off of a
-request (at generation, after a stage, on a relay arrival that re-plans,
-on a stalled retry) is queued or carried by :meth:`_Engine._route`, toward
-the stage :meth:`_Engine._next_stage` picks; :meth:`_Engine._deliver`
-takes results home.  A forwarding sweep
-decides once per destination which neighbour, if any, receives the items
-bound there (:meth:`_Engine.sweep`).  Identical (config, seed) pairs
-reproduce identical results.
+deadline expirations, each carrying its request.  Each composition decision
+is one Dijkstra over a placement-derived service graph
+(:class:`_GraphTemplate`) that prices each edge as it relaxes it, by one
+rule, from the owner's view of the network (:func:`knowledge.owner_view`).
+Knowledge changes only at unit boundaries, so an owner's view is built once
+per unit and, under ``local``/``global`` awareness, a plan is reused for the
+rest of the unit.  The ``minimal`` view is constant for the whole run, but
+it draws a fresh tie order per decision, so it reuses no plan; ``perfect``
+reads every node's timers and the live backlog on every decision.  Each
+hand-off of a request (at generation, after a stage, on a relay arrival that
+re-plans, on a stalled retry) is queued or carried by
+:meth:`_Engine._route`, toward the stage :meth:`_Engine._next_stage` picks;
+:meth:`_Engine._deliver` takes results home.  A forwarding sweep decides
+once per destination which neighbour, if any, receives the items bound there
+(:meth:`_Engine.sweep`).  Identical (config, seed) pairs reproduce identical
+results.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import numpy as np
 
 from .contact_engine import ContactTrace
 from .forwarding import EncounterStats, Scheme, MT, should_relay
-from .knowledge import AWARENESS_LEVELS, Knowledge, LoadTracker, exchange_all, owner_view
+from .knowledge import AWARENESS_LEVELS, Knowledge, close_load_window, exchange_all, owner_view
 from .service_model import Service, ServiceCatalog, ServicePlacement
 
 __all__ = [
@@ -51,13 +52,9 @@ __all__ = [
     "RECORD_FIELDS",
 ]
 
-# Event priorities at equal timestamps.
-_P_BOUNDARY = 0
-_P_CONTACT = 1
-_P_COMPLETION = 2
-_P_GENERATE = 3
-_P_SWEEP = 4
-_P_DEADLINE = 5
+# Event kinds, as their priorities at equal timestamps (``_Engine.run`` maps
+# each to its handler).
+_P_BOUNDARY, _P_CONTACT, _P_COMPLETION, _P_GENERATE, _P_SWEEP, _P_DEADLINE = range(6)
 
 
 @dataclass(frozen=True)
@@ -176,8 +173,6 @@ class RequestRecord:
 @dataclass
 class RunResult:
     records: list[RequestRecord]
-    duration: float
-    config_seed: int
 
 
 RECORD_FIELDS = ("id,origin,in,out,created_s,status,completed_s,delay_s,hops,"
@@ -420,14 +415,12 @@ class _Engine:
         self.duration = contacts.duration
         self.rng = np.random.default_rng(config.seed)
         self.tie_rng = np.random.default_rng((config.seed, 0x7ee5))
-        self.trackers = [LoadTracker(mean_exec=config.mean_exec_s, alpha=config.load_alpha)
-                         for _ in range(self.n)]
+        self.own_loads = np.zeros(self.n)  # per node, as its last load window closed
         self.stats = EncounterStats(self.n, window=config.scheme.window)
         self.queues: list[list[_Item]] = [[] for _ in range(self.n)]
         self.executing: list[_Item | None] = [None] * self.n
         self.carried: list[list[_Item]] = [[] for _ in range(self.n)]
         self.records: list[RequestRecord] = []
-        self.items: dict[int, _Item] = {}
         self.heap: list = []
         self.seq = 0
         self.unit_index = 0
@@ -460,15 +453,16 @@ class _Engine:
 
     # -- event plumbing ------------------------------------------------
 
-    def push(self, t: float, prio: int, kind: str, payload=None) -> None:
+    def push(self, t: float, prio: int, *payload) -> None:
+        """Have kind ``prio``'s handler run ``handler(t, *payload)`` at ``t``."""
         self.seq += 1
-        heapq.heappush(self.heap, (t, prio, self.seq, kind, payload))
+        heapq.heappush(self.heap, (t, prio, self.seq, payload))
 
     def schedule_sweep(self, node: int, t: float) -> None:
         key = (node, t)
         if key not in self._pending_sweeps:
             self._pending_sweeps.add(key)
-            self.push(t, _P_SWEEP, "sweep", node)
+            self.push(t, _P_SWEEP, node)
 
     # -- owners' views of the network -----------------------------------
 
@@ -542,7 +536,7 @@ class _Engine:
         else:
             dt = float(self.rng.exponential(self.cfg.mean_exec_s))
         self.executing[node] = item
-        self.push(t + dt, _P_COMPLETION, "completion", (node, item))
+        self.push(t + dt, _P_COMPLETION, node, item)
 
     def on_completion(self, t: float, node: int, item: _Item) -> None:
         if self.executing[node] is not item:  # cancelled at its deadline: done for good
@@ -716,8 +710,7 @@ class _Engine:
         )
         self.records.append(rec)
         item = _Item(rec)
-        self.items[rec.id] = item
-        self.push(rec.deadline, _P_DEADLINE, "deadline", rec.id)
+        self.push(rec.deadline, _P_DEADLINE, item)
         # Generation plans the whole path: the record keeps its cost estimate
         # and, without per-stage recomputation, the request keeps the plan.
         path = self.compute_path(node, req_in, req_out)
@@ -737,10 +730,9 @@ class _Engine:
         gap = float(self.rng.exponential(60.0 / self.cfg.request_rate_per_min))
         nxt = t + gap
         if nxt <= self.duration - self.cfg.timeout_s:
-            self.push(nxt, _P_GENERATE, "generate", node)
+            self.push(nxt, _P_GENERATE, node)
 
-    def on_deadline(self, t: float, req_id: int) -> None:
-        item = self.items[req_id]
+    def on_deadline(self, t: float, item: _Item) -> None:
         if item.phase == "done":
             return
         rec = item.record
@@ -763,16 +755,18 @@ class _Engine:
         pairs = self.boundary_pairs[k]
         for a, b in pairs:
             self.last_enc[a][b] = self.last_enc[b][a] = t
+        cfg = self.cfg
         # minimal prices are constant and read no knowledge, so it is not kept up.
-        if self.cfg.awareness != "minimal":
+        if cfg.awareness != "minimal":
             self._dist_cache.clear()
             know = self.know
             if k > 0:
                 know.tick(1.0)
             exchange_all(know, pairs, now=float(k),
                          previous=self.boundary_pairs[k - 1] if k else None)
-            for node, tracker in enumerate(self.trackers):
-                know.loads[node, node] = tracker.update(self._pending_count(node))
+            pending = np.array([self._pending_count(node) for node in range(self.n)])
+            self.own_loads = close_load_window(self.own_loads, pending, cfg.mean_exec_s, cfg.load_alpha)
+            np.fill_diagonal(know.loads, self.own_loads)
         # The closure changes only the knowledge of nodes in ``pairs``.
         for node in sorted({node for pair in pairs for node in pair}):
             if self.carried[node]:
@@ -795,33 +789,23 @@ class _Engine:
         cfg = self.cfg
         n_units = int(round(self.duration / cfg.unit_s))
         for k in range(n_units + 1):
-            self.push(k * cfg.unit_s, _P_BOUNDARY, "boundary", k)
+            self.push(k * cfg.unit_s, _P_BOUNDARY, k)
         for start, end, a, b in self.contacts.events.tolist():
-            self.push(start, _P_CONTACT, "contact", (a, b, end))
+            self.push(start, _P_CONTACT, a, b, end)
         if cfg.scripted_requests is not None:
             for t, origin, req_in, req_out in cfg.scripted_requests:
-                self.push(t, _P_GENERATE, "generate", (origin, req_in, req_out))
+                self.push(t, _P_GENERATE, (origin, req_in, req_out))
         else:
             for node in range(self.n):
                 self._schedule_next_generation(node, 0.0)
+        # Looked up now, so handlers replaced on the instance or the class run.
+        handlers = (self.on_boundary, self.on_contact_start, self.on_completion,
+                    self.on_generate, self.sweep, self.on_deadline)
         while self.heap:
-            t, prio, _, kind, payload = heapq.heappop(self.heap)
-            if t > self.duration + 1e-9:
-                continue
-            if kind == "boundary":
-                self.on_boundary(t, payload)
-            elif kind == "contact":
-                self.on_contact_start(t, *payload)
-            elif kind == "completion":
-                self.on_completion(t, *payload)
-            elif kind == "generate":
-                self.on_generate(t, payload)
-            elif kind == "sweep":
-                self.sweep(t, payload)
-            elif kind == "deadline":
-                self.on_deadline(t, payload)
-        return RunResult(records=self.records, duration=self.duration,
-                         config_seed=cfg.seed)
+            t, prio, _, payload = heapq.heappop(self.heap)
+            if t <= self.duration + 1e-9:
+                handlers[prio](t, *payload)
+        return RunResult(records=self.records)
 
 
 def run(config: SimConfig, contacts: ContactTrace) -> RunResult:

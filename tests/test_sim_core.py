@@ -420,7 +420,12 @@ def test_fresh_path_becomes_the_plan_when_recomputation_is_off():
 
 # -- request lifecycle invariant --------------------------------------------------------
 
-def check_lifecycle(engine):
+# The engine's event handlers, in the priority order of their event kinds.
+HANDLERS = ("on_boundary", "on_contact_start", "on_completion", "on_generate", "sweep",
+            "on_deadline")
+
+
+def check_lifecycle(engine, items):
     places = {}  # id(item) -> every (where, node) that holds it
     for node in range(engine.n):
         for where, held in (("carried", engine.carried[node]), ("queued", engine.queues[node]),
@@ -428,7 +433,7 @@ def check_lifecycle(engine):
             for item in held:
                 if item is not None:
                     places.setdefault(id(item), []).append((where, node))
-    for item in engine.items.values():
+    for item in items:
         where = places.pop(id(item), [])
         if item.phase == "done":
             assert where == [] and item.record.status != "in-flight"
@@ -458,21 +463,27 @@ def test_request_lifecycle_invariant_after_every_event():
                                 recompute_per_stage=recompute, request_rate_per_min=0.5,
                                 timeout_s=600.0, mean_exec_s=60.0, seed=5)
                 engine = _Engine(cfg, contacts)
+                items = []  # every request, from the deadline its generation pushes
+                push = engine.push
+
+                def collecting_push(t, prio, *payload):
+                    if prio == sim_core._P_DEADLINE:
+                        items.append(payload[0])
+                    push(t, prio, *payload)
 
                 def checked(handler):
                     def wrapper(t, *payload):
                         handler(t, *payload)
-                        check_lifecycle(engine)
+                        check_lifecycle(engine, items)
                     return wrapper
 
-                for name in ("on_boundary", "on_contact_start", "on_completion",
-                             "on_generate", "sweep", "on_deadline"):
+                for name in HANDLERS:
                     setattr(engine, name, checked(getattr(engine, name)))
                 on_deadline, next_stage = engine.on_deadline, engine._next_stage
 
-                def deadline(t, req_id):
-                    cancelled_in.add(engine.items[req_id].phase)
-                    on_deadline(t, req_id)
+                def deadline(t, item):
+                    cancelled_in.add(item.phase)
+                    on_deadline(t, item)
 
                 def counted_next_stage(item, node):
                     nonlocal stalls_resolved
@@ -482,7 +493,9 @@ def test_request_lifecycle_invariant_after_every_event():
                     return stage
 
                 engine.on_deadline, engine._next_stage = deadline, counted_next_stage
+                engine.push = collecting_push
                 records = engine.run().records
+                assert [item.record for item in items] == records
                 assert all(r.status != "in-flight" for r in records)
                 relayed += sum(r.hops for r in records)
                 opportunistic += sum(r.opportunistic_stages for r in records)
@@ -645,6 +658,46 @@ def test_neighbor_index_matches_in_contact_at_interval_edges():
     assert seen[(200.5, 10)] == []
 
 
+def test_events_at_one_instant_run_by_kind_then_push_order():
+    # Every kind of event falls at t=60: the unit boundary, two contact
+    # starts, the completion of a 30 s stage begun at t=30, two scripted
+    # requests, the sweep a carried request asks for, and the deadlines of
+    # the two requests made at t=0.  The handlers run kind by kind in
+    # HANDLERS order, and events of one kind in the order they were pushed:
+    # the scripted requests in script order, not by origin.
+    catalog = enumerate_services(3)
+    placement = placement_of({0: [Service(1, 2)], 2: [Service(2, 3)]})
+    script = ((0.0, 2, 1, 2), (0.0, 3, 1, 2), (30.0, 0, 1, 2),
+              (60.0, 3, 1, 2), (60.0, 1, 1, 2))
+    config = SimConfig(catalog=catalog, placement=placement,
+                       pattern=RequestPattern(pairs=((1, 2),)), awareness="minimal",
+                       timeout_s=60.0, mean_exec_s=30.0, exec_deterministic=True,
+                       scripted_requests=script)
+    trace = ContactTrace([(60.0, 120.0, 1, 2), (60.0, 90.0, 0, 3)], 4, 300.0)
+    engine = _Engine(config, trace)
+    calls = []
+
+    def recorded(name):
+        handler = getattr(engine, name)
+
+        def wrapper(t, *payload):
+            calls.append((t, name, payload))
+            handler(t, *payload)
+        return wrapper
+
+    for name in HANDLERS:
+        setattr(engine, name, recorded(name))
+    engine.run()
+    at_60 = [(name, payload) for t, name, payload in calls if t == 60.0]
+    names = [name for name, _ in at_60]
+    assert set(names) == set(HANDLERS)
+    assert names == sorted(names, key=HANDLERS.index)
+    assert names.count("on_deadline") == 2
+    assert [p for name, p in at_60 if name == "on_contact_start"] == [(0, 3, 90.0),
+                                                                       (1, 2, 120.0)]
+    assert [p for name, p in at_60 if name == "on_generate"] == [((3, 1, 2),), ((1, 1, 2),)]
+
+
 def test_contacts_with_equal_starts_start_in_sorted_order():
     # Whatever order the rows come in, contacts starting together are
     # handled in (start, end, a, b) order, with the lower id as a.
@@ -731,7 +784,6 @@ def test_relay_decided_once_per_destination(scheme, mode, monkeypatch):
         item = _Item(RequestRecord(id=k, origin=0, input=stage.input, output=3,
                                    created=0.0, deadline=3000.0))
         item.current_input, item.planned_stage, item.destination = stage.input, stage, dest
-        engine.items[k] = item
         engine._carry(0, item)
         items.append(item)
     expected = [per_item_receiver(engine, 0, item, t) for item in items]
