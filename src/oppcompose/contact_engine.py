@@ -3,9 +3,9 @@
 A contact event is a maximal interval during which two nodes are within
 transmission range, evaluated at the trace's sample resolution: a pair is in
 range at a sample iff ``dx*dx + dy*dy <= range_m**2``, and a NaN (absent)
-position is never in range.  One extraction streams the trace in blocks of
-samples, testing all pairs at once per block and carrying the runs still
-open at a block's end into the next.
+position is never in range.  One extraction tests the pairs in blocks, each
+block over every sample at once; a pair's runs lie within its own row, so no
+state passes from one block to the next.
 
 A :class:`ContactTrace` keeps its events as columns, one structured array
 with fields ``start``, ``end``, ``a`` and ``b`` (``a < b``), sorted by
@@ -31,12 +31,11 @@ __all__ = [
 EVENT_DTYPE = np.dtype([("start", np.float64), ("end", np.float64),
                         ("a", np.int64), ("b", np.int64)])
 
-# Pair-samples tested per block (at least one sample).  The block's arrays
-# are transient, but a set-up made after a run adds them to the run's peak
-# memory: 1 << 16 raised levy-n80's peak RSS by ~2.5 MB and 1 << 14 by
-# ~0.5 MB, 1 << 13 by less than its run-to-run spread.  Fewer blocks save
-# time where a block holds few samples: levy-n80's extraction took 30 ms
-# at 1 << 12, 16 ms at 1 << 13.
+# Pair-samples tested per block: a block holds this many over the sample
+# count pairs (at least one).  The block's arrays are transient, but a set-up
+# made after a run adds them to the run's peak memory: 1 << 16 raised
+# levy-n80's peak RSS by ~2.5 MB and 1 << 14 by ~0.5 MB, 1 << 13 by less
+# than its run-to-run spread.
 BLOCK_PAIR_SAMPLES = 1 << 13
 
 
@@ -126,55 +125,37 @@ def contacts_from_positions(trace: PositionTrace, range_m: float) -> ContactTrac
     """
     if range_m <= 0:
         raise ValueError("transmission range must be positive")
-    n, t_count = trace.n_nodes, trace.n_samples
-    interval = trace.sample_interval
-    first, second = np.triu_indices(n, 1)
+    t_count = trace.n_samples
+    first, second = np.triu_indices(trace.n_nodes, 1)
+    x, y = trace.positions[..., 0], trace.positions[..., 1]
     r2 = range_m * range_m
-    block = max(1, BLOCK_PAIR_SAMPLES // max(1, len(first)))
-    was_in = np.zeros(len(first), dtype=bool)  # in range at the previous block's last sample
-    run_start = np.zeros(len(first), dtype=np.int64)  # first sample of the run open there
-    runs = []  # per block: (pair, first sample, last sample) of the runs that ended
-    for t0 in range(0, t_count, block):
-        # Samples by pairs; contiguous copies gather much faster than strided views.
-        x, y = (np.ascontiguousarray(trace.positions[:, t0:t0 + block, i].T) for i in (0, 1))
+    block = max(1, BLOCK_PAIR_SAMPLES // max(1, t_count))
+    runs = [np.zeros((3, 0), dtype=np.intp)]  # per block: pairs, run starts, samples after
+    for p0 in range(0, len(first), block):
+        a, b = first[p0:p0 + block], second[p0:p0 + block]
         with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is NaN: not in range
             # In place, so at most three block-sized float arrays live at once.
-            d2 = x.take(first, axis=1)
-            d2 -= x.take(second, axis=1)
+            d2 = x[a]
+            d2 -= x[b]
             d2 *= d2
-            dy = y.take(first, axis=1)
-            dy -= y.take(second, axis=1)
+            dy = y[a]
+            dy -= y[b]
             dy *= dy
             d2 += dy
-            inside = d2 <= r2
-        flips = np.empty_like(inside)
-        np.not_equal(inside[0], was_in, out=flips[0])
-        np.not_equal(inside[1:], inside[:-1], out=flips[1:])
-        # Each pair's flips in time order alternate between the start of a
-        # run and the sample after its end.
-        step, pair = np.nonzero(flips)
-        by_pair = np.argsort(pair, kind="stable")
-        step, pair = step[by_pair], pair[by_pair]
-        starts = inside[step, pair]
-        step += t0
-        follows = np.zeros(len(pair), dtype=bool)  # the pair's previous flip is in this block
-        follows[1:] = pair[1:] == pair[:-1]
-        ends = np.flatnonzero(~starts)
-        begun = np.where(follows[ends], step[ends - 1], run_start[pair[ends]])
-        runs.append((pair[ends], begun, step[ends] - 1))
-        still_open = starts.copy()  # a start that no flip of its pair follows
-        still_open[:-1] &= ~follows[1:]
-        run_start[pair[still_open]] = step[still_open]
-        was_in = inside[-1]
-    open_pairs = np.flatnonzero(was_in)
-    runs.append((open_pairs, run_start[open_pairs], np.full(len(open_pairs), t_count - 1)))
-    pair, begun, last = (np.concatenate(parts) for parts in zip(*runs))
-    keep = np.nonzero(last > begun)[0]
-    times = np.arange(t_count) * interval
+            # Out of range before the first sample and after the last, so each
+            # pair's flips in time order pair up: a run's first sample, then
+            # the sample after its last.
+            inside = np.zeros((len(a), t_count + 2), dtype=bool)
+            np.less_equal(d2, r2, out=inside[:, 1:-1])
+        pair, step = np.nonzero(inside[:, 1:] != inside[:, :-1])
+        runs.append(np.stack((pair[::2] + p0, step[::2], step[1::2])))
+    pair, begun, after = np.concatenate(runs, axis=1)
+    keep = np.flatnonzero(after - begun > 1)
+    times = np.arange(t_count) * trace.sample_interval
     events = np.empty(len(keep), dtype=EVENT_DTYPE)
-    events["start"], events["end"] = times[begun[keep]], times[last[keep]]
+    events["start"], events["end"] = times[begun[keep]], times[after[keep] - 1]
     events["a"], events["b"] = first[pair[keep]], second[pair[keep]]
-    return ContactTrace(events, n, trace.duration, interval)
+    return ContactTrace(events, trace.n_nodes, trace.duration, trace.sample_interval)
 
 
 def save_contacts_csv(contacts: ContactTrace, path) -> None:
@@ -191,10 +172,19 @@ def load_contacts_csv(path) -> ContactTrace:
     """Read a contact trace written by :func:`save_contacts_csv` (or external data).
 
     Without a ``nodes=`` header the node count is the largest id plus one.
+    Raises ValueError naming the file line of a row that is not two ids and
+    two times.
     """
     header, lines = read_headed_csv(path, {"nodes": int, "duration": float, "interval": float},
                                     "node_a")
-    rows = [(float(s), float(e), int(a), int(b)) for _, (a, b, s, e) in lines]
+    rows = []
+    for lineno, fields in lines:
+        try:
+            a, b, start, end = fields
+            rows.append((float(start), float(end), int(a), int(b)))
+        except ValueError:
+            raise ValueError(f"{path}, line {lineno}: expected node_a,node_b,start_s,end_s, "
+                             f"got {','.join(fields)!r}") from None
     events = np.array(rows, dtype=EVENT_DTYPE)
     n_nodes, duration = header.get("nodes"), header.get("duration")
     if n_nodes is None:

@@ -315,9 +315,9 @@ def _run_one(args) -> dict:
     row = {"variant": variant_name, "point": _point_key(point), "seed": seed}
     try:
         config, contacts = prepare_run(spec_dict, seed, cache_dir)
-        result = run_sim(config, contacts)
+        records = run_sim(config, contacts)
         fname = f"{variant_name}__{row['point']}__seed{seed}.csv"
-        write_records_csv(result, Path(out_dir) / fname)
+        write_records_csv(records, Path(out_dir) / fname)
     except Exception as exc:  # noqa: BLE001 - reported per run in the manifest
         return {**row, "error": repr(exc)}
     return {**row, "file": fname, "timeout_s": config.timeout_s,

@@ -142,7 +142,7 @@ def ingest_gps_log(
         raise ValueError("ingestion produced an empty trace (no samples in window)")
     width = float(np.nanmax(positions[..., 0])) or 1.0
     height = float(np.nanmax(positions[..., 1])) or 1.0
-    return PositionTrace(positions, sample_interval, width, height, node_labels=labels)
+    return PositionTrace(positions, sample_interval, width, height)
 
 
 def _looks_like_data(row: list[str]) -> bool:

@@ -36,7 +36,7 @@ import numpy as np
 from ._dist import choice_cdf, pareto_map, uniforms
 from .trace import PositionTrace, sample_segments
 
-__all__ = ["HcmmParams", "generate_hcmm", "community_index", "home_communities"]
+__all__ = ["HcmmParams", "generate_hcmm", "home_communities"]
 
 
 @dataclass(frozen=True)
@@ -67,14 +67,6 @@ class HcmmParams:
         r, c = divmod(community, cols)
         cw, ch = self.area[0] / cols, self.area[1] / rows
         return c * cw, r * ch, cw, ch
-
-
-def community_index(params: HcmmParams, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Community cell containing each (x, y) position."""
-    rows, cols = params.grid
-    ci = np.minimum((np.asarray(x) / params.area[0] * cols).astype(int), cols - 1)
-    ri = np.minimum((np.asarray(y) / params.area[1] * rows).astype(int), rows - 1)
-    return ri * cols + ci
 
 
 def home_communities(params: HcmmParams, n_nodes: int, seed: int) -> np.ndarray:

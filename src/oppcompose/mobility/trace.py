@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +22,6 @@ class PositionTrace:
     sample_interval: float
     width: float
     height: float
-    node_labels: list[str] | None = None
 
     def __post_init__(self):
         self.positions = np.asarray(self.positions, dtype=float)
@@ -92,7 +91,8 @@ def load_trace_csv(path) -> PositionTrace:
     """Read a trace written by :func:`save_trace_csv`.
 
     Raises ValueError naming the file line of a row that is not four
-    numbers, has a negative node id or time, or repeats a (node, sample).
+    numbers, has a negative node id or time, lies off the sample grid by more
+    than the writer's rounding to 0.1 s, or repeats a (node, sample).
     """
     header, lines = read_headed_csv(path, {"interval": float, "width": float, "height": float},
                                     "time_s")
@@ -113,6 +113,8 @@ def load_trace_csv(path) -> PositionTrace:
         if not t >= 0:
             raise ValueError(f"{where}: time_s must be nonnegative, got {t}")
         ti = int(round(t / interval))
+        if abs(t - ti * interval) > 0.05 + 1e-6:  # beyond the writer's :.1f rounding
+            raise ValueError(f"{where}: time_s {t} is off the {interval} s sample grid")
         first = first_line.setdefault((n, ti), lineno)
         if first != lineno:
             raise ValueError(f"{where}: node {n} already has sample {ti} (line {first})")

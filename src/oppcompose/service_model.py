@@ -68,13 +68,6 @@ class ServiceCatalog:
                         pairs.append((x, y))
         return pairs
 
-    def to_dict(self) -> dict:
-        return {
-            "n_d": self.n_d,
-            "ring": self.ring,
-            "excluded": sorted([s.input, s.output] for s in self.excluded),
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "ServiceCatalog":
         kw = dict(d)
@@ -130,20 +123,6 @@ class ServicePlacement:
 
     def services_at(self, node: int) -> tuple[Service, ...]:
         return self.by_node.get(node, ())
-
-    def to_dict(self) -> dict:
-        return {
-            "repetition": self.repetition,
-            "nodes": {str(n): sorted([s.input, s.output] for s in svcs) for n, svcs in sorted(self.by_node.items())},
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ServicePlacement":
-        by_node = {
-            int(n): tuple(sorted(Service(a, b) for a, b in svcs))
-            for n, svcs in d["nodes"].items()
-        }
-        return cls(by_node=by_node, by_service=_invert(by_node), repetition=d["repetition"])
 
 
 def _invert(by_node: dict[int, tuple[Service, ...]]) -> dict[Service, tuple[int, ...]]:

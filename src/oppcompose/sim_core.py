@@ -45,7 +45,6 @@ __all__ = [
     "RequestPattern",
     "SimConfig",
     "RequestRecord",
-    "RunResult",
     "run",
     "write_records_csv",
     "read_records_csv",
@@ -170,19 +169,14 @@ class RequestRecord:
         return sum(1 for _, _, opp in self.stages if opp)
 
 
-@dataclass
-class RunResult:
-    records: list[RequestRecord]
-
-
 RECORD_FIELDS = ("id,origin,in,out,created_s,status,completed_s,delay_s,hops,"
                  "stages,opportunistic_stages,estimated_cost_s")
 
 
-def write_records_csv(result: RunResult, path) -> None:
+def write_records_csv(records: list[RequestRecord], path) -> None:
     with open(path, "w") as fh:
         fh.write(RECORD_FIELDS + "\n")
-        for r in sorted(result.records, key=lambda r: r.id):
+        for r in sorted(records, key=lambda r: r.id):
             stages = "|".join(
                 f"{s.input}-{s.output}@{node}" + ("*" if opp else "")
                 for s, node, opp in r.stages
@@ -246,18 +240,19 @@ class CompositionPath:
     input: int
     output: int
 
-    def hosts(self) -> tuple[int, ...]:
-        return tuple(n for _, n in self.stages)
-
 
 class _GraphTemplate:
     """Placement-derived edge structure shared by every path computation.
 
-    Vertices are ints: hosted service copies first, then one vertex per
-    type; only each edge's head is kept.  A copy's device is its host and a
-    type vertex's the graph owner, and an edge pays a load exactly when its
-    head is a copy, so :meth:`shortest` prices an edge from its two vertices
-    and an owner's view, whichever owner it searches for.
+    Vertices are ints: hosted service copies first, in (service, host) order
+    (``ServicePlacement.by_service`` lists each service's hosts sorted), then
+    one vertex per type; only each edge's head is kept.  A copy's device is
+    its host and a type vertex's the graph owner, and an edge pays a load
+    exactly when its head is a copy, so :meth:`shortest` prices an edge from
+    its two vertices and an owner's view, whichever owner it searches for.
+    :meth:`heads_toward` prunes the edges that cannot lead to an output type,
+    once per type, so an empty list at the input's type vertex means no
+    chain of hosted services reaches the output.
     """
 
     def __init__(self, placement: ServicePlacement, n_d: int, single_stage: bool):
@@ -277,51 +272,35 @@ class _GraphTemplate:
             if not single_stage:
                 self.heads[vi].extend(vj for vj, (s2, _) in enumerate(copies)
                                       if s.output == s2.input)
-        # Rank of each service vertex in (service, host) order, for ties.
-        order = sorted(range(len(copies)), key=lambda i: copies[i])
-        self.lex_rank = [0] * len(copies)
-        for rank, vi in enumerate(order):
-            self.lex_rank[vi] = rank
-        self._single_stage = single_stage
-        self._reachable: dict[int, frozenset[int]] = {}
+        # Each copy's rank in (service, host) order, for ties: its index.  A
+        # list, since indexing a range is slower.
+        self.lex_rank = list(range(len(copies)))
         self._toward: dict[int, list[list[int]]] = {}
 
-    def reachable_outputs(self, req_in: int) -> frozenset[int]:
-        """Output types attainable from ``req_in`` regardless of costs.
-
-        Requests outside this set can never be routed under this placement,
-        so re-planning them is pointless.
-        """
-        cached = self._reachable.get(req_in)
-        if cached is not None:
-            return cached
-        step: dict[int, set[int]] = {}
-        for s, _ in self.copies:
-            step.setdefault(s.input, set()).add(s.output)
-        if self._single_stage:
-            seen = set(step.get(req_in, ()))
-        else:
-            seen = set()
-            frontier = [req_in]
-            while frontier:
-                for y in step.get(frontier.pop(), ()):
-                    if y not in seen:
-                        seen.add(y)
-                        frontier.append(y)
-        result = frozenset(seen - {req_in})
-        self._reachable[req_in] = result
-        return result
-
-    def _heads_toward(self, req_out: int) -> list[list[int]]:
+    def heads_toward(self, req_out: int) -> list[list[int]]:
         """Per vertex, its heads that can still reach ``req_out``'s type
-        vertex; no other edge can lie on a path there."""
+        vertex; no other edge can lie on a path there.
+
+        One backward pass from that vertex over the copies' edges: a copy is
+        useful iff it outputs ``req_out`` or one of its copy heads is useful.
+        """
         cached = self._toward.get(req_out)
         if cached is not None:
             return cached
         goal = self.type_vertex[req_out]
-        useful = [s.output == req_out or req_out in self.reachable_outputs(s.output)
-                  for s, _ in self.copies]
-        cached = [[v for v in heads if v == goal or (v < self.n_service_vertices and useful[v])]
+        base = self.n_service_vertices
+        tails: list[list[int]] = [[] for _ in range(self.n_vertices)]
+        for u in range(base):
+            for v in self.heads[u]:
+                tails[v].append(u)
+        useful = [False] * base
+        frontier = [goal]
+        while frontier:
+            for u in tails[frontier.pop()]:
+                if not useful[u]:
+                    useful[u] = True
+                    frontier.append(u)
+        cached = [[v for v in heads if v == goal or (v < base and useful[v])]
                   for heads in self.heads]
         self._toward[req_out] = cached
         return cached
@@ -352,7 +331,7 @@ class _GraphTemplate:
         base = self.n_service_vertices
         timers, loads, pairs = view
         device = self.hosts + [owner] * self.n_d
-        heads = self._heads_toward(req_out)
+        heads = self.heads_toward(req_out)
         best: list = [None] * self.n_vertices
         pred = [0] * self.n_vertices
         settled = [False] * self.n_vertices
@@ -498,7 +477,9 @@ class _Engine:
         prices the live backlog, so neither reuses a plan.
         """
         template = self.template
-        if req_out not in template.reachable_outputs(req_in):
+        # Checked before the view is built and a tie order drawn, so a request
+        # that no chain of hosted services serves draws nothing from tie_rng.
+        if req_in == req_out or not template.heads_toward(req_out)[template.type_vertex[req_in]]:
             return None
         key = (node, req_in, req_out)
         if key in self._plans:
@@ -785,7 +766,7 @@ class _Engine:
 
     # -- main loop ----------------------------------------------------------
 
-    def run(self) -> RunResult:
+    def run(self) -> list[RequestRecord]:
         cfg = self.cfg
         n_units = int(round(self.duration / cfg.unit_s))
         for k in range(n_units + 1):
@@ -805,9 +786,9 @@ class _Engine:
             t, prio, _, payload = heapq.heappop(self.heap)
             if t <= self.duration + 1e-9:
                 handlers[prio](t, *payload)
-        return RunResult(records=self.records)
+        return self.records
 
 
-def run(config: SimConfig, contacts: ContactTrace) -> RunResult:
-    """Simulate one run of ``config`` over ``contacts``."""
+def run(config: SimConfig, contacts: ContactTrace) -> list[RequestRecord]:
+    """Simulate one run of ``config`` over ``contacts``; its request records."""
     return _Engine(config, contacts).run()

@@ -162,6 +162,10 @@ def select_composition(
 
 # -- helpers --------------------------------------------------------------------------
 
+def path_hosts(path: CompositionPath) -> tuple[int, ...]:
+    return tuple(n for _, n in path.stages)
+
+
 def placement_from(assignments: dict[int, list[Service]], repetition: int = 1) -> ServicePlacement:
     by_node = {n: tuple(sorted(svcs)) for n, svcs in assignments.items()}
     inv: dict[Service, list[int]] = {}
@@ -249,7 +253,7 @@ def test_unknown_hosts_omitted():
     t_hat, l_hat = providers({(0, 1): 4.0, (0, 2): 1.0}, {})
     g = build_graph(0, placement, 4, (1, 4), t_hat, l_hat, known=lambda n: n != 2)
     path = select_composition(g, 1, 4)
-    assert path.hosts() == (0, 1)  # node 2 invisible despite being cheaper
+    assert path_hosts(path) == (0, 1)  # node 2 invisible despite being cheaper
 
 
 def test_single_stage_mode_reproduces_exact_match():
@@ -373,7 +377,7 @@ def test_lex_tie_between_equal_hosts():
     t_hat, l_hat = providers({(0, 1): 5.0, (0, 2): 5.0}, {})
     g = build_graph(0, placement, 3, (1, 3), t_hat, l_hat)
     path = select_composition(g, 1, 3)
-    assert path.hosts() == (1,)
+    assert path_hosts(path) == (1,)
 
 
 def test_random_tie_breaking_varies_choice():
@@ -383,7 +387,7 @@ def test_random_tie_breaking_varies_choice():
     hosts = set()
     for seed in range(20):
         path = select_composition(g, 1, 3, tie_rng=np.random.default_rng(seed))
-        hosts.add(path.hosts()[0])
+        hosts.add(path_hosts(path)[0])
     assert hosts == {1, 2}
 
 
@@ -530,7 +534,30 @@ def test_template_infinite_costs_hide_hosts():
     template = _GraphTemplate(placement, 4, single_stage=False)
     path = template.shortest(0, 1, 4, matrix_view(0, dist, load))
     if path is not None:
-        assert 2 not in path.hosts()
+        assert 2 not in path_hosts(path)
+
+
+def reachable_outputs(template: _GraphTemplate, req_in: int) -> frozenset[int]:
+    """Output types some chain of hosted copies reaches from ``req_in``, read
+    from the pruned edges at ``req_in``'s type vertex."""
+    return frozenset(y for y in range(1, template.n_d + 1)
+                     if y != req_in and template.heads_toward(y)[template.type_vertex[req_in]])
+
+
+def chained_outputs(placement: ServicePlacement, req_in: int, single_stage: bool) -> set[int]:
+    """The same set by a forward search over types."""
+    step: dict[int, set[int]] = {}
+    for s in placement.by_service:
+        step.setdefault(s.input, set()).add(s.output)
+    if single_stage:
+        return step.get(req_in, set()) - {req_in}
+    seen, frontier = set(), [req_in]
+    while frontier:
+        for y in step.get(frontier.pop(), ()):
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    return seen - {req_in}
 
 
 def test_reachability_closure():
@@ -538,7 +565,27 @@ def test_reachability_closure():
     catalog = enumerate_services(7, excluded=set())
     placement = assign_services(catalog, list(range(6)), 1, rng)
     template = _GraphTemplate(placement, 7, single_stage=False)
-    assert 7 in template.reachable_outputs(1)
+    assert 7 in reachable_outputs(template, 1)
     exact = _GraphTemplate(placement, 7, single_stage=True)
-    assert exact.reachable_outputs(1) == frozenset(
+    assert reachable_outputs(exact, 1) == frozenset(
         s.output for s in catalog.services if s.input == 1)
+    # A ring without s_3_4 chains cyclically, except through 3 -> 4.
+    ring = enumerate_services(6, excluded={Service(3, 4)}, ring=True)
+    cyclic = assign_services(ring, list(range(4)), 2, rng)
+    assert reachable_outputs(_GraphTemplate(cyclic, 6, single_stage=False), 1) == {2, 3}
+    assert reachable_outputs(_GraphTemplate(cyclic, 6, single_stage=False), 4) == {5, 6, 1, 2, 3}
+    for placement, n_d in ((placement, 7), (cyclic, 6)):
+        for single_stage in (False, True):
+            template = _GraphTemplate(placement, n_d, single_stage)
+            for x in range(1, n_d + 1):
+                assert reachable_outputs(template, x) == chained_outputs(placement, x,
+                                                                         single_stage)
+            for y in range(1, n_d + 1):
+                # Kept: the goal, and each copy from whose output y is reachable.
+                keep = {template.type_vertex[y]} | {
+                    v for v, (s, _) in enumerate(template.copies)
+                    if s.output == y or not single_stage and y in chained_outputs(
+                        placement, s.output, False)}
+                toward = template.heads_toward(y)
+                for v, heads in enumerate(template.heads):
+                    assert toward[v] == [h for h in heads if h in keep]

@@ -45,8 +45,7 @@ def test_crossing_nodes_three_samples_in_range():
     n_samples = 10
     pos = np.zeros((2, n_samples, 2))
     pos[0, :, 0] = -250.0 + 60.0 * np.arange(n_samples)
-    contacts = contacts_from_positions(
-        PositionTrace(pos, 30.0, 1000.0, 1000.0, None), 100.0)
+    contacts = contacts_from_positions(PositionTrace(pos, 30.0, 1000.0, 1000.0), 100.0)
     assert len(contacts.events) == 1
     start, end, _, _ = contacts.events[0].tolist()
     assert start == 90.0 and end == 150.0
@@ -145,13 +144,22 @@ def test_edge_cases_match_per_sample_reference():
         (0.0, 90.0), (150.0, 240.0)]
 
 
-@pytest.mark.parametrize("samples_per_block", [1, 2, 3])
-def test_runs_spanning_block_edges(samples_per_block, monkeypatch):
+@pytest.mark.parametrize("pairs_per_block", [1, 2, 3])
+def test_runs_spanning_block_edges(pairs_per_block, monkeypatch):
     for trace, range_m in ((wandering_trace(10, 60, 4), 60.0), (edge_case_trace(), 100.0)):
-        n_pairs = trace.n_nodes * (trace.n_nodes - 1) // 2
-        monkeypatch.setattr(contact_engine, "BLOCK_PAIR_SAMPLES", samples_per_block * n_pairs)
+        monkeypatch.setattr(contact_engine, "BLOCK_PAIR_SAMPLES", pairs_per_block * trace.n_samples)
         expected = contacts_per_sample(trace, range_m).events
         assert np.array_equal(contacts_from_positions(trace, range_m).events, expected)
+
+
+@pytest.mark.parametrize("shape", [(1, 20), (4, 1), (0, 20)], ids=["one-node", "one-sample",
+                                                                  "no-nodes"])
+def test_extraction_without_pairs_or_runs_finds_no_events(shape):
+    # No pair or a single sample: no block, or blocks without a usable run.
+    trace = make_trace(np.zeros(shape + (2,)))
+    contacts = contacts_from_positions(trace, 100.0)
+    assert contacts.events.dtype == contact_engine.EVENT_DTYPE and len(contacts.events) == 0
+    assert contacts.n_nodes == shape[0]
 
 
 def test_oracle_zero_when_in_contact():
@@ -311,6 +319,16 @@ def test_contacts_csv_header_is_optional(tmp_path):
     contacts = load_contacts_csv(path)
     assert (contacts.n_nodes, contacts.duration, contacts.sample_interval) == (3, 90.0, 30.0)
     assert contacts.events.tolist() == [(0.0, 30.0, 0, 1), (60.0, 90.0, 0, 2)]
+
+
+@pytest.mark.parametrize("row", ["0,1,0.0", "0,1,0.0,60.0,9", "0,b,0.0,60.0", "0,1,0.0,1e"])
+def test_contacts_csv_names_the_line_of_a_malformed_row(tmp_path, row):
+    path = tmp_path / "contacts.csv"
+    path.write_text(f"# nodes=3 duration=600.0 interval=30.0\nnode_a,node_b,start_s,end_s\n"
+                    f"0,1,0.0,30.0\n\n{row}\n")
+    with pytest.raises(ValueError, match=f"line 5: expected node_a,node_b,start_s,end_s, "
+                                         f"got '{row}'"):
+        load_contacts_csv(path)
 
 
 def test_contacts_csv_rejects_ids_outside_the_header_count(tmp_path):

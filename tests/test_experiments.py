@@ -399,7 +399,7 @@ def test_trace_runs_take_the_node_count_from_the_trace(tmp_path, model):
     config, contacts = experiments.prepare_run(spec, seed=0)
     assert contacts.n_nodes == n
     assert {v for hosts in config.placement.by_service.values() for v in hosts} <= set(range(n))
-    assert run(config, contacts).records
+    assert run(config, contacts)
     spec["mobility"]["n_nodes"] = n
     assert experiments.prepare_run(spec, seed=0)[0] == config
 

@@ -91,9 +91,9 @@ def test_scenario_forms_groups_of_three_or_more():
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_records_match_pinned_digest(name, tmp_path):
     contacts, base = scenario()
-    result = run(SimConfig(**base, **RUNS[name]), contacts)
+    records = run(SimConfig(**base, **RUNS[name]), contacts)
     path = tmp_path / "records.csv"
-    write_records_csv(result, path)
+    write_records_csv(records, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN[name]
 
 
@@ -123,14 +123,14 @@ def test_reused_plans_match_a_fresh_search(name, monkeypatch, tmp_path):
         return path
 
     monkeypatch.setattr(_Engine, "compute_path", checked)
-    result = run(SimConfig(**base, **RUNS[name]), contacts)
+    records = run(SimConfig(**base, **RUNS[name]), contacts)
     assert answers[False] > 0
     # With ``plan_once`` a request plans once, with no repeat in its unit;
     # ``perfect`` prices the live backlog, so it reuses no plan.
     if name not in ("plan_once", "perfect"):
         assert answers[True] > 0
     path = tmp_path / "records.csv"
-    write_records_csv(result, path)
+    write_records_csv(records, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN[name]
 
 
@@ -149,9 +149,9 @@ def test_minimal_awareness_keeps_no_knowledge(monkeypatch, tmp_path):
     closures = {}
     for name in ("minimal", "local"):
         calls.clear()
-        result = run(SimConfig(**base, **RUNS[name]), contacts)
+        records = run(SimConfig(**base, **RUNS[name]), contacts)
         path = tmp_path / f"{name}.csv"
-        write_records_csv(result, path)
+        write_records_csv(records, path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN[name]
         closures[name] = len(calls)
     assert closures["minimal"] == 0 and closures["local"] > 0

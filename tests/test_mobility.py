@@ -20,7 +20,7 @@ from oppcompose.mobility import (
     save_trace_csv,
 )
 from oppcompose.mobility._dist import choice_cdf, truncated_pareto
-from oppcompose.mobility.hcmm import community_index, home_communities
+from oppcompose.mobility.hcmm import home_communities
 from oppcompose.mobility.slaw import waypoint_field
 
 
@@ -217,6 +217,14 @@ def test_slaw_long_flights_spread_with_hurst():
 
 # -- HCMM --------------------------------------------------------------------
 
+def community_index(params: HcmmParams, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Community cell containing each (x, y) position."""
+    rows, cols = params.grid
+    ci = np.minimum((np.asarray(x) / params.area[0] * cols).astype(int), cols - 1)
+    ri = np.minimum((np.asarray(y) / params.area[1] * rows).astype(int), rows - 1)
+    return ri * cols + ci
+
+
 def test_hcmm_zero_rewiring_keeps_nodes_home():
     params = HcmmParams(grid=(2, 2), rewiring_p=0.0)
     trace = generate_hcmm(params, 12, 36000, seed=3)
@@ -354,6 +362,27 @@ def test_trace_csv_rejects_malformed_rows(tmp_path, bad, message):
     path = write_trace(tmp_path, ["0.0,0,1,2", "30.0,1,5,6", bad, "60.0,0,1,1"])
     with pytest.raises(ValueError, match=message):
         load_trace_csv(path)
+
+
+@pytest.mark.parametrize("time_s", ["44.0", "45.0", "29.9"])
+def test_trace_csv_rejects_a_time_off_the_sample_grid(tmp_path, time_s):
+    # Such a time used to be moved silently to the nearest sample.
+    path = write_trace(tmp_path, ["0.0,0,1,2", "30.0,1,5,6", f"{time_s},0,7,7"])
+    with pytest.raises(ValueError, match=f"line 5: time_s {time_s} is off the 30.0 s sample grid"):
+        load_trace_csv(path)
+
+
+def test_trace_csv_round_trip_below_the_written_resolution(tmp_path):
+    # At a 0.25 s interval the written times (0.2, 0.5, 0.8, 1.0, ...) are
+    # up to 0.05 s off the grid, the rounding the loader allows.
+    pos = np.round(np.random.default_rng(3).uniform(0, 100, size=(3, 41, 2)), 3)
+    pos[1, 7] = np.nan
+    trace = PositionTrace(pos, 0.25, 100.0, 100.0)
+    path = tmp_path / "trace.csv"
+    save_trace_csv(trace, path)
+    again = load_trace_csv(path)
+    assert again.sample_interval == 0.25 and again.n_samples == 41
+    assert np.array_equal(again.positions, trace.positions, equal_nan=True)
 
 
 @pytest.mark.parametrize("interval", ["0", "-30.0", "nan"])

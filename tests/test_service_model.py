@@ -161,13 +161,3 @@ def test_proportional_distribution():
     unpopular = [s for s in catalog.services if popularity[s] == 1.0]
     assert all(len(hosts_of(placement, s)) == 3 for s in popular)
     assert all(len(hosts_of(placement, s)) == 1 for s in unpopular)
-
-
-def test_placement_round_trip():
-    catalog = enumerate_services(7, excluded={Service(1, 7)})
-    placement = assign_services(catalog, list(range(20)), 2, np.random.default_rng(9))
-    from oppcompose.service_model import ServicePlacement
-
-    again = ServicePlacement.from_dict(placement.to_dict())
-    assert again.by_node == placement.by_node
-    assert again.by_service == placement.by_service

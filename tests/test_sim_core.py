@@ -40,6 +40,10 @@ def placement_of(assignments):
                             repetition=1)
 
 
+def path_hosts(path):
+    return tuple(n for _, n in path.stages)
+
+
 def full_contact_trace(n, duration):
     events = [(0.0, duration, a, b) for a in range(n) for b in range(a + 1, n)]
     return ContactTrace(events, n, duration)
@@ -101,16 +105,16 @@ def test_expected_request_volume():
     # 0.4/min over 20 nodes for the generation window of a 10 h trace.
     cfg = default_config()
     contacts = no_contact_trace(20, 36000.0)
-    result = run(cfg, contacts)
+    records = run(cfg, contacts)
     window_min = (36000.0 - cfg.timeout_s) / 60.0
     expected = 0.4 * 20 * window_min
-    assert abs(len(result.records) - expected) / expected < 0.1
+    assert abs(len(records) - expected) / expected < 0.1
 
 
 def test_zero_rate_zero_records():
     cfg = default_config(request_rate_per_min=0.0)
-    result = run(cfg, no_contact_trace(20, 3600.0))
-    assert result.records == []
+    records = run(cfg, no_contact_trace(20, 3600.0))
+    assert records == []
 
 
 # Generation stops ``timeout_s`` before the end: with no time left a Poisson
@@ -123,8 +127,8 @@ def test_poisson_stream_needs_time_before_its_timeout(timeout_s):
         run(default_config(timeout_s=timeout_s), contacts)
     # Scripted and empty streams do not generate on that clock.
     scripted = default_config(timeout_s=timeout_s, scripted_requests=((0.0, 0, 1, 5),))
-    assert len(run(scripted, contacts).records) == 1
-    assert run(default_config(timeout_s=timeout_s, request_rate_per_min=0.0), contacts).records == []
+    assert len(run(scripted, contacts)) == 1
+    assert run(default_config(timeout_s=timeout_s, request_rate_per_min=0.0), contacts) == []
     run(default_config(timeout_s=3000.0), contacts)
 
 
@@ -178,8 +182,8 @@ def test_local_exact_service_completes_with_zero_hops():
         scripted_requests=((60.0, 0, 1, 4),),
         seed=1,
     )
-    result = run(cfg, no_contact_trace(1, 3600.0))
-    rec = result.records[0]
+    records = run(cfg, no_contact_trace(1, 3600.0))
+    rec = records[0]
     assert rec.status == "completed"
     assert rec.hops == 0
     assert rec.stages[0][0] == Service(1, 4)
@@ -196,7 +200,7 @@ def test_deterministic_exec_time_exact():
         exec_deterministic=True,
         seed=1,
     )
-    rec = run(cfg, no_contact_trace(1, 3600.0)).records[0]
+    rec = run(cfg, no_contact_trace(1, 3600.0))[0]
     assert rec.delay == 30.0
 
 
@@ -210,7 +214,7 @@ def test_fifo_queueing_two_simultaneous_requests():
         exec_deterministic=True,
         seed=1,
     )
-    recs = sorted(run(cfg, no_contact_trace(1, 3600.0)).records, key=lambda r: r.id)
+    recs = sorted(run(cfg, no_contact_trace(1, 3600.0)), key=lambda r: r.id)
     assert recs[0].delay == 30.0
     assert recs[1].delay == 60.0  # waits for the first to finish
 
@@ -227,7 +231,7 @@ def test_exec_sampler_mean():
         timeout_s=590.0,
         seed=7,
     )
-    recs = run(cfg, no_contact_trace(1, 40000.0)).records
+    recs = run(cfg, no_contact_trace(1, 40000.0))
     delays = [r.delay for r in recs if r.status == "completed"]
     assert len(delays) >= 45
     assert 20.0 < float(np.mean(delays)) < 40.0
@@ -251,8 +255,8 @@ def test_fully_connected_chain_exact_delay():
         awareness="perfect",
         seed=1,
     )
-    result = run(cfg, full_contact_trace(4, 7200.0))
-    rec = result.records[0]
+    records = run(cfg, full_contact_trace(4, 7200.0))
+    rec = records[0]
     assert rec.status == "completed"
     # Three stages, each 30 s, transfers instantaneous over live contacts.
     assert rec.delay == 90.0
@@ -271,7 +275,7 @@ def test_stage_advances_input_type():
         awareness="perfect",
         seed=1,
     )
-    rec = run(cfg, full_contact_trace(2, 3600.0)).records[0]
+    rec = run(cfg, full_contact_trace(2, 3600.0))[0]
     assert rec.status == "completed"
     assert [(s.input, s.output) for s, _, _ in rec.stages] == [(1, 3), (3, 4)]
 
@@ -287,7 +291,7 @@ def test_unreachable_request_times_out():
         scripted_requests=((60.0, 0, 1, 4),),
         seed=1,
     )
-    rec = run(cfg, no_contact_trace(2, 3600.0)).records[0]
+    rec = run(cfg, no_contact_trace(2, 3600.0))[0]
     assert rec.status == "timed-out"
     assert rec.completed is None
 
@@ -304,11 +308,11 @@ def test_queued_requests_time_out_under_overload():
         timeout_s=300.0,
         seed=1,
     )
-    result = run(cfg, no_contact_trace(1, 7200.0))
-    counts = Counter(rec.status for rec in result.records)
+    records = run(cfg, no_contact_trace(1, 7200.0))
+    counts = Counter(rec.status for rec in records)
     assert counts["completed"] == 10  # 300 s window at 30 s per execution
     assert counts["timed-out"] == 30
-    for rec in result.records:
+    for rec in records:
         if rec.status == "completed":
             assert rec.completed <= rec.deadline
 
@@ -327,8 +331,8 @@ def test_result_in_transit_at_deadline_not_counted():
         scheme=Scheme("direct"),
         seed=1,
     )
-    result = run(cfg, ContactTrace(events, 2, 3600.0))
-    rec = result.records[0]
+    records = run(cfg, ContactTrace(events, 2, 3600.0))
+    rec = records[0]
     assert rec.status == "timed-out"
     assert len(rec.stages) == 1  # executed remotely, result never made it home
 
@@ -345,7 +349,7 @@ def test_result_routes_home_on_next_contact():
         scheme=Scheme("direct"),
         seed=1,
     )
-    rec = run(cfg, ContactTrace(events, 2, 3600.0)).records[0]
+    rec = run(cfg, ContactTrace(events, 2, 3600.0))[0]
     assert rec.status == "completed"
     assert rec.completed == 600.0
     assert rec.hops == 2  # request out, result back
@@ -353,8 +357,8 @@ def test_result_routes_home_on_next_contact():
 
 def test_remote_completion_needs_at_least_two_hops():
     cfg = default_config()
-    result = run(cfg, levy_contacts())
-    for rec in result.records:
+    records = run(cfg, levy_contacts())
+    for rec in records:
         if rec.status != "completed":
             continue
         if any(node != rec.origin for _, node, _ in rec.stages):
@@ -379,7 +383,7 @@ def test_stale_completion_of_a_cancelled_request_leaves_its_successor_running():
     engine = _Engine(cfg, no_contact_trace(1, 3600.0))
     draws = iter([110.0, 30.0])
     engine.rng = SimpleNamespace(exponential=lambda mean: next(draws))
-    a, b = sorted(engine.run().records, key=lambda r: r.id)
+    a, b = sorted(engine.run(), key=lambda r: r.id)
     assert a.status == "timed-out" and a.stages == []
     assert b.status == "completed" and b.completed == 190.0
     assert [node for _, node, _ in b.stages] == [0]
@@ -410,7 +414,7 @@ def test_fresh_path_becomes_the_plan_when_recomputation_is_off():
         return path
 
     engine.compute_path = recorded
-    rec = engine.run().records[0]
+    rec = engine.run()[0]
     assert searches[0] == (0, 1, None)
     found = [s for s in searches if s[2] is not None]
     assert len(found) == 1 and searches[-1] is found[0]
@@ -494,7 +498,7 @@ def test_request_lifecycle_invariant_after_every_event():
 
                 engine.on_deadline, engine._next_stage = deadline, counted_next_stage
                 engine.push = collecting_push
-                records = engine.run().records
+                records = engine.run()
                 assert [item.record for item in items] == records
                 assert all(r.status != "in-flight" for r in records)
                 relayed += sum(r.hops for r in records)
@@ -511,10 +515,10 @@ def test_request_lifecycle_invariant_after_every_event():
 def test_conservation_every_run():
     for seed in (1, 2, 3):
         cfg = default_config(seed=seed)
-        result = run(cfg, levy_contacts(seed=seed))
-        counts = Counter(rec.status for rec in result.records)
-        assert counts["completed"] + counts["timed-out"] + counts["in-flight"] == len(result.records)
-        for rec in result.records:
+        records = run(cfg, levy_contacts(seed=seed))
+        counts = Counter(rec.status for rec in records)
+        assert counts["completed"] + counts["timed-out"] + counts["in-flight"] == len(records)
+        for rec in records:
             if rec.status == "completed":
                 assert rec.completed <= rec.deadline + 1e-9
 
@@ -524,9 +528,9 @@ def test_identical_config_reproduces_csv_bytes(tmp_path):
     paths = []
     for tag in ("a", "b"):
         cfg = default_config(seed=5)
-        result = run(cfg, contacts)
+        records = run(cfg, contacts)
         path = tmp_path / f"run_{tag}.csv"
-        write_records_csv(result, path)
+        write_records_csv(records, path)
         paths.append(path)
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
@@ -551,21 +555,21 @@ def test_different_seed_differs(tmp_path):
     blobs = []
     for seed in (5, 6):
         cfg = default_config(seed=seed)
-        result = run(cfg, contacts)
+        records = run(cfg, contacts)
         path = tmp_path / f"run_{seed}.csv"
-        write_records_csv(result, path)
+        write_records_csv(records, path)
         blobs.append(path.read_bytes())
     assert blobs[0] != blobs[1]
 
 
 def test_records_csv_round_trip(tmp_path):
     cfg = default_config()
-    result = run(cfg, levy_contacts())
+    records = run(cfg, levy_contacts())
     path = tmp_path / "records.csv"
-    write_records_csv(result, path)
+    write_records_csv(records, path)
     rows = read_records_csv(path)
-    assert len(rows) == len(result.records)
-    by_id = {r.id: r for r in result.records}
+    assert len(rows) == len(records)
+    by_id = {r.id: r for r in records}
     for row in rows:
         rec = by_id[row["id"]]
         assert row["status"] == rec.status
@@ -580,8 +584,8 @@ def test_single_copy_every_request_single_position():
     # Every executed stage sequence chains correctly, which would break if
     # two copies of one request advanced independently.
     cfg = default_config()
-    result = run(cfg, levy_contacts())
-    for rec in result.records:
+    records = run(cfg, levy_contacts())
+    for rec in records:
         cur = rec.input
         for service, _, _ in rec.stages:
             assert service.input == cur
@@ -592,9 +596,9 @@ def test_single_copy_every_request_single_position():
 
 def test_estimated_cost_recorded_when_path_exists():
     cfg = default_config(awareness="perfect")
-    result = run(cfg, levy_contacts())
-    with_est = [r for r in result.records if r.estimated_cost_s is not None]
-    assert len(with_est) > 0.8 * len(result.records)
+    records = run(cfg, levy_contacts())
+    with_est = [r for r in records if r.estimated_cost_s is not None]
+    assert len(with_est) > 0.8 * len(records)
     assert all(r.estimated_cost_s >= 0 for r in with_est)
 
 
@@ -726,14 +730,32 @@ def test_perfect_awareness_prices_live_backlog_on_every_search():
     engine.know.timers[:] = 1.0
     np.fill_diagonal(engine.know.timers, 0.0)
     first = engine.compute_path(0, 1, 2)
-    assert first.hosts() == (1,) and first.cost == 2.0  # tie: lower host
+    assert path_hosts(first) == (1,) and first.cost == 2.0  # tie: lower host
     engine.queues[1].append(object())  # one request ahead: mean_exec_s / unit_s = 1 unit
     second = engine.compute_path(0, 1, 2)
-    assert second.hosts() == (2,) and second.cost == 2.0
+    assert path_hosts(second) == (2,) and second.cost == 2.0
     engine.queues[1].clear()
     engine.queues[2].extend([object(), object()])
     third = engine.compute_path(0, 1, 2)
-    assert third.hosts() == (1,) and third.cost == 2.0
+    assert path_hosts(third) == (1,) and third.cost == 2.0
+
+
+def test_minimal_draws_no_tie_order_for_a_request_without_a_path():
+    # The tie permutation is drawn only once a search will run: an
+    # unreachable output or an output equal to the input leaves tie_rng as
+    # it was, so the decisions after it see the same tie orders.
+    catalog = enumerate_services(4)
+    placement = placement_of({0: [Service(1, 2)], 1: [Service(3, 4)]})
+    config = SimConfig(catalog=catalog, placement=placement,
+                       pattern=RequestPattern(pairs=((1, 2),)), awareness="minimal",
+                       request_rate_per_min=0.0)
+    engine = _Engine(config, no_contact_trace(2, 600.0))
+    state = engine.tie_rng.bit_generator.state
+    assert engine.compute_path(0, 1, 4) is None
+    assert engine.compute_path(0, 2, 2) is None
+    assert engine.tie_rng.bit_generator.state == state
+    assert path_hosts(engine.compute_path(0, 1, 2)) == (0,)
+    assert engine.tie_rng.bit_generator.state != state
 
 
 # -- relay decision per (sweep, destination) ---------------------------------------------
