@@ -28,19 +28,26 @@ def _default_out() -> str:
     return os.environ.get(experiments.DEFAULT_OUT_ENV, ".")
 
 
+def _error(exc: Exception) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return 1
+
+
 def _run_and_report(spec: experiments.ExperimentSpec, out: Path, workers: int | None) -> int:
     """Run ``spec`` into ``out``; print the summary path, or the error and exit 1."""
     try:
         summary = experiments.run_experiment(spec, out, workers=workers)
-    except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except (RuntimeError, ValueError) as exc:
+        return _error(exc)
     print(f"summary written to {summary}")
     return 0
 
 
 def _cmd_run(args) -> int:
-    spec = experiments.load_spec(args.spec)
+    try:
+        spec = experiments.load_spec(args.spec)
+    except ValueError as exc:
+        return _error(exc)
     if args.seeds:
         spec.seeds = args.seeds
     return _run_and_report(spec, Path(args.out or _default_out()) / spec.name, args.workers)

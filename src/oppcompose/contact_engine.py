@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mobility.trace import PositionTrace, read_headed_csv
+from .mobility.trace import PositionTrace, read_headed_csv, time_format
 
 __all__ = [
     "EVENT_DTYPE",
@@ -159,12 +159,13 @@ def contacts_from_positions(trace: PositionTrace, range_m: float) -> ContactTrac
 
 
 def save_contacts_csv(contacts: ContactTrace, path) -> None:
-    """Write ``node_a,node_b,start_s,end_s`` rows."""
+    """Write ``node_a,node_b,start_s,end_s`` rows, times as exact as the sample grid."""
+    fmt = time_format(contacts.sample_interval)
     with open(path, "w") as fh:
         fh.write(f"# nodes={contacts.n_nodes} duration={contacts.duration} "
                  f"interval={contacts.sample_interval}\n")
         fh.write("node_a,node_b,start_s,end_s\n")
-        fh.writelines(f"{a},{b},{start:.1f},{end:.1f}\n"
+        fh.writelines(f"{a},{b},{start:{fmt}},{end:{fmt}}\n"
                       for start, end, a, b in contacts.events.tolist())
 
 

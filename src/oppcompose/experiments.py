@@ -26,7 +26,7 @@ import math
 import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict, fields
+from dataclasses import MISSING, dataclass, field, asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -76,10 +76,6 @@ class ExperimentSpec:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentSpec":
-        return cls(**d)
-
     def points(self) -> list[dict]:
         """Cross product of the sweep axes as override dicts."""
         points = [{}]
@@ -94,8 +90,15 @@ def save_spec(spec: ExperimentSpec, path) -> None:
 
 
 def load_spec(path) -> ExperimentSpec:
+    """The spec in the YAML file at ``path``, its every run's keys checked
+    (ValueError on the first that no part of a run reads)."""
     with open(path) as fh:
-        return ExperimentSpec.from_dict(yaml.safe_load(fh))
+        spec_dict = yaml.safe_load(fh)
+    if not isinstance(spec_dict, dict):
+        raise ValueError(f"{path}: a spec maps keys to values, got {type(spec_dict).__name__}")
+    spec = _check_spec_keys(spec_dict)
+    _runs(spec)
+    return spec
 
 
 def _apply_overrides(tree: dict, overrides: dict) -> dict:
@@ -134,12 +137,16 @@ def build_pattern(catalog: ServiceCatalog, cfg: dict) -> RequestPattern:
 def service_popularity(catalog: ServiceCatalog, pattern_cfg: dict) -> dict[Service, float]:
     """Request mass per service implied by the pattern (for proportional placement).
 
-    For fixed-length requests each admissible request contributes its draw
-    weight to every unit service its chain crosses.
+    Each admissible fixed-length request contributes its draw weight to every
+    unit service its chain crosses.  Only fixed-length requests over a ring
+    catalog name one chain each, so any other pattern or catalog raises
+    ValueError.
     """
+    kind = _pattern_kind(pattern_cfg)
+    if kind != "fixed_length" or not catalog.ring:
+        raise ValueError(f"proportional distribution needs fixed_length requests over a ring "
+                         f"catalog, got {kind} requests over a catalog with ring={catalog.ring}")
     weights: dict[Service, float] = {s: 0.0 for s in catalog.services}
-    if pattern_cfg.get("kind") != "fixed_length":
-        return weights
     length = pattern_cfg["length"]
     start_weights = {int(k): float(v) for k, v in pattern_cfg.get("start_weights", {}).items()}
     by_input = {s.input: s for s in catalog.services}
@@ -215,6 +222,8 @@ _GENERATORS = {
 # The keys a spec may set, per section.  SLAW's cascade depths are not
 # among them: they stay at their defaults.
 _SPEC_KEYS = tuple(f.name for f in fields(ExperimentSpec))
+_REQUIRED_SPEC_KEYS = tuple(f.name for f in fields(ExperimentSpec)
+                            if f.default is MISSING and f.default_factory is MISSING)
 _MOBILITY_KEYS = ("model", "n_nodes", "duration", "sample_interval", "params", "path", "paths")
 _PARAM_KEYS = {
     **{model: tuple(f.name for f in fields(cls)
@@ -248,9 +257,13 @@ def _check_mobility_keys(mob: dict) -> None:
 def _check_spec_keys(spec_dict: dict) -> ExperimentSpec:
     """The spec ``spec_dict`` describes, its defaults filled in.
 
-    Raises ValueError on a key no part of the run reads, naming the valid ones.
+    Raises ValueError on a key no part of the run reads, naming the valid
+    ones, and on a missing key that has no default.
     """
     _check_keys("spec", spec_dict, _SPEC_KEYS)
+    missing = [name for name in _REQUIRED_SPEC_KEYS if name not in spec_dict]
+    if missing:
+        raise ValueError(f"spec lacks key(s) {', '.join(missing)}")
     spec = ExperimentSpec(**spec_dict)
     _check_mobility_keys(spec.mobility)
     _check_keys("catalog", spec.catalog, _CATALOG_KEYS)
@@ -324,26 +337,36 @@ def _run_one(args) -> dict:
             "warmup_s": config.delay_warmup_s}
 
 
+def _runs(spec: ExperimentSpec) -> list[tuple[str, dict, dict]]:
+    """``(variant name, sweep point, merged spec dict)`` per variant and
+    point of ``spec``, each checked as :func:`_check_spec_keys` does."""
+    base = spec.to_dict()
+    runs = []
+    for variant in spec.variants:
+        _check_keys("variant", variant, ("name", "overrides"))
+        for point in spec.points():
+            merged = _apply_overrides(base, {**variant.get("overrides", {}), **point})
+            _check_spec_keys(merged)
+            runs.append((variant["name"], point, merged))
+    return runs
+
+
 def run_experiment(spec: ExperimentSpec, out_dir, workers: int | None = None) -> Path:
     """Run every (variant, sweep point, seed); write run CSVs, manifest, summary.
 
-    Returns the summary path.  Individual run failures are recorded in the
-    manifest with their error text and excluded from aggregation; the first
-    failure is re-raised after all runs finish.
+    Returns the summary path.  Every run's keys are checked before any runs
+    (ValueError).  Individual run failures are recorded in the manifest with
+    their error text and excluded from aggregation; the first failure is
+    re-raised after all runs finish.
     """
+    runs = _runs(spec)
     out = Path(out_dir)
     runs_dir = out / "runs"
     cache_dir = out / "traces"
     runs_dir.mkdir(parents=True, exist_ok=True)
     cache_dir.mkdir(parents=True, exist_ok=True)
-    base = spec.to_dict()
-    jobs = []
-    for variant in spec.variants:
-        v_over = variant.get("overrides", {})
-        for point in spec.points():
-            merged = _apply_overrides(base, {**v_over, **point})
-            for seed in range(spec.seeds):
-                jobs.append((merged, variant["name"], point, seed, str(runs_dir), str(cache_dir)))
+    jobs = [(merged, name, point, seed, str(runs_dir), str(cache_dir))
+            for name, point, merged in runs for seed in range(spec.seeds)]
 
     if workers and workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

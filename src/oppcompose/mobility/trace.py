@@ -46,9 +46,17 @@ class PositionTrace:
         return np.arange(self.n_samples) * self.sample_interval
 
 
+def time_format(interval: float) -> str:
+    """The format spec that writes every multiple of ``interval`` as its
+    exact decimal: one decimal place on grids of whole or tenth seconds, as
+    many as ``interval`` has on finer ones."""
+    return f".{max(1, len(np.format_float_positional(interval).partition('.')[2]))}f"
+
+
 def save_trace_csv(trace: PositionTrace, path) -> None:
     """Write ``time_s,node_id,x_m,y_m`` rows, one per node per sample."""
     times = trace.sample_times()
+    fmt = time_format(trace.sample_interval)
     with open(path, "w") as fh:
         fh.write(f"# interval={trace.sample_interval} width={trace.width} height={trace.height}\n")
         fh.write("time_s,node_id,x_m,y_m\n")
@@ -57,7 +65,7 @@ def save_trace_csv(trace: PositionTrace, path) -> None:
                 x, y = trace.positions[n, ti]
                 if np.isnan(x):
                     continue
-                fh.write(f"{t:.1f},{n},{x:.3f},{y:.3f}\n")
+                fh.write(f"{t:{fmt}},{n},{x:.3f},{y:.3f}\n")
 
 
 def read_headed_csv(path, keys: dict, columns: str) -> tuple[dict, list[tuple[int, list[str]]]]:
@@ -92,7 +100,8 @@ def load_trace_csv(path) -> PositionTrace:
 
     Raises ValueError naming the file line of a row that is not four
     numbers, has a negative node id or time, lies off the sample grid by more
-    than the writer's rounding to 0.1 s, or repeats a (node, sample).
+    than 0.05 s (files written with one decimal place round to 0.1 s), or
+    repeats a (node, sample).
     """
     header, lines = read_headed_csv(path, {"interval": float, "width": float, "height": float},
                                     "time_s")
@@ -113,7 +122,7 @@ def load_trace_csv(path) -> PositionTrace:
         if not t >= 0:
             raise ValueError(f"{where}: time_s must be nonnegative, got {t}")
         ti = int(round(t / interval))
-        if abs(t - ti * interval) > 0.05 + 1e-6:  # beyond the writer's :.1f rounding
+        if abs(t - ti * interval) > 0.05 + 1e-6:  # beyond rounding to one decimal place
             raise ValueError(f"{where}: time_s {t} is off the {interval} s sample grid")
         first = first_line.setdefault((n, ti), lineno)
         if first != lineno:

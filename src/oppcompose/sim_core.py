@@ -3,8 +3,8 @@
 Events are keyed by (time, priority, push order); the priority is the
 event's kind and picks its handler, so at one instant unit boundaries (timer
 ticks, one knowledge closure over the co-located groups, load-window updates;
-none of these under ``minimal`` awareness; the closure settles only the
-service hosts' columns, every column under ``perfect``, and is told the
+none of these under ``minimal`` awareness; knowledge keeps one column per
+service host, one per node under ``perfect``, and the closure is told the
 previous boundary's pairs so it seeds at new contacts only) run first, then
 contact starts (encounter stats, neighbour index, forwarding attempts),
 service completions, Poisson request generation, forwarding sweeps, and
@@ -247,20 +247,21 @@ class _GraphTemplate:
     Vertices are ints: hosted service copies first, in (service, host) order
     (``ServicePlacement.by_service`` lists each service's hosts sorted), then
     one vertex per type; only each edge's head is kept.  A copy's device is
-    its host and a type vertex's the graph owner, and an edge pays a load
-    exactly when its head is a copy, so :meth:`shortest` prices an edge from
-    its two vertices and an owner's view, whichever owner it searches for.
+    its host's index in ``columns`` (the host itself by default) and a type
+    vertex's the graph owner's slot, and an edge pays a load exactly when its
+    head is a copy, so :meth:`shortest` prices an edge from its two vertices
+    and an owner's view, whichever owner it searches for.
     :meth:`heads_toward` prunes the edges that cannot lead to an output type,
     once per type, so an empty list at the input's type vertex means no
     chain of hosted services reaches the output.
     """
 
-    def __init__(self, placement: ServicePlacement, n_d: int, single_stage: bool):
+    def __init__(self, placement: ServicePlacement, n_d: int, single_stage: bool, columns=None):
         self.n_d = n_d
         copies = [(s, n) for s in sorted(placement.by_service)
                   for n in placement.by_service[s]]
         self.copies = copies
-        self.hosts = [n for _, n in copies]
+        self.devices = [n if columns is None else columns.index(n) for _, n in copies]
         self.n_service_vertices = len(copies)
         self.type_vertex = {x: len(copies) + x - 1 for x in range(1, n_d + 1)}
         self.n_vertices = len(copies) + n_d
@@ -307,13 +308,13 @@ class _GraphTemplate:
 
     def shortest(self, owner: int, req_in: int, req_out: int, view: tuple,
                  ranks: list[int] | np.ndarray | None = None) -> CompositionPath | None:
-        """Dijkstra from the input-type vertex over ``owner``'s view.
+        """Dijkstra from the input-type vertex over an owner's view.
 
-        ``view`` is :func:`knowledge.owner_view`'s ``(T, L, P)``.  An edge's
-        devices s and d are its vertices' hosts, a type vertex standing for
-        the owner, and it is priced as it is relaxed, by one rule: 0 if
-        ``s == d``, else ``P[s][d]`` when present, else ``T[s] + T[d]``; plus
-        ``L[d]`` when the head is a service copy (a stage to run there).
+        ``view`` is :func:`knowledge.owner_view`'s ``(T, L, P)``, and
+        ``owner`` the owner's slot there, every type vertex's device.  An edge
+        is priced as it is relaxed, by one rule: 0 if its devices s and d are
+        equal, else ``T[s]`` into the owner, else ``P[s][d]`` when present,
+        else ``T[s] + T[d]``; plus ``L[d]`` when the head is a service copy.
         Ties prefer fewer stages, then finishing at the owner, then the
         smallest stage-rank sequence (``ranks`` per service vertex, default
         (service, host) order).  That sequence is one integer in base
@@ -330,7 +331,7 @@ class _GraphTemplate:
         ranks = self.lex_rank if ranks is None else [int(r) for r in ranks]
         base = self.n_service_vertices
         timers, loads, pairs = view
-        device = self.hosts + [owner] * self.n_d
+        device = self.devices + [owner] * self.n_d
         heads = self.heads_toward(req_out)
         best: list = [None] * self.n_vertices
         pred = [0] * self.n_vertices
@@ -353,6 +354,8 @@ class _GraphTemplate:
                 d = device[nxt]
                 if d == s:
                     w = 0.0
+                elif d == owner:
+                    w = t_s
                 else:
                     w = None if row is None else row[d]
                     if w is None:
@@ -394,7 +397,6 @@ class _Engine:
         self.duration = contacts.duration
         self.rng = np.random.default_rng(config.seed)
         self.tie_rng = np.random.default_rng((config.seed, 0x7ee5))
-        self.own_loads = np.zeros(self.n)  # per node, as its last load window closed
         self.stats = EncounterStats(self.n, window=config.scheme.window)
         self.queues: list[list[_Item]] = [[] for _ in range(self.n)]
         self.executing: list[_Item | None] = [None] * self.n
@@ -403,13 +405,13 @@ class _Engine:
         self.heap: list = []
         self.seq = 0
         self.unit_index = 0
-        self.template = _GraphTemplate(config.placement, config.catalog.n_d,
-                                       single_stage=config.exact_match)
         # Pricing reads only the hosts' columns; ``perfect`` reads the owner's too.
+        hosts = [v for nodes in config.placement.by_service.values() for v in nodes]
         self.know = Knowledge(self.n, t_av=config.t_av, radius=config.radius,
                               track_matrix=config.awareness == "global",
-                              columns=None if config.awareness == "perfect"
-                              else self.template.hosts)
+                              columns=None if config.awareness == "perfect" else hosts)
+        self.template = _GraphTemplate(config.placement, config.catalog.n_d, config.exact_match,
+                                       self.know.columns.tolist())
         self.boundary_pairs = contacts.boundary_pairs(config.unit_s)
         # Per unit: each owner's view, and the plans it gave.
         self._dist_cache: dict[int, tuple] = {}
@@ -487,7 +489,7 @@ class _Engine:
         ranks = None
         if self.cfg.awareness == "minimal":
             ranks = self.tie_rng.permutation(template.n_service_vertices)
-        path = template.shortest(node, req_in, req_out, self._distances(node), ranks)
+        path = template.shortest(self.know.slot(node), req_in, req_out, self._distances(node), ranks)
         if self._reuse_plans:
             self._plans[key] = path
         return path
@@ -742,12 +744,12 @@ class _Engine:
             self._dist_cache.clear()
             know = self.know
             if k > 0:
-                know.tick(1.0)
+                know.tick()
             exchange_all(know, pairs, now=float(k),
                          previous=self.boundary_pairs[k - 1] if k else None)
-            pending = np.array([self._pending_count(node) for node in range(self.n)])
-            self.own_loads = close_load_window(self.own_loads, pending, cfg.mean_exec_s, cfg.load_alpha)
-            np.fill_diagonal(know.loads, self.own_loads)
+            own = know.own  # each host's own load, as its last window closed
+            pending = np.array([self._pending_count(v) for v in know.columns.tolist()])
+            know.loads[own] = close_load_window(know.loads[own], pending, cfg.mean_exec_s, cfg.load_alpha)
         # The closure changes only the knowledge of nodes in ``pairs``.
         for node in sorted({node for pair in pairs for node in pair}):
             if self.carried[node]:

@@ -3,10 +3,11 @@
 :func:`cost_matrices` spreads an owner's knowledge into a full device
 distance matrix and a load vector.  ``owner_view`` must give the same
 distance for every ordered pair s != d, bit for bit, at every awareness
-level: ``P[s][d]`` where present, else ``T[s] + T[d]``; and the same loads.
-:func:`edge_costs` prices a graph template's edges from the matrices, each
-edge's devices read from its vertices, and :func:`matrix_view` wraps the
-matrices as a view (every ``dist`` row in ``P``) for ``shortest``.
+level: ``T[s]`` into the owner, else ``P[s][d]`` where present, else
+``T[s] + T[d]``; and the same loads.  :func:`edge_costs` prices a graph
+template's edges from the matrices, each edge's devices read from its
+vertices, and :func:`matrix_view` wraps the matrices as a view (every
+``dist`` row in ``P``, the owner's column in ``T``) for ``shortest``.
 :func:`observed_rows` spreads the gossip, observation times over
 ``Knowledge.rows``, into the n x n x n array of rows each node observed, and
 :func:`row_table` packs such an array back into that table.
@@ -66,7 +67,7 @@ def edge_costs(template, owner, dist, load, load_aware):
     edge into a copy pays the copy's load.
     """
     base = template.n_service_vertices
-    device = [template.hosts[v] if v < base else owner for v in range(template.n_vertices)]
+    device = [template.devices[v] if v < base else owner for v in range(template.n_vertices)]
     costs = {}
     for u, heads in enumerate(template.heads):
         for v in heads:
@@ -78,17 +79,20 @@ def edge_costs(template, owner, dist, load, load_aware):
 
 
 def matrix_view(owner, dist, load, load_aware=True):
-    """``(T, L, P)`` as ``shortest`` reads it, with every ``dist`` row in ``P``."""
-    rows = np.asarray(dist, dtype=float).tolist()
-    return rows[owner], (np.asarray(load, dtype=float).tolist() if load_aware else None), rows
+    """``(T, L, P)`` as ``shortest`` reads it, with every ``dist`` row in ``P``
+    and the distances into the owner, its column, in ``T``."""
+    dist = np.asarray(dist, dtype=float)
+    return (dist[:, owner].tolist(), np.asarray(load, dtype=float).tolist() if load_aware else None,
+            dist.tolist())
 
 
 def observed_rows(know):
-    """``matrix[i, r]``: the timer row of node r that node i last observed,
+    """``matrix[i, r]``: the timer row of node r that node i last observed
+    (over ``know``'s columns),
     read from ``know.rows`` at ``know.matrix_obs[i, r]``; infinite where never
     observed.  Every observation must find its row (AssertionError otherwise)."""
     n = know.n_nodes
-    matrix = np.full((n, n, n), math.inf)
+    matrix = np.full((n, n, len(know.columns)), math.inf)
     found = 0
     for t, (ids, block) in know.rows.items():
         i, r = np.nonzero(know.matrix_obs == t)

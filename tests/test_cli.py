@@ -97,3 +97,20 @@ def test_gen_trace_sample_interval(tmp_path, interval):
     trace = load_trace_csv(tmp_path / "hcmm_seed0.csv")
     default = inspect.signature(generate_hcmm).parameters["sample_interval"].default
     assert trace.sample_interval == (default if interval is None else interval)
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"seedz": 2}, "unknown spec key(s) seedz"),
+    ({"sweep": {"sim.timeout": [600.0]}}, "unknown sim key(s) timeout"),
+])
+def test_run_reports_a_misspelled_key_before_any_run(tmp_path, capsys, change, message):
+    spec = {"name": "badkey",
+            "mobility": {"model": "levy", "n_nodes": 4, "duration": 1800.0,
+                         "params": {"area": [200.0, 200.0], "speed_classes": [[4, [1.0, 1.0]]]}},
+            "catalog": {"n_d": 3}, "pattern": {"kind": "min_k", "k": 1}, "seeds": 1, **change}
+    spec_file = tmp_path / "bad.yaml"
+    spec_file.write_text(yaml.safe_dump(spec))
+    assert main(["run", str(spec_file), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "out").exists()

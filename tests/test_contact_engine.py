@@ -303,6 +303,23 @@ def test_contacts_csv_round_trip(tmp_path):
     assert np.array_equal(again.events, contacts.events)
 
 
+def test_contacts_csv_round_trip_at_a_twentieth_of_a_second(tmp_path):
+    # Written with one decimal place, the contact from 0.05 to 0.1 s read
+    # "0.1,0.1", and the loader refused it as not start < end.
+    x = [500.0, 50.0, 50.0, 500.0, 500.0, 50.0, 50.0, 500.0]
+    pos = np.zeros((2, len(x), 2))
+    pos[1, :, 0] = x
+    contacts = contacts_from_positions(PositionTrace(pos, 0.05, 600.0, 600.0), 100.0)
+    path = tmp_path / "contacts.csv"
+    save_contacts_csv(contacts, path)
+    assert path.read_text().splitlines()[2:] == ["0,1,0.05,0.10", "0,1,0.25,0.30"]
+    again = load_contacts_csv(path)
+    assert again.events[["a", "b"]].tolist() == contacts.events[["a", "b"]].tolist()
+    for name in ("start", "end"):
+        assert np.array_equal(np.round(again.events[name] / 0.05), [[1, 5], [2, 6]][name == "end"])
+        assert np.allclose(again.events[name], contacts.events[name], rtol=0, atol=1e-12)
+
+
 @pytest.mark.parametrize("interval", ["0", "0.0", "-30.0"])
 def test_contacts_csv_rejects_a_nonpositive_interval(tmp_path, interval):
     # An explicit interval of 0 used to be read as the 30 s default.

@@ -110,6 +110,26 @@ def test_service_popularity_from_two_stage_requests():
     assert all(pop[s] >= 4.0 for s in ranked[:10])
 
 
+@pytest.mark.parametrize("catalog, pattern", [
+    # Every s_xy of a 5-type catalog: length-2 requests were credited to the
+    # last service with each input, s_1_5 ... s_4_5.
+    ({"n_d": 5, "excluded": [], "ring": False}, {"kind": "fixed_length", "length": 2}),
+    # min_k requests weighed every service 0, so an arbitrary half got the
+    # extra copies.
+    ({"n_d": 5, "excluded": [], "ring": True}, {"kind": "min_k", "k": 2}),
+])
+def test_proportional_spec_needs_fixed_length_requests_over_a_ring(catalog, pattern):
+    spec = tiny_spec(catalog=catalog, pattern=pattern, distribution="proportional")
+    with pytest.raises(ValueError, match="fixed_length requests over a ring catalog"):
+        experiments.prepare_run(spec.to_dict(), seed=0)
+    ring = dict(catalog, ring=True)
+    config, _ = experiments.prepare_run(
+        tiny_spec(catalog=ring, pattern={"kind": "fixed_length", "length": 2},
+                  distribution="proportional").to_dict(), seed=0)
+    copies = sorted(len(hosts) for hosts in config.placement.by_service.values())
+    assert copies == [1, 1, 1, 3, 3]  # the busier half of five: two services
+
+
 def test_run_experiment_and_reaggregate(tmp_path):
     spec = tiny_spec(variants=[
         {"name": "multihop", "overrides": {}},
@@ -294,11 +314,34 @@ def test_spec_run_rejects_load_alpha_outside_unit_interval(tmp_path):
 def test_every_preset_run_passes_key_checks():
     for name in PRESET_NAMES:
         spec = preset(name)
-        base = spec.to_dict()
-        for variant in spec.variants:
-            for point in spec.points():
-                experiments._check_spec_keys(
-                    experiments._apply_overrides(base, {**variant["overrides"], **point}))
+        assert len(experiments._runs(spec)) == len(spec.variants) * len(spec.points())
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"seedz": 3}, "unknown spec key"),
+    ({"name": None}, "spec lacks key"),
+    ({"variants": [{"name": "a", "overrides": {"sim.awarness": "global"}}]}, "unknown sim key"),
+    ({"variants": [{"name": "a", "overides": {}}]}, "unknown variant key"),
+    ({"sweep": {"mobility.params.speeed": [1.0]}}, r"unknown mobility.params \(levy\) key"),
+])
+def test_spec_keys_are_checked_in_every_run_before_any_starts(tmp_path, change, message):
+    spec_dict = {k: v for k, v in {**tiny_spec().to_dict(), **change}.items() if v is not None}
+    path = tmp_path / "spec.yaml"
+    path.write_text(yaml.safe_dump(spec_dict))
+    with pytest.raises(ValueError, match=message):
+        load_spec(path)
+    if "seedz" in change or "name" in change:
+        return
+    with pytest.raises(ValueError, match=message):
+        run_experiment(ExperimentSpec(**spec_dict), tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_spec_file_must_hold_a_mapping(tmp_path):
+    path = tmp_path / "spec.yaml"
+    path.write_text("- name: tiny\n")
+    with pytest.raises(ValueError, match="a spec maps keys to values, got list"):
+        load_spec(path)
 
 
 def test_override_values_are_copied():

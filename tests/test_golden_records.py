@@ -38,6 +38,17 @@ GOLDEN = {
     "nla": "f3eaa99b66d1be43af085574d3443bdfea6dd25818222bb027cf6866d8667c4b",
 }
 
+# Twelve nodes of which only four host services, with tight deadlines and
+# long executions: most owners price from a view of nodes other than
+# themselves, and loads and gossip change decisions.
+NONHOST_NODES, NONHOST_HOSTS = 12, (1, 4, 6, 10)
+NONHOST_SIM = {"timeout_s": 400.0, "mean_exec_s": 120.0}
+GOLDEN_NONHOST = {
+    "local": "91f06501606bf957c6f1ff1cd93fb2796057dbbef9e6c094de7e21ac28d22ece",
+    "global": "1d9dce594d973ca1e5ce5d32deab0451a5ef3ab585d3ab48208313436588f722",
+    "perfect": "250ca3c5edde462e05982b279ad4a20cea9354a89af5d8258d7b83b7a378b559",
+}
+
 RUNS = {
     "minimal": {"awareness": "minimal"},
     "local": {"awareness": "local"},
@@ -53,12 +64,15 @@ RUNS = {
 }
 
 
-def scenario():
-    """Every pair meets now and then, so co-located groups come and go."""
+def scenario(n_nodes=N_NODES, hosts=None):
+    """Every pair meets now and then, so co-located groups come and go.
+
+    ``hosts`` are the nodes that host services, every node by default.
+    """
     rng = np.random.default_rng(2024)
     events = []
-    for a in range(N_NODES):
-        for b in range(a + 1, N_NODES):
+    for a in range(n_nodes):
+        for b in range(a + 1, n_nodes):
             t = float(rng.uniform(0.0, 600.0))
             while True:
                 end = t + float(rng.integers(30, 400))
@@ -66,14 +80,15 @@ def scenario():
                     break
                 events.append((t, end, a, b))
                 t = end + float(rng.uniform(200.0, 1500.0))
-    contacts = ContactTrace(events, N_NODES, DURATION)
+    contacts = ContactTrace(events, n_nodes, DURATION)
     catalog = enumerate_services(5)
-    placement = assign_services(catalog, list(range(N_NODES)), 2, np.random.default_rng(7))
+    placement = assign_services(catalog, list(range(n_nodes)) if hosts is None else list(hosts),
+                                2, np.random.default_rng(7))
     pattern = RequestPattern.min_functionality(catalog, 2)
     requests = []
     for _ in range(60):
         req_in, req_out = pattern.pairs[int(rng.integers(len(pattern.pairs)))]
-        requests.append((float(rng.integers(0, 6000)), int(rng.integers(N_NODES)),
+        requests.append((float(rng.integers(0, 6000)), int(rng.integers(n_nodes)),
                          req_in, req_out))
     base = dict(catalog=catalog, placement=placement, pattern=pattern,
                 scripted_requests=tuple(sorted(requests)), exec_deterministic=True,
@@ -95,6 +110,18 @@ def test_records_match_pinned_digest(name, tmp_path):
     path = tmp_path / "records.csv"
     write_records_csv(records, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN[name]
+
+
+@pytest.mark.parametrize("awareness", sorted(GOLDEN_NONHOST))
+def test_nonhost_owner_records_match_pinned_digest(awareness, tmp_path):
+    contacts, base = scenario(NONHOST_NODES, NONHOST_HOSTS)
+    hosting = {v for hosts in base["placement"].by_service.values() for v in hosts}
+    assert hosting == set(NONHOST_HOSTS)
+    assert {origin for _, origin, _, _ in base["scripted_requests"]} - hosting
+    records = run(SimConfig(**base, **NONHOST_SIM, awareness=awareness), contacts)
+    path = tmp_path / "records.csv"
+    write_records_csv(records, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_NONHOST[awareness]
 
 
 @pytest.mark.parametrize("name", ["local", "global", "perfect", "exact_match", "plan_once",

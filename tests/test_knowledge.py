@@ -30,7 +30,7 @@ def propagate(events, n_nodes, t_av, duration, radius=None, track_matrix=False):
     per_boundary = trace.boundary_pairs(UNIT)
     for k, pairs in enumerate(per_boundary):
         if k:
-            know.tick(1.0)
+            know.tick()
         exchange_all(know, pairs, now=float(k))
     return know
 
@@ -40,25 +40,10 @@ def propagate(events, n_nodes, t_av, duration, radius=None, track_matrix=False):
 def test_tick_increments_all_but_self():
     know = Knowledge(3)
     know.timers[0, 1] = 3.0
-    know.tick(1.0)
+    know.tick()
     assert know.timers[0, 1] == 4.0
     assert know.timers[0, 0] == 0.0
     assert math.isinf(know.timers[0, 2])
-
-
-def test_two_ticks_equal_one_double_tick():
-    a = Knowledge(3)
-    b = Knowledge(3)
-    a.timers[0, 1] = b.timers[0, 1] = 5.0
-    a.tick(1.0)
-    a.tick(1.0)
-    b.tick(2.0)
-    assert np.array_equal(a.timers, b.timers)
-
-
-def test_tick_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        Knowledge(2).tick(0.0)
 
 
 # -- contact update rule -------------------------------------------------------
@@ -122,8 +107,8 @@ def test_radius_pruning_drops_far_entries():
     exchange(know, 0, 1)
     assert math.isinf(know.timers[0, 2])  # 30.5 exceeds the radius, not stored
     know.timers[0, 2] = 9.0
-    know.tick(1.0)
-    know.tick(1.0)
+    know.tick()
+    know.tick()
     assert math.isinf(know.timers[0, 2])  # ticked past the radius, dropped
 
 
@@ -293,6 +278,29 @@ def test_global_level_uses_aged_rows():
     assert priced("global", know, now=14.0)[0][1, 2] == 6.0
 
 
+def test_owners_share_gossip_rows_over_host_columns():
+    # Nodes 1, 2 and 4 host services; 0 and 3 host none.  Views span the
+    # three columns plus the slot of an owner without one, and every owner
+    # reads the same aged row object: the search prices an edge into the
+    # owner from T alone, so no view patches the owner's entry in a row.
+    know = Knowledge(5, track_matrix=True, columns=[4, 1, 2])
+    assert know.timers.shape == (5, 3) and know.columns.tolist() == [1, 2, 4]
+    assert [know.slot(v) for v in range(5)] == [3, 0, 1, 3, 2]
+    exchange_all(know, [(0, 1), (1, 2), (2, 3), (3, 4)], now=1.0)
+    know.tick()
+    views = {owner: owner_view("global", know, owner, 3.0, 1.0) for owner in (0, 3, 4)}
+    for timers, loads, _ in views.values():
+        assert len(timers) == len(loads) == 4
+    assert views[0][0][3] == 0.0 and views[4][0][2] == 0.0  # each owner's own slot
+    ids, block = know.rows[1.0]
+    row = views[0][2][0]  # node 1's row, observed at 1 and aged by 2 units
+    assert row == (block[ids.tolist().index(1)] + 2.0).tolist()
+    assert row is views[3][2][0] and row is views[4][2][0]
+    assert row[2] is not None  # its entry about node 4, an owner here, stays
+    assert views[4][2][2] is None and views[0][2][3] is None  # no row of one's own
+    assert views[4][2][1] is views[0][2][1]
+
+
 def test_local_sum_brackets_oracle_under_recurring_contacts():
     # With periodically repeating meetings every pair stays mutually
     # reachable, and the sum of own timers upper-bounds the elapsed-time
@@ -343,7 +351,7 @@ def pricing_cases(draw):
     for i in range(n):
         know.timers[i] = draw(st.lists(TIMERS, min_size=n, max_size=n))
         know.timers[i, i] = 0.0
-    know.tick(1.0)  # ages every entry and prunes those past the radius
+    know.tick()  # ages every entry and prunes those past the radius
     # Gossip holds one row per (row, observation time): whole times make
     # several nodes share an observation.
     drawn = {}
@@ -373,7 +381,7 @@ def test_owner_view_matches_reference_matrices(level, case, load_aware):
     template, know, owner, now, unit_s, live_loads = case
     dist, load = cost_matrices(level, know, owner, now, unit_s, live_loads)
     base = template.n_service_vertices
-    device = [template.hosts[v] if v < base else owner for v in range(template.n_vertices)]
+    device = [template.devices[v] if v < base else owner for v in range(template.n_vertices)]
     ends = [(device[u], device[v]) for u, heads in enumerate(template.heads) for v in heads]
     assert any(s == d for s, d in ends) and any(s == owner != d for s, d in ends)
     assert any(s != d and owner not in (s, d) for s, d in ends)
@@ -381,8 +389,10 @@ def test_owner_view_matches_reference_matrices(level, case, load_aware):
     n = know.n_nodes
     others = [(s, d) for s in range(n) for d in range(n) if s != d]
 
-    def distance(s, d, view=(timers, loads, pairs)):
+    def distance(s, d, view=(timers, loads, pairs), owner=owner):
         t, _, p = view
+        if d == owner:
+            return t[s]
         row = None if p is None else p[s]
         w = None if row is None else row[d]
         return t[s] + t[d] if w is None else w
@@ -400,12 +410,15 @@ def test_owner_view_matches_reference_matrices(level, case, load_aware):
                 p[s]  # a row is built on first read
     for o, view in enumerate(views):
         ref = cost_matrices(level, know, o, now, unit_s, live_loads)[0]
-        mine = [distance(s, d, view) for s, d in others]
+        mine = [distance(s, d, view, o) for s, d in others]
         assert np.array(mine).tobytes() == np.array([ref[s, d] for s, d in others]).tobytes()
+    # Every node keeps a column here; local and global views add the slot
+    # of an owner with none.
+    assert len(timers) == (n if level == "perfect" else n + 1)
     if level == "minimal":
         assert loads is None
     else:
-        assert np.array(loads).tobytes() == load.tobytes()
+        assert np.array(loads[:n]).tobytes() == load.tobytes()
     # Searches on the view price every edge as the reference does.
     view = timers, loads if load_aware else None, pairs
     reference = matrix_view(owner, dist, load, load_aware)

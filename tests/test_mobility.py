@@ -373,8 +373,8 @@ def test_trace_csv_rejects_a_time_off_the_sample_grid(tmp_path, time_s):
 
 
 def test_trace_csv_round_trip_below_the_written_resolution(tmp_path):
-    # At a 0.25 s interval the written times (0.2, 0.5, 0.8, 1.0, ...) are
-    # up to 0.05 s off the grid, the rounding the loader allows.
+    # At a 0.25 s interval the times are written with two decimal places;
+    # the loader also allows the 0.05 s rounding of one decimal place.
     pos = np.round(np.random.default_rng(3).uniform(0, 100, size=(3, 41, 2)), 3)
     pos[1, 7] = np.nan
     trace = PositionTrace(pos, 0.25, 100.0, 100.0)
@@ -383,6 +383,23 @@ def test_trace_csv_round_trip_below_the_written_resolution(tmp_path):
     again = load_trace_csv(path)
     assert again.sample_interval == 0.25 and again.n_samples == 41
     assert np.array_equal(again.positions, trace.positions, equal_nan=True)
+
+
+@pytest.mark.parametrize("interval, times", [
+    (0.05, ["0.00", "0.05", "0.10", "0.15", "0.20"]),
+    (30.0, ["0.0", "30.0", "60.0", "90.0", "120.0"]),
+])
+def test_trace_csv_writes_times_that_name_their_sample(tmp_path, interval, times):
+    # Written with one decimal place, 0.05 s samples 1 and 2 both read 0.1,
+    # and the loader refused the file: "node 0 already has sample 2".
+    pos = np.round(np.random.default_rng(5).uniform(0, 100, size=(1, 5, 2)), 3)
+    trace = PositionTrace(pos, interval, 100.0, 100.0)
+    path = tmp_path / "trace.csv"
+    save_trace_csv(trace, path)
+    assert [line.split(",")[0] for line in path.read_text().splitlines()[2:]] == times
+    again = load_trace_csv(path)
+    assert again.sample_interval == interval and again.n_samples == 5
+    assert np.array_equal(again.positions, trace.positions)
 
 
 @pytest.mark.parametrize("interval", ["0", "-30.0", "nan"])
