@@ -69,7 +69,10 @@ def _cmd_preset(args) -> int:
 
 def _cmd_analyze(args) -> int:
     out = Path(args.run_dir)
-    summary = experiments.aggregate(out)
+    try:
+        summary = experiments.aggregate(out)
+    except FileNotFoundError as exc:  # no manifest, or a run file it names
+        return _error(exc)
     print(f"summary written to {summary}")
     if args.estimate_accuracy:
         for row in experiments.read_rows(out / "manifest.csv"):

@@ -258,7 +258,8 @@ def _check_spec_keys(spec_dict: dict) -> ExperimentSpec:
     """The spec ``spec_dict`` describes, its defaults filled in.
 
     Raises ValueError on a key no part of the run reads, naming the valid
-    ones, and on a missing key that has no default.
+    ones, on an unknown pattern kind, and on a missing key that has no
+    default (a ``fixed_length`` pattern's ``length`` among them).
     """
     _check_keys("spec", spec_dict, _SPEC_KEYS)
     missing = [name for name in _REQUIRED_SPEC_KEYS if name not in spec_dict]
@@ -268,8 +269,12 @@ def _check_spec_keys(spec_dict: dict) -> ExperimentSpec:
     _check_mobility_keys(spec.mobility)
     _check_keys("catalog", spec.catalog, _CATALOG_KEYS)
     kind = _pattern_kind(spec.pattern)
-    if kind in _PATTERN_KEYS:
-        _check_keys(f"pattern ({kind})", spec.pattern, _PATTERN_KEYS[kind])
+    if kind not in _PATTERN_KEYS:
+        raise ValueError(f"unknown request pattern kind {kind!r}; "
+                         f"choose from {', '.join(_PATTERN_KEYS)}")
+    _check_keys(f"pattern ({kind})", spec.pattern, _PATTERN_KEYS[kind])
+    if kind == "fixed_length" and "length" not in spec.pattern:
+        raise ValueError("pattern (fixed_length) lacks key length")
     _check_keys("sim", spec.sim, _SIM_KEYS)
     return spec
 

@@ -11,9 +11,10 @@ at once to what repeated contacts would reach,
 ``T_i[k] = min_j (T_j[k] + t_av * hops(i, j))`` over the group, with the
 load taken from the minimising source (ties: own entry, then fewer hops,
 then lower node id), seeded at new contacts (see :func:`exchange_all`).
-Under ``global`` awareness nodes also gossip timer rows, merged once per
-group: each member takes the group's latest observation time of each row,
-which names the row that time's closure settled, kept once.
+Under ``global`` awareness nodes also gossip the timer rows of the hosts,
+one per column, merged once per group: each member takes the group's latest
+observation time of each column, which names the row that time's closure
+settled, kept once.
 :func:`owner_view` turns this state into what an owner knows at each
 awareness level (:data:`AWARENESS_LEVELS`), as Python lists over the
 columns and an owner slot: its timers, its loads, and rows of pairwise
@@ -43,17 +44,17 @@ class Knowledge:
     """Timers and load estimates of every node about the nodes in ``columns``.
 
     Row i of ``timers`` and ``loads`` is node i's store, and its column c is
-    about node ``columns[c]`` (sorted ids, default every node; :meth:`slot`
-    maps a node to its column).  Timers are in time units (one unit =
-    ``unit_s`` seconds); ``math.inf`` marks an unknown or pruned peer.  A
-    node's entry about itself (the cells ``own``) is pinned at zero.  When
-    ``radius`` is set, entries whose timer exceeds it are dropped, bounding
-    the state kept for far-away nodes.  With ``track_matrix`` (the
-    distributed-global level), ``matrix_obs[i, r]`` is the time t (in units)
-    node i last observed node r's timer row, ``-inf`` if never; the row is
-    r's in ``rows[t] = (ids, block)``, the sorted nodes the closure at t
-    settled and their timer rows after it, kept while observed.  ``t_av``
-    must be positive.
+    about node ``columns[c]`` (sorted ids, default every node); ``slots[v]``
+    is node v's column, or h = ``len(columns)`` for a node with none.  Timers
+    are in time units (one unit = ``unit_s`` seconds); ``math.inf`` marks an
+    unknown or pruned peer.  A node's entry about itself (the cells ``own``)
+    is pinned at zero.  When ``radius`` is set, entries whose timer exceeds
+    it are dropped, bounding the state kept for far-away nodes.  With
+    ``track_matrix`` (the distributed-global level), ``matrix_obs[i, c]`` is
+    the time t (in units) node i last observed the timer row of column c,
+    ``-inf`` if never; that row is c's in ``rows[t] = (cols, block)``, the
+    columns of the members the closure at t settled, ascending, and their
+    timer rows after it, kept while observed.  ``t_av`` must be positive.
     """
 
     def __init__(self, n_nodes: int, t_av: float = 1.0, radius: float | None = None,
@@ -65,20 +66,17 @@ class Knowledge:
         self.columns = np.array(range(n_nodes) if columns is None else sorted(set(columns)),
                                 dtype=np.intp)
         h = len(self.columns)
-        self._slot = dict(zip(self.columns.tolist(), range(h)))
+        self.slots = np.full(n_nodes, h)
+        self.slots[self.columns] = np.arange(h)
         self.own = self.columns, np.arange(h)
         self.timers = np.full((n_nodes, h), math.inf)
         self.timers[self.own] = 0.0
         self.loads = np.zeros((n_nodes, h))
-        self.matrix_obs = np.full((n_nodes, n_nodes), -math.inf) if track_matrix else None
+        self.matrix_obs = np.full((n_nodes, h), -math.inf) if track_matrix else None
         self.rows: dict[float, tuple[np.ndarray, np.ndarray]] = {}
         self.swept = 0  # rows left by the last sweep of ``rows``
         self.merged_at = -math.inf  # ``now`` of the last row merge
         self.aged: dict[tuple, list] = {}  # see ``owner_view``
-
-    def slot(self, node: int) -> int:
-        """``node``'s column, or one past the last for a node with none."""
-        return self._slot.get(node, len(self.columns))
 
     def tick(self) -> None:
         """Advance every timer one unit, except the nodes' entries about themselves."""
@@ -149,14 +147,15 @@ def _closure(know: Knowledge, nodes: np.ndarray, hops: np.ndarray, seeds: np.nda
                              f"at {know.merged_at}")
         know.merged_at = now
     m, n = len(nodes), know.n_nodes
-    cols = know.columns
+    cols, hosted = know.columns, know.slots[nodes]
+    h = len(cols)
+    mine = hosted < h  # the members with a column
     timers, loads = know.timers[nodes], know.loads[nodes]
     # A candidate's label is (value, hops, source id), compared in that
     # order; ``rank`` = hops * n + id orders the last two.  Each cell starts
     # from its column's own node.
-    win_hops = np.full((m, n), math.inf)
-    win_hops[:, nodes] = hops
-    win_hops = win_hops[:, cols]
+    win_hops = np.full((m, h), math.inf)
+    win_hops[:, hosted[mine]] = hops[:, mine]
     win = win_hops * know.t_av
     win_rank = win_hops * n + cols
     win_loads = np.repeat(know.loads[know.own][None], m, axis=0)
@@ -167,14 +166,14 @@ def _closure(know: Knowledge, nodes: np.ndarray, hops: np.ndarray, seeds: np.nda
     seed_rank = seed_hops * n + nodes[seeds[order]]
     cost = seed_hops * know.t_av
     size = np.isfinite(cost).sum(axis=1)
-    lanes = np.arange(len(cols))
+    lanes = np.arange(h)
     # Receivers from the most seeds down, in chunks whose (seeds, receivers,
     # columns) candidates stay within _CHUNK_ELEMS.
     by_size = np.argsort(-size, kind="stable")
     lo = 0
     while lo < m and size[by_size[lo]]:
         width = size[by_size[lo]]
-        rows = by_size[lo:lo + max(1, _CHUNK_ELEMS // (width * len(cols)))]
+        rows = by_size[lo:lo + max(1, _CHUNK_ELEMS // (width * h))]
         lo += len(rows)
         src = seeds[order[rows, :width].T]
         cand = timers[src]
@@ -192,19 +191,20 @@ def _closure(know: Knowledge, nodes: np.ndarray, hops: np.ndarray, seeds: np.nda
     know.timers[nodes] = settled = np.where(adopt, win, timers)
     know.loads[nodes] = np.where(adopt, win_loads, loads)
     if know.matrix_obs is not None:
-        # Per group: every row's latest observation, then the members' rows at now.
+        # Per group: every column's latest observation, then the host members' at now.
         obs = know.matrix_obs
         same = np.isfinite(hops)
         for lowest in np.flatnonzero(same.argmax(axis=1) == np.arange(m)):
             group = nodes[same[lowest]]
             obs[group] = obs[group].max(axis=0)
-            obs[group[:, None], group] = now
-        know.rows[now] = nodes, settled
+            obs[group[:, None], hosted[same[lowest] & mine]] = now
+        if mine.any():
+            know.rows[now] = hosted[mine], settled[mine]
         # Drop unobserved rows once the table has doubled since the last sweep.
-        if sum(len(ids) for ids, _ in know.rows.values()) > 2 * know.swept + n:
-            seen = {t: (obs[:, ids] == t).any(axis=0) for t, (ids, _) in know.rows.items()}
-            know.rows = {t: (ids[seen[t]], block[seen[t]])
-                         for t, (ids, block) in know.rows.items() if seen[t].any()}
+        if sum(len(c) for c, _ in know.rows.values()) > 2 * know.swept + h:
+            seen = {t: (obs[:, c] == t).any(axis=0) for t, (c, _) in know.rows.items()}
+            know.rows = {t: (c[seen[t]], block[seen[t]])
+                         for t, (c, block) in know.rows.items() if seen[t].any()}
             know.swept = sum(int(kept.sum()) for kept in seen.values())
     return bool(adopt.any())
 
@@ -253,11 +253,11 @@ def exchange_all(know: Knowledge, pairs: list[tuple[int, int]], now: float = 0.0
     where several sources tie, the own entry wins, then the source with
     fewer hops, then the lower node id (pairwise exchanges left this to
     the order of the pairs).  With row tracking, each member takes its
-    group's latest observation time of every row, then its rows about
-    members are observed at ``now``, and ``know.rows[now]`` keeps every
-    member's settled row.  A merge must come later than the previous one
-    (ValueError otherwise): only then does an observation time name one
-    row.  Returns True if any timer changed.
+    group's latest observation time of every column, then the members'
+    columns are observed at ``now``, and ``know.rows[now]`` keeps the
+    settled row of every member with a column.  A merge must come later than
+    the previous one (ValueError otherwise): only then does an observation
+    time name one row.  Returns True if any timer changed.
     """
     if not pairs:
         return False
@@ -293,7 +293,7 @@ def owner_view(level: str, know: Knowledge, owner: int, now: float, unit_s: floa
     """Node ``owner``'s view ``(T, L, P)`` of the network at awareness ``level``.
 
     All three are Python lists over device slots, in time units: slot c is
-    ``know``'s column c, and ``know.slot(owner)`` the owner's (one past the
+    ``know``'s column c, and ``know.slots[owner]`` the owner's (one past the
     columns if it has none).  ``T`` holds the owner's timers, ``L`` the
     backlog per slot or None where no load is priced, and ``P[s]`` a row of
     pairwise distances from slot s (built on first use), or None, with None
@@ -302,10 +302,10 @@ def owner_view(level: str, know: Knowledge, owner: int, now: float, unit_s: floa
     present, else ``T[s] + T[d]``, an upper bound.
 
     minimal: every pair at distance 1, no load.  local: the owner's timers
-    and loads only.  global: row s is the last timer row of s the owner
-    observed, aged by its staleness, ``g + (now - seen)``, with None where
-    that entry is infinite; None for the owner's own row and a row never
-    observed; every owner reads the same row object until a tick
+    and loads only.  global: row s is the last timer row of column s the
+    owner observed, aged by its staleness, ``g + (now - seen)``, with None
+    where that entry is infinite; None for the owner's own row and a row
+    never observed; every owner reads the same row object until a tick
     (``know.aged``).  perfect (``know`` keeps every node's column): ``T`` is
     every live timer about the owner, ``P[s]`` node s's live row, and ``L``
     ``live_loads``, the true backlog per node in seconds.  Unknown (pruned)
@@ -324,17 +324,16 @@ def owner_view(level: str, know: Knowledge, owner: int, now: float, unit_s: floa
     loads = (know.loads[owner] / unit_s).tolist() + [0.0]
     if level == "local":
         return timers, loads, None
-    observed = know.matrix_obs[owner].tolist()
-    nodes, own = know.columns.tolist(), know.slot(owner)
+    observed, own = know.matrix_obs[owner].tolist(), int(know.slots[owner])
 
     def gossip(s):
-        seen = -math.inf if s == own else observed[nodes[s]]
+        seen = -math.inf if s == own else observed[s]
         if seen == -math.inf:
             return None
         aged = know.aged.get((s, seen, now))
         if aged is None:
-            ids, block = know.rows[seen]
-            aged = (block[ids.searchsorted(nodes[s])] + (now - seen)).tolist()
+            cols, block = know.rows[seen]
+            aged = (block[cols.searchsorted(s)] + (now - seen)).tolist()
             if math.inf in aged:
                 aged = [None if g == math.inf else g for g in aged]
             know.aged[s, seen, now] = aged

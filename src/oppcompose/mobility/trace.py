@@ -100,8 +100,8 @@ def load_trace_csv(path) -> PositionTrace:
 
     Raises ValueError naming the file line of a row that is not four
     numbers, has a negative node id or time, lies off the sample grid by more
-    than 0.05 s (files written with one decimal place round to 0.1 s), or
-    repeats a (node, sample).
+    than 0.05 s (files written with one decimal place round to 0.1 s) or a
+    quarter of the interval, whichever is less, or repeats a (node, sample).
     """
     header, lines = read_headed_csv(path, {"interval": float, "width": float, "height": float},
                                     "time_s")
@@ -122,7 +122,8 @@ def load_trace_csv(path) -> PositionTrace:
         if not t >= 0:
             raise ValueError(f"{where}: time_s must be nonnegative, got {t}")
         ti = int(round(t / interval))
-        if abs(t - ti * interval) > 0.05 + 1e-6:  # beyond rounding to one decimal place
+        # One decimal place rounds by 0.05 s; a fine grid allows a quarter interval.
+        if abs(t - ti * interval) > min(0.05, interval / 4) + 1e-6:
             raise ValueError(f"{where}: time_s {t} is off the {interval} s sample grid")
         first = first_line.setdefault((n, ti), lineno)
         if first != lineno:

@@ -73,6 +73,9 @@ class RequestPattern:
         p = None
         if self.weights is not None:
             w = np.asarray(self.weights, dtype=float)
+            if not (np.isfinite(w).all() and (w >= 0).all() and w.sum() > 0):
+                raise ValueError(f"weights must be finite, nonnegative and not all zero, "
+                                 f"got {self.weights}")
             p = w / w.sum()
         object.__setattr__(self, "_p", p)
 
@@ -247,7 +250,7 @@ class _GraphTemplate:
     Vertices are ints: hosted service copies first, in (service, host) order
     (``ServicePlacement.by_service`` lists each service's hosts sorted), then
     one vertex per type; only each edge's head is kept.  A copy's device is
-    its host's index in ``columns`` (the host itself by default) and a type
+    its host's slot, ``slots[host]`` (the host itself by default), and a type
     vertex's the graph owner's slot, and an edge pays a load exactly when its
     head is a copy, so :meth:`shortest` prices an edge from its two vertices
     and an owner's view, whichever owner it searches for.
@@ -256,12 +259,12 @@ class _GraphTemplate:
     chain of hosted services reaches the output.
     """
 
-    def __init__(self, placement: ServicePlacement, n_d: int, single_stage: bool, columns=None):
+    def __init__(self, placement: ServicePlacement, n_d: int, single_stage: bool, slots=None):
         self.n_d = n_d
         copies = [(s, n) for s in sorted(placement.by_service)
                   for n in placement.by_service[s]]
         self.copies = copies
-        self.devices = [n if columns is None else columns.index(n) for _, n in copies]
+        self.devices = [n if slots is None else slots[n] for _, n in copies]
         self.n_service_vertices = len(copies)
         self.type_vertex = {x: len(copies) + x - 1 for x in range(1, n_d + 1)}
         self.n_vertices = len(copies) + n_d
@@ -411,7 +414,7 @@ class _Engine:
                               track_matrix=config.awareness == "global",
                               columns=None if config.awareness == "perfect" else hosts)
         self.template = _GraphTemplate(config.placement, config.catalog.n_d, config.exact_match,
-                                       self.know.columns.tolist())
+                                       self.know.slots.tolist())
         self.boundary_pairs = contacts.boundary_pairs(config.unit_s)
         # Per unit: each owner's view, and the plans it gave.
         self._dist_cache: dict[int, tuple] = {}
@@ -489,7 +492,8 @@ class _Engine:
         ranks = None
         if self.cfg.awareness == "minimal":
             ranks = self.tie_rng.permutation(template.n_service_vertices)
-        path = template.shortest(self.know.slot(node), req_in, req_out, self._distances(node), ranks)
+        slot = int(self.know.slots[node])
+        path = template.shortest(slot, req_in, req_out, self._distances(node), ranks)
         if self._reuse_plans:
             self._plans[key] = path
         return path

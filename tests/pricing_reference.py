@@ -9,7 +9,8 @@ template's edges from the matrices, each edge's devices read from its
 vertices, and :func:`matrix_view` wraps the matrices as a view (every
 ``dist`` row in ``P``, the owner's column in ``T``) for ``shortest``.
 :func:`observed_rows` spreads the gossip, observation times over
-``Knowledge.rows``, into the n x n x n array of rows each node observed, and
+``Knowledge.rows``, into the n x h x h array of the rows of each column
+each node observed (h columns; n x n x n when every node keeps one), and
 :func:`row_table` packs such an array back into that table.
 """
 
@@ -87,12 +88,11 @@ def matrix_view(owner, dist, load, load_aware=True):
 
 
 def observed_rows(know):
-    """``matrix[i, r]``: the timer row of node r that node i last observed
-    (over ``know``'s columns),
-    read from ``know.rows`` at ``know.matrix_obs[i, r]``; infinite where never
-    observed.  Every observation must find its row (AssertionError otherwise)."""
-    n = know.n_nodes
-    matrix = np.full((n, n, len(know.columns)), math.inf)
+    """``matrix[i, r]``: the timer row of column r that node i last observed
+    (over ``know``'s columns), read from ``know.rows`` at
+    ``know.matrix_obs[i, r]``; infinite where never observed.  Every
+    observation must find its row (AssertionError otherwise)."""
+    matrix = np.full(know.matrix_obs.shape + (len(know.columns),), math.inf)
     found = 0
     for t, (ids, block) in know.rows.items():
         i, r = np.nonzero(know.matrix_obs == t)

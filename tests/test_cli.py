@@ -86,6 +86,13 @@ def test_analyze_bound_check(tmp_path, capsys):
     assert "levy" in out and "p1" in out
 
 
+def test_analyze_without_a_manifest_reports_an_error(tmp_path, capsys):
+    # It used to end in a FileNotFoundError traceback.
+    assert main(["analyze", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "manifest.csv" in err
+
+
 @pytest.mark.parametrize("interval", [None, 60.0])
 def test_gen_trace_sample_interval(tmp_path, interval):
     # Unset, the interval is the generator's default.
@@ -102,6 +109,10 @@ def test_gen_trace_sample_interval(tmp_path, interval):
 @pytest.mark.parametrize("change, message", [
     ({"seedz": 2}, "unknown spec key(s) seedz"),
     ({"sweep": {"sim.timeout": [600.0]}}, "unknown sim key(s) timeout"),
+    # These failed every run inside build_pattern, the second as KeyError('length').
+    ({"pattern": {"kind": "fixed_lenght", "length": 1}},
+     "unknown request pattern kind 'fixed_lenght'; choose from min_k, fixed_length"),
+    ({"pattern": {"kind": "fixed_length"}}, "pattern (fixed_length) lacks key length"),
 ])
 def test_run_reports_a_misspelled_key_before_any_run(tmp_path, capsys, change, message):
     spec = {"name": "badkey",

@@ -8,8 +8,8 @@ second is the dense closure, every member a source in every column; it
 carries its state across boundaries beside the seeded closure, in replays
 and in whole engine runs.  Both keep gossiped timer rows as an n x n x n
 ``matrix`` (``matrix[i, r]``: the row of r that node i last observed) and
-are compared with the closure's observation times and row table through
-``observed_rows``.
+are compared, on the closure's columns, with its observation times and row
+table through ``observed_rows``.
 """
 
 import copy
@@ -374,8 +374,9 @@ def test_seeded_closure_matches_dense_across_boundaries(t_av, radius, track_matr
         if columns == "all":
             assert changed == dense_changed
         if track_matrix:
-            assert np.array_equal(observed_rows(know), oracle.matrix[:, :, cols])
-            assert np.array_equal(know.matrix_obs, oracle.matrix_obs)
+            # Gossip is kept for the kept columns' rows only.
+            assert np.array_equal(observed_rows(know), oracle.matrix[:, cols][:, :, cols])
+            assert np.array_equal(know.matrix_obs, oracle.matrix_obs[:, cols])
         previous = pairs
     assert min(counts.values()) > 40
 
@@ -448,8 +449,8 @@ def dense_on_kept_columns():
         know.timers[:] = dense.timers[:, cols]
         know.loads[:] = dense.loads[:, cols]
         if know.matrix_obs is not None:
-            know.matrix_obs[:] = dense.matrix_obs
-            know.rows = row_table(dense.matrix[:, :, cols], dense.matrix_obs)
+            know.matrix_obs[:] = dense.matrix_obs[:, cols]
+            know.rows = row_table(dense.matrix[:, cols][:, :, cols], dense.matrix_obs[:, cols])
         return changed
 
     return settle

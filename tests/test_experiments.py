@@ -110,6 +110,14 @@ def test_service_popularity_from_two_stage_requests():
     assert all(pop[s] >= 4.0 for s in ranked[:10])
 
 
+def test_spec_run_refuses_negative_start_weights(tmp_path):
+    spec = tiny_spec(catalog={"n_d": 5, "excluded": [], "ring": True}, seeds=1,
+                     pattern={"kind": "fixed_length", "length": 1, "start_weights": {1: -1}})
+    with pytest.raises(RuntimeError, match="weights must be finite, nonnegative"):
+        experiments.run_experiment(spec, tmp_path)
+    assert not list((tmp_path / "runs").iterdir())
+
+
 @pytest.mark.parametrize("catalog, pattern", [
     # Every s_xy of a 5-type catalog: length-2 requests were credited to the
     # last service with each input, s_1_5 ... s_4_5.

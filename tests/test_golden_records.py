@@ -5,7 +5,9 @@ moves one byte of these records fails here; a change meant to move them
 re-pins the digests and says why.  Contacts come from ``rng.uniform`` and
 ``rng.integers``, requests are scripted and execution times deterministic,
 so no mobility generator and no libm transcendental enters: the digests do
-not depend on the CPU.
+not depend on the CPU.  The one exception, a Lévy walk of 80 nodes under
+``global`` awareness (where half the nodes host services), reads a mobility
+generator, as the benchmark's pinned digests do.
 """
 
 import hashlib
@@ -14,7 +16,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from oppcompose import sim_core
+from oppcompose import experiments, sim_core
 from oppcompose.contact_engine import ContactTrace
 from oppcompose.forwarding import DIRECT, EBR, TT
 from oppcompose.service_model import assign_services, enumerate_services
@@ -48,6 +50,15 @@ GOLDEN_NONHOST = {
     "global": "1d9dce594d973ca1e5ce5d32deab0451a5ef3ab585d3ab48208313436588f722",
     "perfect": "250ca3c5edde462e05982b279ad4a20cea9354a89af5d8258d7b83b7a378b559",
 }
+
+# The fig6 preset cut to 4 500 s, over 80 nodes of which 40 host services.
+LEVY_GLOBAL = {
+    "mobility.n_nodes": 80,
+    "mobility.duration": 4500.0,
+    "mobility.params.speed_classes": [[60, [1.0, 1.0]], [20, [10.0, 10.0]]],
+    "sim.awareness": "global",
+}
+GOLDEN_LEVY_GLOBAL = "fec6be0823ed9c785f3783878d43b5d71f1072a1a51f54bf96d78411319d51c1"
 
 RUNS = {
     "minimal": {"awareness": "minimal"},
@@ -122,6 +133,16 @@ def test_nonhost_owner_records_match_pinned_digest(awareness, tmp_path):
     path = tmp_path / "records.csv"
     write_records_csv(records, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_NONHOST[awareness]
+
+
+def test_global_levy_records_match_pinned_digest(tmp_path):
+    spec = experiments._apply_overrides(experiments.preset("fig6").to_dict(), LEVY_GLOBAL)
+    config, contacts = experiments.prepare_run(spec, 0)
+    hosting = {v for hosts in config.placement.by_service.values() for v in hosts}
+    assert contacts.n_nodes == 80 and len(hosting) == 40
+    path = tmp_path / "records.csv"
+    write_records_csv(run(config, contacts), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_LEVY_GLOBAL
 
 
 @pytest.mark.parametrize("name", ["local", "global", "perfect", "exact_match", "plan_once",

@@ -285,7 +285,7 @@ def test_owners_share_gossip_rows_over_host_columns():
     # owner from T alone, so no view patches the owner's entry in a row.
     know = Knowledge(5, track_matrix=True, columns=[4, 1, 2])
     assert know.timers.shape == (5, 3) and know.columns.tolist() == [1, 2, 4]
-    assert [know.slot(v) for v in range(5)] == [3, 0, 1, 3, 2]
+    assert know.slots.tolist() == [3, 0, 1, 3, 2]
     exchange_all(know, [(0, 1), (1, 2), (2, 3), (3, 4)], now=1.0)
     know.tick()
     views = {owner: owner_view("global", know, owner, 3.0, 1.0) for owner in (0, 3, 4)}
@@ -294,11 +294,28 @@ def test_owners_share_gossip_rows_over_host_columns():
     assert views[0][0][3] == 0.0 and views[4][0][2] == 0.0  # each owner's own slot
     ids, block = know.rows[1.0]
     row = views[0][2][0]  # node 1's row, observed at 1 and aged by 2 units
-    assert row == (block[ids.tolist().index(1)] + 2.0).tolist()
+    assert row == (block[ids.tolist().index(know.slots[1])] + 2.0).tolist()
     assert row is views[3][2][0] and row is views[4][2][0]
     assert row[2] is not None  # its entry about node 4, an owner here, stays
     assert views[4][2][2] is None and views[0][2][3] is None  # no row of one's own
     assert views[4][2][1] is views[0][2][1]
+
+
+def test_gossip_is_keyed_by_host_column():
+    # Nodes 1, 3 and 4 host services.  A group with non-host members 0 and
+    # 2 observes and files only the rows of hosts 1 and 3, in column order.
+    know = Knowledge(6, track_matrix=True, columns=[1, 3, 4])
+    assert know.matrix_obs.shape == (6, 3)
+    exchange_all(know, [(2, 3), (1, 2), (0, 1)], now=1.0)
+    cols, block = know.rows[1.0]
+    assert cols.tolist() == [0, 1]
+    assert np.array_equal(block, know.timers[[1, 3]])
+    assert know.matrix_obs[:4].tolist() == [[1.0, 1.0, -math.inf]] * 4
+    # A group that hosts nothing files no row, yet merges observations.
+    know.tick()
+    exchange_all(know, [(0, 5)], now=2.0)
+    assert list(know.rows) == [1.0]
+    assert know.matrix_obs[5].tolist() == [1.0, 1.0, -math.inf]
 
 
 def test_local_sum_brackets_oracle_under_recurring_contacts():

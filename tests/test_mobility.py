@@ -372,6 +372,15 @@ def test_trace_csv_rejects_a_time_off_the_sample_grid(tmp_path, time_s):
         load_trace_csv(path)
 
 
+def test_trace_csv_rejects_a_time_between_fine_samples(tmp_path):
+    # Half-way between 0.05 s samples 2 and 3, within the 0.05 s that one
+    # decimal place may round: it used to load as sample 2.
+    head = "# interval=0.05 width=100.0 height=100.0\ntime_s,node_id,x_m,y_m\n"
+    path = write_trace(tmp_path, ["0.0,0,1,2", "0.05,0,5,6", "0.125,0,7,7"], head=head)
+    with pytest.raises(ValueError, match="line 5: time_s 0.125 is off the 0.05 s sample grid"):
+        load_trace_csv(path)
+
+
 def test_trace_csv_round_trip_below_the_written_resolution(tmp_path):
     # At a 0.25 s interval the times are written with two decimal places;
     # the loader also allows the 0.05 s rounding of one decimal place.

@@ -88,6 +88,15 @@ def test_pattern_rejects_empty():
         RequestPattern(pairs=())
 
 
+@pytest.mark.parametrize("weights", [{1: -1.0}, {1: math.nan}, {1: math.inf},
+                                     {x: 0.0 for x in range(1, 21)}])
+def test_pattern_rejects_weights_it_cannot_draw_from(weights):
+    # These failed only at the first draw, mid-run, in numpy's choice.
+    catalog = enumerate_services(20, ring=True)
+    with pytest.raises(ValueError, match="weights must be finite, nonnegative and not all zero"):
+        RequestPattern.fixed_length(catalog, 2, start_weights=weights)
+
+
 def test_weighted_draws_match_per_draw_normalisation():
     # The weights are normalised once, at construction; a seeded generator
     # must draw what normalising on every draw drew.
