@@ -25,7 +25,6 @@ import json
 import math
 import os
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, asdict, fields
 from pathlib import Path
 
@@ -374,6 +373,8 @@ def run_experiment(spec: ExperimentSpec, out_dir, workers: int | None = None) ->
             for name, point, merged in runs for seed in range(spec.seeds)]
 
     if workers and workers > 1:
+        # Imported here: serial runs and benchmark workers never load the pool.
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             manifest_rows = list(pool.map(_run_one, jobs))
     else:

@@ -10,7 +10,10 @@ relay hop.  At each unit boundary every group of co-located nodes settles
 at once to what repeated contacts would reach,
 ``T_i[k] = min_j (T_j[k] + t_av * hops(i, j))`` over the group, with the
 load taken from the minimising source (ties: own entry, then fewer hops,
-then lower node id), seeded at new contacts (see :func:`exchange_all`).
+then lower node id).  :func:`exchange_all` packs each candidate into one
+int64 label whose integer order is that order, and relaxes the labels along
+the contacts until they settle; ``t_av`` is kept on the 2**-20 grid so that
+every sum is exact.
 Under ``global`` awareness nodes also gossip the timer rows of the hosts,
 one per column, merged once per group: each member takes the group's latest
 observation time of each column, which names the row that time's closure
@@ -54,13 +57,17 @@ class Knowledge:
     the time t (in units) node i last observed the timer row of column c,
     ``-inf`` if never; that row is c's in ``rows[t] = (cols, block)``, the
     columns of the members the closure at t settled, ascending, and their
-    timer rows after it, kept while observed.  ``t_av`` must be positive.
+    timer rows after it, kept while observed.  ``t_av`` is kept rounded to
+    the nearest multiple of 2**-20 (0.3 moves by less than 2**-21), which
+    keeps every closure sum exact; it must not round to zero.
     """
 
     def __init__(self, n_nodes: int, t_av: float = 1.0, radius: float | None = None,
                  track_matrix: bool = False, columns=None):
         self.n_nodes = n_nodes
-        self.t_av = t_av
+        self.t_av = round(t_av * 2**20) / 2**20
+        if not self.t_av > 0:
+            raise ValueError(f"t_av {t_av} is not positive on the 2**-20 grid")
         self.radius = radius
         # Not np.unique: it imports numpy.ma, about 1 MB and 20 ms on first use.
         self.columns = np.array(range(n_nodes) if columns is None else sorted(set(columns)),
@@ -101,112 +108,9 @@ def close_load_window(l_old, pending, mean_exec: float, alpha: float):
     return alpha * (pending * mean_exec) + (1.0 - alpha) * l_old
 
 
-# Candidate entries computed at once: bounds the (receivers, sources, nodes)
-# temporaries, which for every receiver at once would grow peak memory.
-_CHUNK_ELEMS = 1 << 16
-
-
-def _hop_counts(m: int, ia: list[int], ib: list[int]) -> np.ndarray:
-    """All-pairs hop counts of the undirected graph on ``m`` vertices with
-    edges ``(ia[e], ib[e])``; infinity between components.
-
-    Each BFS level is one boolean frontier times adjacency product, done
-    as a float32 matmul (counts stay far below 2**24); a pair's count is
-    the number of levels it stays unreached.
-    """
-    adj = np.zeros((m, m), dtype=np.float32)
-    adj[ia, ib] = adj[ib, ia] = 1.0
-    frontier = np.eye(m, dtype=np.float32)
-    unseen = frontier == 0
-    hops = np.zeros((m, m))
-    while True:
-        new = frontier @ adj > 0
-        new &= unseen
-        if not new.any():
-            hops[unseen] = math.inf
-            return hops
-        hops += unseen
-        unseen ^= new
-        frontier = new.astype(np.float32)
-
-
-def _closure(know: Knowledge, nodes: np.ndarray, hops: np.ndarray, seeds: np.ndarray,
-             now: float) -> bool:
-    """Settle co-located nodes as :func:`exchange_all` describes.
-
-    ``nodes`` are the members in id order and ``hops[i, j]`` is the hop
-    count between members i and j, infinite across groups.  Receiver i's
-    candidates in the column of node c are its own entry, node c's zero
-    entry about itself ``hops(i, c)`` hops away (where c is a member), and
-    the entries of the ``seeds`` (member positions) in i's group, all as held
-    before the call.  Returns True if any timer changed.
-    """
-    if know.matrix_obs is not None:
-        if now <= know.merged_at:
-            raise ValueError(f"timer rows merged at {now}, not after the last merge "
-                             f"at {know.merged_at}")
-        know.merged_at = now
-    m, n = len(nodes), know.n_nodes
-    cols, hosted = know.columns, know.slots[nodes]
-    h = len(cols)
-    mine = hosted < h  # the members with a column
-    timers, loads = know.timers[nodes], know.loads[nodes]
-    # A candidate's label is (value, hops, source id), compared in that
-    # order; ``rank`` = hops * n + id orders the last two.  Each cell starts
-    # from its column's own node.
-    win_hops = np.full((m, h), math.inf)
-    win_hops[:, hosted[mine]] = hops[:, mine]
-    win = win_hops * know.t_av
-    win_rank = win_hops * n + cols
-    win_loads = np.repeat(know.loads[know.own][None], m, axis=0)
-    # Seeds per receiver by rank; the first ``size[i]`` are in i's group.
-    seed_hops = hops[:, seeds]
-    order = np.argsort(seed_hops * n + nodes[seeds], axis=1)
-    seed_hops = seed_hops[np.arange(m)[:, None], order]
-    seed_rank = seed_hops * n + nodes[seeds[order]]
-    cost = seed_hops * know.t_av
-    size = np.isfinite(cost).sum(axis=1)
-    lanes = np.arange(h)
-    # Receivers from the most seeds down, in chunks whose (seeds, receivers,
-    # columns) candidates stay within _CHUNK_ELEMS.
-    by_size = np.argsort(-size, kind="stable")
-    lo = 0
-    while lo < m and size[by_size[lo]]:
-        width = size[by_size[lo]]
-        rows = by_size[lo:lo + max(1, _CHUNK_ELEMS // (width * h))]
-        lo += len(rows)
-        src = seeds[order[rows, :width].T]
-        cand = timers[src]
-        cand += cost[rows, :width].T[:, :, None]
-        best = cand.min(axis=0)
-        first = (cand == best).argmax(axis=0)  # the first minimum has the lowest rank
-        init = win[rows]
-        take = (best < init) | ((best == init) & (seed_rank[rows[:, None], first] < win_rank[rows]))
-        win[rows] = np.where(take, best, init)
-        via = src[first, np.arange(len(rows))[:, None]]
-        win_loads[rows] = np.where(take, loads[via, lanes], win_loads[rows])
-    # The own entry wins every tie: it is the only 0-hop candidate.
-    radius = math.inf if know.radius is None else know.radius
-    adopt = (win < timers) & (win <= radius) & (cols != nodes[:, None])
-    know.timers[nodes] = settled = np.where(adopt, win, timers)
-    know.loads[nodes] = np.where(adopt, win_loads, loads)
-    if know.matrix_obs is not None:
-        # Per group: every column's latest observation, then the host members' at now.
-        obs = know.matrix_obs
-        same = np.isfinite(hops)
-        for lowest in np.flatnonzero(same.argmax(axis=1) == np.arange(m)):
-            group = nodes[same[lowest]]
-            obs[group] = obs[group].max(axis=0)
-            obs[group[:, None], hosted[same[lowest] & mine]] = now
-        if mine.any():
-            know.rows[now] = hosted[mine], settled[mine]
-        # Drop unobserved rows once the table has doubled since the last sweep.
-        if sum(len(c) for c, _ in know.rows.values()) > 2 * know.swept + h:
-            seen = {t: (obs[:, c] == t).any(axis=0) for t, (c, _) in know.rows.items()}
-            know.rows = {t: (c[seen[t]], block[seen[t]])
-                         for t, (c, block) in know.rows.items() if seen[t].any()}
-            know.swept = sum(int(kept.sum()) for kept in seen.values())
-    return bool(adopt.any())
+# Labels relaxed at once: bounds the (peers, members, columns) temporaries,
+# which with a column per node (``perfect``) would grow peak memory.
+_BLOCK_ELEMS = 1 << 20
 
 
 def exchange(know: Knowledge, a: int, b: int, now: float = 0.0) -> bool:
@@ -216,12 +120,10 @@ def exchange(know: Knowledge, a: int, b: int, now: float = 0.0) -> bool:
     strictly better entries (by more than ``t_av``), computed from the
     entries both held before the call.
     """
-    return _closure(know, np.array(sorted((a, b))), np.array([[0.0, 1.0], [1.0, 0.0]]),
-                    np.arange(2), now)
+    return exchange_all(know, [(a, b)], now)
 
 
-def exchange_all(know: Knowledge, pairs: list[tuple[int, int]], now: float = 0.0,
-                 previous: list[tuple[int, int]] | None = None) -> bool:
+def exchange_all(know: Knowledge, pairs: list[tuple[int, int]], now: float = 0.0) -> bool:
     """Settle every group of co-located nodes in one min-plus closure.
 
     ``pairs`` are the node pairs in contact at this instant; their
@@ -231,49 +133,95 @@ def exchange_all(know: Knowledge, pairs: list[tuple[int, int]], now: float = 0.0
     this computes that directly, from the entries held before the call.
     As in a single contact, a candidate replaces the own entry only when
     strictly smaller and within ``radius``, and the owner's entry stays zero.
+    Loads follow the minimising source; where several sources tie, the own
+    entry wins, then the source with fewer hops, then the lower node id
+    (pairwise exchanges left this to the order of the pairs).
 
-    ``previous``, if given, are the pairs of the last closure, and no timer
-    may have changed since but by one ``tick()``.  Then three kinds of
-    source can still win receiver i's entry about k: i itself, node k with
-    its zero entry about itself, and the endpoints of the pairs new since
-    ``previous``.  That closure left ``T_u[k] <= T_w[k] + t_av`` or
-    ``T_w[k] + t_av > radius`` on each of its pairs (u, w), and a tick keeps
-    this for every k but w, whose own entry stays zero: both sides grow
-    alike, and pruning u's entry means it exceeded ``radius``, so
-    ``T_w[k] + t_av`` did too.  So if a source j's first hop toward i, to v,
-    were an old pair, either v's entry would offer no more at one hop fewer
-    and outrank j, or j's candidate would exceed ``radius`` and never be
-    adopted.  Every member is a source when ``previous`` is None and when
-    ``t_av`` is not a multiple of 2**-20 (rounded sums may break the
-    inequality).
-
-    Timers equal the pairwise fixed point exactly whenever the sums are
-    exact (``t_av`` a dyadic value such as 0.5 or 1.0); other values may
-    differ by one rounding per hop.  Loads follow the minimising source;
-    where several sources tie, the own entry wins, then the source with
-    fewer hops, then the lower node id (pairwise exchanges left this to
-    the order of the pairs).  With row tracking, each member takes its
-    group's latest observation time of every column, then the members'
-    columns are observed at ``now``, and ``know.rows[now]`` keeps the
-    settled row of every member with a column.  A merge must come later than
-    the previous one (ValueError otherwise): only then does an observation
-    time name one row.  Returns True if any timer changed.
+    Every timer is whole ticks plus ``t_av`` per hop, so with ``t_av`` on
+    the 2**-20 grid (:class:`Knowledge`) it is a whole multiple of 1/den,
+    den being ``t_av``'s power-of-two denominator, and every sum is exact.
+    So a candidate (value, hops, source) packs into one int64 label,
+    ``(value * den) * n**2 + hops * n + source``, with n = ``know.n_nodes``
+    and source the member's position in id order; integer order is the tie
+    order above.  Each member starts from its own entries at 0 hops, an
+    unknown one as a sentinel below 2**62, and every round sets each label to
+    the least of its own and its contact peers' plus ``t_av * den * n**2 + n``
+    (Bellman-Ford with one edge weight) until a round changes nothing; a
+    label whose value would reach the sentinel raises ValueError.  With row
+    tracking the same rounds carry each member's lowest group member, at
+    weight 0: each member takes its group's latest observation time of every
+    column, then the members' columns are observed at ``now``, and
+    ``know.rows[now]`` keeps the settled row of every member with a column.
+    A merge must come later than the previous one (ValueError otherwise):
+    only then does an observation time name one row.  Returns True if any
+    timer changed.
     """
     if not pairs:
         return False
-    nodes = sorted({v for pair in pairs for v in pair})
-    index = {v: i for i, v in enumerate(nodes)}
-    # With t_av a multiple of 2**-20, each timer (whole ticks plus t_av per
-    # hop) is one too, and every sum exact.
-    if previous is None or float(know.t_av).as_integer_ratio()[1] > 1 << 20:
-        seeds = np.arange(len(nodes))
-    else:
-        old = set(previous)
-        seeds = np.fromiter({index[v] for pair in pairs if pair not in old for v in pair},
-                            dtype=np.intp)
-    hops = _hop_counts(len(nodes), [index[a] for a, _ in pairs],
-                       [index[b] for _, b in pairs])
-    return _closure(know, np.array(nodes), hops, seeds, now)
+    track = know.matrix_obs is not None
+    if track:
+        if now <= know.merged_at:
+            raise ValueError(f"timer rows merged at {now}, not after the last merge "
+                             f"at {know.merged_at}")
+        know.merged_at = now
+    nodes = np.array(sorted({v for pair in pairs for v in pair}))
+    m, n, h = len(nodes), know.n_nodes, len(know.columns)
+    # Each contact in both directions; ``peers[:, i]`` are receiver i's
+    # peers, padded with i itself, whose own label never wins.
+    ends = nodes.searchsorted(np.array(pairs).T)
+    heads, tails = np.concatenate([ends, ends[::-1]], axis=1)
+    order = heads.argsort(kind="stable")
+    heads, tails = heads[order], tails[order]
+    starts = heads.searchsorted(np.arange(m))
+    peers = np.repeat(np.arange(m)[None], np.diff(starts, append=len(heads)).max(), axis=0)
+    peers[np.arange(len(heads)) - starts[heads], heads] = tails
+    timers, loads = know.timers[nodes], know.loads[nodes]
+    den = know.t_av.as_integer_ratio()[1]
+    step, nn = int(know.t_av * den), n * n
+    unknown = (1 << 62) // nn - 1  # the value field of the sentinel
+    scaled = timers * den
+    if int(scaled.max(initial=0.0, where=scaled < math.inf)) + (m - 1) * step >= unknown:
+        raise ValueError(f"timers plus {know.t_av} per hop over {m} nodes outgrow "
+                         f"the closure's int64 labels")
+    labels = np.zeros((m, h + track), dtype=np.int64)
+    labels[:, :h] = np.minimum(scaled, unknown)
+    labels[:, :h] *= nn
+    labels += np.arange(m)[:, None]
+    weight = np.full(h + track, step * nn + n)
+    weight[h:] = 0
+    span = max(1, _BLOCK_ELEMS // peers.size)
+    for lo in range(0, h + track, span):
+        part, w = labels[:, lo:lo + span], weight[lo:lo + span]
+        while True:
+            best = np.take(part, peers, axis=0).min(axis=0)
+            best += w
+            if not (best < part).any():
+                break
+            np.minimum(part, best, out=part)
+    value, source = labels[:, :h] // nn, labels[:, :h] % n
+    adopt = source != np.arange(m)[:, None]
+    if know.radius is not None:
+        adopt &= value <= know.radius * den
+    know.timers[nodes] = settled = np.where(adopt, value / den, timers)
+    know.loads[nodes] = np.where(adopt, loads[source, np.arange(h)], loads)
+    if track:
+        # Per group: every column's latest observation, then the host members' at now.
+        obs, hosted, lowest = know.matrix_obs, know.slots[nodes], labels[:, h]
+        mine = hosted < h  # the members with a column
+        for first in np.flatnonzero(lowest == np.arange(m)):
+            same = lowest == first
+            group = nodes[same]
+            obs[group] = obs[group].max(axis=0)
+            obs[group[:, None], hosted[same & mine]] = now
+        if mine.any():
+            know.rows[now] = hosted[mine], settled[mine]
+        # Drop unobserved rows once the table has doubled since the last sweep.
+        if sum(len(c) for c, _ in know.rows.values()) > 2 * know.swept + h:
+            seen = {t: (obs[:, c] == t).any(axis=0) for t, (c, _) in know.rows.items()}
+            know.rows = {t: (c[seen[t]], block[seen[t]])
+                         for t, (c, block) in know.rows.items() if seen[t].any()}
+            know.swept = sum(int(kept.sum()) for kept in seen.values())
+    return bool(adopt.any())
 
 
 class _Rows(dict):

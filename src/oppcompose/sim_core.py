@@ -4,8 +4,8 @@ Events are keyed by (time, priority, push order); the priority is the
 event's kind and picks its handler, so at one instant unit boundaries (timer
 ticks, one knowledge closure over the co-located groups, load-window updates;
 none of these under ``minimal`` awareness; knowledge keeps one column per
-service host, one per node under ``perfect``, and the closure is told the
-previous boundary's pairs so it seeds at new contacts only) run first, then
+service host, one per node under ``perfect``, and the closure relaxes every
+group's labels along its contacts until they settle) run first, then
 contact starts (encounter stats, neighbour index, forwarding attempts),
 service completions, Poisson request generation, forwarding sweeps, and
 deadline expirations, each carrying its request.  Each composition decision
@@ -136,7 +136,8 @@ class SimConfig:
             raise ValueError(f"mean_exec_s must be nonnegative, got {self.mean_exec_s}")
         if not 0.0 <= self.load_alpha <= 1.0:
             raise ValueError(f"load_alpha must lie in [0, 1], got {self.load_alpha}")
-        # The closure's tie order and its seeding both rest on t_av > 0.
+        # The closure's tie order rests on t_av > 0; Knowledge keeps it on the
+        # 2**-20 grid, where it must not round to zero.
         if not self.t_av > 0:
             raise ValueError("t_av must be positive")
         if not self.unit_s > 0:
@@ -749,8 +750,7 @@ class _Engine:
             know = self.know
             if k > 0:
                 know.tick()
-            exchange_all(know, pairs, now=float(k),
-                         previous=self.boundary_pairs[k - 1] if k else None)
+            exchange_all(know, pairs, now=float(k))
             own = know.own  # each host's own load, as its last window closed
             pending = np.array([self._pending_count(v) for v in know.columns.tolist()])
             know.loads[own] = close_load_window(know.loads[own], pending, cfg.mean_exec_s, cfg.load_alpha)

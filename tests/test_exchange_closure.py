@@ -4,12 +4,13 @@ The first reference is the rule the closure replaces: symmetric pairwise
 exchanges over every co-located pair, repeated until no timer changes.
 Each boundary starts both from the same state, so a tie resolved
 differently at one boundary cannot mask a difference at the next.  The
-second is the dense closure, every member a source in every column; it
-carries its state across boundaries beside the seeded closure, in replays
-and in whole engine runs.  Both keep gossiped timer rows as an n x n x n
-``matrix`` (``matrix[i, r]``: the row of r that node i last observed) and
-are compared, on the closure's columns, with its observation times and row
-table through ``observed_rows``.
+second is the dense closure: a hop-count matrix by BFS, then every member
+a source for every receiver in every column, ranked in float.  It carries
+its state across boundaries beside the closure, in replays, on random
+groups and in whole engine runs.  Both keep gossiped timer rows as an
+n x n x n ``matrix`` (``matrix[i, r]``: the row of r that node i last
+observed) and are compared, on the closure's columns, with its observation
+times and row table through ``observed_rows``.
 """
 
 import copy
@@ -19,10 +20,11 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oppcompose import knowledge, sim_core
 from oppcompose.contact_engine import ContactTrace, contacts_from_positions
-from oppcompose.knowledge import Knowledge, _hop_counts, exchange, exchange_all
+from oppcompose.knowledge import Knowledge, exchange, exchange_all
 from oppcompose.mobility import LevyWalkParams, generate_levy
 from oppcompose.service_model import assign_services, enumerate_services
 from oppcompose.sim_core import RequestPattern, SimConfig, run, write_records_csv
@@ -150,12 +152,32 @@ def expected_closure(before, pairs, now):
 
 # -- dense closure (reference) ------------------------------------------------------
 
-def dense_exchange_all(know, pairs, now=0.0, previous=None):
-    """Every member a source for every receiver, in every column.
+def _hop_counts(m: int, ia: list[int], ib: list[int]) -> np.ndarray:
+    """All-pairs hop counts of the undirected graph on ``m`` vertices with
+    edges ``(ia[e], ib[e])``; infinity between components.
 
-    ``previous`` is accepted and ignored, so this can stand in for
-    ``sim_core.exchange_all``.
+    Each BFS level is one boolean frontier times adjacency product, done
+    as a float32 matmul (counts stay far below 2**24); a pair's count is
+    the number of levels it stays unreached.
     """
+    adj = np.zeros((m, m), dtype=np.float32)
+    adj[ia, ib] = adj[ib, ia] = 1.0
+    frontier = np.eye(m, dtype=np.float32)
+    unseen = frontier == 0
+    hops = np.zeros((m, m))
+    while True:
+        new = frontier @ adj > 0
+        new &= unseen
+        if not new.any():
+            hops[unseen] = math.inf
+            return hops
+        hops += unseen
+        unseen ^= new
+        frontier = new.astype(np.float32)
+
+
+def dense_exchange_all(know, pairs, now=0.0):
+    """Every member a source for every receiver, in every column."""
     if not pairs:
         return False
     nodes = sorted({v for pair in pairs for v in pair})
@@ -344,14 +366,15 @@ def drifting_pairs(rng, n_nodes, n_boundaries):
 @pytest.mark.parametrize("t_av, radius", [(0.5, None), (1.0, None), (0.3, None), (1.0, 6.0)])
 def test_seeded_closure_matches_dense_across_boundaries(t_av, radius, track_matrix, columns):
     # Both carry their own state from boundary to boundary, ticking and
-    # writing own loads alike; only the seeded closure is told the last pairs.
+    # writing own loads alike.  The boundaries keep groups whose members met
+    # no one new, as well as parted pairs and multi-hop groups.
     n = 40
     rng = np.random.default_rng(11)
     kept = None if columns == "all" else np.arange(1, n, 2)
     know = Knowledge(n, t_av=t_av, radius=radius, track_matrix=track_matrix, columns=kept)
     oracle = Knowledge(n, t_av=t_av, radius=radius, track_matrix=track_matrix)
     cols = know.columns
-    counts = {"seeded": 0, "parted": 0, "multihop": 0, "changed": 0}
+    counts = {"carried": 0, "parted": 0, "multihop": 0, "changed": 0}
     previous = None
     for k, pairs in enumerate(drifting_pairs(rng, n, 80)):
         if k:
@@ -360,11 +383,11 @@ def test_seeded_closure_matches_dense_across_boundaries(t_av, radius, track_matr
         own = rng.integers(1, 10**6, size=n).astype(float)
         know.loads[know.own] = own[cols]
         oracle.loads[np.arange(n), np.arange(n)] = own
-        changed = exchange_all(know, pairs, now=float(k), previous=previous)
+        changed = exchange_all(know, pairs, now=float(k))
         dense_changed = dense_exchange_all(oracle, pairs, now=float(k))
         members = {v for p in pairs for v in p}
         fresh = {v for p in set(pairs) - set(previous or ()) for v in p}
-        counts["seeded"] += len(fresh) < len(members)
+        counts["carried"] += len(fresh) < len(members)
         counts["parted"] += bool(set(previous or ()) - set(pairs))
         hops = _hop_counts(n, [a for a, _ in pairs], [b for _, b in pairs])
         counts["multihop"] += bool((hops[np.isfinite(hops)] > 2).any())
@@ -381,31 +404,94 @@ def test_seeded_closure_matches_dense_across_boundaries(t_av, radius, track_matr
     assert min(counts.values()) > 40
 
 
-@pytest.mark.parametrize("drop_a_seed", [True, False])
-def test_radius_replay_needs_every_seed(drop_a_seed, monkeypatch):
-    # With ``radius`` set the seeded closure takes the same sources as
-    # without it; the replay can tell when one of them is missing.
-    if drop_a_seed:
-        closure = knowledge._closure
+# -- random groups ---------------------------------------------------------------------
 
-        def one_seed_fewer(know, nodes, hops, seeds, now):
-            return closure(know, nodes, hops, seeds[1:] if len(seeds) < len(nodes) else seeds, now)
-
-        monkeypatch.setattr(knowledge, "_closure", one_seed_fewer)
-    n = 40
-    rng = np.random.default_rng(11)
-    know = Knowledge(n, t_av=1.0, radius=6.0)
-    oracle = Knowledge(n, t_av=1.0, radius=6.0)
-    matched, previous = [], None
-    for k, pairs in enumerate(drifting_pairs(rng, n, 80)):
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_closure_matches_dense_on_random_groups(data):
+    n = data.draw(st.integers(2, 12), label="n")
+    t_av = data.draw(st.sampled_from([0.25, 0.5, 1.0, 0.3, 2.0]), label="t_av")
+    radius = data.draw(st.none() | st.sampled_from([1.5, 3.0, 6.0]), label="radius")
+    track = data.draw(st.booleans(), label="track_matrix")
+    kept = data.draw(st.sets(st.integers(0, n - 1)), label="columns")
+    know = Knowledge(n, t_av=t_av, radius=radius, track_matrix=track, columns=kept)
+    oracle = Knowledge(n, t_av=t_av, radius=radius, track_matrix=track)
+    cols = know.columns
+    # Timers on the grid, whole ticks plus t_av per hop, from few values so
+    # that sources tie often.
+    grid = [math.inf] + [ticks + hops * know.t_av
+                         for ticks in (1.0, 2.0, 4.0) for hops in (0, 1, 2)]
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+    for k in range(data.draw(st.integers(1, 3), label="boundaries")):
         if k:
             know.tick()
             oracle.tick()
-        exchange_all(know, pairs, now=float(k), previous=previous)
-        dense_exchange_all(oracle, pairs, now=float(k))
-        matched.append(np.array_equal(know.timers, oracle.timers))
-        previous = pairs
-    assert all(matched) != drop_a_seed
+        cells = st.lists(st.sampled_from(grid), min_size=n * n, max_size=n * n)
+        timers = np.array(data.draw(cells, label="timers")).reshape(n, n)
+        np.fill_diagonal(timers, 0.0)
+        loads = np.array(data.draw(st.permutations(range(1, n * n + 1)), label="loads"), float)
+        drawn = data.draw(st.lists(pair, min_size=1, max_size=2 * n), label="pairs")
+        pairs = {tuple(sorted(p)) for p in drawn}
+        if n >= 4:
+            # A forced tie: two peers of the hub offer it equal entries about
+            # a fourth node, at one hop each.
+            hub, a, b, c = data.draw(st.permutations(range(n)), label="tie")[:4]
+            pairs |= {tuple(sorted((hub, a))), tuple(sorted((hub, b)))}
+            timers[b, c] = timers[a, c]
+        oracle.timers[:], oracle.loads[:] = timers, loads.reshape(n, n)
+        know.timers[:], know.loads[:] = oracle.timers[:, cols], oracle.loads[:, cols]
+        pairs = sorted(pairs)
+        changed = exchange_all(know, pairs, now=float(k))
+        dense_changed = dense_exchange_all(oracle, pairs, now=float(k))
+        assert np.array_equal(know.timers, oracle.timers[:, cols])
+        assert np.array_equal(know.loads, oracle.loads[:, cols])
+        if len(cols) == n:
+            assert changed == dense_changed
+        if track:
+            assert np.array_equal(observed_rows(know), oracle.matrix[:, cols][:, :, cols])
+            assert np.array_equal(know.matrix_obs, oracle.matrix_obs[:, cols])
+
+
+@pytest.mark.parametrize("track_matrix", [False, True])
+def test_column_blocks_settle_alike(track_matrix, monkeypatch):
+    # Columns settle independently, so relaxing them a few at a time (as a
+    # column per node does at scale) changes nothing, the group column included.
+    n = 30
+    rng = np.random.default_rng(4)
+    whole = Knowledge(n, t_av=0.5, track_matrix=track_matrix)
+    blocks = Knowledge(n, t_av=0.5, track_matrix=track_matrix)
+    for k, pairs in enumerate(drifting_pairs(rng, n, 20)):
+        if k:
+            whole.tick()
+            blocks.tick()
+        whole.loads[whole.own] = blocks.loads[blocks.own] = rng.integers(1, 10**6, size=n)
+        changed = exchange_all(whole, pairs, now=float(k))
+        with monkeypatch.context() as patch:
+            patch.setattr(knowledge, "_BLOCK_ELEMS", 1)
+            assert exchange_all(blocks, pairs, now=float(k)) == changed
+        assert np.array_equal(blocks.timers, whole.timers)
+        assert np.array_equal(blocks.loads, whole.loads)
+        if track_matrix:
+            assert np.array_equal(blocks.matrix_obs, whole.matrix_obs)
+
+
+def test_t_av_is_kept_on_the_grid():
+    # 0.3 moves by less than 2**-21; a value rounding to zero is refused.
+    assert Knowledge(2, t_av=0.3).t_av == 314573 / 2**20
+    assert Knowledge(2, t_av=0.5).t_av == 0.5
+    with pytest.raises(ValueError, match="t_av"):
+        Knowledge(2, t_av=2**-22)
+
+
+def test_a_label_past_the_int64_bound_raises():
+    # With n = 2 a label is value * 4 + hops * 2 + source, below 2**62.
+    know = Knowledge(2)
+    know.timers[0, 1] = 2.0**60
+    with pytest.raises(ValueError, match="int64"):
+        exchange_all(know, [(0, 1)])
+    know.timers[0, 1] = 2.0**59
+    assert exchange_all(know, [(0, 1)]) is True
+    assert know.timers[0, 1] == know.timers[1, 0] == 1.0
 
 
 # -- whole engine runs -------------------------------------------------------------
@@ -436,7 +522,7 @@ def dense_on_kept_columns():
     engine's kept columns back from it."""
     dense = None
 
-    def settle(know, pairs, now, previous=None):
+    def settle(know, pairs, now):
         nonlocal dense
         if dense is None:
             dense = Knowledge(know.n_nodes, t_av=know.t_av, radius=know.radius,
@@ -469,15 +555,15 @@ def test_engine_records_match_the_dense_closure(awareness, t_av, radius, engine_
                                                 monkeypatch, tmp_path):
     contacts, base = engine_scenario
     config = SimConfig(**base, awareness=awareness, t_av=t_av, radius=radius)
-    chained = []
+    closures = []
     exchange_all = sim_core.exchange_all
 
-    def counted(know, pairs, now, previous=None):
-        chained.append(previous is not None and len(pairs) > 0)
-        return exchange_all(know, pairs, now, previous=previous)
+    def counted(know, pairs, now):
+        closures.append(len(pairs) > 0)
+        return exchange_all(know, pairs, now)
 
     monkeypatch.setattr(sim_core, "exchange_all", counted)
     digest = records_digest(config, contacts, tmp_path)
-    assert (sum(chained) > 40) == (awareness != "minimal")
+    assert (sum(closures) > 40) == (awareness != "minimal")
     monkeypatch.setattr(sim_core, "exchange_all", dense_on_kept_columns())
     assert records_digest(config, contacts, tmp_path) == digest
