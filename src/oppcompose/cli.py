@@ -28,7 +28,7 @@ def _default_out() -> str:
     return os.environ.get(experiments.DEFAULT_OUT_ENV, ".")
 
 
-def _error(exc: Exception) -> int:
+def _error(exc: Exception | str) -> int:
     print(f"error: {exc}", file=sys.stderr)
     return 1
 
@@ -48,7 +48,7 @@ def _cmd_run(args) -> int:
         spec = experiments.load_spec(args.spec)
     except ValueError as exc:
         return _error(exc)
-    if args.seeds:
+    if args.seeds is not None:
         spec.seeds = args.seeds
     return _run_and_report(spec, Path(args.out or _default_out()) / spec.name, args.workers)
 
@@ -99,19 +99,25 @@ def _cmd_analyze(args) -> int:
 def _cmd_gen_trace(args) -> int:
     with open(args.params) as fh:
         params = yaml.safe_load(fh) or {}
+    if not isinstance(params, dict):
+        return _error(f"{args.params}: generator parameters map keys to values, "
+                      f"got {type(params).__name__}")
     mob = {"model": args.model, "n_nodes": params.pop("n_nodes", 20),
            "duration": params.pop("duration", 36000.0)}
     if "sample_interval" in params:
         mob["sample_interval"] = params.pop("sample_interval")
     mob["params"] = params
-    trace = experiments.make_trace(mob, seed=args.seed)
+    try:
+        trace = experiments.make_trace(mob, seed=args.seed)
+        contacts = contacts_from_positions(trace, args.range_m) if args.contacts else None
+    except ValueError as exc:
+        return _error(exc)
     out = Path(args.out or _default_out())
     out.mkdir(parents=True, exist_ok=True)
     trace_path = out / f"{args.model}_seed{args.seed}.csv"
     mobility.save_trace_csv(trace, trace_path)
     print(f"trace written to {trace_path}")
-    if args.contacts:
-        contacts = contacts_from_positions(trace, args.range_m)
+    if contacts is not None:
         contacts_path = out / f"{args.model}_seed{args.seed}_contacts.csv"
         save_contacts_csv(contacts, contacts_path)
         print(f"contacts written to {contacts_path}")

@@ -10,11 +10,13 @@ state passes from one block to the next.
 A :class:`ContactTrace` keeps its events as columns, one structured array
 with fields ``start``, ``end``, ``a`` and ``b`` (``a < b``), sorted by
 ``(start, end, a, b)``.  It checks them with array operations: two distinct
-ids in ``[0, n_nodes)``, ``start < end``, and no two intervals of a pair
+ids in ``[0, n_nodes)``, ``0 <= start < end``, and no two intervals of a pair
 that overlap or abut.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -39,14 +41,6 @@ EVENT_DTYPE = np.dtype([("start", np.float64), ("end", np.float64),
 BLOCK_PAIR_SAMPLES = 1 << 13
 
 
-def _by_pair(events: np.ndarray, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """The events' order by pair, time order within a pair, and each
-    ordered event's pair as ``a * n_nodes + b``."""
-    keys = events["a"] * n_nodes + events["b"]
-    order = np.argsort(keys, kind="stable")
-    return order, keys[order]
-
-
 class ContactTrace:
     """Contact events as sorted columns (see the module docstring).
 
@@ -66,8 +60,13 @@ class ContactTrace:
         bad = ~(start < end)
         if bad.any():
             raise ValueError(f"contact must have start < end, got {events[bad][0].tolist()}")
+        bad = start < 0
+        if bad.any():
+            raise ValueError(f"contact {events[bad][0].tolist()} starts before 0")
         events = events[np.lexsort((b, a, end, start))]
-        by_pair, keys = _by_pair(events, n_nodes)
+        keys = events["a"] * n_nodes + events["b"]
+        by_pair = np.argsort(keys, kind="stable")  # time order within a pair
+        keys = keys[by_pair]
         clash = ((keys[1:] == keys[:-1])
                  & (events["start"][by_pair[1:]] <= events["end"][by_pair[:-1]]))
         if clash.any():
@@ -85,35 +84,27 @@ class ContactTrace:
         return bool(((ev["a"] == min(a, b)) & (ev["b"] == max(a, b))
                      & (ev["start"] <= t) & (t <= ev["end"])).any())
 
-    def boundary_pairs(self, unit: float) -> list[list[tuple[int, int]]]:
-        """For each multiple of ``unit`` in [0, duration], the active pairs.
+    def boundary_pairs(self, unit: float) -> Iterator[np.ndarray]:
+        """Yield, for each multiple k of ``unit`` in [0, duration], the pairs
+        active there as a (pairs, 2) id array in ``(a, b)`` order.
 
         An event covers boundary k when ``start / unit - 1e-9 <= k <= end /
-        unit + 1e-9``.  Each boundary's pairs come in ``(a, b)`` order, and a
-        pair is one tuple object shared by every boundary that lists it.
-        Precomputed once per simulation run so the event loop avoids
-        repeated interval searches.
+        unit + 1e-9``.  Events join in start order, so only the events
+        covering boundary k are held: those joining at k are added, those
+        ending before it dropped.
         """
-        n_units = int(round(self.duration / unit)) + 1
         ev = self.events
-        k0 = np.maximum(0, np.ceil(ev["start"] / unit - 1e-9)).astype(np.int64)
-        k1 = np.minimum(n_units - 1, np.floor(ev["end"] / unit + 1e-9)).astype(np.int64)
-        # Events by pair, and each one's pair's rank among the distinct pairs.
-        by_pair, keys = _by_pair(ev, self.n_nodes)
-        new = np.ones(len(ev), dtype=bool)
-        new[1:] = keys[1:] != keys[:-1]
-        rank = np.cumsum(new) - 1
-        first = by_pair[new]
-        pairs = np.fromiter(zip(ev["a"][first].tolist(), ev["b"][first].tolist()),
-                            dtype=object, count=len(first))
-        # One entry per (event, boundary it covers), made in pair order and
-        # sorted stably by boundary: (k, a, b) order.  A narrow k sorts by radix.
-        k0, spans = k0[by_pair], np.maximum(k1 - k0 + 1, 0)[by_pair]
-        k = (np.arange(spans.sum()) - np.repeat(np.cumsum(spans) - spans - k0, spans)
-             ).astype(np.min_scalar_type(n_units))
-        entry = np.repeat(rank, spans)[np.argsort(k, kind="stable")]
-        ends = np.cumsum(np.bincount(k, minlength=n_units)).tolist()
-        return [pairs[entry[lo:hi]].tolist() for lo, hi in zip([0] + ends, ends)]
+        k0 = np.ceil(ev["start"] / unit - 1e-9)
+        k1 = np.floor(ev["end"] / unit + 1e-9)
+        joined = k0.searchsorted(np.arange(int(round(self.duration / unit)) + 1), side="right")
+        active, lo = np.zeros(0, dtype=np.intp), 0  # in pair order, as last yielded
+        for k, hi in enumerate(joined.tolist()):
+            active = np.concatenate((active, np.arange(lo, hi)))
+            active = active[k1[active] >= k]
+            a, b = ev["a"][active], ev["b"][active]
+            order = np.argsort(a * self.n_nodes + b, kind="stable")
+            active, lo = active[order], hi
+            yield np.stack((a[order], b[order]), axis=1)
 
 
 def contacts_from_positions(trace: PositionTrace, range_m: float) -> ContactTrace:

@@ -257,14 +257,17 @@ def _check_spec_keys(spec_dict: dict) -> ExperimentSpec:
     """The spec ``spec_dict`` describes, its defaults filled in.
 
     Raises ValueError on a key no part of the run reads, naming the valid
-    ones, on an unknown pattern kind, and on a missing key that has no
-    default (a ``fixed_length`` pattern's ``length`` among them).
+    ones, on an unknown pattern kind, on a missing key that has no default
+    (a ``fixed_length`` pattern's ``length`` among them), and on a seed
+    count that is not an integer of at least 1.
     """
     _check_keys("spec", spec_dict, _SPEC_KEYS)
     missing = [name for name in _REQUIRED_SPEC_KEYS if name not in spec_dict]
     if missing:
         raise ValueError(f"spec lacks key(s) {', '.join(missing)}")
     spec = ExperimentSpec(**spec_dict)
+    if type(spec.seeds) is not int or spec.seeds < 1:
+        raise ValueError(f"seeds must be an integer of at least 1, got {spec.seeds!r}")
     _check_mobility_keys(spec.mobility)
     _check_keys("catalog", spec.catalog, _CATALOG_KEYS)
     kind = _pattern_kind(spec.pattern)

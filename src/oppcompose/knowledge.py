@@ -123,19 +123,21 @@ def exchange(know: Knowledge, a: int, b: int, now: float = 0.0) -> bool:
     return exchange_all(know, [(a, b)], now)
 
 
-def exchange_all(know: Knowledge, pairs: list[tuple[int, int]], now: float = 0.0) -> bool:
+def exchange_all(know: Knowledge, pairs: np.ndarray | list[tuple[int, int]],
+                 now: float = 0.0) -> bool:
     """Settle every group of co-located nodes in one min-plus closure.
 
-    ``pairs`` are the node pairs in contact at this instant; their
-    connected components are the co-located groups.  Pairwise contacts
-    repeated until nothing changes converge to
-    ``T_i[k] = min_j (T_j[k] + t_av * hops(i, j))`` over i's group, so
-    this computes that directly, from the entries held before the call.
-    As in a single contact, a candidate replaces the own entry only when
-    strictly smaller and within ``radius``, and the owner's entry stays zero.
-    Loads follow the minimising source; where several sources tie, the own
-    entry wins, then the source with fewer hops, then the lower node id
-    (pairwise exchanges left this to the order of the pairs).
+    ``pairs`` are the node pairs in contact at this instant, as a (k, 2) id
+    array or a list of tuples; their connected components are the
+    co-located groups.  Pairwise contacts repeated until nothing changes
+    converge to ``T_i[k] = min_j (T_j[k] + t_av * hops(i, j))`` over i's
+    group, so this computes that directly, from the entries held before
+    the call.  As in a single contact, a candidate replaces the own entry
+    only when strictly smaller and within ``radius``, and the owner's
+    entry stays zero.  Loads follow the minimising source; where several
+    sources tie, the own entry wins, then the source with fewer hops, then
+    the lower node id (pairwise exchanges left this to the order of the
+    pairs).
 
     Every timer is whole ticks plus ``t_av`` per hop, so with ``t_av`` on
     the 2**-20 grid (:class:`Knowledge`) it is a whole multiple of 1/den,
@@ -156,7 +158,8 @@ def exchange_all(know: Knowledge, pairs: list[tuple[int, int]], now: float = 0.0
     only then does an observation time name one row.  Returns True if any
     timer changed.
     """
-    if not pairs:
+    pairs = np.asarray(pairs).reshape(-1, 2)
+    if not len(pairs):
         return False
     track = know.matrix_obs is not None
     if track:
@@ -164,11 +167,11 @@ def exchange_all(know: Knowledge, pairs: list[tuple[int, int]], now: float = 0.0
             raise ValueError(f"timer rows merged at {now}, not after the last merge "
                              f"at {know.merged_at}")
         know.merged_at = now
-    nodes = np.array(sorted({v for pair in pairs for v in pair}))
+    nodes = np.flatnonzero(np.bincount(pairs.ravel()))
     m, n, h = len(nodes), know.n_nodes, len(know.columns)
     # Each contact in both directions; ``peers[:, i]`` are receiver i's
     # peers, padded with i itself, whose own label never wins.
-    ends = nodes.searchsorted(np.array(pairs).T)
+    ends = nodes.searchsorted(pairs.T)
     heads, tails = np.concatenate([ends, ends[::-1]], axis=1)
     order = heads.argsort(kind="stable")
     heads, tails = heads[order], tails[order]

@@ -8,7 +8,9 @@ service host, one per node under ``perfect``, and the closure relaxes every
 group's labels along its contacts until they settle) run first, then
 contact starts (encounter stats, neighbour index, forwarding attempts),
 service completions, Poisson request generation, forwarding sweeps, and
-deadline expirations, each carrying its request.  Each composition decision
+deadline expirations, each carrying its request.  Contacts are read from the
+trace as the clock reaches them: one is on the heap at a time, and each
+boundary walks its pairs from the sorted events.  Each composition decision
 is one Dijkstra over a placement-derived service graph
 (:class:`_GraphTemplate`) that prices each edge as it relaxes it, by one
 rule, from the owner's view of the network (:func:`knowledge.owner_view`).
@@ -32,6 +34,7 @@ import heapq
 import math
 from bisect import insort
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -740,8 +743,8 @@ class _Engine:
     def on_boundary(self, t: float, k: int) -> None:
         self.unit_index = k
         self._plans.clear()
-        pairs = self.boundary_pairs[k]
-        for a, b in pairs:
+        pairs = next(self.boundary_pairs)
+        for a, b in pairs.tolist():
             self.last_enc[a][b] = self.last_enc[b][a] = t
         cfg = self.cfg
         # minimal prices are constant and read no knowledge, so it is not kept up.
@@ -755,7 +758,7 @@ class _Engine:
             pending = np.array([self._pending_count(v) for v in know.columns.tolist()])
             know.loads[own] = close_load_window(know.loads[own], pending, cfg.mean_exec_s, cfg.load_alpha)
         # The closure changes only the knowledge of nodes in ``pairs``.
-        for node in sorted({node for pair in pairs for node in pair}):
+        for node in np.flatnonzero(np.bincount(pairs.ravel())).tolist():
             if self.carried[node]:
                 self.schedule_sweep(node, t)
 
@@ -777,8 +780,6 @@ class _Engine:
         n_units = int(round(self.duration / cfg.unit_s))
         for k in range(n_units + 1):
             self.push(k * cfg.unit_s, _P_BOUNDARY, k)
-        for start, end, a, b in self.contacts.events.tolist():
-            self.push(start, _P_CONTACT, a, b, end)
         if cfg.scripted_requests is not None:
             for t, origin, req_in, req_out in cfg.scripted_requests:
                 self.push(t, _P_GENERATE, (origin, req_in, req_out))
@@ -788,11 +789,18 @@ class _Engine:
         # Looked up now, so handlers replaced on the instance or the class run.
         handlers = (self.on_boundary, self.on_contact_start, self.on_completion,
                     self.on_generate, self.sweep, self.on_deadline)
-        while self.heap:
+        # Each popped contact pushes the next: one on the heap, in (start, end, a, b) order.
+        upcoming = (event.tolist() for event in self.contacts.events)
+        prio = _P_CONTACT  # the first contact goes on as if one had popped
+        while True:
+            if prio == _P_CONTACT:
+                for start, end, a, b in islice(upcoming, 1):
+                    self.push(start, _P_CONTACT, a, b, end)
+            if not self.heap:
+                return self.records
             t, prio, _, payload = heapq.heappop(self.heap)
             if t <= self.duration + 1e-9:
                 handlers[prio](t, *payload)
-        return self.records
 
 
 def run(config: SimConfig, contacts: ContactTrace) -> list[RequestRecord]:

@@ -125,3 +125,33 @@ def test_run_reports_a_misspelled_key_before_any_run(tmp_path, capsys, change, m
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    # The first ended in a ValueError traceback, the second in an AttributeError one.
+    ("n_nodes: 4\nduration: 600.0\naera: [150.0, 150.0]\n",
+     "unknown mobility.params (levy) key(s) aera"),
+    ("- 4\n- 600.0\n", "generator parameters map keys to values, got list"),
+])
+def test_gen_trace_reports_bad_params(tmp_path, capsys, text, message):
+    (tmp_path / "levy.yaml").write_text(text)
+    out = tmp_path / "out"
+    assert main(["gen-trace", "levy", str(tmp_path / "levy.yaml"), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seeds", ["0", "-2"])
+def test_a_seed_count_below_one_is_an_error(tmp_path, capsys, seeds):
+    # --seeds 0 used to run nothing, write an empty summary and exit 0.
+    out = tmp_path / "out"
+    assert main(["preset", "fig4", "--seeds", seeds, "--run", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"got {int(seeds)}" in err
+    assert not (out / "fig4").exists()
+    # The same through run, from the flag and from the spec file.
+    assert main(["run", str(out / "fig4.yaml"), "--seeds", seeds, "--out", str(out)]) == 1
+    assert main(["run", str(out / "fig4.yaml"), "--out", str(out)]) == 1
+    assert "seeds must be an integer of at least 1" in capsys.readouterr().err
+    assert not (out / "fig4").exists()

@@ -178,7 +178,7 @@ def _hop_counts(m: int, ia: list[int], ib: list[int]) -> np.ndarray:
 
 def dense_exchange_all(know, pairs, now=0.0):
     """Every member a source for every receiver, in every column."""
-    if not pairs:
+    if not len(pairs):
         return False
     nodes = sorted({v for pair in pairs for v in pair})
     index = {v: i for i, v in enumerate(nodes)}
@@ -262,7 +262,7 @@ def test_closure_matches_pairwise_fixpoint(t_av, radius, track_matrix):
             for i in range(n):
                 # Distinct loads make each adopted load name its source.
                 know.loads[i, i] = float(rng.integers(1, 10**6))
-            if not pairs:
+            if not len(pairs):
                 continue
             before = with_matrix(know)
             oracle = with_matrix(know)
@@ -441,7 +441,12 @@ def test_closure_matches_dense_on_random_groups(data):
         oracle.timers[:], oracle.loads[:] = timers, loads.reshape(n, n)
         know.timers[:], know.loads[:] = oracle.timers[:, cols], oracle.loads[:, cols]
         pairs = sorted(pairs)
+        # The pairs as an int array, as the engine passes them, settle alike.
+        arrayed = copy.deepcopy(know)
         changed = exchange_all(know, pairs, now=float(k))
+        assert exchange_all(arrayed, np.array(pairs), now=float(k)) == changed
+        for name in ("timers", "loads", "matrix_obs"):
+            assert np.array_equal(getattr(arrayed, name), getattr(know, name))
         dense_changed = dense_exchange_all(oracle, pairs, now=float(k))
         assert np.array_equal(know.timers, oracle.timers[:, cols])
         assert np.array_equal(know.loads, oracle.loads[:, cols])

@@ -331,6 +331,9 @@ def test_every_preset_run_passes_key_checks():
     ({"variants": [{"name": "a", "overrides": {"sim.awarness": "global"}}]}, "unknown sim key"),
     ({"variants": [{"name": "a", "overides": {}}]}, "unknown variant key"),
     ({"sweep": {"mobility.params.speeed": [1.0]}}, r"unknown mobility.params \(levy\) key"),
+    ({"seeds": 0}, "seeds must be an integer of at least 1, got 0"),
+    ({"seeds": 2.0}, "seeds must be an integer of at least 1, got 2.0"),
+    ({"seeds": True}, "seeds must be an integer of at least 1, got True"),
 ])
 def test_spec_keys_are_checked_in_every_run_before_any_starts(tmp_path, change, message):
     spec_dict = {k: v for k, v in {**tiny_spec().to_dict(), **change}.items() if v is not None}

@@ -724,6 +724,29 @@ def test_contacts_with_equal_starts_start_in_sorted_order():
                        (60.0, 90.0, 0, 3), (60.0, 120.0, 0, 4), (60.0, 120.0, 1, 3)]
 
 
+def test_the_heap_holds_at_most_one_contact():
+    # Contacts go on the heap as the clock reaches them, not all up front,
+    # yet every one of them starts.
+    contacts = levy_contacts(duration=3600.0)
+    engine = _Engine(default_config(), contacts)
+    on_heap, started = [], []
+
+    def checked(handler):
+        def wrapper(t, *payload):
+            on_heap.append(sum(entry[1] == sim_core._P_CONTACT for entry in engine.heap))
+            handler(t, *payload)
+        return wrapper
+
+    for name in HANDLERS:
+        setattr(engine, name, checked(getattr(engine, name)))
+    on_contact_start = engine.on_contact_start
+    engine.on_contact_start = lambda t, a, b, end: (started.append((t, end, a, b)),
+                                                    on_contact_start(t, a, b, end))
+    engine.run()
+    assert len(contacts.events) > 100 and started == contacts.events.tolist()
+    assert max(on_heap) == 1 and not engine.heap
+
+
 # -- per-unit reuse of prices and plans ---------------------------------------------------
 
 def test_perfect_awareness_prices_live_backlog_on_every_search():
