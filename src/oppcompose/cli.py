@@ -59,6 +59,8 @@ def _cmd_preset(args) -> int:
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
+    except ValueError as exc:  # before the spec file is written
+        return _error(exc)
     out = Path(args.out or _default_out())
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"{args.name}.yaml"

@@ -86,7 +86,7 @@ class ContactTrace:
 
     def boundary_pairs(self, unit: float) -> Iterator[np.ndarray]:
         """Yield, for each multiple k of ``unit`` in [0, duration], the pairs
-        active there as a (pairs, 2) id array in ``(a, b)`` order.
+        active there as a (pairs, 2) id array, in no particular order.
 
         An event covers boundary k when ``start / unit - 1e-9 <= k <= end /
         unit + 1e-9``.  Events join in start order, so only the events
@@ -97,14 +97,11 @@ class ContactTrace:
         k0 = np.ceil(ev["start"] / unit - 1e-9)
         k1 = np.floor(ev["end"] / unit + 1e-9)
         joined = k0.searchsorted(np.arange(int(round(self.duration / unit)) + 1), side="right")
-        active, lo = np.zeros(0, dtype=np.intp), 0  # in pair order, as last yielded
+        active, lo = np.zeros(0, dtype=np.intp), 0
         for k, hi in enumerate(joined.tolist()):
             active = np.concatenate((active, np.arange(lo, hi)))
-            active = active[k1[active] >= k]
-            a, b = ev["a"][active], ev["b"][active]
-            order = np.argsort(a * self.n_nodes + b, kind="stable")
-            active, lo = active[order], hi
-            yield np.stack((a[order], b[order]), axis=1)
+            active, lo = active[k1[active] >= k], hi
+            yield np.stack((ev["a"][active], ev["b"][active]), axis=1)
 
 
 def contacts_from_positions(trace: PositionTrace, range_m: float) -> ContactTrace:

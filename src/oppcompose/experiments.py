@@ -5,15 +5,19 @@ An :class:`ExperimentSpec` pins one base configuration plus named variants
 Running it produces one records CSV per (variant, sweep point, seed) and a
 manifest; aggregation is a pure function of those files.
 
-Each default lives in the constructor that consumes it, and a key a spec
-leaves out takes that default: the top-level keys in
-:class:`ExperimentSpec`, the ``sim`` keys in :class:`SimConfig`, a synthetic
-model's ``mobility.params`` in its params class (``LevyWalkParams``,
-``SlawParams``, ``HcmmParams``), the ``gps-files`` params in
-:func:`mobility.ingest_gps_log`, ``catalog`` in
-:meth:`ServiceCatalog.from_dict` and ``pattern`` in :func:`build_pattern`.
-The one exception is the Levy walk's speed classes, which depend on the
-node count and are filled in by :func:`make_trace`.
+Each spec section is the keyword arguments of the call it feeds, and a key
+a section leaves out takes that call's default: the top-level keys are
+:class:`ExperimentSpec`'s, ``sim`` is :class:`SimConfig`'s less the
+catalog, placement, pattern and seed a run builds, ``catalog`` is
+:func:`enumerate_services`'s, ``pattern`` less its ``kind`` is the
+``RequestPattern`` constructor that kind names, a synthetic model's
+``mobility.params`` are its params class's (``LevyWalkParams``,
+``SlawParams``, ``HcmmParams``) and the ``gps-files`` params are
+:func:`mobility.ingest_gps_log`'s.  Each section's valid and required keys
+are read from that call's signature, so a spec fails on a key no call takes,
+or one a call needs, before any run starts.  Only ``mobility`` itself, which
+picks its call by ``model``, and a variant's ``name`` and ``overrides`` are
+listed by hand.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import MISSING, dataclass, field, asdict, fields
+from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
 import numpy as np
@@ -33,8 +37,7 @@ import yaml
 
 from . import mobility
 from .contact_engine import ContactTrace, contacts_from_positions
-from .forwarding import DIRECT, EBR, MT, TT
-from .service_model import Service, ServiceCatalog, assign_services
+from .service_model import Service, ServiceCatalog, assign_services, enumerate_services
 from .sim_core import (RequestPattern, SimConfig, read_records_csv, run as run_sim,
                        write_records_csv)
 
@@ -116,21 +119,15 @@ def _apply_overrides(tree: dict, overrides: dict) -> dict:
 # ---------------------------------------------------------------------------
 # Building blocks
 
-def _pattern_kind(cfg: dict) -> str:
-    """The request pattern kind ``cfg`` names, ``min_k`` if it names none."""
-    return cfg.get("kind", "min_k")
+# Request pattern kinds: a ``pattern`` section's keys but ``kind`` are the
+# arguments of the constructor its kind names.
+_PATTERNS = {"min_k": RequestPattern.min_functionality,
+             "fixed_length": RequestPattern.fixed_length}
 
 
 def build_pattern(catalog: ServiceCatalog, cfg: dict) -> RequestPattern:
-    kind = _pattern_kind(cfg)
-    if kind == "min_k":
-        return RequestPattern.min_functionality(catalog, cfg.get("k", 4))
-    if kind == "fixed_length":
-        weights = cfg.get("start_weights")
-        if weights is not None:
-            weights = {int(k): float(v) for k, v in weights.items()}
-        return RequestPattern.fixed_length(catalog, cfg["length"], weights)
-    raise ValueError(f"unknown request pattern kind {kind!r}")
+    kw = dict(cfg)
+    return _PATTERNS[kw.pop("kind", "min_k")](catalog, **kw)
 
 
 def service_popularity(catalog: ServiceCatalog, pattern_cfg: dict) -> dict[Service, float]:
@@ -141,13 +138,13 @@ def service_popularity(catalog: ServiceCatalog, pattern_cfg: dict) -> dict[Servi
     catalog name one chain each, so any other pattern or catalog raises
     ValueError.
     """
-    kind = _pattern_kind(pattern_cfg)
+    kind = pattern_cfg.get("kind", "min_k")
     if kind != "fixed_length" or not catalog.ring:
         raise ValueError(f"proportional distribution needs fixed_length requests over a ring "
                          f"catalog, got {kind} requests over a catalog with ring={catalog.ring}")
     weights: dict[Service, float] = {s: 0.0 for s in catalog.services}
     length = pattern_cfg["length"]
-    start_weights = {int(k): float(v) for k, v in pattern_cfg.get("start_weights", {}).items()}
+    start_weights = RequestPattern.weights_by_start(pattern_cfg.get("start_weights") or {})
     by_input = {s.input: s for s in catalog.services}
     for x in range(1, catalog.n_d + 1):
         w = start_weights.get(x, 1.0)
@@ -182,11 +179,8 @@ def make_trace(mob: dict, seed: int, cache_dir: Path | None = None) -> mobility.
     params = mob.get("params", {})
     if model in _GENERATORS:
         params_cls, generate = _GENERATORS[model]
-        kw = {k: _tuples(v) for k, v in params.items()}
-        n = mob["n_nodes"]
-        if model == "levy" and "speed_classes" not in kw:
-            kw["speed_classes"] = ((n // 2, (1.0, 1.0)), (n - n // 2, (10.0, 10.0)))
-        trace = generate(params_cls(**kw), n, mob["duration"], seed, **interval)
+        trace = generate(params_cls(**{k: _tuples(v) for k, v in params.items()}),
+                         mob["n_nodes"], mob["duration"], seed, **interval)
     elif model == "trace-file":
         trace = mobility.load_trace_csv(mob["path"])
     elif model == "gps-files":
@@ -208,8 +202,6 @@ def make_trace(mob: dict, seed: int, cache_dir: Path | None = None) -> mobility.
     return trace
 
 
-_SCHEMES = {"direct": DIRECT, "TT": TT, "MT": MT, "EBR": EBR}
-
 # Synthetic mobility models: parameter class and generator.  A spec's
 # ``mobility.params`` map onto the class's fields by name.
 _GENERATORS = {
@@ -217,40 +209,51 @@ _GENERATORS = {
     "slaw": (mobility.SlawParams, mobility.generate_slaw),
     "hcmm": (mobility.HcmmParams, mobility.generate_hcmm),
 }
-
-# The keys a spec may set, per section.  SLAW's cascade depths are not
-# among them: they stay at their defaults.
-_SPEC_KEYS = tuple(f.name for f in fields(ExperimentSpec))
-_REQUIRED_SPEC_KEYS = tuple(f.name for f in fields(ExperimentSpec)
-                            if f.default is MISSING and f.default_factory is MISSING)
+# ``mobility`` picks its call by ``model``, so its own keys are listed here.
 _MOBILITY_KEYS = ("model", "n_nodes", "duration", "sample_interval", "params", "path", "paths")
-_PARAM_KEYS = {
-    **{model: tuple(f.name for f in fields(cls)
-                    if f.name not in ("cascade_levels", "flat_levels"))
-       for model, (cls, _) in _GENERATORS.items()},
-    "trace-file": (),
-    "gps-files": tuple(name for name in inspect.signature(mobility.ingest_gps_log).parameters
-                       if name not in ("files", "sample_interval")),
-}
-_CATALOG_KEYS = ("n_d", "excluded", "ring")
-_PATTERN_KEYS = {"min_k": ("kind", "k"), "fixed_length": ("kind", "length", "start_weights")}
-# SimConfig fields a spec's ``sim`` dict may set; the rest come from the spec.
-_SIM_KEYS = tuple(f.name for f in fields(SimConfig)
-                  if f.name not in ("catalog", "placement", "pattern", "seed"))
+# Per mobility model, the call its ``params`` feed; a trace file takes none.
+_MODEL_PARAMS = {**{model: cls for model, (cls, _) in _GENERATORS.items()},
+                 "trace-file": (), "gps-files": mobility.ingest_gps_log}
 
 
-def _check_keys(section: str, given: dict, valid) -> None:
+def _call_keys(fn, less=()) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The parameters of ``fn`` but ``less``, and those of them without a default."""
+    params = [p for p in inspect.signature(fn).parameters.values() if p.name not in less]
+    return (tuple(p.name for p in params),
+            tuple(p.name for p in params if p.default is p.empty))
+
+
+# Per call a spec section feeds: the keys the section may set and those it
+# must, less the arguments a run supplies itself.
+_KEYS = {fn: _call_keys(fn, less) for fn, less in [
+    (ExperimentSpec, ()),
+    (enumerate_services, ()),
+    *[(fn, ("catalog",)) for fn in _PATTERNS.values()],
+    (SimConfig, ("catalog", "placement", "pattern", "seed")),
+    *[(cls, ()) for cls, _ in _GENERATORS.values()],
+    (mobility.ingest_gps_log, ("files", "sample_interval")),
+]}
+
+
+def _check_keys(section: str, given, fn) -> None:
+    """Raise ValueError on a key in ``given`` that ``fn`` does not take, or
+    one it needs that ``given`` lacks.  ``fn`` is a call in ``_KEYS`` or, for
+    a section that feeds no single call, the tuple of its optional keys."""
+    valid, required = _KEYS[fn] if callable(fn) else (fn, ())
     unknown = sorted(set(given) - set(valid))
     if unknown:
         raise ValueError(f"unknown {section} key(s) {', '.join(unknown)}; "
                          f"valid keys: {', '.join(valid)}")
+    missing = [name for name in required if name not in given]
+    if missing:
+        raise ValueError(f"{section} lacks key{'s' * (len(missing) > 1)} {', '.join(missing)}")
 
 
 def _check_mobility_keys(mob: dict) -> None:
     _check_keys("mobility", mob, _MOBILITY_KEYS)
-    if mob.get("model") in _PARAM_KEYS:
+    if mob.get("model") in _MODEL_PARAMS:
         _check_keys(f"mobility.params ({mob['model']})", mob.get("params", {}),
-                    _PARAM_KEYS[mob["model"]])
+                    _MODEL_PARAMS[mob["model"]])
 
 
 def _check_spec_keys(spec_dict: dict) -> ExperimentSpec:
@@ -261,23 +264,18 @@ def _check_spec_keys(spec_dict: dict) -> ExperimentSpec:
     (a ``fixed_length`` pattern's ``length`` among them), and on a seed
     count that is not an integer of at least 1.
     """
-    _check_keys("spec", spec_dict, _SPEC_KEYS)
-    missing = [name for name in _REQUIRED_SPEC_KEYS if name not in spec_dict]
-    if missing:
-        raise ValueError(f"spec lacks key(s) {', '.join(missing)}")
+    _check_keys("spec", spec_dict, ExperimentSpec)
     spec = ExperimentSpec(**spec_dict)
     if type(spec.seeds) is not int or spec.seeds < 1:
         raise ValueError(f"seeds must be an integer of at least 1, got {spec.seeds!r}")
     _check_mobility_keys(spec.mobility)
-    _check_keys("catalog", spec.catalog, _CATALOG_KEYS)
-    kind = _pattern_kind(spec.pattern)
-    if kind not in _PATTERN_KEYS:
+    _check_keys("catalog", spec.catalog, enumerate_services)
+    kind = spec.pattern.get("kind", "min_k")
+    if kind not in _PATTERNS:
         raise ValueError(f"unknown request pattern kind {kind!r}; "
-                         f"choose from {', '.join(_PATTERN_KEYS)}")
-    _check_keys(f"pattern ({kind})", spec.pattern, _PATTERN_KEYS[kind])
-    if kind == "fixed_length" and "length" not in spec.pattern:
-        raise ValueError("pattern (fixed_length) lacks key length")
-    _check_keys("sim", spec.sim, _SIM_KEYS)
+                         f"choose from {', '.join(_PATTERNS)}")
+    _check_keys(f"pattern ({kind})", spec.pattern.keys() - {"kind"}, _PATTERNS[kind])
+    _check_keys("sim", spec.sim, SimConfig)
     return spec
 
 
@@ -306,14 +304,9 @@ def prepare_run(spec_dict: dict, seed: int, cache_dir: Path | None = None
         catalog, list(range(trace.n_nodes)), spec.repetition,
         rng, distribution=spec.distribution, popularity=popularity)
     contacts = contacts_from_positions(trace, spec.range_m)
-    sim = dict(spec.sim)
-    if "scheme" in sim:
-        name = sim["scheme"]
-        if name not in _SCHEMES:
-            raise ValueError(f"unknown scheme {name!r}; choose from {', '.join(_SCHEMES)}")
-        sim["scheme"] = _SCHEMES[name]
     config = SimConfig(catalog=catalog, placement=placement, pattern=pattern,
-                       seed=seed, **sim)
+                       seed=seed, **spec.sim)
+    config.validate()
     return config, contacts
 
 
@@ -551,16 +544,13 @@ def completion_bound_check(rates_by_length: dict[int, float]) -> dict:
 # Presets
 
 def _base_mobility(model: str = "levy", same_speed: bool = False, area: float = 700.0,
-                   n_nodes: int = 20, **params) -> dict:
-    mob = {"model": model, "n_nodes": n_nodes, "duration": 36000.0,
+                   **params) -> dict:
+    mob = {"model": model, "n_nodes": 20, "duration": 36000.0,
            "sample_interval": 30.0, "params": dict(params)}
     mob["params"]["area"] = [area, area]
     if model == "levy":
-        if same_speed:
-            mob["params"]["speed_classes"] = [[n_nodes, [1.0, 1.0]]]
-        else:
-            slow = n_nodes - n_nodes // 4 if n_nodes > 20 else n_nodes // 2
-            mob["params"]["speed_classes"] = [[slow, [1.0, 1.0]], [n_nodes - slow, [10.0, 10.0]]]
+        mob["params"]["speed_classes"] = ([[20, [1.0, 1.0]]] if same_speed
+                                          else [[10, [1.0, 1.0]], [10, [10.0, 10.0]]])
     return mob
 
 
@@ -734,10 +724,15 @@ PRESET_NAMES = tuple(sorted(_PRESETS))
 
 
 def preset(name: str, seeds: int | None = None) -> ExperimentSpec:
-    """Return the named experiment preset (optionally overriding seed count)."""
+    """Return the named experiment preset (optionally overriding seed count).
+
+    Raises KeyError on an unknown name and ValueError on a seed count that
+    is not an integer of at least 1.
+    """
     if name not in _PRESETS:
         raise KeyError(f"unknown preset {name!r}; choose from {', '.join(PRESET_NAMES)}")
     spec = _PRESETS[name]()
     if seeds is not None:
         spec.seeds = seeds
+        _check_spec_keys(spec.to_dict())
     return spec

@@ -1,50 +1,33 @@
 """Single-copy relay decision schemes.
 
-Four schemes decide, at a contact, whether the node carrying a request
-should hand it to the encountered node: direct (only to the destination
-itself), timer-based TT and MT (hand over when the peer's timer for the
-destination is smaller by more than t_av; MT uses a much smaller t_av,
-tuned to short forwarding paths), and encounter-based EBR (hand over to
-nodes that currently meet more nodes).  A relayed item always leaves the
-sender: exactly one copy exists at any instant.
+Four schemes, named in :data:`SCHEMES`, decide at a contact whether the
+node carrying a request should hand it to the encountered node: ``direct``
+(only to the destination itself), the timer rules ``TT`` and ``MT`` (hand
+over when the peer's timer for the destination is smaller by more than a
+margin: :data:`TT_MARGIN`, or the much smaller :data:`MT_MARGIN` tuned to
+short forwarding paths), and encounter-based ``EBR`` (hand over to nodes
+that met more nodes within the last :data:`EBR_WINDOW` seconds).  A relayed
+item always leaves the sender: exactly one copy exists at any instant.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 
-__all__ = ["Scheme", "EncounterStats", "should_relay", "DIRECT", "TT", "EBR", "MT"]
+__all__ = ["SCHEMES", "TT_MARGIN", "MT_MARGIN", "EBR_WINDOW", "EncounterStats", "should_relay"]
 
-
-@dataclass(frozen=True)
-class Scheme:
-    """Forwarding scheme selector with its parameters.
-
-    ``t_av`` is in time units (TT defaults to 20 units = 10 min at 30 s
-    units, MT to 1 unit = 0.5 min); ``window`` is the encounter-rate
-    window in seconds for EBR.
-    """
-
-    kind: str
-    t_av: float = 1.0
-    window: float = 600.0
-
-    def __post_init__(self):
-        if self.kind not in ("direct", "TT", "EBR", "MT"):
-            raise ValueError(f"unknown forwarding scheme {self.kind!r}")
-
-
-DIRECT = Scheme("direct")
-TT = Scheme("TT", t_av=20.0)
-EBR = Scheme("EBR")
-MT = Scheme("MT", t_av=1.0)
+SCHEMES = ("direct", "TT", "MT", "EBR")
+# Timer margins in time units: 20 units is 10 min at 30 s units, 1 unit 0.5 min.
+TT_MARGIN = 20.0
+MT_MARGIN = 1.0
+# The encounter-rate window of EBR, in seconds.
+EBR_WINDOW = 600.0
 
 
 class EncounterStats:
     """Sliding-window encounter counts per node."""
 
-    def __init__(self, n_nodes: int, window: float = 600.0):
+    def __init__(self, n_nodes: int, window: float = EBR_WINDOW):
         self.window = window
         self._times: list[list[float]] = [[] for _ in range(n_nodes)]
 
@@ -60,7 +43,7 @@ class EncounterStats:
 
 
 def should_relay(
-    scheme: Scheme,
+    scheme: str,
     carrier: int,
     candidate: int,
     destination: int,
@@ -77,13 +60,14 @@ def should_relay(
     the comparison must happen before the contact's own exchange equalizes
     them (adopting the peer's value caps the difference at exactly t_av,
     which would never trigger).  Only the timer rules (TT, MT) read them.
+    ``scheme`` is one of :data:`SCHEMES`.
     """
     if candidate == destination:
         return True
-    if scheme.kind == "direct":
-        return False
-    if scheme.kind in ("TT", "MT"):
-        return candidate_timer < carrier_timer - scheme.t_av
-    if scheme.kind == "EBR":
+    if scheme == "MT":
+        return candidate_timer < carrier_timer - MT_MARGIN
+    if scheme == "TT":
+        return candidate_timer < carrier_timer - TT_MARGIN
+    if scheme == "EBR":
         return stats.rate(candidate, t) > stats.rate(carrier, t)
-    raise ValueError(f"unknown forwarding scheme {scheme.kind!r}")
+    return False  # direct

@@ -5,7 +5,8 @@ Python floats: ``uniforms`` hands them the doubles that a run of scalar
 ``rng.random()`` calls would return, fetched in blocks, and ``pareto_map``
 and ``choice_cdf`` give the constants of the maps numpy's scalar calls apply
 to such a double.  A walk so pays no numpy call per draw and lands on the
-same bits.
+same bits.  SLAW draws each pause with its own ``rng.random()`` and maps it
+by ``pareto_map`` as well.
 """
 
 from __future__ import annotations
@@ -38,14 +39,6 @@ def pareto_map(exponent: float, low: float, high: float) -> tuple[float, float, 
     if not (0 < low < high):
         raise ValueError(f"need 0 < low < high, got [{low}, {high}]")
     return low, 1.0 - (low / high) ** exponent, -1.0 / exponent
-
-
-def truncated_pareto(
-    rng: np.random.Generator, exponent: float, low: float, high: float, size=None
-) -> np.ndarray | float:
-    """Draw from a power law with density ~ x^-(1+exponent) on [low, high]."""
-    low, tail, power = pareto_map(exponent, low, high)
-    return low * (1.0 - rng.random(size) * tail) ** power
 
 
 def choice_cdf(p: np.ndarray) -> list[float]:

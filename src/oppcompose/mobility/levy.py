@@ -24,7 +24,7 @@ the maps stay scalar and a seed's positions stay bit for bit the same.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -40,12 +40,13 @@ class LevyWalkParams:
 
     ``speed_classes`` lists (node count, (v_min, v_max)) populations, e.g.
     a slow walking group and a fast vehicle-like group; counts must sum to
-    the requested node count.
+    the requested node count.  Unset, half the nodes (rounded down) walk at
+    1 m/s and the rest move at 10 m/s.
     """
 
     flight_exponent: float = 1.5
     pause_exponent: float = 1.5
-    speed_classes: tuple[tuple[int, tuple[float, float]], ...] = ((10, (1.0, 1.0)), (10, (10.0, 10.0)))
+    speed_classes: tuple[tuple[int, tuple[float, float]], ...] | None = None
     area: tuple[float, float] = (700.0, 700.0)
     flight_bounds: tuple[float, float] = (5.0, 500.0)
     pause_bounds: tuple[float, float] = (10.0, 300.0)
@@ -75,6 +76,9 @@ def generate_levy(
     params: LevyWalkParams, n_nodes: int, duration: float, seed: int, sample_interval: float = 30.0
 ) -> PositionTrace:
     """Generate a Levy walk trace for ``n_nodes`` over ``duration`` seconds."""
+    if params.speed_classes is None:
+        params = replace(params, speed_classes=((n_nodes // 2, (1.0, 1.0)),
+                                                (n_nodes - n_nodes // 2, (10.0, 10.0))))
     params.validate(n_nodes)
     rng = np.random.default_rng(seed)
     w, h = params.area

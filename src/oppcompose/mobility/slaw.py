@@ -12,10 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._dist import truncated_pareto
+from ._dist import pareto_map
 from .trace import PositionTrace, sample_segments
 
 __all__ = ["SlawParams", "generate_slaw", "waypoint_field"]
+
+# Depth of the waypoint cascade, and how many of its first splits are even.
+CASCADE_LEVELS = 7
+FLAT_LEVELS = 2
 
 
 @dataclass(frozen=True)
@@ -27,8 +31,6 @@ class SlawParams:
     speed: float = 1.0
     pause_exponent: float = 1.5
     pause_bounds: tuple[float, float] = (10.0, 300.0)
-    cascade_levels: int = 7
-    flat_levels: int = 2
 
     def validate(self) -> None:
         if not (0.5 < self.hurst < 1.0):
@@ -47,17 +49,17 @@ def waypoint_field(params: SlawParams, rng: np.random.Generator) -> np.ndarray:
     A multiplicative quadrant cascade deals waypoint counts into cells;
     the unevenness of each 4-way split grows with the Hurst parameter, so
     higher values concentrate waypoints into tighter, denser clusters.
-    The first ``flat_levels`` splits are even, which keeps the clusters
+    The first ``FLAT_LEVELS`` splits are even, which keeps the clusters
     spread over the whole area instead of collapsing into one corner.
     """
     gamma = 4.0 * (2.0 * params.hurst - 1.0)
     cells = [(0.0, 0.0, params.area[0], params.area[1], params.n_waypoints)]
-    for level in range(params.cascade_levels):
+    for level in range(CASCADE_LEVELS):
         nxt = []
         for x0, y0, cw, ch, count in cells:
             if count == 0:
                 continue
-            if level < params.flat_levels:
+            if level < FLAT_LEVELS:
                 weights = np.full(4, 0.25)
             else:
                 raw = rng.random(4) ** gamma
@@ -85,6 +87,7 @@ def generate_slaw(
     rng = np.random.default_rng(seed)
     field = waypoint_field(params, rng)
     subset_size = max(1, int(round(params.waypoint_fraction * len(field))))
+    p_low, p_tail, p_power = pareto_map(params.pause_exponent, *params.pause_bounds)
 
     n_samples = int(round(duration / sample_interval)) + 1
     positions = np.empty((n_nodes, n_samples, 2))
@@ -99,7 +102,7 @@ def generate_slaw(
         knots = [(0.0, x, y)]
         t = 0.0
         while t < duration:
-            t += float(truncated_pareto(rng, params.pause_exponent, *params.pause_bounds))
+            t += p_low * (1.0 - rng.random() * p_tail) ** p_power
             knots.append((t, x, y))
             if len(subset) == 1:
                 continue

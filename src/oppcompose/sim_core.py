@@ -39,7 +39,7 @@ from itertools import islice
 import numpy as np
 
 from .contact_engine import ContactTrace
-from .forwarding import EncounterStats, Scheme, MT, should_relay
+from .forwarding import SCHEMES, EncounterStats, should_relay
 from .knowledge import AWARENESS_LEVELS, Knowledge, close_load_window, exchange_all, owner_view
 from .service_model import Service, ServiceCatalog, ServicePlacement
 
@@ -83,18 +83,25 @@ class RequestPattern:
         object.__setattr__(self, "_p", p)
 
     @classmethod
-    def min_functionality(cls, catalog: ServiceCatalog, k_min: int) -> "RequestPattern":
-        return cls(pairs=tuple(catalog.request_pairs(min_k=k_min)))
+    def min_functionality(cls, catalog: ServiceCatalog, k: int = 4) -> "RequestPattern":
+        """Requests of net functionality at least ``k``."""
+        return cls(pairs=tuple(catalog.request_pairs(min_k=k)))
 
     @classmethod
     def fixed_length(cls, catalog: ServiceCatalog, length: int,
-                     start_weights: dict[int, float] | None = None) -> "RequestPattern":
-        """Requests requiring exactly ``length`` unit services of the catalog."""
+                     start_weights: dict | None = None) -> "RequestPattern":
+        """Requests requiring exactly ``length`` unit services of the catalog,
+        each drawn by the weight ``start_weights`` gives its input (1 if none)."""
         pairs = tuple(catalog.request_pairs(min_k=length, max_k=length))
         if start_weights is None:
             return cls(pairs=pairs)
-        weights = tuple(float(start_weights.get(x, 1.0)) for x, _ in pairs)
-        return cls(pairs=pairs, weights=weights)
+        weights = cls.weights_by_start(start_weights)
+        return cls(pairs=pairs, weights=tuple(weights.get(x, 1.0) for x, _ in pairs))
+
+    @staticmethod
+    def weights_by_start(start_weights: dict) -> dict[int, float]:
+        """``start_weights`` with int keys and float values (YAML's keys may be strings)."""
+        return {int(x): float(w) for x, w in start_weights.items()}
 
     def draw(self, rng: np.random.Generator) -> tuple[int, int]:
         if self._p is None:
@@ -108,7 +115,7 @@ class SimConfig:
     placement: ServicePlacement
     pattern: RequestPattern
     awareness: str = "local"
-    scheme: Scheme = MT
+    scheme: str = "MT"  # one of forwarding.SCHEMES
     request_rate_per_min: float = 0.4
     timeout_s: float = 900.0
     mean_exec_s: float = 30.0
@@ -151,6 +158,8 @@ class SimConfig:
             raise ValueError(f"unknown awareness level {self.awareness!r}")
         if self.opportunistic not in ("off", "relay", "contact"):
             raise ValueError(f"unknown opportunistic mode {self.opportunistic!r}")
+        if self.scheme not in SCHEMES:
+            raise ValueError(f"unknown scheme {self.scheme!r}; choose from {', '.join(SCHEMES)}")
 
 
 @dataclass
@@ -404,7 +413,7 @@ class _Engine:
         self.duration = contacts.duration
         self.rng = np.random.default_rng(config.seed)
         self.tie_rng = np.random.default_rng((config.seed, 0x7ee5))
-        self.stats = EncounterStats(self.n, window=config.scheme.window)
+        self.stats = EncounterStats(self.n)
         self.queues: list[list[_Item]] = [[] for _ in range(self.n)]
         self.executing: list[_Item | None] = [None] * self.n
         self.carried: list[list[_Item]] = [[] for _ in range(self.n)]

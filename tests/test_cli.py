@@ -145,13 +145,19 @@ def test_gen_trace_reports_bad_params(tmp_path, capsys, text, message):
 @pytest.mark.parametrize("seeds", ["0", "-2"])
 def test_a_seed_count_below_one_is_an_error(tmp_path, capsys, seeds):
     # --seeds 0 used to run nothing, write an empty summary and exit 0.
+    # Without --run, it wrote the bad count to fig4.yaml and exited 0.
     out = tmp_path / "out"
-    assert main(["preset", "fig4", "--seeds", seeds, "--run", "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and f"got {int(seeds)}" in err
-    assert not (out / "fig4").exists()
+    for run in (["--run"], []):
+        assert main(["preset", "fig4", "--seeds", seeds, *run, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and f"got {int(seeds)}" in captured.err
+        assert captured.out == ""
+        assert not (out / "fig4").exists() and not (out / "fig4.yaml").exists()
     # The same through run, from the flag and from the spec file.
+    assert main(["preset", "fig4", "--out", str(out)]) == 0
     assert main(["run", str(out / "fig4.yaml"), "--seeds", seeds, "--out", str(out)]) == 1
+    spec = yaml.safe_load((out / "fig4.yaml").read_text())
+    (out / "fig4.yaml").write_text(yaml.safe_dump({**spec, "seeds": int(seeds)}))
     assert main(["run", str(out / "fig4.yaml"), "--out", str(out)]) == 1
     assert "seeds must be an integer of at least 1" in capsys.readouterr().err
     assert not (out / "fig4").exists()

@@ -274,12 +274,19 @@ def test_prepare_run_maps_every_sim_key():
                           "exec_deterministic": True, "load_alpha": 0.25, "radius": 40.0})
     config, _ = experiments.prepare_run(spec.to_dict(), seed=3)
     assert config.awareness == "global"
-    assert config.scheme.kind == "EBR"
+    assert config.scheme == "EBR"
     assert config.replan_on_relay is False
     assert config.exec_deterministic is True
     assert config.load_alpha == 0.25
     assert config.radius == 40.0
     assert config.seed == 3
+
+
+@pytest.mark.parametrize("scheme", ["direct", "TT", "MT", "EBR", None])
+def test_prepare_run_keeps_the_scheme_name(scheme):
+    sim = {} if scheme is None else {"scheme": scheme}
+    config, _ = experiments.prepare_run(tiny_spec(sim=sim).to_dict(), seed=0)
+    assert config.scheme == (scheme or "MT")
 
 
 @pytest.mark.parametrize("sim", [{"awarness": "global"}, {"seed": 4}, {"scheme": "mt"}])
@@ -302,6 +309,17 @@ def test_prepare_run_rejects_unknown_keys_outside_sim(overrides):
     spec = experiments._apply_overrides(tiny_spec().to_dict(), overrides)
     with pytest.raises(ValueError, match="valid keys"):
         experiments.prepare_run(spec, seed=0)
+
+
+def test_levy_default_speed_classes_split_any_node_count():
+    # Unset, the speed classes are half the nodes (rounded down) at 1 m/s and
+    # the rest at 10 m/s, for the generator and a spec alike.
+    split = LevyWalkParams(speed_classes=((3, (1.0, 1.0)), (4, (10.0, 10.0))))
+    want = generate_levy(split, 7, 1800.0, seed=4)
+    assert np.array_equal(generate_levy(LevyWalkParams(), 7, 1800.0, seed=4).positions,
+                          want.positions)
+    trace = experiments.make_trace({"model": "levy", "n_nodes": 7, "duration": 1800.0}, seed=4)
+    assert np.array_equal(trace.positions, want.positions)
 
 
 @pytest.mark.parametrize("mob", [
@@ -334,6 +352,7 @@ def test_every_preset_run_passes_key_checks():
     ({"seeds": 0}, "seeds must be an integer of at least 1, got 0"),
     ({"seeds": 2.0}, "seeds must be an integer of at least 1, got 2.0"),
     ({"seeds": True}, "seeds must be an integer of at least 1, got True"),
+    ({"catalog": {"ring": True}}, "catalog lacks key n_d"),
 ])
 def test_spec_keys_are_checked_in_every_run_before_any_starts(tmp_path, change, message):
     spec_dict = {k: v for k, v in {**tiny_spec().to_dict(), **change}.items() if v is not None}

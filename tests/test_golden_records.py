@@ -18,7 +18,6 @@ import pytest
 
 from oppcompose import experiments, sim_core
 from oppcompose.contact_engine import ContactTrace
-from oppcompose.forwarding import DIRECT, EBR, TT
 from oppcompose.service_model import assign_services, enumerate_services
 from oppcompose.sim_core import _Engine, RequestPattern, SimConfig, run, write_records_csv
 from pricing_reference import cost_matrices, matrix_view
@@ -68,9 +67,9 @@ RUNS = {
     "exact_match": {"exact_match": True},
     "plan_once": {"recompute_per_stage": False},
     "contact": {"opportunistic": "contact"},
-    "TT": {"scheme": TT},
-    "EBR": {"scheme": EBR},
-    "direct": {"scheme": DIRECT},
+    "TT": {"scheme": "TT"},
+    "EBR": {"scheme": "EBR"},
+    "direct": {"scheme": "direct"},
     "nla": {"load_aware": False},
 }
 

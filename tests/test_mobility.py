@@ -19,7 +19,7 @@ from oppcompose.mobility import (
     load_trace_csv,
     save_trace_csv,
 )
-from oppcompose.mobility._dist import choice_cdf, truncated_pareto
+from oppcompose.mobility._dist import choice_cdf, pareto_map
 from oppcompose.mobility.hcmm import home_communities
 from oppcompose.mobility.slaw import waypoint_field
 
@@ -46,6 +46,12 @@ def fit_truncated_power_law(samples, low, high):
         return 1.0 / a - log_ratio + (r ** a) * math.log(r) / (1.0 - r ** a)
 
     return brentq(score, 1e-3, 50.0)
+
+
+def truncated_pareto(rng, exponent, low, high, size=None):
+    """Draw from a power law with density ~ x^-(1+exponent) on [low, high]."""
+    low, tail, power = pareto_map(exponent, low, high)
+    return low * (1.0 - rng.random(size) * tail) ** power
 
 
 def flight_lengths(params: LevyWalkParams, n_flights: int, seed: int) -> np.ndarray:
@@ -126,8 +132,9 @@ def test_levy_rejects_bad_params():
         generate_levy(LevyWalkParams(flight_exponent=2.5), 20, 600, seed=1)
     with pytest.raises(ValueError):
         generate_levy(LevyWalkParams(area=(0, 700)), 20, 600, seed=1)
-    with pytest.raises(ValueError):
-        generate_levy(LevyWalkParams(), 7, 600, seed=1)  # class counts sum to 20
+    with pytest.raises(ValueError, match="speed class counts sum to 20, expected 7"):
+        generate_levy(LevyWalkParams(speed_classes=((10, (1.0, 1.0)), (10, (10.0, 10.0)))),
+                      7, 600, seed=1)
 
 
 # A zero speed divides by zero mid-walk and a negative one never ends the walk,
@@ -153,6 +160,32 @@ def test_slaw_default_trace():
     trace = generate_slaw(SlawParams(), 20, 36000, seed=1)
     assert trace.n_nodes == 20
     assert in_bounds(trace)
+
+
+# sha256 of the positions' bytes, recorded from the generator that drew each
+# pause through its own truncated-power-law call.
+SLAW_DIGESTS = {
+    "default": (SlawParams(), 12, 7200.0, 31,
+                "9d4a34280390ad14c487ef00ee505942cf6da36201509329101fa5e3cca0bd5e"),
+    "hurst-0.55-a500": (SlawParams(hurst=0.55, area=(500.0, 500.0)), 10, 7200.0, 32,
+                        "a435f7aa3055920ca1490d4a0f734e7491dd299eba5a8d3ba5a50b5ad03d4df0"),
+    "hurst-0.85-a900": (SlawParams(hurst=0.85, area=(900.0, 900.0)), 10, 7200.0, 33,
+                        "0c856dc94d69bfc8a6520ac796c44aa88b25fad475376891f3b92882592d3388"),
+    "pause-range": (SlawParams(pause_exponent=0.9, pause_bounds=(5.0, 900.0), speed=2.5),
+                    8, 7200.0, 34,
+                    "2addbf65c165f93bb9341c0b08552d90de28b354fa58d7158077a5ceeb1ed6ae"),
+    "single-waypoint": (SlawParams(n_waypoints=1), 5, 3600.0, 35,
+                        "b89864c4dfe82e724328946523f5c32f40ca4af8b44d3344cec4dbd48ee26984"),
+    "zero-duration": (SlawParams(), 10, 0.0, 36,
+                      "a5433d5df224ed776365f45728ca09c2b836cd7bd75fabed53f4b8491ddbfc9a"),
+}
+
+
+@pytest.mark.parametrize("params, n, duration, seed, digest", SLAW_DIGESTS.values(),
+                         ids=SLAW_DIGESTS.keys())
+def test_slaw_positions_pinned(params, n, duration, seed, digest):
+    trace = generate_slaw(params, n, duration, seed=seed)
+    assert hashlib.sha256(trace.positions.tobytes()).hexdigest() == digest
 
 
 def test_slaw_deterministic_per_seed():

@@ -8,7 +8,7 @@ import pytest
 from oppcompose import sim_core
 from oppcompose.contact_engine import (ContactTrace, contacts_from_positions, load_contacts_csv,
                                       save_contacts_csv)
-from oppcompose.forwarding import DIRECT, EBR, MT, TT, Scheme, should_relay
+from oppcompose.forwarding import should_relay
 from oppcompose.mobility import LevyWalkParams, generate_levy
 from oppcompose.service_model import Service, enumerate_services, assign_services
 from oppcompose.sim_core import (
@@ -337,7 +337,7 @@ def test_result_in_transit_at_deadline_not_counted():
         scripted_requests=((30.0, 0, 1, 4),),
         exec_deterministic=True,
         timeout_s=900.0,
-        scheme=Scheme("direct"),
+        scheme="direct",
         seed=1,
     )
     records = run(cfg, ContactTrace(events, 2, 3600.0))
@@ -355,7 +355,7 @@ def test_result_routes_home_on_next_contact():
         pattern=RequestPattern(pairs=((1, 4),)),
         scripted_requests=((30.0, 0, 1, 4),),
         exec_deterministic=True,
-        scheme=Scheme("direct"),
+        scheme="direct",
         seed=1,
     )
     rec = run(cfg, ContactTrace(events, 2, 3600.0))[0]
@@ -467,7 +467,7 @@ def test_request_lifecycle_invariant_after_every_event():
     contacts = contacts_from_positions(generate_levy(params, 8, 2400.0, seed=2), 100.0)
     cancelled_in = set()
     relayed = opportunistic = stalls_resolved = 0
-    for scheme in (MT, TT, EBR, DIRECT):
+    for scheme in ("MT", "TT", "EBR", "direct"):
         for mode in ("relay", "contact", "off"):
             for recompute in (True, False):
                 cfg = SimConfig(catalog=catalog, placement=placement,
@@ -811,7 +811,7 @@ def per_item_receiver(engine, node, item, t):
 
 
 @pytest.mark.parametrize("mode", ["relay", "contact"])
-@pytest.mark.parametrize("scheme", [MT, TT, EBR], ids=["MT", "TT", "EBR"])
+@pytest.mark.parametrize("scheme", ["MT", "TT", "EBR"])
 def test_relay_decided_once_per_destination(scheme, mode, monkeypatch):
     # Node 0 carries four items bound for node 4 and one bound for node 3;
     # its neighbours are 1 and 2.  Neighbour 1 fails the rule and neighbour
