@@ -63,7 +63,9 @@ class ContactTrace:
         bad = start < 0
         if bad.any():
             raise ValueError(f"contact {events[bad][0].tolist()} starts before 0")
-        events = events[np.lexsort((b, a, end, start))]
+        order = np.lexsort((b, a, end, start))
+        del start, end, a, b  # views that would keep the unsorted copy alive
+        events = events[order]
         keys = events["a"] * n_nodes + events["b"]
         by_pair = np.argsort(keys, kind="stable")  # time order within a pair
         keys = keys[by_pair]

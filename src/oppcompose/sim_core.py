@@ -18,10 +18,11 @@ Knowledge changes only at unit boundaries, so an owner's view is built once
 per unit and, under ``local``/``global`` awareness, a plan is reused for the
 rest of the unit.  The ``minimal`` view is constant for the whole run, but
 it draws a fresh tie order per decision, so it reuses no plan; ``perfect``
-reads every node's timers and the live backlog on every decision.  Each
-hand-off of a request (at generation, after a stage, on a relay arrival that
-re-plans, on a stalled retry) is queued or carried by
-:meth:`_Engine._route`, toward the stage :meth:`_Engine._next_stage` picks;
+reads every node's timers and the live backlog on every decision.  A
+request re-plans at each hand-off (generation, a finished stage, a stalled
+retry, a relay arrival away from the planned host): :meth:`_Engine._route`
+queues or carries it toward the stage :meth:`_Engine._next_stage` picks, and
+a relay hosting the planned stage runs it (an opportunistic stage);
 :meth:`_Engine._deliver` takes results home.  A forwarding sweep decides
 once per destination which neighbour, if any, receives the items bound there
 (:meth:`_Engine.sweep`).  Identical (config, seed) pairs reproduce identical
@@ -124,9 +125,6 @@ class SimConfig:
     radius: float | None = None
     load_alpha: float = 0.5
     delay_warmup_s: float = 7200.0
-    opportunistic: str = "relay"  # off | relay | contact
-    recompute_per_stage: bool = True
-    replan_on_relay: bool = True
     load_aware: bool = True
     exact_match: bool = False
     exec_deterministic: bool = False
@@ -136,10 +134,14 @@ class SimConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.request_rate_per_min < 0:
-            raise ValueError("request rate must be nonnegative")
-        if self.timeout_s <= 0:
-            raise ValueError("timeout must be positive")
+        # NaN fails each check: a NaN rate or timeout would run no request, and
+        # an infinite rate draws every gap as 0, so generation would not end.
+        if not 0 <= self.request_rate_per_min < math.inf:
+            raise ValueError(f"request_rate_per_min must be finite and >= 0, got {self.request_rate_per_min}")
+        if not 0 < self.timeout_s < math.inf:
+            raise ValueError(f"timeout_s must be finite and > 0, got {self.timeout_s}")
+        if not 0 <= self.delay_warmup_s < math.inf:
+            raise ValueError(f"delay_warmup_s must be finite and >= 0, got {self.delay_warmup_s}")
         # A negative mean schedules completions before their start, and either
         # bad value makes the load estimate, and so an edge cost, negative.
         if not self.mean_exec_s >= 0:
@@ -156,8 +158,6 @@ class SimConfig:
             raise ValueError("radius must be positive")
         if self.awareness not in AWARENESS_LEVELS:
             raise ValueError(f"unknown awareness level {self.awareness!r}")
-        if self.opportunistic not in ("off", "relay", "contact"):
-            raise ValueError(f"unknown opportunistic mode {self.opportunistic!r}")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; choose from {', '.join(SCHEMES)}")
 
@@ -230,7 +230,7 @@ class _Item:
     """Mutable in-simulation request state."""
 
     __slots__ = ("record", "current_input", "phase", "location", "destination",
-                 "planned_stage", "plan", "opp_flag")
+                 "planned_stage", "opp_flag")
 
     def __init__(self, record: RequestRecord):
         self.record = record
@@ -239,7 +239,6 @@ class _Item:
         self.location = record.origin
         self.destination: int | None = None
         self.planned_stage: Service | None = None
-        self.plan: list[tuple[Service, int]] | None = None
         self.opp_flag = False
 
 
@@ -557,22 +556,8 @@ class _Engine:
     # -- routing ---------------------------------------------------------
 
     def _next_stage(self, item: _Item, node: int) -> tuple[Service, int] | None:
-        """The (service, host) ``item`` takes next from ``node``, or None.
-
-        With ``recompute_per_stage`` off a request that still holds a plan
-        follows it, skipping stages whose input it no longer holds; if that
-        uses the plan up, there is no next stage.  Otherwise ``node`` computes
-        a fresh path, whose later stages become the plan when recomputation
-        is off.
-        """
-        plan = item.plan
-        if plan and not self.cfg.recompute_per_stage:
-            while plan and plan[0][0].input != item.current_input:
-                plan.pop(0)
-            return plan.pop(0) if plan else None
+        """The first (service, host) of the path ``node`` computes for ``item``, or None."""
         path = self.compute_path(node, item.current_input, item.record.output)
-        if path is not None and not self.cfg.recompute_per_stage:
-            item.plan = list(path.stages[1:])
         return None if path is None else path.stages[0]
 
     def _route(self, item: _Item, node: int, t: float, stage: tuple[Service, int] | None,
@@ -631,16 +616,13 @@ class _Engine:
         if item.phase == "result":
             self._deliver(item, dst, t)
             return
-        cfg = self.cfg
         service, host = item.planned_stage, item.destination
-        if host != dst and cfg.opportunistic != "off" and service in cfg.placement.services_at(dst):
-            self.enqueue(dst, item, service, opportunistic=True, t=t)
-        elif host != dst and cfg.replan_on_relay and cfg.recompute_per_stage:
-            # The holder changed: re-select the next stage from here, since
-            # the topology may now offer a more feasible host.
+        # The planned host runs the stage, and so does a relay that hosts it; any
+        # other relay re-plans, since the topology may now offer a better host.
+        if host == dst or service in self.cfg.placement.services_at(dst):
+            self.enqueue(dst, item, service, opportunistic=host != dst, t=t)
+        else:
             self._route(item, dst, t, self._next_stage(item, dst), sweep=False)
-        else:  # queue at the planned host, or carry on toward it
-            self._route(item, dst, t, (service, host), sweep=True)
 
     def sweep(self, t: float, node: int) -> None:
         """Hand each item ``node`` carries to the neighbour its rule picks.
@@ -650,16 +632,14 @@ class _Engine:
         :func:`should_relay`.  That rule reads encounter ages and rates and
         the neighbour set, which no transfer changes (a transfer touches
         only the receiver's state), so it is decided once per destination
-        per sweep.  In ``contact`` mode an earlier neighbour hosting the
-        item's planned stage takes it instead, checked per item.
+        per sweep.  A stalled item (no destination) first retries path
+        selection here.
         """
         self._pending_sweeps.discard((node, t))
         if not self.carried[node]:
             return
-        cfg = self.cfg
-        unit_s = cfg.unit_s
-        scheme = cfg.scheme
-        contact_mode = cfg.opportunistic == "contact"
+        unit_s = self.cfg.unit_s
+        scheme = self.cfg.scheme
         last_enc = self.last_enc
         neighbors = self._neighbors(node, t)
         receiver: dict[int, int | None] = {}
@@ -685,13 +665,6 @@ class _Engine:
                         to = peer
                         break
                 receiver[dest] = to
-            if contact_mode and item.phase == "carried":
-                for peer in neighbors:
-                    if peer == to:
-                        break
-                    if item.planned_stage in cfg.placement.services_at(peer):
-                        to = peer
-                        break
             if to is not None:
                 self._transfer(item, node, to, t)
 
@@ -711,16 +684,12 @@ class _Engine:
         self.records.append(rec)
         item = _Item(rec)
         self.push(rec.deadline, _P_DEADLINE, item)
-        # Generation plans the whole path: the record keeps its cost estimate
-        # and, without per-stage recomputation, the request keeps the plan.
+        # Generation plans the whole path for the record's cost estimate; the
+        # request takes only its first stage, and each later hand-off re-plans.
         path = self.compute_path(node, req_in, req_out)
-        stage = None
         if path is not None:
             rec.estimated_cost_s = path.cost * cfg.unit_s
-            if not cfg.recompute_per_stage:
-                item.plan = list(path.stages)
-            stage = path.stages[0]
-        self._route(item, node, t, stage, sweep=True)
+        self._route(item, node, t, None if path is None else path.stages[0], sweep=True)
         if not isinstance(payload, tuple):
             self._schedule_next_generation(node, t)
 

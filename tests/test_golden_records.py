@@ -31,8 +31,6 @@ GOLDEN = {
     "global": "04c4c86bdb10608b19273eae4d36895c49b86954e98a37eb82abc3bc49d2cc09",
     "perfect": "0ff080fb65565affadf8ba7f333d6e247d17686f6945a9c7f7bc47bc14887bc8",
     "exact_match": "68b6a417ad18407cce55fcb598784b54fa8d178af699310af2d609e0fbf5eab9",
-    "plan_once": "a14ca4ffc63cb61d8bf5dc762220f7317caa89dda444d5b270384c6ceac8418e",
-    "contact": "cbae8713d8fb591520518ad5a9f5b1d67e478c56372d2115e4fccec3727fa184",
     "TT": "aeda2abe19f5d0bd06c7b98c5243ede9d7fe5185e480184e61f4105148deec23",
     "EBR": "cec8b05398d41439e4c98a9ec4155611b439aea2347a528ffce2f4a27f115a15",
     "direct": "0c8f3b4e95f37a56960acaea396d2e3b9beea94a595aba6f2b8a987362dd224b",
@@ -65,8 +63,6 @@ RUNS = {
     "global": {"awareness": "global"},
     "perfect": {"awareness": "perfect"},
     "exact_match": {"exact_match": True},
-    "plan_once": {"recompute_per_stage": False},
-    "contact": {"opportunistic": "contact"},
     "TT": {"scheme": "TT"},
     "EBR": {"scheme": "EBR"},
     "direct": {"scheme": "direct"},
@@ -144,8 +140,7 @@ def test_global_levy_records_match_pinned_digest(tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_LEVY_GLOBAL
 
 
-@pytest.mark.parametrize("name", ["local", "global", "perfect", "exact_match", "plan_once",
-                                  "contact", "nla"])
+@pytest.mark.parametrize("name", ["local", "global", "perfect", "exact_match", "nla"])
 def test_reused_plans_match_a_fresh_search(name, monkeypatch, tmp_path):
     # Views are built once per (owner, unit) and plans reused within the
     # unit.  Every answer, reused or not, must equal a search on the n x n
@@ -172,9 +167,8 @@ def test_reused_plans_match_a_fresh_search(name, monkeypatch, tmp_path):
     monkeypatch.setattr(_Engine, "compute_path", checked)
     records = run(SimConfig(**base, **RUNS[name]), contacts)
     assert answers[False] > 0
-    # With ``plan_once`` a request plans once, with no repeat in its unit;
     # ``perfect`` prices the live backlog, so it reuses no plan.
-    if name not in ("plan_once", "perfect"):
+    if name != "perfect":
         assert answers[True] > 0
     path = tmp_path / "records.csv"
     write_records_csv(records, path)

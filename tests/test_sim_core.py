@@ -141,6 +141,20 @@ def test_poisson_stream_needs_time_before_its_timeout(timeout_s):
     run(default_config(timeout_s=3000.0), contacts)
 
 
+# A NaN rate or timeout ran no request, and an infinite rate drew every gap
+# as 0, so generation never left t=0.
+
+@pytest.mark.parametrize("key, value", [
+    ("request_rate_per_min", -0.5), ("request_rate_per_min", math.nan),
+    ("request_rate_per_min", math.inf), ("timeout_s", 0.0), ("timeout_s", math.nan),
+    ("timeout_s", math.inf), ("delay_warmup_s", -1.0), ("delay_warmup_s", math.nan),
+    ("delay_warmup_s", math.inf),
+])
+def test_rate_timeout_and_warmup_must_be_finite(key, value):
+    with pytest.raises(ValueError, match=key):
+        run(default_config(**{key: value}), no_contact_trace(20, 3600.0))
+
+
 # Knowledge parameters out of range would run to a silently wrong completion.
 
 @pytest.mark.parametrize("t_av", [0.0, -1.0, math.nan])
@@ -398,39 +412,6 @@ def test_stale_completion_of_a_cancelled_request_leaves_its_successor_running():
     assert [node for _, node, _ in b.stages] == [0]
 
 
-def test_fresh_path_becomes_the_plan_when_recomputation_is_off():
-    # Node 0 knows no host until the contacts begin at 600 s, so the request
-    # made at 60 s has no path and stalls; a retry finds one.  Without
-    # per-stage recomputation its later stages follow that path, searching
-    # no more.
-    placement = placement_of({0: [], 1: [Service(1, 2)], 2: [Service(2, 3)], 3: [Service(3, 4)]})
-    cfg = SimConfig(
-        catalog=small_catalog(), placement=placement,
-        pattern=RequestPattern(pairs=((1, 4),)),
-        scripted_requests=((60.0, 0, 1, 4),),
-        exec_deterministic=True,
-        recompute_per_stage=False,
-        seed=1,
-    )
-    events = [(600.0, 3600.0, a, b) for a in range(4) for b in range(a + 1, 4)]
-    engine = _Engine(cfg, ContactTrace(events, 4, 3600.0))
-    searches = []
-    compute_path = engine.compute_path
-
-    def recorded(node, req_in, req_out):
-        path = compute_path(node, req_in, req_out)
-        searches.append((node, req_in, path))
-        return path
-
-    engine.compute_path = recorded
-    rec = engine.run()[0]
-    assert searches[0] == (0, 1, None)
-    found = [s for s in searches if s[2] is not None]
-    assert len(found) == 1 and searches[-1] is found[0]
-    assert rec.status == "completed"
-    assert [(s, node) for s, node, _ in rec.stages] == list(found[0][2].stages)
-
-
 # -- request lifecycle invariant --------------------------------------------------------
 
 # The engine's event handlers, in the priority order of their event kinds.
@@ -464,54 +445,51 @@ def test_request_lifecycle_invariant_after_every_event():
     catalog = enumerate_services(5)
     placement = assign_services(catalog, list(range(8)), 2, np.random.default_rng(4))
     params = LevyWalkParams(area=(500.0, 500.0), speed_classes=((4, (1.0, 1.0)), (4, (10.0, 10.0))))
-    contacts = contacts_from_positions(generate_levy(params, 8, 2400.0, seed=2), 100.0)
+    contacts = contacts_from_positions(generate_levy(params, 8, 3600.0, seed=2), 100.0)
     cancelled_in = set()
     relayed = opportunistic = stalls_resolved = 0
     for scheme in ("MT", "TT", "EBR", "direct"):
-        for mode in ("relay", "contact", "off"):
-            for recompute in (True, False):
-                cfg = SimConfig(catalog=catalog, placement=placement,
-                                pattern=RequestPattern.min_functionality(catalog, 2),
-                                scheme=scheme, opportunistic=mode,
-                                recompute_per_stage=recompute, request_rate_per_min=0.5,
-                                timeout_s=600.0, mean_exec_s=60.0, seed=5)
-                engine = _Engine(cfg, contacts)
-                items = []  # every request, from the deadline its generation pushes
-                push = engine.push
+        cfg = SimConfig(catalog=catalog, placement=placement,
+                        pattern=RequestPattern.min_functionality(catalog, 2),
+                        scheme=scheme, request_rate_per_min=0.5, timeout_s=600.0,
+                        mean_exec_s=60.0, seed=5)
+        engine = _Engine(cfg, contacts)
+        items = []  # every request, from the deadline its generation pushes
+        push = engine.push
 
-                def collecting_push(t, prio, *payload):
-                    if prio == sim_core._P_DEADLINE:
-                        items.append(payload[0])
-                    push(t, prio, *payload)
+        def collecting_push(t, prio, *payload):
+            if prio == sim_core._P_DEADLINE:
+                items.append(payload[0])
+            push(t, prio, *payload)
 
-                def checked(handler):
-                    def wrapper(t, *payload):
-                        handler(t, *payload)
-                        check_lifecycle(engine, items)
-                    return wrapper
+        def checked(handler):
+            def wrapper(t, *payload):
+                handler(t, *payload)
+                check_lifecycle(engine, items)
+            return wrapper
 
-                for name in HANDLERS:
-                    setattr(engine, name, checked(getattr(engine, name)))
-                on_deadline, next_stage = engine.on_deadline, engine._next_stage
+        for name in HANDLERS:
+            setattr(engine, name, checked(getattr(engine, name)))
+        on_deadline, next_stage = engine.on_deadline, engine._next_stage
 
-                def deadline(t, item):
-                    cancelled_in.add(item.phase)
-                    on_deadline(t, item)
+        def deadline(t, item):
+            cancelled_in.add(item.phase)
+            on_deadline(t, item)
 
-                def counted_next_stage(item, node):
-                    nonlocal stalls_resolved
-                    stalled = item.destination is None and item in engine.carried[node]
-                    stage = next_stage(item, node)
-                    stalls_resolved += stalled and stage is not None
-                    return stage
+        def counted_next_stage(item, node):
+            nonlocal stalls_resolved
+            stalled = item.destination is None and item in engine.carried[node]
+            stage = next_stage(item, node)
+            stalls_resolved += stalled and stage is not None
+            return stage
 
-                engine.on_deadline, engine._next_stage = deadline, counted_next_stage
-                engine.push = collecting_push
-                records = engine.run()
-                assert [item.record for item in items] == records
-                assert all(r.status != "in-flight" for r in records)
-                relayed += sum(r.hops for r in records)
-                opportunistic += sum(r.opportunistic_stages for r in records)
+        engine.on_deadline, engine._next_stage = deadline, counted_next_stage
+        engine.push = collecting_push
+        records = engine.run()
+        assert [item.record for item in items] == records
+        assert all(r.status != "in-flight" for r in records)
+        relayed += sum(r.hops for r in records)
+        opportunistic += sum(r.opportunistic_stages for r in records)
     # The runs reach every phase a deadline can cancel, relay requests and
     # results, run stages opportunistically and find a stage for a stalled
     # request.
@@ -800,9 +778,6 @@ def per_item_receiver(engine, node, item, t):
     for peer in engine._neighbors(node, t):
         if peer == dest:
             return peer
-        if (cfg.opportunistic == "contact" and item.phase == "carried"
-                and item.planned_stage in cfg.placement.services_at(peer)):
-            return peer
         peer_age = (t - engine.last_enc[peer][dest]) / cfg.unit_s
         if should_relay(cfg.scheme, node, peer, dest, carrier_age, peer_age,
                         engine.stats, t):
@@ -810,20 +785,20 @@ def per_item_receiver(engine, node, item, t):
     return None
 
 
-@pytest.mark.parametrize("mode", ["relay", "contact"])
 @pytest.mark.parametrize("scheme", ["MT", "TT", "EBR"])
-def test_relay_decided_once_per_destination(scheme, mode, monkeypatch):
+def test_relay_decided_once_per_destination(scheme, monkeypatch):
     # Node 0 carries four items bound for node 4 and one bound for node 3;
     # its neighbours are 1 and 2.  Neighbour 1 fails the rule and neighbour
     # 2 passes it, under MT/TT (2 met node 4 just now, 0 and 1 never did)
     # and under EBR (2 met more nodes lately than 0, 1 fewer).  Node 1
-    # hosts s_12, the planned stage of one item.
+    # hosts s_12, the planned stage of one item, which still goes where its
+    # destination's items go.
     catalog = enumerate_services(4)
     placement = placement_of({0: [], 1: [Service(1, 2)], 2: [],
                               3: [Service(2, 3)], 4: [Service(1, 2), Service(2, 3)]})
     config = SimConfig(catalog=catalog, placement=placement,
                        pattern=RequestPattern(pairs=((1, 3),)), scheme=scheme,
-                       opportunistic=mode, request_rate_per_min=0.0)
+                       request_rate_per_min=0.0)
     engine = _Engine(config, no_contact_trace(5, 3600.0))
     t = 600.0
     engine.contact_end[0].update({1: 700.0, 2: 700.0})
@@ -841,9 +816,7 @@ def test_relay_decided_once_per_destination(scheme, mode, monkeypatch):
         engine._carry(0, item)
         items.append(item)
     expected = [per_item_receiver(engine, 0, item, t) for item in items]
-    assert expected.count(2) >= 3
-    if mode == "contact":
-        assert expected[1] == 1  # the earlier neighbour hosting its stage
+    assert expected.count(2) >= 3 and expected[1] == 2
 
     checks = []
 
