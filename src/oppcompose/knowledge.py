@@ -17,17 +17,18 @@ every sum is exact.
 Under ``global`` awareness nodes also gossip the timer rows of the hosts,
 one per column, merged once per group: each member takes the group's latest
 observation time of each column, which names the row that time's closure
-settled, kept once.
+settled, stored once in the form pricing reads (NaN for no estimate).
 :func:`owner_view` turns this state into what an owner knows at each
-awareness level (:data:`AWARENESS_LEVELS`), as Python lists over the
-columns and an owner slot: its timers, its loads, and rows of pairwise
-estimates built on first use, shared by every owner.  The search prices
-each edge it relaxes from that view by one rule, whatever the level.
+awareness level (:data:`AWARENESS_LEVELS`), indexed by the columns and an
+owner slot: its timers, its loads, and rows of pairwise estimates with
+their ages, fetched on first use.  The search prices each
+edge it relaxes from that view by one rule, whatever the level.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 
 import numpy as np
 
@@ -50,25 +51,23 @@ class Knowledge:
     about node ``columns[c]`` (sorted ids, default every node); ``slots[v]``
     is node v's column, or h = ``len(columns)`` for a node with none.  Timers
     are in time units (one unit = ``unit_s`` seconds); ``math.inf`` marks an
-    unknown or pruned peer.  A node's entry about itself (the cells ``own``)
-    is pinned at zero.  When ``radius`` is set, entries whose timer exceeds
-    it are dropped, bounding the state kept for far-away nodes.  With
-    ``track_matrix`` (the distributed-global level), ``matrix_obs[i, c]`` is
-    the time t (in units) node i last observed the timer row of column c,
-    ``-inf`` if never; that row is c's in ``rows[t] = (cols, block)``, the
-    columns of the members the closure at t settled, ascending, and their
-    timer rows after it, kept while observed.  ``t_av`` is kept rounded to
-    the nearest multiple of 2**-20 (0.3 moves by less than 2**-21), which
-    keeps every closure sum exact; it must not round to zero.
+    unknown peer.  A node's entry about itself (the cells ``own``) is pinned
+    at zero.  With ``track_matrix`` (the distributed-global level),
+    ``matrix_obs[i, c]`` is the time t (in units) node i last observed the
+    timer row of column c, ``-inf`` if never; that row is ``rows[t, c]``,
+    c's timers as the closure at t settled them, kept while observed, as an
+    ``array('d')`` with NaN (no estimate) wherever the timer is infinite.
+    ``t_av`` is kept rounded to the nearest multiple of 2**-20 (0.3 moves by
+    less than 2**-21), which keeps every closure sum exact; it must not
+    round to zero.
     """
 
-    def __init__(self, n_nodes: int, t_av: float = 1.0, radius: float | None = None,
-                 track_matrix: bool = False, columns=None):
+    def __init__(self, n_nodes: int, t_av: float = 1.0, track_matrix: bool = False,
+                 columns=None):
         self.n_nodes = n_nodes
         self.t_av = round(t_av * 2**20) / 2**20
         if not self.t_av > 0:
             raise ValueError(f"t_av {t_av} is not positive on the 2**-20 grid")
-        self.radius = radius
         # Not np.unique: it imports numpy.ma, about 1 MB and 20 ms on first use.
         self.columns = np.array(range(n_nodes) if columns is None else sorted(set(columns)),
                                 dtype=np.intp)
@@ -80,21 +79,14 @@ class Knowledge:
         self.timers[self.own] = 0.0
         self.loads = np.zeros((n_nodes, h))
         self.matrix_obs = np.full((n_nodes, h), -math.inf) if track_matrix else None
-        self.rows: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+        self.rows: dict[tuple[float, int], array] = {}
         self.swept = 0  # rows left by the last sweep of ``rows``
         self.merged_at = -math.inf  # ``now`` of the last row merge
-        self.aged: dict[tuple, list] = {}  # see ``owner_view``
 
     def tick(self) -> None:
         """Advance every timer one unit, except the nodes' entries about themselves."""
         self.timers += 1.0
         self.timers[self.own] = 0.0
-        self.aged.clear()
-        if self.radius is not None:
-            far = self.timers > self.radius
-            far[self.own] = False
-            self.timers[far] = math.inf
-            self.loads[far] = 0.0
 
 
 def close_load_window(l_old, pending, mean_exec: float, alpha: float):
@@ -133,11 +125,10 @@ def exchange_all(know: Knowledge, pairs: np.ndarray | list[tuple[int, int]],
     converge to ``T_i[k] = min_j (T_j[k] + t_av * hops(i, j))`` over i's
     group, so this computes that directly, from the entries held before
     the call.  As in a single contact, a candidate replaces the own entry
-    only when strictly smaller and within ``radius``, and the owner's
-    entry stays zero.  Loads follow the minimising source; where several
-    sources tie, the own entry wins, then the source with fewer hops, then
-    the lower node id (pairwise exchanges left this to the order of the
-    pairs).
+    only when strictly smaller, and the owner's entry stays zero.  Loads
+    follow the minimising source; where several sources tie, the own entry
+    wins, then the source with fewer hops, then the lower node id (pairwise
+    exchanges left this to the order of the pairs).
 
     Every timer is whole ticks plus ``t_av`` per hop, so with ``t_av`` on
     the 2**-20 grid (:class:`Knowledge`) it is a whole multiple of 1/den,
@@ -153,7 +144,7 @@ def exchange_all(know: Knowledge, pairs: np.ndarray | list[tuple[int, int]],
     tracking the same rounds carry each member's lowest group member, at
     weight 0: each member takes its group's latest observation time of every
     column, then the members' columns are observed at ``now``, and
-    ``know.rows[now]`` keeps the settled row of every member with a column.
+    ``know.rows[now, c]`` keeps the settled row of the member with column c.
     A merge must come later than the previous one (ValueError otherwise):
     only then does an observation time name one row.  Returns True if any
     timer changed.
@@ -203,8 +194,6 @@ def exchange_all(know: Knowledge, pairs: np.ndarray | list[tuple[int, int]],
             np.minimum(part, best, out=part)
     value, source = labels[:, :h] // nn, labels[:, :h] % n
     adopt = source != np.arange(m)[:, None]
-    if know.radius is not None:
-        adopt &= value <= know.radius * den
     know.timers[nodes] = settled = np.where(adopt, value / den, timers)
     know.loads[nodes] = np.where(adopt, loads[source, np.arange(h)], loads)
     if track:
@@ -216,19 +205,24 @@ def exchange_all(know: Knowledge, pairs: np.ndarray | list[tuple[int, int]],
             group = nodes[same]
             obs[group] = obs[group].max(axis=0)
             obs[group[:, None], hosted[same & mine]] = now
-        if mine.any():
-            know.rows[now] = hosted[mine], settled[mine]
-        # Drop unobserved rows once the table has doubled since the last sweep.
-        if sum(len(c) for c, _ in know.rows.values()) > 2 * know.swept + h:
-            seen = {t: (obs[:, c] == t).any(axis=0) for t, (c, _) in know.rows.items()}
-            know.rows = {t: (c[seen[t]], block[seen[t]])
-                         for t, (c, block) in know.rows.items() if seen[t].any()}
-            know.swept = sum(int(kept.sum()) for kept in seen.values())
+        block = settled[mine]
+        block[block == math.inf] = math.nan
+        for c, row in zip(hosted[mine].tolist(), block):
+            know.rows[now, c] = array("d", row.tobytes())
+        # Drop unobserved rows once the table has doubled since the last sweep:
+        # keep the (time, column) pairs some node holds, each column's distinct times.
+        if len(know.rows) > 2 * know.swept + h:
+            held = np.sort(obs, axis=0)
+            distinct = np.ones(held.shape, dtype=bool)
+            distinct[1:] = held[1:] != held[:-1]
+            seen = set(zip(held[distinct].tolist(), np.nonzero(distinct)[1].tolist()))
+            know.rows = {key: row for key, row in know.rows.items() if key in seen}
+            know.swept = len(know.rows)
     return bool(adopt.any())
 
 
 class _Rows(dict):
-    """Rows built on first use: ``rows[s]`` is ``row(s)``, kept once built."""
+    """Rows fetched on first use: ``rows[s]`` is ``row(s)``, kept once fetched."""
 
     def __init__(self, row):
         super().__init__()
@@ -243,31 +237,31 @@ def owner_view(level: str, know: Knowledge, owner: int, now: float, unit_s: floa
                live_loads=None) -> tuple:
     """Node ``owner``'s view ``(T, L, P)`` of the network at awareness ``level``.
 
-    All three are Python lists over device slots, in time units: slot c is
+    All three are indexed by device slot, in time units: slot c is
     ``know``'s column c, and ``know.slots[owner]`` the owner's (one past the
     columns if it has none).  ``T`` holds the owner's timers, ``L`` the
-    backlog per slot or None where no load is priced, and ``P[s]`` a row of
-    pairwise distances from slot s (built on first use), or None, with None
-    entries where the owner has no estimate.  The distance from slot s to
-    another slot d is, into the owner, ``T[s]``; else ``P[s][d]`` when
-    present, else ``T[s] + T[d]``, an upper bound.
+    backlog per slot or None where no load is priced, and ``P`` None or, per
+    slot s and fetched on first use, ``(row, age)``: a row of pairwise
+    distances from s, estimated ``age`` units ago, or ``(None, 0.0)``.  The
+    distance from slot s to another slot d is, into the owner, ``T[s]``;
+    else ``row[d] + age`` when the row holds an estimate of d (NaN: none);
+    else ``T[s] + T[d]``, an upper bound.
 
     minimal: every pair at distance 1, no load.  local: the owner's timers
     and loads only.  global: row s is the last timer row of column s the
-    owner observed, aged by its staleness, ``g + (now - seen)``, with None
-    where that entry is infinite; None for the owner's own row and a row
-    never observed; every owner reads the same row object until a tick
-    (``know.aged``).  perfect (``know`` keeps every node's column): ``T`` is
-    every live timer about the owner, ``P[s]`` node s's live row, and ``L``
-    ``live_loads``, the true backlog per node in seconds.  Unknown (pruned)
-    peers are at infinite distance.
+    owner observed, as stored (``know.rows``), aged by its staleness
+    ``now - seen``; none for the owner's own row and a row never observed.
+    perfect (``know`` keeps every node's column): ``T`` is every live timer
+    about the owner, ``P[s]`` node s's live row at age 0, and ``L``
+    ``live_loads``, the true backlog per node in seconds.  An infinite
+    distance means no route: unknown peers are unreachable.
     """
     h = len(know.columns)
     if level == "minimal":
         ones = [1.0] * (h + 1)
-        return ones, None, [ones] * (h + 1)
+        return ones, None, [(ones, 0.0)] * (h + 1)
     if level == "perfect":
-        rows = _Rows(lambda s: know.timers[s].tolist())
+        rows = _Rows(lambda s: (know.timers[s].tolist(), 0.0))
         return know.timers[:, owner].tolist(), np.divide(live_loads, unit_s).tolist(), rows
     if level not in ("local", "global"):
         raise ValueError(f"unknown awareness level {level!r}")
@@ -279,15 +273,6 @@ def owner_view(level: str, know: Knowledge, owner: int, now: float, unit_s: floa
 
     def gossip(s):
         seen = -math.inf if s == own else observed[s]
-        if seen == -math.inf:
-            return None
-        aged = know.aged.get((s, seen, now))
-        if aged is None:
-            cols, block = know.rows[seen]
-            aged = (block[cols.searchsorted(s)] + (now - seen)).tolist()
-            if math.inf in aged:
-                aged = [None if g == math.inf else g for g in aged]
-            know.aged[s, seen, now] = aged
-        return aged
+        return (None, 0.0) if seen == -math.inf else (know.rows[seen, s], now - seen)
 
     return timers, loads, _Rows(gossip)

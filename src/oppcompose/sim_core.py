@@ -122,7 +122,6 @@ class SimConfig:
     mean_exec_s: float = 30.0
     unit_s: float = 30.0
     t_av: float = 1.0
-    radius: float | None = None
     load_alpha: float = 0.5
     delay_warmup_s: float = 7200.0
     load_aware: bool = True
@@ -143,19 +142,19 @@ class SimConfig:
         if not 0 <= self.delay_warmup_s < math.inf:
             raise ValueError(f"delay_warmup_s must be finite and >= 0, got {self.delay_warmup_s}")
         # A negative mean schedules completions before their start, and either
-        # bad value makes the load estimate, and so an edge cost, negative.
-        if not self.mean_exec_s >= 0:
-            raise ValueError(f"mean_exec_s must be nonnegative, got {self.mean_exec_s}")
+        # bad value makes the load estimate, and so an edge cost, negative; an
+        # infinite one never completes a stage.
+        if not 0 <= self.mean_exec_s < math.inf:
+            raise ValueError(f"mean_exec_s must be finite and >= 0, got {self.mean_exec_s}")
         if not 0.0 <= self.load_alpha <= 1.0:
             raise ValueError(f"load_alpha must lie in [0, 1], got {self.load_alpha}")
         # The closure's tie order rests on t_av > 0; Knowledge keeps it on the
-        # 2**-20 grid, where it must not round to zero.
-        if not self.t_av > 0:
-            raise ValueError("t_av must be positive")
-        if not self.unit_s > 0:
-            raise ValueError("unit_s must be positive")
-        if self.radius is not None and not self.radius > 0:
-            raise ValueError("radius must be positive")
+        # 2**-20 grid, where it must not round to zero (nor overflow).
+        if not 0 < self.t_av < math.inf:
+            raise ValueError(f"t_av must be finite and > 0, got {self.t_av}")
+        # An infinite unit leaves one boundary, at 0 * inf = NaN: no timer ever ticks.
+        if not 0 < self.unit_s < math.inf:
+            raise ValueError(f"unit_s must be finite and > 0, got {self.unit_s}")
         if self.awareness not in AWARENESS_LEVELS:
             raise ValueError(f"unknown awareness level {self.awareness!r}")
         if self.scheme not in SCHEMES:
@@ -328,8 +327,10 @@ class _GraphTemplate:
         ``view`` is :func:`knowledge.owner_view`'s ``(T, L, P)``, and
         ``owner`` the owner's slot there, every type vertex's device.  An edge
         is priced as it is relaxed, by one rule: 0 if its devices s and d are
-        equal, else ``T[s]`` into the owner, else ``P[s][d]`` when present,
-        else ``T[s] + T[d]``; plus ``L[d]`` when the head is a service copy.
+        equal, else ``T[s]`` into the owner, else ``row[d] + age`` from
+        ``(row, age) = P[s]`` when s has a row and it holds an estimate (not
+        NaN), else ``T[s] + T[d]``; plus ``L[d]`` when the head is a service
+        copy.
         Ties prefer fewer stages, then finishing at the owner, then the
         smallest stage-rank sequence (``ranks`` per service vertex, default
         (service, host) order).  That sequence is one integer in base
@@ -362,7 +363,7 @@ class _GraphTemplate:
             s = device[vertex]
             returned = penalty + (s != owner)
             t_s = timers[s]
-            row = None if pairs is None else pairs[s]
+            row, age = (None, 0.0) if pairs is None else pairs[s]
             for nxt in heads[vertex]:
                 if settled[nxt]:
                     continue
@@ -371,9 +372,11 @@ class _GraphTemplate:
                     w = 0.0
                 elif d == owner:
                     w = t_s
+                elif row is None:
+                    w = t_s + timers[d]
                 else:
-                    w = None if row is None else row[d]
-                    if w is None:
+                    w = row[d] + age
+                    if w != w:  # NaN: the row holds no estimate of d
                         w = t_s + timers[d]
                 if nxt < base and loads is not None:
                     w += loads[d]
@@ -422,8 +425,7 @@ class _Engine:
         self.unit_index = 0
         # Pricing reads only the hosts' columns; ``perfect`` reads the owner's too.
         hosts = [v for nodes in config.placement.by_service.values() for v in nodes]
-        self.know = Knowledge(self.n, t_av=config.t_av, radius=config.radius,
-                              track_matrix=config.awareness == "global",
+        self.know = Knowledge(self.n, t_av=config.t_av, track_matrix=config.awareness == "global",
                               columns=None if config.awareness == "perfect" else hosts)
         self.template = _GraphTemplate(config.placement, config.catalog.n_d, config.exact_match,
                                        self.know.slots.tolist())
@@ -468,7 +470,7 @@ class _Engine:
         Nothing the view reads changes within a unit except the live backlog
         that ``perfect`` awareness prices, so the view is cached per (owner,
         unit) in ``_dist_cache`` (``minimal``: for the whole run), and built
-        afresh on every call under ``perfect``.  Rows a search fills stay in
+        afresh on every call under ``perfect``.  Rows a search fetches stay in
         the cached view for the next.  Without ``load_aware`` no load is priced.
         """
         cached = self._dist_cache.get(owner)

@@ -3,11 +3,12 @@
 :func:`cost_matrices` spreads an owner's knowledge into a full device
 distance matrix and a load vector.  ``owner_view`` must give the same
 distance for every ordered pair s != d, bit for bit, at every awareness
-level: ``T[s]`` into the owner, else ``P[s][d]`` where present, else
-``T[s] + T[d]``; and the same loads.  :func:`edge_costs` prices a graph
-template's edges from the matrices, each edge's devices read from its
-vertices, and :func:`matrix_view` wraps the matrices as a view (every
-``dist`` row in ``P``, the owner's column in ``T``) for ``shortest``.
+level: ``T[s]`` into the owner, else ``row[d] + age`` from ``(row, age) =
+P[s]`` where the row holds an estimate (not NaN), else ``T[s] + T[d]``; and
+the same loads.  :func:`edge_costs` prices a graph template's edges from the
+matrices, each edge's devices read from its vertices, and
+:func:`matrix_view` wraps the matrices as a view (every ``dist`` row in
+``P`` at age 0, the owner's column in ``T``) for ``shortest``.
 :func:`observed_rows` spreads the gossip, observation times over
 ``Knowledge.rows``, into the n x h x h array of the rows of each column
 each node observed (h columns; n x n x n when every node keeps one), and
@@ -17,6 +18,7 @@ each node observed (h columns; n x n x n when every node keeps one), and
 from __future__ import annotations
 
 import math
+from array import array
 
 import numpy as np
 
@@ -81,39 +83,34 @@ def edge_costs(template, owner, dist, load, load_aware):
 
 def matrix_view(owner, dist, load, load_aware=True):
     """``(T, L, P)`` as ``shortest`` reads it, with every ``dist`` row in ``P``
-    and the distances into the owner, its column, in ``T``."""
+    at age 0 and the distances into the owner, its column, in ``T``."""
     dist = np.asarray(dist, dtype=float)
     return (dist[:, owner].tolist(), np.asarray(load, dtype=float).tolist() if load_aware else None,
-            dist.tolist())
+            [(row, 0.0) for row in dist.tolist()])
 
 
 def observed_rows(know):
     """``matrix[i, r]``: the timer row of column r that node i last observed
     (over ``know``'s columns), read from ``know.rows`` at
-    ``know.matrix_obs[i, r]``; infinite where never observed.  Every
-    observation must find its row (AssertionError otherwise)."""
+    ``(know.matrix_obs[i, r], r)``, its NaN (no estimate) back to infinite;
+    infinite where never observed.  Every observation must find its row
+    (KeyError otherwise)."""
     matrix = np.full(know.matrix_obs.shape + (len(know.columns),), math.inf)
-    found = 0
-    for t, (ids, block) in know.rows.items():
-        i, r = np.nonzero(know.matrix_obs == t)
-        at = np.minimum(ids.searchsorted(r), len(ids) - 1)
-        assert (ids[at] == r).all()
-        matrix[i, r] = block[at]
-        found += len(r)
-    assert found == np.count_nonzero(know.matrix_obs > -math.inf)
+    for i, r in zip(*np.nonzero(know.matrix_obs > -math.inf)):
+        row = np.frombuffer(know.rows[know.matrix_obs[i, r], r])
+        matrix[i, r] = np.where(np.isnan(row), math.inf, row)
     return matrix
 
 
 def row_table(matrix, obs):
-    """The ``Knowledge.rows`` table that holds ``matrix[i, r]`` at ``obs[i, r]``.
+    """The ``Knowledge.rows`` table that holds ``matrix[i, r]`` at
+    ``(obs[i, r], r)``, infinite entries as NaN.
 
     Equal observations of a row must hold equal rows (AssertionError otherwise).
     """
     table = {}
-    for t in set(obs[obs > -math.inf].tolist()):
-        r, i = np.nonzero(obs.T == t)  # by row, then by observer
-        first = np.r_[True, r[1:] != r[:-1]]
-        block = matrix[i[first], r[first]]
-        assert np.array_equal(matrix[i, r], block[np.cumsum(first) - 1])
-        table[t] = r[first], block
+    for i, r in zip(*np.nonzero(obs > -math.inf)):
+        row = np.where(np.isinf(matrix[i, r]), math.nan, matrix[i, r])
+        held = table.setdefault((float(obs[i, r]), int(r)), array("d", row.tobytes()))
+        assert held.tobytes() == row.tobytes()
     return table

@@ -14,10 +14,11 @@ from typing import Callable
 
 import numpy as np
 
+from oppcompose.knowledge import Knowledge, owner_view
 from oppcompose.service_model import (Service, ServicePlacement, assign_services,
                                       enumerate_services)
 from oppcompose.sim_core import CompositionPath, _GraphTemplate
-from pricing_reference import matrix_view
+from pricing_reference import matrix_view, row_table
 
 Vertex = tuple  # ("t", type_id) or ("s", Service, host)
 
@@ -535,6 +536,25 @@ def test_template_infinite_costs_hide_hosts():
     path = template.shortest(0, 1, 4, matrix_view(0, dist, load))
     if path is not None:
         assert 2 not in path_hosts(path)
+    # Owner 0 plans 1 -> 3 over 1-2 at node 1, then 2-3 at node 2 or 3, and
+    # node 1's timer row has no entry about node 2.  Under ``perfect`` that
+    # is no route from node 1 to node 2: 2-3 runs at node 3 (cost 1 + 1 +
+    # T[3] = 4), where pricing the hop T[1] + T[2] = 1.5 would pick node 2
+    # (cost 3).  Under ``global`` the gossiped row holds no estimate of node
+    # 2 (NaN): priced T[1] + T[2] = 3, like node 3's aged entry 1 + 2, node 2
+    # wins the tie on rank; skipping the hop would leave node 2 reachable
+    # only through the owner, and the tie to node 3.
+    placement = placement_from({1: [Service(1, 2)], 2: [Service(2, 3)], 3: [Service(2, 3)]})
+    template = _GraphTemplate(placement, 3, single_stage=False)
+    know = Knowledge(4, track_matrix=True)
+    know.timers[:] = [[0.0, 1.0, 2.0, 2.0], [1.0, 0.0, math.inf, 1.0],
+                      [0.5, math.inf, 0.0, math.inf], [2.0, math.inf, math.inf, 0.0]]
+    know.matrix_obs[0, 1] = 5.0
+    know.rows = row_table(np.broadcast_to(know.timers, (4, 4, 4)), know.matrix_obs)
+    perfect = template.shortest(0, 1, 3, owner_view("perfect", know, 0, 7.0, 1.0, [0.0] * 4))
+    assert path_hosts(perfect) == (1, 3) and perfect.cost == 4.0
+    gossip = template.shortest(0, 1, 3, owner_view("global", know, 0, 7.0, 1.0))
+    assert path_hosts(gossip) == (1, 2) and gossip.cost == 6.0
 
 
 def reachable_outputs(template: _GraphTemplate, req_in: int) -> frozenset[int]:

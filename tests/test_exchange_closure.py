@@ -33,6 +33,12 @@ from pricing_reference import observed_rows, row_table
 UNIT = 30.0
 
 
+def t_av_id(t_av):
+    """Case id of a t_av value.  The "-None" is the unset gossip radius the
+    cases were once also parametrised by; it keeps their ids unchanged."""
+    return f"{t_av}-None"
+
+
 def with_matrix(know):
     """A deep copy of ``know`` whose gossiped rows are also spread into the
     n x n x n ``matrix`` the references merge (None without tracking)."""
@@ -49,8 +55,6 @@ def _adopt(know, i, peer_timers, peer_loads):
     candidate = peer_timers + know.t_av
     mask = peer_timers < timers - know.t_av
     mask[i] = False
-    if know.radius is not None:
-        mask &= candidate <= know.radius
     if not mask.any():
         return False
     timers[mask] = candidate[mask]
@@ -127,8 +131,7 @@ def expected_closure(before, pairs, now):
             best = min(cand.values())
             ranked = sorted(hops, key=lambda j: (cand[j], hops[j], j))
             winner = ranked[0]
-            radius = math.inf if before.radius is None else before.radius
-            if winner != i and best <= radius:
+            if winner != i:
                 timers[k] = best
                 loads[k] = before.loads[winner, k]
                 sources[k] = [j for j in ranked if cand[j] == best]
@@ -191,7 +194,6 @@ def dense_exchange_all(know, pairs, now=0.0):
     order = np.argsort(np.minimum(hops, m), axis=1, kind="stable")
     hops = np.take_along_axis(hops, order, axis=1)
     cost = np.where(np.isfinite(hops), hops * know.t_av, math.inf)
-    radius = math.inf if know.radius is None else know.radius
     new_timers, new_loads = timers.copy(), loads.copy()
     cols = np.arange(know.n_nodes)
     for i in range(m):
@@ -199,7 +201,7 @@ def dense_exchange_all(know, pairs, now=0.0):
         cand = timers[order[i, :width]] + cost[i, :width, None]
         first = cand.argmin(axis=0)
         best = cand[first, cols]
-        adopt = (first > 0) & (best <= radius)
+        adopt = first > 0
         adopt[nodes[i]] = False
         new_timers[i] = np.where(adopt, best, timers[i])
         new_loads[i] = np.where(adopt, loads[order[i, first], cols], loads[i])
@@ -245,9 +247,8 @@ def random_script(rng, n_nodes, n_events, horizon_units):
 
 
 @pytest.mark.parametrize("track_matrix", [False, True])
-@pytest.mark.parametrize("radius", [None, 6.0])
-@pytest.mark.parametrize("t_av", [0.5, 1.0])
-def test_closure_matches_pairwise_fixpoint(t_av, radius, track_matrix):
+@pytest.mark.parametrize("t_av", [0.5, 1.0], ids=t_av_id)
+def test_closure_matches_pairwise_fixpoint(t_av, track_matrix):
     rng = np.random.default_rng(23)
     horizon = 30
     counts = {"unique": 0, "tied": 0, "multihop": 0}
@@ -255,7 +256,7 @@ def test_closure_matches_pairwise_fixpoint(t_av, radius, track_matrix):
         n = int(rng.integers(3, 9))
         events = random_script(rng, n, 4 * n, horizon)
         per_boundary = ContactTrace(events, n, horizon * UNIT).boundary_pairs(UNIT)
-        know = Knowledge(n, t_av=t_av, radius=radius, track_matrix=track_matrix)
+        know = Knowledge(n, t_av=t_av, track_matrix=track_matrix)
         for k, pairs in enumerate(per_boundary):
             if k:
                 know.tick()
@@ -363,16 +364,16 @@ def drifting_pairs(rng, n_nodes, n_boundaries):
 
 @pytest.mark.parametrize("columns", ["all", "odd"])
 @pytest.mark.parametrize("track_matrix", [False, True])
-@pytest.mark.parametrize("t_av, radius", [(0.5, None), (1.0, None), (0.3, None), (1.0, 6.0)])
-def test_seeded_closure_matches_dense_across_boundaries(t_av, radius, track_matrix, columns):
+@pytest.mark.parametrize("t_av", [0.5, 1.0, 0.3], ids=t_av_id)
+def test_seeded_closure_matches_dense_across_boundaries(t_av, track_matrix, columns):
     # Both carry their own state from boundary to boundary, ticking and
     # writing own loads alike.  The boundaries keep groups whose members met
     # no one new, as well as parted pairs and multi-hop groups.
     n = 40
     rng = np.random.default_rng(11)
     kept = None if columns == "all" else np.arange(1, n, 2)
-    know = Knowledge(n, t_av=t_av, radius=radius, track_matrix=track_matrix, columns=kept)
-    oracle = Knowledge(n, t_av=t_av, radius=radius, track_matrix=track_matrix)
+    know = Knowledge(n, t_av=t_av, track_matrix=track_matrix, columns=kept)
+    oracle = Knowledge(n, t_av=t_av, track_matrix=track_matrix)
     cols = know.columns
     counts = {"carried": 0, "parted": 0, "multihop": 0, "changed": 0}
     previous = None
@@ -411,11 +412,10 @@ def test_seeded_closure_matches_dense_across_boundaries(t_av, radius, track_matr
 def test_closure_matches_dense_on_random_groups(data):
     n = data.draw(st.integers(2, 12), label="n")
     t_av = data.draw(st.sampled_from([0.25, 0.5, 1.0, 0.3, 2.0]), label="t_av")
-    radius = data.draw(st.none() | st.sampled_from([1.5, 3.0, 6.0]), label="radius")
     track = data.draw(st.booleans(), label="track_matrix")
     kept = data.draw(st.sets(st.integers(0, n - 1)), label="columns")
-    know = Knowledge(n, t_av=t_av, radius=radius, track_matrix=track, columns=kept)
-    oracle = Knowledge(n, t_av=t_av, radius=radius, track_matrix=track)
+    know = Knowledge(n, t_av=t_av, track_matrix=track, columns=kept)
+    oracle = Knowledge(n, t_av=t_av, track_matrix=track)
     cols = know.columns
     # Timers on the grid, whole ticks plus t_av per hop, from few values so
     # that sources tie often.
@@ -530,7 +530,7 @@ def dense_on_kept_columns():
     def settle(know, pairs, now):
         nonlocal dense
         if dense is None:
-            dense = Knowledge(know.n_nodes, t_av=know.t_av, radius=know.radius,
+            dense = Knowledge(know.n_nodes, t_av=know.t_av,
                               track_matrix=know.matrix_obs is not None)
         else:
             dense.tick()
@@ -553,13 +553,12 @@ def records_digest(config, contacts, tmp_path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-@pytest.mark.parametrize("radius", [None, 5.0])
-@pytest.mark.parametrize("t_av", [0.5, 1.0, 0.3])
+@pytest.mark.parametrize("t_av", [0.5, 1.0, 0.3], ids=t_av_id)
 @pytest.mark.parametrize("awareness", ["minimal", "local", "global", "perfect"])
-def test_engine_records_match_the_dense_closure(awareness, t_av, radius, engine_scenario,
+def test_engine_records_match_the_dense_closure(awareness, t_av, engine_scenario,
                                                 monkeypatch, tmp_path):
     contacts, base = engine_scenario
-    config = SimConfig(**base, awareness=awareness, t_av=t_av, radius=radius)
+    config = SimConfig(**base, awareness=awareness, t_av=t_av)
     closures = []
     exchange_all = sim_core.exchange_all
 

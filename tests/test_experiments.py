@@ -271,14 +271,13 @@ def test_parallel_runs_reproduce_serial_bytes(tmp_path):
 
 def test_prepare_run_maps_every_sim_key():
     spec = tiny_spec(sim={"awareness": "global", "scheme": "EBR", "mean_exec_s": 45.0,
-                          "exec_deterministic": True, "load_alpha": 0.25, "radius": 40.0})
+                          "exec_deterministic": True, "load_alpha": 0.25})
     config, _ = experiments.prepare_run(spec.to_dict(), seed=3)
     assert config.awareness == "global"
     assert config.scheme == "EBR"
     assert config.mean_exec_s == 45.0
     assert config.exec_deterministic is True
     assert config.load_alpha == 0.25
-    assert config.radius == 40.0
     assert config.seed == 3
 
 
@@ -354,10 +353,11 @@ def test_every_preset_run_passes_key_checks():
     ({"seeds": True}, "seeds must be an integer of at least 1, got True"),
     ({"catalog": {"ring": True}}, "catalog lacks key n_d"),
     # The hand-off policy has no keys: a request re-plans at every hand-off,
-    # and a relay that hosts its planned stage runs it.
+    # and a relay that hosts its planned stage runs it.  Nor is knowledge
+    # pruned by a radius.
     *[({"sim": {key: value}}, rf"unknown sim key\(s\) {key}; valid keys: .*mean_exec_s")
       for key, value in [("opportunistic", "contact"), ("recompute_per_stage", False),
-                         ("replan_on_relay", False)]],
+                         ("replan_on_relay", False), ("radius", 40.0)]],
 ])
 def test_spec_keys_are_checked_in_every_run_before_any_starts(tmp_path, change, message):
     spec_dict = {k: v for k, v in {**tiny_spec().to_dict(), **change}.items() if v is not None}

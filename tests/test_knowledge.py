@@ -22,10 +22,10 @@ from pricing_reference import cost_matrices, edge_costs, matrix_view, row_table
 UNIT = 30.0
 
 
-def propagate(events, n_nodes, t_av, duration, radius=None, track_matrix=False):
+def propagate(events, n_nodes, t_av, duration, track_matrix=False):
     """Drive knowledge over a contact script exactly like the simulator:
     tick every unit, then run co-located exchanges to a fixpoint."""
-    know = Knowledge(n_nodes, t_av=t_av, radius=radius, track_matrix=track_matrix)
+    know = Knowledge(n_nodes, t_av=t_av, track_matrix=track_matrix)
     trace = ContactTrace(events, n_nodes, duration)
     per_boundary = trace.boundary_pairs(UNIT)
     for k, pairs in enumerate(per_boundary):
@@ -99,17 +99,6 @@ def test_exchange_is_order_symmetric():
     exchange(second, 1, 0)
     assert np.array_equal(first.timers[0], second.timers[0])
     assert np.array_equal(first.timers[1], second.timers[1])
-
-
-def test_radius_pruning_drops_far_entries():
-    know = Knowledge(3, t_av=0.5, radius=10.0)
-    know.timers[1, 2] = 30.0
-    exchange(know, 0, 1)
-    assert math.isinf(know.timers[0, 2])  # 30.5 exceeds the radius, not stored
-    know.timers[0, 2] = 9.0
-    know.tick()
-    know.tick()
-    assert math.isinf(know.timers[0, 2])  # ticked past the radius, dropped
 
 
 def test_three_node_chain_matches_oracle_plus_hops():
@@ -276,13 +265,16 @@ def test_global_level_uses_aged_rows():
     # Row for node 1 observed at t=10 says t_1(2) = 2; four units later the
     # estimate has aged accordingly.
     assert priced("global", know, now=14.0)[0][1, 2] == 6.0
+    row, age = owner_view("global", know, 0, 14.0, 1.0)[2][1]
+    assert (row[2], age) == (2.0, 4.0)
 
 
 def test_owners_share_gossip_rows_over_host_columns():
     # Nodes 1, 2 and 4 host services; 0 and 3 host none.  Views span the
     # three columns plus the slot of an owner without one, and every owner
-    # reads the same aged row object: the search prices an edge into the
-    # owner from T alone, so no view patches the owner's entry in a row.
+    # reads the same stored row object with its age: the search prices an
+    # edge into the owner from T alone, so no view patches the owner's
+    # entry in a row.
     know = Knowledge(5, track_matrix=True, columns=[4, 1, 2])
     assert know.timers.shape == (5, 3) and know.columns.tolist() == [1, 2, 4]
     assert know.slots.tolist() == [3, 0, 1, 3, 2]
@@ -292,29 +284,31 @@ def test_owners_share_gossip_rows_over_host_columns():
     for timers, loads, _ in views.values():
         assert len(timers) == len(loads) == 4
     assert views[0][0][3] == 0.0 and views[4][0][2] == 0.0  # each owner's own slot
-    ids, block = know.rows[1.0]
-    row = views[0][2][0]  # node 1's row, observed at 1 and aged by 2 units
-    assert row == (block[ids.tolist().index(know.slots[1])] + 2.0).tolist()
-    assert row is views[3][2][0] and row is views[4][2][0]
-    assert row[2] is not None  # its entry about node 4, an owner here, stays
-    assert views[4][2][2] is None and views[0][2][3] is None  # no row of one's own
-    assert views[4][2][1] is views[0][2][1]
+    row, age = views[0][2][0]  # node 1's row, observed at 1 and aged by 2 units
+    assert row is know.rows[1.0, know.slots[1]] and age == 2.0
+    for owner in (3, 4):
+        assert views[owner][2][0][0] is row and views[owner][2][0][1] == age
+    assert not math.isnan(row[2])  # its entry about node 4, an owner here, stays
+    assert views[4][2][2] == views[0][2][3] == (None, 0.0)  # no row of one's own
+    assert views[4][2][1][0] is views[0][2][1][0]
 
 
 def test_gossip_is_keyed_by_host_column():
     # Nodes 1, 3 and 4 host services.  A group with non-host members 0 and
-    # 2 observes and files only the rows of hosts 1 and 3, in column order.
+    # 2 observes and files only the rows of hosts 1 and 3, by column, with
+    # NaN for no estimate.
     know = Knowledge(6, track_matrix=True, columns=[1, 3, 4])
     assert know.matrix_obs.shape == (6, 3)
     exchange_all(know, [(2, 3), (1, 2), (0, 1)], now=1.0)
-    cols, block = know.rows[1.0]
-    assert cols.tolist() == [0, 1]
-    assert np.array_equal(block, know.timers[[1, 3]])
+    assert list(know.rows) == [(1.0, 0), (1.0, 1)]
+    block = np.array([know.rows[1.0, c] for c in (0, 1)])
+    assert np.isnan(block[:, 2]).all() and np.isinf(know.timers[[1, 3], 2]).all()
+    assert np.array_equal(block[:, :2], know.timers[[1, 3], :2])
     assert know.matrix_obs[:4].tolist() == [[1.0, 1.0, -math.inf]] * 4
     # A group that hosts nothing files no row, yet merges observations.
     know.tick()
     exchange_all(know, [(0, 5)], now=2.0)
-    assert list(know.rows) == [1.0]
+    assert list(know.rows) == [(1.0, 0), (1.0, 1)]
     assert know.matrix_obs[5].tolist() == [1.0, 1.0, -math.inf]
 
 
@@ -362,13 +356,12 @@ def pricing_cases(draw):
     placement = ServicePlacement(by_node=by_node,
                                  by_service={s: tuple(sorted(h)) for s, h in hosts.items()},
                                  repetition=1)
-    radius = draw(st.one_of(st.none(), st.floats(5.0, 40.0)))
     now = draw(st.integers(20, 40))
-    know = Knowledge(n, radius=radius, track_matrix=True)
+    know = Knowledge(n, track_matrix=True)
     for i in range(n):
         know.timers[i] = draw(st.lists(TIMERS, min_size=n, max_size=n))
         know.timers[i, i] = 0.0
-    know.tick()  # ages every entry and prunes those past the radius
+    know.tick()  # ages every entry
     # Gossip holds one row per (row, observation time): whole times make
     # several nodes share an observation.
     drawn = {}
@@ -410,9 +403,9 @@ def test_owner_view_matches_reference_matrices(level, case, load_aware):
         t, _, p = view
         if d == owner:
             return t[s]
-        row = None if p is None else p[s]
-        w = None if row is None else row[d]
-        return t[s] + t[d] if w is None else w
+        row, age = (None, 0.0) if p is None else p[s]
+        w = math.nan if row is None else row[d] + age
+        return t[s] + t[d] if math.isnan(w) else w
 
     got = [distance(s, d) for s, d in others]
     expected = [dist[s, d] for s, d in others]

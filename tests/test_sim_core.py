@@ -169,11 +169,14 @@ def test_unit_s_must_be_positive(unit_s):
         run(default_config(unit_s=unit_s), no_contact_trace(20, 3600.0))
 
 
-@pytest.mark.parametrize("radius", [0.0, -5.0])
-def test_radius_must_be_positive_when_set(radius):
-    with pytest.raises(ValueError, match="radius"):
-        default_config(radius=radius).validate()
-    default_config(radius=0.5).validate()
+# An infinite unit or mean execution time ran silently (the latter completing
+# no request), and an infinite t_av ended in OverflowError.
+
+@pytest.mark.parametrize("key", ["unit_s", "mean_exec_s", "t_av"])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_unit_exec_time_and_t_av_must_be_finite(key, value):
+    with pytest.raises(ValueError, match=f"{key} must be finite"):
+        run(default_config(**{key: value}), no_contact_trace(20, 3600.0))
 
 
 # A negative mean execution time runs the event heap backwards in time, and
