@@ -46,7 +46,7 @@ def _run_and_report(spec: experiments.ExperimentSpec, out: Path, workers: int | 
 def _cmd_run(args) -> int:
     try:
         spec = experiments.load_spec(args.spec)
-    except ValueError as exc:
+    except (OSError, ValueError, TypeError, yaml.YAMLError) as exc:
         return _error(exc)
     if args.seeds is not None:
         spec.seeds = args.seeds
@@ -99,8 +99,11 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_gen_trace(args) -> int:
-    with open(args.params) as fh:
-        params = yaml.safe_load(fh) or {}
+    try:
+        with open(args.params) as fh:
+            params = yaml.safe_load(fh) or {}
+    except (OSError, yaml.YAMLError) as exc:
+        return _error(exc)
     if not isinstance(params, dict):
         return _error(f"{args.params}: generator parameters map keys to values, "
                       f"got {type(params).__name__}")

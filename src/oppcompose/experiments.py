@@ -178,6 +178,9 @@ def make_trace(mob: dict, seed: int, cache_dir: Path | None = None) -> mobility.
     interval = {"sample_interval": mob["sample_interval"]} if "sample_interval" in mob else {}
     params = mob.get("params", {})
     if model in _GENERATORS:
+        for name, low in (("n_nodes", 1), ("duration", 0)):
+            if not mob[name] >= low:
+                raise ValueError(f"mobility.{name} must be >= {low}, got {mob[name]!r}")
         params_cls, generate = _GENERATORS[model]
         trace = generate(params_cls(**{k: _tuples(v) for k, v in params.items()}),
                          mob["n_nodes"], mob["duration"], seed, **interval)
@@ -337,9 +340,23 @@ def _run_one(args) -> dict:
             "warmup_s": config.delay_warmup_s}
 
 
+def _check_request_range(spec_dict: dict) -> None:
+    """Raise :meth:`ServiceCatalog.request_pairs`'s ValueError on a pattern
+    asking for a net functionality outside [1, n_d - 1].  A catalog that
+    cannot be built, and draw weights that cannot be drawn from, are left to
+    fail the runs, each reported in the manifest."""
+    try:
+        catalog = ServiceCatalog.from_dict(spec_dict["catalog"])
+    except (TypeError, ValueError):
+        return
+    build_pattern(catalog, {key: value for key, value in spec_dict["pattern"].items()
+                            if key != "start_weights"})
+
+
 def _runs(spec: ExperimentSpec) -> list[tuple[str, dict, dict]]:
     """``(variant name, sweep point, merged spec dict)`` per variant and
-    point of ``spec``, each checked as :func:`_check_spec_keys` does."""
+    point of ``spec``, each checked as :func:`_check_spec_keys` and
+    :func:`_check_request_range` do."""
     base = spec.to_dict()
     runs = []
     for variant in spec.variants:
@@ -347,6 +364,7 @@ def _runs(spec: ExperimentSpec) -> list[tuple[str, dict, dict]]:
         for point in spec.points():
             merged = _apply_overrides(base, {**variant.get("overrides", {}), **point})
             _check_spec_keys(merged)
+            _check_request_range(merged)
             runs.append((variant["name"], point, merged))
     return runs
 

@@ -52,10 +52,14 @@ class ServiceCatalog:
         whose net functionality k satisfies min_k <= k <= max_k.
 
         For the default (non-ring) catalog every pair with output - input in
-        range qualifies; in ring mode pairs wrap modulo n_d.
+        range qualifies; in ring mode pairs wrap modulo n_d.  ValueError
+        unless 1 <= min_k <= max_k <= n_d - 1 (k = 0, or n_d on the ring, keeps the type).
         """
         if max_k is None:
             max_k = self.n_d - 1
+        if not 1 <= min_k <= max_k <= self.n_d - 1:
+            raise ValueError(f"need 1 <= min_k <= max_k <= n_d - 1 = {self.n_d - 1}, "
+                             f"got min_k={min_k}, max_k={max_k}")
         pairs = []
         for x in range(1, self.n_d + 1):
             for k in range(min_k, max_k + 1):

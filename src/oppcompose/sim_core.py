@@ -16,9 +16,9 @@ is one Dijkstra over a placement-derived service graph
 rule, from the owner's view of the network (:func:`knowledge.owner_view`).
 Knowledge changes only at unit boundaries, so an owner's view is built once
 per unit and, under ``local``/``global`` awareness, a plan is reused for the
-rest of the unit.  The ``minimal`` view is constant for the whole run, but
-it draws a fresh tie order per decision, so it reuses no plan; ``perfect``
-reads every node's timers and the live backlog on every decision.  A
+rest of the unit.  ``minimal`` draws a fresh tie order per decision, so it
+reuses no plan; ``perfect`` reads every node's timers and the live backlog
+(queue lengths, the request in service heading each queue) per decision.  A
 request re-plans at each hand-off (generation, a finished stage, a stalled
 retry, a relay arrival away from the planned host): :meth:`_Engine._route`
 queues or carries it toward the stage :meth:`_Engine._next_stage` picks, and
@@ -72,6 +72,8 @@ class RequestPattern:
     def __post_init__(self):
         if not self.pairs:
             raise ValueError("request pattern admits no (input, output) pairs")
+        if any(x == y for x, y in self.pairs):
+            raise ValueError(f"request pairs must change the type, got {self.pairs}")
         if self.weights is not None and len(self.weights) != len(self.pairs):
             raise ValueError("weights must match pairs")
         p = None
@@ -416,8 +418,8 @@ class _Engine:
         self.rng = np.random.default_rng(config.seed)
         self.tie_rng = np.random.default_rng((config.seed, 0x7ee5))
         self.stats = EncounterStats(self.n)
+        # Per node: its backlog, the request in service first.
         self.queues: list[list[_Item]] = [[] for _ in range(self.n)]
-        self.executing: list[_Item | None] = [None] * self.n
         self.carried: list[list[_Item]] = [[] for _ in range(self.n)]
         self.records: list[RequestRecord] = []
         self.heap: list = []
@@ -469,9 +471,9 @@ class _Engine:
 
         Nothing the view reads changes within a unit except the live backlog
         that ``perfect`` awareness prices, so the view is cached per (owner,
-        unit) in ``_dist_cache`` (``minimal``: for the whole run), and built
-        afresh on every call under ``perfect``.  Rows a search fetches stay in
-        the cached view for the next.  Without ``load_aware`` no load is priced.
+        unit) in ``_dist_cache``, and built afresh on every call under
+        ``perfect``.  Rows a search fetches stay in the cached view for the
+        next.  Without ``load_aware`` no load is priced.
         """
         cached = self._dist_cache.get(owner)
         if cached is not None:
@@ -479,7 +481,7 @@ class _Engine:
         cfg = self.cfg
         live_loads = None
         if cfg.awareness == "perfect":
-            live_loads = [self._pending_count(j) * cfg.mean_exec_s for j in range(self.n)]
+            live_loads = [len(q) * cfg.mean_exec_s for q in self.queues]
         timers, loads, pairs = owner_view(cfg.awareness, self.know, owner, self.unit_index,
                                           cfg.unit_s, live_loads)
         view = (timers, loads if cfg.load_aware else None, pairs)
@@ -514,35 +516,34 @@ class _Engine:
 
     # -- queueing and execution -----------------------------------------
 
-    def _pending_count(self, node: int) -> int:
-        return len(self.queues[node]) + (1 if self.executing[node] is not None else 0)
-
     def enqueue(self, node: int, item: _Item, service: Service, opportunistic: bool, t: float) -> None:
         item.phase = "queued"
         item.location = node
         item.destination = None
         item.planned_stage = service
         item.opp_flag = opportunistic
-        self.queues[node].append(item)
-        if self.executing[node] is None:
+        queue = self.queues[node]
+        queue.append(item)
+        if len(queue) == 1:
             self._start_execution(node, t)
 
     def _start_execution(self, node: int, t: float) -> None:
+        """Serve the request at the head of ``node``'s queue, if any."""
         if not self.queues[node]:
             return
-        item = self.queues[node].pop(0)
+        item = self.queues[node][0]
         item.phase = "executing"
         if self.cfg.exec_deterministic:
             dt = self.cfg.mean_exec_s
         else:
             dt = float(self.rng.exponential(self.cfg.mean_exec_s))
-        self.executing[node] = item
         self.push(t + dt, _P_COMPLETION, node, item)
 
     def on_completion(self, t: float, node: int, item: _Item) -> None:
-        if self.executing[node] is not item:  # cancelled at its deadline: done for good
+        queue = self.queues[node]
+        if not (queue and queue[0] is item):  # cancelled at its deadline: done for good
             return
-        self.executing[node] = None
+        queue.pop(0)
         service = item.planned_stage
         item.current_input = service.output
         item.record.stages.append((service, node, item.opp_flag))
@@ -709,11 +710,11 @@ class _Engine:
         rec = item.record
         rec.status = "timed-out"
         node = item.location
-        if item.phase == "queued":
-            self.queues[node].remove(item)
-        elif item.phase == "executing":
-            self.executing[node] = None
+        if item.phase == "executing":  # the head of its node's queue
+            self.queues[node].pop(0)
             self._start_execution(node, t)
+        elif item.phase == "queued":
+            self.queues[node].remove(item)
         elif item.phase in ("carried", "result"):
             self.carried[node].remove(item)
         item.phase = "done"
@@ -723,19 +724,19 @@ class _Engine:
     def on_boundary(self, t: float, k: int) -> None:
         self.unit_index = k
         self._plans.clear()
+        self._dist_cache.clear()
         pairs = next(self.boundary_pairs)
         for a, b in pairs.tolist():
             self.last_enc[a][b] = self.last_enc[b][a] = t
         cfg = self.cfg
         # minimal prices are constant and read no knowledge, so it is not kept up.
         if cfg.awareness != "minimal":
-            self._dist_cache.clear()
             know = self.know
             if k > 0:
                 know.tick()
             exchange_all(know, pairs, now=float(k))
             own = know.own  # each host's own load, as its last window closed
-            pending = np.array([self._pending_count(v) for v in know.columns.tolist()])
+            pending = np.array([len(self.queues[v]) for v in know.columns.tolist()])
             know.loads[own] = close_load_window(know.loads[own], pending, cfg.mean_exec_s, cfg.load_alpha)
         # The closure changes only the knowledge of nodes in ``pairs``.
         for node in np.flatnonzero(np.bincount(pairs.ravel())).tolist():

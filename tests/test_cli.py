@@ -161,3 +161,50 @@ def test_a_seed_count_below_one_is_an_error(tmp_path, capsys, seeds):
     assert main(["run", str(out / "fig4.yaml"), "--out", str(out)]) == 1
     assert "seeds must be an integer of at least 1" in capsys.readouterr().err
     assert not (out / "fig4").exists()
+
+
+@pytest.mark.parametrize("verb", [["run"], ["gen-trace", "levy"]])
+@pytest.mark.parametrize("text, message", [
+    # Each ended in a traceback: FileNotFoundError, then yaml's parser error.
+    (None, "No such file or directory"),
+    ("bad: [\n", "while parsing a flow"),
+])
+def test_an_unreadable_input_file_is_an_error(tmp_path, capsys, verb, text, message):
+    path = tmp_path / "input.yaml"
+    if text is not None:
+        path.write_text(text)
+    out = tmp_path / "out"
+    assert main([*verb, str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    # The first ended in numpy's "negative dimensions are not allowed"; the
+    # others wrote a header-only and a one-sample trace and exited 0.
+    ("n_nodes: -3\n", "mobility.n_nodes must be >= 1, got -3"),
+    ("n_nodes: 0\n", "mobility.n_nodes must be >= 1, got 0"),
+    ("duration: -10\n", "mobility.duration must be >= 0, got -10"),
+])
+def test_gen_trace_rejects_an_empty_population_or_a_negative_duration(tmp_path, capsys,
+                                                                      text, message):
+    (tmp_path / "levy.yaml").write_text(text)
+    out = tmp_path / "out"
+    assert main(["gen-trace", "levy", str(tmp_path / "levy.yaml"), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
+def test_run_reports_a_mistyped_functionality_before_any_run(tmp_path, capsys):
+    # The functionality range is checked before any run, so a k that is not
+    # a number fails there too, not in every run.
+    assert main(["preset", "fig3", "--out", str(tmp_path)]) == 0
+    spec = yaml.safe_load((tmp_path / "fig3.yaml").read_text())
+    spec["pattern"]["k"] = "4"
+    (tmp_path / "fig3.yaml").write_text(yaml.safe_dump(spec))
+    out = tmp_path / "out"
+    assert main(["run", str(tmp_path / "fig3.yaml"), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()

@@ -372,6 +372,31 @@ def test_spec_keys_are_checked_in_every_run_before_any_starts(tmp_path, change, 
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("name, pattern", [
+    ("fig13", {"kind": "fixed_length", "length": 0}),
+    # On the 20-type ring, length 20 asked for (x, x), which no request can
+    # complete, and length 21 for (x, x + 1), served by one stage.
+    ("fig13", {"kind": "fixed_length", "length": 20}),
+    ("fig13", {"kind": "fixed_length", "length": 21}),
+    # k = 0 admitted the seven (x, x) pairs of the default catalog.
+    ("fig3", {"kind": "min_k", "k": 0}),
+])
+def test_a_pattern_asking_for_no_change_of_type_fails_before_any_run(tmp_path, name, pattern):
+    spec = preset(name, seeds=1)
+    n_d = spec.catalog["n_d"]
+    spec.variants = spec.variants[:1]
+    spec.sweep = {f"pattern.{key}": [1, value] for key, value in pattern.items() if key != "kind"}
+    spec.pattern = {**pattern, **{key: 1 for key in pattern if key != "kind"}}
+    message = f"1 <= min_k <= max_k <= n_d - 1 = {n_d - 1}"
+    path = tmp_path / "spec.yaml"
+    save_spec(spec, path)
+    with pytest.raises(ValueError, match=message):
+        load_spec(path)
+    with pytest.raises(ValueError, match=message):
+        run_experiment(spec, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
 def test_a_spec_file_must_hold_a_mapping(tmp_path):
     path = tmp_path / "spec.yaml"
     path.write_text("- name: tiny\n")

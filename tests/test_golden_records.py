@@ -154,7 +154,7 @@ def test_reused_plans_match_a_fresh_search(name, monkeypatch, tmp_path):
         reused = (node, req_in, req_out) in engine._plans
         path = compute_path(engine, node, req_in, req_out)
         cfg, template = engine.cfg, engine.template
-        live_loads = np.array([engine._pending_count(j) * cfg.mean_exec_s
+        live_loads = np.array([len(engine.queues[j]) * cfg.mean_exec_s
                                for j in range(engine.n)])
         dist, load = cost_matrices(cfg.awareness, engine.know, node, engine.unit_index,
                                    cfg.unit_s, live_loads)

@@ -88,6 +88,12 @@ def test_pattern_rejects_empty():
         RequestPattern(pairs=())
 
 
+def test_pattern_rejects_a_pair_that_keeps_its_type():
+    # compute_path finds no composition for such a pair, so none completes.
+    with pytest.raises(ValueError, match="request pairs must change the type"):
+        RequestPattern(pairs=((1, 2), (3, 3)))
+
+
 @pytest.mark.parametrize("weights", [{1: -1.0}, {1: math.nan}, {1: math.inf},
                                      {x: 0.0 for x in range(1, 21)}])
 def test_pattern_rejects_weights_it_cannot_draw_from(weights):
@@ -425,11 +431,12 @@ HANDLERS = ("on_boundary", "on_contact_start", "on_completion", "on_generate", "
 def check_lifecycle(engine, items):
     places = {}  # id(item) -> every (where, node) that holds it
     for node in range(engine.n):
-        for where, held in (("carried", engine.carried[node]), ("queued", engine.queues[node]),
-                            ("executing", [engine.executing[node]])):
+        # The head of a node's queue is the request in service.
+        queue = engine.queues[node]
+        for where, held in (("carried", engine.carried[node]), ("queued", queue[1:]),
+                            ("executing", queue[:1])):
             for item in held:
-                if item is not None:
-                    places.setdefault(id(item), []).append((where, node))
+                places.setdefault(id(item), []).append((where, node))
     for item in items:
         where = places.pop(id(item), [])
         if item.phase == "done":
