@@ -282,16 +282,32 @@ def _check_spec_keys(spec_dict: dict) -> ExperimentSpec:
     return spec
 
 
+def _in_section(section: str, call, *args):
+    """``call(*args)``, a ValueError or TypeError it raises re-raised as a
+    ValueError that names the spec section at fault."""
+    try:
+        return call(*args)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{section}: {exc}") from exc
+
+
+def _requests(spec: ExperimentSpec) -> tuple[ServiceCatalog, RequestPattern, dict | None]:
+    """The spec's catalog, request pattern and, under proportional
+    distribution, the popularity its placement weighs services by."""
+    catalog = _in_section("catalog", ServiceCatalog.from_dict, spec.catalog)
+    pattern = _in_section("pattern", build_pattern, catalog, spec.pattern)
+    popularity = None
+    if spec.distribution == "proportional":
+        popularity = _in_section("distribution", service_popularity, catalog, spec.pattern)
+    return catalog, pattern, popularity
+
+
 def prepare_run(spec_dict: dict, seed: int, cache_dir: Path | None = None
                 ) -> tuple[SimConfig, ContactTrace]:
     """Resolve one spec instance (after overrides) into a runnable config."""
     spec = _check_spec_keys(spec_dict)
-    catalog = ServiceCatalog.from_dict(spec.catalog)
-    pattern = build_pattern(catalog, spec.pattern)
+    catalog, pattern, popularity = _requests(spec)
     rng = np.random.default_rng((seed, 51966))
-    popularity = None
-    if spec.distribution == "proportional":
-        popularity = service_popularity(catalog, spec.pattern)
     trace = make_trace(spec.mobility, seed, cache_dir)
     given = spec.mobility.get("n_nodes", trace.n_nodes)
     if given != trace.n_nodes:
@@ -340,31 +356,21 @@ def _run_one(args) -> dict:
             "warmup_s": config.delay_warmup_s}
 
 
-def _check_request_range(spec_dict: dict) -> None:
-    """Raise :meth:`ServiceCatalog.request_pairs`'s ValueError on a pattern
-    asking for a net functionality outside [1, n_d - 1].  A catalog that
-    cannot be built, and draw weights that cannot be drawn from, are left to
-    fail the runs, each reported in the manifest."""
-    try:
-        catalog = ServiceCatalog.from_dict(spec_dict["catalog"])
-    except (TypeError, ValueError):
-        return
-    build_pattern(catalog, {key: value for key, value in spec_dict["pattern"].items()
-                            if key != "start_weights"})
-
-
 def _runs(spec: ExperimentSpec) -> list[tuple[str, dict, dict]]:
     """``(variant name, sweep point, merged spec dict)`` per variant and
-    point of ``spec``, each checked as :func:`_check_spec_keys` and
-    :func:`_check_request_range` do."""
+    point of ``spec``, each with its keys checked, its catalog and request
+    pattern built and its ``sim`` values validated, so that a bad value
+    fails here, naming its section, and not inside every run."""
     base = spec.to_dict()
     runs = []
     for variant in spec.variants:
         _check_keys("variant", variant, ("name", "overrides"))
         for point in spec.points():
             merged = _apply_overrides(base, {**variant.get("overrides", {}), **point})
-            _check_spec_keys(merged)
-            _check_request_range(merged)
+            at = _check_spec_keys(merged)
+            catalog, pattern, _ = _requests(at)
+            config = SimConfig(catalog=catalog, placement=None, pattern=pattern, **at.sim)
+            _in_section("sim", config.validate)
             runs.append((variant["name"], point, merged))
     return runs
 
@@ -372,10 +378,10 @@ def _runs(spec: ExperimentSpec) -> list[tuple[str, dict, dict]]:
 def run_experiment(spec: ExperimentSpec, out_dir, workers: int | None = None) -> Path:
     """Run every (variant, sweep point, seed); write run CSVs, manifest, summary.
 
-    Returns the summary path.  Every run's keys are checked before any runs
-    (ValueError).  Individual run failures are recorded in the manifest with
-    their error text and excluded from aggregation; the first failure is
-    re-raised after all runs finish.
+    Returns the summary path.  Every run is checked as :func:`_runs` does
+    before any starts (ValueError).  Individual run failures are recorded
+    in the manifest with their error text and excluded from aggregation;
+    the first failure is re-raised after all runs finish.
     """
     runs = _runs(spec)
     out = Path(out_dir)

@@ -1,15 +1,16 @@
 """Discrete-event simulation of request composition over a contact trace.
 
-Events are keyed by (time, priority, push order); the priority is the
-event's kind and picks its handler, so at one instant unit boundaries (timer
-ticks, one knowledge closure over the co-located groups, load-window updates;
-none of these under ``minimal`` awareness; knowledge keeps one column per
-service host, one per node under ``perfect``, and the closure relaxes every
-group's labels along its contacts until they settle) run first, then
-contact starts (encounter stats, neighbour index, forwarding attempts),
-service completions, Poisson request generation, forwarding sweeps, and
-deadline expirations, each carrying its request.  Contacts are read from the
-trace as the clock reaches them: one is on the heap at a time, and each
+Events are keyed by (time, priority, push order); the priority is the event's
+kind and picks its handler, so at one instant unit boundaries (timer ticks,
+one knowledge closure over the co-located groups, load-window updates; none
+of these under ``minimal`` awareness; knowledge keeps one column per service
+host, one per node under ``perfect``, and the closure relaxes every group's
+labels along its contacts until they settle) run first, then contact starts
+(encounter stats, neighbour index, forwarding attempts), service completions,
+Poisson request generation, forwarding sweeps, deadline expirations (each
+carrying its request), and last contact ends, so a sweep at a contact's end
+still sees the peer.  Contacts are read from the trace as the clock reaches
+them: one start is on the heap at a time, each start pushes its end, and each
 boundary walks its pairs from the sorted events.  Each composition decision
 is one Dijkstra over a placement-derived service graph
 (:class:`_GraphTemplate`) that prices each edge as it relaxes it, by one
@@ -23,8 +24,8 @@ request re-plans at each hand-off (generation, a finished stage, a stalled
 retry, a relay arrival away from the planned host): :meth:`_Engine._route`
 queues or carries it toward the stage :meth:`_Engine._next_stage` picks, and
 a relay hosting the planned stage runs it (an opportunistic stage);
-:meth:`_Engine._deliver` takes results home.  A forwarding sweep decides
-once per destination which neighbour, if any, receives the items bound there
+:meth:`_Engine._deliver` takes results home.  A forwarding sweep decides once
+per destination which neighbour, if any, receives the items bound there
 (:meth:`_Engine.sweep`).  Identical (config, seed) pairs reproduce identical
 results.
 """
@@ -57,7 +58,8 @@ __all__ = [
 
 # Event kinds, as their priorities at equal timestamps (``_Engine.run`` maps
 # each to its handler).
-_P_BOUNDARY, _P_CONTACT, _P_COMPLETION, _P_GENERATE, _P_SWEEP, _P_DEADLINE = range(6)
+(_P_BOUNDARY, _P_CONTACT, _P_COMPLETION, _P_GENERATE, _P_SWEEP, _P_DEADLINE,
+ _P_CONTACT_END) = range(7)
 
 
 @dataclass(frozen=True)
@@ -437,13 +439,9 @@ class _Engine:
         self._plans: dict[tuple[int, int, int], CompositionPath | None] = {}
         self._reuse_plans = config.awareness in ("local", "global")
         self._pending_sweeps: set[tuple[int, float]] = set()
-        # Per node: peer -> end of the contact in progress, filled at contact
-        # starts.  Contacts are closed intervals, so an entry lapses only
-        # once time passes its end (checked when read).
-        self.contact_end: list[dict[int, float]] = [{} for _ in range(self.n)]
-        # Per node: (earliest end, sorted peers) as ``_neighbors`` last listed
-        # them, or None once a contact starts there.
-        self._peer_list: list[tuple[float, list[int]] | None] = [None] * self.n
+        # Per node: the peers in contact with it now, in id order, kept by
+        # contact start and end events.
+        self.peers: list[list[int]] = [[] for _ in range(self.n)]
         # Forwarding-layer state: when each pair last met directly.  The
         # timer relay rules run on these encounter ages, not on the
         # gossiped composition timers (transitive updates keep every
@@ -598,20 +596,9 @@ class _Engine:
         insort(self.carried[node], item, key=_record_id)
 
     def _neighbors(self, node: int, t: float) -> list[int]:
-        """Peers in contact with ``node`` at ``t``, in id order.
-
-        The list is kept until a contact starts at ``node`` or time passes
-        the earliest end among its peers, the only events that change it.
-        """
-        cached = self._peer_list[node]
-        if cached is not None and t <= cached[0]:
-            return cached[1]
-        peers = self.contact_end[node]
-        for peer in [p for p, end in peers.items() if end < t]:
-            del peers[peer]
-        listed = sorted(peers)
-        self._peer_list[node] = (min(peers.values(), default=math.inf), listed)
-        return listed
+        """Peers in contact with ``node`` at ``t``, in id order: the live
+        list contact events keep, which no transfer changes."""
+        return self.peers[node]
 
     def _transfer(self, item: _Item, src: int, dst: int, t: float) -> None:
         self.carried[src].remove(item)
@@ -631,12 +618,12 @@ class _Engine:
         """Hand each item ``node`` carries to the neighbour its rule picks.
 
         Items bound for one destination all go to the same neighbour: the
-        first in id order that is the destination or passes
-        :func:`should_relay`.  That rule reads encounter ages and rates and
-        the neighbour set, which no transfer changes (a transfer touches
-        only the receiver's state), so it is decided once per destination
-        per sweep.  A stalled item (no destination) first retries path
-        selection here.
+        destination itself when it is a neighbour, else the first in id
+        order that passes :func:`should_relay`.  That rule reads encounter
+        ages and rates and the neighbour set, which no transfer changes (a
+        transfer touches only the receiver's state), so it is decided once
+        per destination per sweep.  A stalled item (no destination) first
+        retries path selection here.
         """
         self._pending_sweeps.discard((node, t))
         if not self.carried[node]:
@@ -658,13 +645,14 @@ class _Engine:
             dest = item.destination
             if dest in receiver:
                 to = receiver[dest]
+            elif dest in neighbors:
+                to = receiver[dest] = dest
             else:
                 to = None
                 carrier_age = (t - last_enc[node][dest]) / unit_s
                 for peer in neighbors:
-                    if peer == dest or should_relay(scheme, node, peer, dest, carrier_age,
-                                                    (t - last_enc[peer][dest]) / unit_s,
-                                                    self.stats, t):
+                    if should_relay(scheme, node, peer, dest, carrier_age,
+                                    (t - last_enc[peer][dest]) / unit_s, self.stats, t):
                         to = peer
                         break
                 receiver[dest] = to
@@ -744,8 +732,9 @@ class _Engine:
                 self.schedule_sweep(node, t)
 
     def on_contact_start(self, t: float, a: int, b: int, end: float) -> None:
-        self.contact_end[a][b] = self.contact_end[b][a] = end
-        self._peer_list[a] = self._peer_list[b] = None
+        insort(self.peers[a], b)
+        insort(self.peers[b], a)
+        self.push(end, _P_CONTACT_END, a, b)
         self.stats.record(a, t)
         self.stats.record(b, t)
         self.last_enc[a][b] = self.last_enc[b][a] = t
@@ -753,6 +742,10 @@ class _Engine:
             self.schedule_sweep(a, t)
         if self.carried[b]:
             self.schedule_sweep(b, t)
+
+    def on_contact_end(self, t: float, a: int, b: int) -> None:
+        self.peers[a].remove(b)
+        self.peers[b].remove(a)
 
     # -- main loop ----------------------------------------------------------
 
@@ -769,8 +762,8 @@ class _Engine:
                 self._schedule_next_generation(node, 0.0)
         # Looked up now, so handlers replaced on the instance or the class run.
         handlers = (self.on_boundary, self.on_contact_start, self.on_completion,
-                    self.on_generate, self.sweep, self.on_deadline)
-        # Each popped contact pushes the next: one on the heap, in (start, end, a, b) order.
+                    self.on_generate, self.sweep, self.on_deadline, self.on_contact_end)
+        # Each popped contact start pushes the next: one on the heap, in (start, end, a, b) order.
         upcoming = (event.tolist() for event in self.contacts.events)
         prio = _P_CONTACT  # the first contact goes on as if one had popped
         while True:

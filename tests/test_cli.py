@@ -180,6 +180,32 @@ def test_an_unreadable_input_file_is_an_error(tmp_path, capsys, verb, text, mess
     assert not out.exists()
 
 
+@pytest.mark.parametrize("change, section", [
+    # Each wrote fig6's manifest, summary and runs/ and failed the run, but
+    # the string k, which failed up front without naming its section.
+    ({"sim": {"awareness": "globl"}}, "sim"),
+    ({"sim": {"scheme": "mt"}}, "sim"),
+    ({"sim": {"timeout_s": "900"}}, "sim"),
+    ({"catalog": {"n_d": "7"}}, "catalog"),
+    ({"catalog": {"n_d": 1}}, "catalog"),
+    ({"pattern": {"k": "4"}}, "pattern"),
+    ({"pattern": {"kind": "fixed_length", "length": 1, "start_weights": {1: -1}}}, "pattern"),
+], ids=["awareness", "scheme", "timeout_s", "n_d-string", "n_d-1", "k-string", "start_weights"])
+def test_run_reports_a_bad_value_before_any_run(tmp_path, capsys, change, section):
+    assert main(["preset", "fig6", "--out", str(tmp_path)]) == 0
+    spec = yaml.safe_load((tmp_path / "fig6.yaml").read_text())
+    spec["mobility"]["duration"] = 1800.0
+    spec["seeds"] = 1
+    for key, values in change.items():
+        spec[key] = values if key == "pattern" else {**spec[key], **values}
+    (tmp_path / "fig6.yaml").write_text(yaml.safe_dump(spec))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["run", str(tmp_path / "fig6.yaml"), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {section}: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("text, message", [
     # The first ended in numpy's "negative dimensions are not allowed"; the
     # others wrote a header-only and a one-sample trace and exited 0.

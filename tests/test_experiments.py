@@ -113,9 +113,9 @@ def test_service_popularity_from_two_stage_requests():
 def test_spec_run_refuses_negative_start_weights(tmp_path):
     spec = tiny_spec(catalog={"n_d": 5, "excluded": [], "ring": True}, seeds=1,
                      pattern={"kind": "fixed_length", "length": 1, "start_weights": {1: -1}})
-    with pytest.raises(RuntimeError, match="weights must be finite, nonnegative"):
+    with pytest.raises(ValueError, match="pattern: weights must be finite, nonnegative"):
         experiments.run_experiment(spec, tmp_path)
-    assert not list((tmp_path / "runs").iterdir())
+    assert not (tmp_path / "runs").exists()
 
 
 @pytest.mark.parametrize("catalog, pattern", [
@@ -244,8 +244,8 @@ def test_completion_bound_check_arithmetic():
 
 def test_failed_runs_reported(tmp_path):
     spec = tiny_spec(seeds=1)
-    spec.catalog = {"n_d": 1, "excluded": [], "ring": False}  # invalid
-    with pytest.raises(RuntimeError):
+    spec.mobility = {"model": "trace-file", "path": str(tmp_path / "missing.csv")}
+    with pytest.raises(RuntimeError, match="No such file"):
         run_experiment(spec, tmp_path / "out")
     manifest = (tmp_path / "out" / "manifest.csv").read_text()
     assert "error" in manifest.splitlines()[0]
@@ -332,8 +332,9 @@ def test_make_trace_rejects_zero_speed(mob):
 
 def test_spec_run_rejects_load_alpha_outside_unit_interval(tmp_path):
     spec = tiny_spec(seeds=1, sim={"delay_warmup_s": 0.0, "load_alpha": 1.5})
-    with pytest.raises(RuntimeError, match="load_alpha"):
+    with pytest.raises(ValueError, match="sim: load_alpha"):
         run_experiment(spec, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 def test_every_preset_run_passes_key_checks():

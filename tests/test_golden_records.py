@@ -32,7 +32,7 @@ GOLDEN = {
     "perfect": "0ff080fb65565affadf8ba7f333d6e247d17686f6945a9c7f7bc47bc14887bc8",
     "exact_match": "68b6a417ad18407cce55fcb598784b54fa8d178af699310af2d609e0fbf5eab9",
     "TT": "aeda2abe19f5d0bd06c7b98c5243ede9d7fe5185e480184e61f4105148deec23",
-    "EBR": "cec8b05398d41439e4c98a9ec4155611b439aea2347a528ffce2f4a27f115a15",
+    "EBR": "2724dd43beefc0924ca36d1703ec9510706857e791716ce0cff6f27aa0007fc8",
     "direct": "0c8f3b4e95f37a56960acaea396d2e3b9beea94a595aba6f2b8a987362dd224b",
     "nla": "f3eaa99b66d1be43af085574d3443bdfea6dd25818222bb027cf6866d8667c4b",
 }

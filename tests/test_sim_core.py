@@ -8,7 +8,7 @@ import pytest
 from oppcompose import sim_core
 from oppcompose.contact_engine import (ContactTrace, contacts_from_positions, load_contacts_csv,
                                       save_contacts_csv)
-from oppcompose.forwarding import should_relay
+from oppcompose.forwarding import SCHEMES, should_relay
 from oppcompose.mobility import LevyWalkParams, generate_levy
 from oppcompose.service_model import Service, enumerate_services, assign_services
 from oppcompose.sim_core import (
@@ -425,7 +425,7 @@ def test_stale_completion_of_a_cancelled_request_leaves_its_successor_running():
 
 # The engine's event handlers, in the priority order of their event kinds.
 HANDLERS = ("on_boundary", "on_contact_start", "on_completion", "on_generate", "sweep",
-            "on_deadline")
+            "on_deadline", "on_contact_end")
 
 
 def check_lifecycle(engine, items):
@@ -617,27 +617,17 @@ def test_neighbor_index_matches_in_contact_at_interval_edges():
                     break
                 events.append((start, end, a, b))
                 t = end + float(rng.integers(2, 400))
-    # Node 10 meets 11 over [100, 200]; 12 joins at 150 while node 10's list
-    # from t=100 is cached; both contacts end at exactly t=200.
+    # Node 10 meets 11 over [100, 200]; 12 joins at 150; both contacts end
+    # at exactly t=200.
     events += [(100.0, 200.0, 10, 11), (150.0, 200.0, 10, 12)]
     trace = ContactTrace(events, n, duration)
     engine = _Engine(default_config(request_rate_per_min=0.0), trace)
     seen = {}
-    starts_over_cached_list = 0
 
     def probe(t, node):
-        seen[(t, node)] = engine._neighbors(node, t)
-
-    def contact_start(t, a, b, end):
-        nonlocal starts_over_cached_list
-        for x, y in ((a, b), (b, a)):
-            cached = engine._peer_list[x]
-            starts_over_cached_list += cached is not None and y not in cached[1]
-        on_contact_start(t, a, b, end)
+        seen[(t, node)] = list(engine._neighbors(node, t))  # a copy: the list is live
 
     engine.sweep = probe
-    on_contact_start = engine.on_contact_start
-    engine.on_contact_start = contact_start
     probes = set()
     for start, end, a, b in trace.events.tolist():
         for t in (start, end, end + 0.5, (start + end) / 2):
@@ -652,7 +642,6 @@ def test_neighbor_index_matches_in_contact_at_interval_edges():
         assert b in seen[(start, a)] and a in seen[(start, b)]
         assert b in seen[(end, a)] and a in seen[(end, b)]
         assert b not in seen[(end + 0.5, a)]
-    assert starts_over_cached_list > 0
     assert seen[(100.0, 10)] == [11]
     assert seen[(150.0, 10)] == [11, 12]
     assert seen[(200.0, 10)] == [11, 12]
@@ -662,10 +651,12 @@ def test_neighbor_index_matches_in_contact_at_interval_edges():
 def test_events_at_one_instant_run_by_kind_then_push_order():
     # Every kind of event falls at t=60: the unit boundary, two contact
     # starts, the completion of a 30 s stage begun at t=30, two scripted
-    # requests, the sweep a carried request asks for, and the deadlines of
-    # the two requests made at t=0.  The handlers run kind by kind in
-    # HANDLERS order, and events of one kind in the order they were pushed:
-    # the scripted requests in script order, not by origin.
+    # requests, the sweep a carried request asks for, the deadlines of the
+    # two requests made at t=0, and the end of a contact begun at t=0.  The
+    # handlers run kind by kind in HANDLERS order, so a contact ends after
+    # the sweeps and deadlines at its instant, and events of one kind in the
+    # order they were pushed: the scripted requests in script order, not by
+    # origin.
     catalog = enumerate_services(3)
     placement = placement_of({0: [Service(1, 2)], 2: [Service(2, 3)]})
     script = ((0.0, 2, 1, 2), (0.0, 3, 1, 2), (30.0, 0, 1, 2),
@@ -674,7 +665,7 @@ def test_events_at_one_instant_run_by_kind_then_push_order():
                        pattern=RequestPattern(pairs=((1, 2),)), awareness="minimal",
                        timeout_s=60.0, mean_exec_s=30.0, exec_deterministic=True,
                        scripted_requests=script)
-    trace = ContactTrace([(60.0, 120.0, 1, 2), (60.0, 90.0, 0, 3)], 4, 300.0)
+    trace = ContactTrace([(60.0, 120.0, 1, 2), (60.0, 90.0, 0, 3), (0.0, 60.0, 1, 3)], 4, 300.0)
     engine = _Engine(config, trace)
     calls = []
 
@@ -697,6 +688,7 @@ def test_events_at_one_instant_run_by_kind_then_push_order():
     assert [p for name, p in at_60 if name == "on_contact_start"] == [(0, 3, 90.0),
                                                                        (1, 2, 120.0)]
     assert [p for name, p in at_60 if name == "on_generate"] == [((3, 1, 2),), ((1, 1, 2),)]
+    assert [p for name, p in at_60 if name == "on_contact_end"] == [(1, 3)]
 
 
 def test_contacts_with_equal_starts_start_in_sorted_order():
@@ -784,10 +776,10 @@ def per_item_receiver(engine, node, item, t):
     """The neighbour the per-item relay loop handed ``item`` to, if any."""
     cfg = engine.cfg
     dest = item.destination
+    if dest in engine._neighbors(node, t):
+        return dest
     carrier_age = (t - engine.last_enc[node][dest]) / cfg.unit_s
     for peer in engine._neighbors(node, t):
-        if peer == dest:
-            return peer
         peer_age = (t - engine.last_enc[peer][dest]) / cfg.unit_s
         if should_relay(cfg.scheme, node, peer, dest, carrier_age, peer_age,
                         engine.stats, t):
@@ -811,11 +803,12 @@ def test_relay_decided_once_per_destination(scheme, monkeypatch):
                        request_rate_per_min=0.0)
     engine = _Engine(config, no_contact_trace(5, 3600.0))
     t = 600.0
-    engine.contact_end[0].update({1: 700.0, 2: 700.0})
-    engine.last_enc[2][4] = engine.last_enc[2][3] = t
     for when in (400.0, 500.0, 550.0):
         engine.stats.record(2, when)
     engine.stats.record(0, 450.0)
+    engine.on_contact_start(t, 0, 1, 700.0)
+    engine.on_contact_start(t, 0, 2, 700.0)
+    engine.last_enc[2][4] = engine.last_enc[2][3] = t
     items = []
     for k, (stage, dest) in enumerate([(Service(2, 3), 4), (Service(1, 2), 4),
                                        (Service(2, 3), 4), (Service(2, 3), 3),
@@ -841,3 +834,30 @@ def test_relay_decided_once_per_destination(scheme, monkeypatch):
     # One decision per destination: each neighbour is asked once about it,
     # in id order, up to the first that passes.
     assert checks == [(1, 4), (2, 4), (1, 3), (2, 3)]
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_a_destination_in_contact_takes_its_items(scheme):
+    # Node 0 carries a result home to node 3 and is in contact with nodes 1
+    # and 3.  Node 1 comes first in id order and met more nodes lately than
+    # node 0, so it passes EBR's rule; yet under every scheme the result
+    # goes straight home, as should_relay accepts the destination always.
+    catalog = enumerate_services(2)
+    config = SimConfig(catalog=catalog, placement=placement_of({0: [Service(1, 2)]}),
+                       pattern=RequestPattern(pairs=((1, 2),)), scheme=scheme,
+                       request_rate_per_min=0.0)
+    engine = _Engine(config, no_contact_trace(5, 3600.0))
+    for when in (100.0, 150.0):
+        engine.stats.record(1, when)
+    t = 300.0
+    engine.on_contact_start(t, 0, 1, 400.0)
+    engine.on_contact_start(t, 0, 3, 400.0)
+    assert engine.stats.rate(1, t) > engine.stats.rate(0, t)
+    assert should_relay(scheme, 0, 1, 3, 0.0, math.inf, engine.stats, t) == (scheme == "EBR")
+    item = _Item(RequestRecord(id=0, origin=3, input=1, output=2, created=0.0,
+                               deadline=3000.0))
+    item.current_input, item.phase, item.destination = 2, "result", 3
+    item.location = 0
+    engine._carry(0, item)
+    engine.sweep(t, 0)
+    assert item.location == 3 and item.phase == "done" and item.record.hops == 1
