@@ -25,6 +25,7 @@ from .mobility.trace import PositionTrace, read_headed_csv, time_format
 __all__ = [
     "EVENT_DTYPE",
     "ContactTrace",
+    "check_range",
     "contacts_from_positions",
     "save_contacts_csv",
     "load_contacts_csv",
@@ -106,6 +107,12 @@ class ContactTrace:
             yield np.stack((ev["a"][active], ev["b"][active]), axis=1)
 
 
+def check_range(range_m) -> None:
+    """Raise ValueError unless ``range_m`` is a finite number > 0."""
+    if not (isinstance(range_m, (int, float)) and 0 < range_m < np.inf):
+        raise ValueError(f"range_m must be a finite number > 0, got {range_m!r}")
+
+
 def contacts_from_positions(trace: PositionTrace, range_m: float) -> ContactTrace:
     """Extract maximal contact events from a position trace.
 
@@ -113,8 +120,7 @@ def contacts_from_positions(trace: PositionTrace, range_m: float) -> ContactTrac
     times.  Runs covering a single sample carry no usable window at this
     resolution and are discarded.
     """
-    if range_m <= 0:
-        raise ValueError("transmission range must be positive")
+    check_range(range_m)
     t_count = trace.n_samples
     first, second = np.triu_indices(trace.n_nodes, 1)
     x, y = trace.positions[..., 0], trace.positions[..., 1]

@@ -29,6 +29,7 @@ import json
 import math
 import os
 import tempfile
+from collections import Counter
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -36,8 +37,9 @@ import numpy as np
 import yaml
 
 from . import mobility
-from .contact_engine import ContactTrace, contacts_from_positions
-from .service_model import Service, ServiceCatalog, assign_services, enumerate_services
+from .contact_engine import ContactTrace, check_range, contacts_from_positions
+from .service_model import (Service, ServiceCatalog, assign_services, check_placement,
+                            enumerate_services)
 from .sim_core import (RequestPattern, SimConfig, read_records_csv, run as run_sim,
                        write_records_csv)
 
@@ -98,7 +100,7 @@ def load_spec(path) -> ExperimentSpec:
         spec_dict = yaml.safe_load(fh)
     if not isinstance(spec_dict, dict):
         raise ValueError(f"{path}: a spec maps keys to values, got {type(spec_dict).__name__}")
-    spec = _check_spec_keys(spec_dict)
+    spec = _check_spec(spec_dict)
     _runs(spec)
     return spec
 
@@ -133,23 +135,20 @@ def build_pattern(catalog: ServiceCatalog, cfg: dict) -> RequestPattern:
 def service_popularity(catalog: ServiceCatalog, pattern_cfg: dict) -> dict[Service, float]:
     """Request mass per service implied by the pattern (for proportional placement).
 
-    Each admissible fixed-length request contributes its draw weight to every
-    unit service its chain crosses.  Only fixed-length requests over a ring
-    catalog name one chain each, so any other pattern or catalog raises
-    ValueError.
+    Each request of the pattern :func:`build_pattern` builds contributes its
+    draw weight to every unit service its chain crosses.  Only fixed-length
+    requests over a ring catalog name one chain each, so any other pattern
+    or catalog raises ValueError.
     """
     kind = pattern_cfg.get("kind", "min_k")
     if kind != "fixed_length" or not catalog.ring:
         raise ValueError(f"proportional distribution needs fixed_length requests over a ring "
                          f"catalog, got {kind} requests over a catalog with ring={catalog.ring}")
+    pattern = build_pattern(catalog, pattern_cfg)
     weights: dict[Service, float] = {s: 0.0 for s in catalog.services}
-    length = pattern_cfg["length"]
-    start_weights = RequestPattern.weights_by_start(pattern_cfg.get("start_weights") or {})
     by_input = {s.input: s for s in catalog.services}
-    for x in range(1, catalog.n_d + 1):
-        w = start_weights.get(x, 1.0)
-        pos = x
-        for _ in range(length):
+    for (pos, _), w in zip(pattern.pairs, pattern.weights or (1.0,) * len(pattern.pairs)):
+        for _ in range(pattern_cfg["length"]):
             svc = by_input.get(pos)
             if svc is None:
                 break
@@ -165,7 +164,7 @@ def _tuples(value):
 
 def make_trace(mob: dict, seed: int, cache_dir: Path | None = None) -> mobility.PositionTrace:
     """Generate (or load from cache, bit for bit) the position trace for one seed."""
-    _check_mobility_keys(mob)
+    _check_mobility(mob)
     key = None
     if cache_dir is not None:
         digest = hashlib.sha1(json.dumps(mob, sort_keys=True).encode() + str(seed).encode()).hexdigest()[:16]
@@ -178,18 +177,13 @@ def make_trace(mob: dict, seed: int, cache_dir: Path | None = None) -> mobility.
     interval = {"sample_interval": mob["sample_interval"]} if "sample_interval" in mob else {}
     params = mob.get("params", {})
     if model in _GENERATORS:
-        for name, low in (("n_nodes", 1), ("duration", 0)):
-            if not mob[name] >= low:
-                raise ValueError(f"mobility.{name} must be >= {low}, got {mob[name]!r}")
         params_cls, generate = _GENERATORS[model]
         trace = generate(params_cls(**{k: _tuples(v) for k, v in params.items()}),
                          mob["n_nodes"], mob["duration"], seed, **interval)
     elif model == "trace-file":
         trace = mobility.load_trace_csv(mob["path"])
-    elif model == "gps-files":
+    else:  # gps-files, the last model _check_mobility admits
         trace = mobility.ingest_gps_log(mob["paths"], **interval, **params)
-    else:
-        raise ValueError(f"unknown mobility model {model!r}")
     if key is not None:
         # A temp name of its own per writer: parallel runs that share this
         # trace must not interleave their writes before the rename.
@@ -252,26 +246,40 @@ def _check_keys(section: str, given, fn) -> None:
         raise ValueError(f"{section} lacks key{'s' * (len(missing) > 1)} {', '.join(missing)}")
 
 
-def _check_mobility_keys(mob: dict) -> None:
+def _check_mobility(mob: dict) -> None:
+    """Check ``mob``'s keys and model and, for a synthetic model, that
+    ``n_nodes`` is an integer >= 1 and ``duration`` a number >= 0 (ValueError)."""
     _check_keys("mobility", mob, _MOBILITY_KEYS)
-    if mob.get("model") in _MODEL_PARAMS:
-        _check_keys(f"mobility.params ({mob['model']})", mob.get("params", {}),
-                    _MODEL_PARAMS[mob["model"]])
+    model = mob.get("model")
+    if model not in _MODEL_PARAMS:
+        raise ValueError(f"unknown mobility model {model!r}; choose from {', '.join(_MODEL_PARAMS)}")
+    _check_keys(f"mobility.params ({model})", mob.get("params", {}), _MODEL_PARAMS[model])
+    if model in _GENERATORS:
+        for name, kind, what, low in (("n_nodes", int, "an integer", 1),
+                                      ("duration", (int, float), "a number", 0)):
+            value = mob.get(name)
+            if not isinstance(value, kind) or isinstance(value, bool):
+                raise ValueError(f"mobility.{name} must be {what}, got {value!r}")
+            if not value >= low:
+                raise ValueError(f"mobility.{name} must be >= {low}, got {value!r}")
 
 
-def _check_spec_keys(spec_dict: dict) -> ExperimentSpec:
+def _check_spec(spec_dict: dict) -> ExperimentSpec:
     """The spec ``spec_dict`` describes, its defaults filled in.
 
     Raises ValueError on a key no part of the run reads, naming the valid
     ones, on an unknown pattern kind, on a missing key that has no default
-    (a ``fixed_length`` pattern's ``length`` among them), and on a seed
-    count that is not an integer of at least 1.
+    (a ``fixed_length`` pattern's ``length`` among them), and on a value
+    that needs no trace to check: ``seeds``, ``repetition``,
+    ``distribution``, ``range_m`` and :func:`_check_mobility`'s.
     """
     _check_keys("spec", spec_dict, ExperimentSpec)
     spec = ExperimentSpec(**spec_dict)
     if type(spec.seeds) is not int or spec.seeds < 1:
         raise ValueError(f"seeds must be an integer of at least 1, got {spec.seeds!r}")
-    _check_mobility_keys(spec.mobility)
+    check_placement(spec.repetition, spec.distribution)
+    check_range(spec.range_m)
+    _check_mobility(spec.mobility)
     _check_keys("catalog", spec.catalog, enumerate_services)
     kind = spec.pattern.get("kind", "min_k")
     if kind not in _PATTERNS:
@@ -305,7 +313,7 @@ def _requests(spec: ExperimentSpec) -> tuple[ServiceCatalog, RequestPattern, dic
 def prepare_run(spec_dict: dict, seed: int, cache_dir: Path | None = None
                 ) -> tuple[SimConfig, ContactTrace]:
     """Resolve one spec instance (after overrides) into a runnable config."""
-    spec = _check_spec_keys(spec_dict)
+    spec = _check_spec(spec_dict)
     catalog, pattern, popularity = _requests(spec)
     rng = np.random.default_rng((seed, 51966))
     trace = make_trace(spec.mobility, seed, cache_dir)
@@ -358,16 +366,16 @@ def _run_one(args) -> dict:
 
 def _runs(spec: ExperimentSpec) -> list[tuple[str, dict, dict]]:
     """``(variant name, sweep point, merged spec dict)`` per variant and
-    point of ``spec``, each with its keys checked, its catalog and request
-    pattern built and its ``sim`` values validated, so that a bad value
-    fails here, naming its section, and not inside every run."""
+    point of ``spec``, each with its keys and values checked, its catalog
+    and request pattern built and its ``sim`` values validated, so that a
+    bad value fails here, naming its key or section, not inside every run."""
     base = spec.to_dict()
     runs = []
     for variant in spec.variants:
         _check_keys("variant", variant, ("name", "overrides"))
         for point in spec.points():
             merged = _apply_overrides(base, {**variant.get("overrides", {}), **point})
-            at = _check_spec_keys(merged)
+            at = _check_spec(merged)
             catalog, pattern, _ = _requests(at)
             config = SimConfig(catalog=catalog, placement=None, pattern=pattern, **at.sim)
             _in_section("sim", config.validate)
@@ -446,12 +454,6 @@ def summarize_group(run_rows: list[list[dict]], timeout_s: float, warmup_s: floa
                 if r["created_s"] >= warmup_s:
                     delays.append(r["delay_s"])
     delays.sort()
-    hop_hist = {}
-    for h in hops:
-        hop_hist[h] = hop_hist.get(h, 0) + 1
-    len_hist = {}
-    for l in lengths:
-        len_hist[l] = len_hist.get(l, 0) + 1
     est = compare_estimate_accuracy([r for rows in run_rows for r in rows], timeout_s)
     return {
         "n_requests": sum(len(rows) for rows in run_rows),
@@ -461,8 +463,8 @@ def summarize_group(run_rows: list[list[dict]], timeout_s: float, warmup_s: floa
         "delay_median_s": _quantile(delays, 0.5),
         "delay_p90_s": _quantile(delays, 0.9),
         "delay_samples": len(delays),
-        "hop_hist": hop_hist,
-        "length_hist": len_hist,
+        "hop_hist": Counter(hops),
+        "length_hist": Counter(lengths),
         "opportunistic_frac": opp / total_stages if total_stages else 0.0,
         "est_within_4min_frac": est["within_4min_frac"],
         "est_diff_abs_median_s": _quantile(est["diff_cdf"], 0.5),
@@ -758,5 +760,5 @@ def preset(name: str, seeds: int | None = None) -> ExperimentSpec:
     spec = _PRESETS[name]()
     if seeds is not None:
         spec.seeds = seeds
-        _check_spec_keys(spec.to_dict())
+        _check_spec(spec.to_dict())
     return spec

@@ -17,6 +17,7 @@ __all__ = [
     "ServiceCatalog",
     "ServicePlacement",
     "enumerate_services",
+    "check_placement",
     "assign_services",
 ]
 
@@ -171,6 +172,18 @@ def _deal_copies(
     raise ValueError("could not find a feasible balanced placement (too many copies per node?)")
 
 
+def check_placement(repetition, distribution: str) -> None:
+    """The checks of :func:`assign_services` that need no node list: ValueError
+    unless ``repetition`` is an integer >= 1 (>= 2 under ``proportional``)
+    and ``distribution`` is ``uniform`` or ``proportional``."""
+    if type(repetition) is not int or repetition < 1:
+        raise ValueError(f"repetition must be an integer >= 1, got {repetition!r}")
+    if distribution not in ("uniform", "proportional"):
+        raise ValueError(f"unknown distribution {distribution!r}; choose from uniform, proportional")
+    if distribution == "proportional" and repetition < 2:
+        raise ValueError("proportional distribution needs repetition >= 2")
+
+
 def assign_services(
     catalog: ServiceCatalog,
     nodes: list[int],
@@ -189,18 +202,15 @@ def assign_services(
     With a fixed rng state the placement is deterministic.  Per-node hosted
     counts are equal whenever the copy total divides the node count.
     """
-    if repetition < 1:
-        raise ValueError("repetition must be >= 1")
+    check_placement(repetition, distribution)
     if repetition > len(nodes):
         raise ValueError(f"repetition {repetition} exceeds node count {len(nodes)}")
 
     if distribution == "uniform":
         per_service = {s: repetition for s in catalog.services}
-    elif distribution == "proportional":
+    else:
         if popularity is None:
             raise ValueError("proportional distribution needs popularity weights")
-        if repetition < 2:
-            raise ValueError("proportional distribution needs repetition >= 2")
         ranked = sorted(catalog.services, key=lambda s: (-popularity.get(s, 0.0), s))
         half = len(ranked) // 2
         per_service = {}
@@ -208,8 +218,6 @@ def assign_services(
             per_service[s] = repetition + 1 if i < half else repetition - 1
         if max(per_service.values()) > len(nodes):
             raise ValueError("proportional layout needs repetition + 1 <= node count")
-    else:
-        raise ValueError(f"unknown distribution {distribution!r}")
 
     copies = [s for s in catalog.services for _ in range(per_service[s])]
     assigned = _deal_copies(copies, sorted(nodes), rng)

@@ -26,8 +26,9 @@ queues or carries it toward the stage :meth:`_Engine._next_stage` picks, and
 a relay hosting the planned stage runs it (an opportunistic stage);
 :meth:`_Engine._deliver` takes results home.  A forwarding sweep decides once
 per destination which neighbour, if any, receives the items bound there
-(:meth:`_Engine.sweep`).  Identical (config, seed) pairs reproduce identical
-results.
+(:meth:`_Engine.sweep`).  A request is one :class:`RequestRecord`, and
+where it sits (a node's queue or carried list) is its state.  Identical
+(config, seed) pairs reproduce identical results.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ import math
 from bisect import insort
 from dataclasses import dataclass, field
 from itertools import islice
+from operator import attrgetter
 
 import numpy as np
 
@@ -96,17 +98,16 @@ class RequestPattern:
     def fixed_length(cls, catalog: ServiceCatalog, length: int,
                      start_weights: dict | None = None) -> "RequestPattern":
         """Requests requiring exactly ``length`` unit services of the catalog,
-        each drawn by the weight ``start_weights`` gives its input (1 if none)."""
+        each drawn by the weight ``start_weights`` gives its input (1 if none);
+        a key that is not a type of the catalog raises ValueError."""
         pairs = tuple(catalog.request_pairs(min_k=length, max_k=length))
         if start_weights is None:
             return cls(pairs=pairs)
-        weights = cls.weights_by_start(start_weights)
+        weights = {int(x): float(w) for x, w in start_weights.items()}  # YAML's keys may be strings
+        outside = sorted(x for x in weights if not 1 <= x <= catalog.n_d)
+        if outside:
+            raise ValueError(f"start_weights keys {outside} are not types 1..{catalog.n_d}")
         return cls(pairs=pairs, weights=tuple(weights.get(x, 1.0) for x, _ in pairs))
-
-    @staticmethod
-    def weights_by_start(start_weights: dict) -> dict[int, float]:
-        """``start_weights`` with int keys and float values (YAML's keys may be strings)."""
-        return {int(x): float(w) for x, w in start_weights.items()}
 
     def draw(self, rng: np.random.Generator) -> tuple[int, int]:
         if self._p is None:
@@ -165,8 +166,16 @@ class SimConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}; choose from {', '.join(SCHEMES)}")
 
 
-@dataclass
+@dataclass(eq=False, slots=True)
 class RequestRecord:
+    """A request.  In flight (``status`` "in-flight") it sits in one place at
+    node ``location``: at the head of the node's queue while in service,
+    later in the queue while queued, or in the node's carried list, bound for
+    ``destination`` (a result, bound for ``origin``, once ``current_input ==
+    output``).  A finished request sits nowhere.  Queues and carried lists
+    find it by identity (``eq=False``).
+    """
+
     id: int
     origin: int
     input: int
@@ -178,6 +187,14 @@ class RequestRecord:
     hops: int = 0
     stages: list[tuple[Service, int, bool]] = field(default_factory=list)
     estimated_cost_s: float | None = None
+    current_input: int = field(init=False)  # the type it holds now
+    location: int = field(init=False)
+    destination: int | None = None
+    planned_stage: Service | None = None  # the stage queued for or carried toward
+    opp_flag: bool = False
+
+    def __post_init__(self):
+        self.current_input, self.location = self.input, self.origin
 
     @property
     def delay(self) -> float | None:
@@ -200,11 +217,15 @@ def write_records_csv(records: list[RequestRecord], path) -> None:
                 f"{s.input}-{s.output}@{node}" + ("*" if opp else "")
                 for s, node, opp in r.stages
             )
-            completed = f"{r.completed:.3f}" if r.completed is not None else ""
-            delay = f"{r.delay:.3f}" if r.delay is not None else ""
-            est = f"{r.estimated_cost_s:.3f}" if r.estimated_cost_s is not None else ""
+            completed, delay, est = ("" if v is None else f"{v:.3f}"
+                                     for v in (r.completed, r.delay, r.estimated_cost_s))
             fh.write(f"{r.id},{r.origin},{r.input},{r.output},{r.created:.3f},{r.status},"
                      f"{completed},{delay},{r.hops},{stages},{r.opportunistic_stages},{est}\n")
+
+
+_RECORD_NUMBERS = {"id": int, "origin": int, "in": int, "out": int, "created_s": float,
+                   "completed_s": float, "delay_s": float, "hops": int,
+                   "opportunistic_stages": int, "estimated_cost_s": float}
 
 
 def read_records_csv(path) -> list[dict]:
@@ -212,41 +233,12 @@ def read_records_csv(path) -> list[dict]:
     rows = []
     with open(path) as fh:
         header = fh.readline().strip().split(",")
-        for line in fh:
-            parts = line.rstrip("\n").split(",")
-            row = dict(zip(header, parts))
-            row["id"] = int(row["id"])
-            row["origin"] = int(row["origin"])
-            row["in"] = int(row["in"])
-            row["out"] = int(row["out"])
-            row["created_s"] = float(row["created_s"])
-            row["completed_s"] = float(row["completed_s"]) if row["completed_s"] else None
-            row["delay_s"] = float(row["delay_s"]) if row["delay_s"] else None
-            row["hops"] = int(row["hops"])
-            row["opportunistic_stages"] = int(row["opportunistic_stages"])
-            row["estimated_cost_s"] = float(row["estimated_cost_s"]) if row["estimated_cost_s"] else None
+        for line in fh:  # one at a time: a run's unparsed rows would raise peak memory
+            row = dict(zip(header, line.rstrip("\n").split(",")))
+            for name, parse in _RECORD_NUMBERS.items():
+                row[name] = parse(row[name]) if row[name] else None
             rows.append(row)
     return rows
-
-
-class _Item:
-    """Mutable in-simulation request state."""
-
-    __slots__ = ("record", "current_input", "phase", "location", "destination",
-                 "planned_stage", "opp_flag")
-
-    def __init__(self, record: RequestRecord):
-        self.record = record
-        self.current_input = record.input
-        self.phase = "carried"           # carried | queued | executing | result | done
-        self.location = record.origin
-        self.destination: int | None = None
-        self.planned_stage: Service | None = None
-        self.opp_flag = False
-
-
-def _record_id(item: _Item) -> int:
-    return item.record.id
 
 
 @dataclass
@@ -421,8 +413,8 @@ class _Engine:
         self.tie_rng = np.random.default_rng((config.seed, 0x7ee5))
         self.stats = EncounterStats(self.n)
         # Per node: its backlog, the request in service first.
-        self.queues: list[list[_Item]] = [[] for _ in range(self.n)]
-        self.carried: list[list[_Item]] = [[] for _ in range(self.n)]
+        self.queues: list[list[RequestRecord]] = [[] for _ in range(self.n)]
+        self.carried: list[list[RequestRecord]] = [[] for _ in range(self.n)]
         self.records: list[RequestRecord] = []
         self.heap: list = []
         self.seq = 0
@@ -514,8 +506,7 @@ class _Engine:
 
     # -- queueing and execution -----------------------------------------
 
-    def enqueue(self, node: int, item: _Item, service: Service, opportunistic: bool, t: float) -> None:
-        item.phase = "queued"
+    def enqueue(self, node: int, item: RequestRecord, service: Service, opportunistic: bool, t: float) -> None:
         item.location = node
         item.destination = None
         item.planned_stage = service
@@ -530,25 +521,23 @@ class _Engine:
         if not self.queues[node]:
             return
         item = self.queues[node][0]
-        item.phase = "executing"
         if self.cfg.exec_deterministic:
             dt = self.cfg.mean_exec_s
         else:
             dt = float(self.rng.exponential(self.cfg.mean_exec_s))
         self.push(t + dt, _P_COMPLETION, node, item)
 
-    def on_completion(self, t: float, node: int, item: _Item) -> None:
+    def on_completion(self, t: float, node: int, item: RequestRecord) -> None:
         queue = self.queues[node]
         if not (queue and queue[0] is item):  # cancelled at its deadline: done for good
             return
         queue.pop(0)
         service = item.planned_stage
         item.current_input = service.output
-        item.record.stages.append((service, node, item.opp_flag))
+        item.stages.append((service, node, item.opp_flag))
         self._start_execution(node, t)
-        if item.current_input == item.record.output:
-            item.phase = "result"
-            item.destination = item.record.origin
+        if item.current_input == item.output:
+            item.destination = item.origin
             item.planned_stage = None
             self._deliver(item, node, t)
         else:
@@ -556,12 +545,12 @@ class _Engine:
 
     # -- routing ---------------------------------------------------------
 
-    def _next_stage(self, item: _Item, node: int) -> tuple[Service, int] | None:
+    def _next_stage(self, item: RequestRecord, node: int) -> tuple[Service, int] | None:
         """The first (service, host) of the path ``node`` computes for ``item``, or None."""
-        path = self.compute_path(node, item.current_input, item.record.output)
+        path = self.compute_path(node, item.current_input, item.output)
         return None if path is None else path.stages[0]
 
-    def _route(self, item: _Item, node: int, t: float, stage: tuple[Service, int] | None,
+    def _route(self, item: RequestRecord, node: int, t: float, stage: tuple[Service, int] | None,
                sweep: bool) -> None:
         """Queue ``item`` at ``node`` if ``node`` hosts ``stage``, else carry it
         toward the stage's host, or hold it stalled when ``stage`` is None.
@@ -573,37 +562,35 @@ class _Engine:
         if stage is not None and stage[1] == node:
             self.enqueue(node, item, stage[0], opportunistic=False, t=t)
             return
-        item.phase = "carried"
         item.location = node
         item.planned_stage, item.destination = stage or (None, None)
         self._carry(node, item)
         if sweep and stage is not None:
             self.schedule_sweep(node, t)
 
-    def _deliver(self, item: _Item, node: int, t: float) -> None:
+    def _deliver(self, item: RequestRecord, node: int, t: float) -> None:
         """Hand a result to its requester at ``node``, or carry it on toward there."""
         item.location = node
-        if node == item.record.origin:
-            item.phase = "done"
-            item.record.status = "completed"
-            item.record.completed = t
+        if node == item.origin:
+            item.status = "completed"
+            item.completed = t
         else:
             self._carry(node, item)
             self.schedule_sweep(node, t)
 
-    def _carry(self, node: int, item: _Item) -> None:
-        """Hold ``item`` at ``node``; each node's list stays in record-id order."""
-        insort(self.carried[node], item, key=_record_id)
+    def _carry(self, node: int, item: RequestRecord) -> None:
+        """Hold ``item`` at ``node``; each node's list stays in id order."""
+        insort(self.carried[node], item, key=attrgetter("id"))
 
     def _neighbors(self, node: int, t: float) -> list[int]:
         """Peers in contact with ``node`` at ``t``, in id order: the live
         list contact events keep, which no transfer changes."""
         return self.peers[node]
 
-    def _transfer(self, item: _Item, src: int, dst: int, t: float) -> None:
+    def _transfer(self, item: RequestRecord, src: int, dst: int, t: float) -> None:
         self.carried[src].remove(item)
-        item.record.hops += 1
-        if item.phase == "result":
+        item.hops += 1
+        if item.current_input == item.output:  # a result
             self._deliver(item, dst, t)
             return
         service, host = item.planned_stage, item.destination
@@ -640,7 +627,7 @@ class _Engine:
                     continue
                 self.carried[node].remove(item)  # _route places it afresh
                 self._route(item, node, t, stage, sweep=False)
-                if item.phase != "carried":
+                if stage[1] == node:  # queued here
                     continue
             dest = item.destination
             if dest in receiver:
@@ -673,14 +660,13 @@ class _Engine:
             created=t, deadline=t + cfg.timeout_s,
         )
         self.records.append(rec)
-        item = _Item(rec)
-        self.push(rec.deadline, _P_DEADLINE, item)
+        self.push(rec.deadline, _P_DEADLINE, rec)
         # Generation plans the whole path for the record's cost estimate; the
         # request takes only its first stage, and each later hand-off re-plans.
         path = self.compute_path(node, req_in, req_out)
         if path is not None:
             rec.estimated_cost_s = path.cost * cfg.unit_s
-        self._route(item, node, t, None if path is None else path.stages[0], sweep=True)
+        self._route(rec, node, t, None if path is None else path.stages[0], sweep=True)
         if not isinstance(payload, tuple):
             self._schedule_next_generation(node, t)
 
@@ -692,20 +678,16 @@ class _Engine:
         if nxt <= self.duration - self.cfg.timeout_s:
             self.push(nxt, _P_GENERATE, node)
 
-    def on_deadline(self, t: float, item: _Item) -> None:
-        if item.phase == "done":
+    def on_deadline(self, t: float, rec: RequestRecord) -> None:
+        if rec.status != "in-flight":
             return
-        rec = item.record
         rec.status = "timed-out"
-        node = item.location
-        if item.phase == "executing":  # the head of its node's queue
-            self.queues[node].pop(0)
-            self._start_execution(node, t)
-        elif item.phase == "queued":
-            self.queues[node].remove(item)
-        elif item.phase in ("carried", "result"):
-            self.carried[node].remove(item)
-        item.phase = "done"
+        queue = self.queues[rec.location]
+        if queue and queue[0] is rec:  # in service
+            queue.pop(0)
+            self._start_execution(rec.location, t)
+        else:  # queued, or else carried
+            (queue if rec in queue else self.carried[rec.location]).remove(rec)
 
     # -- unit boundaries ---------------------------------------------------
 

@@ -206,6 +206,33 @@ def test_run_reports_a_bad_value_before_any_run(tmp_path, capsys, change, sectio
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value, message", [
+    # Each wrote fig6's manifest, summary, runs/ and traces/, then failed
+    # every run; the start weight was ignored.
+    ("distribution", "unifrom", "unknown distribution 'unifrom'"),
+    ("repetition", 0, "repetition must be an integer >= 1, got 0"),
+    ("range_m", "100", "range_m must be a finite number > 0, got '100'"),
+    ("mobility.n_nodes", "20", "mobility.n_nodes must be an integer, got '20'"),
+    ("pattern", {"kind": "fixed_length", "length": 2, "start_weights": {25: 3.0}},
+     "pattern: start_weights keys [25] are not types 1..7"),
+])
+def test_run_reports_a_bad_spec_value_before_any_run(tmp_path, capsys, key, value, message):
+    assert main(["preset", "fig6", "--out", str(tmp_path)]) == 0
+    spec = yaml.safe_load((tmp_path / "fig6.yaml").read_text())
+    *parents, name = key.split(".")
+    section = spec
+    for part in parents:
+        section = section[part]
+    section[name] = value
+    (tmp_path / "fig6.yaml").write_text(yaml.safe_dump(spec))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["run", str(tmp_path / "fig6.yaml"), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("text, message", [
     # The first ended in numpy's "negative dimensions are not allowed"; the
     # others wrote a header-only and a one-sample trace and exited 0.

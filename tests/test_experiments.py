@@ -359,6 +359,27 @@ def test_every_preset_run_passes_key_checks():
     *[({"sim": {key: value}}, rf"unknown sim key\(s\) {key}; valid keys: .*mean_exec_s")
       for key, value in [("opportunistic", "contact"), ("recompute_per_stage", False),
                          ("replan_on_relay", False), ("radius", 40.0)]],
+    # Top-level and synthetic mobility values are checked by the calls a run
+    # makes, before any run starts: these wrote every output, then failed
+    # in each run.
+    ({"distribution": "unifrom"}, "unknown distribution 'unifrom'; choose from uniform, proportional"),
+    ({"repetition": 0}, "repetition must be an integer >= 1, got 0"),
+    ({"repetition": 2.0}, "repetition must be an integer >= 1, got 2.0"),
+    ({"distribution": "proportional", "repetition": 1},
+     "proportional distribution needs repetition >= 2"),
+    ({"range_m": "100"}, "range_m must be a finite number > 0, got '100'"),
+    ({"range_m": 0.0}, "range_m must be a finite number > 0, got 0.0"),
+    ({"mobility": {**tiny_spec().mobility, "n_nodes": "20"}},
+     "mobility.n_nodes must be an integer, got '20'"),
+    ({"mobility": {**tiny_spec().mobility, "n_nodes": 0}}, "mobility.n_nodes must be >= 1, got 0"),
+    ({"mobility": {**tiny_spec().mobility, "duration": "5400"}},
+     "mobility.duration must be a number, got '5400'"),
+    ({"mobility": {**tiny_spec().mobility, "duration": -1.0}},
+     r"mobility.duration must be >= 0, got -1.0"),
+    ({"pattern": {"kind": "fixed_length", "length": 2, "start_weights": {25: 3.0}}},
+     r"pattern: start_weights keys \[25\] are not types 1..4"),
+    ({"mobility": {**tiny_spec().mobility, "model": "levyy"}},
+     "unknown mobility model 'levyy'; choose from levy, slaw, hcmm, trace-file, gps-files"),
 ])
 def test_spec_keys_are_checked_in_every_run_before_any_starts(tmp_path, change, message):
     spec_dict = {k: v for k, v in {**tiny_spec().to_dict(), **change}.items() if v is not None}

@@ -13,7 +13,6 @@ from oppcompose.mobility import LevyWalkParams, generate_levy
 from oppcompose.service_model import Service, enumerate_services, assign_services
 from oppcompose.sim_core import (
     _Engine,
-    _Item,
     RequestPattern,
     RequestRecord,
     SimConfig,
@@ -100,6 +99,15 @@ def test_pattern_rejects_weights_it_cannot_draw_from(weights):
     # These failed only at the first draw, mid-run, in numpy's choice.
     catalog = enumerate_services(20, ring=True)
     with pytest.raises(ValueError, match="weights must be finite, nonnegative and not all zero"):
+        RequestPattern.fixed_length(catalog, 2, start_weights=weights)
+
+
+@pytest.mark.parametrize("weights", [{25: 3.0, 0: 2.0}, {"25": 3.0, "0": 2.0, "3": 2.0}])
+def test_pattern_rejects_start_weights_for_no_type(weights):
+    # On fig14's 20-type ring these keys name no input type, and every
+    # weight stayed 1.0, so a typo drew requests uniformly.
+    catalog = enumerate_services(20, ring=True)
+    with pytest.raises(ValueError, match=r"start_weights keys \[0, 25\] are not types 1..20"):
         RequestPattern.fixed_length(catalog, 2, start_weights=weights)
 
 
@@ -428,30 +436,38 @@ HANDLERS = ("on_boundary", "on_contact_start", "on_completion", "on_generate", "
             "on_deadline", "on_contact_end")
 
 
-def check_lifecycle(engine, items):
-    places = {}  # id(item) -> every (where, node) that holds it
+def places_held(engine):
+    """id(request) -> every (place, node) that holds it, read from the containers."""
+    places = {}
     for node in range(engine.n):
-        # The head of a node's queue is the request in service.
+        # The head of a node's queue is the request in service, and a carried
+        # request that holds its output type is a result.
         queue = engine.queues[node]
-        for where, held in (("carried", engine.carried[node]), ("queued", queue[1:]),
-                            ("executing", queue[:1])):
-            for item in held:
-                places.setdefault(id(item), []).append((where, node))
-    for item in items:
-        where = places.pop(id(item), [])
-        if item.phase == "done":
-            assert where == [] and item.record.status != "in-flight"
-            continue
-        assert item.record.status == "in-flight"
-        expected = "carried" if item.phase in ("carried", "result") else item.phase
-        assert where == [(expected, item.location)]
+        held = [("executing", rec) for rec in queue[:1]]
+        held += [("queued", rec) for rec in queue[1:]]
+        held += [("result" if rec.current_input == rec.output else "carried", rec)
+                 for rec in engine.carried[node]]
+        for where, rec in held:
+            places.setdefault(id(rec), []).append((where, node))
+    return places
+
+
+def check_lifecycle(engine, requests):
+    places = places_held(engine)
+    for rec in requests:
+        where = places.pop(id(rec), [])
+        if where:
+            assert rec.status == "in-flight"
+            assert len(where) == 1 and where[0][1] == rec.location
+        else:
+            assert rec.status in ("completed", "timed-out")
     assert places == {}  # nothing is held that is not a request
 
 
 def test_request_lifecycle_invariant_after_every_event():
-    # After every event a live request sits in exactly one place, the one
-    # its phase names at its location; a done request sits nowhere; and the
-    # record stays in flight exactly until the request is done.
+    # After every event a live request sits in exactly one place, at its
+    # location, and its record is in flight; a finished request sits nowhere
+    # and its status is final.
     catalog = enumerate_services(5)
     placement = assign_services(catalog, list(range(8)), 2, np.random.default_rng(4))
     params = LevyWalkParams(area=(500.0, 500.0), speed_classes=((4, (1.0, 1.0)), (4, (10.0, 10.0))))
@@ -464,27 +480,27 @@ def test_request_lifecycle_invariant_after_every_event():
                         scheme=scheme, request_rate_per_min=0.5, timeout_s=600.0,
                         mean_exec_s=60.0, seed=5)
         engine = _Engine(cfg, contacts)
-        items = []  # every request, from the deadline its generation pushes
+        requests = []  # every request, from the deadline its generation pushes
         push = engine.push
 
         def collecting_push(t, prio, *payload):
             if prio == sim_core._P_DEADLINE:
-                items.append(payload[0])
+                requests.append(payload[0])
             push(t, prio, *payload)
 
         def checked(handler):
             def wrapper(t, *payload):
                 handler(t, *payload)
-                check_lifecycle(engine, items)
+                check_lifecycle(engine, requests)
             return wrapper
 
         for name in HANDLERS:
             setattr(engine, name, checked(getattr(engine, name)))
         on_deadline, next_stage = engine.on_deadline, engine._next_stage
 
-        def deadline(t, item):
-            cancelled_in.add(item.phase)
-            on_deadline(t, item)
+        def deadline(t, rec):
+            cancelled_in.update(where for where, _ in places_held(engine).get(id(rec), []))
+            on_deadline(t, rec)
 
         def counted_next_stage(item, node):
             nonlocal stalls_resolved
@@ -496,11 +512,11 @@ def test_request_lifecycle_invariant_after_every_event():
         engine.on_deadline, engine._next_stage = deadline, counted_next_stage
         engine.push = collecting_push
         records = engine.run()
-        assert [item.record for item in items] == records
+        assert requests == records  # the same objects: records compare by identity
         assert all(r.status != "in-flight" for r in records)
         relayed += sum(r.hops for r in records)
         opportunistic += sum(r.opportunistic_stages for r in records)
-    # The runs reach every phase a deadline can cancel, relay requests and
+    # The runs reach every place a deadline can cancel in, relay requests and
     # results, run stages opportunistically and find a stage for a stalled
     # request.
     assert {"carried", "queued", "executing", "result"} <= cancelled_in
@@ -813,9 +829,9 @@ def test_relay_decided_once_per_destination(scheme, monkeypatch):
     for k, (stage, dest) in enumerate([(Service(2, 3), 4), (Service(1, 2), 4),
                                        (Service(2, 3), 4), (Service(2, 3), 3),
                                        (Service(2, 3), 4)]):
-        item = _Item(RequestRecord(id=k, origin=0, input=stage.input, output=3,
-                                   created=0.0, deadline=3000.0))
-        item.current_input, item.planned_stage, item.destination = stage.input, stage, dest
+        item = RequestRecord(id=k, origin=0, input=stage.input, output=3,
+                             created=0.0, deadline=3000.0)
+        item.planned_stage, item.destination = stage, dest
         engine._carry(0, item)
         items.append(item)
     expected = [per_item_receiver(engine, 0, item, t) for item in items]
@@ -830,7 +846,7 @@ def test_relay_decided_once_per_destination(scheme, monkeypatch):
     monkeypatch.setattr(sim_core, "should_relay", counted)
     engine.sweep(t, 0)
     assert [item.location for item in items] == expected
-    assert all(item.record.hops == 1 for item in items)
+    assert all(item.hops == 1 for item in items)
     # One decision per destination: each neighbour is asked once about it,
     # in id order, up to the first that passes.
     assert checks == [(1, 4), (2, 4), (1, 3), (2, 3)]
@@ -854,10 +870,8 @@ def test_a_destination_in_contact_takes_its_items(scheme):
     engine.on_contact_start(t, 0, 3, 400.0)
     assert engine.stats.rate(1, t) > engine.stats.rate(0, t)
     assert should_relay(scheme, 0, 1, 3, 0.0, math.inf, engine.stats, t) == (scheme == "EBR")
-    item = _Item(RequestRecord(id=0, origin=3, input=1, output=2, created=0.0,
-                               deadline=3000.0))
-    item.current_input, item.phase, item.destination = 2, "result", 3
-    item.location = 0
+    item = RequestRecord(id=0, origin=3, input=1, output=2, created=0.0, deadline=3000.0)
+    item.current_input, item.destination, item.location = 2, 3, 0  # a result at node 0
     engine._carry(0, item)
     engine.sweep(t, 0)
-    assert item.location == 3 and item.phase == "done" and item.record.hops == 1
+    assert item.location == 3 and item.status == "completed" and item.hops == 1
