@@ -270,16 +270,18 @@ def _check_spec(spec_dict: dict) -> ExperimentSpec:
     Raises ValueError on a key no part of the run reads, naming the valid
     ones, on an unknown pattern kind, on a missing key that has no default
     (a ``fixed_length`` pattern's ``length`` among them), and on a value
-    that needs no trace to check: ``seeds``, ``repetition``,
-    ``distribution``, ``range_m`` and :func:`_check_mobility`'s.
+    that needs no trace to check: ``seeds``, ``repetition`` (against a
+    synthetic model's ``n_nodes`` too), ``distribution``, ``range_m`` and
+    :func:`_check_mobility`'s.
     """
     _check_keys("spec", spec_dict, ExperimentSpec)
     spec = ExperimentSpec(**spec_dict)
     if type(spec.seeds) is not int or spec.seeds < 1:
         raise ValueError(f"seeds must be an integer of at least 1, got {spec.seeds!r}")
-    check_placement(spec.repetition, spec.distribution)
     check_range(spec.range_m)
     _check_mobility(spec.mobility)
+    n_nodes = spec.mobility["n_nodes"] if spec.mobility["model"] in _GENERATORS else None
+    check_placement(spec.repetition, spec.distribution, n_nodes)
     _check_keys("catalog", spec.catalog, enumerate_services)
     kind = spec.pattern.get("kind", "min_k")
     if kind not in _PATTERNS:

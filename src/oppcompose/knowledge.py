@@ -158,7 +158,8 @@ def exchange_all(know: Knowledge, pairs: np.ndarray | list[tuple[int, int]],
             raise ValueError(f"timer rows merged at {now}, not after the last merge "
                              f"at {know.merged_at}")
         know.merged_at = now
-    nodes = np.flatnonzero(np.bincount(pairs.ravel()))
+    degree = np.bincount(pairs.ravel())  # each node's contacts: its peer count
+    nodes = np.flatnonzero(degree)
     m, n, h = len(nodes), know.n_nodes, len(know.columns)
     # Each contact in both directions; ``peers[:, i]`` are receiver i's
     # peers, padded with i itself, whose own label never wins.
@@ -167,7 +168,7 @@ def exchange_all(know: Knowledge, pairs: np.ndarray | list[tuple[int, int]],
     order = heads.argsort(kind="stable")
     heads, tails = heads[order], tails[order]
     starts = heads.searchsorted(np.arange(m))
-    peers = np.repeat(np.arange(m)[None], np.diff(starts, append=len(heads)).max(), axis=0)
+    peers = np.repeat(np.arange(m)[None], degree.max(), axis=0)
     peers[np.arange(len(heads)) - starts[heads], heads] = tails
     timers, loads = know.timers[nodes], know.loads[nodes]
     den = know.t_av.as_integer_ratio()[1]

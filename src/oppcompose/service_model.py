@@ -172,16 +172,24 @@ def _deal_copies(
     raise ValueError("could not find a feasible balanced placement (too many copies per node?)")
 
 
-def check_placement(repetition, distribution: str) -> None:
-    """The checks of :func:`assign_services` that need no node list: ValueError
+def check_placement(repetition, distribution: str, n_nodes: int | None = None) -> None:
+    """The checks of :func:`assign_services` that need no catalog: ValueError
     unless ``repetition`` is an integer >= 1 (>= 2 under ``proportional``)
-    and ``distribution`` is ``uniform`` or ``proportional``."""
+    and ``distribution`` is ``uniform`` or ``proportional``, and, given
+    ``n_nodes``, unless ``repetition`` copies (``repetition + 1`` under
+    ``proportional``) fit on that many distinct nodes."""
     if type(repetition) is not int or repetition < 1:
         raise ValueError(f"repetition must be an integer >= 1, got {repetition!r}")
     if distribution not in ("uniform", "proportional"):
         raise ValueError(f"unknown distribution {distribution!r}; choose from uniform, proportional")
     if distribution == "proportional" and repetition < 2:
         raise ValueError("proportional distribution needs repetition >= 2")
+    if n_nodes is None:
+        return
+    if repetition > n_nodes:
+        raise ValueError(f"repetition {repetition} exceeds node count {n_nodes}")
+    if distribution == "proportional" and repetition + 1 > n_nodes:
+        raise ValueError("proportional layout needs repetition + 1 <= node count")
 
 
 def assign_services(
@@ -202,9 +210,7 @@ def assign_services(
     With a fixed rng state the placement is deterministic.  Per-node hosted
     counts are equal whenever the copy total divides the node count.
     """
-    check_placement(repetition, distribution)
-    if repetition > len(nodes):
-        raise ValueError(f"repetition {repetition} exceeds node count {len(nodes)}")
+    check_placement(repetition, distribution, len(nodes))
 
     if distribution == "uniform":
         per_service = {s: repetition for s in catalog.services}
@@ -216,8 +222,6 @@ def assign_services(
         per_service = {}
         for i, s in enumerate(ranked):
             per_service[s] = repetition + 1 if i < half else repetition - 1
-        if max(per_service.values()) > len(nodes):
-            raise ValueError("proportional layout needs repetition + 1 <= node count")
 
     copies = [s for s in catalog.services for _ in range(per_service[s])]
     assigned = _deal_copies(copies, sorted(nodes), rng)

@@ -117,6 +117,11 @@ class RequestPattern:
 
 @dataclass
 class SimConfig:
+    """One run's inputs.  Each node makes requests as a Poisson stream of
+    ``request_rate_per_min``, each drawn from ``pattern``, until
+    ``timeout_s`` before the trace ends, and each stage's service time is
+    exponential with mean ``mean_exec_s``."""
+
     catalog: ServiceCatalog
     placement: ServicePlacement
     pattern: RequestPattern
@@ -131,10 +136,6 @@ class SimConfig:
     delay_warmup_s: float = 7200.0
     load_aware: bool = True
     exact_match: bool = False
-    exec_deterministic: bool = False
-    # When set, requests come from this fixed list of
-    # (time, origin, input, output) instead of the Poisson stream.
-    scripted_requests: tuple[tuple[float, int, int, int], ...] | None = None
     seed: int = 0
 
     def validate(self) -> None:
@@ -401,8 +402,7 @@ class _GraphTemplate:
 class _Engine:
     def __init__(self, config: SimConfig, contacts: ContactTrace):
         config.validate()
-        if (config.scripted_requests is None and config.request_rate_per_min > 0
-                and config.timeout_s >= contacts.duration):
+        if config.request_rate_per_min > 0 and config.timeout_s >= contacts.duration:
             raise ValueError(f"timeout_s {config.timeout_s} leaves no time to generate "
                              f"requests in a run of duration {contacts.duration}")
         self.cfg = config
@@ -520,12 +520,8 @@ class _Engine:
         """Serve the request at the head of ``node``'s queue, if any."""
         if not self.queues[node]:
             return
-        item = self.queues[node][0]
-        if self.cfg.exec_deterministic:
-            dt = self.cfg.mean_exec_s
-        else:
-            dt = float(self.rng.exponential(self.cfg.mean_exec_s))
-        self.push(t + dt, _P_COMPLETION, node, item)
+        dt = float(self.rng.exponential(self.cfg.mean_exec_s))
+        self.push(t + dt, _P_COMPLETION, node, self.queues[node][0])
 
     def on_completion(self, t: float, node: int, item: RequestRecord) -> None:
         queue = self.queues[node]
@@ -648,13 +644,11 @@ class _Engine:
 
     # -- request generation and expiry ------------------------------------
 
-    def on_generate(self, t: float, payload) -> None:
+    def on_generate(self, t: float, node: int) -> None:
+        """``node`` makes a request drawn from the pattern, routes it, and
+        schedules its next one."""
         cfg = self.cfg
-        if isinstance(payload, tuple):
-            node, req_in, req_out = payload
-        else:
-            node = payload
-            req_in, req_out = cfg.pattern.draw(self.rng)
+        req_in, req_out = cfg.pattern.draw(self.rng)
         rec = RequestRecord(
             id=len(self.records), origin=node, input=req_in, output=req_out,
             created=t, deadline=t + cfg.timeout_s,
@@ -667,8 +661,7 @@ class _Engine:
         if path is not None:
             rec.estimated_cost_s = path.cost * cfg.unit_s
         self._route(rec, node, t, None if path is None else path.stages[0], sweep=True)
-        if not isinstance(payload, tuple):
-            self._schedule_next_generation(node, t)
+        self._schedule_next_generation(node, t)
 
     def _schedule_next_generation(self, node: int, t: float) -> None:
         if self.cfg.request_rate_per_min <= 0:
@@ -736,12 +729,8 @@ class _Engine:
         n_units = int(round(self.duration / cfg.unit_s))
         for k in range(n_units + 1):
             self.push(k * cfg.unit_s, _P_BOUNDARY, k)
-        if cfg.scripted_requests is not None:
-            for t, origin, req_in, req_out in cfg.scripted_requests:
-                self.push(t, _P_GENERATE, (origin, req_in, req_out))
-        else:
-            for node in range(self.n):
-                self._schedule_next_generation(node, 0.0)
+        for node in range(self.n):
+            self._schedule_next_generation(node, 0.0)
         # Looked up now, so handlers replaced on the instance or the class run.
         handlers = (self.on_boundary, self.on_contact_start, self.on_completion,
                     self.on_generate, self.sweep, self.on_deadline, self.on_contact_end)

@@ -333,6 +333,26 @@ def test_exchange_all_without_pairs_changes_nothing():
     assert np.array_equal(know.loads, before.loads)
 
 
+@pytest.mark.parametrize("track_matrix", [False, True])
+def test_a_pair_listed_twice_settles_as_once(track_matrix):
+    # Two events of one pair 1e-8 s apart both cover it at a boundary, under
+    # boundary_pairs' 1e-9-unit tolerance: the pair then comes twice.
+    rng = np.random.default_rng(3)
+    once = Knowledge(6, t_av=0.5, track_matrix=track_matrix)
+    once.timers[:] = rng.integers(1, 8, size=(6, 6))
+    np.fill_diagonal(once.timers, 0.0)
+    once.loads[:] = rng.integers(1, 100, size=(6, 6))
+    twice = copy.deepcopy(once)
+    pairs = [(0, 1), (1, 2), (2, 3), (4, 5)]
+    changed = exchange_all(once, np.array(pairs), now=1.0)
+    assert changed
+    assert exchange_all(twice, np.array(pairs[:2] + [(1, 2)] + pairs[2:]), now=1.0) == changed
+    for name in ("timers", "loads", "matrix_obs"):
+        assert np.array_equal(getattr(twice, name), getattr(once, name))
+    if track_matrix:
+        assert np.array_equal(observed_rows(twice), observed_rows(once))
+
+
 def test_matrix_merge_must_come_later_than_the_last():
     # The per-group merge relies on one observation time naming one row.
     know = Knowledge(4, track_matrix=True)

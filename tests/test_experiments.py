@@ -271,12 +271,12 @@ def test_parallel_runs_reproduce_serial_bytes(tmp_path):
 
 def test_prepare_run_maps_every_sim_key():
     spec = tiny_spec(sim={"awareness": "global", "scheme": "EBR", "mean_exec_s": 45.0,
-                          "exec_deterministic": True, "load_alpha": 0.25})
+                          "exact_match": True, "load_alpha": 0.25})
     config, _ = experiments.prepare_run(spec.to_dict(), seed=3)
     assert config.awareness == "global"
     assert config.scheme == "EBR"
     assert config.mean_exec_s == 45.0
-    assert config.exec_deterministic is True
+    assert config.exact_match is True
     assert config.load_alpha == 0.25
     assert config.seed == 3
 
@@ -380,6 +380,21 @@ def test_every_preset_run_passes_key_checks():
      r"pattern: start_weights keys \[25\] are not types 1..4"),
     ({"mobility": {**tiny_spec().mobility, "model": "levyy"}},
      "unknown mobility model 'levyy'; choose from levy, slaw, hcmm, trace-file, gps-files"),
+    # Every run draws its requests from the Poisson stream and its service
+    # times from the exponential: a script or fixed times are a test's.
+    *[({"sim": {key: value}}, rf"unknown sim key\(s\) {key}; valid keys: .*mean_exec_s")
+      for key, value in [("scripted_requests", [[60.0, 0, 1, 4]]), ("exec_deterministic", True)]],
+    # A synthetic model's node count bounds repetition, in every run: these
+    # failed only inside each run, after the outputs were written.
+    ({"repetition": 11}, "repetition 11 exceeds node count 10"),
+    ({"distribution": "proportional", "repetition": 10,
+      "pattern": {"kind": "fixed_length", "length": 2}, "catalog": {"n_d": 4, "ring": True}},
+     r"proportional layout needs repetition \+ 1 <= node count"),
+    ({"sweep": {"repetition": [2, 12]}}, "repetition 12 exceeds node count 10"),
+    ({"variants": [{"name": "a", "overrides": {}},
+                   {"name": "b", "overrides": {"mobility.n_nodes": 1,
+                                               "mobility.params.speed_classes": [[1, [1.0, 1.0]]]}}]},
+     "repetition 2 exceeds node count 1"),
 ])
 def test_spec_keys_are_checked_in_every_run_before_any_starts(tmp_path, change, message):
     spec_dict = {k: v for k, v in {**tiny_spec().to_dict(), **change}.items() if v is not None}

@@ -3,11 +3,12 @@
 The digests are the sha256 of ``write_records_csv`` output.  A change that
 moves one byte of these records fails here; a change meant to move them
 re-pins the digests and says why.  Contacts come from ``rng.uniform`` and
-``rng.integers``, requests are scripted and execution times deterministic,
-so no mobility generator and no libm transcendental enters: the digests do
-not depend on the CPU.  The one exception, a Lévy walk of 80 nodes under
-``global`` awareness (where half the nodes host services), reads a mobility
-generator, as the benchmark's pinned digests do.
+``rng.integers``, and :func:`scripted.run_scripted` scripts the requests
+and fixes the execution times, so no mobility generator and no libm
+transcendental enters: the digests do not depend on the CPU.  The one
+exception, a Lévy walk of 80 nodes under ``global`` awareness (where half
+the nodes host services), reads a mobility generator, as the benchmark's
+pinned digests do.
 """
 
 import hashlib
@@ -21,6 +22,7 @@ from oppcompose.contact_engine import ContactTrace
 from oppcompose.service_model import assign_services, enumerate_services
 from oppcompose.sim_core import _Engine, RequestPattern, SimConfig, run, write_records_csv
 from pricing_reference import cost_matrices, matrix_view
+from scripted import run_scripted
 
 N_NODES = 8
 DURATION = 7200.0
@@ -74,6 +76,8 @@ def scenario(n_nodes=N_NODES, hosts=None):
     """Every pair meets now and then, so co-located groups come and go.
 
     ``hosts`` are the nodes that host services, every node by default.
+    Returns the contacts, the config's keyword arguments and the request
+    script.
     """
     rng = np.random.default_rng(2024)
     events = []
@@ -96,14 +100,12 @@ def scenario(n_nodes=N_NODES, hosts=None):
         req_in, req_out = pattern.pairs[int(rng.integers(len(pattern.pairs)))]
         requests.append((float(rng.integers(0, 6000)), int(rng.integers(n_nodes)),
                          req_in, req_out))
-    base = dict(catalog=catalog, placement=placement, pattern=pattern,
-                scripted_requests=tuple(sorted(requests)), exec_deterministic=True,
-                delay_warmup_s=0.0)
-    return contacts, base
+    base = dict(catalog=catalog, placement=placement, pattern=pattern, delay_warmup_s=0.0)
+    return contacts, base, tuple(sorted(requests))
 
 
 def test_scenario_forms_groups_of_three_or_more():
-    contacts, _ = scenario()
+    contacts, _, _ = scenario()
     biggest = max(max(Counter(v for pair in pairs for v in pair).values(), default=0)
                   for pairs in contacts.boundary_pairs(30.0))
     assert biggest >= 2  # some node meets two peers at once
@@ -111,8 +113,8 @@ def test_scenario_forms_groups_of_three_or_more():
 
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_records_match_pinned_digest(name, tmp_path):
-    contacts, base = scenario()
-    records = run(SimConfig(**base, **RUNS[name]), contacts)
+    contacts, base, script = scenario()
+    records = run_scripted(SimConfig(**base, **RUNS[name]), contacts, script, fixed_exec=True)
     path = tmp_path / "records.csv"
     write_records_csv(records, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN[name]
@@ -120,11 +122,12 @@ def test_records_match_pinned_digest(name, tmp_path):
 
 @pytest.mark.parametrize("awareness", sorted(GOLDEN_NONHOST))
 def test_nonhost_owner_records_match_pinned_digest(awareness, tmp_path):
-    contacts, base = scenario(NONHOST_NODES, NONHOST_HOSTS)
+    contacts, base, script = scenario(NONHOST_NODES, NONHOST_HOSTS)
     hosting = {v for hosts in base["placement"].by_service.values() for v in hosts}
     assert hosting == set(NONHOST_HOSTS)
-    assert {origin for _, origin, _, _ in base["scripted_requests"]} - hosting
-    records = run(SimConfig(**base, **NONHOST_SIM, awareness=awareness), contacts)
+    assert {origin for _, origin, _, _ in script} - hosting
+    records = run_scripted(SimConfig(**base, **NONHOST_SIM, awareness=awareness), contacts,
+                           script, fixed_exec=True)
     path = tmp_path / "records.csv"
     write_records_csv(records, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_NONHOST[awareness]
@@ -146,7 +149,7 @@ def test_reused_plans_match_a_fresh_search(name, monkeypatch, tmp_path):
     # unit.  Every answer, reused or not, must equal a search on the n x n
     # reference priced afresh from the engine's state at the time of the
     # call (under ``perfect``, with the live backlog).
-    contacts, base = scenario()
+    contacts, base, script = scenario()
     compute_path = _Engine.compute_path
     answers = Counter()
 
@@ -165,7 +168,7 @@ def test_reused_plans_match_a_fresh_search(name, monkeypatch, tmp_path):
         return path
 
     monkeypatch.setattr(_Engine, "compute_path", checked)
-    records = run(SimConfig(**base, **RUNS[name]), contacts)
+    records = run_scripted(SimConfig(**base, **RUNS[name]), contacts, script, fixed_exec=True)
     assert answers[False] > 0
     # ``perfect`` prices the live backlog, so it reuses no plan.
     if name != "perfect":
@@ -186,11 +189,11 @@ def test_minimal_awareness_keeps_no_knowledge(monkeypatch, tmp_path):
         return exchange_all(know, pairs, now, **kwargs)
 
     monkeypatch.setattr(sim_core, "exchange_all", counted)
-    contacts, base = scenario()
+    contacts, base, script = scenario()
     closures = {}
     for name in ("minimal", "local"):
         calls.clear()
-        records = run(SimConfig(**base, **RUNS[name]), contacts)
+        records = run_scripted(SimConfig(**base, **RUNS[name]), contacts, script, fixed_exec=True)
         path = tmp_path / f"{name}.csv"
         write_records_csv(records, path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN[name]

@@ -20,6 +20,7 @@ from oppcompose.sim_core import (
     run,
     write_records_csv,
 )
+from scripted import run_scripted, scripted_engine
 
 
 def small_catalog():
@@ -149,8 +150,7 @@ def test_poisson_stream_needs_time_before_its_timeout(timeout_s):
     with pytest.raises(ValueError, match=f"timeout_s {timeout_s} .* duration 3600.0"):
         run(default_config(timeout_s=timeout_s), contacts)
     # Scripted and empty streams do not generate on that clock.
-    scripted = default_config(timeout_s=timeout_s, scripted_requests=((0.0, 0, 1, 5),))
-    assert len(run(scripted, contacts)) == 1
+    assert len(run_scripted(default_config(timeout_s=timeout_s), contacts, ((0.0, 0, 1, 5),))) == 1
     assert run(default_config(timeout_s=timeout_s, request_rate_per_min=0.0), contacts) == []
     run(default_config(timeout_s=3000.0), contacts)
 
@@ -216,13 +216,13 @@ def test_load_alpha_must_lie_in_unit_interval(load_alpha):
 def test_local_exact_service_completes_with_zero_hops():
     catalog = small_catalog()
     placement = placement_of({0: [Service(1, 4)]})
+    script = ((60.0, 0, 1, 4),)
     cfg = SimConfig(
         catalog=catalog, placement=placement,
         pattern=RequestPattern(pairs=((1, 4),)),
-        scripted_requests=((60.0, 0, 1, 4),),
         seed=1,
     )
-    records = run(cfg, no_contact_trace(1, 3600.0))
+    records = run_scripted(cfg, no_contact_trace(1, 3600.0), script)
     rec = records[0]
     assert rec.status == "completed"
     assert rec.hops == 0
@@ -233,28 +233,27 @@ def test_local_exact_service_completes_with_zero_hops():
 def test_deterministic_exec_time_exact():
     catalog = small_catalog()
     placement = placement_of({0: [Service(1, 4)]})
+    script = ((60.0, 0, 1, 4),)
     cfg = SimConfig(
         catalog=catalog, placement=placement,
         pattern=RequestPattern(pairs=((1, 4),)),
-        scripted_requests=((60.0, 0, 1, 4),),
-        exec_deterministic=True,
         seed=1,
     )
-    rec = run(cfg, no_contact_trace(1, 3600.0))[0]
+    rec = run_scripted(cfg, no_contact_trace(1, 3600.0), script, fixed_exec=True)[0]
     assert rec.delay == 30.0
 
 
 def test_fifo_queueing_two_simultaneous_requests():
     catalog = small_catalog()
     placement = placement_of({0: [Service(1, 4)]})
+    script = ((60.0, 0, 1, 4), (60.0, 0, 1, 4))
     cfg = SimConfig(
         catalog=catalog, placement=placement,
         pattern=RequestPattern(pairs=((1, 4),)),
-        scripted_requests=((60.0, 0, 1, 4), (60.0, 0, 1, 4)),
-        exec_deterministic=True,
         seed=1,
     )
-    recs = sorted(run(cfg, no_contact_trace(1, 3600.0)), key=lambda r: r.id)
+    recs = sorted(run_scripted(cfg, no_contact_trace(1, 3600.0), script, fixed_exec=True),
+                  key=lambda r: r.id)
     assert recs[0].delay == 30.0
     assert recs[1].delay == 60.0  # waits for the first to finish
 
@@ -267,11 +266,10 @@ def test_exec_sampler_mean():
     cfg = SimConfig(
         catalog=catalog, placement=placement,
         pattern=RequestPattern(pairs=((1, 4),)),
-        scripted_requests=script,
         timeout_s=590.0,
         seed=7,
     )
-    recs = run(cfg, no_contact_trace(1, 40000.0))
+    recs = run_scripted(cfg, no_contact_trace(1, 40000.0), script)
     delays = [r.delay for r in recs if r.status == "completed"]
     assert len(delays) >= 45
     assert 20.0 < float(np.mean(delays)) < 40.0
@@ -287,15 +285,14 @@ def test_fully_connected_chain_exact_delay():
         2: [Service(2, 3)],
         3: [Service(3, 4)],
     })
+    script = ((300.0, 0, 1, 4),)
     cfg = SimConfig(
         catalog=catalog, placement=placement,
         pattern=RequestPattern(pairs=((1, 4),)),
-        scripted_requests=((300.0, 0, 1, 4),),
-        exec_deterministic=True,
         awareness="perfect",
         seed=1,
     )
-    records = run(cfg, full_contact_trace(4, 7200.0))
+    records = run_scripted(cfg, full_contact_trace(4, 7200.0), script, fixed_exec=True)
     rec = records[0]
     assert rec.status == "completed"
     # Three stages, each 30 s, transfers instantaneous over live contacts.
@@ -307,15 +304,14 @@ def test_fully_connected_chain_exact_delay():
 def test_stage_advances_input_type():
     catalog = small_catalog()
     placement = placement_of({0: [Service(1, 3)], 1: [Service(3, 4)]})
+    script = ((60.0, 0, 1, 4),)
     cfg = SimConfig(
         catalog=catalog, placement=placement,
         pattern=RequestPattern(pairs=((1, 4),)),
-        scripted_requests=((60.0, 0, 1, 4),),
-        exec_deterministic=True,
         awareness="perfect",
         seed=1,
     )
-    rec = run(cfg, full_contact_trace(2, 3600.0))[0]
+    rec = run_scripted(cfg, full_contact_trace(2, 3600.0), script, fixed_exec=True)[0]
     assert rec.status == "completed"
     assert [(s.input, s.output) for s, _, _ in rec.stages] == [(1, 3), (3, 4)]
 
@@ -325,13 +321,13 @@ def test_stage_advances_input_type():
 def test_unreachable_request_times_out():
     catalog = small_catalog()
     placement = placement_of({0: [], 1: [Service(1, 4)]})
+    script = ((60.0, 0, 1, 4),)
     cfg = SimConfig(
         catalog=catalog, placement=placement,
         pattern=RequestPattern(pairs=((1, 4),)),
-        scripted_requests=((60.0, 0, 1, 4),),
         seed=1,
     )
-    rec = run(cfg, no_contact_trace(2, 3600.0))[0]
+    rec = run_scripted(cfg, no_contact_trace(2, 3600.0), script)[0]
     assert rec.status == "timed-out"
     assert rec.completed is None
 
@@ -343,12 +339,10 @@ def test_queued_requests_time_out_under_overload():
     cfg = SimConfig(
         catalog=catalog, placement=placement,
         pattern=RequestPattern(pairs=((1, 4),)),
-        scripted_requests=script,
-        exec_deterministic=True,
         timeout_s=300.0,
         seed=1,
     )
-    records = run(cfg, no_contact_trace(1, 7200.0))
+    records = run_scripted(cfg, no_contact_trace(1, 7200.0), script, fixed_exec=True)
     counts = Counter(rec.status for rec in records)
     assert counts["completed"] == 10  # 300 s window at 30 s per execution
     assert counts["timed-out"] == 30
@@ -362,16 +356,15 @@ def test_result_in_transit_at_deadline_not_counted():
     catalog = small_catalog()
     placement = placement_of({0: [], 1: [Service(1, 4)]})
     events = [(0.0, 30.0, 0, 1), (1500.0, 1560.0, 0, 1)]
+    script = ((30.0, 0, 1, 4),)
     cfg = SimConfig(
         catalog=catalog, placement=placement,
         pattern=RequestPattern(pairs=((1, 4),)),
-        scripted_requests=((30.0, 0, 1, 4),),
-        exec_deterministic=True,
         timeout_s=900.0,
         scheme="direct",
         seed=1,
     )
-    records = run(cfg, ContactTrace(events, 2, 3600.0))
+    records = run_scripted(cfg, ContactTrace(events, 2, 3600.0), script, fixed_exec=True)
     rec = records[0]
     assert rec.status == "timed-out"
     assert len(rec.stages) == 1  # executed remotely, result never made it home
@@ -381,15 +374,14 @@ def test_result_routes_home_on_next_contact():
     catalog = small_catalog()
     placement = placement_of({0: [], 1: [Service(1, 4)]})
     events = [(0.0, 30.0, 0, 1), (600.0, 660.0, 0, 1)]
+    script = ((30.0, 0, 1, 4),)
     cfg = SimConfig(
         catalog=catalog, placement=placement,
         pattern=RequestPattern(pairs=((1, 4),)),
-        scripted_requests=((30.0, 0, 1, 4),),
-        exec_deterministic=True,
         scheme="direct",
         seed=1,
     )
-    rec = run(cfg, ContactTrace(events, 2, 3600.0))[0]
+    rec = run_scripted(cfg, ContactTrace(events, 2, 3600.0), script, fixed_exec=True)[0]
     assert rec.status == "completed"
     assert rec.completed == 600.0
     assert rec.hops == 2  # request out, result back
@@ -413,14 +405,14 @@ def test_stale_completion_of_a_cancelled_request_leaves_its_successor_running():
     # fires at 170 s and must not end B's execution.
     catalog = small_catalog()
     placement = placement_of({0: [Service(1, 4)]})
+    script = ((60.0, 0, 1, 4), (100.0, 0, 1, 4))
     cfg = SimConfig(
         catalog=catalog, placement=placement,
         pattern=RequestPattern(pairs=((1, 4),)),
-        scripted_requests=((60.0, 0, 1, 4), (100.0, 0, 1, 4)),
         timeout_s=100.0,
         seed=1,
     )
-    engine = _Engine(cfg, no_contact_trace(1, 3600.0))
+    engine = scripted_engine(cfg, no_contact_trace(1, 3600.0), script)
     draws = iter([110.0, 30.0])
     engine.rng = SimpleNamespace(exponential=lambda mean: next(draws))
     a, b = sorted(engine.run(), key=lambda r: r.id)
@@ -672,17 +664,16 @@ def test_events_at_one_instant_run_by_kind_then_push_order():
     # handlers run kind by kind in HANDLERS order, so a contact ends after
     # the sweeps and deadlines at its instant, and events of one kind in the
     # order they were pushed: the scripted requests in script order, not by
-    # origin.
+    # origin.  Each generation event carries its origin only.
     catalog = enumerate_services(3)
     placement = placement_of({0: [Service(1, 2)], 2: [Service(2, 3)]})
     script = ((0.0, 2, 1, 2), (0.0, 3, 1, 2), (30.0, 0, 1, 2),
               (60.0, 3, 1, 2), (60.0, 1, 1, 2))
     config = SimConfig(catalog=catalog, placement=placement,
                        pattern=RequestPattern(pairs=((1, 2),)), awareness="minimal",
-                       timeout_s=60.0, mean_exec_s=30.0, exec_deterministic=True,
-                       scripted_requests=script)
+                       timeout_s=60.0, mean_exec_s=30.0)
     trace = ContactTrace([(60.0, 120.0, 1, 2), (60.0, 90.0, 0, 3), (0.0, 60.0, 1, 3)], 4, 300.0)
-    engine = _Engine(config, trace)
+    engine = scripted_engine(config, trace, script, fixed_exec=True)
     calls = []
 
     def recorded(name):
@@ -703,7 +694,7 @@ def test_events_at_one_instant_run_by_kind_then_push_order():
     assert names.count("on_deadline") == 2
     assert [p for name, p in at_60 if name == "on_contact_start"] == [(0, 3, 90.0),
                                                                        (1, 2, 120.0)]
-    assert [p for name, p in at_60 if name == "on_generate"] == [((3, 1, 2),), ((1, 1, 2),)]
+    assert [p for name, p in at_60 if name == "on_generate"] == [(3,), (1,)]
     assert [p for name, p in at_60 if name == "on_contact_end"] == [(1, 3)]
 
 
