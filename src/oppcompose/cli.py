@@ -73,7 +73,7 @@ def _cmd_analyze(args) -> int:
     out = Path(args.run_dir)
     try:
         summary = experiments.aggregate(out)
-    except FileNotFoundError as exc:  # no manifest, or a run file it names
+    except (FileNotFoundError, ValueError) as exc:  # no manifest; a run file missing or malformed
         return _error(exc)
     print(f"summary written to {summary}")
     if args.estimate_accuracy:

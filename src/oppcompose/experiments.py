@@ -30,6 +30,7 @@ import math
 import os
 import tempfile
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -440,7 +441,7 @@ def read_rows(path) -> list[dict]:
 # ---------------------------------------------------------------------------
 # Aggregation
 
-def summarize_group(run_rows: list[list[dict]], timeout_s: float, warmup_s: float) -> dict:
+def summarize_group(run_rows: list[list[Mapping]], timeout_s: float, warmup_s: float) -> dict:
     """Aggregate metrics over one group of per-seed record lists."""
     rates = [sum(1 for r in rows if r["status"] == "completed") / len(rows) if rows else 0.0
              for rows in run_rows]
@@ -532,7 +533,7 @@ def _fmt(v: float) -> str:
 # ---------------------------------------------------------------------------
 # Analyses
 
-def compare_estimate_accuracy(rows: list[dict], timeout_s: float) -> dict:
+def compare_estimate_accuracy(rows: list[Mapping], timeout_s: float) -> dict:
     """Distribution of (estimated cost - actual delay) for completed requests
     plus the over-timeout share of estimates for incomplete ones."""
     diffs = [r["estimated_cost_s"] - r["delay_s"] for r in rows

@@ -36,6 +36,7 @@ from __future__ import annotations
 import heapq
 import math
 from bisect import insort
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import islice
 from operator import attrgetter
@@ -224,21 +225,56 @@ def write_records_csv(records: list[RequestRecord], path) -> None:
                      f"{completed},{delay},{r.hops},{stages},{r.opportunistic_stages},{est}\n")
 
 
-_RECORD_NUMBERS = {"id": int, "origin": int, "in": int, "out": int, "created_s": float,
-                   "completed_s": float, "delay_s": float, "hops": int,
-                   "opportunistic_stages": int, "estimated_cost_s": float}
+_RECORD_NAMES = tuple(RECORD_FIELDS.split(","))
+_RECORD_INDEX = {name: i for i, name in enumerate(_RECORD_NAMES)}
+# Each column's parser; None keeps the text (status, stages), shared per file.
+_RECORD_PARSERS = (int, int, int, int, float, None, float, float, int, None, int, float)
 
 
-def read_records_csv(path) -> list[dict]:
-    """Rows back as dicts with numeric fields parsed (None for blanks)."""
+class _RecordRow(Mapping):
+    """One records-CSV row, read-only: its values in ``RECORD_FIELDS`` order."""
+
+    __slots__ = ("_values",)
+
+    def __init__(self, values: tuple):
+        self._values = values
+
+    def __getitem__(self, name):
+        return self._values[_RECORD_INDEX[name]]
+
+    def __iter__(self):
+        return iter(_RECORD_NAMES)
+
+    def __len__(self):
+        return len(_RECORD_NAMES)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({dict(self)!r})"
+
+
+def read_records_csv(path) -> list[Mapping]:
+    """Rows back as read-only mappings keyed by the header's names, numeric
+    fields parsed (None for blanks); rows of one file share each distinct
+    ``status`` and ``stages`` string.  A header other than ``RECORD_FIELDS``,
+    or a row of another width, raises ``ValueError`` naming the line."""
+    texts: dict[str, str] = {}
     rows = []
     with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        for line in fh:  # one at a time: a run's unparsed rows would raise peak memory
-            row = dict(zip(header, line.rstrip("\n").split(",")))
-            for name, parse in _RECORD_NUMBERS.items():
-                row[name] = parse(row[name]) if row[name] else None
-            rows.append(row)
+        if (header := fh.readline().rstrip("\n")) != RECORD_FIELDS:
+            raise ValueError(f"{path}, line 1: header {header!r} is not {RECORD_FIELDS!r}")
+        # One line at a time: a run's unparsed rows would raise peak memory.
+        for lineno, line in enumerate(fh, 2):
+            cells = line.rstrip("\n").split(",")
+            if len(cells) != len(_RECORD_NAMES):
+                raise ValueError(f"{path}, line {lineno}: {len(cells)} fields, "
+                                 f"expected {len(_RECORD_NAMES)}")
+            try:
+                values = tuple(texts.setdefault(cell, cell) if parse is None
+                               else parse(cell) if cell else None
+                               for parse, cell in zip(_RECORD_PARSERS, cells))
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {lineno}: {exc}") from None
+            rows.append(_RecordRow(values))
     return rows
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 from types import SimpleNamespace
 
@@ -573,14 +574,121 @@ def test_records_csv_round_trip(tmp_path):
     path = tmp_path / "records.csv"
     write_records_csv(records, path)
     rows = read_records_csv(path)
-    assert len(rows) == len(records)
+    assert [row["id"] for row in rows] == sorted(r.id for r in records)
     by_id = {r.id: r for r in records}
+
+    def approx(value):
+        return None if value is None else pytest.approx(value, abs=1e-3)
+
     for row in rows:
         rec = by_id[row["id"]]
-        assert row["status"] == rec.status
-        assert row["hops"] == rec.hops
-        if rec.delay is not None:
-            assert abs(row["delay_s"] - rec.delay) < 1e-3
+        assert row == {
+            "id": rec.id, "origin": rec.origin, "in": rec.input, "out": rec.output,
+            "created_s": approx(rec.created), "status": rec.status,
+            "completed_s": approx(rec.completed), "delay_s": approx(rec.delay),
+            "hops": rec.hops, "stages": row["stages"],
+            "opportunistic_stages": rec.opportunistic_stages,
+            "estimated_cost_s": approx(rec.estimated_cost_s),
+        }
+        written = [(s.rstrip("*"), s.endswith("*")) for s in row["stages"].split("|") if s]
+        assert written == [(f"{s.input}-{s.output}@{node}", opp) for s, node, opp in rec.stages]
+
+
+def synthetic_records(n, seed=0):
+    """``n`` finished requests shaped like a run's: about half completed, a
+    few dozen distinct stage lists, every time a float."""
+    rng = np.random.default_rng(seed)
+    services = enumerate_services(7).services
+    paths = [[(services[int(rng.integers(len(services)))], int(rng.integers(20)),
+               bool(rng.random() < 0.2)) for _ in range(int(rng.integers(1, 4)))]
+             for _ in range(40)]
+    records = []
+    for i in range(n):
+        created = float(rng.uniform(0.0, 36000.0))
+        rec = RequestRecord(i, int(rng.integers(20)), int(rng.integers(1, 8)),
+                            int(rng.integers(1, 8)), created, created + 900.0,
+                            hops=int(rng.integers(8)),
+                            estimated_cost_s=float(rng.uniform(0.0, 2000.0)))
+        if rng.random() < 0.5:
+            rec.status, rec.completed = "completed", created + float(rng.uniform(0.0, 900.0))
+            rec.stages = paths[int(rng.integers(len(paths)))]
+        else:
+            rec.status = "timed-out"
+        records.append(rec)
+    return records
+
+
+def test_records_read_back_as_read_only_mappings_in_column_order(tmp_path):
+    path = tmp_path / "records.csv"
+    write_records_csv(synthetic_records(300), path)
+    rows = read_records_csv(path)
+    for row in rows:
+        assert list(row) == sim_core.RECORD_FIELDS.split(",")
+        assert dict(row) == row and row == dict(row)
+        assert row != {**row, "hops": row["hops"] + 1}
+    blank = next(row for row in rows if row["status"] == "timed-out")
+    assert blank["completed_s"] is None and blank["delay_s"] is None and blank["stages"] == ""
+    assert blank.get("no such column") is None and "no such column" not in blank
+    with pytest.raises(TypeError):
+        blank["status"] = "completed"
+    with pytest.raises(TypeError):
+        del blank["status"]
+    for name in ("status", "stages"):
+        assert len({id(row[name]) for row in rows}) == len({row[name] for row in rows}) > 1
+
+
+def test_read_back_records_take_under_350_bytes_a_row(tmp_path):
+    # A dict per row takes about 660 B; a tuple of parsed values, with the
+    # repeated status and stages text shared, about 280.
+    path = tmp_path / "records.csv"
+    write_records_csv(synthetic_records(4000), path)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        rows = read_records_csv(path)
+        used = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 4000
+    assert used / len(rows) <= 350
+
+
+def _on_line(number, edit):
+    """An edit of one line of a records file, the header being line 1."""
+    return lambda lines: [edit(line) if i == number else line for i, line in enumerate(lines, 1)]
+
+
+def _cut_last_field(line):
+    return line.rsplit(",", 1)[0]
+
+
+MALFORMED_RECORDS = {
+    "missing-column": (lambda lines: [_cut_last_field(line) for line in lines], "line 1: header"),
+    "short-row": (_on_line(4, _cut_last_field), "line 4: 11 fields, expected 12"),
+    "extra-column": (lambda lines: [line + ",x" for line in lines], "line 1: header"),
+    "long-row": (_on_line(3, lambda line: line + ",0"), "line 3: 13 fields, expected 12"),
+    "bad-number": (_on_line(6, lambda line: "x" + line), "line 6: invalid literal"),
+    "other-header": (_on_line(1, lambda line: "id"), "line 1: header"),
+}
+
+
+@pytest.mark.parametrize("edit, message", MALFORMED_RECORDS.values(), ids=MALFORMED_RECORDS)
+def test_a_malformed_records_file_names_its_line(tmp_path, capsys, edit, message):
+    from oppcompose.cli import main
+
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    path = runs / "base_seed0.csv"
+    write_records_csv(synthetic_records(10), path)
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    with pytest.raises(ValueError, match=f"base_seed0.csv, {message}"):
+        read_records_csv(path)
+    (tmp_path / "manifest.csv").write_text(
+        "variant,point,seed,file,timeout_s,warmup_s,error\nbase,p0,0,base_seed0.csv,900.0,0.0,\n")
+    assert main(["analyze", str(tmp_path), "--estimate-accuracy"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "summary.csv").exists()
 
 
 # -- single copy invariant -------------------------------------------------------------
