@@ -164,16 +164,17 @@ def _tuples(value):
 
 
 def make_trace(mob: dict, seed: int, cache_dir: Path | None = None) -> mobility.PositionTrace:
-    """Generate (or load from cache, bit for bit) the position trace for one seed."""
+    """Generate (or load from cache, bit for bit) the position trace for one
+    seed.  A file model reads its files every run: a spec names them, not their content."""
     _check_mobility(mob)
+    model = mob["model"]
     key = None
-    if cache_dir is not None:
+    if cache_dir is not None and model in _GENERATORS:
         digest = hashlib.sha1(json.dumps(mob, sort_keys=True).encode() + str(seed).encode()).hexdigest()[:16]
-        key = Path(cache_dir) / f"trace_{mob['model']}_{digest}.npz"
+        key = Path(cache_dir) / f"trace_{model}_{digest}.npz"
         if key.exists():
             with np.load(key) as cached:
                 return mobility.PositionTrace(cached["positions"], *cached["frame"].tolist())
-    model = mob["model"]
     # Unset, the sample interval is the generator's or ingest_gps_log's default.
     interval = {"sample_interval": mob["sample_interval"]} if "sample_interval" in mob else {}
     params = mob.get("params", {})
@@ -271,14 +272,21 @@ def _check_spec(spec_dict: dict) -> ExperimentSpec:
     Raises ValueError on a key no part of the run reads, naming the valid
     ones, on an unknown pattern kind, on a missing key that has no default
     (a ``fixed_length`` pattern's ``length`` among them), and on a value
-    that needs no trace to check: ``seeds``, ``repetition`` (against a
-    synthetic model's ``n_nodes`` too), ``distribution``, ``range_m`` and
-    :func:`_check_mobility`'s.
+    that needs no trace to check: ``seeds``, ``variants`` and ``sweep``'s
+    axes (non-empty lists), ``repetition`` (against a synthetic model's
+    ``n_nodes`` too), ``distribution``, ``range_m``, :func:`_check_mobility`'s.
     """
     _check_keys("spec", spec_dict, ExperimentSpec)
     spec = ExperimentSpec(**spec_dict)
     if type(spec.seeds) is not int or spec.seeds < 1:
         raise ValueError(f"seeds must be an integer of at least 1, got {spec.seeds!r}")
+    # An empty list would run nothing, and a scalar axis fail unnamed.
+    if not isinstance(spec.sweep, dict):
+        raise ValueError(f"sweep must map keys to lists of values, got {spec.sweep!r}")
+    for name, values in [("variants", spec.variants),
+                         *((f"sweep.{key}", axis) for key, axis in spec.sweep.items())]:
+        if not isinstance(values, list) or not values:
+            raise ValueError(f"{name} must be a non-empty list, got {values!r}")
     check_range(spec.range_m)
     _check_mobility(spec.mobility)
     n_nodes = spec.mobility["n_nodes"] if spec.mobility["model"] in _GENERATORS else None

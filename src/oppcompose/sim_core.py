@@ -289,69 +289,60 @@ class CompositionPath:
 
 
 class _GraphTemplate:
-    """Placement-derived edge structure shared by every path computation.
+    """Placement-derived vertices shared by every path computation.
 
     Vertices are ints: hosted service copies first, in (service, host) order
     (``ServicePlacement.by_service`` lists each service's hosts sorted), then
-    one vertex per type; only each edge's head is kept.  A copy's device is
-    its host's slot, ``slots[host]`` (the host itself by default), and a type
-    vertex's the graph owner's slot, and an edge pays a load exactly when its
-    head is a copy, so :meth:`shortest` prices an edge from its two vertices
-    and an owner's view, whichever owner it searches for.
-    :meth:`heads_toward` prunes the edges that cannot lead to an output type,
-    once per type, so an empty list at the input's type vertex means no
-    chain of hosted services reaches the output.
+    one vertex per type.  No edge list is stored, as the types give every
+    edge: a type vertex leads to each copy that takes the type, and a copy
+    to its output's type vertex and, unless ``single_stage``, to each copy
+    that takes its output.  A copy's device is its host's slot,
+    ``slots[host]`` (the host itself by default), and a type vertex's the
+    graph owner's slot, and an edge pays a load exactly when its head is a
+    copy, so :meth:`shortest` prices an edge from its two vertices and an
+    owner's view, whichever owner it searches for.  :meth:`heads_toward`
+    keeps the edges that can lead to an output type, so an empty list at the
+    input's type vertex means no chain of hosted services reaches the output.
     """
 
     def __init__(self, placement: ServicePlacement, n_d: int, single_stage: bool, slots=None):
         self.n_d = n_d
-        copies = [(s, n) for s in sorted(placement.by_service)
-                  for n in placement.by_service[s]]
+        services = sorted(placement.by_service)
+        copies = [(s, n) for s in services for n in placement.by_service[s]]
         self.copies = copies
         self.devices = [n if slots is None else slots[n] for _, n in copies]
         self.n_service_vertices = len(copies)
         self.type_vertex = {x: len(copies) + x - 1 for x in range(1, n_d + 1)}
         self.n_vertices = len(copies) + n_d
-        # Per vertex: the head vertex of each outgoing edge.
-        self.heads: list[list[int]] = [[] for _ in range(self.n_vertices)]
-        for vi, (s, _) in enumerate(copies):
-            self.heads[self.type_vertex[s.input]].append(vi)
-            self.heads[vi].append(self.type_vertex[s.output])
-            if not single_stage:
-                self.heads[vi].extend(vj for vj, (s2, _) in enumerate(copies)
-                                      if s.output == s2.input)
         # Each copy's rank in (service, host) order, for ties: its index.  A
         # list, since indexing a range is slower.
         self.lex_rank = list(range(len(copies)))
-        self._toward: dict[int, list[list[int]]] = {}
+        self._toward = {y: self._pruned_heads(y, services, single_stage) for y in self.type_vertex}
+
+    def _pruned_heads(self, req_out: int, services: list[Service],
+                      single_stage: bool) -> list[list[int]]:
+        """Per vertex, its heads that can reach ``req_out``'s type vertex: the
+        goal, and each copy whose output is ``req_out`` or (unless
+        ``single_stage``) feeds a service whose output leads there.  A type
+        vertex's heads are its kept consumers; a copy's are the goal if it
+        outputs ``req_out``, then (unless ``single_stage``) its output's kept
+        consumers, so the copies of one output share one list."""
+        leads = {req_out}
+        while not single_stage and (
+                more := {s.input for s in services if s.output in leads} - leads):
+            leads |= more
+        kept: dict[int, list[int]] = {x: [] for x in self.type_vertex}
+        for v, (s, _) in zip(self.lex_rank, self.copies):  # lex_rank's ints, shared by every output
+            if s.output in leads:
+                kept[s.input].append(v)
+        after = {y: [] if single_stage else heads for y, heads in kept.items()}
+        after[req_out] = [self.type_vertex[req_out]] + after[req_out]
+        return [after[s.output] for s, _ in self.copies] + list(kept.values())
 
     def heads_toward(self, req_out: int) -> list[list[int]]:
         """Per vertex, its heads that can still reach ``req_out``'s type
-        vertex; no other edge can lie on a path there.
-
-        One backward pass from that vertex over the copies' edges: a copy is
-        useful iff it outputs ``req_out`` or one of its copy heads is useful.
-        """
-        cached = self._toward.get(req_out)
-        if cached is not None:
-            return cached
-        goal = self.type_vertex[req_out]
-        base = self.n_service_vertices
-        tails: list[list[int]] = [[] for _ in range(self.n_vertices)]
-        for u in range(base):
-            for v in self.heads[u]:
-                tails[v].append(u)
-        useful = [False] * base
-        frontier = [goal]
-        while frontier:
-            for u in tails[frontier.pop()]:
-                if not useful[u]:
-                    useful[u] = True
-                    frontier.append(u)
-        cached = [[v for v in heads if v == goal or (v < base and useful[v])]
-                  for heads in self.heads]
-        self._toward[req_out] = cached
-        return cached
+        vertex; no other edge can lie on a path there."""
+        return self._toward[req_out]
 
     def shortest(self, owner: int, req_in: int, req_out: int, view: tuple,
                  ranks: list[int] | np.ndarray | None = None) -> CompositionPath | None:

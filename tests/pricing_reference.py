@@ -5,10 +5,11 @@ distance matrix and a load vector.  ``owner_view`` must give the same
 distance for every ordered pair s != d, bit for bit, at every awareness
 level: ``T[s]`` into the owner, else ``row[d] + age`` from ``(row, age) =
 P[s]`` where the row holds an estimate (not NaN), else ``T[s] + T[d]``; and
-the same loads.  :func:`edge_costs` prices a graph template's edges from the
-matrices, each edge's devices read from its vertices, and
-:func:`matrix_view` wraps the matrices as a view (every ``dist`` row in
-``P`` at age 0, the owner's column in ``T``) for ``shortest``.
+the same loads.  :func:`graph_heads` lists a graph template's every edge from
+its copies' types, :func:`edge_costs` prices them from the matrices, each
+edge's devices read from its vertices, and :func:`matrix_view` wraps the
+matrices as a view (every ``dist`` row in ``P`` at age 0, the owner's column
+in ``T``) for ``shortest``.
 :func:`observed_rows` spreads the gossip, observation times over
 ``Knowledge.rows``, into the n x h x h array of the rows of each column
 each node observed (h columns; n x n x n when every node keeps one), and
@@ -63,6 +64,21 @@ def cost_matrices(level, know, owner, now, unit_s, live_loads=None):
     return dist, load
 
 
+def graph_heads(template, single_stage=False):
+    """Per vertex of ``template``, the head of each outgoing edge, unpruned:
+    a type vertex leads to each copy that takes the type, and a copy to its
+    output's type vertex, then (unless ``single_stage``) to each copy that
+    takes its output, copies in vertex order."""
+    heads = [[] for _ in range(template.n_vertices)]
+    for u, (s, _) in enumerate(template.copies):
+        heads[template.type_vertex[s.input]].append(u)
+        heads[u].append(template.type_vertex[s.output])
+        if not single_stage:
+            heads[u].extend(v for v, (s2, _) in enumerate(template.copies)
+                            if s.output == s2.input)
+    return heads
+
+
 def edge_costs(template, owner, dist, load, load_aware):
     """Every edge's cost for ``owner``, keyed by its (tail, head) vertices.
 
@@ -72,7 +88,7 @@ def edge_costs(template, owner, dist, load, load_aware):
     base = template.n_service_vertices
     device = [template.devices[v] if v < base else owner for v in range(template.n_vertices)]
     costs = {}
-    for u, heads in enumerate(template.heads):
+    for u, heads in enumerate(graph_heads(template)):
         for v in heads:
             cost = float(dist[device[u], device[v]])
             if load_aware and v < base:

@@ -215,6 +215,12 @@ def test_run_reports_a_bad_value_before_any_run(tmp_path, capsys, change, sectio
     ("mobility.n_nodes", "20", "mobility.n_nodes must be an integer, got '20'"),
     ("pattern", {"kind": "fixed_length", "length": 2, "start_weights": {25: 3.0}},
      "pattern: start_weights keys [25] are not types 1..7"),
+    # An empty axis or variant list ran nothing, wrote an empty manifest and
+    # summary and exited 0; a scalar axis ended in "'int' object is not
+    # iterable".
+    ("sweep.repetition", [], "sweep.repetition must be a non-empty list, got []"),
+    ("sweep.repetition", 2, "sweep.repetition must be a non-empty list, got 2"),
+    ("variants", [], "variants must be a non-empty list, got []"),
 ])
 def test_run_reports_a_bad_spec_value_before_any_run(tmp_path, capsys, key, value, message):
     assert main(["preset", "fig6", "--out", str(tmp_path)]) == 0

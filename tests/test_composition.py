@@ -10,6 +10,7 @@ pin the reference itself.
 import heapq
 import itertools
 import math
+import tracemalloc
 from typing import Callable
 
 import numpy as np
@@ -18,7 +19,7 @@ from oppcompose.knowledge import Knowledge, owner_view
 from oppcompose.service_model import (Service, ServicePlacement, assign_services,
                                       enumerate_services)
 from oppcompose.sim_core import CompositionPath, _GraphTemplate
-from pricing_reference import matrix_view, row_table
+from pricing_reference import graph_heads, matrix_view, row_table
 
 Vertex = tuple  # ("t", type_id) or ("s", Service, host)
 
@@ -594,9 +595,20 @@ def test_reachability_closure():
     cyclic = assign_services(ring, list(range(4)), 2, rng)
     assert reachable_outputs(_GraphTemplate(cyclic, 6, single_stage=False), 1) == {2, 3}
     assert reachable_outputs(_GraphTemplate(cyclic, 6, single_stage=False), 4) == {5, 6, 1, 2, 3}
-    for placement, n_d in ((placement, 7), (cyclic, 6)):
+    # Seeded random placements too: chain and ring catalogs with services
+    # dropped, some types left with no service, one to several copies each.
+    cases = [(placement, 7), (cyclic, 6)]
+    for _ in range(60):
+        n_d, n_nodes = int(rng.integers(2, 8)), int(rng.integers(1, 6))
+        ring = bool(rng.integers(2))
+        random_placement, _, _ = random_case(rng, n_d, n_nodes, int(rng.integers(1, n_nodes + 1)),
+                                             ring, drop=float(rng.random()) * 0.6)
+        cases.append((random_placement, n_d))
+    for placement, n_d in cases:
+        onward = {x: chained_outputs(placement, x, False) for x in range(1, n_d + 1)}
         for single_stage in (False, True):
             template = _GraphTemplate(placement, n_d, single_stage)
+            edges = graph_heads(template, single_stage)
             for x in range(1, n_d + 1):
                 assert reachable_outputs(template, x) == chained_outputs(placement, x,
                                                                          single_stage)
@@ -604,8 +616,28 @@ def test_reachability_closure():
                 # Kept: the goal, and each copy from whose output y is reachable.
                 keep = {template.type_vertex[y]} | {
                     v for v, (s, _) in enumerate(template.copies)
-                    if s.output == y or not single_stage and y in chained_outputs(
-                        placement, s.output, False)}
+                    if s.output == y or not single_stage and y in onward[s.output]}
                 toward = template.heads_toward(y)
-                for v, heads in enumerate(template.heads):
+                assert len(toward) == template.n_vertices
+                for v, heads in enumerate(edges):
                     assert toward[v] == [h for h in heads if h in keep]
+
+
+def test_template_keeps_no_edge_list_per_copy():
+    # 2 560 copies: the density-faithful recipe's at n=1280 (20 services,
+    # repetition 128).  Head lists per copy peak at 37 MB here; heads shared
+    # per output type at about 0.5 MB.
+    catalog = enumerate_services(7, excluded={Service(1, 7)})
+    placement = placement_from({v: [s for i, s in enumerate(catalog.services)
+                                    if (v - 128 * i) % 1280 < 128] for v in range(1280)},
+                               repetition=128)
+    assert sum(map(len, placement.by_service.values())) == 2560
+    tracemalloc.start()
+    try:
+        template = _GraphTemplate(placement, 7, single_stage=False)
+        for y in range(1, 8):
+            template.heads_toward(y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20

@@ -22,8 +22,8 @@ from oppcompose.experiments import (
     service_popularity,
     summarize_group,
 )
-from oppcompose.mobility import (HcmmParams, LevyWalkParams, generate_hcmm, generate_levy,
-                                 ingest_gps_log, save_trace_csv)
+from oppcompose.mobility import (HcmmParams, LevyWalkParams, PositionTrace, generate_hcmm,
+                                 generate_levy, ingest_gps_log, save_trace_csv)
 from oppcompose.service_model import Service, ServiceCatalog, enumerate_services
 from oppcompose.sim_core import run
 
@@ -198,6 +198,33 @@ def test_trace_cache_hit_returns_the_generated_trace(tmp_path):
     assert np.array_equal(cached.positions, generated.positions)
     assert ((cached.sample_interval, cached.width, cached.height)
             == (generated.sample_interval, generated.width, generated.height))
+
+
+@pytest.mark.parametrize("model", ["trace-file", "gps-files"])
+def test_a_file_trace_is_read_afresh_with_a_cache(tmp_path, model):
+    # The cache was keyed on the file's path: after an edit, a re-run into
+    # the same directory simulated the old positions.
+    path = tmp_path / "t.csv"
+
+    def write(x):  # three nodes; the last at x
+        if model == "trace-file":
+            positions = np.zeros((3, 4, 2))
+            positions[2, :, 0] = x
+            save_trace_csv(PositionTrace(positions, 60.0, 100.0, 100.0), path)
+        else:
+            path.write_text("user,time,x,y\n" + "".join(
+                f"{user},{t},{x if user == 'c' else 0},0\n" for t in (0, 60, 120, 180)
+                for user in "abc"))
+        return {"model": model, **({"path": str(path)} if model == "trace-file"
+                                   else {"paths": [str(path)]})}
+
+    for x in (10.0, 50.0):
+        mob = write(x)
+        cached = experiments.make_trace(mob, seed=0, cache_dir=tmp_path / "traces")
+        fresh = experiments.make_trace(mob, seed=0)
+        assert np.array_equal(cached.positions, fresh.positions, equal_nan=True)
+        assert cached.positions[2, 0, 0] == x
+    assert not list((tmp_path / "traces").glob("trace_*"))
 
 
 ESTIMATE_ROWS = [

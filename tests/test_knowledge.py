@@ -17,7 +17,7 @@ from oppcompose.knowledge import (
 from oppcompose.service_model import Service, ServicePlacement, enumerate_services
 from oppcompose.sim_core import _GraphTemplate
 from contact_reference import contact_sequence_oracle, relay_cost_oracle
-from pricing_reference import cost_matrices, edge_costs, matrix_view, row_table
+from pricing_reference import cost_matrices, edge_costs, graph_heads, matrix_view, row_table
 
 UNIT = 30.0
 
@@ -392,7 +392,8 @@ def test_owner_view_matches_reference_matrices(level, case, load_aware):
     dist, load = cost_matrices(level, know, owner, now, unit_s, live_loads)
     base = template.n_service_vertices
     device = [template.devices[v] if v < base else owner for v in range(template.n_vertices)]
-    ends = [(device[u], device[v]) for u, heads in enumerate(template.heads) for v in heads]
+    ends = [(device[u], device[v]) for u, heads in enumerate(graph_heads(template))
+            for v in heads]
     assert any(s == d for s, d in ends) and any(s == owner != d for s, d in ends)
     assert any(s != d and owner not in (s, d) for s, d in ends)
     timers, loads, pairs = owner_view(level, know, owner, now, unit_s, live_loads)
