@@ -30,7 +30,7 @@ import math
 import os
 import tempfile
 from collections import Counter
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -266,6 +266,27 @@ def _check_mobility(mob: dict) -> None:
                 raise ValueError(f"mobility.{name} must be >= {low}, got {value!r}")
 
 
+def _check_variants(variants: list) -> None:
+    """Raise ValueError, naming ``variants``, unless each variant maps a
+    unique ``name`` (a non-empty string without ``/``: it names the run files)
+    and, optionally, ``overrides`` that map keys to values."""
+    names = set()
+    for variant in variants:
+        if not isinstance(variant, dict):
+            raise ValueError(f"variants: a variant maps name and overrides, got {variant!r}")
+        _check_keys("variant", variant, ("name", "overrides"))
+        name = variant.get("name")
+        if not isinstance(name, str) or not name or "/" in name:
+            raise ValueError(f"variants: a name must be a non-empty string without '/', "
+                             f"got {name!r}")
+        if name in names:
+            raise ValueError(f"variants: the name {name!r} is used twice")
+        names.add(name)
+        if not isinstance(variant.get("overrides", {}), dict):
+            raise ValueError(f"variants: {name}'s overrides must map keys to values, "
+                             f"got {variant['overrides']!r}")
+
+
 def _check_spec(spec_dict: dict) -> ExperimentSpec:
     """The spec ``spec_dict`` describes, its defaults filled in.
 
@@ -273,8 +294,9 @@ def _check_spec(spec_dict: dict) -> ExperimentSpec:
     ones, on an unknown pattern kind, on a missing key that has no default
     (a ``fixed_length`` pattern's ``length`` among them), and on a value
     that needs no trace to check: ``seeds``, ``variants`` and ``sweep``'s
-    axes (non-empty lists), ``repetition`` (against a synthetic model's
-    ``n_nodes`` too), ``distribution``, ``range_m``, :func:`_check_mobility`'s.
+    axes (non-empty lists), each variant (:func:`_check_variants`),
+    ``repetition`` (against a synthetic model's ``n_nodes`` too),
+    ``distribution``, ``range_m``, :func:`_check_mobility`'s.
     """
     _check_keys("spec", spec_dict, ExperimentSpec)
     spec = ExperimentSpec(**spec_dict)
@@ -287,6 +309,7 @@ def _check_spec(spec_dict: dict) -> ExperimentSpec:
                          *((f"sweep.{key}", axis) for key, axis in spec.sweep.items())]:
         if not isinstance(values, list) or not values:
             raise ValueError(f"{name} must be a non-empty list, got {values!r}")
+    _check_variants(spec.variants)
     check_range(spec.range_m)
     _check_mobility(spec.mobility)
     n_nodes = spec.mobility["n_nodes"] if spec.mobility["model"] in _GENERATORS else None
@@ -381,9 +404,9 @@ def _runs(spec: ExperimentSpec) -> list[tuple[str, dict, dict]]:
     and request pattern built and its ``sim`` values validated, so that a
     bad value fails here, naming its key or section, not inside every run."""
     base = spec.to_dict()
+    _check_spec(base)  # the variants, before their overrides are applied
     runs = []
     for variant in spec.variants:
-        _check_keys("variant", variant, ("name", "overrides"))
         for point in spec.points():
             merged = _apply_overrides(base, {**variant.get("overrides", {}), **point})
             at = _check_spec(merged)
@@ -449,8 +472,8 @@ def read_rows(path) -> list[dict]:
 # ---------------------------------------------------------------------------
 # Aggregation
 
-def summarize_group(run_rows: list[list[Mapping]], timeout_s: float, warmup_s: float) -> dict:
-    """Aggregate metrics over one group of per-seed record lists."""
+def summarize_group(run_rows: list[Sequence[Mapping]], timeout_s: float, warmup_s: float) -> dict:
+    """Aggregate metrics over one group of per-seed record sequences."""
     rates = [sum(1 for r in rows if r["status"] == "completed") / len(rows) if rows else 0.0
              for rows in run_rows]
     delays, hops, lengths, opp, total_stages = [], [], [], 0, 0
@@ -465,7 +488,7 @@ def summarize_group(run_rows: list[list[Mapping]], timeout_s: float, warmup_s: f
                 if r["created_s"] >= warmup_s:
                     delays.append(r["delay_s"])
     delays.sort()
-    est = compare_estimate_accuracy([r for rows in run_rows for r in rows], timeout_s)
+    est = compare_estimate_accuracy((r for rows in run_rows for r in rows), timeout_s)
     return {
         "n_requests": sum(len(rows) for rows in run_rows),
         "completion_mean": float(np.mean(rates)) if rates else 0.0,
@@ -541,23 +564,31 @@ def _fmt(v: float) -> str:
 # ---------------------------------------------------------------------------
 # Analyses
 
-def compare_estimate_accuracy(rows: list[Mapping], timeout_s: float) -> dict:
+def compare_estimate_accuracy(rows: Iterable[Mapping], timeout_s: float) -> dict:
     """Distribution of (estimated cost - actual delay) for completed requests
-    plus the over-timeout share of estimates for incomplete ones."""
-    diffs = [r["estimated_cost_s"] - r["delay_s"] for r in rows
-             if r["status"] == "completed" and r["estimated_cost_s"] is not None]
-    incomplete = [r for r in rows if r["status"] == "timed-out"]
-    est_known = [r for r in incomplete if r["estimated_cost_s"] is not None]
-    over = sum(1 for r in est_known if r["estimated_cost_s"] > timeout_s)
-    abs_sorted = sorted(abs(d) for d in diffs)
+    plus the over-timeout share of estimates for incomplete ones, in one pass
+    over ``rows``."""
+    abs_sorted = []
+    incomplete = est_known = over = 0
+    for r in rows:
+        status, est = r["status"], r["estimated_cost_s"]
+        if status == "completed":
+            if est is not None:
+                abs_sorted.append(abs(est - r["delay_s"]))
+        elif status == "timed-out":
+            incomplete += 1
+            if est is not None:
+                est_known += 1
+                over += est > timeout_s
+    abs_sorted.sort()
     return {
-        "completed_samples": len(diffs),
+        "completed_samples": len(abs_sorted),
         "within_2min_frac": sum(1 for d in abs_sorted if d <= 120.0) / len(abs_sorted) if abs_sorted else 0.0,
         "within_4min_frac": sum(1 for d in abs_sorted if d <= 240.0) / len(abs_sorted) if abs_sorted else 0.0,
         "diff_cdf": abs_sorted,
-        "incomplete_total": len(incomplete),
-        "incomplete_with_estimate": len(est_known),
-        "incomplete_over_timeout_frac": over / len(est_known) if est_known else 0.0,
+        "incomplete_total": incomplete,
+        "incomplete_with_estimate": est_known,
+        "incomplete_over_timeout_frac": over / est_known if est_known else 0.0,
     }
 
 

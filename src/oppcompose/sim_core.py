@@ -35,10 +35,11 @@ from __future__ import annotations
 
 import heapq
 import math
+from array import array
 from bisect import insort
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import islice, repeat
 from operator import attrgetter
 
 import numpy as np
@@ -232,15 +233,16 @@ _RECORD_PARSERS = (int, int, int, int, float, None, float, float, int, None, int
 
 
 class _RecordRow(Mapping):
-    """One records-CSV row, read-only: its values in ``RECORD_FIELDS`` order."""
+    """One records-CSV row, read-only: a view of row ``index`` of the columns."""
 
-    __slots__ = ("_values",)
+    __slots__ = ("_columns", "_index")
 
-    def __init__(self, values: tuple):
-        self._values = values
+    def __init__(self, columns: list, index: int):
+        self._columns, self._index = columns, index
 
     def __getitem__(self, name):
-        return self._values[_RECORD_INDEX[name]]
+        value = self._columns[_RECORD_INDEX[name]][self._index]
+        return None if value != value else value  # a float column holds a blank as NaN
 
     def __iter__(self):
         return iter(_RECORD_NAMES)
@@ -252,13 +254,36 @@ class _RecordRow(Mapping):
         return f"{type(self).__name__}({dict(self)!r})"
 
 
-def read_records_csv(path) -> list[Mapping]:
-    """Rows back as read-only mappings keyed by the header's names, numeric
-    fields parsed (None for blanks); rows of one file share each distinct
-    ``status`` and ``stages`` string.  A header other than ``RECORD_FIELDS``,
-    or a row of another width, raises ``ValueError`` naming the line."""
+class _RecordRows(Sequence):
+    """A records file's rows, read-only, held as one column per field:
+    floats in ``array('d')``, ints and text in lists."""
+
+    __slots__ = ("_columns",)
+
+    def __init__(self, columns: list):
+        self._columns = columns
+
+    def __len__(self):
+        return len(self._columns[0])
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return _RecordRows([column[i] for column in self._columns])
+        return _RecordRow(self._columns, range(len(self))[i])
+
+    def __iter__(self):
+        return map(_RecordRow, repeat(self._columns), range(len(self)))
+
+
+def read_records_csv(path) -> Sequence[Mapping]:
+    """Rows back as a read-only sequence of read-only mappings keyed by the
+    header's names, numeric fields parsed (None for blanks); rows of one file
+    share each distinct ``status`` and ``stages`` string.  A header other than
+    ``RECORD_FIELDS``, a row of another width, or a NaN cell (a float column
+    keeps its blanks as NaN) raises ``ValueError`` naming the line."""
     texts: dict[str, str] = {}
-    rows = []
+    columns = [array("d") if parse is float else [] for parse in _RECORD_PARSERS]
+    fields = tuple(zip(_RECORD_NAMES, _RECORD_PARSERS, [column.append for column in columns]))
     with open(path) as fh:
         if (header := fh.readline().rstrip("\n")) != RECORD_FIELDS:
             raise ValueError(f"{path}, line 1: header {header!r} is not {RECORD_FIELDS!r}")
@@ -269,13 +294,18 @@ def read_records_csv(path) -> list[Mapping]:
                 raise ValueError(f"{path}, line {lineno}: {len(cells)} fields, "
                                  f"expected {len(_RECORD_NAMES)}")
             try:
-                values = tuple(texts.setdefault(cell, cell) if parse is None
-                               else parse(cell) if cell else None
-                               for parse, cell in zip(_RECORD_PARSERS, cells))
+                for (name, parse, append), cell in zip(fields, cells):
+                    if parse is None:
+                        append(texts.setdefault(cell, cell))
+                    elif not cell:
+                        append(math.nan if parse is float else None)
+                    elif (value := parse(cell)) != value:
+                        raise ValueError(f"{name} is {cell!r}; a records file holds no NaN")
+                    else:
+                        append(value)
             except ValueError as exc:
                 raise ValueError(f"{path}, line {lineno}: {exc}") from None
-            rows.append(_RecordRow(values))
-    return rows
+    return _RecordRows(columns)
 
 
 @dataclass
@@ -443,6 +473,9 @@ class _Engine:
         self.queues: list[list[RequestRecord]] = [[] for _ in range(self.n)]
         self.carried: list[list[RequestRecord]] = [[] for _ in range(self.n)]
         self.records: list[RequestRecord] = []
+        # Each distinct (service, host, opportunistic) stage, one tuple that
+        # every record running it shares: at most two per service copy.
+        self._stages: dict[tuple[Service, int, bool], tuple[Service, int, bool]] = {}
         self.heap: list = []
         self.seq = 0
         self.unit_index = 0
@@ -557,7 +590,8 @@ class _Engine:
         queue.pop(0)
         service = item.planned_stage
         item.current_input = service.output
-        item.stages.append((service, node, item.opp_flag))
+        stage = (service, node, item.opp_flag)
+        item.stages.append(self._stages.setdefault(stage, stage))
         self._start_execution(node, t)
         if item.current_input == item.output:
             item.destination = item.origin

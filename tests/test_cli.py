@@ -221,6 +221,18 @@ def test_run_reports_a_bad_value_before_any_run(tmp_path, capsys, change, sectio
     ("sweep.repetition", [], "sweep.repetition must be a non-empty list, got []"),
     ("sweep.repetition", 2, "sweep.repetition must be a non-empty list, got 2"),
     ("variants", [], "variants must be a non-empty list, got []"),
+    # A nameless variant ended in a KeyError traceback; two variants named
+    # alike wrote one file, the second run overwriting the first, and
+    # exited 0; a '/' in a name failed every run late; a list of overrides
+    # failed unnamed.
+    ("variants", [{"overrides": {}}],
+     "variants: a name must be a non-empty string without '/', got None"),
+    ("variants", [{"name": "x"}, {"name": "x", "overrides": {"sim.scheme": "TT"}}],
+     "variants: the name 'x' is used twice"),
+    ("variants", [{"name": "a/b"}],
+     "variants: a name must be a non-empty string without '/', got 'a/b'"),
+    ("variants", [{"name": "x", "overrides": [1, 2]}],
+     "variants: x's overrides must map keys to values, got [1, 2]"),
 ])
 def test_run_reports_a_bad_spec_value_before_any_run(tmp_path, capsys, key, value, message):
     assert main(["preset", "fig6", "--out", str(tmp_path)]) == 0

@@ -25,7 +25,7 @@ from oppcompose.experiments import (
 from oppcompose.mobility import (HcmmParams, LevyWalkParams, PositionTrace, generate_hcmm,
                                  generate_levy, ingest_gps_log, save_trace_csv)
 from oppcompose.service_model import Service, ServiceCatalog, enumerate_services
-from oppcompose.sim_core import run
+from oppcompose.sim_core import RECORD_FIELDS, read_records_csv, run
 
 
 def tiny_spec(**kw):
@@ -161,8 +161,6 @@ def test_summary_rates_match_run_files(tmp_path):
     summary_path = run_experiment(spec, tmp_path / "out")
     rows = experiments.read_rows(summary_path)
     manifest = experiments.read_rows(tmp_path / "out" / "manifest.csv")
-    from oppcompose.sim_core import read_records_csv
-
     completed = total = 0
     rates = []
     for m in manifest:
@@ -246,9 +244,11 @@ def test_compare_estimate_accuracy():
     assert rep["incomplete_with_estimate"] == 2
     # 960 s exceeds the 900 s timeout: counted accurate for an incomplete one.
     assert rep["incomplete_over_timeout_frac"] == 0.5
+    # One pass: a generator gives what the list gives.
+    assert compare_estimate_accuracy((r for r in ESTIMATE_ROWS), timeout_s=900.0) == rep
 
 
-def test_summary_estimate_columns_match_compare_estimate_accuracy():
+def test_summary_estimate_columns_match_compare_estimate_accuracy(tmp_path):
     rows = [dict(r, created_s=0.0, hops=0, stages="", opportunistic_stages=0)
             for r in ESTIMATE_ROWS]
     rep = compare_estimate_accuracy(rows, timeout_s=900.0)
@@ -258,6 +258,14 @@ def test_summary_estimate_columns_match_compare_estimate_accuracy():
     assert m["est_incomplete_accurate_frac"] == rep["incomplete_over_timeout_frac"] == 0.5
     assert m["est_within_4min_frac"] == rep["within_4min_frac"] == 1.0
     assert m["est_diff_abs_median_s"] == 80.0  # median of |300 - 450| and |100 - 110|
+    # The same rows written and read back as columns summarise alike.
+    path = tmp_path / "records.csv"
+    names = RECORD_FIELDS.split(",")
+    path.write_text(RECORD_FIELDS + "\n" + "".join(
+        ",".join("" if row.get(name) is None else str(row[name]) for name in names) + "\n"
+        for row in rows))
+    read = read_records_csv(path)
+    assert summarize_group([read[:4], read[4:]], timeout_s=900.0, warmup_s=0.0) == m
 
 
 def test_completion_bound_check_arithmetic():

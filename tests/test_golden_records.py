@@ -111,10 +111,17 @@ def test_scenario_forms_groups_of_three_or_more():
     assert biggest >= 2  # some node meets two peers at once
 
 
+def assert_stages_shared(records):
+    """Every distinct (service, host, opportunistic) stage is one tuple."""
+    stages = [stage for rec in records for stage in rec.stages]
+    assert stages and len({id(stage) for stage in stages}) == len(set(stages))
+
+
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_records_match_pinned_digest(name, tmp_path):
     contacts, base, script = scenario()
     records = run_scripted(SimConfig(**base, **RUNS[name]), contacts, script, fixed_exec=True)
+    assert_stages_shared(records)
     path = tmp_path / "records.csv"
     write_records_csv(records, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN[name]
@@ -128,6 +135,7 @@ def test_nonhost_owner_records_match_pinned_digest(awareness, tmp_path):
     assert {origin for _, origin, _, _ in script} - hosting
     records = run_scripted(SimConfig(**base, **NONHOST_SIM, awareness=awareness), contacts,
                            script, fixed_exec=True)
+    assert_stages_shared(records)
     path = tmp_path / "records.csv"
     write_records_csv(records, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_NONHOST[awareness]
@@ -138,8 +146,10 @@ def test_global_levy_records_match_pinned_digest(tmp_path):
     config, contacts = experiments.prepare_run(spec, 0)
     hosting = {v for hosts in config.placement.by_service.values() for v in hosts}
     assert contacts.n_nodes == 80 and len(hosting) == 40
+    records = run(config, contacts)
+    assert_stages_shared(records)
     path = tmp_path / "records.csv"
-    write_records_csv(run(config, contacts), path)
+    write_records_csv(records, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_LEVY_GLOBAL
 
 

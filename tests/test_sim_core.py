@@ -635,11 +635,21 @@ def test_records_read_back_as_read_only_mappings_in_column_order(tmp_path):
         del blank["status"]
     for name in ("status", "stages"):
         assert len({id(row[name]) for row in rows}) == len({row[name] for row in rows}) > 1
+    # A read-only sequence whose rows are views: indexing and slicing give
+    # the same rows as iterating.
+    listed = list(rows)
+    assert rows[-1] == listed[-1] == dict(rows[len(rows) - 1])
+    assert list(rows[10:40:3]) == listed[10:40:3] and len(rows[5:]) == len(rows) - 5
+    with pytest.raises(IndexError):
+        rows[len(rows)]
+    with pytest.raises(TypeError):
+        rows[0] = listed[1]
 
 
-def test_read_back_records_take_under_350_bytes_a_row(tmp_path):
-    # A dict per row takes about 660 B; a tuple of parsed values, with the
-    # repeated status and stages text shared, about 280.
+def test_read_back_records_take_under_150_bytes_a_row(tmp_path):
+    # A dict per row takes about 660 B and a tuple of parsed values about
+    # 280; one column per field (floats in arrays, the repeated status and
+    # stages text shared) about 130.
     path = tmp_path / "records.csv"
     write_records_csv(synthetic_records(4000), path)
     tracemalloc.start()
@@ -650,7 +660,7 @@ def test_read_back_records_take_under_350_bytes_a_row(tmp_path):
     finally:
         tracemalloc.stop()
     assert len(rows) == 4000
-    assert used / len(rows) <= 350
+    assert used / len(rows) <= 150
 
 
 def _on_line(number, edit):
@@ -669,6 +679,9 @@ MALFORMED_RECORDS = {
     "long-row": (_on_line(3, lambda line: line + ",0"), "line 3: 13 fields, expected 12"),
     "bad-number": (_on_line(6, lambda line: "x" + line), "line 6: invalid literal"),
     "other-header": (_on_line(1, lambda line: "id"), "line 1: header"),
+    # A float column keeps its blanks as NaN, so a NaN cell is refused.
+    "nan-cell": (_on_line(5, lambda line: _cut_last_field(line) + ",nan"),
+                 "line 5: estimated_cost_s is 'nan'"),
 }
 
 
