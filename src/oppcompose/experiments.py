@@ -294,7 +294,8 @@ def _check_spec(spec_dict: dict) -> ExperimentSpec:
     ones, on an unknown pattern kind, on a missing key that has no default
     (a ``fixed_length`` pattern's ``length`` among them), and on a value
     that needs no trace to check: ``seeds``, ``variants`` and ``sweep``'s
-    axes (non-empty lists), each variant (:func:`_check_variants`),
+    axes (non-empty lists), two sweep points with one key (a repeated axis
+    value, say), each variant (:func:`_check_variants`),
     ``repetition`` (against a synthetic model's ``n_nodes`` too),
     ``distribution``, ``range_m``, :func:`_check_mobility`'s.
     """
@@ -309,6 +310,14 @@ def _check_spec(spec_dict: dict) -> ExperimentSpec:
                          *((f"sweep.{key}", axis) for key, axis in spec.sweep.items())]:
         if not isinstance(values, list) or not values:
             raise ValueError(f"{name} must be a non-empty list, got {values!r}")
+    # A point's key names its run files and its summary row.
+    points: dict[str, dict] = {}
+    for point in spec.points():
+        key = _point_key(point)
+        if key in points:
+            raise ValueError(f"sweep: the points {points[key]!r} and {point!r} both run as "
+                             f"{key!r}")
+        points[key] = point
     _check_variants(spec.variants)
     check_range(spec.range_m)
     _check_mobility(spec.mobility)

@@ -9,12 +9,12 @@ labels along its contacts until they settle) run first, then contact starts
 (encounter stats, neighbour index, forwarding attempts), service completions,
 Poisson request generation, forwarding sweeps, deadline expirations (each
 carrying its request), and last contact ends, so a sweep at a contact's end
-still sees the peer.  Contacts are read from the trace as the clock reaches
-them: one start is on the heap at a time, each start pushes its end, and each
-boundary walks its pairs from the sorted events.  Each composition decision
-is one Dijkstra over a placement-derived service graph
-(:class:`_GraphTemplate`) that prices each edge as it relaxes it, by one
-rule, from the owner's view of the network (:func:`knowledge.owner_view`).
+still sees the peer.  Unit boundaries and contacts go on the heap as the
+clock reaches them, one boundary and one contact start at a time: each start
+pushes its end, and each boundary walks its pairs from the sorted events.
+Each composition decision is one Dijkstra over a placement-derived service
+graph (:class:`_GraphTemplate`) that prices each edge as it relaxes it, by
+one rule, from the owner's view of the network (:func:`knowledge.owner_view`).
 Knowledge changes only at unit boundaries, so an owner's view is built once
 per unit and, under ``local``/``global`` awareness, a plan is reused for the
 rest of the unit.  ``minimal`` draws a fresh tie order per decision, so it
@@ -183,12 +183,11 @@ class RequestRecord:
     origin: int
     input: int
     output: int
-    created: float
-    deadline: float
+    created: float  # its deadline is ``created + timeout_s``
     status: str = "in-flight"
     completed: float | None = None
     hops: int = 0
-    stages: list[tuple[Service, int, bool]] = field(default_factory=list)
+    stages: tuple[tuple[Service, int, bool], ...] = ()
     estimated_cost_s: float | None = None
     current_input: int = field(init=False)  # the type it holds now
     location: int = field(init=False)
@@ -256,7 +255,7 @@ class _RecordRow(Mapping):
 
 class _RecordRows(Sequence):
     """A records file's rows, read-only, held as one column per field:
-    floats in ``array('d')``, ints and text in lists."""
+    floats in ``array('d')``, ints in ``array('q')`` and text in lists."""
 
     __slots__ = ("_columns",)
 
@@ -279,10 +278,12 @@ def read_records_csv(path) -> Sequence[Mapping]:
     """Rows back as a read-only sequence of read-only mappings keyed by the
     header's names, numeric fields parsed (None for blanks); rows of one file
     share each distinct ``status`` and ``stages`` string.  A header other than
-    ``RECORD_FIELDS``, a row of another width, or a NaN cell (a float column
-    keeps its blanks as NaN) raises ``ValueError`` naming the line."""
+    ``RECORD_FIELDS``, a row of another width, a number that does not parse,
+    a NaN cell (a float column keeps its blanks as NaN) or a blank integer
+    cell (the writer leaves none) raises ``ValueError`` naming the line."""
     texts: dict[str, str] = {}
-    columns = [array("d") if parse is float else [] for parse in _RECORD_PARSERS]
+    columns = [[] if parse is None else array("d" if parse is float else "q")
+               for parse in _RECORD_PARSERS]
     fields = tuple(zip(_RECORD_NAMES, _RECORD_PARSERS, [column.append for column in columns]))
     with open(path) as fh:
         if (header := fh.readline().rstrip("\n")) != RECORD_FIELDS:
@@ -298,13 +299,18 @@ def read_records_csv(path) -> Sequence[Mapping]:
                     if parse is None:
                         append(texts.setdefault(cell, cell))
                     elif not cell:
-                        append(math.nan if parse is float else None)
+                        if parse is int:
+                            raise ValueError(f"{name} is blank; an integer column has no blanks")
+                        append(math.nan)
                     elif (value := parse(cell)) != value:
                         raise ValueError(f"{name} is {cell!r}; a records file holds no NaN")
                     else:
                         append(value)
             except ValueError as exc:
                 raise ValueError(f"{path}, line {lineno}: {exc}") from None
+            except OverflowError:  # from array('q'): the loop stopped at the cell
+                raise ValueError(f"{path}, line {lineno}: {name} is {cell}, "
+                                 f"outside the int64 range") from None
     return _RecordRows(columns)
 
 
@@ -591,7 +597,7 @@ class _Engine:
         service = item.planned_stage
         item.current_input = service.output
         stage = (service, node, item.opp_flag)
-        item.stages.append(self._stages.setdefault(stage, stage))
+        item.stages += (self._stages.setdefault(stage, stage),)
         self._start_execution(node, t)
         if item.current_input == item.output:
             item.destination = item.origin
@@ -710,12 +716,10 @@ class _Engine:
         schedules its next one."""
         cfg = self.cfg
         req_in, req_out = cfg.pattern.draw(self.rng)
-        rec = RequestRecord(
-            id=len(self.records), origin=node, input=req_in, output=req_out,
-            created=t, deadline=t + cfg.timeout_s,
-        )
+        rec = RequestRecord(id=len(self.records), origin=node, input=req_in, output=req_out,
+                            created=t)
         self.records.append(rec)
-        self.push(rec.deadline, _P_DEADLINE, rec)
+        self.push(t + cfg.timeout_s, _P_DEADLINE, rec)
         # Generation plans the whole path for the record's cost estimate; the
         # request takes only its first stage, and each later hand-off re-plans.
         path = self.compute_path(node, req_in, req_out)
@@ -786,27 +790,32 @@ class _Engine:
     # -- main loop ----------------------------------------------------------
 
     def run(self) -> list[RequestRecord]:
-        cfg = self.cfg
-        n_units = int(round(self.duration / cfg.unit_s))
-        for k in range(n_units + 1):
-            self.push(k * cfg.unit_s, _P_BOUNDARY, k)
+        unit_s = self.cfg.unit_s
+        n_units = int(round(self.duration / unit_s))
+        # Each popped boundary or contact start pushes the next of its kind,
+        # so the heap holds one of each: boundaries in k order, contacts in
+        # (start, end, a, b) order.  The loop pushes them, not the handlers,
+        # so a handler replaced on the instance cannot stop either stream.
+        boundaries = ((k * unit_s, _P_BOUNDARY, k) for k in range(n_units + 1))
+        contacts = ((start, _P_CONTACT, a, b, end)
+                    for start, end, a, b in (event.tolist() for event in self.contacts.events))
+        upcoming = (boundaries, contacts)  # indexed by kind: _P_BOUNDARY, _P_CONTACT
+        for stream in upcoming:
+            for event in islice(stream, 1):
+                self.push(*event)
         for node in range(self.n):
             self._schedule_next_generation(node, 0.0)
         # Looked up now, so handlers replaced on the instance or the class run.
         handlers = (self.on_boundary, self.on_contact_start, self.on_completion,
                     self.on_generate, self.sweep, self.on_deadline, self.on_contact_end)
-        # Each popped contact start pushes the next: one on the heap, in (start, end, a, b) order.
-        upcoming = (event.tolist() for event in self.contacts.events)
-        prio = _P_CONTACT  # the first contact goes on as if one had popped
-        while True:
-            if prio == _P_CONTACT:
-                for start, end, a, b in islice(upcoming, 1):
-                    self.push(start, _P_CONTACT, a, b, end)
-            if not self.heap:
-                return self.records
+        while self.heap:
             t, prio, _, payload = heapq.heappop(self.heap)
+            if prio <= _P_CONTACT:  # a boundary or a contact start
+                for event in islice(upcoming[prio], 1):
+                    self.push(*event)
             if t <= self.duration + 1e-9:
                 handlers[prio](t, *payload)
+        return self.records
 
 
 def run(config: SimConfig, contacts: ContactTrace) -> list[RequestRecord]:

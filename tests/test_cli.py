@@ -233,6 +233,10 @@ def test_run_reports_a_bad_value_before_any_run(tmp_path, capsys, change, sectio
      "variants: a name must be a non-empty string without '/', got 'a/b'"),
     ("variants", [{"name": "x", "overrides": [1, 2]}],
      "variants: x's overrides must map keys to values, got [1, 2]"),
+    # A repeated axis value ran one point twice into one run file, which
+    # aggregate then counted twice, and exited 0.
+    ("sweep.repetition", [2, 2],
+     "sweep: the points {'repetition': 2} and {'repetition': 2} both run as 'repetition=2'"),
 ])
 def test_run_reports_a_bad_spec_value_before_any_run(tmp_path, capsys, key, value, message):
     assert main(["preset", "fig6", "--out", str(tmp_path)]) == 0

@@ -249,8 +249,9 @@ def test_compare_estimate_accuracy():
 
 
 def test_summary_estimate_columns_match_compare_estimate_accuracy(tmp_path):
-    rows = [dict(r, created_s=0.0, hops=0, stages="", opportunistic_stages=0)
-            for r in ESTIMATE_ROWS]
+    rows = [dict(r, id=i, origin=0, created_s=0.0, hops=0, stages="", opportunistic_stages=0,
+                 **{"in": 1, "out": 2})
+            for i, r in enumerate(ESTIMATE_ROWS)]
     rep = compare_estimate_accuracy(rows, timeout_s=900.0)
     # Two seeds' records, pooled by the summary.
     m = summarize_group([rows[:4], rows[4:]], timeout_s=900.0, warmup_s=0.0)

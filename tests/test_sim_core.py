@@ -1,3 +1,4 @@
+import gc
 import math
 import tracemalloc
 from collections import Counter
@@ -349,7 +350,7 @@ def test_queued_requests_time_out_under_overload():
     assert counts["timed-out"] == 30
     for rec in records:
         if rec.status == "completed":
-            assert rec.completed <= rec.deadline
+            assert rec.completed <= rec.created + cfg.timeout_s
 
 
 def test_result_in_transit_at_deadline_not_counted():
@@ -417,7 +418,7 @@ def test_stale_completion_of_a_cancelled_request_leaves_its_successor_running():
     draws = iter([110.0, 30.0])
     engine.rng = SimpleNamespace(exponential=lambda mean: next(draws))
     a, b = sorted(engine.run(), key=lambda r: r.id)
-    assert a.status == "timed-out" and a.stages == []
+    assert a.status == "timed-out" and a.stages == ()
     assert b.status == "completed" and b.completed == 190.0
     assert [node for _, node, _ in b.stages] == [0]
 
@@ -526,7 +527,7 @@ def test_conservation_every_run():
         assert counts["completed"] + counts["timed-out"] + counts["in-flight"] == len(records)
         for rec in records:
             if rec.status == "completed":
-                assert rec.completed <= rec.deadline + 1e-9
+                assert rec.completed <= rec.created + cfg.timeout_s + 1e-9
 
 
 def test_identical_config_reproduces_csv_bytes(tmp_path):
@@ -599,15 +600,14 @@ def synthetic_records(n, seed=0):
     few dozen distinct stage lists, every time a float."""
     rng = np.random.default_rng(seed)
     services = enumerate_services(7).services
-    paths = [[(services[int(rng.integers(len(services)))], int(rng.integers(20)),
-               bool(rng.random() < 0.2)) for _ in range(int(rng.integers(1, 4)))]
+    paths = [tuple((services[int(rng.integers(len(services)))], int(rng.integers(20)),
+                    bool(rng.random() < 0.2)) for _ in range(int(rng.integers(1, 4))))
              for _ in range(40)]
     records = []
     for i in range(n):
         created = float(rng.uniform(0.0, 36000.0))
         rec = RequestRecord(i, int(rng.integers(20)), int(rng.integers(1, 8)),
-                            int(rng.integers(1, 8)), created, created + 900.0,
-                            hops=int(rng.integers(8)),
+                            int(rng.integers(1, 8)), created, hops=int(rng.integers(8)),
                             estimated_cost_s=float(rng.uniform(0.0, 2000.0)))
         if rng.random() < 0.5:
             rec.status, rec.completed = "completed", created + float(rng.uniform(0.0, 900.0))
@@ -646,10 +646,31 @@ def test_records_read_back_as_read_only_mappings_in_column_order(tmp_path):
         rows[0] = listed[1]
 
 
-def test_read_back_records_take_under_150_bytes_a_row(tmp_path):
+def test_run_records_take_under_270_bytes_a_request():
+    # What dropping a run's records frees: each record's slots and values
+    # and the stage tuples they share.  With a deadline slot and a stage list
+    # per record this run freed about 320 B a request; with the deadline
+    # left to created + timeout_s and stages a tuple (the shared () until a
+    # stage completes) about 220.
+    config, contacts = default_config(), levy_contacts(duration=3600.0)
+    tracemalloc.start()
+    try:
+        records = run(config, contacts)
+        count = len(records)
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        del records
+        freed = before - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert count > 300
+    assert freed / count <= 270
+
+
+def test_read_back_records_take_under_110_bytes_a_row(tmp_path):
     # A dict per row takes about 660 B and a tuple of parsed values about
-    # 280; one column per field (floats in arrays, the repeated status and
-    # stages text shared) about 130.
+    # 280; one column per field (floats and ints in arrays, the repeated
+    # status and stages text shared) about 100.
     path = tmp_path / "records.csv"
     write_records_csv(synthetic_records(4000), path)
     tracemalloc.start()
@@ -660,7 +681,7 @@ def test_read_back_records_take_under_150_bytes_a_row(tmp_path):
     finally:
         tracemalloc.stop()
     assert len(rows) == 4000
-    assert used / len(rows) <= 150
+    assert used / len(rows) <= 110
 
 
 def _on_line(number, edit):
@@ -682,6 +703,12 @@ MALFORMED_RECORDS = {
     # A float column keeps its blanks as NaN, so a NaN cell is refused.
     "nan-cell": (_on_line(5, lambda line: _cut_last_field(line) + ",nan"),
                  "line 5: estimated_cost_s is 'nan'"),
+    # Integer columns are arrays of int64, which hold no blank and no
+    # larger number.
+    "blank-int": (_on_line(7, lambda line: "," + line.split(",", 1)[1]),
+                  "line 7: id is blank"),
+    "int-overflow": (_on_line(8, lambda line: f"{2**63}," + line.split(",", 1)[1]),
+                     f"line 8: id is {2**63}, outside the int64 range"),
 }
 
 
@@ -855,6 +882,29 @@ def test_the_heap_holds_at_most_one_contact():
     assert max(on_heap) == 1 and not engine.heap
 
 
+def test_the_heap_holds_at_most_one_boundary():
+    # Boundaries go on the heap as the clock reaches them, not all up front,
+    # yet every unit's boundary runs once, in order.
+    config = default_config()
+    engine = _Engine(config, levy_contacts(duration=3600.0))
+    on_heap, ran = [], []
+
+    def checked(handler):
+        def wrapper(t, *payload):
+            on_heap.append(sum(entry[1] == sim_core._P_BOUNDARY for entry in engine.heap))
+            handler(t, *payload)
+        return wrapper
+
+    for name in HANDLERS:
+        setattr(engine, name, checked(getattr(engine, name)))
+    on_boundary = engine.on_boundary
+    engine.on_boundary = lambda t, k: (ran.append((t, k)), on_boundary(t, k))
+    engine.run()
+    n_units = round(3600.0 / config.unit_s)
+    assert n_units > 10 and ran == [(k * config.unit_s, k) for k in range(n_units + 1)]
+    assert max(on_heap) == 1 and not engine.heap
+
+
 # -- per-unit reuse of prices and plans ---------------------------------------------------
 
 def test_perfect_awareness_prices_live_backlog_on_every_search():
@@ -941,8 +991,7 @@ def test_relay_decided_once_per_destination(scheme, monkeypatch):
     for k, (stage, dest) in enumerate([(Service(2, 3), 4), (Service(1, 2), 4),
                                        (Service(2, 3), 4), (Service(2, 3), 3),
                                        (Service(2, 3), 4)]):
-        item = RequestRecord(id=k, origin=0, input=stage.input, output=3,
-                             created=0.0, deadline=3000.0)
+        item = RequestRecord(id=k, origin=0, input=stage.input, output=3, created=0.0)
         item.planned_stage, item.destination = stage, dest
         engine._carry(0, item)
         items.append(item)
@@ -982,7 +1031,7 @@ def test_a_destination_in_contact_takes_its_items(scheme):
     engine.on_contact_start(t, 0, 3, 400.0)
     assert engine.stats.rate(1, t) > engine.stats.rate(0, t)
     assert should_relay(scheme, 0, 1, 3, 0.0, math.inf, engine.stats, t) == (scheme == "EBR")
-    item = RequestRecord(id=0, origin=3, input=1, output=2, created=0.0, deadline=3000.0)
+    item = RequestRecord(id=0, origin=3, input=1, output=2, created=0.0)
     item.current_input, item.destination, item.location = 2, 3, 0  # a result at node 0
     engine._carry(0, item)
     engine.sweep(t, 0)
