@@ -35,7 +35,6 @@ from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from . import mobility
 from .contact_engine import ContactTrace, check_range, contacts_from_positions
@@ -89,7 +88,12 @@ class ExperimentSpec:
         return points
 
 
+# ``yaml`` is imported where a spec file is read or written: a run, its
+# records and their summary never load it.
+
 def save_spec(spec: ExperimentSpec, path) -> None:
+    import yaml
+
     with open(path, "w") as fh:
         yaml.safe_dump(spec.to_dict(), fh, sort_keys=False)
 
@@ -97,6 +101,8 @@ def save_spec(spec: ExperimentSpec, path) -> None:
 def load_spec(path) -> ExperimentSpec:
     """The spec in the YAML file at ``path``, its every run's keys checked
     (ValueError on the first that no part of a run reads)."""
+    import yaml
+
     with open(path) as fh:
         spec_dict = yaml.safe_load(fh)
     if not isinstance(spec_dict, dict):

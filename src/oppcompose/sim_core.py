@@ -26,9 +26,13 @@ queues or carries it toward the stage :meth:`_Engine._next_stage` picks, and
 a relay hosting the planned stage runs it (an opportunistic stage);
 :meth:`_Engine._deliver` takes results home.  A forwarding sweep decides once
 per destination which neighbour, if any, receives the items bound there
-(:meth:`_Engine.sweep`).  A request is one :class:`RequestRecord`, and
-where it sits (a node's queue or carried list) is its state.  Identical
-(config, seed) pairs reproduce identical results.
+(:meth:`_Engine.sweep`).  A request in flight is one
+:class:`RequestRecord`, and where it sits (a node's queue or carried list)
+is its state.  Its row of the run's records, one column per field, is
+appended when it is made and finished when it retires, home with its result
+or at its deadline, so :func:`run` returns the rows :func:`read_records_csv`
+reads back and keeps no finished request.  Identical (config, seed) pairs
+reproduce identical results.
 """
 
 from __future__ import annotations
@@ -171,64 +175,45 @@ class SimConfig:
 
 @dataclass(eq=False, slots=True)
 class RequestRecord:
-    """A request.  In flight (``status`` "in-flight") it sits in one place at
-    node ``location``: at the head of the node's queue while in service,
-    later in the queue while queued, or in the node's carried list, bound for
-    ``destination`` (a result, bound for ``origin``, once ``current_input ==
-    output``).  A finished request sits nowhere.  Queues and carried lists
-    find it by identity (``eq=False``).
+    """A request in flight.  It sits in one place at node ``location``: at
+    the head of the node's queue while in service, later in the queue while
+    queued, or in the node's carried list, bound for ``destination`` (a
+    result, bound for ``origin``, once ``current_input == output``).  Queues
+    and carried lists find it by identity (``eq=False``).  Its row ``id`` of
+    the run's records holds what generation fixed; the hops, stages and
+    opportunistic count it gathers are written there when it retires.
     """
 
     id: int
     origin: int
-    input: int
+    current_input: int  # the type it holds now: the request's input at first
     output: int
-    created: float  # its deadline is ``created + timeout_s``
-    status: str = "in-flight"
-    completed: float | None = None
-    hops: int = 0
-    stages: tuple[tuple[Service, int, bool], ...] = ()
-    estimated_cost_s: float | None = None
-    current_input: int = field(init=False)  # the type it holds now
     location: int = field(init=False)
     destination: int | None = None
     planned_stage: Service | None = None  # the stage queued for or carried toward
     opp_flag: bool = False
+    hops: int = 0
+    stages: str = ""  # "|in-out@node" per finished stage, "*" marking an opportunistic one
+    opportunistic: int = 0  # its opportunistic stages
 
     def __post_init__(self):
-        self.current_input, self.location = self.input, self.origin
-
-    @property
-    def delay(self) -> float | None:
-        return None if self.completed is None else self.completed - self.created
-
-    @property
-    def opportunistic_stages(self) -> int:
-        return sum(1 for _, _, opp in self.stages if opp)
+        self.location = self.origin
 
 
 RECORD_FIELDS = ("id,origin,in,out,created_s,status,completed_s,delay_s,hops,"
                  "stages,opportunistic_stages,estimated_cost_s")
-
-
-def write_records_csv(records: list[RequestRecord], path) -> None:
-    with open(path, "w") as fh:
-        fh.write(RECORD_FIELDS + "\n")
-        for r in sorted(records, key=lambda r: r.id):
-            stages = "|".join(
-                f"{s.input}-{s.output}@{node}" + ("*" if opp else "")
-                for s, node, opp in r.stages
-            )
-            completed, delay, est = ("" if v is None else f"{v:.3f}"
-                                     for v in (r.completed, r.delay, r.estimated_cost_s))
-            fh.write(f"{r.id},{r.origin},{r.input},{r.output},{r.created:.3f},{r.status},"
-                     f"{completed},{delay},{r.hops},{stages},{r.opportunistic_stages},{est}\n")
-
-
 _RECORD_NAMES = tuple(RECORD_FIELDS.split(","))
 _RECORD_INDEX = {name: i for i, name in enumerate(_RECORD_NAMES)}
 # Each column's parser; None keeps the text (status, stages), shared per file.
 _RECORD_PARSERS = (int, int, int, int, float, None, float, float, int, None, int, float)
+_STATUS = _RECORD_INDEX["status"]
+
+
+def _record_columns() -> list:
+    """One empty column per records field: floats in ``array('d')`` (NaN for
+    a blank), ints in ``array('q')`` and text in lists."""
+    return [[] if parse is None else array("d" if parse is float else "q")
+            for parse in _RECORD_PARSERS]
 
 
 class _RecordRow(Mapping):
@@ -254,8 +239,8 @@ class _RecordRow(Mapping):
 
 
 class _RecordRows(Sequence):
-    """A records file's rows, read-only, held as one column per field:
-    floats in ``array('d')``, ints in ``array('q')`` and text in lists."""
+    """Records rows, read-only, held as :func:`_record_columns` does: what
+    :func:`run` returns and :func:`read_records_csv` reads back."""
 
     __slots__ = ("_columns",)
 
@@ -274,6 +259,18 @@ class _RecordRows(Sequence):
         return map(_RecordRow, repeat(self._columns), range(len(self)))
 
 
+def write_records_csv(rows: _RecordRows, path) -> None:
+    """Write ``rows``, as :func:`run` or :func:`read_records_csv` returns
+    them, in their order: times and costs to 3 decimals, blank for None."""
+    with open(path, "w") as fh:
+        fh.write(RECORD_FIELDS + "\n")
+        for (i, origin, req_in, req_out, created, status, completed, delay, hops, stages,
+             opportunistic, est) in zip(*rows._columns):
+            completed, delay, est = ("" if v != v else f"{v:.3f}" for v in (completed, delay, est))
+            fh.write(f"{i},{origin},{req_in},{req_out},{created:.3f},{status},"
+                     f"{completed},{delay},{hops},{stages},{opportunistic},{est}\n")
+
+
 def read_records_csv(path) -> Sequence[Mapping]:
     """Rows back as a read-only sequence of read-only mappings keyed by the
     header's names, numeric fields parsed (None for blanks); rows of one file
@@ -282,8 +279,7 @@ def read_records_csv(path) -> Sequence[Mapping]:
     a NaN cell (a float column keeps its blanks as NaN) or a blank integer
     cell (the writer leaves none) raises ``ValueError`` naming the line."""
     texts: dict[str, str] = {}
-    columns = [[] if parse is None else array("d" if parse is float else "q")
-               for parse in _RECORD_PARSERS]
+    columns = _record_columns()
     fields = tuple(zip(_RECORD_NAMES, _RECORD_PARSERS, [column.append for column in columns]))
     with open(path) as fh:
         if (header := fh.readline().rstrip("\n")) != RECORD_FIELDS:
@@ -478,10 +474,16 @@ class _Engine:
         # Per node: its backlog, the request in service first.
         self.queues: list[list[RequestRecord]] = [[] for _ in range(self.n)]
         self.carried: list[list[RequestRecord]] = [[] for _ in range(self.n)]
-        self.records: list[RequestRecord] = []
-        # Each distinct (service, host, opportunistic) stage, one tuple that
-        # every record running it shares: at most two per service copy.
-        self._stages: dict[tuple[Service, int, bool], tuple[Service, int, bool]] = {}
+        # One row per request, in id order: opened at generation, finished
+        # when the request retires.
+        self._columns = _record_columns()
+        self._appends = [column.append for column in self._columns]
+        self.records = _RecordRows(self._columns)
+        # Each distinct (service, host, opportunistic) stage's text, made once:
+        # at most two per service copy.
+        self._stages: dict[tuple[Service, int, bool], str] = {}
+        # Each distinct stages text of a retired request, one string its rows share.
+        self._texts: dict[str, str] = {}
         self.heap: list = []
         self.seq = 0
         self.unit_index = 0
@@ -596,8 +598,13 @@ class _Engine:
         queue.pop(0)
         service = item.planned_stage
         item.current_input = service.output
-        stage = (service, node, item.opp_flag)
-        item.stages += (self._stages.setdefault(stage, stage),)
+        opp = item.opp_flag
+        text = self._stages.get(stage := (service, node, opp))
+        if text is None:
+            text = f"|{service.input}-{service.output}@{node}" + ("*" if opp else "")
+            self._stages[stage] = text
+        item.stages += text
+        item.opportunistic += opp
         self._start_execution(node, t)
         if item.current_input == item.output:
             item.destination = item.origin
@@ -635,8 +642,7 @@ class _Engine:
         """Hand a result to its requester at ``node``, or carry it on toward there."""
         item.location = node
         if node == item.origin:
-            item.status = "completed"
-            item.completed = t
+            self._retire(item, "completed", t)
         else:
             self._carry(node, item)
             self.schedule_sweep(node, t)
@@ -716,15 +722,12 @@ class _Engine:
         schedules its next one."""
         cfg = self.cfg
         req_in, req_out = cfg.pattern.draw(self.rng)
-        rec = RequestRecord(id=len(self.records), origin=node, input=req_in, output=req_out,
-                            created=t)
-        self.records.append(rec)
+        rec = RequestRecord(len(self._columns[0]), node, req_in, req_out)
         self.push(t + cfg.timeout_s, _P_DEADLINE, rec)
-        # Generation plans the whole path for the record's cost estimate; the
+        # Generation plans the whole path for the row's cost estimate; the
         # request takes only its first stage, and each later hand-off re-plans.
         path = self.compute_path(node, req_in, req_out)
-        if path is not None:
-            rec.estimated_cost_s = path.cost * cfg.unit_s
+        self._open_row(rec, t, math.nan if path is None else path.cost * cfg.unit_s)
         self._route(rec, node, t, None if path is None else path.stages[0], sweep=True)
         self._schedule_next_generation(node, t)
 
@@ -736,10 +739,43 @@ class _Engine:
         if nxt <= self.duration - self.cfg.timeout_s:
             self.push(nxt, _P_GENERATE, node)
 
+    def _open_row(self, item: RequestRecord, created: float, estimated_cost_s: float) -> None:
+        """Append ``item``'s row, as row ``item.id``: what its generation
+        fixes, and the rest blank or zero until it retires."""
+        # One bound append per column, called in turn: a loop over the row
+        # took three times as long.
+        (ids, origins, ins, outs, created_s, statuses, completions, delays, hops, stages, opps,
+         costs) = self._appends
+        ids(item.id)
+        origins(item.origin)
+        ins(item.current_input)
+        outs(item.output)
+        created_s(created)
+        statuses("in-flight")
+        completions(math.nan)
+        delays(math.nan)
+        hops(0)
+        stages("")
+        opps(0)
+        costs(estimated_cost_s)
+
+    def _retire(self, item: RequestRecord, status: str, completed: float = math.nan) -> None:
+        """Finish ``item``'s row: its status, completion time (NaN for none)
+        and delay, and the hops, stages and opportunistic count it gathered."""
+        i = item.id
+        _, _, _, _, created, statuses, completions, delays, hops, stages, opps, _ = self._columns
+        statuses[i] = status
+        completions[i] = completed
+        delays[i] = completed - created[i]
+        hops[i] = item.hops
+        text = item.stages[1:]
+        stages[i] = self._texts.setdefault(text, text)
+        opps[i] = item.opportunistic
+
     def on_deadline(self, t: float, rec: RequestRecord) -> None:
-        if rec.status != "in-flight":
+        if self._columns[_STATUS][rec.id] != "in-flight":
             return
-        rec.status = "timed-out"
+        self._retire(rec, "timed-out")
         queue = self.queues[rec.location]
         if queue and queue[0] is rec:  # in service
             queue.pop(0)
@@ -789,7 +825,7 @@ class _Engine:
 
     # -- main loop ----------------------------------------------------------
 
-    def run(self) -> list[RequestRecord]:
+    def run(self) -> Sequence[Mapping]:
         unit_s = self.cfg.unit_s
         n_units = int(round(self.duration / unit_s))
         # Each popped boundary or contact start pushes the next of its kind,
@@ -815,9 +851,15 @@ class _Engine:
                     self.push(*event)
             if t <= self.duration + 1e-9:
                 handlers[prio](t, *payload)
+        # A request whose deadline falls after the end is still in flight.
+        for held in (*self.queues, *self.carried):
+            for item in held:
+                self._retire(item, "in-flight")
         return self.records
 
 
-def run(config: SimConfig, contacts: ContactTrace) -> list[RequestRecord]:
-    """Simulate one run of ``config`` over ``contacts``; its request records."""
+def run(config: SimConfig, contacts: ContactTrace) -> Sequence[Mapping]:
+    """Simulate one run of ``config`` over ``contacts``; its records, one
+    row per request in id order, as :func:`read_records_csv` reads them back
+    but at full float precision."""
     return _Engine(config, contacts).run()

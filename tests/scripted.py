@@ -14,6 +14,7 @@ but service times, and ``fixed_exec`` makes each of them ``mean_exec_s``.
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Mapping, Sequence
 from types import SimpleNamespace
 
 from oppcompose import sim_core
@@ -44,6 +45,6 @@ def scripted_engine(config: SimConfig, contacts: ContactTrace, script,
 
 
 def run_scripted(config: SimConfig, contacts: ContactTrace, script,
-                 fixed_exec: bool = False) -> list[sim_core.RequestRecord]:
+                 fixed_exec: bool = False) -> Sequence[Mapping]:
     """The records of :func:`scripted_engine`'s run."""
     return scripted_engine(config, contacts, script, fixed_exec).run()

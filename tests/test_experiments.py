@@ -1,6 +1,9 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +54,18 @@ def test_spec_yaml_round_trip(tmp_path):
     save_spec(spec, path)
     again = load_spec(path)
     assert again.to_dict() == spec.to_dict()
+
+
+def test_runs_and_records_load_no_yaml():
+    # Only a spec file is YAML: a run, its records and their summary, as a
+    # benchmark worker makes them, leave the module unloaded.
+    probe = "import sys, oppcompose.experiments, oppcompose.sim_core; print('yaml' in sys.modules)"
+    package_root = str(Path(experiments.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.split() == ["False"]
 
 
 def test_all_presets_materialize():

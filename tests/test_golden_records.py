@@ -20,9 +20,10 @@ import pytest
 from oppcompose import experiments, sim_core
 from oppcompose.contact_engine import ContactTrace
 from oppcompose.service_model import assign_services, enumerate_services
-from oppcompose.sim_core import _Engine, RequestPattern, SimConfig, run, write_records_csv
+from oppcompose.sim_core import (_Engine, RequestPattern, SimConfig, read_records_csv, run,
+                                 write_records_csv)
 from pricing_reference import cost_matrices, matrix_view
-from scripted import run_scripted
+from scripted import run_scripted, scripted_engine
 
 N_NODES = 8
 DURATION = 7200.0
@@ -112,9 +113,9 @@ def test_scenario_forms_groups_of_three_or_more():
 
 
 def assert_stages_shared(records):
-    """Every distinct (service, host, opportunistic) stage is one tuple."""
-    stages = [stage for rec in records for stage in rec.stages]
-    assert stages and len({id(stage) for stage in stages}) == len(set(stages))
+    """Every distinct stages text is one string, shared by its rows."""
+    stages = [rec["stages"] for rec in records]
+    assert len({id(text) for text in stages}) == len(set(stages)) > 1
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
@@ -125,6 +126,35 @@ def test_records_match_pinned_digest(name, tmp_path):
     path = tmp_path / "records.csv"
     write_records_csv(records, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN[name]
+    # Read back and written again, the file keeps its bytes.
+    write_records_csv(read_records_csv(path), tmp_path / "again.csv")
+    assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
+
+
+# The scenario with longer executions and 24 more requests, made in the last
+# 960 s, whose deadlines fall after the end: the run ends with requests in
+# service, queued, carried toward a stage and carried home as results.
+GOLDEN_END_IN_FLIGHT = "1ce962e4eba5ab07e12e4708107bbb7f81632a3e6a383bfeaffcc5b0001cdad3"
+
+
+def test_requests_in_flight_at_the_end_keep_their_rows(tmp_path):
+    contacts, base, script = scenario()
+    late = tuple((DURATION - 40.0 * k, k % 4, *script[k][2:]) for k in range(1, 25))
+    engine = scripted_engine(SimConfig(**base, mean_exec_s=200.0), contacts, script + late,
+                             fixed_exec=True)
+    records = engine.run()
+    places = Counter()
+    for queue, carried in zip(engine.queues, engine.carried):
+        places.update(["executing"] * len(queue[:1]) + ["queued"] * len(queue[1:]))
+        places.update("result" if rec.current_input == rec.output else "carried"
+                      for rec in carried)
+    assert places == {"executing": 4, "queued": 4, "carried": 4, "result": 2}
+    in_flight = [rec for rec in records if rec["status"] == "in-flight"]
+    assert len(in_flight) == 14 and any(rec["stages"] for rec in in_flight)
+    assert all(rec["completed_s"] is None and rec["delay_s"] is None for rec in in_flight)
+    path = tmp_path / "records.csv"
+    write_records_csv(records, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_END_IN_FLIGHT
 
 
 @pytest.mark.parametrize("awareness", sorted(GOLDEN_NONHOST))

@@ -46,6 +46,16 @@ def path_hosts(path):
     return tuple(n for _, n in path.stages)
 
 
+def stage_list(rec):
+    """A record's stages text parsed: one (service, node, opportunistic) per stage."""
+    stages = []
+    for text in filter(None, rec["stages"].split("|")):
+        service, node = text.rstrip("*").split("@")
+        req_in, req_out = service.split("-")
+        stages.append((Service(int(req_in), int(req_out)), int(node), text.endswith("*")))
+    return stages
+
+
 def full_contact_trace(n, duration):
     events = [(0.0, duration, a, b) for a in range(n) for b in range(a + 1, n)]
     return ContactTrace(events, n, duration)
@@ -140,7 +150,7 @@ def test_expected_request_volume():
 def test_zero_rate_zero_records():
     cfg = default_config(request_rate_per_min=0.0)
     records = run(cfg, no_contact_trace(20, 3600.0))
-    assert records == []
+    assert len(records) == 0
 
 
 # Generation stops ``timeout_s`` before the end: with no time left a Poisson
@@ -153,7 +163,7 @@ def test_poisson_stream_needs_time_before_its_timeout(timeout_s):
         run(default_config(timeout_s=timeout_s), contacts)
     # Scripted and empty streams do not generate on that clock.
     assert len(run_scripted(default_config(timeout_s=timeout_s), contacts, ((0.0, 0, 1, 5),))) == 1
-    assert run(default_config(timeout_s=timeout_s, request_rate_per_min=0.0), contacts) == []
+    assert len(run(default_config(timeout_s=timeout_s, request_rate_per_min=0.0), contacts)) == 0
     run(default_config(timeout_s=3000.0), contacts)
 
 
@@ -226,10 +236,10 @@ def test_local_exact_service_completes_with_zero_hops():
     )
     records = run_scripted(cfg, no_contact_trace(1, 3600.0), script)
     rec = records[0]
-    assert rec.status == "completed"
-    assert rec.hops == 0
-    assert rec.stages[0][0] == Service(1, 4)
-    assert rec.delay > 0
+    assert rec["status"] == "completed"
+    assert rec["hops"] == 0
+    assert stage_list(rec)[0][0] == Service(1, 4)
+    assert rec["delay_s"] > 0
 
 
 def test_deterministic_exec_time_exact():
@@ -242,7 +252,7 @@ def test_deterministic_exec_time_exact():
         seed=1,
     )
     rec = run_scripted(cfg, no_contact_trace(1, 3600.0), script, fixed_exec=True)[0]
-    assert rec.delay == 30.0
+    assert rec["delay_s"] == 30.0
 
 
 def test_fifo_queueing_two_simultaneous_requests():
@@ -255,9 +265,9 @@ def test_fifo_queueing_two_simultaneous_requests():
         seed=1,
     )
     recs = sorted(run_scripted(cfg, no_contact_trace(1, 3600.0), script, fixed_exec=True),
-                  key=lambda r: r.id)
-    assert recs[0].delay == 30.0
-    assert recs[1].delay == 60.0  # waits for the first to finish
+                  key=lambda r: r["id"])
+    assert recs[0]["delay_s"] == 30.0
+    assert recs[1]["delay_s"] == 60.0  # waits for the first to finish
 
 
 def test_exec_sampler_mean():
@@ -272,7 +282,7 @@ def test_exec_sampler_mean():
         seed=7,
     )
     recs = run_scripted(cfg, no_contact_trace(1, 40000.0), script)
-    delays = [r.delay for r in recs if r.status == "completed"]
+    delays = [r["delay_s"] for r in recs if r["status"] == "completed"]
     assert len(delays) >= 45
     assert 20.0 < float(np.mean(delays)) < 40.0
 
@@ -296,11 +306,11 @@ def test_fully_connected_chain_exact_delay():
     )
     records = run_scripted(cfg, full_contact_trace(4, 7200.0), script, fixed_exec=True)
     rec = records[0]
-    assert rec.status == "completed"
+    assert rec["status"] == "completed"
     # Three stages, each 30 s, transfers instantaneous over live contacts.
-    assert rec.delay == 90.0
-    assert rec.hops >= 2
-    assert [s.input for s, _, _ in rec.stages] == [1, 2, 3]
+    assert rec["delay_s"] == 90.0
+    assert rec["hops"] >= 2
+    assert [s.input for s, _, _ in stage_list(rec)] == [1, 2, 3]
 
 
 def test_stage_advances_input_type():
@@ -314,8 +324,8 @@ def test_stage_advances_input_type():
         seed=1,
     )
     rec = run_scripted(cfg, full_contact_trace(2, 3600.0), script, fixed_exec=True)[0]
-    assert rec.status == "completed"
-    assert [(s.input, s.output) for s, _, _ in rec.stages] == [(1, 3), (3, 4)]
+    assert rec["status"] == "completed"
+    assert [(s.input, s.output) for s, _, _ in stage_list(rec)] == [(1, 3), (3, 4)]
 
 
 # -- deadlines ----------------------------------------------------------------------
@@ -330,8 +340,8 @@ def test_unreachable_request_times_out():
         seed=1,
     )
     rec = run_scripted(cfg, no_contact_trace(2, 3600.0), script)[0]
-    assert rec.status == "timed-out"
-    assert rec.completed is None
+    assert rec["status"] == "timed-out"
+    assert rec["completed_s"] is None
 
 
 def test_queued_requests_time_out_under_overload():
@@ -345,12 +355,12 @@ def test_queued_requests_time_out_under_overload():
         seed=1,
     )
     records = run_scripted(cfg, no_contact_trace(1, 7200.0), script, fixed_exec=True)
-    counts = Counter(rec.status for rec in records)
+    counts = Counter(rec["status"] for rec in records)
     assert counts["completed"] == 10  # 300 s window at 30 s per execution
     assert counts["timed-out"] == 30
     for rec in records:
-        if rec.status == "completed":
-            assert rec.completed <= rec.created + cfg.timeout_s
+        if rec["status"] == "completed":
+            assert rec["completed_s"] <= rec["created_s"] + cfg.timeout_s
 
 
 def test_result_in_transit_at_deadline_not_counted():
@@ -368,8 +378,8 @@ def test_result_in_transit_at_deadline_not_counted():
     )
     records = run_scripted(cfg, ContactTrace(events, 2, 3600.0), script, fixed_exec=True)
     rec = records[0]
-    assert rec.status == "timed-out"
-    assert len(rec.stages) == 1  # executed remotely, result never made it home
+    assert rec["status"] == "timed-out"
+    assert len(stage_list(rec)) == 1  # executed remotely, result never made it home
 
 
 def test_result_routes_home_on_next_contact():
@@ -384,21 +394,21 @@ def test_result_routes_home_on_next_contact():
         seed=1,
     )
     rec = run_scripted(cfg, ContactTrace(events, 2, 3600.0), script, fixed_exec=True)[0]
-    assert rec.status == "completed"
-    assert rec.completed == 600.0
-    assert rec.hops == 2  # request out, result back
+    assert rec["status"] == "completed"
+    assert rec["completed_s"] == 600.0
+    assert rec["hops"] == 2  # request out, result back
 
 
 def test_remote_completion_needs_at_least_two_hops():
     cfg = default_config()
     records = run(cfg, levy_contacts())
     for rec in records:
-        if rec.status != "completed":
+        if rec["status"] != "completed":
             continue
-        if any(node != rec.origin for _, node, _ in rec.stages):
-            assert rec.hops >= 2
-        if rec.hops == 0:
-            assert all(node == rec.origin for _, node, _ in rec.stages)
+        if any(node != rec["origin"] for _, node, _ in stage_list(rec)):
+            assert rec["hops"] >= 2
+        if rec["hops"] == 0:
+            assert all(node == rec["origin"] for _, node, _ in stage_list(rec))
 
 
 def test_stale_completion_of_a_cancelled_request_leaves_its_successor_running():
@@ -417,10 +427,10 @@ def test_stale_completion_of_a_cancelled_request_leaves_its_successor_running():
     engine = scripted_engine(cfg, no_contact_trace(1, 3600.0), script)
     draws = iter([110.0, 30.0])
     engine.rng = SimpleNamespace(exponential=lambda mean: next(draws))
-    a, b = sorted(engine.run(), key=lambda r: r.id)
-    assert a.status == "timed-out" and a.stages == ()
-    assert b.status == "completed" and b.completed == 190.0
-    assert [node for _, node, _ in b.stages] == [0]
+    a, b = sorted(engine.run(), key=lambda r: r["id"])
+    assert a["status"] == "timed-out" and a["stages"] == ""
+    assert b["status"] == "completed" and b["completed_s"] == 190.0
+    assert [node for _, node, _ in stage_list(b)] == [0]
 
 
 # -- request lifecycle invariant --------------------------------------------------------
@@ -450,18 +460,19 @@ def check_lifecycle(engine, requests):
     places = places_held(engine)
     for rec in requests:
         where = places.pop(id(rec), [])
+        status = engine.records[rec.id]["status"]
         if where:
-            assert rec.status == "in-flight"
+            assert status == "in-flight"
             assert len(where) == 1 and where[0][1] == rec.location
         else:
-            assert rec.status in ("completed", "timed-out")
+            assert status in ("completed", "timed-out")
     assert places == {}  # nothing is held that is not a request
 
 
 def test_request_lifecycle_invariant_after_every_event():
     # After every event a live request sits in exactly one place, at its
-    # location, and its record is in flight; a finished request sits nowhere
-    # and its status is final.
+    # location, and its row is in flight; a finished request sits nowhere
+    # and its row's status is final.
     catalog = enumerate_services(5)
     placement = assign_services(catalog, list(range(8)), 2, np.random.default_rng(4))
     params = LevyWalkParams(area=(500.0, 500.0), speed_classes=((4, (1.0, 1.0)), (4, (10.0, 10.0))))
@@ -506,10 +517,12 @@ def test_request_lifecycle_invariant_after_every_event():
         engine.on_deadline, engine._next_stage = deadline, counted_next_stage
         engine.push = collecting_push
         records = engine.run()
-        assert requests == records  # the same objects: records compare by identity
-        assert all(r.status != "in-flight" for r in records)
-        relayed += sum(r.hops for r in records)
-        opportunistic += sum(r.opportunistic_stages for r in records)
+        # One row per request the checks followed, in id order.
+        ids = [rec.id for rec in requests]
+        assert ids == [r["id"] for r in records] == list(range(len(records)))
+        assert all(r["status"] != "in-flight" for r in records)
+        relayed += sum(r["hops"] for r in records)
+        opportunistic += sum(r["opportunistic_stages"] for r in records)
     # The runs reach every place a deadline can cancel in, relay requests and
     # results, run stages opportunistically and find a stage for a stalled
     # request.
@@ -523,11 +536,11 @@ def test_conservation_every_run():
     for seed in (1, 2, 3):
         cfg = default_config(seed=seed)
         records = run(cfg, levy_contacts(seed=seed))
-        counts = Counter(rec.status for rec in records)
+        counts = Counter(rec["status"] for rec in records)
         assert counts["completed"] + counts["timed-out"] + counts["in-flight"] == len(records)
         for rec in records:
-            if rec.status == "completed":
-                assert rec.completed <= rec.created + cfg.timeout_s + 1e-9
+            if rec["status"] == "completed":
+                assert rec["completed_s"] <= rec["created_s"] + cfg.timeout_s + 1e-9
 
 
 def test_identical_config_reproduces_csv_bytes(tmp_path):
@@ -575,47 +588,54 @@ def test_records_csv_round_trip(tmp_path):
     path = tmp_path / "records.csv"
     write_records_csv(records, path)
     rows = read_records_csv(path)
-    assert [row["id"] for row in rows] == sorted(r.id for r in records)
-    by_id = {r.id: r for r in records}
+    assert [row["id"] for row in rows] == [rec["id"] for rec in records] == list(range(len(rows)))
 
     def approx(value):
-        return None if value is None else pytest.approx(value, abs=1e-3)
+        return pytest.approx(value, abs=1e-3) if isinstance(value, float) else value
 
-    for row in rows:
-        rec = by_id[row["id"]]
-        assert row == {
-            "id": rec.id, "origin": rec.origin, "in": rec.input, "out": rec.output,
-            "created_s": approx(rec.created), "status": rec.status,
-            "completed_s": approx(rec.completed), "delay_s": approx(rec.delay),
-            "hops": rec.hops, "stages": row["stages"],
-            "opportunistic_stages": rec.opportunistic_stages,
-            "estimated_cost_s": approx(rec.estimated_cost_s),
-        }
-        written = [(s.rstrip("*"), s.endswith("*")) for s in row["stages"].split("|") if s]
-        assert written == [(f"{s.input}-{s.output}@{node}", opp) for s, node, opp in rec.stages]
+    for row, rec in zip(rows, records):
+        assert row == {name: approx(value) for name, value in rec.items()}
+        if rec["status"] == "completed":
+            assert rec["delay_s"] == rec["completed_s"] - rec["created_s"]
+        assert rec["opportunistic_stages"] == sum(opp for _, _, opp in stage_list(rec))
 
 
 def synthetic_records(n, seed=0):
-    """``n`` finished requests shaped like a run's: about half completed, a
-    few dozen distinct stage lists, every time a float."""
+    """``n`` finished requests' rows shaped like a run's: about half
+    completed, a few dozen distinct stage lists, every time a float."""
     rng = np.random.default_rng(seed)
     services = enumerate_services(7).services
     paths = [tuple((services[int(rng.integers(len(services)))], int(rng.integers(20)),
                     bool(rng.random() < 0.2)) for _ in range(int(rng.integers(1, 4))))
              for _ in range(40)]
-    records = []
+    texts = ["|".join(f"{s.input}-{s.output}@{node}" + ("*" if opp else "")
+                      for s, node, opp in path) for path in paths]
+    columns = sim_core._record_columns()
     for i in range(n):
         created = float(rng.uniform(0.0, 36000.0))
-        rec = RequestRecord(i, int(rng.integers(20)), int(rng.integers(1, 8)),
-                            int(rng.integers(1, 8)), created, hops=int(rng.integers(8)),
-                            estimated_cost_s=float(rng.uniform(0.0, 2000.0)))
+        row = [i, int(rng.integers(20)), int(rng.integers(1, 8)), int(rng.integers(1, 8)),
+               created, "timed-out", math.nan, math.nan, int(rng.integers(8)), "", 0,
+               float(rng.uniform(0.0, 2000.0))]
         if rng.random() < 0.5:
-            rec.status, rec.completed = "completed", created + float(rng.uniform(0.0, 900.0))
-            rec.stages = paths[int(rng.integers(len(paths)))]
-        else:
-            rec.status = "timed-out"
-        records.append(rec)
-    return records
+            k = int(rng.integers(len(paths)))
+            completed = created + float(rng.uniform(0.0, 900.0))
+            row[5:8] = "completed", completed, completed - created
+            row[9:11] = texts[k], sum(opp for _, _, opp in paths[k])
+        for column, value in zip(columns, row):
+            column.append(value)
+    return sim_core._RecordRows(columns)
+
+
+def test_records_rewrite_to_the_bytes_they_were_read_from(tmp_path):
+    # A run's file and a synthetic one, each read back and written again,
+    # give the bytes they were read from (the golden files do too).
+    sources = {"run": run(default_config(), levy_contacts(duration=3600.0)),
+               "synthetic": synthetic_records(500)}
+    for name, records in sources.items():
+        path, again = tmp_path / f"{name}.csv", tmp_path / f"{name}_again.csv"
+        write_records_csv(records, path)
+        write_records_csv(read_records_csv(path), again)
+        assert again.read_bytes() == path.read_bytes(), name
 
 
 def test_records_read_back_as_read_only_mappings_in_column_order(tmp_path):
@@ -646,12 +666,12 @@ def test_records_read_back_as_read_only_mappings_in_column_order(tmp_path):
         rows[0] = listed[1]
 
 
-def test_run_records_take_under_270_bytes_a_request():
-    # What dropping a run's records frees: each record's slots and values
-    # and the stage tuples they share.  With a deadline slot and a stage list
-    # per record this run freed about 320 B a request; with the deadline
-    # left to created + timeout_s and stages a tuple (the shared () until a
-    # stage completes) about 220.
+def test_run_records_take_under_130_bytes_a_request():
+    # What dropping a run's records frees.  With an object per request, its
+    # slots and values and the stage tuples they share, this run freed about
+    # 320 B a request, and 220 with the deadline left to created + timeout_s
+    # and stages a shared tuple; with one row per request in columns (floats
+    # and ints in arrays, status and stages text shared) about 115.
     config, contacts = default_config(), levy_contacts(duration=3600.0)
     tracemalloc.start()
     try:
@@ -664,7 +684,7 @@ def test_run_records_take_under_270_bytes_a_request():
     finally:
         tracemalloc.stop()
     assert count > 300
-    assert freed / count <= 270
+    assert freed / count <= 130
 
 
 def test_read_back_records_take_under_110_bytes_a_row(tmp_path):
@@ -739,20 +759,20 @@ def test_single_copy_every_request_single_position():
     cfg = default_config()
     records = run(cfg, levy_contacts())
     for rec in records:
-        cur = rec.input
-        for service, _, _ in rec.stages:
+        cur = rec["in"]
+        for service, _, _ in stage_list(rec):
             assert service.input == cur
             cur = service.output
-        if rec.status == "completed":
-            assert cur == rec.output
+        if rec["status"] == "completed":
+            assert cur == rec["out"]
 
 
 def test_estimated_cost_recorded_when_path_exists():
     cfg = default_config(awareness="perfect")
     records = run(cfg, levy_contacts())
-    with_est = [r for r in records if r.estimated_cost_s is not None]
+    with_est = [r for r in records if r["estimated_cost_s"] is not None]
     assert len(with_est) > 0.8 * len(records)
-    assert all(r.estimated_cost_s >= 0 for r in with_est)
+    assert all(r["estimated_cost_s"] >= 0 for r in with_est)
 
 
 # -- neighbour index -------------------------------------------------------------------
@@ -991,7 +1011,7 @@ def test_relay_decided_once_per_destination(scheme, monkeypatch):
     for k, (stage, dest) in enumerate([(Service(2, 3), 4), (Service(1, 2), 4),
                                        (Service(2, 3), 4), (Service(2, 3), 3),
                                        (Service(2, 3), 4)]):
-        item = RequestRecord(id=k, origin=0, input=stage.input, output=3, created=0.0)
+        item = RequestRecord(id=k, origin=0, current_input=stage.input, output=3)
         item.planned_stage, item.destination = stage, dest
         engine._carry(0, item)
         items.append(item)
@@ -1031,8 +1051,10 @@ def test_a_destination_in_contact_takes_its_items(scheme):
     engine.on_contact_start(t, 0, 3, 400.0)
     assert engine.stats.rate(1, t) > engine.stats.rate(0, t)
     assert should_relay(scheme, 0, 1, 3, 0.0, math.inf, engine.stats, t) == (scheme == "EBR")
-    item = RequestRecord(id=0, origin=3, input=1, output=2, created=0.0)
+    item = RequestRecord(id=0, origin=3, current_input=1, output=2)
+    engine._open_row(item, 0.0, math.nan)
     item.current_input, item.destination, item.location = 2, 3, 0  # a result at node 0
     engine._carry(0, item)
     engine.sweep(t, 0)
-    assert item.location == 3 and item.status == "completed" and item.hops == 1
+    row = engine.records[0]
+    assert item.location == 3 and row["status"] == "completed" and row["hops"] == 1
