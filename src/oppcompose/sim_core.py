@@ -211,8 +211,9 @@ _STATUS = _RECORD_INDEX["status"]
 
 def _record_columns() -> list:
     """One empty column per records field: floats in ``array('d')`` (NaN for
-    a blank), ints in ``array('q')`` and text in lists."""
-    return [[] if parse is None else array("d" if parse is float else "q")
+    a blank), ints in ``array('i')`` (a 4-byte C int; no record holds an
+    integer outside the int32 range) and text in lists."""
+    return [[] if parse is None else array("d" if parse is float else "i")
             for parse in _RECORD_PARSERS]
 
 
@@ -276,8 +277,10 @@ def read_records_csv(path) -> Sequence[Mapping]:
     header's names, numeric fields parsed (None for blanks); rows of one file
     share each distinct ``status`` and ``stages`` string.  A header other than
     ``RECORD_FIELDS``, a row of another width, a number that does not parse,
-    a NaN cell (a float column keeps its blanks as NaN) or a blank integer
-    cell (the writer leaves none) raises ``ValueError`` naming the line."""
+    a NaN or infinite cell (a float column keeps its blanks as NaN, and the
+    writer writes neither), a blank integer cell (the writer leaves none) or
+    an integer outside the int32 range raises ``ValueError`` naming the line."""
+    inf = math.inf
     texts: dict[str, str] = {}
     columns = _record_columns()
     fields = tuple(zip(_RECORD_NAMES, _RECORD_PARSERS, [column.append for column in columns]))
@@ -298,15 +301,16 @@ def read_records_csv(path) -> Sequence[Mapping]:
                         if parse is int:
                             raise ValueError(f"{name} is blank; an integer column has no blanks")
                         append(math.nan)
-                    elif (value := parse(cell)) != value:
-                        raise ValueError(f"{name} is {cell!r}; a records file holds no NaN")
+                    elif not -inf < (value := parse(cell)) < inf:  # NaN compares false
+                        raise ValueError(f"{name} is {cell!r}; a records file holds no NaN "
+                                         f"or infinity")
                     else:
                         append(value)
             except ValueError as exc:
                 raise ValueError(f"{path}, line {lineno}: {exc}") from None
-            except OverflowError:  # from array('q'): the loop stopped at the cell
+            except OverflowError:  # from array('i'): the loop stopped at the cell
                 raise ValueError(f"{path}, line {lineno}: {name} is {cell}, "
-                                 f"outside the int64 range") from None
+                                 f"outside the int32 range") from None
     return _RecordRows(columns)
 
 
