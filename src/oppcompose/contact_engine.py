@@ -108,8 +108,8 @@ class ContactTrace:
 
 
 def check_range(range_m) -> None:
-    """Raise ValueError unless ``range_m`` is a finite number > 0."""
-    if not (isinstance(range_m, (int, float)) and 0 < range_m < np.inf):
+    """Raise ValueError unless ``range_m`` is a finite number > 0 (not a bool)."""
+    if isinstance(range_m, bool) or not (isinstance(range_m, (int, float)) and 0 < range_m < np.inf):
         raise ValueError(f"range_m must be a finite number > 0, got {range_m!r}")
 
 

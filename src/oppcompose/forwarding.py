@@ -27,17 +27,16 @@ EBR_WINDOW = 600.0
 class EncounterStats:
     """Sliding-window encounter counts per node."""
 
-    def __init__(self, n_nodes: int, window: float = EBR_WINDOW):
-        self.window = window
+    def __init__(self, n_nodes: int):
         self._times: list[list[float]] = [[] for _ in range(n_nodes)]
 
     def record(self, node: int, t: float) -> None:
         self._times[node].append(t)
 
     def rate(self, node: int, t: float) -> int:
-        """Encounters of ``node`` within (t - window, t]."""
+        """Encounters of ``node`` within (t - EBR_WINDOW, t]."""
         times = self._times[node]
-        lo = bisect_left(times, t - self.window + 1e-9)
+        lo = bisect_left(times, t - EBR_WINDOW + 1e-9)
         hi = bisect_left(times, t + 1e-9)
         return hi - lo
 

@@ -74,7 +74,8 @@ def read_headed_csv(path, keys: dict, columns: str) -> tuple[dict, list[tuple[in
     Header values whose key ``keys`` names are converted by ``keys[key]``;
     other keys are ignored.  Blank lines and the column-name line (starting
     with ``columns``) are skipped; every other line is a ``(line number,
-    fields)`` row.  Raises ValueError on an explicit non-positive
+    fields)`` row.  Raises ValueError, naming the file and line, on a header
+    value ``keys[key]`` cannot convert, and on an explicit non-positive
     ``interval``.
     """
     header, rows = {}, []
@@ -87,7 +88,11 @@ def read_headed_csv(path, keys: dict, columns: str) -> tuple[dict, list[tuple[in
                 for tok in line[1:].split():
                     k, _, v = tok.partition("=")
                     if k in keys:
-                        header[k] = keys[k](v)
+                        try:
+                            header[k] = keys[k](v)
+                        except ValueError:
+                            raise ValueError(f"{path}, line {lineno}: cannot read {k}={v!r} "
+                                             f"as {keys[k].__name__}") from None
             else:
                 rows.append((lineno, line.split(",")))
     if not header.get("interval", 1.0) > 0:

@@ -7,11 +7,14 @@ of these under ``minimal`` awareness; knowledge keeps one column per service
 host, one per node under ``perfect``, and the closure relaxes every group's
 labels along its contacts until they settle) run first, then contact starts
 (encounter stats, neighbour index, forwarding attempts), service completions,
-Poisson request generation, forwarding sweeps, deadline expirations (each
-carrying its request), and last contact ends, so a sweep at a contact's end
-still sees the peer.  Unit boundaries and contacts go on the heap as the
-clock reaches them, one boundary and one contact start at a time: each start
-pushes its end, and each boundary walks its pairs from the sorted events.
+Poisson request generation, deadline expirations (each carrying its request),
+and last contact ends.  Forwarding sweeps are not heap events: a sweep is
+due at the instant that asks for it, and the loop runs the instant's due
+sweeps, once per node and in the order asked, after its generations and
+before its deadlines, so a sweep at a contact's end still sees the peer.
+Unit boundaries and contacts go on the heap as the clock reaches them, one
+boundary and one contact start at a time: each start pushes its end, and
+each boundary walks its pairs from the sorted events.
 Each composition decision is one Dijkstra over a placement-derived service
 graph (:class:`_GraphTemplate`) that prices each edge as it relaxes it, by
 one rule, from the owner's view of the network (:func:`knowledge.owner_view`).
@@ -42,7 +45,7 @@ import math
 from array import array
 from bisect import insort
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import islice, repeat
 from operator import attrgetter
 
@@ -65,9 +68,9 @@ __all__ = [
 ]
 
 # Event kinds, as their priorities at equal timestamps (``_Engine.run`` maps
-# each to its handler).
-(_P_BOUNDARY, _P_CONTACT, _P_COMPLETION, _P_GENERATE, _P_SWEEP, _P_DEADLINE,
- _P_CONTACT_END) = range(7)
+# each to its handler).  Sweeps are not events: they run at the instant that
+# asks for them, after its generations and before its deadlines.
+_P_BOUNDARY, _P_CONTACT, _P_COMPLETION, _P_GENERATE, _P_DEADLINE, _P_CONTACT_END = range(6)
 
 
 @dataclass(frozen=True)
@@ -145,6 +148,13 @@ class SimConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        """Raise ValueError, naming the field, on a value no run can use: a
+        flag that is not a bool (YAML's quoted ``"false"`` is truthy), a bool
+        given as a number (it would pass as 0 or 1), or a number out of range."""
+        for f in fields(self):
+            value, flag = getattr(self, f.name), f.type == "bool"
+            if f.type in ("bool", "float", "int") and isinstance(value, bool) != flag:
+                raise ValueError(f"{f.name} must be {'true or false' if flag else 'a number'}, got {value!r}")
         # NaN fails each check: a NaN rate or timeout would run no request, and
         # an infinite rate draws every gap as 0, so generation would not end.
         if not 0 <= self.request_rate_per_min < math.inf:
@@ -489,6 +499,7 @@ class _Engine:
         # Each distinct stages text of a retired request, one string its rows share.
         self._texts: dict[str, str] = {}
         self.heap: list = []
+        self._due: dict[int, None] = {}  # the nodes due to sweep now, in the order asked
         self.seq = 0
         self.unit_index = 0
         # Pricing reads only the hosts' columns; ``perfect`` reads the owner's too.
@@ -502,7 +513,6 @@ class _Engine:
         self._dist_cache: dict[int, tuple] = {}
         self._plans: dict[tuple[int, int, int], CompositionPath | None] = {}
         self._reuse_plans = config.awareness in ("local", "global")
-        self._pending_sweeps: set[tuple[int, float]] = set()
         # Per node: the peers in contact with it now, in id order, kept by
         # contact start and end events.
         self.peers: list[list[int]] = [[] for _ in range(self.n)]
@@ -519,12 +529,6 @@ class _Engine:
         """Have kind ``prio``'s handler run ``handler(t, *payload)`` at ``t``."""
         self.seq += 1
         heapq.heappush(self.heap, (t, prio, self.seq, payload))
-
-    def schedule_sweep(self, node: int, t: float) -> None:
-        key = (node, t)
-        if key not in self._pending_sweeps:
-            self._pending_sweeps.add(key)
-            self.push(t, _P_SWEEP, node)
 
     # -- owners' views of the network -----------------------------------
 
@@ -640,7 +644,7 @@ class _Engine:
         item.planned_stage, item.destination = stage or (None, None)
         self._carry(node, item)
         if sweep and stage is not None:
-            self.schedule_sweep(node, t)
+            self._due[node] = None
 
     def _deliver(self, item: RequestRecord, node: int, t: float) -> None:
         """Hand a result to its requester at ``node``, or carry it on toward there."""
@@ -649,7 +653,7 @@ class _Engine:
             self._retire(item, "completed", t)
         else:
             self._carry(node, item)
-            self.schedule_sweep(node, t)
+            self._due[node] = None
 
     def _carry(self, node: int, item: RequestRecord) -> None:
         """Hold ``item`` at ``node``; each node's list stays in id order."""
@@ -685,9 +689,6 @@ class _Engine:
         per destination per sweep.  A stalled item (no destination) first
         retries path selection here.
         """
-        self._pending_sweeps.discard((node, t))
-        if not self.carried[node]:
-            return
         unit_s = self.cfg.unit_s
         scheme = self.cfg.scheme
         last_enc = self.last_enc
@@ -809,7 +810,7 @@ class _Engine:
         # The closure changes only the knowledge of nodes in ``pairs``.
         for node in np.flatnonzero(np.bincount(pairs.ravel())).tolist():
             if self.carried[node]:
-                self.schedule_sweep(node, t)
+                self._due[node] = None
 
     def on_contact_start(self, t: float, a: int, b: int, end: float) -> None:
         insort(self.peers[a], b)
@@ -818,10 +819,9 @@ class _Engine:
         self.stats.record(a, t)
         self.stats.record(b, t)
         self.last_enc[a][b] = self.last_enc[b][a] = t
-        if self.carried[a]:
-            self.schedule_sweep(a, t)
-        if self.carried[b]:
-            self.schedule_sweep(b, t)
+        for node in (a, b):
+            if self.carried[node]:
+                self._due[node] = None
 
     def on_contact_end(self, t: float, a: int, b: int) -> None:
         self.peers[a].remove(b)
@@ -830,6 +830,12 @@ class _Engine:
     # -- main loop ----------------------------------------------------------
 
     def run(self) -> Sequence[Mapping]:
+        """Handle the events in (time, kind, push order) and return the records.
+
+        An instant's due sweeps run first asked first, each once no event of
+        a kind before deadlines is left at that instant, so a completion or
+        generation a sweep pushes for now runs before the sweeps still due.
+        """
         unit_s = self.cfg.unit_s
         n_units = int(round(self.duration / unit_s))
         # Each popped boundary or contact start pushes the next of its kind,
@@ -847,9 +853,15 @@ class _Engine:
             self._schedule_next_generation(node, 0.0)
         # Looked up now, so handlers replaced on the instance or the class run.
         handlers = (self.on_boundary, self.on_contact_start, self.on_completion,
-                    self.on_generate, self.sweep, self.on_deadline, self.on_contact_end)
-        while self.heap:
-            t, prio, _, payload = heapq.heappop(self.heap)
+                    self.on_generate, self.on_deadline, self.on_contact_end)
+        sweep, due, heap, t = self.sweep, self._due, self.heap, 0.0
+        while heap or due:
+            if due and not (heap and heap[0] < (t, _P_DEADLINE)):
+                node = next(iter(due))
+                del due[node]
+                sweep(t, node)
+                continue
+            t, prio, _, payload = heapq.heappop(heap)
             if prio <= _P_CONTACT:  # a boundary or a contact start
                 for event in islice(upcoming[prio], 1):
                     self.push(*event)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -343,6 +344,18 @@ def test_contacts_csv_rejects_a_nonpositive_interval(tmp_path, interval):
     path.write_text(f"# nodes=3 duration=600.0 interval={interval}\n"
                     "node_a,node_b,start_s,end_s\n0,1,0.0,30.0\n")
     with pytest.raises(ValueError, match=f"interval must be positive, got {float(interval)}"):
+        load_contacts_csv(path)
+
+
+@pytest.mark.parametrize("head, message", [
+    ("# nodes=x duration=600.0", r"line 1: cannot read nodes='x' as int"),
+    ("# nodes=3\n# interval=abc", r"line 2: cannot read interval='abc' as float"),
+])
+def test_contacts_csv_names_the_file_and_line_of_a_malformed_header(tmp_path, head, message):
+    # A bare int() or float() raised "invalid literal …", naming no file.
+    path = tmp_path / "contacts.csv"
+    path.write_text(f"{head}\nnode_a,node_b,start_s,end_s\n0,1,0.0,30.0\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, {message}$"):
         load_contacts_csv(path)
 
 

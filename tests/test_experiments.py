@@ -388,6 +388,22 @@ def test_spec_run_rejects_load_alpha_outside_unit_interval(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("change, message", [
+    # A quoted "false" ran load-aware and exact-match, a true t_av as 1.0 and
+    # a true range_m as 1 m, which made no contacts.
+    ({"sim": {"load_aware": "false"}}, "sim: load_aware must be true or false, got 'false'"),
+    ({"sim": {"exact_match": "false"}}, "sim: exact_match must be true or false, got 'false'"),
+    ({"sim": {"t_av": True}}, "sim: t_av must be a number, got True"),
+    ({"sim": {"mean_exec_s": False}}, "sim: mean_exec_s must be a number, got False"),
+    ({"range_m": True}, "range_m must be a finite number > 0, got True"),
+])
+def test_spec_run_rejects_bools_as_numbers_and_non_bools_as_flags(tmp_path, change, message):
+    spec = tiny_spec(seeds=1, **change)
+    with pytest.raises(ValueError, match=message):
+        run_experiment(spec, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
 def test_every_preset_run_passes_key_checks():
     for name in PRESET_NAMES:
         spec = preset(name)

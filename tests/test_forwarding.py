@@ -11,7 +11,7 @@ from oppcompose.sim_core import SimConfig
 def test_scheme_parameters():
     assert TT_MARGIN == 20.0
     assert MT_MARGIN == 1.0
-    assert EBR_WINDOW == EncounterStats(1).window == 600.0
+    assert EBR_WINDOW == 600.0
     with pytest.raises(ValueError,
                        match="unknown scheme 'flooding'; choose from direct, TT, MT, EBR"):
         SimConfig(catalog=None, placement=None, pattern=None, scheme="flooding").validate()
@@ -57,7 +57,7 @@ def test_unknown_timers_relay_toward_knowledge():
 
 
 def test_encounter_window_counts():
-    stats = EncounterStats(2, window=600.0)
+    stats = EncounterStats(2)
     for t in (0.0, 100.0, 200.0):
         stats.record(0, t)
     assert stats.rate(0, 200.0) == 3
@@ -66,7 +66,7 @@ def test_encounter_window_counts():
 
 
 def test_ebr_compares_rates():
-    stats = EncounterStats(3, window=600.0)
+    stats = EncounterStats(3)
     for t in (10.0, 20.0, 30.0):
         stats.record(1, t)
     stats.record(0, 10.0)
@@ -75,7 +75,7 @@ def test_ebr_compares_rates():
 
 
 def test_ebr_flips_after_burst():
-    stats = EncounterStats(2, window=600.0)
+    stats = EncounterStats(2)
     stats.record(0, 0.0)
     stats.record(0, 10.0)
     stats.record(1, 20.0)

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 from bisect import bisect_right
 
 import numpy as np
@@ -448,6 +449,12 @@ def test_trace_csv_writes_times_that_name_their_sample(tmp_path, interval, times
 def test_trace_csv_rejects_a_nonpositive_interval(tmp_path, interval):
     path = write_trace(tmp_path, ["0.0,0,1,2"], head=f"# interval={interval}\n")
     with pytest.raises(ValueError, match="interval must be positive"):
+        load_trace_csv(path)
+
+
+def test_trace_csv_names_the_file_and_line_of_a_malformed_header(tmp_path):
+    path = write_trace(tmp_path, ["0.0,0,1,2"], head="# interval=30.0 width=wide\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, line 1: cannot read width='wide' as float$"):
         load_trace_csv(path)
 
 

@@ -435,7 +435,8 @@ def test_stale_completion_of_a_cancelled_request_leaves_its_successor_running():
 
 # -- request lifecycle invariant --------------------------------------------------------
 
-# The engine's event handlers, in the priority order of their event kinds.
+# The engine's handlers, in the order they run at one instant: the event
+# kinds' priority order, with the sweeps (not heap events) before deadlines.
 HANDLERS = ("on_boundary", "on_contact_start", "on_completion", "on_generate", "sweep",
             "on_deadline", "on_contact_end")
 
@@ -801,7 +802,9 @@ def test_estimated_cost_recorded_when_path_exists():
 def test_neighbor_index_matches_in_contact_at_interval_edges():
     # Contacts are closed intervals: a sweep at a contact's start or end sees
     # the peer, one just after the end does not.  Every probe must agree with
-    # the trace's own interval lookup.
+    # the trace's own interval lookup.  The probes are generation events,
+    # which run after an instant's contact starts and before its contact
+    # ends, as sweeps do; the request rate is 0, so no other generation runs.
     rng = np.random.default_rng(11)
     n, duration = 20, 3600.0
     events = []
@@ -824,13 +827,13 @@ def test_neighbor_index_matches_in_contact_at_interval_edges():
     def probe(t, node):
         seen[(t, node)] = list(engine._neighbors(node, t))  # a copy: the list is live
 
-    engine.sweep = probe
+    engine.on_generate = probe
     probes = set()
     for start, end, a, b in trace.events.tolist():
         for t in (start, end, end + 0.5, (start + end) / 2):
             for node in (a, b):
                 probes.add((t, node))
-                engine.schedule_sweep(node, t)
+                engine.push(t, sim_core._P_GENERATE, node)
     engine.run()
     assert set(seen) == probes
     for (t, node), peers in seen.items():
@@ -885,6 +888,53 @@ def test_events_at_one_instant_run_by_kind_then_push_order():
                                                                        (1, 2, 120.0)]
     assert [p for name, p in at_60 if name == "on_generate"] == [(3,), (1,)]
     assert [p for name, p in at_60 if name == "on_contact_end"] == [(1, 3)]
+
+
+def test_sweeps_at_one_instant_run_once_each_in_the_order_asked():
+    # Node 1 hosts the only service.  Request a (origin 0) reaches relay 2
+    # at t=20, and request b rests at its origin 3.  At t=60 the boundary
+    # asks for the sweeps of 2 and 3, in id order, since both are in
+    # contacts starting then; the contact starts ask again, which adds no
+    # sweep.  Sweep 2 hands a to its host 1, whose zero-length stage
+    # completes before sweep 3 runs and asks for sweep 1; sweep 1 hands the
+    # result back to relay 2 (which met origin 0 at t=30), and that asks for
+    # 2's second sweep, the instant's last.
+    catalog = enumerate_services(2)
+    placement = placement_of({0: [], 1: [Service(1, 2)], 2: [], 3: [], 4: []})
+    config = SimConfig(catalog=catalog, placement=placement,
+                       pattern=RequestPattern(pairs=((1, 2),)), awareness="minimal",
+                       scheme="MT", mean_exec_s=0.0)
+    trace = ContactTrace([(0.0, 10.0, 1, 2), (20.0, 40.0, 0, 2), (60.0, 90.0, 1, 2),
+                          (60.0, 90.0, 3, 4)], 5, 300.0)
+    engine = scripted_engine(config, trace, ((0.0, 0, 1, 2), (0.0, 3, 1, 2)), fixed_exec=True)
+    calls = []
+
+    def recorded(name):
+        handler = getattr(engine, name)
+
+        def wrapper(t, *payload):
+            calls.append((t, name, payload[:2]))
+            handler(t, *payload)
+        return wrapper
+
+    for name in ("on_boundary", "on_contact_start", "on_completion", "sweep"):
+        setattr(engine, name, recorded(name))
+    engine.run()
+    assert [(t, name, p) for t, name, p in calls if t == 20.0] == [
+        (20.0, "on_contact_start", (0, 2)), (20.0, "sweep", (0,))]
+    assert [(name, p) for t, name, p in calls if t == 60.0] == [
+        ("on_boundary", (2,)),
+        ("on_contact_start", (1, 2)),
+        ("on_contact_start", (3, 4)),
+        ("sweep", (2,)),
+        ("on_completion", (1, engine.carried[2][0])),
+        ("sweep", (3,)),
+        ("sweep", (1,)),
+        ("sweep", (2,)),
+    ]
+    a, b = engine.carried[2][0], engine.carried[3][0]
+    assert (a.origin, a.current_input, a.hops) == (0, 2, 3)
+    assert (b.origin, b.current_input, b.hops) == (3, 1, 0)
 
 
 def test_contacts_with_equal_starts_start_in_sorted_order():
