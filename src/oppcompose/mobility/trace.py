@@ -154,4 +154,5 @@ def sample_segments(
     knots at the same place).  Returns an array of shape (T, 2).
     """
     grid = np.arange(int(round(duration / interval)) + 1) * interval
+    times = np.asarray(times, dtype=float)  # once, not once per coordinate
     return np.stack([np.interp(grid, times, xs), np.interp(grid, times, ys)], axis=1)

@@ -47,6 +47,7 @@ from bisect import insort
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, fields
 from itertools import islice, repeat
+from numbers import Real
 from operator import attrgetter
 
 import numpy as np
@@ -150,10 +151,13 @@ class SimConfig:
     def validate(self) -> None:
         """Raise ValueError, naming the field, on a value no run can use: a
         flag that is not a bool (YAML's quoted ``"false"`` is truthy), a bool
-        given as a number (it would pass as 0 or 1), or a number out of range."""
+        given as a number (it would pass as 0 or 1), a number given as text
+        (a quoted ``"30"``), or a number out of range."""
         for f in fields(self):
             value, flag = getattr(self, f.name), f.type == "bool"
-            if f.type in ("bool", "float", "int") and isinstance(value, bool) != flag:
+            # A quoted number fails here, not at a comparison that names no field.
+            if f.type in ("bool", "float", "int") and (isinstance(value, bool) != flag
+                                                       or not isinstance(value, Real)):
                 raise ValueError(f"{f.name} must be {'true or false' if flag else 'a number'}, got {value!r}")
         # NaN fails each check: a NaN rate or timeout would run no request, and
         # an infinite rate draws every gap as 0, so generation would not end.

@@ -1,11 +1,13 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from oppcompose.contact_engine import (
+    EVENT_DTYPE,
     ContactTrace,
     contacts_from_positions,
     load_contacts_csv,
@@ -155,12 +157,51 @@ def test_edge_cases_match_per_sample_reference():
         (0.0, 90.0), (150.0, 240.0)]
 
 
+def row_end_runs_trace():
+    """Around node 0, runs at the ends of the pairs' rows: one sample at the
+    last (0, 1) and the first (0, 2), one-sample pieces cut by NaN gaps
+    around a two-sample run (0, 3), and two-sample runs at both ends (0, 4).
+    A block lays its pairs' rows end to end."""
+    pos = np.zeros((5, 6, 2))
+    pos[1:, :, 0] = [[500, 500, 500, 500, 500, 50], [50, 500, 500, 500, 500, 500],
+                     [50, np.nan, 50, 50, np.nan, 50], [50, 50, 500, 500, 50, 50]]
+    pos[1:, :, 1] = np.arange(1, 5)[:, None] * 7.0
+    return make_trace(pos)
+
+
 @pytest.mark.parametrize("pairs_per_block", [1, 2, 3])
 def test_runs_spanning_block_edges(pairs_per_block, monkeypatch):
-    for trace, range_m in ((wandering_trace(10, 60, 4), 60.0), (edge_case_trace(), 100.0)):
+    for trace, range_m in ((wandering_trace(10, 60, 4), 60.0), (edge_case_trace(), 100.0),
+                           (row_end_runs_trace(), 100.0)):
         monkeypatch.setattr(contact_engine, "BLOCK_PAIR_SAMPLES", pairs_per_block * trace.n_samples)
+        monkeypatch.setattr(contact_engine, "CHUNK_BLOCKS", 2)  # chunks, and blocks left over
         expected = contacts_per_sample(trace, range_m).events
         assert np.array_equal(contacts_from_positions(trace, range_m).events, expected)
+
+
+def test_contact_trace_leaves_the_callers_rows_as_given():
+    rows = [(90.0, 120.0, 2, 0), (0.0, 60.0, 1, 2), (0.0, 30.0, 1, 0)]
+    given = np.array(rows, dtype=EVENT_DTYPE)
+    for source in (list(rows), given):
+        trace = ContactTrace(source, 3, 600.0)
+        assert trace.events.tolist() == [(0.0, 30.0, 0, 1), (0.0, 60.0, 1, 2),
+                                         (90.0, 120.0, 0, 2)]
+        assert not np.shares_memory(trace.events, given)
+    assert given.tolist() == rows == [(90.0, 120.0, 2, 0), (0.0, 60.0, 1, 2), (0.0, 30.0, 1, 0)]
+
+
+def test_extraction_peaks_under_three_times_its_events():
+    # With the block arrays, the pair tables and two copies of the events
+    # alive at once, an extraction peaks near 6.6 times its events here.
+    trace = wandering_trace(150, 120, 7)
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        events = contacts_from_positions(trace, 100.0).events
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert len(events) > 15_000 and peak <= 3 * events.nbytes
 
 
 @pytest.mark.parametrize("shape", [(1, 20), (4, 1), (0, 20)], ids=["one-node", "one-sample",
@@ -356,6 +397,21 @@ def test_contacts_csv_names_the_file_and_line_of_a_malformed_header(tmp_path, he
     path = tmp_path / "contacts.csv"
     path.write_text(f"{head}\nnode_a,node_b,start_s,end_s\n0,1,0.0,30.0\n")
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, {message}$"):
+        load_contacts_csv(path)
+
+
+@pytest.mark.parametrize("duration, message", [
+    ("nan", "duration must be finite and >= 0, got nan"),
+    ("inf", "duration must be finite and >= 0, got inf"),
+    ("-5", "duration must be finite and >= 0, got -5.0"),
+    ("10", "duration=10.0 ends before a contact ending at 30.0"),
+])
+def test_contacts_csv_rejects_a_duration_no_run_can_use(tmp_path, duration, message):
+    # Each loaded; a run over nan or inf then failed naming neither file nor key.
+    path = tmp_path / "contacts.csv"
+    path.write_text(f"# nodes=3 duration={duration} interval=30.0\n"
+                    "node_a,node_b,start_s,end_s\n0,1,0.0,30.0\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
         load_contacts_csv(path)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -28,7 +29,7 @@ from oppcompose.experiments import (
 from oppcompose.mobility import (HcmmParams, LevyWalkParams, PositionTrace, generate_hcmm,
                                  generate_levy, ingest_gps_log, save_trace_csv)
 from oppcompose.service_model import Service, ServiceCatalog, enumerate_services
-from oppcompose.sim_core import RECORD_FIELDS, read_records_csv, run
+from oppcompose.sim_core import RECORD_FIELDS, SimConfig, read_records_csv, run
 
 
 def tiny_spec(**kw):
@@ -402,6 +403,18 @@ def test_spec_run_rejects_bools_as_numbers_and_non_bools_as_flags(tmp_path, chan
     with pytest.raises(ValueError, match=message):
         run_experiment(spec, tmp_path / "out")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(SimConfig)
+                                  if f.type in ("float", "int")])
+def test_a_quoted_number_is_refused_naming_its_field(name):
+    # It used to fail at its first comparison, naming no field: "sim: '<' not
+    # supported between instances of 'int' and 'str'".
+    with pytest.raises(ValueError, match=f"^{name} must be a number, got '30'$"):
+        SimConfig(catalog=None, placement=None, pattern=None, **{name: "30"}).validate()
+    if name != "seed":  # a spec's seeds give each run's seed, every other field is a sim key
+        with pytest.raises(ValueError, match=f"^sim: {name} must be a number, got '30'$"):
+            experiments._runs(tiny_spec(sim={"delay_warmup_s": 0.0, name: "30"}))
 
 
 def test_every_preset_run_passes_key_checks():
