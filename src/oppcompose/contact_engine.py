@@ -6,9 +6,11 @@ range at a sample iff ``dx*dx + dy*dy <= range_m**2``, and a NaN (absent)
 position is never in range.  One extraction tests the pairs in blocks, each
 block over every sample at once; a pair's runs lie within its own row, so no
 state passes from one block to the next.  A block drops its one-sample runs
-before it takes the flips, and a :class:`ContactTrace` sorts its input with
-one gather, so an extraction peaks at under three times its events' bytes
-above its start.
+before it takes the flips, and keeps only their flat positions: the events of
+a chunk of blocks are built in one pass, so a few numpy calls per block are
+all the extraction pays per item.  A :class:`ContactTrace` sorts its input
+with one gather, so an extraction peaks at under three times its events'
+bytes above its start.
 
 A :class:`ContactTrace` keeps its events as columns, one structured array
 with fields ``start``, ``end``, ``a`` and ``b`` (``a < b``), sorted by
@@ -149,49 +151,56 @@ def contacts_from_positions(trace: PositionTrace, range_m: float) -> ContactTrac
     check_range(range_m)
     t_count = trace.n_samples
     first, second = np.triu_indices(trace.n_nodes, 1)
-    x, y = trace.positions[..., 0], trace.positions[..., 1]
+    # Copied only when not C-contiguous, which ``take`` would copy per block.
+    positions = np.ascontiguousarray(trace.positions)
     r2 = range_m * range_m
     times = np.arange(t_count) * trace.sample_interval
+    # Out of range before the first sample and after the last, so each pair's
+    # flips in time order pair up: a run's first sample, then the sample
+    # after its last.  Flat, the pairs' rows run end to end.
+    width = t_count + 2
     block = max(1, BLOCK_PAIR_SAMPLES // max(1, t_count))
-    chunks, blocks = [np.zeros(0, dtype=EVENT_DTYPE)], []
-    for p0 in range(0, len(first), block):
-        blocks.append(_block_events(x, y, first[p0:p0 + block], second[p0:p0 + block], r2, times))
-        if len(blocks) == CHUNK_BLOCKS:
-            chunks.append(np.concatenate(blocks))
-            blocks = []
+    starts = range(0, len(first), block)
+    chunks = [np.zeros(0, dtype=EVENT_DTYPE)]
+    for c0 in range(0, len(starts), CHUNK_BLOCKS):
+        # Each block's flips, at their flat positions among all pairs' rows.
+        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is NaN: not in range
+            flips = np.concatenate([
+                _block_flips(positions, first[p0:p0 + block], second[p0:p0 + block], r2, width)
+                + p0 * width for p0 in starts[c0:c0 + CHUNK_BLOCKS]])
+        pair, begun = np.divmod(flips[0::2], width)
+        last = flips[1::2] - 1  # a run's last sample: the one before its end flip
+        last %= width
+        del flips
+        events = np.empty(len(pair), dtype=EVENT_DTYPE)
+        events["start"], events["end"] = times[begun], times[last]
+        events["a"], events["b"] = first[pair], second[pair]
+        chunks.append(events)
+        del pair, begun, last  # before the next chunk's blocks
     del first, second  # the pair tables, before the trace's own copy
-    events = np.concatenate(chunks + blocks)
-    del chunks, blocks
+    events = np.concatenate(chunks)
+    del chunks
     return ContactTrace(events, trace.n_nodes, trace.duration, trace.sample_interval)
 
 
-def _block_events(x, y, a, b, r2, times) -> np.ndarray:
-    """The events of pairs ``(a[i], b[i])`` along sample ``times``, pair by pair."""
-    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is NaN: not in range
-        # In place, so at most three block-sized float arrays live at once.
-        d2 = x[a]
-        d2 -= x[b]
-        d2 *= d2
-        dy = y[a]
-        dy -= y[b]
-        dy *= dy
-        d2 += dy
-        # Out of range before the first sample and after the last, so each
-        # pair's flips in time order pair up: a run's first sample, then the
-        # sample after its last.  Flat, the pairs' rows run end to end.
-        width = len(times) + 2
-        inside = np.zeros((len(a), width), dtype=bool)
-        np.less_equal(d2, r2, out=inside[:, 1:-1])
+def _block_flips(positions, a, b, r2, width) -> np.ndarray:
+    """The flat positions of the range flips of pairs ``(a[i], b[i])``, their
+    rows of ``width`` samples (one out-of-range pad at each end) end to end.
+
+    Called once per block, so it makes few numpy calls: x and y are
+    gathered together (``take`` on the contiguous positions), and the caller
+    sets the error state for a whole chunk."""
+    # In place: the pairs' offsets, squared, and one gather at a time.
+    d = positions.take(a, axis=0)
+    d -= positions.take(b, axis=0)
+    d *= d
+    inside = np.zeros((len(a), width), dtype=bool)
+    np.less_equal(d[..., 0] + d[..., 1], r2, out=inside[:, 1:-1])
     inside = inside.ravel()
     # A sample stays in range only beside another in-range one: one-sample
     # runs go before any flip is taken.
     inside[1:-1] &= inside[:-2] | inside[2:]
-    flips = np.flatnonzero(inside[1:] != inside[:-1]).reshape(-1, 2)
-    pair, begun = np.divmod(flips[:, 0], width)
-    events = np.empty(len(pair), dtype=EVENT_DTYPE)
-    events["start"], events["end"] = times[begun], times[flips[:, 1] - pair * width - 1]
-    events["a"], events["b"] = a[pair], b[pair]
-    return events
+    return (inside[1:] != inside[:-1]).nonzero()[0]
 
 
 def save_contacts_csv(contacts: ContactTrace, path) -> None:

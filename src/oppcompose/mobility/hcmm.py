@@ -21,8 +21,11 @@ The walk maps each double on Python floats, as numpy's scalar calls map it:
 ``low * (1.0 - u * tail) ** power`` for a truncated power law (``**`` on
 libm, not numpy's SIMD ``power``, which rounds differently on some CPUs),
 and ``bisect_right`` into the node's ``choice_cdf`` for
-``rng.choice(n_comms, p=...)``.  The travel time keeps ``np.hypot``:
-``math.hypot`` rounds differently and would move positions.
+``rng.choice(n_comms, p=...)``.  The travel time is libm's ``hypot`` of the
+trip's legs over the speed, the value ``np.hypot`` gives, taken as
+``abs(complex(dx, dy))``: CPython computes that by the same libm call,
+without numpy's per-call overhead.  ``math.hypot`` has its own algorithm,
+rounds differently and would move positions.
 """
 
 from __future__ import annotations
@@ -88,18 +91,22 @@ def generate_hcmm(
     # with probability rewiring_p to a node in some other community.  A
     # node's attraction to a community is its link count there over the
     # community's size.
+    # Counted in Python lists: a numpy scalar update per link costs more
+    # than the link's draws.
     home = homes.tolist()
     n_comms = params.n_communities
-    attraction = np.zeros((n_nodes, n_comms))
+    members = [[m for m in range(n_nodes) if home[m] == c] for c in range(n_comms)]
+    outside = [[m for m in range(n_nodes) if home[m] != c] for c in range(n_comms)]
+    links = [[0.0] * n_comms for _ in range(n_nodes)]
     for node in range(n_nodes):
-        outside = [m for m in range(n_nodes) if home[m] != home[node]]
-        for peer in range(n_nodes):
-            if peer == node or home[peer] != home[node]:
+        others = outside[home[node]]
+        for peer in members[home[node]]:  # in id order, as the draws go
+            if peer == node:
                 continue
-            if params.rewiring_p > 0 and rng.random() < params.rewiring_p and outside:
-                peer = outside[int(rng.integers(len(outside)))]
-            attraction[node, home[peer]] += 1.0
-    attraction /= np.maximum(np.bincount(homes, minlength=n_comms), 1.0)
+            if params.rewiring_p > 0 and rng.random() < params.rewiring_p and others:
+                peer = others[int(rng.integers(len(others)))]
+            links[node][home[peer]] += 1.0
+    attraction = np.array(links) / np.maximum(np.bincount(homes, minlength=n_comms), 1.0)
 
     n_samples = int(round(duration / sample_interval)) + 1
     positions = np.empty((n_nodes, n_samples, 2))
@@ -136,7 +143,7 @@ def generate_hcmm(
             gx0, gxr, gy0, gyr = goals[bisect_right(cdf, u_goal)]
             nx = gx0 + gxr * u_x
             ny = gy0 + gyr * u_y
-            t += float(np.hypot(nx - x, ny - y)) / speed
+            t += abs(complex(nx - x, ny - y)) / speed
             x, y = nx, ny
             kt.append(t)
             kx.append(x)

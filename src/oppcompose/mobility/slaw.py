@@ -113,7 +113,7 @@ def generate_slaw(
             current = remaining[int(np.argmin(d2))]
             visited.add(current)
             nx, ny = subset[current]
-            t += float(np.hypot(nx - x, ny - y)) / params.speed
+            t += abs(complex(nx - x, ny - y)) / params.speed
             x, y = nx, ny
             knots.append((t, x, y))
         positions[node] = sample_segments(*zip(*knots), duration, sample_interval)

@@ -154,5 +154,11 @@ def sample_segments(
     knots at the same place).  Returns an array of shape (T, 2).
     """
     grid = np.arange(int(round(duration / interval)) + 1) * interval
-    times = np.asarray(times, dtype=float)  # once, not once per coordinate
-    return np.stack([np.interp(grid, times, xs), np.interp(grid, times, ys)], axis=1)
+    # The knots read as doubles of a known count (the same values, without
+    # dtype discovery), each coordinate written in place (no np.stack).
+    count = len(times)
+    times = np.fromiter(times, float, count)
+    out = np.empty((len(grid), 2))
+    out[:, 0] = np.interp(grid, times, np.fromiter(xs, float, count))
+    out[:, 1] = np.interp(grid, times, np.fromiter(ys, float, count))
+    return out

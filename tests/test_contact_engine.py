@@ -169,6 +169,17 @@ def row_end_runs_trace():
     return make_trace(pos)
 
 
+def test_infinite_and_overflowing_positions_are_out_of_range():
+    # inf - inf is NaN and 1e200**2 overflows; neither is in range, and
+    # neither warns (the suite turns warnings into errors).
+    pos = np.zeros((3, 6, 2))
+    pos[0, 2] = pos[1, 2] = np.inf
+    pos[2, 3] = 1e200
+    pos[1, 4] = np.nan
+    got = contacts_from_positions(make_trace(pos), 100.0).events.tolist()
+    assert got == [(0.0, 30.0, 0, 1), (0.0, 30.0, 0, 2), (0.0, 30.0, 1, 2), (120.0, 150.0, 0, 2)]
+
+
 @pytest.mark.parametrize("pairs_per_block", [1, 2, 3])
 def test_runs_spanning_block_edges(pairs_per_block, monkeypatch):
     for trace, range_m in ((wandering_trace(10, 60, 4), 60.0), (edge_case_trace(), 100.0),

@@ -12,6 +12,7 @@ import pytest
 import yaml
 
 from oppcompose import experiments
+from oppcompose.contact_engine import contacts_from_positions
 from oppcompose.experiments import (
     ExperimentSpec,
     aggregate,
@@ -681,3 +682,37 @@ def test_unset_spec_values_take_their_consumers_defaults(tmp_path):
     assert ServiceCatalog.from_dict({"n_d": 5}) == enumerate_services(5)
     catalog = enumerate_services(5)
     assert build_pattern(catalog, {"k": 2}) == build_pattern(catalog, {"kind": "min_k", "k": 2})
+
+
+# -- the benchmark's inputs --------------------------------------------------------
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.json"
+# sha256 of each benchmark workload's seed-0 ``positions.tobytes()`` and
+# contact ``events.tobytes()``: a set-up change moving one bit fails here.
+WORKLOAD_INPUTS = {
+    "levy-n20-rate1": ("09ce213fbd92a84c648110856069481c9a611a989426328791cfc1723f33ebed",
+                       "182979f3fabfa27b146b9b5f0293270bc61f64f42a79d6d0e3548d7ee0241eef"),
+    "levy-n80": ("9b894620da94bdf33cff23a9f14d745991430df8a5022f953f6a5ec6f052a4d8",
+                 "24a0ddc5c877c42cfc7469c94515b4f81e7c40001e670c678b5c99cc9b67725a"),
+    "hcmm-n40-global": ("f879ae06393c5af6859f54b40e33637c9d35da5df067d21697bbe72cfca527eb",
+                        "5429940cef0af6c149e4bff75a0d619bc9f80e2f37ea774ad4495eb2b717b70a"),
+}
+
+
+@pytest.mark.parametrize("name", WORKLOAD_INPUTS)
+def test_benchmark_inputs_are_pinned(name):
+    # The benchmark applies each workload's dotted overrides to the fig6 preset.
+    workloads = json.loads(WORKLOADS.read_text())["workloads"]
+    assert sorted(workloads) == sorted(WORKLOAD_INPUTS)
+    spec = preset("fig6").to_dict()
+    for dotted, value in workloads[name]["overrides"].items():
+        *parents, leaf = dotted.split(".")
+        node = spec
+        for key in parents:
+            node = node[key]
+        node[leaf] = value
+    trace = experiments.make_trace(spec["mobility"], 0)
+    events = contacts_from_positions(trace, spec["range_m"]).events
+    positions, contacts = WORKLOAD_INPUTS[name]
+    assert hashlib.sha256(trace.positions.tobytes()).hexdigest() == positions
+    assert hashlib.sha256(events.tobytes()).hexdigest() == contacts
