@@ -21,8 +21,6 @@ that overlap or abut.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-
 import numpy as np
 
 from .mobility.trace import PositionTrace, read_headed_csv, time_format
@@ -114,25 +112,6 @@ class ContactTrace:
         ev = self.events
         return bool(((ev["a"] == min(a, b)) & (ev["b"] == max(a, b))
                      & (ev["start"] <= t) & (t <= ev["end"])).any())
-
-    def boundary_pairs(self, unit: float) -> Iterator[np.ndarray]:
-        """Yield, for each multiple k of ``unit`` in [0, duration], the pairs
-        active there as a (pairs, 2) id array, in no particular order.
-
-        An event covers boundary k when ``start / unit - 1e-9 <= k <= end /
-        unit + 1e-9``.  Events join in start order, so only the events
-        covering boundary k are held: those joining at k are added, those
-        ending before it dropped.
-        """
-        ev = self.events
-        k0 = np.ceil(ev["start"] / unit - 1e-9)
-        k1 = np.floor(ev["end"] / unit + 1e-9)
-        joined = k0.searchsorted(np.arange(int(round(self.duration / unit)) + 1), side="right")
-        active, lo = np.zeros(0, dtype=np.intp), 0
-        for k, hi in enumerate(joined.tolist()):
-            active = np.concatenate((active, np.arange(lo, hi)))
-            active, lo = active[k1[active] >= k], hi
-            yield np.stack((ev["a"][active], ev["b"][active]), axis=1)
 
 
 def check_range(range_m) -> None:

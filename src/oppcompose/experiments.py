@@ -255,13 +255,22 @@ def _check_keys(section: str, given, fn) -> None:
 
 
 def _check_mobility(mob: dict) -> None:
-    """Check ``mob``'s keys and model and, for a synthetic model, that
-    ``n_nodes`` is an integer >= 1 and ``duration`` a number >= 0 (ValueError)."""
+    """Check ``mob``'s keys and model, a file model's ``path`` or ``paths``, a
+    ``sample_interval`` (a finite number > 0; 0 and NaN fail each run, true
+    samples every 1 s) and, for a synthetic model, that ``n_nodes`` is an
+    integer >= 1 and ``duration`` a finite number >= 0 (ValueError)."""
     _check_keys("mobility", mob, _MOBILITY_KEYS)
     model = mob.get("model")
     if model not in _MODEL_PARAMS:
         raise ValueError(f"unknown mobility model {model!r}; choose from {', '.join(_MODEL_PARAMS)}")
     _check_keys(f"mobility.params ({model})", mob.get("params", {}), _MODEL_PARAMS[model])
+    files = {"trace-file": "path", "gps-files": "paths"}.get(model)
+    if files is not None and files not in mob:
+        raise ValueError(f"mobility lacks key {files}")
+    if "sample_interval" in mob and (
+            isinstance(interval := mob["sample_interval"], bool)
+            or not (isinstance(interval, (int, float)) and 0 < interval < math.inf)):
+        raise ValueError(f"mobility.sample_interval must be a finite number > 0, got {interval!r}")
     if model in _GENERATORS:
         for name, kind, what, low in (("n_nodes", int, "an integer", 1),
                                       ("duration", (int, float), "a number", 0)):
@@ -270,6 +279,8 @@ def _check_mobility(mob: dict) -> None:
                 raise ValueError(f"mobility.{name} must be {what}, got {value!r}")
             if not value >= low:
                 raise ValueError(f"mobility.{name} must be >= {low}, got {value!r}")
+            if not value < math.inf:
+                raise ValueError(f"mobility.{name} must be finite, got {value!r}")
 
 
 def _check_variants(variants: list) -> None:

@@ -1,20 +1,22 @@
 """Discrete-event simulation of request composition over a contact trace.
 
 Events are keyed by (time, priority, push order); the priority is the event's
-kind and picks its handler, so at one instant unit boundaries (timer ticks,
-one knowledge closure over the co-located groups, load-window updates; none
-of these under ``minimal`` awareness; knowledge keeps one column per service
-host, one per node under ``perfect``, and the closure relaxes every group's
-labels along its contacts until they settle) run first, then contact starts
-(encounter stats, neighbour index, forwarding attempts), service completions,
-Poisson request generation, deadline expirations (each carrying its request),
-and last contact ends.  Forwarding sweeps are not heap events: a sweep is
-due at the instant that asks for it, and the loop runs the instant's due
-sweeps, once per node and in the order asked, after its generations and
-before its deadlines, so a sweep at a contact's end still sees the peer.
-Unit boundaries and contacts go on the heap as the clock reaches them, one
-boundary and one contact start at a time: each start pushes its end, and
-each boundary walks its pairs from the sorted events.
+kind and picks its handler, so at one instant contact starts (encounter
+stats, neighbour index, forwarding attempts) run first, then the unit
+boundary (timer ticks, one knowledge closure over the co-located groups,
+load-window updates; none of these under ``minimal`` awareness; knowledge
+keeps one column per service host, one per node under ``perfect``, and the
+closure relaxes every group's labels along its contacts until they settle),
+service completions, Poisson request generation, deadline expirations (each
+carrying its request), and last contact ends: a boundary settles the pairs
+in contact at its instant, those starting or ending there included, from
+the peer lists that contact events keep.
+Forwarding sweeps are not heap events: a sweep is due at the instant that
+asks for it, and the loop runs the instant's due sweeps, once per node and
+in the order asked, after its generations and before its deadlines, so a
+sweep at a contact's end still sees the peer.  Contact starts and unit
+boundaries are one timeline, on the heap one event at a time as the clock
+reaches it; each start pushes its end.
 Each composition decision is one Dijkstra over a placement-derived service
 graph (:class:`_GraphTemplate`) that prices each edge as it relaxes it, by
 one rule, from the owner's view of the network (:func:`knowledge.owner_view`).
@@ -69,9 +71,10 @@ __all__ = [
 ]
 
 # Event kinds, as their priorities at equal timestamps (``_Engine.run`` maps
-# each to its handler).  Sweeps are not events: they run at the instant that
+# each to its handler): a boundary's peer lists hold the contacts that start
+# or end at its instant.  Sweeps are not events: they run at the instant that
 # asks for them, after its generations and before its deadlines.
-_P_BOUNDARY, _P_CONTACT, _P_COMPLETION, _P_GENERATE, _P_DEADLINE, _P_CONTACT_END = range(6)
+_P_CONTACT, _P_BOUNDARY, _P_COMPLETION, _P_GENERATE, _P_DEADLINE, _P_CONTACT_END = range(6)
 
 
 @dataclass(frozen=True)
@@ -512,13 +515,12 @@ class _Engine:
                               columns=None if config.awareness == "perfect" else hosts)
         self.template = _GraphTemplate(config.placement, config.catalog.n_d, config.exact_match,
                                        self.know.slots.tolist())
-        self.boundary_pairs = contacts.boundary_pairs(config.unit_s)
         # Per unit: each owner's view, and the plans it gave.
         self._dist_cache: dict[int, tuple] = {}
         self._plans: dict[tuple[int, int, int], CompositionPath | None] = {}
         self._reuse_plans = config.awareness in ("local", "global")
         # Per node: the peers in contact with it now, in id order, kept by
-        # contact start and end events.
+        # contact start and end events; relays and boundaries read them.
         self.peers: list[list[int]] = [[] for _ in range(self.n)]
         # Forwarding-layer state: when each pair last met directly.  The
         # timer relay rules run on these encounter ages, not on the
@@ -798,21 +800,26 @@ class _Engine:
         self.unit_index = k
         self._plans.clear()
         self._dist_cache.clear()
-        pairs = next(self.boundary_pairs)
-        for a, b in pairs.tolist():
-            self.last_enc[a][b] = self.last_enc[b][a] = t
+        peers, last_enc = self.peers, self.last_enc
+        met = [node for node in range(self.n) if peers[node]]
+        for a in met:
+            for b in peers[a]:
+                last_enc[a][b] = t
         cfg = self.cfg
         # minimal prices are constant and read no knowledge, so it is not kept up.
         if cfg.awareness != "minimal":
             know = self.know
             if k > 0:
                 know.tick()
-            exchange_all(know, pairs, now=float(k))
+            exchange_all(know, [(a, b) for a in met for b in peers[a] if a < b], now=float(k))
             own = know.own  # each host's own load, as its last window closed
             pending = np.array([len(self.queues[v]) for v in know.columns.tolist()])
             know.loads[own] = close_load_window(know.loads[own], pending, cfg.mean_exec_s, cfg.load_alpha)
-        # The closure changes only the knowledge of nodes in ``pairs``.
-        for node in np.flatnonzero(np.bincount(pairs.ravel())).tolist():
+        # The closure changes only the knowledge of nodes in contact; so far
+        # only this instant's contact starts asked for sweeps, all of them
+        # sweeps of nodes in contact, which are asked for again in id order.
+        self._due.clear()
+        for node in met:
             if self.carried[node]:
                 self._due[node] = None
 
@@ -842,21 +849,20 @@ class _Engine:
         """
         unit_s = self.cfg.unit_s
         n_units = int(round(self.duration / unit_s))
-        # Each popped boundary or contact start pushes the next of its kind,
-        # so the heap holds one of each: boundaries in k order, contacts in
-        # (start, end, a, b) order.  The loop pushes them, not the handlers,
-        # so a handler replaced on the instance cannot stop either stream.
+        # Each popped contact start or boundary pushes the timeline's next
+        # event, so the heap holds one: contacts in (start, end, a, b) order,
+        # boundaries in k order.  The loop pushes them, not the handlers, so a
+        # handler replaced on the instance cannot stop the timeline.
         boundaries = ((k * unit_s, _P_BOUNDARY, k) for k in range(n_units + 1))
         contacts = ((start, _P_CONTACT, a, b, end)
                     for start, end, a, b in (event.tolist() for event in self.contacts.events))
-        upcoming = (boundaries, contacts)  # indexed by kind: _P_BOUNDARY, _P_CONTACT
-        for stream in upcoming:
-            for event in islice(stream, 1):
-                self.push(*event)
+        timeline = heapq.merge(contacts, boundaries)
+        for event in islice(timeline, 1):
+            self.push(*event)
         for node in range(self.n):
             self._schedule_next_generation(node, 0.0)
         # Looked up now, so handlers replaced on the instance or the class run.
-        handlers = (self.on_boundary, self.on_contact_start, self.on_completion,
+        handlers = (self.on_contact_start, self.on_boundary, self.on_completion,
                     self.on_generate, self.on_deadline, self.on_contact_end)
         sweep, due, heap, t = self.sweep, self._due, self.heap, 0.0
         while heap or due:
@@ -866,8 +872,8 @@ class _Engine:
                 sweep(t, node)
                 continue
             t, prio, _, payload = heapq.heappop(heap)
-            if prio <= _P_CONTACT:  # a boundary or a contact start
-                for event in islice(upcoming[prio], 1):
+            if prio <= _P_BOUNDARY:  # a contact start or a boundary
+                for event in islice(timeline, 1):
                     self.push(*event)
             if t <= self.duration + 1e-9:
                 handlers[prio](t, *payload)

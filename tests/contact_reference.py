@@ -6,6 +6,10 @@ come from all-pairs distances, or, with more than ``GRID_THRESHOLD`` nodes,
 from a grid of range-sized cells; runs of in-range samples are then tracked
 one sample at a time.  The streamed extraction must give the same events.
 
+:func:`boundary_pairs` scans every event at every unit boundary: it is the
+reference for the pairs the engine settles there, which it reads from the
+peer lists that contact starts and ends keep.
+
 The shortest-temporal-distance oracles validate the distributed timer
 estimates: the minimum elapsed time over which some sequence of contacts
 could have relayed information between two nodes.
@@ -78,6 +82,15 @@ def pairs_in_range_grid(pos: np.ndarray, range_m: float) -> set[tuple[int, int]]
                             if d2 <= r2:
                                 out.add((i, j))
     return out
+
+
+def boundary_pairs(trace: ContactTrace, unit: float) -> list[list[tuple[int, int]]]:
+    """For each multiple k of ``unit`` in [0, duration], the pairs ``(a, b)``,
+    ``a < b``, of the events that cover ``k * unit`` as closed intervals
+    (``start <= k * unit <= end``), sorted."""
+    events = trace.events.tolist()
+    return [sorted((a, b) for start, end, a, b in events if start <= k * unit <= end)
+            for k in range(int(round(trace.duration / unit)) + 1)]
 
 
 def _latest_departures(contacts: ContactTrace, target: int, t: float) -> list[dict[int, float]]:

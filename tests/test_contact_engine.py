@@ -4,7 +4,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from oppcompose.contact_engine import (
     EVENT_DTYPE,
@@ -293,71 +292,6 @@ def test_relay_cost_oracle_prefers_fewer_hops_when_cheaper():
     t = 200.0
     assert relay_cost_oracle(trace, 0, 2, t, 0.0) == t - 130.0
     assert relay_cost_oracle(trace, 0, 2, t, 1000.0) == (t - 130.0) + 1000.0
-
-
-def listed_boundary_pairs(trace, unit):
-    """Each boundary's (pairs, 2) array from ``boundary_pairs`` as a sorted
-    list (the pairs come in no particular order)."""
-    return [sorted(pairs.tolist()) for pairs in trace.boundary_pairs(unit)]
-
-
-def test_boundary_pairs_cover_events():
-    events = [(30.0, 90.0, 0, 1), (60.0, 120.0, 1, 2)]
-    trace = ContactTrace(events, 3, 150.0)
-    per_boundary = listed_boundary_pairs(trace, 30.0)
-    assert per_boundary[0] == []
-    assert per_boundary[1] == [[0, 1]]
-    assert per_boundary[2] == [[0, 1], [1, 2]]
-    assert per_boundary[3] == [[0, 1], [1, 2]]
-    assert per_boundary[4] == [[1, 2]]
-    assert per_boundary[5] == []
-
-
-def brute_force_boundary_pairs(rows, duration, unit):
-    n_units = int(round(duration / unit)) + 1
-    return [sorted([min(a, b), max(a, b)] for s, e, a, b in rows
-                   if s / unit - 1e-9 <= k <= e / unit + 1e-9)
-            for k in range(n_units)]
-
-
-@st.composite
-def contact_rows(draw):
-    """Disjoint, non-abutting intervals per pair on a quarter-unit grid,
-    nudged by less or more than the boundary tolerance (but not below 0),
-    some past the end."""
-    n = draw(st.integers(2, 6))
-    duration = 30.0 * draw(st.integers(0, 8))
-    nudges = st.sampled_from([0.0, 0.0, 1e-11, -1e-11, 1e-7, -1e-7])
-    rows = []
-    for a in range(n):
-        for b in range(a + 1, n):
-            ticks = sorted(draw(st.sets(st.integers(0, 4 * int(duration / 30.0) + 8),
-                                        max_size=6)))
-            for lo, hi in zip(ticks[:len(ticks) // 2 * 2:2], ticks[1::2]):
-                start = max(0.0, lo * 7.5 + draw(nudges) * 30.0)
-                end = hi * 7.5 + draw(nudges) * 30.0
-                rows.append((start, end) + ((a, b) if draw(st.booleans()) else (b, a)))
-    return n, duration, rows
-
-
-@settings(max_examples=150, deadline=None)
-@given(case=contact_rows())
-def test_boundary_pairs_match_a_scan_of_each_boundary(case):
-    n, duration, rows = case
-    trace = ContactTrace(rows, n, duration)
-    per_boundary = list(trace.boundary_pairs(30.0))
-    want = brute_force_boundary_pairs(rows, duration, 30.0)
-    assert [sorted(pairs.tolist()) for pairs in per_boundary] == want
-    assert [pairs.shape for pairs in per_boundary] == [(len(w), 2) for w in want]
-
-
-def test_boundary_pairs_tolerance_and_overrun():
-    # An end 1e-10 s short of boundary 2 still covers it, a start 1e-4 s
-    # past it does not; an end exactly on 90 covers boundary 3, and a
-    # contact running past the duration stops at the last boundary.
-    rows = [(0.0, 59.9999999999, 0, 1), (60.0001, 90.0, 0, 2), (100.0, 400.0, 1, 2)]
-    assert listed_boundary_pairs(ContactTrace(rows, 3, 150.0), 30.0) == [
-        [[0, 1]], [[0, 1]], [[0, 1]], [[0, 2]], [[1, 2]], [[1, 2]]]
 
 
 def test_contacts_csv_round_trip(tmp_path):

@@ -28,6 +28,7 @@ from oppcompose.knowledge import Knowledge, exchange, exchange_all
 from oppcompose.mobility import LevyWalkParams, generate_levy
 from oppcompose.service_model import assign_services, enumerate_services
 from oppcompose.sim_core import RequestPattern, SimConfig, run, write_records_csv
+from contact_reference import boundary_pairs
 from pricing_reference import observed_rows, row_table
 
 UNIT = 30.0
@@ -255,7 +256,7 @@ def test_closure_matches_pairwise_fixpoint(t_av, track_matrix):
     for _ in range(12):
         n = int(rng.integers(3, 9))
         events = random_script(rng, n, 4 * n, horizon)
-        per_boundary = ContactTrace(events, n, horizon * UNIT).boundary_pairs(UNIT)
+        per_boundary = boundary_pairs(ContactTrace(events, n, horizon * UNIT), UNIT)
         know = Knowledge(n, t_av=t_av, track_matrix=track_matrix)
         for k, pairs in enumerate(per_boundary):
             if k:
@@ -335,8 +336,7 @@ def test_exchange_all_without_pairs_changes_nothing():
 
 @pytest.mark.parametrize("track_matrix", [False, True])
 def test_a_pair_listed_twice_settles_as_once(track_matrix):
-    # Two events of one pair 1e-8 s apart both cover it at a boundary, under
-    # boundary_pairs' 1e-9-unit tolerance: the pair then comes twice.
+    # exchange_all takes any pair list, one that names a pair twice included.
     rng = np.random.default_rng(3)
     once = Knowledge(6, t_av=0.5, track_matrix=track_matrix)
     once.timers[:] = rng.integers(1, 8, size=(6, 6))

@@ -476,6 +476,16 @@ def test_every_preset_run_passes_key_checks():
                    {"name": "b", "overrides": {"mobility.n_nodes": 1,
                                                "mobility.params.speed_classes": [[1, [1.0, 1.0]]]}}]},
      "repetition 2 exceeds node count 1"),
+    # Each of these failed in every run (an infinite duration, a sample
+    # interval of 0, below 0 or NaN, a file model without its files) or, as
+    # true, sampled every 1 s.
+    ({"mobility": {**tiny_spec().mobility, "duration": math.inf}},
+     "mobility.duration must be finite, got inf"),
+    *[({"mobility": {**tiny_spec().mobility, "sample_interval": value}},
+       f"mobility.sample_interval must be a finite number > 0, got {value!r}")
+      for value in (0.0, -30.0, math.nan, True)],
+    ({"mobility": {"model": "trace-file"}}, "mobility lacks key path"),
+    ({"mobility": {"model": "gps-files"}}, "mobility lacks key paths"),
 ])
 def test_spec_keys_are_checked_in_every_run_before_any_starts(tmp_path, change, message):
     spec_dict = {k: v for k, v in {**tiny_spec().to_dict(), **change}.items() if v is not None}

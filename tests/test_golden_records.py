@@ -22,6 +22,7 @@ from oppcompose.contact_engine import ContactTrace
 from oppcompose.service_model import assign_services, enumerate_services
 from oppcompose.sim_core import (_Engine, RequestPattern, SimConfig, read_records_csv, run,
                                  write_records_csv)
+from contact_reference import boundary_pairs
 from pricing_reference import cost_matrices, matrix_view
 from scripted import run_scripted, scripted_engine
 
@@ -108,7 +109,7 @@ def scenario(n_nodes=N_NODES, hosts=None):
 def test_scenario_forms_groups_of_three_or_more():
     contacts, _, _ = scenario()
     biggest = max(max(Counter(v for pair in pairs for v in pair).values(), default=0)
-                  for pairs in contacts.boundary_pairs(30.0))
+                  for pairs in boundary_pairs(contacts, 30.0))
     assert biggest >= 2  # some node meets two peers at once
 
 

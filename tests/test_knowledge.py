@@ -16,7 +16,7 @@ from oppcompose.knowledge import (
 )
 from oppcompose.service_model import Service, ServicePlacement, enumerate_services
 from oppcompose.sim_core import _GraphTemplate
-from contact_reference import contact_sequence_oracle, relay_cost_oracle
+from contact_reference import boundary_pairs, contact_sequence_oracle, relay_cost_oracle
 from pricing_reference import cost_matrices, edge_costs, graph_heads, matrix_view, row_table
 
 UNIT = 30.0
@@ -27,8 +27,7 @@ def propagate(events, n_nodes, t_av, duration, track_matrix=False):
     tick every unit, then run co-located exchanges to a fixpoint."""
     know = Knowledge(n_nodes, t_av=t_av, track_matrix=track_matrix)
     trace = ContactTrace(events, n_nodes, duration)
-    per_boundary = trace.boundary_pairs(UNIT)
-    for k, pairs in enumerate(per_boundary):
+    for k, pairs in enumerate(boundary_pairs(trace, UNIT)):
         if k:
             know.tick()
         exchange_all(know, pairs, now=float(k))

@@ -3,9 +3,11 @@ import math
 import tracemalloc
 from collections import Counter
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oppcompose import sim_core
 from oppcompose.contact_engine import (ContactTrace, contacts_from_positions, load_contacts_csv,
@@ -22,6 +24,7 @@ from oppcompose.sim_core import (
     run,
     write_records_csv,
 )
+from contact_reference import boundary_pairs
 from scripted import run_scripted, scripted_engine
 
 
@@ -437,7 +440,7 @@ def test_stale_completion_of_a_cancelled_request_leaves_its_successor_running():
 
 # The engine's handlers, in the order they run at one instant: the event
 # kinds' priority order, with the sweeps (not heap events) before deadlines.
-HANDLERS = ("on_boundary", "on_contact_start", "on_completion", "on_generate", "sweep",
+HANDLERS = ("on_contact_start", "on_boundary", "on_completion", "on_generate", "sweep",
             "on_deadline", "on_contact_end")
 
 
@@ -848,9 +851,28 @@ def test_neighbor_index_matches_in_contact_at_interval_edges():
     assert seen[(200.5, 10)] == []
 
 
+def recorded_run(engine, names, width=None):
+    """Run ``engine`` with its handlers ``names`` wrapped to log each call as
+    ``(t, name, payload[:width])``; the log, in call order."""
+    calls = []
+
+    def recorded(name):
+        handler = getattr(engine, name)
+
+        def wrapper(t, *payload):
+            calls.append((t, name, payload[:width]))
+            handler(t, *payload)
+        return wrapper
+
+    for name in names:
+        setattr(engine, name, recorded(name))
+    engine.run()
+    return calls
+
+
 def test_events_at_one_instant_run_by_kind_then_push_order():
-    # Every kind of event falls at t=60: the unit boundary, two contact
-    # starts, the completion of a 30 s stage begun at t=30, two scripted
+    # Every kind of event falls at t=60: two contact starts, the unit
+    # boundary, the completion of a 30 s stage begun at t=30, two scripted
     # requests, the sweep a carried request asks for, the deadlines of the
     # two requests made at t=0, and the end of a contact begun at t=0.  The
     # handlers run kind by kind in HANDLERS order, so a contact ends after
@@ -866,19 +888,7 @@ def test_events_at_one_instant_run_by_kind_then_push_order():
                        timeout_s=60.0, mean_exec_s=30.0)
     trace = ContactTrace([(60.0, 120.0, 1, 2), (60.0, 90.0, 0, 3), (0.0, 60.0, 1, 3)], 4, 300.0)
     engine = scripted_engine(config, trace, script, fixed_exec=True)
-    calls = []
-
-    def recorded(name):
-        handler = getattr(engine, name)
-
-        def wrapper(t, *payload):
-            calls.append((t, name, payload))
-            handler(t, *payload)
-        return wrapper
-
-    for name in HANDLERS:
-        setattr(engine, name, recorded(name))
-    engine.run()
+    calls = recorded_run(engine, HANDLERS)
     at_60 = [(name, payload) for t, name, payload in calls if t == 60.0]
     names = [name for name, _ in at_60]
     assert set(names) == set(HANDLERS)
@@ -892,13 +902,12 @@ def test_events_at_one_instant_run_by_kind_then_push_order():
 
 def test_sweeps_at_one_instant_run_once_each_in_the_order_asked():
     # Node 1 hosts the only service.  Request a (origin 0) reaches relay 2
-    # at t=20, and request b rests at its origin 3.  At t=60 the boundary
-    # asks for the sweeps of 2 and 3, in id order, since both are in
-    # contacts starting then; the contact starts ask again, which adds no
-    # sweep.  Sweep 2 hands a to its host 1, whose zero-length stage
-    # completes before sweep 3 runs and asks for sweep 1; sweep 1 hands the
-    # result back to relay 2 (which met origin 0 at t=30), and that asks for
-    # 2's second sweep, the instant's last.
+    # at t=20, and request b rests at its origin 3.  At t=60 the contact
+    # starts ask for the sweeps of 2 and 3, and the boundary after them asks
+    # again, in id order, which adds no sweep.  Sweep 2 hands a to its host
+    # 1, whose zero-length stage completes before sweep 3 runs and asks for
+    # sweep 1; sweep 1 hands the result back to relay 2 (which met origin 0
+    # at t=30), and that asks for 2's second sweep, the instant's last.
     catalog = enumerate_services(2)
     placement = placement_of({0: [], 1: [Service(1, 2)], 2: [], 3: [], 4: []})
     config = SimConfig(catalog=catalog, placement=placement,
@@ -907,25 +916,13 @@ def test_sweeps_at_one_instant_run_once_each_in_the_order_asked():
     trace = ContactTrace([(0.0, 10.0, 1, 2), (20.0, 40.0, 0, 2), (60.0, 90.0, 1, 2),
                           (60.0, 90.0, 3, 4)], 5, 300.0)
     engine = scripted_engine(config, trace, ((0.0, 0, 1, 2), (0.0, 3, 1, 2)), fixed_exec=True)
-    calls = []
-
-    def recorded(name):
-        handler = getattr(engine, name)
-
-        def wrapper(t, *payload):
-            calls.append((t, name, payload[:2]))
-            handler(t, *payload)
-        return wrapper
-
-    for name in ("on_boundary", "on_contact_start", "on_completion", "sweep"):
-        setattr(engine, name, recorded(name))
-    engine.run()
+    calls = recorded_run(engine, ("on_boundary", "on_contact_start", "on_completion", "sweep"), 2)
     assert [(t, name, p) for t, name, p in calls if t == 20.0] == [
         (20.0, "on_contact_start", (0, 2)), (20.0, "sweep", (0,))]
     assert [(name, p) for t, name, p in calls if t == 60.0] == [
-        ("on_boundary", (2,)),
         ("on_contact_start", (1, 2)),
         ("on_contact_start", (3, 4)),
+        ("on_boundary", (2,)),
         ("sweep", (2,)),
         ("on_completion", (1, engine.carried[2][0])),
         ("sweep", (3,)),
@@ -935,6 +932,94 @@ def test_sweeps_at_one_instant_run_once_each_in_the_order_asked():
     a, b = engine.carried[2][0], engine.carried[3][0]
     assert (a.origin, a.current_input, a.hops) == (0, 2, 3)
     assert (b.origin, b.current_input, b.hops) == (3, 1, 0)
+
+
+def test_a_boundary_runs_the_sweeps_of_its_nodes_in_id_order():
+    # Node 4 hosts the only service and meets no one, so the requests of
+    # nodes 0-3 stay carried.  At t=60 the contacts start in (start, end, a,
+    # b) order, (1, 3) before (0, 2), and ask for sweeps in that order; the
+    # boundary after them asks for the sweeps of every node in contact that
+    # carries an item, and they run in id order.
+    catalog = enumerate_services(2)
+    placement = placement_of({0: [], 1: [], 2: [], 3: [], 4: [Service(1, 2)]})
+    config = SimConfig(catalog=catalog, placement=placement,
+                       pattern=RequestPattern(pairs=((1, 2),)), awareness="minimal")
+    trace = ContactTrace([(60.0, 120.0, 0, 2), (60.0, 90.0, 1, 3)], 5, 300.0)
+    engine = scripted_engine(config, trace, [(0.0, node, 1, 2) for node in range(4)])
+    calls = recorded_run(engine, ("on_boundary", "on_contact_start", "sweep"), 2)
+    assert [(name, p) for t, name, p in calls if t == 60.0] == [
+        ("on_contact_start", (1, 3)),
+        ("on_contact_start", (0, 2)),
+        ("on_boundary", (2,)),
+        ("sweep", (0,)),
+        ("sweep", (1,)),
+        ("sweep", (2,)),
+        ("sweep", (3,)),
+    ]
+
+
+def settled_pairs(config, trace):
+    """The (time, sorted pairs) of each ``exchange_all`` call a run of
+    ``config`` over ``trace`` makes: one per unit boundary."""
+    calls = []
+
+    original = sim_core.exchange_all
+
+    def recorded(know, pairs, now):
+        calls.append((now, sorted(map(tuple, pairs))))
+        return original(know, pairs, now=now)
+
+    with mock.patch.object(sim_core, "exchange_all", recorded):
+        _Engine(config, trace).run()
+    return calls
+
+
+def one_host_config(**kw):
+    """A config whose one service is hosted by node 0, so any node count fits."""
+    catalog = enumerate_services(2)
+    return SimConfig(catalog=catalog, placement=placement_of({0: [Service(1, 2)]}),
+                     pattern=RequestPattern(pairs=((1, 2),)), request_rate_per_min=0.0, **kw)
+
+
+def test_boundaries_settle_contacts_as_closed_intervals():
+    # A contact that starts or ends on a boundary takes part in it; one that
+    # ends 1e-10 s before a boundary or starts 1e-4 s after it does not, and
+    # a contact running past the duration takes part up to the last boundary.
+    rows = [(0.0, 59.9999999999, 0, 1), (60.0001, 90.0, 0, 2), (30.0, 90.0, 1, 3),
+            (100.0, 400.0, 1, 2)]
+    assert settled_pairs(one_host_config(), ContactTrace(rows, 4, 150.0)) == [
+        (0.0, [(0, 1)]), (1.0, [(0, 1), (1, 3)]), (2.0, [(1, 3)]), (3.0, [(0, 2), (1, 3)]),
+        (4.0, [(1, 2)]), (5.0, [(1, 2)])]
+
+
+@st.composite
+def contact_rows(draw):
+    """Disjoint, non-abutting intervals per pair on a quarter-unit grid, so
+    that some start or end on a boundary, some nudged just off the grid
+    (but not below 0), and some past the end."""
+    n = draw(st.integers(2, 6))
+    duration = 30.0 * draw(st.integers(0, 8))
+    nudges = st.sampled_from([0.0, 0.0, 1e-11, -1e-11, 1e-7, -1e-7])
+    rows = []
+    for a in range(n):
+        for b in range(a + 1, n):
+            ticks = sorted(draw(st.sets(st.integers(0, 4 * int(duration / 30.0) + 8),
+                                        max_size=6)))
+            for lo, hi in zip(ticks[:len(ticks) // 2 * 2:2], ticks[1::2]):
+                start = max(0.0, lo * 7.5 + draw(nudges) * 30.0)
+                end = hi * 7.5 + draw(nudges) * 30.0
+                rows.append((start, end) + ((a, b) if draw(st.booleans()) else (b, a)))
+    return n, duration, rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=contact_rows())
+def test_each_boundary_settles_the_pairs_in_contact_at_its_instant(case):
+    n, duration, rows = case
+    trace = ContactTrace(rows, n, duration)
+    want = boundary_pairs(trace, 30.0)
+    assert settled_pairs(one_host_config(), trace) == [(float(k), pairs)
+                                                       for k, pairs in enumerate(want)]
 
 
 def test_contacts_with_equal_starts_start_in_sorted_order():
